@@ -225,10 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="3 linear solves per cycle (stable) or 1 (fast)",
             )
             sp_parser.add_argument("--trace", default=None, help="write per-step CSV trace here")
-            sp_parser.add_argument(
-                "--seed", type=int, default=None,
-                help="reserved for test instance generators; no effect on solves",
-            )
 
     ps = sub.add_parser("solve", help="solve a box problem")
     common(ps)

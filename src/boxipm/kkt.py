@@ -15,7 +15,9 @@ function
                  mu_r*(e-x) - tau e )
 
 to the central path, where z = (x, lam, mu_l, mu_r) has dimension
-N = 3n + m.  The Jacobian DF does not depend on tau.
+N = 3n + m.  The Jacobian DF does not depend on tau.  Its two mu block rows
+are diagonal, so Newton systems on DF reduce exactly to (n+m) unknowns
+(:class:`ReducedDF`).
 """
 
 from __future__ import annotations
@@ -187,6 +189,53 @@ def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
     J[i_mr, i_x] = -np.diag(z.mu_r)
     J[i_mr, i_mr] = np.diag(1.0 - z.x)
     return J
+
+
+class ReducedDF:
+    """DF at z with its two diagonal mu block rows eliminated exactly.
+
+    The rows ``mu_l*dx + (e+x)*dmu_l = g3`` and ``-mu_r*dx + (e-x)*dmu_r = g4``
+    of ``DF dz = g`` give dmu_l and dmu_r in closed form; substituting them
+    into the stationarity row leaves the (n+m) x (n+m) system
+
+        [[Q + omega I + diag(mu_l/(e+x) + mu_r/(e-x)), -A'],
+         [A,                                          omega I]] (dx, dlam)
+            = (g1 + g3/(e+x) - g4/(e-x), g2),
+
+    held in ``matrix``.  :meth:`solve` takes a factorization of ``matrix``
+    and returns the full dz.
+    """
+
+    def __init__(self, p: BoxQP, mp, z: Iterate):
+        if z.n != p.n or z.m != p.m:
+            raise DimensionError("iterate dimensions do not match the problem")
+        n, m = p.n, p.m
+        self._z = z
+        self._e_plus_x = 1.0 + z.x
+        self._e_minus_x = 1.0 - z.x
+        H = np.empty((n + m, n + m))
+        H[:n, :n] = p.Q
+        H[np.diag_indices(n)] += mp.omega + z.mu_l / self._e_plus_x + z.mu_r / self._e_minus_x
+        H[:n, n:] = -p.A.T
+        H[n:, :n] = p.A
+        H[n:, n:] = mp.omega * np.eye(m)
+        self.matrix = H
+
+    def solve(self, fac, g: np.ndarray) -> np.ndarray:
+        """Solve DF dz = g, where ``fac`` (a :class:`~boxipm.linalg.QRFactor`)
+        factors ``matrix``; g is a length-N vector or an (N, k) matrix of
+        right-hand-side columns."""
+        z = self._z
+        n, m = z.n, z.m
+        col = (-1,) + (1,) * (g.ndim - 1)
+        e_plus_x = self._e_plus_x.reshape(col)
+        e_minus_x = self._e_minus_x.reshape(col)
+        g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
+        u = fac.solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
+        dx = u[:n]
+        dmu_l = (g3 - z.mu_l.reshape(col) * dx) / e_plus_x
+        dmu_r = (g4 + z.mu_r.reshape(col) * dx) / e_minus_x
+        return np.concatenate([u, dmu_l, dmu_r])
 
 
 def eval_phi(p: BoxQP, mp, x, tau: float) -> float:

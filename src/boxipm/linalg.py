@@ -83,8 +83,13 @@ class QRFactor:
             )
 
     def solve(self, v) -> np.ndarray:
-        """Solve G u = v."""
-        v = as_vector(v, dim=self.dim, name="v")
+        """Solve G u = v; ``v`` is a vector of length d or a (d, k) matrix of
+        right-hand-side columns."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 2:
+            v = as_matrix(v, rows=self.dim, name="v")
+        else:
+            v = as_vector(v, dim=self.dim, name="v")
         y = scipy.linalg.solve_triangular(self._r, self._q.T @ v, lower=False)
         u = np.empty_like(y)
         u[self._piv] = y
@@ -98,17 +103,21 @@ class QRFactor:
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse of G (used only for condition estimation)."""
-        r_inv = scipy.linalg.solve_triangular(self._r, np.eye(self.dim), lower=False)
-        g_inv = np.empty((self.dim, self.dim))
-        g_inv[self._piv, :] = r_inv @ self._q.T
-        return g_inv
+        return self.solve(np.eye(self.dim))
 
     def cond_estimate(self, G: np.ndarray, iters: int = 32) -> float:
         """Power-iteration estimate of the spectral condition number of ``G``."""
-        if self.dim == 0:
-            return 1.0
-        g_inv = self.inverse()
-        return _sigma_max(G, iters) * _sigma_max(g_inv, iters)
+        return cond_from_inverse(G, self.inverse(), iters)
+
+
+def cond_from_inverse(G: np.ndarray, G_inv: np.ndarray, iters: int = 32) -> float:
+    """Condition estimate sigma_max(G) * sigma_max(G^-1), each by power iteration.
+
+    ``G_inv`` is an explicit inverse of ``G``, however it was computed.
+    """
+    if G.shape[0] == 0:
+        return 1.0
+    return _sigma_max(G, iters) * _sigma_max(G_inv, iters)
 
 
 def _sigma_max(G: np.ndarray, iters: int) -> float:

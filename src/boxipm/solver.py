@@ -31,8 +31,8 @@ from .errors import (
     PrimalInitFailed,
     StepRejected,
 )
-from .kkt import Iterate, Residual, eval_DF, eval_F, eval_grad_f, eval_hess_f
-from .linalg import EPS_MACH, QRFactor
+from .kkt import Iterate, ReducedDF, Residual, eval_DF, eval_F, eval_grad_f, eval_hess_f
+from .linalg import EPS_MACH, QRFactor, cond_from_inverse
 from .neighborhoods import complementarity_gap
 from .params import MethodParams, compute_params, compute_params_practical
 from .problem import (
@@ -89,9 +89,10 @@ class TraceEntry:
 
     For primal rows, residual_eq holds ||grad f(x_k)|| and the complementarity
     fields are NaN; for primal-dual rows the residuals are the post-step
-    blocks of F at the row's tau, cond_DF is the condition estimate of the
-    system actually factored, newton_dot is dx'(dmu_l - dmu_r) on path steps
-    and NaN elsewhere.
+    blocks of F at the row's tau.  cond_DF is the condition estimate of the
+    Newton matrix: the Hessian of f on primal rows, the full N x N DF on
+    primal-dual rows (whose exact (n+m) reduction is what gets factored).
+    newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
     """
 
     k: int
@@ -174,19 +175,19 @@ def _newton_pd(
         rhs = -np.concatenate([F.r1, F.r2, np.zeros(p.n), np.zeros(p.n)])
     else:
         rhs = -F.as_array()
-    J = eval_DF(p, mp, z)
+    red = ReducedDF(p, mp, z)
     # Exact-zero pivot guard: near tau_E the a-priori conditioning bound
     # kappa_DF exceeds 1/(dim*eps), so the relative pivot test would misflag
     # theory-valid systems as singular.
-    fac = QRFactor(J, pivot_tol=0.0)
-    dz = fac.solve(rhs)
+    fac = QRFactor(red.matrix, pivot_tol=0.0)
+    dz = red.solve(fac, rhs)
     if counter is not None:
         counter[0] += 1
     if not np.all(np.isfinite(dz)):
         raise StepRejected("Newton step produced non-finite components")
     z_new = _advance(z, dz, tau)
     dx, _, dmu_l, dmu_r = _split(dz, p.n, p.m)
-    cond = fac.cond_estimate(J, iters=_COND_ITERS) if want_cond else math.nan
+    cond = _cond_DF(p, mp, z, red, fac) if want_cond else math.nan
     info = _StepInfo(
         step_norm=float(np.linalg.norm(dz)),
         newton_dot=float(dx @ (dmu_l - dmu_r)),
@@ -194,6 +195,13 @@ def _newton_pd(
         post=eval_F(p, mp, z_new, tau),
     )
     return z_new, info
+
+
+def _cond_DF(p: BoxQP, mp: MethodParams, z: Iterate, red: ReducedDF, fac: QRFactor) -> float:
+    """Condition estimate of the full DF at z, with DF^-1 solved for through
+    the reduced factorization."""
+    DF_inv = red.solve(fac, np.eye(3 * p.n + p.m))
+    return cond_from_inverse(eval_DF(p, mp, z), DF_inv, _COND_ITERS)
 
 
 def _require(ok: bool, kind: str, detail: str):

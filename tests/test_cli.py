@@ -99,9 +99,6 @@ class TestSolveCommand:
         kinds = {row[2] for row in rows[1:]}
         assert {"primal", "lift", "path", "centrality", "error_reset"} <= kinds
 
-    def test_seed_flag_accepted(self, box_file, capsys):
-        assert run(["solve", box_file, "--seed", "7"]) == 0
-
 
 class TestSolveStandardCommand:
     def test_solve_standard(self, std_file, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boxipm import BoxQP, InvalidProblem, Iterate, OutOfDomain, compute_params_practical
-from boxipm.kkt import eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f, eval_phi
+from boxipm import BoxQP, DimensionError, InvalidProblem, Iterate, OutOfDomain, compute_params_practical
+from boxipm.kkt import ReducedDF, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f, eval_phi
+from boxipm.linalg import EPS_MACH, QRFactor
 from boxipm.params import MethodParams
 from boxipm.solver import lift
 
@@ -240,6 +241,76 @@ class TestJacobian:
             fd = (eval_F(p, mp, za, tau).as_array() - eval_F(p, mp, zb, tau).as_array()) / (2.0 * h)
             scale = max(1.0, np.linalg.norm(J @ v))
             assert np.linalg.norm(J @ v - fd) <= 1e-6 * scale
+
+
+def near_path_iterate(rng, n, m, gap, tau):
+    """Interior point with 1 - |x_0| = gap and mu within 10% of tau/(e +- x)."""
+    x = rng.uniform(-0.9, 0.9, size=n)
+    x[0] = (1.0 - gap) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    return Iterate(
+        x=x,
+        lam=rng.normal(size=m),
+        mu_l=tau / (1.0 + x) * rng.uniform(0.9, 1.1, size=n),
+        mu_r=tau / (1.0 - x) * rng.uniform(0.9, 1.1, size=n),
+    )
+
+
+def backward_error(J, dz, rhs):
+    """Normwise backward error of dz as a solution of J dz = rhs."""
+    res = np.linalg.norm(J @ dz - rhs)
+    return res / (np.linalg.norm(J) * np.linalg.norm(dz) + np.linalg.norm(rhs))
+
+
+class TestReducedDF:
+    def test_reduced_matrix_hand_values(self):
+        # n = 1, m = 1: mu_l/(1+x) + mu_r/(1-x) = 2/1.5 + 1/0.5 joins Q + omega
+        p = BoxQP(Q=[[3.0]], c=[0.0], A=[[2.0]], b=[0.0], tol=0.1)
+        mp = make_mp(omega=0.5)
+        z = Iterate(x=[0.5], lam=[0.0], mu_l=[2.0], mu_r=[1.0])
+        red = ReducedDF(p, mp, z)
+        assert_allclose(red.matrix, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [2.0, 0.5]], rtol=1e-15)
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (3, 0), (4, 2), (2, 5), (20, 8)])
+    @pytest.mark.parametrize("gap", [0.5, 1e-6, 1e-12])
+    @pytest.mark.parametrize("reset_only", [False, True])
+    def test_matches_full_qr_backward_error(self, n, m, gap, reset_only):
+        rng = np.random.default_rng(1000 * n + m)
+        p = random_boxqp(rng, n, m, tol=1e-2)
+        mp = compute_params_practical(p)
+        N = 3 * n + m
+        tau = 1e-3
+        for _ in range(3):
+            z = near_path_iterate(rng, n, m, gap, tau)
+            F = eval_F(p, mp, z, tau)
+            comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
+            rhs = -np.concatenate([F.r1, F.r2, comp])
+            J = eval_DF(p, mp, z)
+            ref = QRFactor(J, pivot_tol=0.0).solve(rhs)
+            red = ReducedDF(p, mp, z)
+            dz = red.solve(QRFactor(red.matrix, pivot_tol=0.0), rhs)
+            assert dz.shape == (N,)
+            bound = 10.0 * N * EPS_MACH
+            assert backward_error(J, ref, rhs) <= bound
+            assert backward_error(J, dz, rhs) <= bound
+
+    def test_matrix_rhs_gives_inverse(self):
+        rng = np.random.default_rng(77)
+        p = random_boxqp(rng, 4, 2, tol=1e-2)
+        mp = compute_params_practical(p)
+        z = near_path_iterate(rng, 4, 2, 0.5, 1.0)
+        red = ReducedDF(p, mp, z)
+        fac = QRFactor(red.matrix, pivot_tol=0.0)
+        eye = np.eye(14)
+        inv = red.solve(fac, eye)
+        for j in range(14):
+            assert_allclose(inv[:, j], red.solve(fac, eye[j]), rtol=1e-13, atol=1e-15)
+        assert_allclose(eval_DF(p, mp, z) @ inv, eye, atol=1e-12)
+
+    def test_rejects_mismatched_iterate(self):
+        p = zeros_problem(n=2, m=1)
+        z = Iterate(x=[0.0], lam=[0.0], mu_l=[1.0], mu_r=[1.0])
+        with pytest.raises(DimensionError):
+            ReducedDF(p, make_mp(), z)
 
 
 class TestPenaltyBarrier:

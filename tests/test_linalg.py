@@ -126,3 +126,16 @@ class TestValidators:
         fac = QRFactor(G)
         y = fac.solve_transposed(w)
         assert_allclose(G.T @ y, w, rtol=1e-10, atol=1e-12)
+
+    def test_qr_factor_matrix_rhs(self):
+        rng = np.random.default_rng(10)
+        G = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+        V = rng.normal(size=(6, 3))
+        fac = QRFactor(G)
+        U = fac.solve(V)
+        assert U.shape == (6, 3)
+        for j in range(3):
+            assert_allclose(U[:, j], fac.solve(V[:, j]), rtol=1e-13)
+        assert_allclose(fac.inverse(), np.linalg.inv(G), rtol=1e-12, atol=1e-14)
+        with pytest.raises(DimensionError):
+            fac.solve(np.ones((5, 3)))

@@ -16,8 +16,11 @@ from boxipm import (
     solve,
     solve_standard,
 )
-from boxipm.kkt import eval_F, eval_grad_f
+from boxipm.kkt import eval_DF, eval_F, eval_grad_f
+from boxipm.linalg import cond_estimate
 from boxipm.solver import (
+    _COND_ITERS,
+    _newton_pd,
     STEP_CENTRALITY,
     STEP_PATH,
     STEP_PRIMAL,
@@ -27,7 +30,7 @@ from boxipm.solver import (
     path_step,
     primal_init,
 )
-from support import random_boxqp, random_standard_with_optimum
+from support import random_boxqp, random_iterate, random_standard_with_optimum
 from test_kkt import make_mp, zeros_problem
 
 
@@ -241,6 +244,20 @@ def feasible_trace():
     rng = np.random.default_rng(101)
     p = random_boxqp(rng, 2, 1, feasible=True, tol=1e-2)
     return p, solve(p, collect_trace=True)
+
+
+class TestCondDF:
+    def test_matches_full_factor_estimate(self):
+        # cond_DF inverts DF through the reduced factorization; it must agree
+        # with the estimate taken from a QR of the full DF
+        rng = np.random.default_rng(31)
+        for n, m in [(1, 0), (3, 2), (5, 7), (12, 5)]:
+            p = random_boxqp(rng, n, m, feasible=True, tol=1e-2)
+            mp = compute_params_practical(p)
+            z = random_iterate(rng, n, m)
+            _, info = _newton_pd(p, mp, z, 1.0, reset_only=False, want_cond=True)
+            ref = cond_estimate(eval_DF(p, mp, z), iters=_COND_ITERS)
+            assert abs(info.cond - ref) <= 1e-8 * ref
 
 
 class TestTraceProperties:
