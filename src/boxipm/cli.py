@@ -14,20 +14,7 @@ import hashlib
 import json
 import sys
 
-from .errors import (
-    BoxIpmError,
-    BracketFailed,
-    DimensionError,
-    InvalidProblem,
-    IterationBudgetExceeded,
-    ParamOverflow,
-    ParseError,
-    PiCapExceeded,
-    PrimalInitFailed,
-    SingularSystem,
-    StepRejected,
-    TooLarge,
-)
+from .errors import BoxIpmError, DimensionError, InvalidProblem, ParseError, TooLarge
 from .oracle import oracle_min_residual, oracle_solve_boxqp
 from .params import compute_params, compute_params_practical, format_params
 from .probfile import ProblemFile, parse_problem
@@ -35,15 +22,6 @@ from .problem import BoxQP, problem_factor, transform_standard
 from .solver import TRACE_FIELDS, SolveReport, solve, solve_standard
 
 _INPUT_ERRORS = (ParseError, DimensionError, InvalidProblem, TooLarge)
-_SOLVE_ERRORS = (
-    SingularSystem,
-    ParamOverflow,
-    PrimalInitFailed,
-    StepRejected,
-    IterationBudgetExceeded,
-    PiCapExceeded,
-    BracketFailed,
-)
 
 EXIT_OK = 0
 EXIT_SOLVE = 1
@@ -265,9 +243,6 @@ def run(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _SOLVE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -95,12 +95,6 @@ class QRFactor:
         u[self._piv] = y
         return u
 
-    def solve_transposed(self, w) -> np.ndarray:
-        """Solve G^T y = w."""
-        w = as_vector(w, dim=self.dim, name="w")
-        y = scipy.linalg.solve_triangular(self._r, w[self._piv], lower=False, trans="T")
-        return self._q @ y
-
     def inverse(self) -> np.ndarray:
         """Explicit inverse of G (used only for condition estimation)."""
         return self.solve(np.eye(self.dim))

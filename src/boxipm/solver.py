@@ -12,8 +12,12 @@ Three phases:
    across cycles.  ``fast`` mode solves one system per cycle instead of
    three and is appropriate when stability is not a concern.
 
-Every step enforces the per-step contraction guarantee at runtime and
-rejects (never damps) on failure.  The returned solution x satisfies
+``solve()`` is built from the public step functions: it runs the primal
+loop behind ``primal_init``, then ``lift``, and makes every primal-dual
+Newton step through ``_step``, the single implementation behind
+``error_reset_step``, ``path_step`` and ``centrality_step``.  Every step
+enforces the per-step contraction guarantee at runtime and rejects (never
+damps) on failure.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
 """
@@ -162,7 +166,6 @@ def _newton_pd(
     z: Iterate,
     tau: float,
     reset_only: bool,
-    counter: list | None = None,
     want_cond: bool = False,
 ) -> tuple[Iterate, _StepInfo]:
     """One primal-dual Newton step on F_tau at z.
@@ -181,8 +184,6 @@ def _newton_pd(
     # theory-valid systems as singular.
     fac = QRFactor(red.matrix, pivot_tol=0.0)
     dz = red.solve(fac, rhs)
-    if counter is not None:
-        counter[0] += 1
     if not np.all(np.isfinite(dz)):
         raise StepRejected("Newton step produced non-finite components")
     z_new = _advance(z, dz, tau)
@@ -204,22 +205,59 @@ def _cond_DF(p: BoxQP, mp: MethodParams, z: Iterate, red: ReducedDF, fac: QRFact
     return cond_from_inverse(eval_DF(p, mp, z), DF_inv, _COND_ITERS)
 
 
-def _require(ok: bool, kind: str, detail: str):
-    if not ok:
-        raise StepRejected(f"{kind} step failed its post-check: {detail}")
+def _step(
+    kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float,
+    slack: float | None = None, want_cond: bool = False,
+) -> tuple[Iterate, _StepInfo]:
+    """One primal-dual Newton step of ``kind`` on F_tau, then its post-check.
+
+    error_reset: ||(r1, r2)|| <= 100 N eps C_DF C_z (``slack`` is unused).
+    path and centrality: ||(r3, r4)|| <= w tau (1 + COMP_CHECK_RTOL) + slack
+    with w = theta and theta/2; ``slack=None`` is the envelope allowance
+    C_dF nu_1 (path) or C_dF nu_2 (centrality).  A failed check raises
+    StepRejected; the step is never damped.
+    """
+    reset = kind == STEP_ERROR_RESET
+    z_new, info = _newton_pd(p, mp, z, tau, reset_only=reset, want_cond=want_cond)
+    if reset:
+        block, value = "eq", info.post.eq_norm
+        limit = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
+    else:
+        path = kind == STEP_PATH
+        if slack is None:
+            slack = mp.C_dF * (mp.nu_1 if path else mp.nu_2)
+        width = mp.theta if path else 0.5 * mp.theta
+        block, value = "comp", info.post.comp_norm
+        limit = width * tau * (1.0 + COMP_CHECK_RTOL) + slack
+    if not value <= limit:
+        raise StepRejected(
+            f"{kind} step failed its post-check: {block} residual {value!r} > {limit!r}"
+        )
+    return z_new, info
 
 
-def _check_comp(kind: str, post: Residual, bound: float, slack: float):
-    limit = bound * (1.0 + COMP_CHECK_RTOL) + slack
-    _require(
-        post.comp_norm <= limit,
-        kind,
-        f"comp residual {post.comp_norm!r} > {limit!r}",
-    )
+def _primal_steps(p: BoxQP, mp: MethodParams):
+    """The K full Newton steps on f from the origin.
 
-
-def _reset_bound(mp: MethodParams) -> float:
-    return 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
+    Yields (k, x_k, dx, factor, Hessian) per step, so a caller can record
+    each one; once exhausted, checks the guarantees of x_K.
+    """
+    x = np.zeros(p.n)
+    for k in range(1, mp.K + 1):
+        grad = eval_grad_f(p, mp, x)
+        hess = eval_hess_f(p, mp, x)
+        fac = QRFactor(hess)  # provably well conditioned: I <= hess <= C_Hf I
+        dx = fac.solve(-grad)
+        x = x + dx
+        yield k, x, dx, fac, hess
+    gnorm = float(np.linalg.norm(eval_grad_f(p, mp, x)))
+    if gnorm > mp.rho:
+        raise PrimalInitFailed(
+            f"||grad f(x_K)|| = {gnorm!r} exceeds rho = {mp.rho!r} after K = {mp.K} steps"
+        )
+    xnorm = float(np.linalg.norm(x))
+    if xnorm > 0.5:
+        raise PrimalInitFailed(f"||x_K||_2 = {xnorm!r} exceeds 0.5")
 
 
 def primal_init(p: BoxQP, mp: MethodParams) -> np.ndarray:
@@ -229,31 +267,10 @@ def primal_init(p: BoxQP, mp: MethodParams) -> np.ndarray:
     PrimalInitFailed when rounding prevents either guarantee (the precision
     budget is too small for this instance).
     """
-    x, _, _ = _primal_phase(p, mp)
-    return x
-
-
-def _primal_phase(p: BoxQP, mp: MethodParams, counter=None, recorder=None):
     x = np.zeros(p.n)
-    for k in range(1, mp.K + 1):
-        grad = eval_grad_f(p, mp, x)
-        hess = eval_hess_f(p, mp, x)
-        fac = QRFactor(hess)  # provably well conditioned: I <= hess <= C_Hf I
-        dx = fac.solve(-grad)
-        if counter is not None:
-            counter[0] += 1
-        x = x + dx
-        if recorder is not None:
-            recorder(k, x, float(np.linalg.norm(dx)), fac, hess)
-    gnorm = float(np.linalg.norm(eval_grad_f(p, mp, x)))
-    if gnorm > mp.rho:
-        raise PrimalInitFailed(
-            f"||grad f(x_K)|| = {gnorm!r} exceeds rho = {mp.rho!r} after K = {mp.K} steps"
-        )
-    xnorm = float(np.linalg.norm(x))
-    if xnorm > 0.5:
-        raise PrimalInitFailed(f"||x_K||_2 = {xnorm!r} exceeds 0.5")
-    return x, gnorm, xnorm
+    for _, x, *_ in _primal_steps(p, mp):
+        pass
+    return x
 
 
 def lift(p: BoxQP, mp: MethodParams, xk) -> Iterate:
@@ -278,14 +295,7 @@ def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iter
     By linearity the new stationarity/equality residuals vanish to roundoff;
     the post-check enforces ||(r1, r2)|| <= 100 N eps C_DF C_z.
     """
-    z_new, info = _newton_pd(p, mp, z, tau, reset_only=True)
-    bound = _reset_bound(mp)
-    _require(
-        info.post.eq_norm <= bound,
-        STEP_ERROR_RESET,
-        f"eq residual {info.post.eq_norm!r} > {bound!r}",
-    )
-    return z_new
+    return _step(STEP_ERROR_RESET, p, mp, z, tau)[0]
 
 
 def path_step(
@@ -296,23 +306,40 @@ def path_step(
     Returns (new iterate, tau_hat).  Post-checks: complementarity residual
     at most theta * tau_hat (plus envelope slack) and strict interiority.
     """
-    if slack is None:
-        slack = mp.C_dF * mp.nu_1
     tau_hat = mp.sigma * tau
-    z_new, info = _newton_pd(p, mp, z, tau_hat, reset_only=False)
-    _check_comp(STEP_PATH, info.post, mp.theta * tau_hat, slack)
-    return z_new, tau_hat
+    return _step(STEP_PATH, p, mp, z, tau_hat, slack)[0], tau_hat
 
 
 def centrality_step(
     p: BoxQP, mp: MethodParams, z: Iterate, tau: float, slack: float | None = None
 ) -> Iterate:
     """Newton step on F at unchanged tau; halves the neighborhood width."""
-    if slack is None:
-        slack = mp.C_dF * mp.nu_2
-    z_new, info = _newton_pd(p, mp, z, tau, reset_only=False)
-    _check_comp(STEP_CENTRALITY, info.post, 0.5 * mp.theta * tau, slack)
-    return z_new
+    return _step(STEP_CENTRALITY, p, mp, z, tau, slack)[0]
+
+
+def _primal_row(
+    k: int, p: BoxQP, mp: MethodParams, x: np.ndarray, dx: np.ndarray, fac: QRFactor, hess
+) -> TraceEntry:
+    return TraceEntry(
+        k=k, tau=mp.tau_A, step_kind=STEP_PRIMAL,
+        residual_comp=math.nan,
+        residual_eq=float(np.linalg.norm(eval_grad_f(p, mp, x))),
+        cond_DF=fac.cond_estimate(hess, iters=_COND_ITERS),
+        step_norm=float(np.linalg.norm(dx)),
+        interior_margin=float(1.0 - np.abs(x).max(initial=0.0)),
+        comp_gap=math.nan, z_norm=math.nan, newton_dot=math.nan,
+    )
+
+
+def _pd_row(k: int, kind: str, tau: float, z: Iterate, info: _StepInfo) -> TraceEntry:
+    return TraceEntry(
+        k=k, tau=tau, step_kind=kind,
+        residual_comp=info.post.comp_norm, residual_eq=info.post.eq_norm,
+        cond_DF=info.cond, step_norm=info.step_norm,
+        interior_margin=z.interior_margin(), comp_gap=complementarity_gap(z),
+        z_norm=float(np.linalg.norm(z.as_array())),
+        newton_dot=info.newton_dot if kind == STEP_PATH else math.nan,
+    )
 
 
 def solve(
@@ -348,106 +375,36 @@ def solve(
     if params_mode not in (PARAMS_STRICT, PARAMS_PRACTICAL):
         raise InvalidProblem(f"unknown params mode {params_mode!r}")
     mp = compute_params(p) if params_mode == PARAMS_STRICT else compute_params_practical(p)
-
+    cycle = (STEP_PATH,) if mode == MODE_FAST else (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
+    # Strict params in fast mode hold the path step to the theoretical
+    # contraction, with no envelope allowance.
+    path_slack = 0.0 if mode == MODE_FAST and params_mode == PARAMS_STRICT else None
     trace: list[TraceEntry] = []
-    counter = [0]
-    want_cond = collect_trace
-    step_index = [0]
 
-    def pd_row(kind: str, z: Iterate, tau: float, info: _StepInfo | None, post: Residual, dot_ok=False):
-        step_index[0] += 1
-        trace.append(
-            TraceEntry(
-                k=step_index[0],
-                tau=tau,
-                step_kind=kind,
-                residual_comp=post.comp_norm,
-                residual_eq=post.eq_norm,
-                cond_DF=info.cond if info is not None else math.nan,
-                step_norm=info.step_norm if info is not None else math.nan,
-                interior_margin=z.interior_margin(),
-                comp_gap=complementarity_gap(z),
-                z_norm=float(np.linalg.norm(z.as_array())),
-                newton_dot=info.newton_dot if (info is not None and dot_ok) else math.nan,
-            )
-        )
-
-    # --- primal phase ---
-    recorder = None
+    x = np.zeros(p.n)
+    for k, x, dx, fac, hess in _primal_steps(p, mp):
+        if collect_trace:
+            trace.append(_primal_row(k, p, mp, x, dx, fac, hess))
+    z_lift = lift(p, mp, x)
+    z, info = _step(STEP_ERROR_RESET, p, mp, z_lift, mp.tau_A, want_cond=collect_trace)
+    solves = mp.K + 1
     if collect_trace:
-
-        def recorder(k, xk, dxnorm, fac, hess):
-            step_index[0] += 1
-            trace.append(
-                TraceEntry(
-                    k=step_index[0],
-                    tau=mp.tau_A,
-                    step_kind=STEP_PRIMAL,
-                    residual_comp=math.nan,
-                    residual_eq=float(np.linalg.norm(eval_grad_f(p, mp, xk))),
-                    cond_DF=fac.cond_estimate(hess, iters=_COND_ITERS),
-                    step_norm=dxnorm,
-                    interior_margin=float(1.0 - np.abs(xk).max(initial=0.0)),
-                    comp_gap=math.nan,
-                    z_norm=math.nan,
-                    newton_dot=math.nan,
-                )
-            )
-
-    x_k, _, _ = _primal_phase(p, mp, counter=counter, recorder=recorder)
-
-    # --- lift and initial error reset ---
-    z_lift = lift(p, mp, x_k)
-    z, info = _newton_pd(p, mp, z_lift, mp.tau_A, reset_only=True, counter=counter, want_cond=want_cond)
-    _require(
-        info.post.eq_norm <= _reset_bound(mp),
-        STEP_ERROR_RESET,
-        f"eq residual {info.post.eq_norm!r} > {_reset_bound(mp)!r}",
-    )
-    if collect_trace:
-        # The init reset factors DF at the lift point, so its condition
+        # The initial reset factors DF at the lift point, so its condition
         # estimate belongs to the lift row as well.
-        F_lift = eval_F(p, mp, z_lift, mp.tau_A)
-        step_index[0] += 1
-        trace.append(
-            TraceEntry(
-                k=step_index[0], tau=mp.tau_A, step_kind=STEP_LIFT,
-                residual_comp=F_lift.comp_norm, residual_eq=F_lift.eq_norm,
-                cond_DF=info.cond, step_norm=math.nan,
-                interior_margin=z_lift.interior_margin(),
-                comp_gap=complementarity_gap(z_lift),
-                z_norm=float(np.linalg.norm(z_lift.as_array())),
-                newton_dot=math.nan,
-            )
-        )
-        pd_row(STEP_ERROR_RESET, z, mp.tau_A, info, info.post)
+        lifted = _StepInfo(math.nan, math.nan, info.cond, eval_F(p, mp, z_lift, mp.tau_A))
+        trace.append(_pd_row(len(trace) + 1, STEP_LIFT, mp.tau_A, z_lift, lifted))
+        trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, mp.tau_A, z, info))
 
-    # --- path following ---
-    strict_fast = mode == MODE_FAST and params_mode == PARAMS_STRICT
-    slack_path = 0.0 if strict_fast else mp.C_dF * mp.nu_1
-    slack_cent = mp.C_dF * mp.nu_2
     tau = mp.tau_A
     cycles = 0
     for _ in range(mp.M):
-        tau_hat = mp.sigma * tau
-        z, info = _newton_pd(p, mp, z, tau_hat, reset_only=False, counter=counter, want_cond=want_cond)
-        _check_comp(STEP_PATH, info.post, mp.theta * tau_hat, slack_path)
-        if collect_trace:
-            pd_row(STEP_PATH, z, tau_hat, info, info.post, dot_ok=True)
-        if mode == MODE_STABLE:
-            z, info = _newton_pd(p, mp, z, tau_hat, reset_only=False, counter=counter, want_cond=want_cond)
-            _check_comp(STEP_CENTRALITY, info.post, 0.5 * mp.theta * tau_hat, slack_cent)
+        tau = mp.sigma * tau
+        for kind in cycle:
+            slack = path_slack if kind == STEP_PATH else None
+            z, info = _step(kind, p, mp, z, tau, slack, collect_trace)
+            solves += 1
             if collect_trace:
-                pd_row(STEP_CENTRALITY, z, tau_hat, info, info.post)
-            z, info = _newton_pd(p, mp, z, tau_hat, reset_only=True, counter=counter, want_cond=want_cond)
-            _require(
-                info.post.eq_norm <= _reset_bound(mp),
-                STEP_ERROR_RESET,
-                f"eq residual {info.post.eq_norm!r} > {_reset_bound(mp)!r}",
-            )
-            if collect_trace:
-                pd_row(STEP_ERROR_RESET, z, tau_hat, info, info.post)
-        tau = tau_hat
+                trace.append(_pd_row(len(trace) + 1, kind, tau, z, info))
         cycles += 1
         if tau <= mp.tau_E:
             break
@@ -466,7 +423,7 @@ def solve(
         mode=mode,
         params=mp,
         trace=trace,
-        linear_solves=counter[0],
+        linear_solves=solves,
     )
 
 

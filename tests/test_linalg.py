@@ -119,14 +119,6 @@ class TestValidators:
         with pytest.raises(InvalidProblem):
             as_matrix([[np.inf]])
 
-    def test_qr_factor_transposed_solve(self):
-        rng = np.random.default_rng(9)
-        G = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-        w = rng.normal(size=6)
-        fac = QRFactor(G)
-        y = fac.solve_transposed(w)
-        assert_allclose(G.T @ y, w, rtol=1e-10, atol=1e-12)
-
     def test_qr_factor_matrix_rhs(self):
         rng = np.random.default_rng(10)
         G = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)

@@ -10,6 +10,7 @@ from boxipm import (
     Iterate,
     PiCapExceeded,
     StandardQP,
+    compute_params,
     compute_params_practical,
     oracle_min_residual,
     oracle_solve_boxqp,
@@ -22,6 +23,8 @@ from boxipm.solver import (
     _COND_ITERS,
     _newton_pd,
     STEP_CENTRALITY,
+    STEP_ERROR_RESET,
+    STEP_LIFT,
     STEP_PATH,
     STEP_PRIMAL,
     centrality_step,
@@ -237,6 +240,58 @@ class TestSolve:
         rep = solve(p, collect_trace=True)
         margins = [e.interior_margin for e in rep.trace if e.step_kind != STEP_PRIMAL]
         assert min(margins) > 0.0
+
+
+def _drive_steps(p, mode, params_mode="practical", path_slack=None):
+    """solve() spelled out with the public step functions."""
+    mp = compute_params(p) if params_mode == "strict" else compute_params_practical(p)
+    z = error_reset_step(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
+    tau = mp.tau_A
+    for _ in range(mp.M):
+        z, tau = path_step(p, mp, z, tau, slack=path_slack)
+        if mode == "stable":
+            z = centrality_step(p, mp, z, tau)
+            z = error_reset_step(p, mp, z, tau)
+        if tau <= mp.tau_E:
+            break
+    return z.x, tau
+
+
+class TestSolveComposition:
+    @pytest.mark.parametrize("mode", ["stable", "fast"])
+    def test_step_functions_reproduce_solve(self, mode):
+        # feasible, so x keeps interior coordinates that record the step
+        # order (infeasible instances clip every coordinate to the box)
+        rng = np.random.default_rng(13)
+        p = random_boxqp(rng, 4, 2, feasible=True, tol=1e-2)
+        rep = solve(p, mode=mode)
+        x, tau = _drive_steps(p, mode)
+        assert x.tobytes() == rep.x.tobytes()
+        assert tau == rep.tau_final
+
+    def test_strict_fast_path_has_zero_slack(self):
+        p = BoxQP(Q=[[0.0]], c=[0.01], A=[[0.0]], b=[0.0], tol=10.0)
+        rep = solve(p, params_mode="strict", mode="fast")
+        x, tau = _drive_steps(p, "fast", params_mode="strict", path_slack=0.0)
+        assert x.tobytes() == rep.x.tobytes()
+        assert tau == rep.tau_final
+
+    @pytest.mark.parametrize(
+        "mode, cycle",
+        [("stable", [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET]), ("fast", [STEP_PATH])],
+    )
+    def test_trace_shape(self, mode, cycle):
+        rng = np.random.default_rng(13)
+        p = random_boxqp(rng, 2, 1, tol=1e-2)
+        rep = solve(p, mode=mode, collect_trace=True)
+        K = rep.params.K
+        kinds = [e.step_kind for e in rep.trace]
+        assert kinds == [STEP_PRIMAL] * K + [STEP_LIFT, STEP_ERROR_RESET] + cycle * rep.iterations_pd
+        assert [e.k for e in rep.trace] == list(range(1, len(rep.trace) + 1))
+        lift_row, reset_row = rep.trace[K], rep.trace[K + 1]
+        # the initial reset factors DF at the lift point
+        assert lift_row.cond_DF == reset_row.cond_DF
+        assert math.isnan(lift_row.step_norm)
 
 
 @pytest.fixture(scope="module")
