@@ -19,7 +19,10 @@ from .oracle import oracle_min_residual, oracle_solve_boxqp
 from .params import compute_params, compute_params_practical, format_params
 from .probfile import ProblemFile, parse_problem
 from .problem import BoxQP, problem_factor, transform_standard
-from .solver import TRACE_FIELDS, SolveReport, solve, solve_standard
+from .solver import (
+    MODE_FAST, MODE_STABLE, PARAMS_PRACTICAL, PARAMS_STRICT, TRACE_FIELDS, SolveReport, solve,
+    solve_standard,
+)
 
 _INPUT_ERRORS = (ParseError, DimensionError, InvalidProblem, TooLarge)
 
@@ -157,7 +160,7 @@ def _cmd_solve_standard(args) -> int:
 def _cmd_params(args) -> int:
     pf = _load(args.problem, args.tol)
     p = _as_boxqp(pf)
-    mp = compute_params(p) if args.params == "strict" else compute_params_practical(p)
+    mp = compute_params(p) if args.params == PARAMS_STRICT else compute_params_practical(p)
     sys.stdout.write(format_params(mp))
     return EXIT_OK
 
@@ -194,12 +197,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp_parser.add_argument("problem", help="problem file path")
         sp_parser.add_argument("--tol", type=float, default=None, help="override the file's tol")
         sp_parser.add_argument(
-            "--params", choices=("strict", "practical"), default="practical",
+            "--params", choices=(PARAMS_STRICT, PARAMS_PRACTICAL), default=PARAMS_PRACTICAL,
             help="parameter cascade variant",
         )
         if with_solver_flags:
             sp_parser.add_argument(
-                "--mode", choices=("stable", "fast"), default="stable",
+                "--mode", choices=(MODE_STABLE, MODE_FAST), default=MODE_STABLE,
                 help="3 linear solves per cycle (stable) or 1 (fast)",
             )
             sp_parser.add_argument("--trace", default=None, help="write per-step CSV trace here")

@@ -4,9 +4,15 @@ Every scalar the solver consumes — neighborhood width theta, the
 complementarity reduction factor sigma, the path endpoints tau_A/tau_E,
 conditioning and boundedness constants, envelope radii nu_0/nu_1/nu_2, and
 the iteration counts K and M — derives from the problem data through a
-fixed chain of inequalities.  Each chained quantity is nudged one unit in
-the last place in its conservative direction after evaluation, so the
-emitted record satisfies every inequality verbatim when re-evaluated.
+fixed chain of inequalities, held once in the ordered rule table
+``_RULES``: one ``name sense rhs`` rule per :class:`MethodParams` field,
+whose right-hand side reads the problem data and the values before it.
+The cascade walks the table and nudges each ``>=`` value one unit in the
+last place up and each ``<=`` value one down; the constants and counts
+(theta, beta, N, C_Hf, C_dF, C_dDF, K, M, C_x) are ``==`` rules emitted
+as their right-hand side.  :func:`validate_params` walks the same table
+against the emitted record, so the record satisfies every inequality
+verbatim when re-evaluated.
 
 Two variants exist:
 
@@ -14,15 +20,19 @@ Two variants exist:
   instances at small tol its envelope radii demand precision below binary64
   and the cascade leaves the representable range; that raises ParamOverflow.
 * :func:`compute_params_practical`:  identical formulas with floors on the
-  envelope radii, tau_E, the interiority gap, and the primal target rho, so
-  the record is always representable and the solver always runs.  The loop
-  structure is unchanged; only the diagnostic slacks are relaxed.
+  envelope radii, tau_E, the interiority gap, and the primal target rho
+  (the ``floor`` of their rules), so the record is always representable and
+  the solver always runs.  The loop structure is unchanged; only the
+  diagnostic slacks are relaxed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -112,117 +122,144 @@ def iteration_count_pd(tau_A: float, tau_E: float, sigma: float) -> int:
     return math.ceil((math.log(tau_E) - math.log(tau_A)) / math.log(sigma))
 
 
-def _cascade(p: BoxQP, practical: bool) -> MethodParams:
-    n, m = p.n, p.m
-    tol = p.tol
-    sqrt_n = math.sqrt(n)
-    norm_Q = norm2_upper(p.Q)
-    norm_A = norm2_upper(p.A)
-    norm_c = float(np.linalg.norm(p.c))
-    norm_b = float(np.linalg.norm(p.b))
-    floors: list[str] = []
-
-    def floored(name: str, value: float, floor: float) -> float:
-        if practical and value < floor:
-            floors.append(name)
-            return floor
-        return value
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        theta = THETA_DEFAULT
-        beta = BETA_DEFAULT
-        sigma = _up(1.0 - beta / math.sqrt(2.0 * n))
-        if not sigma < 1.0:  # beta/sqrt(2n) below one ulp of 1
-            raise ParamOverflow(f"reduction factor rounded to 1 at n = {n}")
-        N = 3 * n + m
-        C_Hf = C_HF_DEFAULT
-        C_q = _up(norm_Q * n + norm_c * sqrt_n)
-        omega = _down(min(tol / (2.0 * n), tol * tol / (4.0 * C_q + n) / 16.0, 1.0))
-        C_lambda = _up((norm_A * sqrt_n + norm_b) / omega)
-        C_dmu = _up((omega + norm_Q) * sqrt_n + norm_c + norm_A * C_lambda)
-        reg_hess = p.Q + omega * np.eye(n) + (p.A.T @ p.A) / omega
-        tau_A = _up(
-            max(
-                norm2_upper(reg_hess) / 4.0,
-                4.0 * float(np.linalg.norm(p.c - (p.A.T @ p.b) / omega)),
-            )
-        )
-        # max{.,1} guards the all-zero-data case; smaller tau_E is the
-        # conservative direction.  The sigma*tau_A cap keeps tau_E below the
-        # path start even for tol >~ 1, and wins over the practical floor.
-        tau_E_cap = _down(sigma * tau_A)
-        tau_E = _down(
-            min(tol * tol * omega / (48.0 * n * max(norm_A, C_q, 1.0)), tau_E_cap)
-        )
-        tau_E = min(floored("tau_E", tau_E, TAU_E_FLOOR), tau_E_cap)
-        C_mu = _up(math.sqrt(2.0 * n) * (C_dmu + (1.0 + theta) * tau_A))
-        # hypot form of sqrt(n + C_lambda^2 + C_mu^2): no overflow on squaring
-        C_z = _up(float(np.hypot(np.hypot(sqrt_n, C_lambda), C_mu)) + 0.1)
-        c_gap = _down((1.0 - theta) / (1.0 + C_z) * sigma * tau_E * 0.5)
-        c_gap = floored("c_gap", c_gap, C_GAP_FLOOR)
-        C_DF = _up(norm_Q + 2.0 * omega + 2.0 * norm_A + 4.0 + 4.0 * C_z)
-        C_DFinv = _up(1.0 / c_gap * max(1.0 / omega, C_z / c_gap))
-        kappa_DF = _up(C_DF * C_DFinv)
-        C_dF = C_DF
-        C_dDF = 2.0
-        C_ddz = _up(2.0 * kappa_DF)
-        C_nu = _up(
-            max(
-                2.0 * C_ddz * (C_dF * C_DFinv + 2.0 / omega * C_dDF * C_z),
-                1.0 + C_DFinv * C_dF,
-            )
-        )
-        nu_floor = NU_FLOOR_FACTOR * C_z
-        nu_2 = _down(
-            min(
-                0.1,
-                c_gap / C_nu,
-                omega / (2.0 * C_dDF * kappa_DF),
-                theta * sigma * tau_E / (2.0 * C_nu * C_dF),
-            )
-        )
-        nu_2 = floored("nu_2", nu_2, nu_floor)
-        nu_1 = floored("nu_1", _down(nu_2 / C_nu), nu_floor)
-        nu_0_cap = tol / (2.0 * max(norm_A, C_q)) if max(norm_A, C_q) > 0.0 else math.inf
-        nu_0 = floored("nu_0", _down(min(nu_1 / C_nu, nu_0_cap)), nu_floor)
-        rho = _down(
-            1.0 / (4.0 * math.sqrt(N)) * nu_2 / (norm_A / omega + 1.0 + 8.0 * tau_A)
-        )
-        rho = floored("rho", rho, RHO_FLOOR)
-        C_Df = _up(
-            (omega + norm_Q + (norm_A * norm_A + norm_b) / omega) / tau_A + 4.0 * sqrt_n
-        )
-        C_F = _up(C_DF * C_z + norm_c + norm_b + 2.0 * sqrt_n * tau_A)
-        C_dz = _up(C_DFinv * C_F)
-        C_x = sqrt_n
-
-    positives = {
-        "sigma": sigma, "C_q": C_q, "omega": omega, "tau_A": tau_A, "tau_E": tau_E,
-        "C_z": C_z, "c_gap": c_gap, "C_DF": C_DF, "C_DFinv": C_DFinv,
-        "kappa_DF": kappa_DF, "C_ddz": C_ddz, "C_nu": C_nu, "nu_2": nu_2,
-        "nu_1": nu_1, "nu_0": nu_0, "rho": rho, "C_Df": C_Df, "C_F": C_F,
-        "C_dz": C_dz,
-    }
-    bad = [k for k, v in positives.items() if not (math.isfinite(v) and v > 0.0)]
-    others = {"C_lambda": C_lambda, "C_dmu": C_dmu, "C_mu": C_mu}
-    bad += [k for k, v in others.items() if not math.isfinite(v)]
-    if bad:
-        raise ParamOverflow(
-            "cascade left the representable binary64 range at: " + ", ".join(bad)
-        )
-    if not rho < 1.0:
-        raise ParamOverflow(f"rho = {rho!r} must lie in (0, 1)")
-
-    K = iteration_count_primal(C_Hf, rho)
-    M = iteration_count_pd(tau_A, tau_E, sigma)
-    return MethodParams(
-        theta=theta, beta=beta, sigma=sigma, N=N, C_Hf=C_Hf, C_q=C_q, omega=omega,
-        C_lambda=C_lambda, C_dmu=C_dmu, tau_A=tau_A, tau_E=tau_E, C_mu=C_mu, C_z=C_z,
-        c_gap=c_gap, C_DF=C_DF, C_DFinv=C_DFinv, kappa_DF=kappa_DF, C_dF=C_dF,
-        C_dDF=C_dDF, C_ddz=C_ddz, C_nu=C_nu, nu_2=nu_2, nu_1=nu_1, nu_0=nu_0,
-        rho=rho, K=K, M=M, C_Df=C_Df, C_F=C_F, C_dz=C_dz, C_x=C_x,
-        floors_applied=tuple(floors),
+def _data(p: BoxQP) -> SimpleNamespace:
+    """The problem quantities ``d`` that the right-hand sides read."""
+    return SimpleNamespace(
+        p=p, n=p.n, m=p.m, tol=p.tol, sqrt_n=math.sqrt(p.n),
+        norm_Q=norm2_upper(p.Q), norm_A=norm2_upper(p.A),
+        norm_c=float(np.linalg.norm(p.c)), norm_b=float(np.linalg.norm(p.b)),
     )
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One record field: ``name sense rhs(d, r)``.
+
+    ``d`` holds the problem quantities and ``r`` the record values before
+    ``name``.  ``sense`` is ``">="`` or ``"<="`` (nudged one ulp that way) or
+    ``"=="`` (emitted exactly).  ``floor(d, r)``, when given, is the
+    practical-mode floor of a ``<=`` rule.
+    """
+
+    name: str
+    sense: str
+    rhs: Callable[[Any, Any], float]
+    floor: Callable[[Any, Any], float] | None = None
+
+
+def _tau_A(d, r) -> float:
+    reg_hess = d.p.Q + r.omega * np.eye(d.n) + (d.p.A.T @ d.p.A) / r.omega
+    return max(
+        norm2_upper(reg_hess) / 4.0,
+        4.0 * float(np.linalg.norm(d.p.c - (d.p.A.T @ d.p.b) / r.omega)),
+    )
+
+
+def _tau_E_cap(r) -> float:
+    # Keeps tau_E below the path start even for tol >~ 1; as part of both the
+    # right-hand side and the floor it wins over the practical floor.
+    return _down(r.sigma * r.tau_A)
+
+
+def _nu_floor(d, r) -> float:
+    return NU_FLOOR_FACTOR * r.C_z
+
+
+# One rule per MethodParams field, in field order: each right-hand side may
+# read only the fields before it.
+_RULES = (
+    _Rule("theta", "==", lambda d, r: THETA_DEFAULT),
+    _Rule("beta", "==", lambda d, r: BETA_DEFAULT),
+    _Rule("sigma", ">=", lambda d, r: 1.0 - r.beta / math.sqrt(2.0 * d.n)),
+    _Rule("N", "==", lambda d, r: 3 * d.n + d.m),
+    _Rule("C_Hf", "==", lambda d, r: C_HF_DEFAULT),
+    _Rule("C_q", ">=", lambda d, r: d.norm_Q * d.n + d.norm_c * d.sqrt_n),
+    _Rule("omega", "<=", lambda d, r: min(
+        d.tol / (2.0 * d.n), d.tol * d.tol / (4.0 * r.C_q + d.n) / 16.0, 1.0)),
+    _Rule("C_lambda", ">=", lambda d, r: (d.norm_A * d.sqrt_n + d.norm_b) / r.omega),
+    _Rule("C_dmu", ">=", lambda d, r: (
+        (r.omega + d.norm_Q) * d.sqrt_n + d.norm_c + d.norm_A * r.C_lambda)),
+    _Rule("tau_A", ">=", _tau_A),
+    # max{., 1} guards the all-zero-data case
+    _Rule("tau_E", "<=", lambda d, r: min(
+        d.tol * d.tol * r.omega / (48.0 * d.n * max(d.norm_A, r.C_q, 1.0)),
+        _tau_E_cap(r)),
+        floor=lambda d, r: min(TAU_E_FLOOR, _tau_E_cap(r))),
+    _Rule("C_mu", ">=", lambda d, r: (
+        math.sqrt(2.0 * d.n) * (r.C_dmu + (1.0 + r.theta) * r.tau_A))),
+    # hypot form of sqrt(n + C_lambda^2 + C_mu^2): no overflow on squaring
+    _Rule("C_z", ">=", lambda d, r: (
+        float(np.hypot(np.hypot(d.sqrt_n, r.C_lambda), r.C_mu)) + 0.1)),
+    _Rule("c_gap", "<=", lambda d, r: (
+        (1.0 - r.theta) / (1.0 + r.C_z) * r.sigma * r.tau_E * 0.5),
+        floor=lambda d, r: C_GAP_FLOOR),
+    _Rule("C_DF", ">=", lambda d, r: (
+        d.norm_Q + 2.0 * r.omega + 2.0 * d.norm_A + 4.0 + 4.0 * r.C_z)),
+    _Rule("C_DFinv", ">=", lambda d, r: (
+        1.0 / r.c_gap * max(1.0 / r.omega, r.C_z / r.c_gap))),
+    _Rule("kappa_DF", ">=", lambda d, r: r.C_DF * r.C_DFinv),
+    _Rule("C_dF", "==", lambda d, r: r.C_DF),
+    _Rule("C_dDF", "==", lambda d, r: 2.0),
+    _Rule("C_ddz", ">=", lambda d, r: 2.0 * r.kappa_DF),
+    _Rule("C_nu", ">=", lambda d, r: max(
+        2.0 * r.C_ddz * (r.C_dF * r.C_DFinv + 2.0 / r.omega * r.C_dDF * r.C_z),
+        1.0 + r.C_DFinv * r.C_dF)),
+    _Rule("nu_2", "<=", lambda d, r: min(
+        0.1,
+        r.c_gap / r.C_nu,
+        r.omega / (2.0 * r.C_dDF * r.kappa_DF),
+        r.theta * r.sigma * r.tau_E / (2.0 * r.C_nu * r.C_dF)),
+        floor=_nu_floor),
+    _Rule("nu_1", "<=", lambda d, r: r.nu_2 / r.C_nu, floor=_nu_floor),
+    _Rule("nu_0", "<=", lambda d, r: min(
+        r.nu_1 / r.C_nu, d.tol / (2.0 * max(d.norm_A, r.C_q))), floor=_nu_floor),
+    _Rule("rho", "<=", lambda d, r: (
+        1.0 / (4.0 * math.sqrt(r.N)) * r.nu_2 / (d.norm_A / r.omega + 1.0 + 8.0 * r.tau_A)),
+        floor=lambda d, r: RHO_FLOOR),
+    _Rule("K", "==", lambda d, r: iteration_count_primal(r.C_Hf, r.rho)),
+    _Rule("M", "==", lambda d, r: iteration_count_pd(r.tau_A, r.tau_E, r.sigma)),
+    _Rule("C_Df", ">=", lambda d, r: (
+        (r.omega + d.norm_Q + (d.norm_A * d.norm_A + d.norm_b) / r.omega) / r.tau_A
+        + 4.0 * d.sqrt_n)),
+    _Rule("C_F", ">=", lambda d, r: (
+        r.C_DF * r.C_z + d.norm_c + d.norm_b + 2.0 * d.sqrt_n * r.tau_A)),
+    _Rule("C_dz", ">=", lambda d, r: r.C_DFinv * r.C_F),
+    _Rule("C_x", "==", lambda d, r: d.sqrt_n),
+)
+
+# sense -> (nudge in the conservative direction, holds(value, bound), violation)
+_SENSES = {
+    ">=": (_up, operator.ge, "<"),
+    "<=": (_down, operator.le, ">"),
+    "==": (lambda v: v, operator.eq, "!="),
+}
+
+# Quantities that must also lie below 1: sigma is a reduction factor and rho
+# a primal target; their right-hand sides alone do not keep them there.
+_BELOW_ONE = ("sigma", "rho")
+
+
+def _cascade(p: BoxQP, practical: bool) -> MethodParams:
+    d = _data(p)
+    r = SimpleNamespace()
+    floors: list[str] = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for rule in _RULES:
+            nudge = _SENSES[rule.sense][0]
+            value = nudge(rule.rhs(d, r))
+            if practical and rule.floor is not None:
+                floor = rule.floor(d, r)
+                if value < floor:
+                    floors.append(rule.name)
+                    value = floor
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParamOverflow(
+                    "cascade left the representable binary64 range at: " + rule.name
+                )
+            if rule.name in _BELOW_ONE and not value < 1.0:
+                raise ParamOverflow(f"{rule.name} = {value!r} must lie in (0, 1)")
+            setattr(r, rule.name, value)
+    return MethodParams(**vars(r), floors_applied=tuple(floors))
 
 
 def compute_params(p: BoxQP) -> MethodParams:
@@ -242,97 +279,16 @@ def validate_params(mp: MethodParams, p: BoxQP) -> list[str]:
     consistent).  Quantities raised by a practical-mode floor are checked
     against max(formula, floor).
     """
-    n, m = p.n, p.m
-    tol = p.tol
-    sqrt_n = math.sqrt(n)
-    norm_Q = norm2_upper(p.Q)
-    norm_A = norm2_upper(p.A)
-    norm_c = float(np.linalg.norm(p.c))
-    norm_b = float(np.linalg.norm(p.b))
-    floors = set(mp.floors_applied)
+    d = _data(p)
     bad: list[str] = []
-
-    def le(name: str, lhs: float, rhs: float, floor: float = 0.0):
-        cap = max(rhs, floor) if name in floors else rhs
-        if not lhs <= cap:
-            bad.append(f"{name}: {lhs!r} > {cap!r}")
-
-    def ge(name: str, lhs: float, rhs: float):
-        if not lhs >= rhs:
-            bad.append(f"{name}: {lhs!r} < {rhs!r}")
-
-    le("theta", mp.theta, 0.3)
-    le("beta", mp.beta, mp.theta)
-    ge("sigma", mp.sigma, 1.0 - mp.beta / math.sqrt(2.0 * n))
-    if mp.N != 3 * n + m:
-        bad.append("N != 3n + m")
-    ge("C_Hf", mp.C_Hf, 10.0)
-    ge("C_q", mp.C_q, norm_Q * n + norm_c * sqrt_n)
-    le("omega", mp.omega, min(tol / (2.0 * n), tol * tol / (4.0 * mp.C_q + n) / 16.0, 1.0))
-    ge("C_lambda", mp.C_lambda, (norm_A * sqrt_n + norm_b) / mp.omega)
-    ge("C_dmu", mp.C_dmu, (mp.omega + norm_Q) * sqrt_n + norm_c + norm_A * mp.C_lambda)
-    reg_hess = p.Q + mp.omega * np.eye(n) + (p.A.T @ p.A) / mp.omega
-    ge(
-        "tau_A",
-        mp.tau_A,
-        max(norm2_upper(reg_hess) / 4.0, 4.0 * float(np.linalg.norm(p.c - (p.A.T @ p.b) / mp.omega))),
-    )
-    le(
-        "tau_E",
-        mp.tau_E,
-        tol * tol * mp.omega / (48.0 * n * max(norm_A, mp.C_q, 1.0)),
-        floor=TAU_E_FLOOR,
-    )
-    ge("C_mu", mp.C_mu, math.sqrt(2.0 * n) * (mp.C_dmu + (1.0 + mp.theta) * mp.tau_A))
-    ge("C_z", mp.C_z, float(np.hypot(np.hypot(sqrt_n, mp.C_lambda), mp.C_mu)) + 0.1)
-    le(
-        "c_gap",
-        mp.c_gap,
-        (1.0 - mp.theta) / (1.0 + mp.C_z) * mp.sigma * mp.tau_E * 0.5,
-        floor=C_GAP_FLOOR,
-    )
-    ge("C_DF", mp.C_DF, norm_Q + 2.0 * mp.omega + 2.0 * norm_A + 4.0 + 4.0 * mp.C_z)
-    ge("C_DFinv", mp.C_DFinv, 1.0 / mp.c_gap * max(1.0 / mp.omega, mp.C_z / mp.c_gap))
-    ge("kappa_DF", mp.kappa_DF, mp.C_DF * mp.C_DFinv)
-    ge("C_dF", mp.C_dF, mp.C_DF)
-    ge("C_dDF", mp.C_dDF, 2.0)
-    ge("C_ddz", mp.C_ddz, 2.0 * mp.kappa_DF)
-    ge(
-        "C_nu",
-        mp.C_nu,
-        max(
-            2.0 * mp.C_ddz * (mp.C_dF * mp.C_DFinv + 2.0 / mp.omega * mp.C_dDF * mp.C_z),
-            1.0 + mp.C_DFinv * mp.C_dF,
-        ),
-    )
-    nu_floor = NU_FLOOR_FACTOR * mp.C_z
-    le(
-        "nu_2",
-        mp.nu_2,
-        min(
-            0.1,
-            mp.c_gap / mp.C_nu,
-            mp.omega / (2.0 * mp.C_dDF * mp.kappa_DF),
-            mp.theta * mp.sigma * mp.tau_E / (2.0 * mp.C_nu * mp.C_dF),
-        ),
-        floor=nu_floor,
-    )
-    le("nu_1", mp.nu_1, mp.nu_2 / mp.C_nu, floor=nu_floor)
-    nu_0_cap = tol / (2.0 * max(norm_A, mp.C_q)) if max(norm_A, mp.C_q) > 0.0 else math.inf
-    le("nu_0", mp.nu_0, min(mp.nu_1 / mp.C_nu, nu_0_cap), floor=nu_floor)
-    le(
-        "rho",
-        mp.rho,
-        1.0 / (4.0 * math.sqrt(mp.N)) * mp.nu_2 / (norm_A / mp.omega + 1.0 + 8.0 * mp.tau_A),
-        floor=RHO_FLOOR,
-    )
-    if mp.K != iteration_count_primal(mp.C_Hf, mp.rho):
-        bad.append("K != ceil(log2(1 + log2(C_Hf/rho)))")
-    if mp.M != iteration_count_pd(mp.tau_A, mp.tau_E, mp.sigma):
-        bad.append("M != ceil((log tau_E - log tau_A)/log sigma)")
-    ge("C_Df", mp.C_Df, (mp.omega + norm_Q + (norm_A * norm_A + norm_b) / mp.omega) / mp.tau_A + 4.0 * sqrt_n)
-    ge("C_F", mp.C_F, mp.C_DF * mp.C_z + norm_c + norm_b + 2.0 * sqrt_n * mp.tau_A)
-    ge("C_dz", mp.C_dz, mp.C_DFinv * mp.C_F)
+    for rule in _RULES:
+        value = getattr(mp, rule.name)
+        bound = rule.rhs(d, mp)
+        if rule.floor is not None and rule.name in mp.floors_applied:
+            bound = max(bound, rule.floor(d, mp))
+        _, holds, violation = _SENSES[rule.sense]
+        if not holds(value, bound):
+            bad.append(f"{rule.name}: {value!r} {violation} {bound!r}")
 
     # Contraction inequalities actually consumed by the step guarantees.
     # The path-step chain carries the 0.36 factor from u.v <= 0.36||u+v||^2.

@@ -1,17 +1,31 @@
+import hashlib
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boxipm import BoxQP, ParamOverflow, compute_params, compute_params_practical, validate_params
-from boxipm.params import iteration_count_pd, iteration_count_primal
+from boxipm import (BoxQP, MethodParams, ParamOverflow, compute_params, compute_params_practical,
+                    validate_params)
+from boxipm.params import _RULES, format_params, iteration_count_pd, iteration_count_primal
+from boxipm.probfile import parse_problem
 
 from support import random_boxqp
+from test_cli import BOX_TEXT
 
 
 def unit_box(tol=0.5):
     return BoxQP(Q=np.eye(2), c=[0.5, -0.3], A=[[1.0, 1.0]], b=[0.5], tol=tol)
+
+
+def ill_scaled():
+    return BoxQP(Q=np.eye(2), c=[0.0, 0.0], A=[[1e8, 1e8]], b=[1e8], tol=1e-2)
+
+
+def named(violations):
+    """Field names that validate_params reports as violated."""
+    return {v.split(":")[0] for v in violations if ":" in v}
 
 
 class TestClosedForms:
@@ -145,3 +159,60 @@ class TestOverflow:
         p = BoxQP(Q=np.zeros((2, 2)), c=np.zeros(2), A=np.zeros((1, 2)), b=np.zeros(1), tol=0.1)
         for mp in (compute_params(p), compute_params_practical(p)):
             assert validate_params(mp, p) == []
+
+
+class TestRuleTable:
+    def test_rules_cover_every_field_in_order(self):
+        expect = [f.name for f in fields(MethodParams) if f.name != "floors_applied"]
+        assert [rule.name for rule in _RULES] == expect
+
+    @pytest.mark.parametrize("make, compute", [
+        (unit_box, compute_params),
+        (unit_box, compute_params_practical),  # nu_2, nu_1, nu_0, rho floored
+        (ill_scaled, compute_params_practical),  # every floor active
+    ])
+    def test_each_perturbed_field_is_named(self, make, compute):
+        p = make()
+        mp = compute(p)
+        assert validate_params(mp, p) == []
+        for rule in _RULES:
+            value = getattr(mp, rule.name)
+            if rule.sense == ">=":
+                moved = [value * (1.0 - 1e-9)]
+            elif rule.sense == "<=":
+                moved = [value * (1.0 + 1e-9)]
+            elif isinstance(value, int):
+                moved = [value - 1, value + 1]
+            else:
+                moved = [value * (1.0 - 1e-9), value * (1.0 + 1e-9)]
+            for v in moved:
+                bad = validate_params(replace(mp, **{rule.name: v}), p)
+                assert rule.name in named(bad), (rule.name, v, bad)
+
+    def test_tau_e_cap_and_c_x_are_checked(self):
+        p = BoxQP(Q=[[0.0]], c=[0.01], A=[[0.0]], b=[0.0], tol=10)
+        mp = compute_params_practical(p)
+        assert validate_params(mp, p) == []
+        # tau_E above its sigma*tau_A cap but still below tau_A, M consistent
+        tau_E = 0.5 * (mp.sigma * mp.tau_A + mp.tau_A)
+        above_cap = replace(mp, tau_E=tau_E, M=iteration_count_pd(mp.tau_A, tau_E, mp.sigma))
+        assert "tau_E" in named(validate_params(above_cap, p))
+        assert "C_x" in named(validate_params(replace(mp, C_x=0.5), p))
+
+
+class TestRecordBytes:
+    # First 12 hex digits of sha256(format_params(record)), the CLI params_digest.
+    @pytest.mark.parametrize("make, compute, digest", [
+        (lambda: parse_problem(BOX_TEXT).to_boxqp(), compute_params, "952a9b143223"),
+        (lambda: parse_problem(BOX_TEXT).to_boxqp(), compute_params_practical, "548041a39958"),
+        (unit_box, compute_params, "8b51e9dde273"),
+        (unit_box, compute_params_practical, "8285718b90a2"),
+        (ill_scaled, compute_params_practical, "911bba4e8571"),
+    ])
+    def test_format_params_digest(self, make, compute, digest):
+        text = format_params(compute(make()))
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
+
+    def test_ill_scaled_strict_names_first_quantity_out_of_range(self):
+        with pytest.raises(ParamOverflow, match=r"range at: nu_1$"):
+            compute_params(ill_scaled())
