@@ -4,13 +4,17 @@ All other modules express their matrix work through this layer.  Matrices
 and vectors are plain float64 ndarrays; :func:`as_matrix` / :func:`as_vector`
 enforce the package-wide invariants (2-D/1-D shape, finite entries).  Linear
 systems are solved with a column-pivoted Householder QR factorization
-(LAPACK dgeqp3) followed by back substitution, which is backward stable.
+(LAPACK dgeqp3), the reflectors applied to the right-hand side with dormqr
+and back substitution with dtrtrs; Q is never formed.  Every step is
+backward stable.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionError, InvalidProblem, SingularSystem
 
@@ -56,6 +60,11 @@ def norm2_upper(G) -> float:
 class QRFactor:
     """Column-pivoted QR factorization of a square matrix with reusable solves.
 
+    The factor is kept in LAPACK's compact form: R and the Householder
+    vectors share one array, next to the reflector scalars ``tau`` and the
+    column permutation.  Q is never formed; :meth:`solve` applies Q^T as
+    reflectors.  The caller's arrays are never overwritten.
+
     Parameters
     ----------
     G : ndarray, shape (d, d)
@@ -72,12 +81,18 @@ class QRFactor:
         if d0 != d1:
             raise DimensionError(f"square matrix required, got shape {G.shape}")
         self.dim = d0
+        if d0 == 0:  # LAPACK rejects a leading dimension of 0
+            return
         if pivot_tol is None:
-            norm_inf = float(np.abs(G).sum(axis=1).max()) if d0 else 0.0
-            pivot_tol = d0 * EPS_MACH * norm_inf
-        self._q, self._r, self._piv = scipy.linalg.qr(G, pivoting=True)
-        diag = np.abs(np.diag(self._r)) if d0 else np.array([])
-        if d0 and diag.min() <= pivot_tol:
+            pivot_tol = d0 * EPS_MACH * float(np.abs(G).sum(axis=1).max())
+        # Room for LAPACK's blocked code at any block size up to 64 (reference
+        # LAPACK uses 32): the factor a workspace query would lead to, without
+        # the query.  overwrite_a stays off, so G is copied.
+        self._qr, jpvt, self._tau, _, info = lapack.dgeqp3(G, lwork=2 * d0 + (d0 + 1) * 64)
+        _check_info("dgeqp3", info)
+        self._piv = jpvt - 1
+        diag = np.abs(self._qr.diagonal())
+        if diag.min() <= pivot_tol:
             raise SingularSystem(
                 f"pivot {diag.min():.3e} at or below threshold {pivot_tol:.3e}"
             )
@@ -90,10 +105,17 @@ class QRFactor:
             v = as_matrix(v, rows=self.dim, name="v")
         else:
             v = as_vector(v, dim=self.dim, name="v")
-        y = scipy.linalg.solve_triangular(self._r, self._q.T @ v, lower=False)
+        if self.dim == 0:
+            return np.empty(v.shape)
+        rhs = v.reshape(self.dim, -1)
+        # overwrite_c stays off: dormqr copies the caller's array.
+        c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, rhs, max(1, rhs.shape[1]))
+        _check_info("dormqr", info)
+        y, info = lapack.dtrtrs(self._qr, c, overwrite_b=1)
+        _check_info("dtrtrs", info)
         u = np.empty_like(y)
         u[self._piv] = y
-        return u
+        return u.reshape(v.shape)
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse of G (used only for condition estimation)."""
@@ -102,6 +124,15 @@ class QRFactor:
     def cond_estimate(self, G: np.ndarray, iters: int = 32) -> float:
         """Power-iteration estimate of the spectral condition number of ``G``."""
         return cond_from_inverse(G, self.inverse(), iters)
+
+
+def _check_info(routine: str, info: int) -> None:
+    """Raise on a LAPACK ``info``: negative is an illegal argument (a bug),
+    positive from dtrtrs is an exactly zero diagonal entry of R."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise SingularSystem(f"LAPACK {routine}: R[{info - 1}, {info - 1}] is exactly zero")
 
 
 def cond_from_inverse(G: np.ndarray, G_inv: np.ndarray, iters: int = 32) -> float:
@@ -120,15 +151,17 @@ def _sigma_max(G: np.ndarray, iters: int) -> float:
     Deterministic: fixed start vector, fixed iteration count.
     """
     d = G.shape[0]
+    Gt = G.T
     w = np.linspace(1.0, 2.0, d)
-    w /= np.linalg.norm(w)
+    w /= math.sqrt(w @ w)
     for _ in range(iters):
-        y = G.T @ (G @ w)
-        ny = np.linalg.norm(y)
+        y = Gt @ (G @ w)
+        ny = math.sqrt(y @ y)
         if ny == 0.0:
             return 0.0
         w = y / ny
-    return float(np.linalg.norm(G @ w))
+    y = G @ w
+    return math.sqrt(y @ y)
 
 
 def solve_linear(G, v) -> np.ndarray:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
-from boxipm.linalg import EPS_MACH, QRFactor, as_matrix, as_vector, cond_estimate, norm2_upper, solve_linear
+from boxipm.linalg import (
+    EPS_MACH, QRFactor, _check_info, _sigma_max, as_matrix, as_vector, cond_estimate, norm2_upper, solve_linear,
+)
+
+
+def _graded(rng, d):
+    """Random d x d matrix with rows scaled across 1e-8 .. 1e8."""
+    return rng.normal(size=(d, d)) * np.logspace(-8.0, 8.0, d)[rng.permutation(d), None]
 
 
 class TestSolveLinear:
@@ -131,3 +139,124 @@ class TestValidators:
         assert_allclose(fac.inverse(), np.linalg.inv(G), rtol=1e-12, atol=1e-14)
         with pytest.raises(DimensionError):
             fac.solve(np.ones((5, 3)))
+
+
+class TestQRFactorContract:
+    """The factor matches scipy.linalg.qr(pivoting=True), which it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 5, 28, 45, 109])
+    def test_diag_r_and_pivots_match_scipy_qr(self, d):
+        rng = np.random.default_rng(100 + d)
+        for G in (rng.normal(size=(d, d)), _graded(rng, d)):
+            _, R, piv = scipy.linalg.qr(G, pivoting=True)
+            fac = QRFactor(G, pivot_tol=0.0)
+            assert np.array_equal(np.abs(np.diag(fac._qr)), np.abs(np.diag(R)))
+            assert np.array_equal(fac._piv, piv)
+
+    def test_singular_on_the_same_inputs_as_scipy_qr(self):
+        rng = np.random.default_rng(7)
+        B = rng.normal(size=(6, 3))
+        zero_col = rng.normal(size=(5, 5))
+        zero_col[:, 2] = 0.0
+        cases = [
+            zero_col,
+            B @ rng.normal(size=(3, 6)),  # rank 3
+            np.array([[1.0, 2.0], [2.0, 4.0]]),
+            np.diag([1.0, 1e-300]),
+            rng.normal(size=(6, 6)) + 6.0 * np.eye(6),
+        ]
+        for G in cases:
+            d = G.shape[0]
+            diag_min = np.abs(np.diag(scipy.linalg.qr(G, pivoting=True)[1])).min()
+            for pivot_tol in (None, 0.0):
+                tol = d * EPS_MACH * np.abs(G).sum(axis=1).max() if pivot_tol is None else 0.0
+                if diag_min <= tol:
+                    with pytest.raises(SingularSystem):
+                        QRFactor(G, pivot_tol=pivot_tol)
+                else:
+                    QRFactor(G, pivot_tol=pivot_tol)
+        with pytest.raises(SingularSystem):
+            QRFactor(zero_col, pivot_tol=0.0)
+        with pytest.raises(SingularSystem):
+            QRFactor(cases[1])
+
+    def test_lapack_info_is_checked(self):
+        # A zero pivot let through by a negative tolerance reaches dtrtrs.
+        with pytest.raises(SingularSystem):
+            QRFactor(np.zeros((2, 2)), pivot_tol=-1.0).solve(np.ones(2))
+        with pytest.raises(ValueError, match="argument 3 of LAPACK dormqr"):
+            _check_info("dormqr", -3)
+        _check_info("dgeqp3", 0)
+
+    @pytest.mark.parametrize("d", [1, 5, 28, 45, 109])
+    def test_backward_error(self, d):
+        rng = np.random.default_rng(200 + d)
+        for G in (_graded(rng, d), _graded(rng, d).T):
+            fac = QRFactor(G, pivot_tol=0.0)
+            norm_G = np.linalg.norm(G, 2)
+            for v in (rng.normal(size=d), rng.normal(size=(d, 3))):
+                U = fac.solve(v)
+                assert U.shape == v.shape
+                R, U = (G @ U - v).reshape(d, -1), U.reshape(d, -1)
+                for j in range(U.shape[1]):
+                    bound = 10.0 * d * EPS_MACH * norm_G * np.linalg.norm(U[:, j])
+                    assert np.linalg.norm(R[:, j]) <= bound
+
+
+class TestQRFactorInputs:
+    def test_empty_system(self):
+        fac = QRFactor(np.zeros((0, 0)))
+        assert fac.solve(np.zeros(0)).shape == (0,)
+        assert fac.solve(np.zeros((0, 3))).shape == (0, 3)
+        assert cond_estimate(np.zeros((0, 0))) == 1.0
+
+    def test_no_right_hand_side_columns(self):
+        fac = QRFactor(np.eye(4) + 1.0)
+        assert fac.solve(np.zeros((4, 0))).shape == (4, 0)
+
+    def test_layouts_give_the_c_contiguous_result_and_leave_inputs_unchanged(self):
+        rng = np.random.default_rng(12)
+        big = rng.normal(size=(14, 14)) + 7.0 * np.eye(14)
+        vbig = rng.normal(size=(14, 6))
+        frozen_G, frozen_v = big[:7, :7].copy(), vbig[:7, 0].copy()
+        frozen_G.flags.writeable = False
+        frozen_v.flags.writeable = False
+        cases = [
+            (frozen_G, frozen_v),
+            (big[:7, :7].T, vbig[:7, 1]),
+            (np.asfortranarray(big[:7, :7]), np.asfortranarray(vbig[:7, :3])),
+            (big[::2, ::2], vbig[::2, 0]),
+            (big[1::2, 1::2], vbig[1::2, ::2]),
+        ]
+        for G, v in cases:
+            G0, v0 = G.copy(), v.copy()
+            fac = QRFactor(G)
+            u = fac.solve(v)
+            ref = QRFactor(np.ascontiguousarray(G)).solve(np.ascontiguousarray(v))
+            assert np.array_equal(u, ref)
+            assert np.array_equal(fac.inverse(), QRFactor(np.ascontiguousarray(G)).inverse())
+            assert np.array_equal(G, G0) and np.array_equal(v, v0)
+
+
+def _sigma_max_reference(G, iters):
+    """The power iteration as it stood before it was tuned, kept verbatim."""
+    d = G.shape[0]
+    w = np.linspace(1.0, 2.0, d)
+    w /= np.linalg.norm(w)
+    for _ in range(iters):
+        y = G.T @ (G @ w)
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return 0.0
+        w = y / ny
+    return float(np.linalg.norm(G @ w))
+
+
+def test_sigma_max_is_bit_identical_to_the_reference_loop():
+    rng = np.random.default_rng(2000)
+    for _ in range(300):
+        d = int(rng.integers(1, 81))
+        G = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(d, 1))
+        for iters in (24, 32):
+            assert _sigma_max(G, iters) == _sigma_max_reference(G, iters)
+    assert _sigma_max(np.zeros((3, 3)), 32) == _sigma_max_reference(np.zeros((3, 3)), 32) == 0.0
