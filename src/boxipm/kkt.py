@@ -39,8 +39,11 @@ DOMAIN_MARGIN = 4.0 * EPS_MACH
 class Iterate:
     """Primal-dual point z = (x, lam, mu_l, mu_r); strictly interior.
 
-    ``||x||_inf < 1`` and ``mu_l, mu_r > 0`` componentwise are enforced at
-    construction; instances are immutable.
+    The public constructor enforces finite 1-D blocks of matching lengths,
+    ``||x||_inf < 1`` and ``mu_l, mu_r > 0`` componentwise; instances are
+    immutable.  The solver's own Newton updates skip these checks through
+    :meth:`_trusted`, because the update already establishes them (see
+    ``boxipm.solver._advance``).
     """
 
     x: np.ndarray
@@ -62,6 +65,16 @@ class Iterate:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu_l", mu_l)
         object.__setattr__(self, "mu_r", mu_r)
+
+    @classmethod
+    def _trusted(cls, x, lam, mu_l, mu_r) -> "Iterate":
+        """An Iterate built without validation.  The caller guarantees float64
+        1-D blocks of matching lengths, ``||x||_inf < 1`` and ``mu_l, mu_r > 0``;
+        a block that may have overflowed to inf it checks itself (the solver
+        does so on the residual at the result)."""
+        z = object.__new__(cls)
+        z.__dict__.update(x=x, lam=lam, mu_l=mu_l, mu_r=mu_r)
+        return z
 
     @property
     def n(self) -> int:
@@ -162,9 +175,22 @@ def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
     x, lam, mu_l, mu_r = z.x, z.lam, z.mu_l, z.mu_r
     r1 = p.Q @ x + mp.omega * x + p.c - p.A.T @ lam - mu_l + mu_r
     r2 = p.A @ x - p.b + mp.omega * lam
-    r3 = mu_l * (1.0 + x) - tau
-    r4 = mu_r * (1.0 - x) - tau
-    return Residual(r1, r2, r3, r4)
+    return Residual(r1, r2, *_comp_blocks(z, tau))
+
+
+def _comp_blocks(z: Iterate, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The complementarity blocks (r3, r4) of F_tau(z)."""
+    return z.mu_l * (1.0 + z.x) - tau, z.mu_r * (1.0 - z.x) - tau
+
+
+def retarget_F(F: Residual, z: Iterate, tau: float) -> Residual:
+    """F_tau(z) from ``F``, the value of F at z for another tau.
+
+    r1 and r2 do not depend on tau and are reused; r3 and r4 are recomputed
+    with the operations of :func:`eval_F`, so the result is bit-identical to
+    ``eval_F(p, mp, z, tau)``.  Unchecked: z and tau are the caller's.
+    """
+    return Residual(F.r1, F.r2, *_comp_blocks(z, tau))
 
 
 def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
@@ -203,22 +229,45 @@ class ReducedDF:
             = (g1 + g3/(e+x) - g4/(e-x), g2),
 
     held in ``matrix``.  :meth:`solve` takes a factorization of ``matrix``
-    and returns the full dz.
+    and returns the full dz.  Only the first n diagonal entries depend on z:
+    the rest is :meth:`_template`, which a caller stepping through many
+    iterates of one problem builds once and passes to :meth:`_from_template`.
     """
 
     def __init__(self, p: BoxQP, mp, z: Iterate):
         if z.n != p.n or z.m != p.m:
             raise DimensionError("iterate dimensions do not match the problem")
+        self._fill(self._template(p, mp), mp.omega, z)
+
+    @staticmethod
+    def _template(p: BoxQP, mp) -> np.ndarray:
+        """``[[Q, -A'], [A, omega I]]``: the reduced matrix without its z-dependent diagonal."""
         n, m = p.n, p.m
-        self._z = z
-        self._e_plus_x = 1.0 + z.x
-        self._e_minus_x = 1.0 - z.x
         H = np.empty((n + m, n + m))
         H[:n, :n] = p.Q
-        H[np.diag_indices(n)] += mp.omega + z.mu_l / self._e_plus_x + z.mu_r / self._e_minus_x
         H[:n, n:] = -p.A.T
         H[n:, :n] = p.A
         H[n:, n:] = mp.omega * np.eye(m)
+        return H
+
+    @classmethod
+    def _from_template(cls, base: np.ndarray, omega: float, z: Iterate) -> "ReducedDF":
+        """The reduction at z from ``base = _template(p, mp)``; unchecked, z must
+        have the dimensions of p."""
+        red = cls.__new__(cls)
+        red._fill(base, omega, z)
+        return red
+
+    def _fill(self, base: np.ndarray, omega: float, z: Iterate) -> None:
+        n = z.n
+        self._z = z
+        self._e_plus_x = 1.0 + z.x
+        self._e_minus_x = 1.0 - z.x
+        H = base.copy()
+        # The first n diagonal entries of the C-ordered copy, as a view.
+        H.reshape(-1)[: n * (H.shape[0] + 1) : H.shape[0] + 1] += (
+            omega + z.mu_l / self._e_plus_x + z.mu_r / self._e_minus_x
+        )
         self.matrix = H
 
     def solve(self, fac, g: np.ndarray) -> np.ndarray:
@@ -227,14 +276,16 @@ class ReducedDF:
         right-hand-side columns."""
         z = self._z
         n, m = z.n, z.m
-        col = (-1,) + (1,) * (g.ndim - 1)
-        e_plus_x = self._e_plus_x.reshape(col)
-        e_minus_x = self._e_minus_x.reshape(col)
+        e_plus_x, e_minus_x, mu_l, mu_r = self._e_plus_x, self._e_minus_x, z.mu_l, z.mu_r
+        if g.ndim == 2:  # broadcast the diagonals along the columns
+            e_plus_x, e_minus_x, mu_l, mu_r = (
+                a[:, None] for a in (e_plus_x, e_minus_x, mu_l, mu_r)
+            )
         g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
         u = fac.solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
         dx = u[:n]
-        dmu_l = (g3 - z.mu_l.reshape(col) * dx) / e_plus_x
-        dmu_r = (g4 + z.mu_r.reshape(col) * dx) / e_minus_x
+        dmu_l = (g3 - mu_l * dx) / e_plus_x
+        dmu_r = (g4 + mu_r * dx) / e_minus_x
         return np.concatenate([u, dmu_l, dmu_r])
 
 

@@ -23,26 +23,30 @@ EPS_MACH = float(np.finfo(np.float64).eps)
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Return ``v`` as a finite 1-D float64 array, optionally checking its length."""
-    a = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
-        raise DimensionError(f"{name} must be one-dimensional, got shape {a.shape}")
+        a = np.atleast_1d(a)
+        if a.ndim != 1:
+            raise DimensionError(f"{name} must be one-dimensional, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionError(f"{name} must have length {dim}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidProblem(f"{name} contains non-finite entries")
     return a
 
 
 def as_matrix(G, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
     """Return ``G`` as a finite 2-D float64 array, optionally checking its shape."""
-    a = np.atleast_2d(np.asarray(G, dtype=np.float64))
+    a = np.asarray(G, dtype=np.float64)
     if a.ndim != 2:
-        raise DimensionError(f"{name} must be two-dimensional, got shape {a.shape}")
+        a = np.atleast_2d(a)
+        if a.ndim != 2:
+            raise DimensionError(f"{name} must be two-dimensional, got shape {a.shape}")
     if rows is not None and a.shape[0] != rows:
         raise DimensionError(f"{name} must have {rows} rows, got {a.shape[0]}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionError(f"{name} must have {cols} columns, got {a.shape[1]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidProblem(f"{name} contains non-finite entries")
     return a
 
@@ -162,17 +166,6 @@ def _sigma_max(G: np.ndarray, iters: int) -> float:
         w = y / ny
     y = G @ w
     return math.sqrt(y @ y)
-
-
-def solve_linear(G, v) -> np.ndarray:
-    """Solve the square system G u = v with column-pivoted QR.
-
-    Raises
-    ------
-    SingularSystem
-        If some pivot magnitude falls at or below ``dim * eps * ||G||_inf``.
-    """
-    return QRFactor(G).solve(v)
 
 
 def cond_estimate(G, iters: int = 32) -> float:

@@ -17,7 +17,12 @@ loop behind ``primal_init``, then ``lift``, and makes every primal-dual
 Newton step through ``_step``, the single implementation behind
 ``error_reset_step``, ``path_step`` and ``centrality_step``.  Every step
 enforces the per-step contraction guarantee at runtime and rejects (never
-damps) on failure.  The returned solution x satisfies
+damps) on failure.  Inputs are validated where they enter (``BoxQP``, the
+public ``Iterate`` constructor, ``eval_F``, ``QRFactor``); the iterates a
+step produces are not re-validated, because ``_advance`` establishes their
+invariants and counts the repairs it makes.  Within ``solve()`` each step's
+post-check residual is the next step's right-hand side, and every reduced
+Newton matrix is a copy of one per-solve template.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
 """
@@ -35,7 +40,16 @@ from .errors import (
     PrimalInitFailed,
     StepRejected,
 )
-from .kkt import Iterate, ReducedDF, Residual, eval_DF, eval_F, eval_grad_f, eval_hess_f
+from .kkt import (
+    Iterate,
+    ReducedDF,
+    Residual,
+    eval_DF,
+    eval_F,
+    eval_grad_f,
+    eval_hess_f,
+    retarget_F,
+)
 from .linalg import EPS_MACH, QRFactor, cond_from_inverse
 from .neighborhoods import complementarity_gap
 from .params import MethodParams, compute_params, compute_params_practical
@@ -126,6 +140,10 @@ class SolveReport:
     params: MethodParams
     trace: list[TraceEntry] = field(default_factory=list)
     linear_solves: int = 0
+    # Repairs made by the primal-dual updates (see _advance): coordinates of
+    # x clipped to +-nextafter(1, 0), and mu components reset to tau/(1 +- x).
+    x_clipped: int = 0
+    mu_reset: int = 0
 
 
 @dataclass(frozen=True)
@@ -133,31 +151,47 @@ class _StepInfo:
     step_norm: float
     newton_dot: float
     cond: float
-    post: Residual
+    post: Residual  # F at the new iterate and the step's tau
+    eq_norm: float  # post.eq_norm and post.comp_norm, computed once
+    comp_norm: float
+    x_clipped: int = 0
+    mu_reset: int = 0
 
 
 def _split(dz: np.ndarray, n: int, m: int):
     return dz[:n], dz[n : n + m], dz[n + m : 2 * n + m], dz[2 * n + m :]
 
 
-def _advance(z: Iterate, dz: np.ndarray, tau: float) -> Iterate:
+def _advance(z: Iterate, dz: np.ndarray, tau: float) -> tuple[Iterate, int, int]:
     """Apply a full Newton update, snapping to the representable interior.
 
     x is clipped to |x_j| <= nextafter(1, 0); a mu component driven
     nonpositive by rounding at one-ulp margins is reset to its central-path
-    value tau/(1 +- x_j).  Both repairs are within the practical envelope.
+    value tau/(1 +- x_j).  Both repairs are within the practical envelope,
+    and both are counted: returns (iterate, coordinates clipped, mu
+    components reset).
+
+    With dz finite, the result satisfies the invariants of an Iterate except
+    finiteness (finite + finite can overflow to inf), so it is built without
+    re-validation; the caller checks the residual at the result for
+    finiteness, which every component of z enters.
     """
     dx, dlam, dmu_l, dmu_r = _split(dz, z.n, z.m)
-    x = np.clip(z.x + dx, -_X_MAX, _X_MAX)
+    x_new = z.x + dx
+    x = np.minimum(np.maximum(x_new, -_X_MAX), _X_MAX)  # np.clip, without its wrapper
+    clipped = int(np.count_nonzero(x != x_new))
+    reset = 0
     mu_l = z.mu_l + dmu_l
     mu_r = z.mu_r + dmu_r
     bad = mu_l <= 0.0
     if bad.any():
+        reset += int(np.count_nonzero(bad))
         mu_l = np.where(bad, tau / (1.0 + x), mu_l)
     bad = mu_r <= 0.0
     if bad.any():
+        reset += int(np.count_nonzero(bad))
         mu_r = np.where(bad, tau / (1.0 - x), mu_r)
-    return Iterate(x=x, lam=z.lam + dlam, mu_l=mu_l, mu_r=mu_r)
+    return Iterate._trusted(x, z.lam + dlam, mu_l, mu_r), clipped, reset
 
 
 def _newton_pd(
@@ -167,33 +201,46 @@ def _newton_pd(
     tau: float,
     reset_only: bool,
     want_cond: bool = False,
+    F: Residual | None = None,
+    base: np.ndarray | None = None,
 ) -> tuple[Iterate, _StepInfo]:
     """One primal-dual Newton step on F_tau at z.
 
     ``reset_only`` zeroes the complementarity blocks of the right-hand side,
     which by linearity cancels the stationarity/equality residuals exactly.
+    ``F`` is F_tau(z) when the caller already has it, and ``base`` the
+    per-problem ``ReducedDF._template``; both are computed when omitted.
     """
-    F = eval_F(p, mp, z, tau)
+    if F is None:
+        F = eval_F(p, mp, z, tau)
     if reset_only:
-        rhs = -np.concatenate([F.r1, F.r2, np.zeros(p.n), np.zeros(p.n)])
+        rhs = -np.concatenate([F.r1, F.r2, np.zeros(2 * p.n)])
     else:
         rhs = -F.as_array()
-    red = ReducedDF(p, mp, z)
+    red = ReducedDF(p, mp, z) if base is None else ReducedDF._from_template(base, mp.omega, z)
     # Exact-zero pivot guard: near tau_E the a-priori conditioning bound
     # kappa_DF exceeds 1/(dim*eps), so the relative pivot test would misflag
     # theory-valid systems as singular.
     fac = QRFactor(red.matrix, pivot_tol=0.0)
     dz = red.solve(fac, rhs)
-    if not np.all(np.isfinite(dz)):
+    if not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components")
-    z_new = _advance(z, dz, tau)
+    z_new, clipped, reset = _advance(z, dz, tau)
+    post = eval_F(p, mp, z_new, tau)
+    eq_norm, comp_norm = post.eq_norm, post.comp_norm
+    if not math.isfinite(eq_norm + comp_norm):
+        raise StepRejected("Newton step overflowed to a non-finite iterate")
     dx, _, dmu_l, dmu_r = _split(dz, p.n, p.m)
     cond = _cond_DF(p, mp, z, red, fac) if want_cond else math.nan
     info = _StepInfo(
-        step_norm=float(np.linalg.norm(dz)),
+        step_norm=math.sqrt(dz @ dz),
         newton_dot=float(dx @ (dmu_l - dmu_r)),
         cond=cond,
-        post=eval_F(p, mp, z_new, tau),
+        post=post,
+        eq_norm=eq_norm,
+        comp_norm=comp_norm,
+        x_clipped=clipped,
+        mu_reset=reset,
     )
     return z_new, info
 
@@ -208,6 +255,7 @@ def _cond_DF(p: BoxQP, mp: MethodParams, z: Iterate, red: ReducedDF, fac: QRFact
 def _step(
     kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float,
     slack: float | None = None, want_cond: bool = False,
+    F: Residual | None = None, base: np.ndarray | None = None,
 ) -> tuple[Iterate, _StepInfo]:
     """One primal-dual Newton step of ``kind`` on F_tau, then its post-check.
 
@@ -215,19 +263,20 @@ def _step(
     path and centrality: ||(r3, r4)|| <= w tau (1 + COMP_CHECK_RTOL) + slack
     with w = theta and theta/2; ``slack=None`` is the envelope allowance
     C_dF nu_1 (path) or C_dF nu_2 (centrality).  A failed check raises
-    StepRejected; the step is never damped.
+    StepRejected; the step is never damped.  ``F`` and ``base`` are passed
+    through to :func:`_newton_pd`.
     """
     reset = kind == STEP_ERROR_RESET
-    z_new, info = _newton_pd(p, mp, z, tau, reset_only=reset, want_cond=want_cond)
+    z_new, info = _newton_pd(p, mp, z, tau, reset, want_cond, F, base)
     if reset:
-        block, value = "eq", info.post.eq_norm
+        block, value = "eq", info.eq_norm
         limit = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
     else:
         path = kind == STEP_PATH
         if slack is None:
             slack = mp.C_dF * (mp.nu_1 if path else mp.nu_2)
         width = mp.theta if path else 0.5 * mp.theta
-        block, value = "comp", info.post.comp_norm
+        block, value = "comp", info.comp_norm
         limit = width * tau * (1.0 + COMP_CHECK_RTOL) + slack
     if not value <= limit:
         raise StepRejected(
@@ -334,7 +383,7 @@ def _primal_row(
 def _pd_row(k: int, kind: str, tau: float, z: Iterate, info: _StepInfo) -> TraceEntry:
     return TraceEntry(
         k=k, tau=tau, step_kind=kind,
-        residual_comp=info.post.comp_norm, residual_eq=info.post.eq_norm,
+        residual_comp=info.comp_norm, residual_eq=info.eq_norm,
         cond_DF=info.cond, step_norm=info.step_norm,
         interior_margin=z.interior_margin(), comp_gap=complementarity_gap(z),
         z_norm=float(np.linalg.norm(z.as_array())),
@@ -386,12 +435,17 @@ def solve(
         if collect_trace:
             trace.append(_primal_row(k, p, mp, x, dx, fac, hess))
     z_lift = lift(p, mp, x)
-    z, info = _step(STEP_ERROR_RESET, p, mp, z_lift, mp.tau_A, want_cond=collect_trace)
+    # Every step's post-check residual is the next step's right-hand side,
+    # and every reduced matrix is a copy of one template.
+    F_lift = eval_F(p, mp, z_lift, mp.tau_A)
+    base = ReducedDF._template(p, mp)
+    z, info = _step(STEP_ERROR_RESET, p, mp, z_lift, mp.tau_A, None, collect_trace, F_lift, base)
     solves = mp.K + 1
+    x_clipped, mu_reset = info.x_clipped, info.mu_reset
     if collect_trace:
         # The initial reset factors DF at the lift point, so its condition
         # estimate belongs to the lift row as well.
-        lifted = _StepInfo(math.nan, math.nan, info.cond, eval_F(p, mp, z_lift, mp.tau_A))
+        lifted = _StepInfo(math.nan, math.nan, info.cond, F_lift, F_lift.eq_norm, F_lift.comp_norm)
         trace.append(_pd_row(len(trace) + 1, STEP_LIFT, mp.tau_A, z_lift, lifted))
         trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, mp.tau_A, z, info))
 
@@ -400,9 +454,14 @@ def solve(
     for _ in range(mp.M):
         tau = mp.sigma * tau
         for kind in cycle:
-            slack = path_slack if kind == STEP_PATH else None
-            z, info = _step(kind, p, mp, z, tau, slack, collect_trace)
+            if kind == STEP_PATH:
+                slack, F = path_slack, retarget_F(info.post, z, tau)
+            else:  # same tau as the step before
+                slack, F = None, info.post
+            z, info = _step(kind, p, mp, z, tau, slack, collect_trace, F, base)
             solves += 1
+            x_clipped += info.x_clipped
+            mu_reset += info.mu_reset
             if collect_trace:
                 trace.append(_pd_row(len(trace) + 1, kind, tau, z, info))
         cycles += 1
@@ -424,6 +483,8 @@ def solve(
         params=mp,
         trace=trace,
         linear_solves=solves,
+        x_clipped=x_clipped,
+        mu_reset=mu_reset,
     )
 
 

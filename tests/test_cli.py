@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from boxipm import solve
 from boxipm.cli import run
+from boxipm.probfile import parse_problem
 from boxipm.solver import TRACE_FIELDS
 
 BOX_TEXT = """\
@@ -67,6 +69,12 @@ class TestSolveCommand:
         assert out["mode"] == "stable"
         assert set(out["iterations"]) == {"primal", "path_following"}
         assert isinstance(out["params_digest"], str)
+
+    def test_solve_json_counts_repairs(self, box_file, capsys):
+        assert run(["solve", box_file]) == 0
+        out = json.loads(capsys.readouterr().out)
+        report = solve(parse_problem(BOX_TEXT).to_boxqp())
+        assert out["repairs"] == {"x_clipped": report.x_clipped, "mu_reset": report.mu_reset}
 
     def test_deterministic_stdout(self, box_file, capsys):
         assert run(["solve", box_file]) == 0

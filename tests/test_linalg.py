@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
 from boxipm.linalg import (
-    EPS_MACH, QRFactor, _check_info, _sigma_max, as_matrix, as_vector, cond_estimate, norm2_upper, solve_linear,
+    EPS_MACH, QRFactor, _check_info, _sigma_max, as_matrix, as_vector, cond_estimate, norm2_upper,
 )
 
 
@@ -15,41 +15,43 @@ def _graded(rng, d):
 
 
 class TestSolveLinear:
+    """Square systems G u = v solved with QRFactor(G).solve(v)."""
+
     def test_identity(self):
-        assert_allclose(solve_linear(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert_allclose(QRFactor(np.eye(3)).solve([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_diagonal(self):
-        assert_allclose(solve_linear(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
+        assert_allclose(QRFactor(np.diag([2.0, 4.0])).solve([2.0, 8.0]), [1.0, 2.0])
 
     def test_hand_elimination(self):
         G = np.array([[1.0, 1.0], [1.0, 2.0]])
         v = np.array([3.0, 5.0])
-        u = solve_linear(G, v)
+        u = QRFactor(G).solve(v)
         assert_allclose(u, [1.0, 2.0], rtol=1e-14)
         assert_allclose(G @ u, v, rtol=1e-14)
 
     def test_singular_raises(self):
         with pytest.raises(SingularSystem):
-            solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
+            QRFactor(np.array([[1.0, 2.0], [2.0, 4.0]])).solve([1.0, 1.0])
         with pytest.raises(SingularSystem):
-            solve_linear(np.zeros((2, 2)), [1.0, 1.0])
+            QRFactor(np.zeros((2, 2))).solve([1.0, 1.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            solve_linear(np.eye(3), [1.0, 2.0])
+            QRFactor(np.eye(3)).solve([1.0, 2.0])
         with pytest.raises(DimensionError):
-            solve_linear(np.ones((2, 3)), [1.0, 1.0])
+            QRFactor(np.ones((2, 3))).solve([1.0, 1.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidProblem):
-            solve_linear(np.array([[np.nan, 0.0], [0.0, 1.0]]), [1.0, 1.0])
+            QRFactor(np.array([[np.nan, 0.0], [0.0, 1.0]])).solve([1.0, 1.0])
 
     def test_residual_bound_random_well_conditioned(self):
         rng = np.random.default_rng(42)
         for d in (2, 5, 12, 30, 50):
             G = rng.normal(size=(d, d)) + 3.0 * np.sqrt(d) * np.eye(d)
             v = rng.normal(size=d)
-            u = solve_linear(G, v)
+            u = QRFactor(G).solve(v)
             kappa = np.linalg.cond(G)
             res = np.linalg.norm(G @ u - v) / np.linalg.norm(v)
             assert res <= 100.0 * kappa * EPS_MACH
@@ -59,7 +61,7 @@ class TestSolveLinear:
         for d in (3, 10, 25, 50):
             G = rng.normal(size=(d, d)) + 3.0 * np.sqrt(d) * np.eye(d)
             u_true = rng.normal(size=d)
-            u = solve_linear(G, G @ u_true)
+            u = QRFactor(G).solve(G @ u_true)
             kappa = np.linalg.cond(G)
             err = np.linalg.norm(u - u_true) / np.linalg.norm(u_true)
             assert err <= 100.0 * kappa * EPS_MACH
@@ -68,8 +70,8 @@ class TestSolveLinear:
         rng = np.random.default_rng(5)
         G = rng.normal(size=(8, 8)) + 8.0 * np.eye(8)
         v = rng.normal(size=8)
-        u1 = solve_linear(G, v)
-        u2 = solve_linear(G, v)
+        u1 = QRFactor(G).solve(v)
+        u2 = QRFactor(G).solve(v)
         assert np.array_equal(u1, u2)
 
 
@@ -126,6 +128,47 @@ class TestValidators:
             as_matrix(np.ones((2, 3)), rows=3)
         with pytest.raises(InvalidProblem):
             as_matrix([[np.inf]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        v = np.array([1.0, bad, 2.0])
+        G = np.eye(3)
+        G[1, 2] = bad
+        for call in (
+            lambda: as_vector(v),
+            lambda: as_vector(np.float64(bad)),
+            lambda: as_matrix(G),
+            lambda: as_matrix(v),  # 1-D input is promoted to one row, then checked
+            lambda: QRFactor(G),
+            lambda: QRFactor(np.eye(3)).solve(v),
+            lambda: QRFactor(np.eye(3)).solve(np.column_stack([v, v])),
+        ):
+            with pytest.raises(InvalidProblem):
+                call()
+
+    def test_wrong_ndim_and_length_rejected(self):
+        for call in (
+            lambda: as_vector(np.ones((2, 2))),
+            lambda: as_vector(np.ones((1, 1, 1))),
+            lambda: as_vector([1.0, 2.0], dim=3),
+            lambda: as_matrix(np.ones((2, 2, 2))),
+            lambda: as_matrix(np.ones((2, 3)), rows=3),
+            lambda: as_matrix(np.ones((2, 3)), cols=2),
+            lambda: QRFactor(np.ones((2, 3))),
+            lambda: QRFactor(np.ones((2, 2, 2))),
+            lambda: QRFactor(np.eye(3)).solve(np.ones(2)),
+            lambda: QRFactor(np.eye(3)).solve(np.ones((2, 1))),
+            lambda: QRFactor(np.eye(3)).solve(np.ones((3, 1, 1))),
+        ):
+            with pytest.raises(DimensionError):
+                call()
+
+    def test_scalars_and_lists_are_promoted(self):
+        assert as_vector(2.0).shape == (1,)
+        assert as_matrix(2.0).shape == (1, 1)
+        assert as_matrix([1.0, 2.0]).shape == (1, 2)
+        a = np.arange(3.0)
+        assert as_vector(a) is a  # a float64 vector is returned as is, not copied
 
     def test_qr_factor_matrix_rhs(self):
         rng = np.random.default_rng(10)

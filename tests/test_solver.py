@@ -1,10 +1,13 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import boxipm.solver
 from boxipm import (
     BoxQP,
     Iterate,
@@ -17,10 +20,14 @@ from boxipm import (
     solve,
     solve_standard,
 )
-from boxipm.kkt import eval_DF, eval_F, eval_grad_f
+from boxipm.errors import StepRejected
+from boxipm.kkt import ReducedDF, eval_DF, eval_F, eval_grad_f
 from boxipm.linalg import cond_estimate
 from boxipm.solver import (
     _COND_ITERS,
+    _X_MAX,
+    TRACE_FIELDS,
+    _advance,
     _newton_pd,
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -292,6 +299,179 @@ class TestSolveComposition:
         # the initial reset factors DF at the lift point
         assert lift_row.cond_DF == reset_row.cond_DF
         assert math.isnan(lift_row.step_norm)
+
+
+def _solve_digest(rep):
+    """sha256 over x, tau_final, linear_solves, iterations_pd and every trace row."""
+    h = hashlib.sha256(rep.x.tobytes())
+    h.update(struct.pack("<dqq", rep.tau_final, rep.linear_solves, rep.iterations_pd))
+    for e in rep.trace:
+        h.update(struct.pack("<qd", e.k, e.tau) + e.step_kind.encode())
+        h.update(struct.pack("<8d", *(getattr(e, f) for f in TRACE_FIELDS[3:])))
+    return h.hexdigest()[:16]
+
+
+class TestSolveBytes:
+    # First 16 hex digits of _solve_digest, measured before the step loop was
+    # streamlined (validation moved to the public boundary, one eval_F per
+    # step, reduced matrices copied from a template).  A change that claims
+    # bit-identical solves must keep them; one that changes the arithmetic on
+    # purpose re-measures them and says why.  They pin binary64 results of
+    # the numpy/OpenBLAS build the suite runs on: a BLAS with other kernels
+    # may round differently.
+    @pytest.mark.parametrize("seed, n, m, feasible, mode, traced, digest", [
+        (61, 3, 2, True, "stable", True, "d5d834f6e245c172"),
+        (62, 5, 2, True, "fast", False, "25800f110b889c14"),
+        (63, 8, 3, True, "stable", False, "1b8e3e127ff27f51"),
+        (64, 5, 2, False, "stable", True, "be802806af747fc7"),
+        (65, 3, 1, False, "fast", True, "e02a44af740b3398"),
+        (66, 8, 3, False, "stable", False, "21f295b41d6f1451"),
+    ])
+    def test_solve_digest(self, seed, n, m, feasible, mode, traced, digest):
+        p = random_boxqp(np.random.default_rng(seed), n, m, feasible=feasible, tol=1e-2)
+        assert _solve_digest(solve(p, mode=mode, collect_trace=traced)) == digest
+
+
+class TestStepLoopStructure:
+    """Counts calls, not time: validation, a second eval_F or a per-step
+    template creeping back into the step loop fails here."""
+
+    def test_calls_per_solve(self, monkeypatch):
+        calls = {"eval_F": 0, "post_init": 0, "template": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(boxipm.solver, "eval_F", counted("eval_F", eval_F))
+        monkeypatch.setattr(Iterate, "__post_init__", counted("post_init", Iterate.__post_init__))
+        monkeypatch.setattr(
+            ReducedDF, "_template", staticmethod(counted("template", ReducedDF._template))
+        )
+        rng = np.random.default_rng(13)
+        rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), mode="stable")
+        pd_steps = rep.linear_solves - rep.params.K  # the initial reset plus 3 per cycle
+        assert pd_steps > 100
+        assert pd_steps <= calls["eval_F"] <= pd_steps + 1  # + F at the lift point
+        assert calls["post_init"] == 1  # the lift point
+        assert calls["template"] == 1
+
+
+def _hand_iterate():
+    return Iterate(x=[0.5, -0.5, 0.0], lam=[0.1], mu_l=[1.0, 2.0, 0.5], mu_r=[0.5, 1.0, 2.0])
+
+
+class TestAdvanceInvariants:
+    """_advance builds its Iterate unchecked; these are the invariants it
+    establishes instead."""
+
+    def test_x_outside_the_box_is_clipped_and_counted(self):
+        z = _hand_iterate()
+        dz = np.zeros(3 * 3 + 1)
+        dz[:3] = [0.75, -0.5 - _X_MAX, 1.0]  # 1.25, -1 - eps, 1.0: all leave the open box
+        z_new, clipped, reset = _advance(z, dz, 0.5)
+        assert np.abs(z_new.x).max() <= _X_MAX
+        assert z_new.x.tolist() == [_X_MAX, -_X_MAX, _X_MAX]
+        assert (clipped, reset) == (3, 0)
+        assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
+
+    def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
+        z = _hand_iterate()
+        tau = 0.3
+        dz = np.zeros(3 * 3 + 1)
+        dz[:3] = [0.25, -0.125, 0.0]
+        dz[4:7] = [-1.0, -3.0, 0.25]  # mu_l -> 0.0, -1.0, 0.75
+        dz[7:] = [0.0, -1.0, -2.5]  # mu_r -> 0.5, 0.0, -0.5
+        z_new, clipped, reset = _advance(z, dz, tau)
+        x_new = z.x + dz[:3]
+        assert clipped == 0 and reset == 4
+        assert z_new.mu_l[:2].tobytes() == (tau / (1.0 + x_new[:2])).tobytes()
+        assert z_new.mu_l[2] == 0.75
+        assert z_new.mu_r[1:].tobytes() == (tau / (1.0 - x_new[1:])).tobytes()
+        assert z_new.mu_r[0] == 0.5
+        assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
+        # the unchecked result is a valid Iterate
+        Iterate(x=z_new.x, lam=z_new.lam, mu_l=z_new.mu_l, mu_r=z_new.mu_r)
+
+    def test_a_step_that_drives_mu_negative_is_repaired_and_counted(self, monkeypatch):
+        # at a central point the centrality step is zero; push its mu_l past 0
+        p = zeros_problem()
+        mp = make_mp()
+        tau = 0.5
+        z = Iterate(x=[0.25], lam=[0.0], mu_l=[tau / 1.25], mu_r=[tau / 0.75])
+        solve_dz = ReducedDF.solve
+
+        def pushed(self, fac, g):
+            dz = solve_dz(self, fac, g)
+            dz[2] = -2.0 * z.mu_l[0]
+            return dz
+
+        monkeypatch.setattr(ReducedDF, "solve", pushed)
+        z_new, info = _newton_pd(p, mp, z, tau, reset_only=False)
+        assert info.mu_reset == 1 and info.x_clipped == 0
+        assert z_new.mu_l[0] == tau / (1.0 + z_new.x[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_step_is_rejected(self, monkeypatch, bad):
+        p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
+        mp = compute_params_practical(p)
+        z = _hand_iterate()
+        solve_dz = ReducedDF.solve
+
+        def broken(self, fac, g):
+            dz = solve_dz(self, fac, g)
+            dz[1] = bad
+            return dz
+
+        monkeypatch.setattr(ReducedDF, "solve", broken)
+        with pytest.raises(StepRejected, match="non-finite components"):
+            path_step(p, mp, z, 1.0)
+
+    @pytest.mark.parametrize("block", ["lam", "mu_l", "mu_r"])
+    def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
+        # finite + finite = inf: the update passes the finite-dz check, and
+        # the residual at the new point must catch it
+        p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
+        mp = compute_params_practical(p)
+        huge = 1e308
+        values = {"x": [0.5, -0.5, 0.0], "lam": [0.0], "mu_l": [1.0] * 3, "mu_r": [1.0] * 3}
+        j = 2 if block == "mu_r" else 0  # where mu/(1 +- x) stays finite in the reduced matrix
+        values[block][j] = huge
+        z = Iterate(**values)
+        at = {"lam": 3, "mu_l": 4, "mu_r": 7}[block] + j
+
+        def overflowing(self, fac, g):
+            dz = np.zeros(g.shape)
+            dz[at] = huge
+            return dz
+
+        monkeypatch.setattr(ReducedDF, "solve", overflowing)
+        returned = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in (
+                lambda: path_step(p, mp, z, 1.0),
+                lambda: centrality_step(p, mp, z, 1.0),
+                lambda: error_reset_step(p, mp, z, 1.0),
+            ):
+                with pytest.raises(StepRejected, match="non-finite iterate"):
+                    returned.append(step())
+        assert returned == []
+
+
+class TestRepairCounters:
+    def test_infeasible_instance_clips(self):
+        rng = np.random.default_rng(7)
+        rep = solve(random_boxqp(rng, 3, 2, feasible=False, tol=1e-2))
+        assert rep.x_clipped > 0
+        assert rep.mu_reset == 0
+
+    def test_feasible_instance_does_not(self):
+        rng = np.random.default_rng(7)
+        rep = solve(random_boxqp(rng, 3, 2, feasible=True, tol=1e-2))
+        assert rep.x_clipped == 0
+        assert rep.mu_reset == 0
 
 
 @pytest.fixture(scope="module")
