@@ -141,20 +141,14 @@ def _cmd_solve_standard(args) -> int:
     )
     if args.trace is not None:
         _write_trace(args.trace, report.box_report)
-    out = {
+    # The box solve's record, with the solution in standard coordinates.
+    print(_solution_json(report.box_report, {
         "x": [float(v) for v in report.x],
         "objective": report.objective,
         "feas_residual": report.feas_residual,
         "pi": report.pi,
         "trials": report.trials,
-        "iterations": {
-            "primal": report.box_report.iterations_primal,
-            "path_following": report.box_report.iterations_pd,
-        },
-        "mode": report.box_report.mode,
-        "params_digest": _params_digest(report.box_report.params),
-    }
-    print(json.dumps(out, indent=2))
+    }))
     return EXIT_OK
 
 

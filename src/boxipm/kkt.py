@@ -87,11 +87,6 @@ class Iterate:
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.x, self.lam, self.mu_l, self.mu_r])
 
-    @staticmethod
-    def from_array(v: np.ndarray, n: int, m: int) -> "Iterate":
-        v = as_vector(v, dim=3 * n + m, name="z")
-        return Iterate(v[:n], v[n : n + m], v[n + m : 2 * n + m], v[2 * n + m :])
-
     def interior_margin(self) -> float:
         """min over {1 - |x_j|, mu_l_j, mu_r_j}; positive iff strictly interior."""
         return float(
@@ -288,17 +283,3 @@ class ReducedDF:
         dmu_r = (g4 + mu_r * dx) / e_minus_x
         return np.concatenate([u, dmu_l, dmu_r])
 
-
-def eval_phi(p: BoxQP, mp, x, tau: float) -> float:
-    """Penalty-barrier phi_tau(x) whose minimizers trace the central path.
-
-    phi_{tau_A}(x) == tau_A * f(x); as tau -> 0 it approaches the
-    regularized objective q_omega(x).
-    """
-    if not tau > 0.0:
-        raise InvalidProblem(f"tau must be positive, got {tau!r}")
-    x = _interior_x(p, x)
-    r = p.A @ x - p.b
-    quad = 0.5 * x @ (p.Q @ x) + p.c @ x + 0.5 * mp.omega * (x @ x) + (r @ r) / (2.0 * mp.omega)
-    barrier = np.log1p(x) + np.log1p(-x)
-    return float(quad - tau * barrier.sum())

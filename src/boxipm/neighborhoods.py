@@ -1,83 +1,65 @@
-"""Central-path neighborhood diagnostics.
+"""The step post-check rule and the complementarity gap.
 
-A point z is in the width-theta neighborhood at parameter tau when its
-stationarity/equality residual blocks vanish, its complementarity residual
-norm is at most theta*tau, and it is strictly interior; the half-width
-variant tightens theta to theta/2.  Exact block-vanishing is unattainable
-in floating point, so membership is tested with an ``eq_slack`` allowance:
-zero for exact membership, C_dF * nu as the sufficient-condition proxy for
-membership in the nu-envelope of the exact neighborhood.
+The short-step method keeps every iterate in the width-theta neighborhood
+of the central path at its tau: the stationarity/equality blocks (r1, r2)
+of F_tau vanish and the complementarity blocks (r3, r4) have 2-norm at most
+theta*tau.  :func:`check_step` is the one place that rule is written, as
+the bound each primal-dual Newton step must meet at its new iterate:
 
-Classification is a pure diagnostic; it never mutates iterates.
+- path step (at the reduced tau): ||(r3, r4)|| <= theta tau (1 + COMP_CHECK_RTOL) + slack;
+- centrality step (same tau): the half width, theta/2 in place of theta;
+- error-reset step: ||(r1, r2)|| <= 100 N eps C_DF C_z, the binary64 floor
+  of exact block-vanishing.
+
+Exact membership is unattainable in floating point, so the complementarity
+bound carries a relative roundoff grace and a ``slack``: zero holds a step
+to the theoretical contraction, and the default is the envelope allowance
+C_dF nu_1 (path) or C_dF nu_2 (centrality), the sufficient-condition proxy
+for membership in the nu-envelope of the exact neighborhood.  Interiority
+is not tested here: every iterate is strictly interior by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import StepRejected
+from .kkt import Iterate
+from .linalg import EPS_MACH
 
-import numpy as np
+STEP_PATH = "path"
+STEP_CENTRALITY = "centrality"
+STEP_ERROR_RESET = "error_reset"
 
-from .errors import InvalidProblem
-from .kkt import Iterate, eval_F
-from .problem import BoxQP
-
-
-@dataclass(frozen=True)
-class NeighborhoodReport:
-    """Membership diagnostics for one iterate at one tau."""
-
-    tau: float
-    eq_residual: float
-    comp_residual: float
-    interior_margin: float
-    in_N: bool
-    in_Nh: bool
-    in_F: bool
+# Relative roundoff grace on the complementarity bound.
+COMP_CHECK_RTOL = 1e-6
 
 
-def classify(p: BoxQP, mp, z: Iterate, tau: float, eq_slack: float = 0.0) -> NeighborhoodReport:
-    """Classify z against the width-theta and half-width neighborhoods at tau.
+def check_step(
+    kind: str, mp, tau: float, eq_norm: float, comp_norm: float, slack: float | None = None
+) -> None:
+    """Raise StepRejected unless a ``kind`` step's new iterate meets its bound.
 
-    Parameters
-    ----------
-    eq_slack : float
-        Allowed 2-norm of the (r1, r2) blocks, and extra allowance on the
-        complementarity bound.  Use 0 for exact membership and C_dF * nu as
-        the envelope proxy at radius nu.
+    ``eq_norm`` and ``comp_norm`` are ||(r1, r2)|| and ||(r3, r4)|| of F_tau
+    there; an error-reset step is held to the first and ignores ``slack``,
+    path and centrality steps to the second.  ``slack=None`` is the envelope
+    allowance; a given slack is trusted to be finite and nonnegative.
     """
-    if eq_slack < 0.0:
-        raise InvalidProblem(f"eq_slack must be nonnegative, got {eq_slack!r}")
-    F = eval_F(p, mp, z, tau)
-    eq = F.eq_norm
-    comp = F.comp_norm
-    margin = z.interior_margin()
-    interior = margin > 0.0
-    in_n = interior and eq <= eq_slack and comp <= mp.theta * tau + eq_slack
-    in_nh = interior and eq <= eq_slack and comp <= 0.5 * mp.theta * tau + eq_slack
-    in_f = margin >= mp.c_gap
-    return NeighborhoodReport(
-        tau=float(tau),
-        eq_residual=eq,
-        comp_residual=comp,
-        interior_margin=margin,
-        in_N=in_n,
-        in_Nh=in_nh,
-        in_F=in_f,
-    )
+    if kind == STEP_ERROR_RESET:
+        block, value = "eq", eq_norm
+        limit = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
+    else:
+        path = kind == STEP_PATH
+        if slack is None:
+            slack = mp.C_dF * (mp.nu_1 if path else mp.nu_2)
+        width = mp.theta if path else 0.5 * mp.theta
+        block, value = "comp", comp_norm
+        limit = width * tau * (1.0 + COMP_CHECK_RTOL) + slack
+    if not value <= limit:
+        raise StepRejected(
+            f"{kind} step failed its post-check: {block} residual {value!r} > {limit!r}"
+        )
 
 
 def complementarity_gap(z: Iterate) -> float:
     """mu_l'(e + x) + mu_r'(e - x); bounded by 2n(1+theta)tau on the path
     neighborhood, which certifies the optimality gap."""
     return float(z.mu_l @ (1.0 + z.x) + z.mu_r @ (1.0 - z.x))
-
-
-def min_comp_product(z: Iterate) -> float:
-    """Smallest componentwise complementarity product.
-
-    min_j of (1 + x_j) mu_l_j and (1 - x_j) mu_r_j; at least (1-theta)*tau
-    for points in the width-theta neighborhood.
-    """
-    prods_l = (1.0 + z.x) * z.mu_l
-    prods_r = (1.0 - z.x) * z.mu_r
-    return float(min(prods_l.min(initial=np.inf), prods_r.min(initial=np.inf)))

@@ -16,11 +16,13 @@ Three phases:
 loop behind ``primal_init``, then ``lift``, and makes every primal-dual
 Newton step through ``_step``, the single implementation behind
 ``error_reset_step``, ``path_step`` and ``centrality_step``.  Every step
-enforces the per-step contraction guarantee at runtime and rejects (never
-damps) on failure.  Inputs are validated where they enter (``BoxQP``, the
-public ``Iterate`` constructor, ``eval_F``, ``QRFactor``); the iterates a
-step produces are not re-validated, because ``_advance`` establishes their
-invariants and counts the repairs it makes.  Within ``solve()`` each step's
+ends with the neighborhood rule of :func:`boxipm.neighborhoods.check_step`
+and is rejected (never damped) when it fails; a Newton system that
+overflows is rejected the same way.  Inputs are validated where they enter
+(``BoxQP``, the public ``Iterate`` constructor, ``eval_F``, ``QRFactor``,
+the ``slack`` of the public step functions); the iterates a step produces
+are not re-validated, because ``_advance`` establishes their invariants and
+counts the repairs it makes.  Within ``solve()`` each step's
 post-check residual is the next step's right-hand side, and every reduced
 Newton matrix is a copy of one per-solve template.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
@@ -50,8 +52,14 @@ from .kkt import (
     eval_hess_f,
     retarget_F,
 )
-from .linalg import EPS_MACH, QRFactor, cond_from_inverse
-from .neighborhoods import complementarity_gap
+from .linalg import QRFactor, cond_from_inverse
+from .neighborhoods import (
+    STEP_CENTRALITY,
+    STEP_ERROR_RESET,
+    STEP_PATH,
+    check_step,
+    complementarity_gap,
+)
 from .params import MethodParams, compute_params, compute_params_practical
 from .problem import (
     BoxQP,
@@ -67,9 +75,7 @@ MODE_FAST = "fast"
 PARAMS_STRICT = "strict"
 PARAMS_PRACTICAL = "practical"
 
-# Relative roundoff grace applied to the per-step contraction checks and to
-# the final tau <= tau_E comparison.
-COMP_CHECK_RTOL = 1e-6
+# Relative roundoff grace on the final tau <= tau_E comparison.
 TAU_END_RTOL = 1e-10
 
 # Largest representable strictly-interior coordinate.  Newton targets with a
@@ -80,9 +86,6 @@ _X_MAX = float(np.nextafter(1.0, 0.0))
 
 STEP_PRIMAL = "primal"
 STEP_LIFT = "lift"
-STEP_PATH = "path"
-STEP_CENTRALITY = "centrality"
-STEP_ERROR_RESET = "error_reset"
 
 TRACE_FIELDS = (
     "k",
@@ -210,6 +213,8 @@ def _newton_pd(
     which by linearity cancels the stationarity/equality residuals exactly.
     ``F`` is F_tau(z) when the caller already has it, and ``base`` the
     per-problem ``ReducedDF._template``; both are computed when omitted.
+    A reduced matrix or right-hand side that overflows, or a step or new
+    iterate that is not finite, raises StepRejected.
     """
     if F is None:
         F = eval_F(p, mp, z, tau)
@@ -221,8 +226,13 @@ def _newton_pd(
     # Exact-zero pivot guard: near tau_E the a-priori conditioning bound
     # kappa_DF exceeds 1/(dim*eps), so the relative pivot test would misflag
     # theory-valid systems as singular.
-    fac = QRFactor(red.matrix, pivot_tol=0.0)
-    dz = red.solve(fac, rhs)
+    try:
+        fac = QRFactor(red.matrix, pivot_tol=0.0)
+        dz = red.solve(fac, rhs)
+    except InvalidProblem as exc:
+        # z, tau and the template were checked where they entered, so a
+        # non-finite system here is an overflow in forming it.
+        raise StepRejected(f"Newton system overflowed: {exc}") from exc
     if not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components")
     z_new, clipped, reset = _advance(z, dz, tau)
@@ -259,30 +269,20 @@ def _step(
 ) -> tuple[Iterate, _StepInfo]:
     """One primal-dual Newton step of ``kind`` on F_tau, then its post-check.
 
-    error_reset: ||(r1, r2)|| <= 100 N eps C_DF C_z (``slack`` is unused).
-    path and centrality: ||(r3, r4)|| <= w tau (1 + COMP_CHECK_RTOL) + slack
-    with w = theta and theta/2; ``slack=None`` is the envelope allowance
-    C_dF nu_1 (path) or C_dF nu_2 (centrality).  A failed check raises
-    StepRejected; the step is never damped.  ``F`` and ``base`` are passed
-    through to :func:`_newton_pd`.
+    The post-check is :func:`~boxipm.neighborhoods.check_step` on the
+    residual at the new iterate, with ``slack`` passed through unchecked
+    (``None`` is the envelope allowance); a failed check raises
+    StepRejected, and the step is never damped.  ``F`` and ``base`` are
+    passed through to :func:`_newton_pd`.
     """
-    reset = kind == STEP_ERROR_RESET
-    z_new, info = _newton_pd(p, mp, z, tau, reset, want_cond, F, base)
-    if reset:
-        block, value = "eq", info.eq_norm
-        limit = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
-    else:
-        path = kind == STEP_PATH
-        if slack is None:
-            slack = mp.C_dF * (mp.nu_1 if path else mp.nu_2)
-        width = mp.theta if path else 0.5 * mp.theta
-        block, value = "comp", info.comp_norm
-        limit = width * tau * (1.0 + COMP_CHECK_RTOL) + slack
-    if not value <= limit:
-        raise StepRejected(
-            f"{kind} step failed its post-check: {block} residual {value!r} > {limit!r}"
-        )
+    z_new, info = _newton_pd(p, mp, z, tau, kind == STEP_ERROR_RESET, want_cond, F, base)
+    check_step(kind, mp, tau, info.eq_norm, info.comp_norm, slack)
     return z_new, info
+
+
+def _check_slack(slack: float | None) -> None:
+    if slack is not None and not 0.0 <= slack < math.inf:
+        raise InvalidProblem(f"slack must be finite and nonnegative, got {slack!r}")
 
 
 def _primal_steps(p: BoxQP, mp: MethodParams):
@@ -342,7 +342,8 @@ def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iter
     """Newton step whose right-hand side zeroes only the (r1, r2) blocks.
 
     By linearity the new stationarity/equality residuals vanish to roundoff;
-    the post-check enforces ||(r1, r2)|| <= 100 N eps C_DF C_z.
+    the post-check holds them to the binary64 floor of
+    :func:`~boxipm.neighborhoods.check_step`.
     """
     return _step(STEP_ERROR_RESET, p, mp, z, tau)[0]
 
@@ -352,9 +353,12 @@ def path_step(
 ) -> tuple[Iterate, float]:
     """Newton step on F at the reduced parameter tau_hat = sigma * tau.
 
-    Returns (new iterate, tau_hat).  Post-checks: complementarity residual
-    at most theta * tau_hat (plus envelope slack) and strict interiority.
+    Returns (new iterate, tau_hat).  Post-check: the width-theta rule of
+    :func:`~boxipm.neighborhoods.check_step` at tau_hat, loosened by
+    ``slack`` (default: the envelope allowance), which must be finite and
+    nonnegative.
     """
+    _check_slack(slack)
     tau_hat = mp.sigma * tau
     return _step(STEP_PATH, p, mp, z, tau_hat, slack)[0], tau_hat
 
@@ -362,7 +366,13 @@ def path_step(
 def centrality_step(
     p: BoxQP, mp: MethodParams, z: Iterate, tau: float, slack: float | None = None
 ) -> Iterate:
-    """Newton step on F at unchanged tau; halves the neighborhood width."""
+    """Newton step on F at unchanged tau; halves the neighborhood width.
+
+    Post-check: the half-width rule of :func:`~boxipm.neighborhoods.check_step`,
+    loosened by ``slack`` (default: the envelope allowance), which must be
+    finite and nonnegative.
+    """
+    _check_slack(slack)
     return _step(STEP_CENTRALITY, p, mp, z, tau, slack)[0]
 
 

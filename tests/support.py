@@ -64,6 +64,14 @@ def random_standard_with_optimum(rng, n, m):
     return sp, u_star
 
 
+def iterate_from_array(v, n, m):
+    """The Iterate whose ``as_array()`` is v, of length 3n + m."""
+    from boxipm import Iterate
+
+    assert len(v) == 3 * n + m
+    return Iterate(x=v[:n], lam=v[n : n + m], mu_l=v[n + m : 2 * n + m], mu_r=v[2 * n + m :])
+
+
 def random_iterate(rng, n, m):
     """Strictly interior primal-dual point (not on any central path)."""
     from boxipm import Iterate

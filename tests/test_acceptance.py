@@ -29,7 +29,7 @@ from boxipm.solver import (
 )
 from boxipm.problem import transform_standard
 
-from support import random_boxqp, random_boxqp_interior_infeasible
+from support import iterate_from_array, random_boxqp, random_boxqp_interior_infeasible
 
 
 def _pass(num, desc):
@@ -218,8 +218,8 @@ def test_criterion_09_derivative_consistency():
         J = eval_DF(p, mp, z)
         v = rng.normal(size=3 * n + m)
         h = 1e-3
-        za = Iterate.from_array(z.as_array() + h * v, n, m)
-        zb = Iterate.from_array(z.as_array() - h * v, n, m)
+        za = iterate_from_array(z.as_array() + h * v, n, m)
+        zb = iterate_from_array(z.as_array() - h * v, n, m)
         fd = (eval_F(p, mp, za, 1.0).as_array() - eval_F(p, mp, zb, 1.0).as_array()) / (2.0 * h)
         assert np.linalg.norm(J @ v - fd) <= 1e-6 * (1.0 + np.linalg.norm(J @ v))
     _pass(9, "gradient/Hessian/Jacobian match finite differences at 100 points")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from boxipm import solve
+from boxipm import solve, solve_standard
 from boxipm.cli import run
 from boxipm.probfile import parse_problem
 from boxipm.solver import TRACE_FIELDS
@@ -115,6 +115,19 @@ class TestSolveStandardCommand:
         assert out["pi"] == 2.0
         assert abs(out["x"][0] - 1.0) <= 0.05
         assert out["feas_residual"] <= 1e-2
+
+    def test_json_counts_repairs(self, std_file, capsys):
+        assert run(["solve-standard", std_file]) == 0
+        out = json.loads(capsys.readouterr().out)
+        box = solve_standard(parse_problem(STD_TEXT).to_standardqp(), tol=1e-2, pi=2.0).box_report
+        assert out["repairs"] == {"x_clipped": box.x_clipped, "mu_reset": box.mu_reset}
+        assert out["tau_final"] == box.tau_final
+
+    def test_deterministic_stdout(self, std_file, capsys):
+        assert run(["solve-standard", std_file]) == 0
+        first = capsys.readouterr().out
+        assert run(["solve-standard", std_file]) == 0
+        assert capsys.readouterr().out == first
 
     def test_pi_flag_overrides(self, std_file, capsys):
         assert run(["solve-standard", std_file, "--pi", "4.0"]) == 0

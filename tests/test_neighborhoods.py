@@ -1,49 +1,64 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boxipm import BoxQP, Iterate, compute_params_practical
-from boxipm.neighborhoods import classify, complementarity_gap, min_comp_product
+from boxipm import BoxQP, InvalidProblem, Iterate, compute_params_practical
+from boxipm.errors import StepRejected
+from boxipm.kkt import eval_F
+from boxipm.linalg import EPS_MACH
+from boxipm.neighborhoods import (
+    STEP_CENTRALITY,
+    STEP_ERROR_RESET,
+    STEP_PATH,
+    check_step,
+    complementarity_gap,
+)
+from boxipm.solver import centrality_step, path_step
 
 from support import random_boxqp, random_iterate
 from test_kkt import make_mp, zeros_problem
 
 
+def passes(kind, mp, tau, F, slack=None):
+    """Whether the residual F at a new iterate meets the rule for ``kind``."""
+    try:
+        check_step(kind, mp, tau, F.eq_norm, F.comp_norm, slack)
+    except StepRejected:
+        return False
+    return True
+
+
 class TestClassify:
+    """Residuals classified by the post-check rule, one step kind at a time."""
+
     def test_pure_barrier_central_point(self):
         p = zeros_problem()
         mp = make_mp()
         tau = 0.7
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[tau], mu_r=[tau])
-        rep = classify(p, mp, z, tau)
-        assert rep.in_Nh and rep.in_N
-        assert rep.eq_residual == 0.0 and rep.comp_residual == 0.0
+        F = eval_F(p, mp, z, tau)
+        assert F.eq_norm == 0.0 and F.comp_norm == 0.0
+        for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
+            assert passes(kind, mp, tau, F, slack=0.0)
 
     def test_boundary_of_width_theta(self):
         # r1..r2 vanish by choosing c = mu_l - mu_r; comp residual hits
-        # theta*tau exactly (theta chosen binary-exact), so in_N holds on the
-        # boundary while in_Nh fails.
+        # theta*tau exactly (theta chosen binary-exact), so the full width
+        # holds on the boundary while the half width fails.
         mp = make_mp(theta=0.25, beta=0.25)
         tau = 1.0
         mu_l = 1.25
         mu_r = tau
         p = BoxQP(Q=np.zeros((1, 1)), c=[mu_l - mu_r], A=np.zeros((1, 1)), b=[0.0], tol=0.1)
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[mu_l], mu_r=[mu_r])
-        rep = classify(p, mp, z, tau)
-        assert rep.eq_residual == 0.0
-        assert rep.comp_residual == mp.theta * tau
-        assert rep.in_N and not rep.in_Nh
-
-    def test_interiority_required(self):
-        # residuals can be tiny, but a vanishing margin kills membership:
-        # drive mu_l towards zero with matching c so blocks 1-2 stay zero.
-        mp = make_mp()
-        tau = 1e-12  # comp residual ~ 1 >> theta*tau: not in N either way
-        p = BoxQP(Q=np.zeros((1, 1)), c=[0.0], A=np.zeros((1, 1)), b=[0.0], tol=0.1)
-        z = Iterate(x=[0.0], lam=[0.0], mu_l=[1.0], mu_r=[1.0])
-        rep = classify(p, mp, z, tau)
-        assert not rep.in_N
-        assert rep.interior_margin == 1.0
+        F = eval_F(p, mp, z, tau)
+        assert F.eq_norm == 0.0
+        assert F.comp_norm == mp.theta * tau
+        assert passes(STEP_PATH, mp, tau, F, slack=0.0)
+        with pytest.raises(StepRejected, match="centrality step failed its post-check: comp"):
+            check_step(STEP_CENTRALITY, mp, tau, F.eq_norm, F.comp_norm, 0.0)
 
     def test_slack_loosens_membership(self):
         rng = np.random.default_rng(1)
@@ -51,28 +66,44 @@ class TestClassify:
         mp = compute_params_practical(p)
         z = random_iterate(rng, 2, 1)
         tau = 1.0
-        tight = classify(p, mp, z, tau, eq_slack=0.0)
-        loose = classify(p, mp, z, tau, eq_slack=1e12)
-        assert loose.in_N and loose.in_Nh
-        assert tight.eq_residual == loose.eq_residual
+        F = eval_F(p, mp, z, tau)
+        for kind in (STEP_PATH, STEP_CENTRALITY):
+            assert not passes(kind, mp, tau, F, slack=0.0)
+            assert passes(kind, mp, tau, F, slack=1e12)
 
     def test_half_width_implies_full_width(self):
         rng = np.random.default_rng(2)
         p = random_boxqp(rng, 3, 2, tol=1e-2)
         mp = compute_params_practical(p)
+        held = 0
         for _ in range(200):
             z = random_iterate(rng, 3, 2)
             tau = float(rng.uniform(1e-6, 10.0))
             slack = float(rng.choice([0.0, 1e-3, 1.0, 1e3]))
-            rep = classify(p, mp, z, tau, eq_slack=slack)
-            assert (not rep.in_Nh) or rep.in_N
+            F = eval_F(p, mp, z, tau)
+            if passes(STEP_CENTRALITY, mp, tau, F, slack):
+                held += 1
+                assert passes(STEP_PATH, mp, tau, F, slack)
+        assert 0 < held < 200
+
+    def test_error_reset_floor(self):
+        # the (r1, r2) bound ignores slack and the complementarity blocks
+        mp = make_mp()
+        floor = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
+        check_step(STEP_ERROR_RESET, mp, 1.0, floor, 1e300, slack=None)
+        with pytest.raises(StepRejected, match="error_reset step failed its post-check: eq"):
+            check_step(STEP_ERROR_RESET, mp, 1.0, 2.0 * floor, 0.0, slack=1e300)
 
     def test_rejects_negative_slack(self):
+        # check_step trusts its slack; the public steps reject a bad one
         p = zeros_problem()
         mp = make_mp()
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[1.0], mu_r=[1.0])
-        with pytest.raises(Exception):
-            classify(p, mp, z, 1.0, eq_slack=-1.0)
+        for slack in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(InvalidProblem, match="slack"):
+                path_step(p, mp, z, 1.0, slack=slack)
+            with pytest.raises(InvalidProblem, match="slack"):
+                centrality_step(p, mp, z, 1.0, slack=slack)
 
 
 class TestComplementarityGap:
@@ -107,13 +138,14 @@ class TestMinCompProduct:
     def test_central_point(self):
         tau = 0.25
         z = Iterate(x=np.zeros(2), lam=np.zeros(1), mu_l=tau * np.ones(2), mu_r=tau * np.ones(2))
-        assert_allclose(min_comp_product(z), tau)
+        assert_allclose(np.concatenate([(1.0 + z.x) * z.mu_l, (1.0 - z.x) * z.mu_r]), tau)
 
     def test_min_selection(self):
         theta, tau = 0.3, 1.0
         z = Iterate(x=[0.0, 0.0], lam=[0.0],
                     mu_l=[(1 - theta) * tau, tau], mu_r=[tau, tau])
-        assert_allclose(min_comp_product(z), (1 - theta) * tau)
+        products = np.concatenate([(1.0 + z.x) * z.mu_l, (1.0 - z.x) * z.mu_r])
+        assert_allclose(products.min(), (1 - theta) * tau)
 
     def test_lower_bound_inside_neighborhood(self):
         # componentwise |mu (1 +- x) - tau| <= theta tau forces >= (1-theta) tau
@@ -127,4 +159,5 @@ class TestMinCompProduct:
             d *= theta * tau / max(np.linalg.norm(d), 1e-12)
             z = Iterate(x=x, lam=np.zeros(1),
                         mu_l=(tau + d[:n]) / (1.0 + x), mu_r=(tau + d[n:]) / (1.0 - x))
-            assert min_comp_product(z) >= (1 - theta) * tau * (1 - 1e-12)
+            products = np.concatenate([(1.0 + z.x) * z.mu_l, (1.0 - z.x) * z.mu_r])
+            assert products.min() >= (1 - theta) * tau * (1 - 1e-12)

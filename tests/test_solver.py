@@ -23,6 +23,7 @@ from boxipm import (
 from boxipm.errors import StepRejected
 from boxipm.kkt import ReducedDF, eval_DF, eval_F, eval_grad_f
 from boxipm.linalg import cond_estimate
+from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _COND_ITERS,
     _X_MAX,
@@ -337,7 +338,7 @@ class TestStepLoopStructure:
     template creeping back into the step loop fails here."""
 
     def test_calls_per_solve(self, monkeypatch):
-        calls = {"eval_F": 0, "post_init": 0, "template": 0}
+        calls = {"eval_F": 0, "post_init": 0, "template": 0, "check_step": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -346,6 +347,7 @@ class TestStepLoopStructure:
             return wrapper
 
         monkeypatch.setattr(boxipm.solver, "eval_F", counted("eval_F", eval_F))
+        monkeypatch.setattr(boxipm.solver, "check_step", counted("check_step", check_step))
         monkeypatch.setattr(Iterate, "__post_init__", counted("post_init", Iterate.__post_init__))
         monkeypatch.setattr(
             ReducedDF, "_template", staticmethod(counted("template", ReducedDF._template))
@@ -357,6 +359,7 @@ class TestStepLoopStructure:
         assert pd_steps <= calls["eval_F"] <= pd_steps + 1  # + F at the lift point
         assert calls["post_init"] == 1  # the lift point
         assert calls["template"] == 1
+        assert calls["check_step"] == pd_steps  # one rule, once per step
 
 
 def _hand_iterate():
@@ -459,6 +462,26 @@ class TestAdvanceInvariants:
                     returned.append(step())
         assert returned == []
 
+    def test_matrix_overflow_is_a_rejected_step(self):
+        # z is valid, but mu_r/(1 - x) overflows in the reduced matrix
+        p = BoxQP(Q=np.zeros((2, 2)), c=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0), tol=1e-2)
+        mp = compute_params_practical(p)
+        z = Iterate(x=[0.5, 0.0], lam=[], mu_l=[1.0, 1.0], mu_r=[1e308, 1.0])
+        with np.errstate(over="ignore"):
+            for step in (path_step, centrality_step, error_reset_step):
+                with pytest.raises(StepRejected, match="Newton system overflowed: G"):
+                    step(p, mp, z, 1.0)
+
+    def test_rhs_overflow_is_a_rejected_step(self):
+        # the matrix is finite, but tau/(1 - x) one ulp from the face
+        # overflows in the reduced right-hand side
+        p = BoxQP(Q=np.zeros((2, 2)), c=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0), tol=1e-2)
+        mp = compute_params_practical(p)
+        z = Iterate(x=[_X_MAX, 0.0], lam=[], mu_l=[1.0, 1.0], mu_r=[1e-300, 1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(StepRejected, match="Newton system overflowed: v"):
+                path_step(p, mp, z, 1e300)
+
 
 class TestRepairCounters:
     def test_infeasible_instance_clips(self):
@@ -535,7 +558,7 @@ class TestTraceProperties:
 
     def test_min_comp_product_and_gap_along_iterates(self):
         # drive the three-step cycle by hand to see the iterates themselves
-        from boxipm.neighborhoods import complementarity_gap, min_comp_product
+        from boxipm.neighborhoods import complementarity_gap
 
         rng = np.random.default_rng(55)
         p = random_boxqp(rng, 3, 2, feasible=True, tol=1e-2)
@@ -546,7 +569,8 @@ class TestTraceProperties:
             z, tau = path_step(p, mp, z, tau)
             z = centrality_step(p, mp, z, tau)
             z = error_reset_step(p, mp, z, tau)
-            assert min_comp_product(z) >= (1.0 - mp.theta - 1e-8) * tau
+            products = np.concatenate([(1.0 + z.x) * z.mu_l, (1.0 - z.x) * z.mu_r])
+            assert products.min() >= (1.0 - mp.theta - 1e-8) * tau
             assert complementarity_gap(z) <= 2 * p.n * (1 + mp.theta) * tau * (1 + 1e-8)
 
 
