@@ -200,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--mode", choices=(MODE_STABLE, MODE_FAST), default=MODE_STABLE,
                 help="3 linear solves per cycle (stable) or 1 (fast)",
             )
-            sp_parser.add_argument("--trace", default=None, help="write per-step CSV trace here")
+            sp_parser.add_argument("--trace", default=None, help="write per-step CSV trace here "
+                                   "(cond_DF: LAPACK 1-norm condition estimate of each Newton matrix)")
 
     ps = sub.add_parser("solve", help="solve a box problem")
     common(ps)

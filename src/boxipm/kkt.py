@@ -188,27 +188,35 @@ def retarget_F(F: Residual, z: Iterate, tau: float) -> Residual:
     return Residual(F.r1, F.r2, *_comp_blocks(z, tau))
 
 
+def _diagonal(J: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
+    """The diagonal of the size x size block of a C-contiguous ``J`` whose
+    top-left entry is J[row, col], as a writable view."""
+    N = J.shape[1]
+    return J.reshape(-1)[row * N + col :: N + 1][:size]
+
+
 def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
-    """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m."""
+    """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m.
+
+    Q, -A' and A are copied into a zero matrix and the eight diagonal blocks
+    written in place, with no identity or diagonal matrix formed.
+    """
     if z.n != p.n or z.m != p.m:
         raise DimensionError("iterate dimensions do not match the problem")
     n, m = p.n, p.m
-    N = 3 * n + m
-    J = np.zeros((N, N))
-    i_x = slice(0, n)
-    i_l = slice(n, n + m)
-    i_ml = slice(n + m, 2 * n + m)
-    i_mr = slice(2 * n + m, N)
-    J[i_x, i_x] = p.Q + mp.omega * np.eye(n)
-    J[i_x, i_l] = -p.A.T
-    J[i_x, i_ml] = -np.eye(n)
-    J[i_x, i_mr] = np.eye(n)
-    J[i_l, i_x] = p.A
-    J[i_l, i_l] = mp.omega * np.eye(m)
-    J[i_ml, i_x] = np.diag(z.mu_l)
-    J[i_ml, i_ml] = np.diag(1.0 + z.x)
-    J[i_mr, i_x] = -np.diag(z.mu_r)
-    J[i_mr, i_mr] = np.diag(1.0 - z.x)
+    J = np.zeros((3 * n + m, 3 * n + m))
+    J[:n, :n] = p.Q
+    J[:n, n : n + m] = -p.A.T
+    J[n : n + m, :n] = p.A
+    d = _diagonal(J, 0, 0, n)
+    np.add(d, mp.omega, out=d)  # Q + omega I
+    _diagonal(J, 0, n + m, n)[:] = -1.0
+    _diagonal(J, 0, 2 * n + m, n)[:] = 1.0
+    _diagonal(J, n, n, m)[:] = mp.omega
+    _diagonal(J, n + m, 0, n)[:] = z.mu_l
+    np.add(1.0, z.x, out=_diagonal(J, n + m, n + m, n))
+    np.negative(z.mu_r, out=_diagonal(J, 2 * n + m, 0, n))
+    np.subtract(1.0, z.x, out=_diagonal(J, 2 * n + m, 2 * n + m, n))
     return J
 
 
@@ -259,23 +267,16 @@ class ReducedDF:
         self._e_plus_x = 1.0 + z.x
         self._e_minus_x = 1.0 - z.x
         H = base.copy()
-        # The first n diagonal entries of the C-ordered copy, as a view.
-        H.reshape(-1)[: n * (H.shape[0] + 1) : H.shape[0] + 1] += (
-            omega + z.mu_l / self._e_plus_x + z.mu_r / self._e_minus_x
-        )
+        d = _diagonal(H, 0, 0, n)
+        d += omega + z.mu_l / self._e_plus_x + z.mu_r / self._e_minus_x
         self.matrix = H
 
     def solve(self, fac, g: np.ndarray) -> np.ndarray:
-        """Solve DF dz = g, where ``fac`` (a :class:`~boxipm.linalg.QRFactor`)
-        factors ``matrix``; g is a length-N vector or an (N, k) matrix of
-        right-hand-side columns."""
+        """Solve DF dz = g for a length-N vector g, where ``fac`` (a
+        :class:`~boxipm.linalg.QRFactor`) factors ``matrix``."""
         z = self._z
         n, m = z.n, z.m
         e_plus_x, e_minus_x, mu_l, mu_r = self._e_plus_x, self._e_minus_x, z.mu_l, z.mu_r
-        if g.ndim == 2:  # broadcast the diagonals along the columns
-            e_plus_x, e_minus_x, mu_l, mu_r = (
-                a[:, None] for a in (e_plus_x, e_minus_x, mu_l, mu_r)
-            )
         g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
         u = fac.solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
         dx = u[:n]

@@ -42,6 +42,11 @@ def check_step(
     there; an error-reset step is held to the first and ignores ``slack``,
     path and centrality steps to the second.  ``slack=None`` is the envelope
     allowance; a given slack is trusted to be finite and nonnegative.
+
+    That allowance is a constant while ``theta*tau`` shrinks, so only
+    ``slack=0`` (strict fast mode) holds a step to the width-theta bound: on
+    ``random_boxqp(seed 0, n=20, m=8)`` of the test suite the practical
+    C_dF nu_1 is 1.2e11 against theta tau_A = 3.1e9.
     """
     if kind == STEP_ERROR_RESET:
         block, value = "eq", eq_norm

@@ -52,7 +52,7 @@ from .kkt import (
     eval_hess_f,
     retarget_F,
 )
-from .linalg import QRFactor, cond_from_inverse
+from .linalg import QRFactor, cond_estimate
 from .neighborhoods import (
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -101,8 +101,6 @@ TRACE_FIELDS = (
     "newton_dot",
 )
 
-_COND_ITERS = 24
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -110,10 +108,11 @@ class TraceEntry:
 
     For primal rows, residual_eq holds ||grad f(x_k)|| and the complementarity
     fields are NaN; for primal-dual rows the residuals are the post-step
-    blocks of F at the row's tau.  cond_DF is the condition estimate of the
-    Newton matrix: the Hessian of f on primal rows, the full N x N DF on
-    primal-dual rows (whose exact (n+m) reduction is what gets factored).
-    newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
+    blocks of F at the row's tau.  cond_DF is a LAPACK 1-norm condition
+    estimate (inf if singular): of the R factor of the Hessian of f on primal
+    rows, of the full N x N DF at the step's start on primal-dual rows (whose
+    exact (n+m) reduction is what gets factored).  newton_dot is
+    dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
     """
 
     k: int
@@ -241,7 +240,7 @@ def _newton_pd(
     if not math.isfinite(eq_norm + comp_norm):
         raise StepRejected("Newton step overflowed to a non-finite iterate")
     dx, _, dmu_l, dmu_r = _split(dz, p.n, p.m)
-    cond = _cond_DF(p, mp, z, red, fac) if want_cond else math.nan
+    cond = _cond_DF(p, mp, z) if want_cond else math.nan
     info = _StepInfo(
         step_norm=math.sqrt(dz @ dz),
         newton_dot=float(dx @ (dmu_l - dmu_r)),
@@ -255,11 +254,10 @@ def _newton_pd(
     return z_new, info
 
 
-def _cond_DF(p: BoxQP, mp: MethodParams, z: Iterate, red: ReducedDF, fac: QRFactor) -> float:
-    """Condition estimate of the full DF at z, with DF^-1 solved for through
-    the reduced factorization."""
-    DF_inv = red.solve(fac, np.eye(3 * p.n + p.m))
-    return cond_from_inverse(eval_DF(p, mp, z), DF_inv, _COND_ITERS)
+def _cond_DF(p: BoxQP, mp: MethodParams, z: Iterate) -> float:
+    """LAPACK 1-norm condition estimate of the full DF at z; inf, never an
+    error, when DF is singular."""
+    return cond_estimate(eval_DF(p, mp, z))
 
 
 def _step(
@@ -288,8 +286,8 @@ def _check_slack(slack: float | None) -> None:
 def _primal_steps(p: BoxQP, mp: MethodParams):
     """The K full Newton steps on f from the origin.
 
-    Yields (k, x_k, dx, factor, Hessian) per step, so a caller can record
-    each one; once exhausted, checks the guarantees of x_K.
+    Yields (k, x_k, dx, factor of the Hessian) per step, so a caller can
+    record each one; once exhausted, checks the guarantees of x_K.
     """
     x = np.zeros(p.n)
     for k in range(1, mp.K + 1):
@@ -298,7 +296,7 @@ def _primal_steps(p: BoxQP, mp: MethodParams):
         fac = QRFactor(hess)  # provably well conditioned: I <= hess <= C_Hf I
         dx = fac.solve(-grad)
         x = x + dx
-        yield k, x, dx, fac, hess
+        yield k, x, dx, fac
     gnorm = float(np.linalg.norm(eval_grad_f(p, mp, x)))
     if gnorm > mp.rho:
         raise PrimalInitFailed(
@@ -377,13 +375,13 @@ def centrality_step(
 
 
 def _primal_row(
-    k: int, p: BoxQP, mp: MethodParams, x: np.ndarray, dx: np.ndarray, fac: QRFactor, hess
+    k: int, p: BoxQP, mp: MethodParams, x: np.ndarray, dx: np.ndarray, fac: QRFactor
 ) -> TraceEntry:
     return TraceEntry(
         k=k, tau=mp.tau_A, step_kind=STEP_PRIMAL,
         residual_comp=math.nan,
         residual_eq=float(np.linalg.norm(eval_grad_f(p, mp, x))),
-        cond_DF=fac.cond_estimate(hess, iters=_COND_ITERS),
+        cond_DF=fac.cond_estimate(),
         step_norm=float(np.linalg.norm(dx)),
         interior_margin=float(1.0 - np.abs(x).max(initial=0.0)),
         comp_gap=math.nan, z_norm=math.nan, newton_dot=math.nan,
@@ -419,8 +417,9 @@ def solve(
         ParamOverflow); practical applies representability floors and always
         runs.
     collect_trace : bool
-        Record one TraceEntry per step, including condition estimates of
-        every factored system (slower).
+        Record one TraceEntry per step, without changing the solve.  Its
+        ``cond_DF`` is a LAPACK 1-norm condition estimate: of DF (one extra
+        LU per step) on primal-dual rows, of the Hessian's R on primal rows.
 
     Returns
     -------
@@ -441,9 +440,9 @@ def solve(
     trace: list[TraceEntry] = []
 
     x = np.zeros(p.n)
-    for k, x, dx, fac, hess in _primal_steps(p, mp):
+    for k, x, dx, fac in _primal_steps(p, mp):
         if collect_trace:
-            trace.append(_primal_row(k, p, mp, x, dx, fac, hess))
+            trace.append(_primal_row(k, p, mp, x, dx, fac))
     z_lift = lift(p, mp, x)
     # Every step's post-check residual is the next step's right-hand side,
     # and every reduced matrix is a copy of one template.

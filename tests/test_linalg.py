@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
 from boxipm.linalg import (
-    EPS_MACH, QRFactor, _check_info, _sigma_max, as_matrix, as_vector, cond_estimate, norm2_upper,
+    EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, cond_estimate, norm2_upper,
 )
 
 
@@ -75,26 +77,88 @@ class TestSolveLinear:
         assert np.array_equal(u1, u2)
 
 
+def _kappa_1(G):
+    """The exact 1-norm condition number, through an explicit inverse."""
+    return np.linalg.norm(G, 1) * np.linalg.norm(np.linalg.inv(G), 1)
+
+
 class TestCondEstimate:
+    """cond_estimate: LAPACK's 1-norm estimate, dgetrf then dgecon."""
+
     def test_identity(self):
-        est = cond_estimate(np.eye(4))
-        assert 0.1 <= est <= 10.0
+        assert cond_estimate(np.eye(4)) == 1.0
 
     def test_diagonal_exact_values(self):
-        est = cond_estimate(np.diag([1.0, 1000.0]))
-        assert 100.0 <= est <= 10000.0
+        assert cond_estimate(np.diag([1.0, 1000.0])) == 1000.0
 
     def test_spd_known_spectrum(self):
+        # kappa_2 = 100, and kappa_2/d <= kappa_1 <= d kappa_2
         rng = np.random.default_rng(11)
         lams = np.linspace(1.0, 100.0, 5)
         W, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         G = W @ np.diag(lams) @ W.T
         est = cond_estimate(G)
-        assert 10.0 <= est <= 1000.0
+        assert 100.0 / 5 / 3 <= est <= 100.0 * 5
+        assert est <= _kappa_1(G) * (1.0 + 1e-10)
 
-    def test_singular_propagates(self):
-        with pytest.raises(SingularSystem):
-            cond_estimate(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    def test_never_above_and_rarely_3x_below_the_exact_kappa_1(self):
+        # The estimate of ||G^-1||_1 is the norm of one computed column
+        # combination, so it is a lower bound up to rounding.  Within 3x is
+        # typical, not guaranteed: over 6,000 such draws two fell 3.7x and
+        # 4.2x below.
+        rng = np.random.default_rng(2000)
+        ratios = []
+        for _ in range(500):
+            d = int(rng.integers(1, 13))
+            G = rng.normal(size=(d, d))
+            for A in (G, G * 10.0 ** rng.uniform(-8.0, 8.0, size=(d, 1))):
+                exact, est = _kappa_1(A), cond_estimate(A)
+                assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
+                ratios.append(exact / est)
+        assert np.mean(np.array(ratios) <= 3.0) >= 0.99
+
+    def test_singular_gives_inf(self):
+        for G in (
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            np.zeros((3, 3)),
+            np.diag([1.0, 1e-320]),
+            np.array([[1e308, 1e308], [1e308, -1e308]]),  # ||G||_1 overflows
+        ):
+            assert cond_estimate(G) == math.inf
+
+    def test_empty(self):
+        assert cond_estimate(np.zeros((0, 0))) == 1.0
+
+    def test_inputs_checked_and_left_unchanged(self):
+        G = np.array([[2.0, 1.0], [1.0, 3.0]])
+        G0 = G.copy()
+        cond_estimate(G)
+        assert np.array_equal(G, G0)
+        with pytest.raises(DimensionError):
+            cond_estimate(np.ones((2, 3)))
+        with pytest.raises(InvalidProblem):
+            cond_estimate([[1.0, np.nan], [0.0, 1.0]])
+
+
+class TestQRFactorCondEstimate:
+    """QRFactor.cond_estimate: dtrcon on R, where kappa_2(R) = kappa_2(G)."""
+
+    @pytest.mark.parametrize("d", [1, 5, 12, 28, 45])
+    def test_within_a_factor_d_of_kappa_2(self, d):
+        rng = np.random.default_rng(300 + d)
+        spd = rng.normal(size=(d, d))
+        for G in (rng.normal(size=(d, d)), _graded(rng, d), spd @ spd.T + np.eye(d)):
+            kappa_2 = np.linalg.cond(G)
+            est = QRFactor(G, pivot_tol=0.0).cond_estimate()
+            assert kappa_2 / d <= est <= d * kappa_2
+
+    def test_exact_on_diagonals(self):
+        assert QRFactor(np.eye(3)).cond_estimate() == 1.0
+        assert QRFactor(np.diag([1.0, 1000.0])).cond_estimate() == 1000.0
+
+    def test_empty_and_singular(self):
+        assert QRFactor(np.zeros((0, 0))).cond_estimate() == 1.0
+        assert QRFactor(np.zeros((2, 2)), pivot_tol=-1.0).cond_estimate() == math.inf
 
 
 class TestNorm2Upper:
@@ -179,7 +243,6 @@ class TestValidators:
         assert U.shape == (6, 3)
         for j in range(3):
             assert_allclose(U[:, j], fac.solve(V[:, j]), rtol=1e-13)
-        assert_allclose(fac.inverse(), np.linalg.inv(G), rtol=1e-12, atol=1e-14)
         with pytest.raises(DimensionError):
             fac.solve(np.ones((5, 3)))
 
@@ -277,29 +340,5 @@ class TestQRFactorInputs:
             u = fac.solve(v)
             ref = QRFactor(np.ascontiguousarray(G)).solve(np.ascontiguousarray(v))
             assert np.array_equal(u, ref)
-            assert np.array_equal(fac.inverse(), QRFactor(np.ascontiguousarray(G)).inverse())
+            assert fac.cond_estimate() == QRFactor(np.ascontiguousarray(G)).cond_estimate()
             assert np.array_equal(G, G0) and np.array_equal(v, v0)
-
-
-def _sigma_max_reference(G, iters):
-    """The power iteration as it stood before it was tuned, kept verbatim."""
-    d = G.shape[0]
-    w = np.linspace(1.0, 2.0, d)
-    w /= np.linalg.norm(w)
-    for _ in range(iters):
-        y = G.T @ (G @ w)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        w = y / ny
-    return float(np.linalg.norm(G @ w))
-
-
-def test_sigma_max_is_bit_identical_to_the_reference_loop():
-    rng = np.random.default_rng(2000)
-    for _ in range(300):
-        d = int(rng.integers(1, 81))
-        G = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(d, 1))
-        for iters in (24, 32):
-            assert _sigma_max(G, iters) == _sigma_max_reference(G, iters)
-    assert _sigma_max(np.zeros((3, 3)), 32) == _sigma_max_reference(np.zeros((3, 3)), 32) == 0.0
