@@ -14,7 +14,9 @@ import hashlib
 import json
 import sys
 
-from .errors import BoxIpmError, DimensionError, InvalidProblem, ParseError, TooLarge
+from .errors import (
+    BoxIpmError, DimensionError, InvalidProblem, ParseError, StepRejected, TooLarge,
+)
 from .oracle import oracle_min_residual, oracle_solve_boxqp
 from .params import compute_params, compute_params_practical, format_params
 from .probfile import ProblemFile, parse_problem
@@ -247,6 +249,10 @@ def run(argv=None) -> int:
         return EXIT_INPUT
     except BoxIpmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, StepRejected) and exc.context():
+            # where the step failed: kind, cycle, tau, and for a post-check
+            # its block, value and limit
+            print("  " + " ".join(f"{k}={v}" for k, v in exc.context().items()), file=sys.stderr)
         return EXIT_SOLVE
 
 

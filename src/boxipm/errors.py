@@ -35,7 +35,30 @@ class PrimalInitFailed(BoxIpmError):
 
 
 class StepRejected(BoxIpmError):
-    """A primal-dual Newton step failed its post-step guarantee check."""
+    """A primal-dual Newton step failed its post-step guarantee check.
+
+    Carries where it happened, each field ``None`` when unknown: the step
+    ``kind`` and its ``tau``; for a failed post-check the residual ``block``
+    (``"eq"`` or ``"comp"``), its ``value`` and the ``limit`` it exceeded;
+    and, when raised inside ``solve()``, the path-following ``cycle``
+    (0 for the initial error reset).
+    """
+
+    FIELDS = ("kind", "cycle", "tau", "block", "value", "limit")
+
+    def __init__(self, message, *, kind=None, tau=None, block=None, value=None, limit=None,
+                 cycle=None):
+        super().__init__(message)
+        self.kind = kind
+        self.cycle = cycle
+        self.tau = tau
+        self.block = block
+        self.value = value
+        self.limit = limit
+
+    def context(self) -> dict:
+        """The fields that are set, in the order of ``FIELDS``."""
+        return {f: getattr(self, f) for f in self.FIELDS if getattr(self, f) is not None}
 
 
 class IterationBudgetExceeded(BoxIpmError):

@@ -16,18 +16,27 @@ function
 
 to the central path, where z = (x, lam, mu_l, mu_r) has dimension
 N = 3n + m.  The Jacobian DF does not depend on tau.  Its two mu block rows
-are diagonal, so Newton systems on DF reduce exactly to (n+m) unknowns
-(:class:`ReducedDF`).
+are diagonal, so Newton systems on DF reduce exactly to (n+m) unknowns.
+
+Primal-dual points live in one layout: z as one N-vector whose blocks are
+views, next to e = (e+x, e-x) and mu∘e = (mu_l*(e+x), mu_r*(e-x)) as
+2n-vectors and F as one N-vector (:class:`_State`).  :class:`Iterate` is the
+immutable public form of z.  The solver's Newton steps run in a
+:class:`_Workspace`, built once per solve: two such states, the reduced
+matrix and scratch vectors, all preallocated, so a step is a fixed sequence
+of in-place array operations.  :func:`eval_F` and :func:`eval_DF` share
+their code with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvalidProblem, OutOfDomain
-from .linalg import EPS_MACH, as_vector
+from .linalg import EPS_MACH, QRFactor, as_vector, cond_estimate
 from .problem import BoxQP
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
@@ -39,10 +48,12 @@ DOMAIN_MARGIN = 4.0 * EPS_MACH
 class Iterate:
     """Primal-dual point z = (x, lam, mu_l, mu_r); strictly interior.
 
-    The public constructor enforces finite 1-D blocks of matching lengths,
-    ``||x||_inf < 1`` and ``mu_l, mu_r > 0`` componentwise; instances are
-    immutable.  The solver's own Newton updates skip these checks through
-    :meth:`_trusted`, because the update already establishes them (see
+    The constructor enforces finite 1-D blocks of matching lengths,
+    ``||x||_inf < 1`` and ``mu_l, mu_r > 0`` componentwise, and copies the
+    blocks into one read-only N-vector, of which ``x``, ``lam``, ``mu_l`` and
+    ``mu_r`` are views: an Iterate never aliases its inputs and cannot be
+    written to.  The solver's own Newton updates skip the checks through
+    :meth:`_wrap`, because the update establishes them (see
     ``boxipm.solver._advance``).
     """
 
@@ -61,20 +72,26 @@ class Iterate:
             raise InvalidProblem("iterate violates ||x||_inf < 1")
         if n and (mu_l.min() <= 0.0 or mu_r.min() <= 0.0):
             raise InvalidProblem("iterate violates mu_l, mu_r > 0")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu_l", mu_l)
-        object.__setattr__(self, "mu_r", mu_r)
+        self._own(np.concatenate([x, lam, mu_l, mu_r]), n)
+
+    def _own(self, z: np.ndarray, n: int) -> None:
+        z.setflags(write=False)
+        nm = z.shape[0] - 2 * n
+        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "x", z[:n])
+        object.__setattr__(self, "lam", z[n:nm])
+        object.__setattr__(self, "mu_l", z[nm : nm + n])
+        object.__setattr__(self, "mu_r", z[nm + n :])
 
     @classmethod
-    def _trusted(cls, x, lam, mu_l, mu_r) -> "Iterate":
-        """An Iterate built without validation.  The caller guarantees float64
-        1-D blocks of matching lengths, ``||x||_inf < 1`` and ``mu_l, mu_r > 0``;
-        a block that may have overflowed to inf it checks itself (the solver
-        does so on the residual at the result)."""
-        z = object.__new__(cls)
-        z.__dict__.update(x=x, lam=lam, mu_l=mu_l, mu_r=mu_r)
-        return z
+    def _wrap(cls, z: np.ndarray, n: int) -> "Iterate":
+        """The Iterate that takes over ``z``, a float64 N-vector nobody else
+        holds, laid out as (x, lam, mu_l, mu_r) with n entries in x; built
+        without validation.  The caller guarantees ``||x||_inf < 1``, mu > 0
+        and finite entries."""
+        it = object.__new__(cls)
+        it._own(z, n)
+        return it
 
     @property
     def n(self) -> int:
@@ -85,17 +102,8 @@ class Iterate:
         return self.lam.shape[0]
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.x, self.lam, self.mu_l, self.mu_r])
-
-    def interior_margin(self) -> float:
-        """min over {1 - |x_j|, mu_l_j, mu_r_j}; positive iff strictly interior."""
-        return float(
-            min(
-                (1.0 - np.abs(self.x)).min(initial=np.inf),
-                self.mu_l.min(initial=np.inf),
-                self.mu_r.min(initial=np.inf),
-            )
-        )
+        """z as a writable N-vector, a copy."""
+        return self._z.copy()
 
 
 @dataclass(frozen=True)
@@ -161,126 +169,264 @@ def eval_hess_f(p: BoxQP, mp, x) -> np.ndarray:
     return h
 
 
-def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
-    """Optimality function F_tau(z), blockwise."""
+def _blocks(v: np.ndarray, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The four blocks of an N-vector laid out like z = (x, lam, mu_l, mu_r), as views."""
+    nm = n + m
+    return v[:n], v[n:nm], v[nm : nm + n], v[nm + n :]
+
+
+class _State:
+    """A primal-dual point in the solver's layout, with what is derived from it.
+
+    ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``, ``mu_r`` and
+    ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x), with views
+    ``e_l`` and ``e_r``, and ``mue`` = mu∘e are 2n-vectors (:meth:`derive_e`,
+    :meth:`derive_mue`).  ``F`` is one N-vector with views ``r1``, ``r2``,
+    ``r3``, ``r4``, ``r12`` = (r1, r2) and ``r34`` = (r3, r4); ``eq_norm``
+    and ``comp_norm`` are the norms of r12 and r34 as
+    :meth:`_Workspace.eval_F` last wrote them.
+    """
+
+    __slots__ = ("n", "m", "z", "x", "lam", "mu_l", "mu_r", "mu", "e", "e_l", "e_r",
+                 "mue", "F", "r1", "r2", "r3", "r4", "r12", "r34", "eq_norm", "comp_norm")
+
+    def __init__(self, n: int, m: int):
+        nm = n + m
+        self.n, self.m = n, m
+        self.z = np.empty(nm + 2 * n)
+        self.x, self.lam, self.mu_l, self.mu_r = _blocks(self.z, n, m)
+        self.mu = self.z[nm:]
+        self.e = np.empty(2 * n)
+        self.e_l, self.e_r = self.e[:n], self.e[n:]
+        self.mue = np.empty(2 * n)
+        self.F = np.empty(nm + 2 * n)
+        self.r1, self.r2, self.r3, self.r4 = _blocks(self.F, n, m)
+        self.r12, self.r34 = self.F[:nm], self.F[nm:]
+        self.eq_norm = self.comp_norm = math.nan
+
+    def load(self, z: Iterate) -> "_State":
+        """Copy ``z`` in, after checking its dimensions, and derive e and mu∘e."""
+        if z.n != self.n or z.m != self.m:
+            raise DimensionError("iterate dimensions do not match the problem")
+        np.copyto(self.z, z._z)
+        self.derive_e()
+        self.derive_mue()
+        return self
+
+    def derive_e(self) -> None:
+        np.add(1.0, self.x, out=self.e_l)
+        np.subtract(1.0, self.x, out=self.e_r)
+
+    def derive_mue(self) -> None:
+        np.multiply(self.mu, self.e, out=self.mue)
+
+    def iterate(self) -> Iterate:
+        """z as an Iterate, a copy."""
+        return Iterate._wrap(self.z.copy(), self.n)
+
+
+def _check_tau(tau: float) -> None:
     if not tau > 0.0:
         raise InvalidProblem(f"tau must be positive, got {tau!r}")
-    if z.n != p.n or z.m != p.m:
-        raise DimensionError("iterate dimensions do not match the problem")
-    x, lam, mu_l, mu_r = z.x, z.lam, z.mu_l, z.mu_r
-    r1 = p.Q @ x + mp.omega * x + p.c - p.A.T @ lam - mu_l + mu_r
-    r2 = p.A @ x - p.b + mp.omega * lam
-    return Residual(r1, r2, *_comp_blocks(z, tau))
 
 
-def _comp_blocks(z: Iterate, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """The complementarity blocks (r3, r4) of F_tau(z)."""
-    return z.mu_l * (1.0 + z.x) - tau, z.mu_r * (1.0 - z.x) - tau
+def _fill_F(p: BoxQP, omega: float, s: _State, tau: float, tn: np.ndarray, tm: np.ndarray) -> None:
+    """Write F_tau at s into ``s.F``; ``tn`` and ``tm`` are scratch of lengths
+    n and m.  The operations are those of the formula in the module
+    docstring, left to right, with r3, r4 = mu∘e - tau."""
+    r1, r2, x, lam = s.r1, s.r2, s.x, s.lam
+    np.matmul(p.Q, x, out=r1)
+    np.multiply(omega, x, out=tn)
+    np.add(r1, tn, out=r1)
+    np.add(r1, p.c, out=r1)
+    np.matmul(p.A.T, lam, out=tn)
+    np.subtract(r1, tn, out=r1)
+    np.subtract(r1, s.mu_l, out=r1)
+    np.add(r1, s.mu_r, out=r1)
+    np.matmul(p.A, x, out=r2)
+    np.subtract(r2, p.b, out=r2)
+    np.multiply(omega, lam, out=tm)
+    np.add(r2, tm, out=r2)
+    np.subtract(s.mue, tau, out=s.r34)
 
 
-def retarget_F(F: Residual, z: Iterate, tau: float) -> Residual:
-    """F_tau(z) from ``F``, the value of F at z for another tau.
-
-    r1 and r2 do not depend on tau and are reused; r3 and r4 are recomputed
-    with the operations of :func:`eval_F`, so the result is bit-identical to
-    ``eval_F(p, mp, z, tau)``.  Unchecked: z and tau are the caller's.
-    """
-    return Residual(F.r1, F.r2, *_comp_blocks(z, tau))
+def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
+    """Optimality function F_tau(z), blockwise."""
+    _check_tau(tau)
+    s = _State(p.n, p.m).load(z)
+    _fill_F(p, mp.omega, s, tau, np.empty(p.n), np.empty(p.m))
+    return Residual(s.r1, s.r2, s.r3, s.r4)
 
 
 def _diagonal(J: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
-    """The diagonal of the size x size block of a C-contiguous ``J`` whose
-    top-left entry is J[row, col], as a writable view."""
+    """The diagonal of the size x size block of a C- or F-contiguous square
+    ``J`` whose top-left entry is J[row, col], as a writable view."""
     N = J.shape[1]
-    return J.reshape(-1)[row * N + col :: N + 1][:size]
+    if J.flags.c_contiguous:
+        return J.reshape(-1)[row * N + col :: N + 1][:size]
+    return J.T.reshape(-1)[col * N + row :: N + 1][:size]
 
 
-def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
-    """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m.
+def _DF_template(p: BoxQP, omega: float, order: str = "C") -> np.ndarray:
+    """DF without its four z-dependent diagonals, which are left zero.
 
-    Q, -A' and A are copied into a zero matrix and the eight diagonal blocks
-    written in place, with no identity or diagonal matrix formed.
+    Q, -A' and A are copied into a zero matrix and the constant diagonal
+    blocks written in place, with no identity or diagonal matrix formed.
     """
-    if z.n != p.n or z.m != p.m:
-        raise DimensionError("iterate dimensions do not match the problem")
     n, m = p.n, p.m
-    J = np.zeros((3 * n + m, 3 * n + m))
+    J = np.zeros((3 * n + m, 3 * n + m), order=order)
     J[:n, :n] = p.Q
     J[:n, n : n + m] = -p.A.T
     J[n : n + m, :n] = p.A
     d = _diagonal(J, 0, 0, n)
-    np.add(d, mp.omega, out=d)  # Q + omega I
+    np.add(d, omega, out=d)  # Q + omega I
     _diagonal(J, 0, n + m, n)[:] = -1.0
     _diagonal(J, 0, 2 * n + m, n)[:] = 1.0
-    _diagonal(J, n, n, m)[:] = mp.omega
-    _diagonal(J, n + m, 0, n)[:] = z.mu_l
-    np.add(1.0, z.x, out=_diagonal(J, n + m, n + m, n))
-    np.negative(z.mu_r, out=_diagonal(J, 2 * n + m, 0, n))
-    np.subtract(1.0, z.x, out=_diagonal(J, 2 * n + m, 2 * n + m, n))
+    _diagonal(J, n, n, m)[:] = omega
     return J
 
 
-class ReducedDF:
-    """DF at z with its two diagonal mu block rows eliminated exactly.
+def _fill_DF(J: np.ndarray, n: int, m: int, x, mu_l, mu_r) -> None:
+    """Write the four z-dependent diagonals of DF into a copy of the template."""
+    _diagonal(J, n + m, 0, n)[:] = mu_l
+    np.add(1.0, x, out=_diagonal(J, n + m, n + m, n))
+    np.negative(mu_r, out=_diagonal(J, 2 * n + m, 0, n))
+    np.subtract(1.0, x, out=_diagonal(J, 2 * n + m, 2 * n + m, n))
 
-    The rows ``mu_l*dx + (e+x)*dmu_l = g3`` and ``-mu_r*dx + (e-x)*dmu_r = g4``
-    of ``DF dz = g`` give dmu_l and dmu_r in closed form; substituting them
-    into the stationarity row leaves the (n+m) x (n+m) system
+
+def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
+    """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m."""
+    if z.n != p.n or z.m != p.m:
+        raise DimensionError("iterate dimensions do not match the problem")
+    J = _DF_template(p, mp.omega)
+    _fill_DF(J, p.n, p.m, z.x, z.mu_l, z.mu_r)
+    return J
+
+
+class _Workspace:
+    """Preallocated buffers for the primal-dual Newton steps of one problem.
+
+    Built once per solve (and once per call of a public step function) and
+    dropped with it.  It holds two :class:`_State` buffers ``a`` and ``b``,
+    which the steps alternate between (:meth:`other`), the reduced Newton
+    matrix, the step ``dz`` and scratch vectors, each with the views a step
+    reads, so that a step slices nothing.
+
+    The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
+    ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
+    closed form; substituting them into the stationarity row leaves the
+    (n+m) x (n+m) system
 
         [[Q + omega I + diag(mu_l/(e+x) + mu_r/(e-x)), -A'],
          [A,                                          omega I]] (dx, dlam)
-            = (g1 + g3/(e+x) - g4/(e-x), g2),
+            = (g1 + g3/(e+x) - g4/(e-x), g2)
 
-    held in ``matrix``.  :meth:`solve` takes a factorization of ``matrix``
-    and returns the full dz.  Only the first n diagonal entries depend on z:
-    the rest is :meth:`_template`, which a caller stepping through many
-    iterates of one problem builds once and passes to :meth:`_from_template`.
+    in ``H``, which :meth:`newton` factors.  Only the diagonal of the Q block
+    of ``H`` depends on z, and ``QRFactor`` never writes to ``H``, so the
+    rest is written once, here; each step rewrites that diagonal from
+    ``qdiag``, the diagonal of Q.  ``H`` is Fortran-ordered, so LAPACK
+    copies it without a transpose.
     """
 
-    def __init__(self, p: BoxQP, mp, z: Iterate):
-        if z.n != p.n or z.m != p.m:
-            raise DimensionError("iterate dimensions do not match the problem")
-        self._fill(self._template(p, mp), mp.omega, z)
-
-    @staticmethod
-    def _template(p: BoxQP, mp) -> np.ndarray:
-        """``[[Q, -A'], [A, omega I]]``: the reduced matrix without its z-dependent diagonal."""
+    def __init__(self, p: BoxQP, mp):
         n, m = p.n, p.m
-        H = np.empty((n + m, n + m))
-        H[:n, :n] = p.Q
-        H[:n, n:] = -p.A.T
-        H[n:, :n] = p.A
-        H[n:, n:] = mp.omega * np.eye(m)
-        return H
+        nm, N = n + m, 3 * n + m
+        self.p, self.mp, self.omega, self.n, self.m = p, mp, mp.omega, n, m
+        self.a, self.b = _State(n, m), _State(n, m)
+        self.H = np.empty((nm, nm), order="F")
+        self.H[:n, :n] = p.Q
+        self.H[:n, n:] = -p.A.T
+        self.H[n:, :n] = p.A
+        self.H[n:, n:] = 0.0
+        _diagonal(self.H, n, n, m)[:] = mp.omega
+        self.qdiag = p.Q.diagonal().copy()
+        self.hdiag = _diagonal(self.H, 0, 0, n)
+        self.g = np.empty(N)  # right-hand side of DF dz = g
+        self.g1, self.g2, _, _ = _blocks(self.g, n, m)
+        self.g12, self.g34 = self.g[:nm], self.g[nm:]
+        self.v = np.empty(nm)  # right-hand side of the reduced system
+        self.v_x, self.v_lam = self.v[:n], self.v[n:]
+        self.dz = np.empty(N)
+        self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
+        self.t = np.empty(2 * n)
+        self.t_l, self.t_r = self.t[:n], self.t[n:]
+        self.tn = np.empty(n)
+        self.tm = np.empty(m)
+        self.over = np.empty(2 * n, dtype=bool)
+        self.over_n = self.over[:n]
+        self._DF0 = None
+        # Totals of the repairs the solver's updates make in these states.
+        self.x_clipped = self.mu_reset = 0
 
-    @classmethod
-    def _from_template(cls, base: np.ndarray, omega: float, z: Iterate) -> "ReducedDF":
-        """The reduction at z from ``base = _template(p, mp)``; unchecked, z must
-        have the dimensions of p."""
-        red = cls.__new__(cls)
-        red._fill(base, omega, z)
-        return red
+    def other(self, s: _State) -> _State:
+        return self.b if s is self.a else self.a
 
-    def _fill(self, base: np.ndarray, omega: float, z: Iterate) -> None:
-        n = z.n
-        self._z = z
-        self._e_plus_x = 1.0 + z.x
-        self._e_minus_x = 1.0 - z.x
-        H = base.copy()
-        d = _diagonal(H, 0, 0, n)
-        d += omega + z.mu_l / self._e_plus_x + z.mu_r / self._e_minus_x
-        self.matrix = H
+    def load(self, z: Iterate) -> _State:
+        """``z`` copied into state ``a``; DimensionError if it does not fit."""
+        return self.a.load(z)
 
-    def solve(self, fac, g: np.ndarray) -> np.ndarray:
-        """Solve DF dz = g for a length-N vector g, where ``fac`` (a
-        :class:`~boxipm.linalg.QRFactor`) factors ``matrix``."""
-        z = self._z
-        n, m = z.n, z.m
-        e_plus_x, e_minus_x, mu_l, mu_r = self._e_plus_x, self._e_minus_x, z.mu_l, z.mu_r
-        g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
-        u = fac.solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
-        dx = u[:n]
-        dmu_l = (g3 - mu_l * dx) / e_plus_x
-        dmu_r = (g4 + mu_r * dx) / e_minus_x
-        return np.concatenate([u, dmu_l, dmu_r])
+    def eval_F(self, s: _State, tau: float) -> None:
+        """F_tau at s into ``s.F``, with its block norms."""
+        _fill_F(self.p, self.omega, s, tau, self.tn, self.tm)
+        # ndarray.dot is cblas_ddot, as @ is on vectors, at half the call cost
+        r1, r2, r3, r4 = s.r1, s.r2, s.r3, s.r4
+        s.eq_norm = math.sqrt(r1.dot(r1) + r2.dot(r2))
+        s.comp_norm = math.sqrt(r3.dot(r3) + r4.dot(r4))
 
+    def retarget(self, s: _State, tau: float) -> None:
+        """Move ``s.F`` to another tau: r1 and r2 do not depend on it, and
+        r3, r4 = mu∘e - tau as in :meth:`eval_F`, so ``s.F`` is bit-identical
+        to a fresh evaluation.  ``comp_norm`` is left NaN."""
+        np.subtract(s.mue, tau, out=s.r34)
+        s.comp_norm = math.nan
+
+    def newton(self, s: _State, reset_only: bool) -> np.ndarray:
+        """The Newton step dz with DF(s) dz = g, where g = -F or, with
+        ``reset_only``, -F with its complementarity blocks replaced by zeros
+        (which by linearity cancels the (r1, r2) blocks exactly).
+
+        Returns the workspace's ``dz`` buffer, which the next call
+        overwrites.  The reduced system is factored by
+        ``QRFactor(H, pivot_tol=0.0)``, which rejects only exact zero pivots:
+        near tau_E the a-priori conditioning bound kappa_DF exceeds
+        1/(dim*eps), so the relative pivot test would misflag theory-valid
+        systems as singular.  A matrix or right-hand side that overflowed
+        raises InvalidProblem from ``QRFactor``.
+        """
+        g34, t, t_l, t_r, v_x = self.g34, self.t, self.t_l, self.t_r, self.v_x
+        if reset_only:
+            np.negative(s.r12, out=self.g12)
+            g34.fill(-0.0)
+        else:
+            np.negative(s.F, out=self.g)
+        # v = ((g1 + g3/(e+x)) - g4/(e-x), g2)
+        np.divide(g34, s.e, out=t)
+        np.add(self.g1, t_l, out=v_x)
+        np.subtract(v_x, t_r, out=v_x)
+        np.copyto(self.v_lam, self.g2)
+        # the Q block's diagonal: Q_jj + ((omega + mu_l/(e+x)) + mu_r/(e-x))
+        np.divide(s.mu, s.e, out=t)
+        np.add(self.omega, t_l, out=self.tn)
+        np.add(self.tn, t_r, out=self.tn)
+        np.add(self.qdiag, self.tn, out=self.hdiag)
+        u = QRFactor(self.H, pivot_tol=0.0).solve(self.v)
+        # dmu = (g34 - mu∘(dx, -dx))/e: (g3 - mu_l*dx)/(e+x) and
+        # (g4 + mu_r*dx)/(e-x) bit for bit
+        np.copyto(self.dz_u, u)
+        np.copyto(t_l, self.dz_x)
+        np.negative(self.dz_x, out=t_r)
+        np.multiply(s.mu, t, out=t)
+        np.subtract(g34, t, out=self.dz_mu)
+        np.divide(self.dz_mu, s.e, out=self.dz_mu)
+        return self.dz
+
+    def cond_DF(self, s: _State) -> float:
+        """LAPACK 1-norm condition estimate of the full DF at s; inf, never an
+        error, when DF is singular.  DF is a copy of a Fortran-ordered
+        template built at the first call, so LAPACK reads it without a
+        transposing copy."""
+        if self._DF0 is None:
+            self._DF0 = _DF_template(self.p, self.omega, order="F")
+        J = self._DF0.copy(order="F")
+        _fill_DF(J, self.n, self.m, s.x, s.mu_l, s.mu_r)
+        return cond_estimate(J)

@@ -115,15 +115,16 @@ class QRFactor:
             v = as_vector(v, dim=self.dim, name="v")
         if self.dim == 0:
             return np.empty(v.shape)
-        rhs = v.reshape(self.dim, -1)
-        # overwrite_c stays off: dormqr copies the caller's array.
-        c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, rhs, max(1, rhs.shape[1]))
+        # overwrite_c stays off: dormqr copies the caller's array.  Both
+        # routines take a vector as one column.
+        lwork = max(1, v.shape[1]) if v.ndim == 2 else 1
+        c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, v, lwork)
         _check_info("dormqr", info)
         y, info = lapack.dtrtrs(self._qr, c, overwrite_b=1)
         _check_info("dtrtrs", info)
         u = np.empty_like(y)
         u[self._piv] = y
-        return u.reshape(v.shape)
+        return u
 
     def cond_estimate(self) -> float:
         """dtrcon's estimate of kappa_1(R), inf if R is singular.  As G P = Q R,

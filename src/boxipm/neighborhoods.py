@@ -60,11 +60,14 @@ def check_step(
         limit = width * tau * (1.0 + COMP_CHECK_RTOL) + slack
     if not value <= limit:
         raise StepRejected(
-            f"{kind} step failed its post-check: {block} residual {value!r} > {limit!r}"
+            f"{kind} step failed its post-check: {block} residual {value!r} > {limit!r}",
+            kind=kind, tau=tau, block=block, value=value, limit=limit,
         )
 
 
 def complementarity_gap(z: Iterate) -> float:
     """mu_l'(e + x) + mu_r'(e - x); bounded by 2n(1+theta)tau on the path
-    neighborhood, which certifies the optimality gap."""
-    return float(z.mu_l @ (1.0 + z.x) + z.mu_r @ (1.0 - z.x))
+    neighborhood, which certifies the optimality gap.  ``z`` is an
+    :class:`~boxipm.kkt.Iterate` or any point with its ``x``, ``mu_l`` and
+    ``mu_r`` blocks."""
+    return float(z.mu_l.dot(1.0 + z.x) + z.mu_r.dot(1.0 - z.x))

@@ -18,15 +18,23 @@ Newton step through ``_step``, the single implementation behind
 ``error_reset_step``, ``path_step`` and ``centrality_step``.  Every step
 ends with the neighborhood rule of :func:`boxipm.neighborhoods.check_step`
 and is rejected (never damped) when it fails; a Newton system that
-overflows is rejected the same way.  Inputs are validated where they enter
-(``BoxQP``, the public ``Iterate`` constructor, ``eval_F``, ``QRFactor``,
-the ``slack`` of the public step functions); the iterates a step produces
-are not re-validated, because ``_advance`` establishes their invariants and
-counts the repairs it makes.  Within ``solve()`` each step's
-post-check residual is the next step's right-hand side, and every reduced
-Newton matrix is a copy of one per-solve template.  The returned solution x satisfies
-``||x||_inf < 1``, an objective within tol of the best attainable, and an
-equality residual within tol of the box-minimal one.
+overflows is rejected the same way, and every rejection names its step
+kind and tau (``solve()`` adds the cycle).  Inputs are validated where they
+enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
+``QRFactor``, the ``tau`` and ``slack`` of the public step functions); the
+iterates a step produces are not re-validated, because ``_advance``
+establishes their invariants and counts the repairs it makes.
+
+Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
+built once per solve and once per call of a public step function: each
+step reads one of its two state buffers and writes the other in place,
+and the only objects it builds are the ``QRFactor`` of the reduced system
+and that factor's solution.  Within ``solve()`` each step's post-check residual is the next
+step's right-hand side, and a path step only recomputes its complementarity
+blocks as mu∘e - tau.  Trace rows read the state buffers, and only when
+tracing.  The returned solution x satisfies ``||x||_inf < 1``, an objective
+within tol of the best attainable, and an equality residual within tol of
+the box-minimal one.
 """
 
 from __future__ import annotations
@@ -44,15 +52,16 @@ from .errors import (
 )
 from .kkt import (
     Iterate,
-    ReducedDF,
-    Residual,
-    eval_DF,
-    eval_F,
+    _blocks,
+    _check_tau,
+    _State,
+    _Workspace,
+    eval_DF,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
+    eval_F,  # noqa: F401  (likewise)
     eval_grad_f,
     eval_hess_f,
-    retarget_F,
 )
-from .linalg import QRFactor, cond_estimate
+from .linalg import QRFactor
 from .neighborhoods import (
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -148,134 +157,74 @@ class SolveReport:
     mu_reset: int = 0
 
 
-@dataclass(frozen=True)
-class _StepInfo:
-    step_norm: float
-    newton_dot: float
-    cond: float
-    post: Residual  # F at the new iterate and the step's tau
-    eq_norm: float  # post.eq_norm and post.comp_norm, computed once
-    comp_norm: float
-    x_clipped: int = 0
-    mu_reset: int = 0
-
-
-def _split(dz: np.ndarray, n: int, m: int):
-    return dz[:n], dz[n : n + m], dz[n + m : 2 * n + m], dz[2 * n + m :]
-
-
-def _advance(z: Iterate, dz: np.ndarray, tau: float) -> tuple[Iterate, int, int]:
-    """Apply a full Newton update, snapping to the representable interior.
+def _advance(
+    ws: _Workspace, s: _State, dz: np.ndarray, nxt: _State, tau: float
+) -> tuple[int, int]:
+    """Apply the full Newton update z + dz to state ``s``, into ``nxt``,
+    snapping to the representable interior, and derive e and mu∘e there.
 
     x is clipped to |x_j| <= nextafter(1, 0); a mu component driven
     nonpositive by rounding at one-ulp margins is reset to its central-path
     value tau/(1 +- x_j).  Both repairs are within the practical envelope,
-    and both are counted: returns (iterate, coordinates clipped, mu
-    components reset).
+    and both are counted: returns (coordinates clipped, mu components reset).
 
     With dz finite, the result satisfies the invariants of an Iterate except
-    finiteness (finite + finite can overflow to inf), so it is built without
-    re-validation; the caller checks the residual at the result for
-    finiteness, which every component of z enters.
+    finiteness (finite + finite can overflow to inf); the caller checks the
+    residual at the result for finiteness, which every component of z
+    enters.
     """
-    dx, dlam, dmu_l, dmu_r = _split(dz, z.n, z.m)
-    x_new = z.x + dx
-    x = np.minimum(np.maximum(x_new, -_X_MAX), _X_MAX)  # np.clip, without its wrapper
-    clipped = int(np.count_nonzero(x != x_new))
-    reset = 0
-    mu_l = z.mu_l + dmu_l
-    mu_r = z.mu_r + dmu_r
-    bad = mu_l <= 0.0
-    if bad.any():
-        reset += int(np.count_nonzero(bad))
-        mu_l = np.where(bad, tau / (1.0 + x), mu_l)
-    bad = mu_r <= 0.0
-    if bad.any():
-        reset += int(np.count_nonzero(bad))
-        mu_r = np.where(bad, tau / (1.0 - x), mu_r)
-    return Iterate._trusted(x, z.lam + dlam, mu_l, mu_r), clipped, reset
-
-
-def _newton_pd(
-    p: BoxQP,
-    mp: MethodParams,
-    z: Iterate,
-    tau: float,
-    reset_only: bool,
-    want_cond: bool = False,
-    F: Residual | None = None,
-    base: np.ndarray | None = None,
-) -> tuple[Iterate, _StepInfo]:
-    """One primal-dual Newton step on F_tau at z.
-
-    ``reset_only`` zeroes the complementarity blocks of the right-hand side,
-    which by linearity cancels the stationarity/equality residuals exactly.
-    ``F`` is F_tau(z) when the caller already has it, and ``base`` the
-    per-problem ``ReducedDF._template``; both are computed when omitted.
-    A reduced matrix or right-hand side that overflows, or a step or new
-    iterate that is not finite, raises StepRejected.
-    """
-    if F is None:
-        F = eval_F(p, mp, z, tau)
-    if reset_only:
-        rhs = -np.concatenate([F.r1, F.r2, np.zeros(2 * p.n)])
-    else:
-        rhs = -F.as_array()
-    red = ReducedDF(p, mp, z) if base is None else ReducedDF._from_template(base, mp.omega, z)
-    # Exact-zero pivot guard: near tau_E the a-priori conditioning bound
-    # kappa_DF exceeds 1/(dim*eps), so the relative pivot test would misflag
-    # theory-valid systems as singular.
-    try:
-        fac = QRFactor(red.matrix, pivot_tol=0.0)
-        dz = red.solve(fac, rhs)
-    except InvalidProblem as exc:
-        # z, tau and the template were checked where they entered, so a
-        # non-finite system here is an overflow in forming it.
-        raise StepRejected(f"Newton system overflowed: {exc}") from exc
-    if not np.isfinite(dz).all():
-        raise StepRejected("Newton step produced non-finite components")
-    z_new, clipped, reset = _advance(z, dz, tau)
-    post = eval_F(p, mp, z_new, tau)
-    eq_norm, comp_norm = post.eq_norm, post.comp_norm
-    if not math.isfinite(eq_norm + comp_norm):
-        raise StepRejected("Newton step overflowed to a non-finite iterate")
-    dx, _, dmu_l, dmu_r = _split(dz, p.n, p.m)
-    cond = _cond_DF(p, mp, z) if want_cond else math.nan
-    info = _StepInfo(
-        step_norm=math.sqrt(dz @ dz),
-        newton_dot=float(dx @ (dmu_l - dmu_r)),
-        cond=cond,
-        post=post,
-        eq_norm=eq_norm,
-        comp_norm=comp_norm,
-        x_clipped=clipped,
-        mu_reset=reset,
-    )
-    return z_new, info
-
-
-def _cond_DF(p: BoxQP, mp: MethodParams, z: Iterate) -> float:
-    """LAPACK 1-norm condition estimate of the full DF at z; inf, never an
-    error, when DF is singular."""
-    return cond_estimate(eval_DF(p, mp, z))
+    np.add(s.z, dz, out=nxt.z)
+    x, e_l = nxt.x, nxt.e_l
+    np.greater(np.abs(x, out=e_l), _X_MAX, out=ws.over_n)  # e_l is scratch until derive_e
+    clipped = int(np.count_nonzero(ws.over_n))
+    if clipped:
+        np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
+        np.minimum(x, _X_MAX, out=x)
+    nxt.derive_e()
+    mu, bad = nxt.mu, ws.over
+    np.less_equal(mu, 0.0, out=bad)
+    reset = int(np.count_nonzero(bad))
+    if reset:
+        mu[bad] = tau / nxt.e[bad]
+    nxt.derive_mue()
+    return clipped, reset
 
 
 def _step(
-    kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float,
-    slack: float | None = None, want_cond: bool = False,
-    F: Residual | None = None, base: np.ndarray | None = None,
-) -> tuple[Iterate, _StepInfo]:
-    """One primal-dual Newton step of ``kind`` on F_tau, then its post-check.
+    kind: str, ws: _Workspace, s: _State, tau: float, slack: float | None = None
+) -> _State:
+    """One primal-dual Newton step of ``kind`` on F_tau from state ``s``, whose
+    ``F`` must hold F_tau(s), then its post-check; returns the workspace's
+    other state, which holds the new iterate and F_tau there.
 
     The post-check is :func:`~boxipm.neighborhoods.check_step` on the
     residual at the new iterate, with ``slack`` passed through unchecked
     (``None`` is the envelope allowance); a failed check raises
-    StepRejected, and the step is never damped.  ``F`` and ``base`` are
-    passed through to :func:`_newton_pd`.
+    StepRejected, and the step is never damped.  So does a Newton system
+    that overflows, a step that is not finite and a new iterate that is
+    not.  The repairs of :func:`_advance` are added to ``ws.x_clipped`` and
+    ``ws.mu_reset``.
     """
-    z_new, info = _newton_pd(p, mp, z, tau, kind == STEP_ERROR_RESET, want_cond, F, base)
-    check_step(kind, mp, tau, info.eq_norm, info.comp_norm, slack)
-    return z_new, info
+    try:
+        dz = ws.newton(s, kind == STEP_ERROR_RESET)
+    except InvalidProblem as exc:
+        # z, tau and H were checked where they entered, so a non-finite
+        # system here is an overflow in forming it.
+        raise StepRejected(f"Newton system overflowed: {exc}", kind=kind, tau=tau) from exc
+    # dz'dz is finite only if dz is; the elementwise test settles the rest.
+    if not math.isfinite(dz.dot(dz)) and not np.isfinite(dz).all():
+        raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
+    nxt = ws.other(s)
+    clipped, reset = _advance(ws, s, dz, nxt, tau)
+    ws.x_clipped += clipped
+    ws.mu_reset += reset
+    ws.eval_F(nxt, tau)
+    if not math.isfinite(nxt.eq_norm + nxt.comp_norm):
+        raise StepRejected(
+            "Newton step overflowed to a non-finite iterate", kind=kind, tau=tau
+        )
+    check_step(kind, ws.mp, tau, nxt.eq_norm, nxt.comp_norm, slack)
+    return nxt
 
 
 def _check_slack(slack: float | None) -> None:
@@ -336,6 +285,17 @@ def lift(p: BoxQP, mp: MethodParams, xk) -> Iterate:
     )
 
 
+def _public_step(
+    kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float, slack: float | None = None
+) -> Iterate:
+    """One ``kind`` step at tau from a caller's iterate, in a workspace of its own."""
+    _check_tau(tau)
+    ws = _Workspace(p, mp)
+    s = ws.load(z)
+    ws.eval_F(s, tau)
+    return _step(kind, ws, s, tau, slack).iterate()
+
+
 def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
     """Newton step whose right-hand side zeroes only the (r1, r2) blocks.
 
@@ -343,7 +303,7 @@ def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iter
     the post-check holds them to the binary64 floor of
     :func:`~boxipm.neighborhoods.check_step`.
     """
-    return _step(STEP_ERROR_RESET, p, mp, z, tau)[0]
+    return _public_step(STEP_ERROR_RESET, p, mp, z, tau)
 
 
 def path_step(
@@ -358,7 +318,7 @@ def path_step(
     """
     _check_slack(slack)
     tau_hat = mp.sigma * tau
-    return _step(STEP_PATH, p, mp, z, tau_hat, slack)[0], tau_hat
+    return _public_step(STEP_PATH, p, mp, z, tau_hat, slack), tau_hat
 
 
 def centrality_step(
@@ -371,7 +331,7 @@ def centrality_step(
     finite and nonnegative.
     """
     _check_slack(slack)
-    return _step(STEP_CENTRALITY, p, mp, z, tau, slack)[0]
+    return _public_step(STEP_CENTRALITY, p, mp, z, tau, slack)
 
 
 def _primal_row(
@@ -388,14 +348,27 @@ def _primal_row(
     )
 
 
-def _pd_row(k: int, kind: str, tau: float, z: Iterate, info: _StepInfo) -> TraceEntry:
+def _pd_row(
+    k: int, kind: str, tau: float, s: _State, cond: float, dz: np.ndarray | None
+) -> TraceEntry:
+    """The row of a primal-dual step that led to state ``s`` by the step
+    ``dz`` (``None`` for the lift row); ``cond`` is the condition estimate
+    of DF where the step started.  1 - |x_j| is min(1 + x_j, 1 - x_j) bit
+    for bit, so the interior margin is read off e."""
+    step_norm = newton_dot = math.nan
+    if dz is not None:
+        step_norm = math.sqrt(dz @ dz)
+        if kind == STEP_PATH:
+            dx, _, dmu_l, dmu_r = _blocks(dz, s.n, s.m)
+            newton_dot = float(dx @ (dmu_l - dmu_r))
     return TraceEntry(
         k=k, tau=tau, step_kind=kind,
-        residual_comp=info.comp_norm, residual_eq=info.eq_norm,
-        cond_DF=info.cond, step_norm=info.step_norm,
-        interior_margin=z.interior_margin(), comp_gap=complementarity_gap(z),
-        z_norm=float(np.linalg.norm(z.as_array())),
-        newton_dot=info.newton_dot if kind == STEP_PATH else math.nan,
+        residual_comp=s.comp_norm, residual_eq=s.eq_norm,
+        cond_DF=cond, step_norm=step_norm,
+        interior_margin=float(min(s.e.min(initial=math.inf), s.mu.min(initial=math.inf))),
+        comp_gap=complementarity_gap(s),
+        z_norm=math.sqrt(s.z.dot(s.z)),  # np.linalg.norm's own formula for a vector
+        newton_dot=newton_dot,
     )
 
 
@@ -427,6 +400,9 @@ def solve(
         With x strictly interior, ``objective`` within tol of the best
         attainable value and ``feas_residual`` within tol of the box-minimal
         equality residual.
+
+    A rejected step raises StepRejected with its ``cycle`` set: 0 for the
+    initial error reset, then 1 up to M.
     """
     if mode not in (MODE_STABLE, MODE_FAST):
         raise InvalidProblem(f"unknown mode {mode!r}")
@@ -443,57 +419,58 @@ def solve(
     for k, x, dx, fac in _primal_steps(p, mp):
         if collect_trace:
             trace.append(_primal_row(k, p, mp, x, dx, fac))
-    z_lift = lift(p, mp, x)
-    # Every step's post-check residual is the next step's right-hand side,
-    # and every reduced matrix is a copy of one template.
-    F_lift = eval_F(p, mp, z_lift, mp.tau_A)
-    base = ReducedDF._template(p, mp)
-    z, info = _step(STEP_ERROR_RESET, p, mp, z_lift, mp.tau_A, None, collect_trace, F_lift, base)
-    solves = mp.K + 1
-    x_clipped, mu_reset = info.x_clipped, info.mu_reset
-    if collect_trace:
-        # The initial reset factors DF at the lift point, so its condition
-        # estimate belongs to the lift row as well.
-        lifted = _StepInfo(math.nan, math.nan, info.cond, F_lift, F_lift.eq_norm, F_lift.comp_norm)
-        trace.append(_pd_row(len(trace) + 1, STEP_LIFT, mp.tau_A, z_lift, lifted))
-        trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, mp.tau_A, z, info))
-
+    # Every step's post-check residual is the next step's right-hand side;
+    # the steps alternate between the workspace's two states.
+    ws = _Workspace(p, mp)
+    s = ws.load(lift(p, mp, x))
+    ws.eval_F(s, mp.tau_A)
     tau = mp.tau_A
-    cycles = 0
-    for _ in range(mp.M):
-        tau = mp.sigma * tau
-        for kind in cycle:
-            if kind == STEP_PATH:
-                slack, F = path_slack, retarget_F(info.post, z, tau)
-            else:  # same tau as the step before
-                slack, F = None, info.post
-            z, info = _step(kind, p, mp, z, tau, slack, collect_trace, F, base)
-            solves += 1
-            x_clipped += info.x_clipped
-            mu_reset += info.mu_reset
-            if collect_trace:
-                trace.append(_pd_row(len(trace) + 1, kind, tau, z, info))
-        cycles += 1
-        if tau <= mp.tau_E:
-            break
+    cycles = 0  # started, and on success completed, path-following cycles
+    try:
+        nxt = _step(STEP_ERROR_RESET, ws, s, tau)
+        if collect_trace:
+            # The initial reset factors DF at the lift point, so its condition
+            # estimate belongs to the lift row as well.
+            cond = ws.cond_DF(s)
+            trace.append(_pd_row(len(trace) + 1, STEP_LIFT, tau, s, cond, None))
+            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, nxt, cond, ws.dz))
+        s = nxt
+        for _ in range(mp.M):
+            cycles += 1
+            tau = mp.sigma * tau
+            for kind in cycle:
+                if kind == STEP_PATH:
+                    slack = path_slack
+                    ws.retarget(s, tau)
+                else:  # same tau as the step before
+                    slack = None
+                nxt = _step(kind, ws, s, tau, slack)
+                if collect_trace:
+                    trace.append(_pd_row(len(trace) + 1, kind, tau, nxt, ws.cond_DF(s), ws.dz))
+                s = nxt
+            if tau <= mp.tau_E:
+                break
+    except StepRejected as exc:
+        exc.cycle = cycles
+        raise
     if tau > mp.tau_E * (1.0 + TAU_END_RTOL):
         raise IterationBudgetExceeded(
             f"tau = {tau!r} still above tau_E = {mp.tau_E!r} after M = {mp.M} cycles"
         )
 
     return SolveReport(
-        x=z.x.copy(),
-        objective=eval_q(p, z.x),
-        feas_residual=residual_norm(p, z.x),
+        x=s.x.copy(),
+        objective=eval_q(p, s.x),
+        feas_residual=residual_norm(p, s.x),
         tau_final=tau,
         iterations_primal=mp.K,
         iterations_pd=cycles,
         mode=mode,
         params=mp,
         trace=trace,
-        linear_solves=solves,
-        x_clipped=x_clipped,
-        mu_reset=mu_reset,
+        linear_solves=mp.K + 1 + cycles * len(cycle),
+        x_clipped=ws.x_clipped,
+        mu_reset=ws.mu_reset,
     )
 
 

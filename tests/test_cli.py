@@ -61,6 +61,24 @@ def std_file(tmp_path):
 
 
 class TestSolveCommand:
+    def test_rejected_step_prints_its_context(self, box_file, capsys, monkeypatch):
+        import boxipm.solver
+        from boxipm.neighborhoods import check_step
+
+        def failing(kind, mp, tau, eq_norm, comp_norm, slack=None):
+            if kind == "path":
+                slack = -2.0 * mp.theta * tau  # a negative limit: every path step fails
+            check_step(kind, mp, tau, eq_norm, comp_norm, slack)
+
+        monkeypatch.setattr(boxipm.solver, "check_step", failing)
+        assert run(["solve", box_file]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: StepRejected: path step failed its post-check: comp")
+        fields = dict(kv.split("=") for kv in err[1].split())
+        assert list(fields) == ["kind", "cycle", "tau", "block", "value", "limit"]
+        assert (fields["kind"], fields["cycle"], fields["block"]) == ("path", "1", "comp")
+        assert float(fields["value"]) > float(fields["limit"])
+
     def test_solve_writes_json(self, box_file, capsys):
         assert run(["solve", box_file]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boxipm import BoxQP, DimensionError, InvalidProblem, Iterate, OutOfDomain, compute_params_practical
-from boxipm.kkt import ReducedDF, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f
+from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f
 from boxipm.linalg import EPS_MACH, QRFactor
 from boxipm.params import MethodParams
 from boxipm.solver import lift
@@ -45,6 +45,25 @@ class TestIterate:
         z2 = iterate_from_array(z.as_array(), n=2, m=1)
         assert_allclose(z2.x, z.x)
         assert_allclose(z2.mu_r, z.mu_r)
+
+    def test_owns_its_blocks(self):
+        # the caller's arrays, even one passed twice, are copied in
+        x, mu = np.array([0.5, -0.5]), np.ones(2)
+        z = Iterate(x=x, lam=np.zeros(1), mu_l=mu, mu_r=mu)
+        x[0] = 7.0
+        mu[1] = -3.0
+        assert z.x.tolist() == [0.5, -0.5]
+        assert z.mu_l.tolist() == [1.0, 1.0] and z.mu_r.tolist() == [1.0, 1.0]
+        assert z.mu_l is not z.mu_r
+
+    def test_blocks_are_read_only_and_as_array_is_a_copy(self):
+        z = Iterate(x=[0.5, -0.5], lam=[0.0], mu_l=[1.0, 1.0], mu_r=[1.0, 1.0])
+        for block in (z.x, z.lam, z.mu_l, z.mu_r):
+            with pytest.raises(ValueError):
+                block[0] = 0.25
+        a = z.as_array()
+        a[0] = 0.25
+        assert z.x[0] == 0.5
 
 
 class TestPrimalFunction:
@@ -284,13 +303,18 @@ def backward_error(J, dz, rhs):
 
 
 class TestReducedDF:
+    """The step workspace's reduced Newton system against the full DF."""
+
     def test_reduced_matrix_hand_values(self):
         # n = 1, m = 1: mu_l/(1+x) + mu_r/(1-x) = 2/1.5 + 1/0.5 joins Q + omega
         p = BoxQP(Q=[[3.0]], c=[0.0], A=[[2.0]], b=[0.0], tol=0.1)
         mp = make_mp(omega=0.5)
         z = Iterate(x=[0.5], lam=[0.0], mu_l=[2.0], mu_r=[1.0])
-        red = ReducedDF(p, mp, z)
-        assert_allclose(red.matrix, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [2.0, 0.5]], rtol=1e-15)
+        ws = _Workspace(p, mp)
+        s = ws.load(z)
+        ws.eval_F(s, 1.0)
+        ws.newton(s, reset_only=False)
+        assert_allclose(ws.H, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [2.0, 0.5]], rtol=1e-15)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (3, 0), (4, 2), (2, 5), (20, 8)])
     @pytest.mark.parametrize("gap", [0.5, 1e-6, 1e-12])
@@ -301,6 +325,7 @@ class TestReducedDF:
         mp = compute_params_practical(p)
         N = 3 * n + m
         tau = 1e-3
+        ws = _Workspace(p, mp)  # one workspace for every point, as in a solve
         for _ in range(3):
             z = near_path_iterate(rng, n, m, gap, tau)
             F = eval_F(p, mp, z, tau)
@@ -308,8 +333,9 @@ class TestReducedDF:
             rhs = -np.concatenate([F.r1, F.r2, comp])
             J = eval_DF(p, mp, z)
             ref = QRFactor(J, pivot_tol=0.0).solve(rhs)
-            red = ReducedDF(p, mp, z)
-            dz = red.solve(QRFactor(red.matrix, pivot_tol=0.0), rhs)
+            s = ws.load(z)
+            ws.eval_F(s, tau)
+            dz = ws.newton(s, reset_only)
             assert dz.shape == (N,)
             bound = 10.0 * N * EPS_MACH
             assert backward_error(J, ref, rhs) <= bound
@@ -319,4 +345,28 @@ class TestReducedDF:
         p = zeros_problem(n=2, m=1)
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[1.0], mu_r=[1.0])
         with pytest.raises(DimensionError):
-            ReducedDF(p, make_mp(), z)
+            _Workspace(p, make_mp()).load(z)
+
+
+class TestWorkspaceResidual:
+    """The workspace's in-place F is eval_F's, bit for bit."""
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (4, 2), (20, 8)])
+    def test_equals_eval_F_and_retargets_exactly(self, n, m):
+        rng = np.random.default_rng(70 + n + m)
+        p = random_boxqp(rng, n, m, tol=1e-2)
+        mp = compute_params_practical(p)
+        z = random_iterate(rng, n, m)
+        ws = _Workspace(p, mp)
+        s = ws.load(z)
+        ws.eval_F(s, 0.75)
+        F = eval_F(p, mp, z, 0.75)
+        assert s.F.tobytes() == F.as_array().tobytes()
+        assert (s.eq_norm, s.comp_norm) == (F.eq_norm, F.comp_norm)
+        ws.retarget(s, 0.25)
+        assert s.F.tobytes() == eval_F(p, mp, z, 0.25).as_array().tobytes()
+
+    def test_interior_margin_is_read_off_e(self):
+        # 1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
+        assert (1.0 - np.abs(x)).tobytes() == np.minimum(1.0 + x, 1.0 - x).tobytes()

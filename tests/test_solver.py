@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import boxipm.kkt
 import boxipm.solver
 from boxipm import (
     BoxQP,
@@ -21,14 +22,14 @@ from boxipm import (
     solve_standard,
 )
 from boxipm.errors import StepRejected
-from boxipm.kkt import ReducedDF, eval_DF, eval_F, eval_grad_f, eval_hess_f
+from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_grad_f, eval_hess_f
 from boxipm.linalg import QRFactor, cond_estimate
 from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _X_MAX,
     TRACE_FIELDS,
     _advance,
-    _newton_pd,
+    _step,
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
     STEP_LIFT,
@@ -337,61 +338,123 @@ class TestSolveBytes:
         assert _solve_digest(solve(p, mode=mode, collect_trace=traced)) == digest
 
 
+def _counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestStepLoopStructure:
-    """Counts calls, not time: validation, a second eval_F or a per-step
-    template creeping back into the step loop fails here."""
+    """Counts calls, not time: validation, a second F evaluation, a per-step
+    workspace or concatenation creeping back into the step loop fails here."""
 
     def test_calls_per_solve(self, monkeypatch):
-        calls = {"eval_F": 0, "post_init": 0, "template": 0, "check_step": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(boxipm.solver, "eval_F", counted("eval_F", eval_F))
-        monkeypatch.setattr(boxipm.solver, "check_step", counted("check_step", check_step))
-        monkeypatch.setattr(Iterate, "__post_init__", counted("post_init", Iterate.__post_init__))
+        calls = dict.fromkeys(
+            ["eval_F", "post_init", "workspace", "check_step", "factor", "DF_template"], 0
+        )
+        monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
         monkeypatch.setattr(
-            ReducedDF, "_template", staticmethod(counted("template", ReducedDF._template))
+            _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
+        )
+        monkeypatch.setattr(boxipm.solver, "check_step", _counted(calls, "check_step", check_step))
+        monkeypatch.setattr(
+            Iterate, "__post_init__", _counted(calls, "post_init", Iterate.__post_init__)
+        )
+        monkeypatch.setattr(QRFactor, "__init__", _counted(calls, "factor", QRFactor.__init__))
+        monkeypatch.setattr(
+            boxipm.kkt, "_DF_template", _counted(calls, "DF_template", boxipm.kkt._DF_template)
         )
         rng = np.random.default_rng(13)
         rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), mode="stable")
         pd_steps = rep.linear_solves - rep.params.K  # the initial reset plus 3 per cycle
         assert pd_steps > 100
-        assert pd_steps <= calls["eval_F"] <= pd_steps + 1  # + F at the lift point
+        assert calls["factor"] == rep.linear_solves
+        assert calls["eval_F"] == pd_steps + 1  # + F at the lift point
         assert calls["post_init"] == 1  # the lift point
-        assert calls["template"] == 1
+        assert calls["workspace"] == 1
         assert calls["check_step"] == pd_steps  # one rule, once per step
+        assert calls["DF_template"] == 0  # only traced solves estimate cond(DF)
+
+    def test_one_DF_template_per_traced_solve(self, monkeypatch):
+        calls = {"DF_template": 0, "workspace": 0}
+        monkeypatch.setattr(
+            boxipm.kkt, "_DF_template", _counted(calls, "DF_template", boxipm.kkt._DF_template)
+        )
+        monkeypatch.setattr(
+            _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
+        )
+        rng = np.random.default_rng(13)
+        rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), collect_trace=True)
+        assert len(rep.trace) == rep.linear_solves + 1
+        assert calls == {"DF_template": 1, "workspace": 1}
+
+    def test_concatenations_do_not_grow_with_M(self, monkeypatch):
+        calls = {"concatenate": 0}
+        monkeypatch.setattr(np, "concatenate", _counted(calls, "concatenate", np.concatenate))
+        counts, Ms = [], []
+        for tol in (1e-2, 1e-4):
+            rng = np.random.default_rng(13)
+            calls["concatenate"] = 0
+            rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=tol), mode="stable")
+            counts.append(calls["concatenate"])
+            Ms.append(rep.iterations_pd)
+        assert Ms[0] != Ms[1]
+        assert counts[0] == counts[1]
+
+    def test_public_steps_build_one_workspace_each(self, monkeypatch):
+        calls = {"workspace": 0, "eval_F": 0}
+        monkeypatch.setattr(
+            _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
+        )
+        monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
+        x, _ = _drive_steps(random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2), "stable")
+        # error_reset_step, then path, centrality and error reset per cycle:
+        # each builds a workspace and evaluates F before and after its step
+        assert calls["workspace"] >= 4
+        assert calls["eval_F"] == 2 * calls["workspace"]
 
 
 def _hand_iterate():
     return Iterate(x=[0.5, -0.5, 0.0], lam=[0.1], mu_l=[1.0, 2.0, 0.5], mu_r=[0.5, 1.0, 2.0])
 
 
+def _hand_workspace():
+    p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
+    return _Workspace(p, compute_params_practical(p))
+
+
 class TestAdvanceInvariants:
-    """_advance builds its Iterate unchecked; these are the invariants it
-    establishes instead."""
+    """_advance writes the next state unchecked; these are the invariants it
+    establishes instead.  Steps are injected at the workspace's seam,
+    ``_Workspace.newton``."""
 
     def test_x_outside_the_box_is_clipped_and_counted(self):
-        z = _hand_iterate()
+        ws = _hand_workspace()
+        s = ws.load(_hand_iterate())
         dz = np.zeros(3 * 3 + 1)
         dz[:3] = [0.75, -0.5 - _X_MAX, 1.0]  # 1.25, -1 - eps, 1.0: all leave the open box
-        z_new, clipped, reset = _advance(z, dz, 0.5)
+        clipped, reset = _advance(ws, s, dz, ws.b, 0.5)
+        z_new = ws.b.iterate()
         assert np.abs(z_new.x).max() <= _X_MAX
         assert z_new.x.tolist() == [_X_MAX, -_X_MAX, _X_MAX]
         assert (clipped, reset) == (3, 0)
         assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
+        # e and mu∘e are derived from the clipped x
+        assert ws.b.e.tobytes() == np.concatenate([1.0 + z_new.x, 1.0 - z_new.x]).tobytes()
+        assert ws.b.mue.tobytes() == (ws.b.mu * ws.b.e).tobytes()
 
     def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
         z = _hand_iterate()
+        ws = _hand_workspace()
+        s = ws.load(z)
         tau = 0.3
         dz = np.zeros(3 * 3 + 1)
         dz[:3] = [0.25, -0.125, 0.0]
         dz[4:7] = [-1.0, -3.0, 0.25]  # mu_l -> 0.0, -1.0, 0.75
         dz[7:] = [0.0, -1.0, -2.5]  # mu_r -> 0.5, 0.0, -0.5
-        z_new, clipped, reset = _advance(z, dz, tau)
+        clipped, reset = _advance(ws, s, dz, ws.b, tau)
+        z_new = ws.b.iterate()
         x_new = z.x + dz[:3]
         assert clipped == 0 and reset == 4
         assert z_new.mu_l[:2].tobytes() == (tau / (1.0 + x_new[:2])).tobytes()
@@ -408,33 +471,37 @@ class TestAdvanceInvariants:
         mp = make_mp()
         tau = 0.5
         z = Iterate(x=[0.25], lam=[0.0], mu_l=[tau / 1.25], mu_r=[tau / 0.75])
-        solve_dz = ReducedDF.solve
+        newton = _Workspace.newton
 
-        def pushed(self, fac, g):
-            dz = solve_dz(self, fac, g)
+        def pushed(self, s, reset_only):
+            dz = newton(self, s, reset_only)
             dz[2] = -2.0 * z.mu_l[0]
             return dz
 
-        monkeypatch.setattr(ReducedDF, "solve", pushed)
-        z_new, info = _newton_pd(p, mp, z, tau, reset_only=False)
-        assert info.mu_reset == 1 and info.x_clipped == 0
-        assert z_new.mu_l[0] == tau / (1.0 + z_new.x[0])
+        monkeypatch.setattr(_Workspace, "newton", pushed)
+        ws = _Workspace(p, mp)
+        s = ws.load(z)
+        ws.eval_F(s, tau)
+        new = _step(STEP_CENTRALITY, ws, s, tau)
+        assert ws.mu_reset == 1 and ws.x_clipped == 0
+        assert new.mu_l[0] == tau / (1.0 + new.x[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_is_rejected(self, monkeypatch, bad):
         p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
         mp = compute_params_practical(p)
         z = _hand_iterate()
-        solve_dz = ReducedDF.solve
+        newton = _Workspace.newton
 
-        def broken(self, fac, g):
-            dz = solve_dz(self, fac, g)
+        def broken(self, s, reset_only):
+            dz = newton(self, s, reset_only)
             dz[1] = bad
             return dz
 
-        monkeypatch.setattr(ReducedDF, "solve", broken)
-        with pytest.raises(StepRejected, match="non-finite components"):
+        monkeypatch.setattr(_Workspace, "newton", broken)
+        with pytest.raises(StepRejected, match="non-finite components") as info:
             path_step(p, mp, z, 1.0)
+        assert (info.value.kind, info.value.tau) == (STEP_PATH, mp.sigma)
 
     @pytest.mark.parametrize("block", ["lam", "mu_l", "mu_r"])
     def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
@@ -449,12 +516,12 @@ class TestAdvanceInvariants:
         z = Iterate(**values)
         at = {"lam": 3, "mu_l": 4, "mu_r": 7}[block] + j
 
-        def overflowing(self, fac, g):
-            dz = np.zeros(g.shape)
-            dz[at] = huge
-            return dz
+        def overflowing(self, s, reset_only):
+            self.dz[:] = 0.0
+            self.dz[at] = huge
+            return self.dz
 
-        monkeypatch.setattr(ReducedDF, "solve", overflowing)
+        monkeypatch.setattr(_Workspace, "newton", overflowing)
         returned = []
         with np.errstate(over="ignore", invalid="ignore"):
             for step in (
@@ -472,9 +539,15 @@ class TestAdvanceInvariants:
         mp = compute_params_practical(p)
         z = Iterate(x=[0.5, 0.0], lam=[], mu_l=[1.0, 1.0], mu_r=[1e308, 1.0])
         with np.errstate(over="ignore"):
-            for step in (path_step, centrality_step, error_reset_step):
-                with pytest.raises(StepRejected, match="Newton system overflowed: G"):
+            for step, kind in (
+                (path_step, STEP_PATH),
+                (centrality_step, STEP_CENTRALITY),
+                (error_reset_step, STEP_ERROR_RESET),
+            ):
+                with pytest.raises(StepRejected, match="Newton system overflowed: G") as info:
                     step(p, mp, z, 1.0)
+                assert info.value.kind == kind
+                assert info.value.tau == (mp.sigma if kind == STEP_PATH else 1.0)
 
     def test_rhs_overflow_is_a_rejected_step(self):
         # the matrix is finite, but tau/(1 - x) one ulp from the face
@@ -485,6 +558,49 @@ class TestAdvanceInvariants:
         with np.errstate(over="ignore"):
             with pytest.raises(StepRejected, match="Newton system overflowed: v"):
                 path_step(p, mp, z, 1e300)
+
+
+class TestStructuredRejection:
+    def test_failed_post_check_carries_its_context(self):
+        rng = np.random.default_rng(1)
+        p = random_boxqp(rng, 2, 1, tol=1e-2)
+        mp = compute_params_practical(p)
+        z = random_iterate(rng, 2, 1)  # far from the central path
+        with pytest.raises(StepRejected, match="path step failed its post-check: comp") as info:
+            path_step(p, mp, z, 1.0, slack=0.0)
+        exc = info.value
+        tau_hat = mp.sigma * 1.0
+        assert (exc.kind, exc.tau, exc.block) == (STEP_PATH, tau_hat, "comp")
+        assert exc.limit == mp.theta * tau_hat * (1.0 + 1e-6)
+        assert exc.value > exc.limit
+        assert exc.cycle is None  # set by solve() only
+        assert list(exc.context()) == ["kind", "tau", "block", "value", "limit"]
+
+    @pytest.mark.parametrize("fail_at, cycle, kind", [
+        (1, 0, STEP_ERROR_RESET), (2, 1, STEP_PATH), (6, 2, STEP_CENTRALITY),
+    ])
+    def test_solve_names_the_cycle(self, monkeypatch, fail_at, cycle, kind):
+        calls = {"newton": 0}
+        newton = _Workspace.newton
+
+        def failing(self, s, reset_only):
+            dz = newton(self, s, reset_only)
+            calls["newton"] += 1
+            if calls["newton"] == fail_at:
+                dz[0] = np.nan
+            return dz
+
+        monkeypatch.setattr(_Workspace, "newton", failing)
+        p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
+        with pytest.raises(StepRejected, match="non-finite components") as info:
+            solve(p, mode="stable")
+        mp = compute_params_practical(p)
+        exc = info.value
+        assert (exc.cycle, exc.kind) == (cycle, kind)
+        tau = mp.tau_A
+        for _ in range(cycle):
+            tau = mp.sigma * tau
+        assert exc.tau == tau
 
 
 class TestRepairCounters:
@@ -517,11 +633,14 @@ class TestCondDF:
             p = random_boxqp(rng, n, m, feasible=True, tol=1e-2)
             mp = compute_params_practical(p)
             z = random_iterate(rng, n, m)
-            _, info = _newton_pd(p, mp, z, 1.0, reset_only=False, want_cond=True)
+            ws = _Workspace(p, mp)
+            cond = ws.cond_DF(ws.load(z))
             J = eval_DF(p, mp, z)
-            assert info.cond == cond_estimate(J)
+            # the Fortran-ordered template, filled, is DF
+            assert np.array_equal(ws._DF0, boxipm.kkt._DF_template(p, mp.omega))
+            assert cond == cond_estimate(J)
             exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
-            assert exact / 3.0 <= info.cond <= exact * (1.0 + 1e-10)
+            assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
 
     def test_primal_rows_estimate_the_hessian_factor(self):
         rng = np.random.default_rng(32)
