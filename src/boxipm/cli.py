@@ -249,10 +249,9 @@ def run(argv=None) -> int:
         return EXIT_INPUT
     except BoxIpmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, StepRejected) and exc.context():
-            # where the step failed: kind, cycle, tau, and for a post-check
-            # its block, value and limit
-            print("  " + " ".join(f"{k}={v}" for k, v in exc.context().items()), file=sys.stderr)
+        context = exc.context() if isinstance(exc, StepRejected) else {}
+        if context:  # where the step failed
+            print("  " + " ".join(f"{k}={v}" for k, v in context.items()), file=sys.stderr)
         return EXIT_SOLVE
 
 

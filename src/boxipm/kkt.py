@@ -352,8 +352,8 @@ class _Workspace:
         self.t_l, self.t_r = self.t[:n], self.t[n:]
         self.tn = np.empty(n)
         self.tm = np.empty(m)
-        self.over = np.empty(2 * n, dtype=bool)
-        self.over_n = self.over[:n]
+        self.mask = np.empty(2 * n, dtype=bool)  # which entries _advance repairs
+        self.mask_n = self.mask[:n]
         self._DF0 = None
         # Totals of the repairs the solver's updates make in these states.
         self.x_clipped = self.mu_reset = 0

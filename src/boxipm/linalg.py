@@ -99,11 +99,13 @@ class QRFactor:
         self._qr, jpvt, self._tau, _, info = lapack.dgeqp3(G, lwork=2 * d0 + (d0 + 1) * 64)
         _check_info("dgeqp3", info)
         self._piv = jpvt - 1
-        diag = np.abs(self._qr.diagonal())
-        if diag.min() <= pivot_tol:
-            raise SingularSystem(
-                f"pivot {diag.min():.3e} at or below threshold {pivot_tol:.3e}"
-            )
+        diag = self._qr.diagonal()
+        # At a threshold <= 0 only an exact zero can fail, and counting finds
+        # none at a fraction of the cost of the min reduction.
+        if pivot_tol > 0.0 or np.count_nonzero(diag) < d0:
+            rmin = np.abs(diag).min()
+            if rmin <= pivot_tol:
+                raise SingularSystem(f"pivot {rmin:.3e} at or below threshold {pivot_tol:.3e}")
 
     def solve(self, v) -> np.ndarray:
         """Solve G u = v; ``v`` is a vector of length d or a (d, k) matrix of

@@ -175,13 +175,13 @@ def _advance(
     """
     np.add(s.z, dz, out=nxt.z)
     x, e_l = nxt.x, nxt.e_l
-    np.greater(np.abs(x, out=e_l), _X_MAX, out=ws.over_n)  # e_l is scratch until derive_e
-    clipped = int(np.count_nonzero(ws.over_n))
+    np.greater(np.abs(x, out=e_l), _X_MAX, out=ws.mask_n)  # e_l is scratch until derive_e
+    clipped = int(np.count_nonzero(ws.mask_n))
     if clipped:
         np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
         np.minimum(x, _X_MAX, out=x)
     nxt.derive_e()
-    mu, bad = nxt.mu, ws.over
+    mu, bad = nxt.mu, ws.mask
     np.less_equal(mu, 0.0, out=bad)
     reset = int(np.count_nonzero(bad))
     if reset:
