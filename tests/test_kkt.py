@@ -302,6 +302,32 @@ def backward_error(J, dz, rhs):
     return res / (np.linalg.norm(J) * np.linalg.norm(dz) + np.linalg.norm(rhs))
 
 
+def assert_step_equals_reference(p, mp, z, tau, reset_only):
+    """The reduction written array by array, as in the _Workspace docstring,
+    is the reference the in-place step must equal bit for bit, signed zeros
+    included."""
+    n, m = p.n, p.m
+    F = eval_F(p, mp, z, tau)
+    comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
+    g = -np.concatenate([F.r1, F.r2, comp])
+    g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
+    e_plus_x, e_minus_x = 1.0 + z.x, 1.0 - z.x
+    H = np.zeros((n + m, n + m))
+    H[:n, :n] = p.Q
+    H[:n, n:] = -p.A.T
+    H[n:, :n] = p.A
+    H[n:, n:] = mp.omega * np.eye(m)
+    H[np.diag_indices(n)] += mp.omega + z.mu_l / e_plus_x + z.mu_r / e_minus_x
+    u = QRFactor(H, pivot_tol=0.0).solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
+    dx = u[:n]
+    ref = np.concatenate([u, (g3 - z.mu_l * dx) / e_plus_x, (g4 + z.mu_r * dx) / e_minus_x])
+    ws = _Workspace(p, mp)
+    s = ws.load(z)
+    ws.eval_F(s, tau)
+    assert ws.newton(s, reset_only).tobytes() == ref.tobytes()
+    assert ws.H.tobytes(order="C") == H.tobytes()
+
+
 class TestReducedDF:
     """The step workspace's reduced Newton system against the full DF."""
 
@@ -340,6 +366,23 @@ class TestReducedDF:
             bound = 10.0 * N * EPS_MACH
             assert backward_error(J, ref, rhs) <= bound
             assert backward_error(J, dz, rhs) <= bound
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (4, 2), (20, 8)])
+    @pytest.mark.parametrize("reset_only", [False, True])
+    def test_in_place_step_equals_the_array_formulas(self, n, m, reset_only):
+        rng = np.random.default_rng(90 + n + m)
+        p = random_boxqp(rng, n, m, tol=1e-2)
+        mp = compute_params_practical(p)
+        z = near_path_iterate(rng, n, m, 1e-6, 1e-3)
+        assert_step_equals_reference(p, mp, z, 1e-3, reset_only)
+
+    @pytest.mark.parametrize("reset_only", [False, True])
+    def test_signed_zeros_at_a_central_point(self, reset_only):
+        # F = 0 exactly, so the step is made of zeros whose signs come from
+        # -F and, in a reset, from the -0.0 of its right-hand side
+        p = zeros_problem(n=2, m=1)
+        z = Iterate(x=[0.0, 0.0], lam=[0.0], mu_l=[0.5, 0.5], mu_r=[0.5, 0.5])
+        assert_step_equals_reference(p, make_mp(), z, 0.5, reset_only)
 
     def test_rejects_mismatched_iterate(self):
         p = zeros_problem(n=2, m=1)

@@ -403,16 +403,17 @@ class TestStepLoopStructure:
         assert counts[0] == counts[1]
 
     def test_public_steps_build_one_workspace_each(self, monkeypatch):
+        p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
+        # error_reset_step, then path, centrality and error reset per cycle
+        public_steps = 1 + 3 * solve(p).iterations_pd
         calls = {"workspace": 0, "eval_F": 0}
         monkeypatch.setattr(
             _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
         )
         monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
-        x, _ = _drive_steps(random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2), "stable")
-        # error_reset_step, then path, centrality and error reset per cycle:
+        _drive_steps(p, "stable")
         # each builds a workspace and evaluates F before and after its step
-        assert calls["workspace"] >= 4
-        assert calls["eval_F"] == 2 * calls["workspace"]
+        assert calls == {"workspace": public_steps, "eval_F": 2 * public_steps}
 
 
 def _hand_iterate():
