@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import (
-    BoxIpmError, DimensionError, InvalidProblem, ParseError, StepRejected, TooLarge,
+    BoxIpmError, DimensionError, InvalidProblem, ParseError, TooLarge,
 )
 from .oracle import oracle_min_residual, oracle_solve_boxqp
 from .params import compute_params, compute_params_practical, format_params
@@ -249,8 +249,8 @@ def run(argv=None) -> int:
         return EXIT_INPUT
     except BoxIpmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        context = exc.context() if isinstance(exc, StepRejected) else {}
-        if context:  # where the step failed
+        context = exc.context()
+        if context:  # where the solve failed
             print("  " + " ".join(f"{k}={v}" for k, v in context.items()), file=sys.stderr)
         return EXIT_SOLVE
 

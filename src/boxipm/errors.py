@@ -7,7 +7,26 @@ failures from genuine bugs.
 
 
 class BoxIpmError(Exception):
-    """Base class for all boxipm errors."""
+    """Base class for all boxipm errors.
+
+    A subclass that can say where it happened names its keyword fields in
+    ``FIELDS``; each is ``None`` when unknown, and :meth:`context` lists the
+    set ones.
+    """
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, message="", **fields):
+        unknown = set(fields) - set(self.FIELDS)
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(unknown)}")
+        super().__init__(message)
+        for f in self.FIELDS:
+            setattr(self, f, fields.get(f))
+
+    def context(self) -> dict:
+        """The fields that are set, in the order of ``FIELDS``."""
+        return {f: getattr(self, f) for f in self.FIELDS if getattr(self, f) is not None}
 
 
 class InvalidProblem(BoxIpmError):
@@ -31,7 +50,13 @@ class OutOfDomain(BoxIpmError):
 
 
 class PrimalInitFailed(BoxIpmError):
-    """The primal Newton phase missed its gradient-norm target after K steps."""
+    """The primal Newton phase missed a guarantee of x_K after K steps.
+
+    ``bound`` is ``"gradient"`` (||grad f(x_K)|| above rho) or ``"x_norm"``
+    (||x_K||_2 above 0.5), with the norm's ``value``, its ``limit`` and ``K``.
+    """
+
+    FIELDS = ("bound", "value", "limit", "K")
 
 
 class StepRejected(BoxIpmError):
@@ -46,23 +71,12 @@ class StepRejected(BoxIpmError):
 
     FIELDS = ("kind", "cycle", "tau", "block", "value", "limit")
 
-    def __init__(self, message, *, kind=None, tau=None, block=None, value=None, limit=None,
-                 cycle=None):
-        super().__init__(message)
-        self.kind = kind
-        self.cycle = cycle
-        self.tau = tau
-        self.block = block
-        self.value = value
-        self.limit = limit
-
-    def context(self) -> dict:
-        """The fields that are set, in the order of ``FIELDS``."""
-        return {f: getattr(self, f) for f in self.FIELDS if getattr(self, f) is not None}
-
 
 class IterationBudgetExceeded(BoxIpmError):
-    """The path-following loop consumed all M cycles without reaching tau_E."""
+    """The path-following loop consumed all M cycles without reaching tau_E;
+    carries the final ``tau``, ``tau_E`` and ``M``."""
+
+    FIELDS = ("tau", "tau_E", "M")
 
 
 class PiCapExceeded(BoxIpmError):

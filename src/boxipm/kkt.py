@@ -18,11 +18,16 @@ to the central path, where z = (x, lam, mu_l, mu_r) has dimension
 N = 3n + m.  The Jacobian DF does not depend on tau.  Its two mu block rows
 are diagonal, so Newton systems on DF reduce exactly to (n+m) unknowns.
 
+The (r1, r2) blocks are affine in z: their matrix T is the top n+m rows of
+DF, which do not depend on z, so (r1, r2) = T z + (c, -b) is one
+matrix-vector product.  Its summation order is the BLAS kernel's, not the
+left-to-right order of the formula above; both are backward stable.
+
 Primal-dual points live in one layout: z as one N-vector whose blocks are
 views, next to e = (e+x, e-x) and mu∘e = (mu_l*(e+x), mu_r*(e-x)) as
 2n-vectors and F as one N-vector (:class:`_State`).  :class:`Iterate` is the
 immutable public form of z.  The solver's Newton steps run in a
-:class:`_Workspace`, built once per solve: two such states, the reduced
+:class:`_Workspace`, built once per solve: two such states, T, the reduced
 matrix and scratch vectors, all preallocated, so a step is a fixed sequence
 of in-place array operations.  :func:`eval_F` and :func:`eval_DF` share
 their code with it.
@@ -118,16 +123,21 @@ class Residual:
 
     @property
     def eq_norm(self) -> float:
-        """2-norm of the stacked (r1, r2) blocks."""
-        return float(np.sqrt(self.r1 @ self.r1 + self.r2 @ self.r2))
+        """2-norm of the stacked (r1, r2) blocks, by one dot as the solver takes it."""
+        return _norm(np.concatenate([self.r1, self.r2]))
 
     @property
     def comp_norm(self) -> float:
-        """2-norm of the stacked (r3, r4) blocks."""
-        return float(np.sqrt(self.r3 @ self.r3 + self.r4 @ self.r4))
+        """2-norm of the stacked (r3, r4) blocks, by one dot as the solver takes it."""
+        return _norm(np.concatenate([self.r3, self.r4]))
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.r1, self.r2, self.r3, self.r4])
+
+
+def _norm(v: np.ndarray) -> float:
+    # ndarray.dot is cblas_ddot, as @ is on vectors, at half the call cost
+    return math.sqrt(v.dot(v))
 
 
 def _interior_x(p: BoxQP, x) -> np.ndarray:
@@ -230,68 +240,73 @@ def _check_tau(tau: float) -> None:
         raise InvalidProblem(f"tau must be positive, got {tau!r}")
 
 
-def _fill_F(p: BoxQP, omega: float, s: _State, tau: float, tn: np.ndarray, tm: np.ndarray) -> None:
-    """Write F_tau at s into ``s.F``; ``tn`` and ``tm`` are scratch of lengths
-    n and m.  The operations are those of the formula in the module
-    docstring, left to right, with r3, r4 = mu∘e - tau."""
-    r1, r2, x, lam = s.r1, s.r2, s.x, s.lam
-    np.matmul(p.Q, x, out=r1)
-    np.multiply(omega, x, out=tn)
-    np.add(r1, tn, out=r1)
-    np.add(r1, p.c, out=r1)
-    np.matmul(p.A.T, lam, out=tn)
-    np.subtract(r1, tn, out=r1)
-    np.subtract(r1, s.mu_l, out=r1)
-    np.add(r1, s.mu_r, out=r1)
-    np.matmul(p.A, x, out=r2)
-    np.subtract(r2, p.b, out=r2)
-    np.multiply(omega, lam, out=tm)
-    np.add(r2, tm, out=r2)
-    np.subtract(s.mue, tau, out=s.r34)
+def _affine_rows(p: BoxQP, omega: float) -> np.ndarray:
+    """T, the top n+m rows of DF: [[Q + omega I, -A', -I, I], [A, omega I, 0, 0]],
+    C-ordered, so that (r1, r2) = T z + (c, -b)."""
+    n, m = p.n, p.m
+    T = np.zeros((n + m, 3 * n + m))
+    T[:n, :n] = p.Q
+    T[:n, n : n + m] = -p.A.T
+    T[n:, :n] = p.A
+    _diagonal(T, 0, 0, n)[:] += omega  # Q + omega I
+    _diagonal(T, 0, n + m, n)[:] = -1.0
+    _diagonal(T, 0, 2 * n + m, n)[:] = 1.0
+    _diagonal(T, n, n, m)[:] = omega
+    return T
+
+
+def _residual(T: np.ndarray, cb: np.ndarray, s: _State, tau: float) -> None:
+    """Write F_tau at s into ``s.F`` and its block norms: (r1, r2) = T z + cb,
+    with T from :func:`_affine_rows` and cb = (c, -b); (r3, r4) = mu∘e - tau."""
+    r12, r34 = s.r12, s.r34
+    np.matmul(T, s.z, out=r12)
+    np.add(r12, cb, out=r12)
+    np.subtract(s.mue, tau, out=r34)
+    s.eq_norm = _norm(r12)
+    s.comp_norm = _norm(r34)
 
 
 def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
     """Optimality function F_tau(z), blockwise."""
     _check_tau(tau)
     s = _State(p.n, p.m).load(z)
-    _fill_F(p, mp.omega, s, tau, np.empty(p.n), np.empty(p.m))
+    _residual(_affine_rows(p, mp.omega), np.concatenate([p.c, -p.b]), s, tau)
     return Residual(s.r1, s.r2, s.r3, s.r4)
 
 
 def _diagonal(J: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
-    """The diagonal of the size x size block of a C- or F-contiguous square
-    ``J`` whose top-left entry is J[row, col], as a writable view."""
-    N = J.shape[1]
+    """The diagonal of the size x size block of a C- or F-contiguous ``J``
+    whose top-left entry is J[row, col], as a writable view."""
     if J.flags.c_contiguous:
-        return J.reshape(-1)[row * N + col :: N + 1][:size]
-    return J.T.reshape(-1)[col * N + row :: N + 1][:size]
+        lead = J.shape[1]
+        return J.reshape(-1)[row * lead + col :: lead + 1][:size]
+    lead = J.shape[0]
+    return J.T.reshape(-1)[col * lead + row :: lead + 1][:size]
 
 
 def _DF_template(p: BoxQP, omega: float, order: str = "C") -> np.ndarray:
-    """DF without its four z-dependent diagonals, which are left zero.
-
-    Q, -A' and A are copied into a zero matrix and the constant diagonal
-    blocks written in place, with no identity or diagonal matrix formed.
-    """
-    n, m = p.n, p.m
-    J = np.zeros((3 * n + m, 3 * n + m), order=order)
-    J[:n, :n] = p.Q
-    J[:n, n : n + m] = -p.A.T
-    J[n : n + m, :n] = p.A
-    d = _diagonal(J, 0, 0, n)
-    np.add(d, omega, out=d)  # Q + omega I
-    _diagonal(J, 0, n + m, n)[:] = -1.0
-    _diagonal(J, 0, 2 * n + m, n)[:] = 1.0
-    _diagonal(J, n, n, m)[:] = omega
+    """DF without its four z-dependent diagonals, which are left zero: T on
+    top of 2n zero rows."""
+    J = np.zeros((3 * p.n + p.m, 3 * p.n + p.m), order=order)
+    J[: p.n + p.m] = _affine_rows(p, omega)
     return J
 
 
-def _fill_DF(J: np.ndarray, n: int, m: int, x, mu_l, mu_r) -> None:
-    """Write the four z-dependent diagonals of DF into a copy of the template."""
-    _diagonal(J, n + m, 0, n)[:] = mu_l
-    np.add(1.0, x, out=_diagonal(J, n + m, n + m, n))
-    np.negative(mu_r, out=_diagonal(J, 2 * n + m, 0, n))
-    np.subtract(1.0, x, out=_diagonal(J, 2 * n + m, 2 * n + m, n))
+def _DF_diagonals(J: np.ndarray, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The four z-dependent diagonals of DF in ``J``, as writable views: the
+    mu_l, e+x, -mu_r and e-x diagonals of the mu block rows."""
+    nm = n + m
+    return (_diagonal(J, nm, 0, n), _diagonal(J, nm, nm, n),
+            _diagonal(J, nm + n, 0, n), _diagonal(J, nm + n, nm + n, n))
+
+
+def _fill_DF(diagonals: tuple[np.ndarray, ...], x, mu_l, mu_r) -> None:
+    """Write z's four diagonals of DF through the views of :func:`_DF_diagonals`."""
+    d_mu_l, d_e_l, d_mu_r, d_e_r = diagonals
+    d_mu_l[:] = mu_l
+    np.add(1.0, x, out=d_e_l)
+    np.negative(mu_r, out=d_mu_r)
+    np.subtract(1.0, x, out=d_e_r)
 
 
 def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
@@ -299,7 +314,7 @@ def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
     if z.n != p.n or z.m != p.m:
         raise DimensionError("iterate dimensions do not match the problem")
     J = _DF_template(p, mp.omega)
-    _fill_DF(J, p.n, p.m, z.x, z.mu_l, z.mu_r)
+    _fill_DF(_DF_diagonals(J, p.n, p.m), z.x, z.mu_l, z.mu_r)
     return J
 
 
@@ -308,9 +323,9 @@ class _Workspace:
 
     Built once per solve (and once per call of a public step function) and
     dropped with it.  It holds two :class:`_State` buffers ``a`` and ``b``,
-    which the steps alternate between (:meth:`other`), the reduced Newton
-    matrix, the step ``dz`` and scratch vectors, each with the views a step
-    reads, so that a step slices nothing.
+    which the steps alternate between (:meth:`other`), T and cb = (c, -b) of
+    the residual, the reduced Newton matrix, the step ``dz`` and scratch
+    vectors, each with the views a step reads, so that a step slices nothing.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -321,40 +336,34 @@ class _Workspace:
          [A,                                          omega I]] (dx, dlam)
             = (g1 + g3/(e+x) - g4/(e-x), g2)
 
-    in ``H``, which :meth:`newton` factors.  Only the diagonal of the Q block
-    of ``H`` depends on z, and ``QRFactor`` never writes to ``H``, so the
-    rest is written once, here; each step rewrites that diagonal from
-    ``qdiag``, the diagonal of Q.  ``H`` is Fortran-ordered, so LAPACK
-    copies it without a transpose.
+    in ``H``, which :meth:`newton` factors.  ``H`` is the first n+m columns
+    of T, with the diagonal of its Q block rewritten per step from
+    ``qdiag``, the diagonal of Q + omega I; ``QRFactor`` never writes to
+    ``H``, so the rest is written once, here.  ``H`` is Fortran-ordered, so
+    LAPACK copies it without a transpose.
     """
 
     def __init__(self, p: BoxQP, mp):
         n, m = p.n, p.m
         nm, N = n + m, 3 * n + m
-        self.p, self.mp, self.omega, self.n, self.m = p, mp, mp.omega, n, m
+        self.p, self.mp, self.n, self.m = p, mp, n, m
         self.a, self.b = _State(n, m), _State(n, m)
-        self.H = np.empty((nm, nm), order="F")
-        self.H[:n, :n] = p.Q
-        self.H[:n, n:] = -p.A.T
-        self.H[n:, :n] = p.A
-        self.H[n:, n:] = 0.0
-        _diagonal(self.H, n, n, m)[:] = mp.omega
-        self.qdiag = p.Q.diagonal().copy()
+        self.T = _affine_rows(p, mp.omega)
+        self.cb = np.concatenate([p.c, -p.b])
+        self.H = np.array(self.T[:, :nm], order="F")  # a copy, also when n + m = 1
         self.hdiag = _diagonal(self.H, 0, 0, n)
-        self.g = np.empty(N)  # right-hand side of DF dz = g
-        self.g1, self.g2, _, _ = _blocks(self.g, n, m)
-        self.g12, self.g34 = self.g[:nm], self.g[nm:]
-        self.v = np.empty(nm)  # right-hand side of the reduced system
-        self.v_x, self.v_lam = self.v[:n], self.v[n:]
+        self.qdiag = self.hdiag.copy()
+        self.g = np.empty(N)  # right-hand side of DF dz = g; then g12 is v
+        self.g1, self.g12, self.g34 = self.g[:n], self.g[:nm], self.g[nm:]
+        self.t = np.empty(2 * n)  # g34/e
+        self.t_l, self.t_r = self.t[:n], self.t[n:]
+        self.w = np.empty(2 * n)  # mu/e
+        self.w_l, self.w_r, self.w2 = self.w[:n], self.w[n:], self.w.reshape(2, n)
         self.dz = np.empty(N)
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
-        self.t = np.empty(2 * n)
-        self.t_l, self.t_r = self.t[:n], self.t[n:]
-        self.tn = np.empty(n)
-        self.tm = np.empty(m)
-        self.mask = np.empty(2 * n, dtype=bool)  # which entries _advance repairs
-        self.mask_n = self.mask[:n]
-        self._DF0 = None
+        dmu = self.dz_mu
+        self.dmu_l, self.dmu_r, self.dmu2 = dmu[:n], dmu[n:], dmu.reshape(2, n)
+        self._DF = self._DF_diagonals = None
         # Totals of the repairs the solver's updates make in these states.
         self.x_clipped = self.mu_reset = 0
 
@@ -367,11 +376,7 @@ class _Workspace:
 
     def eval_F(self, s: _State, tau: float) -> None:
         """F_tau at s into ``s.F``, with its block norms."""
-        _fill_F(self.p, self.omega, s, tau, self.tn, self.tm)
-        # ndarray.dot is cblas_ddot, as @ is on vectors, at half the call cost
-        r1, r2, r3, r4 = s.r1, s.r2, s.r3, s.r4
-        s.eq_norm = math.sqrt(r1.dot(r1) + r2.dot(r2))
-        s.comp_norm = math.sqrt(r3.dot(r3) + r4.dot(r4))
+        _residual(self.T, self.cb, s, tau)
 
     def retarget(self, s: _State, tau: float) -> None:
         """Move ``s.F`` to another tau: r1 and r2 do not depend on it, and
@@ -393,40 +398,35 @@ class _Workspace:
         systems as singular.  A matrix or right-hand side that overflowed
         raises InvalidProblem from ``QRFactor``.
         """
-        g34, t, t_l, t_r, v_x = self.g34, self.t, self.t_l, self.t_r, self.v_x
+        g1, t_l, t_r, w_l, w_r = self.g1, self.t_l, self.t_r, self.w_l, self.w_r
         if reset_only:
             np.negative(s.r12, out=self.g12)
-            g34.fill(-0.0)
+            self.g34.fill(-0.0)
         else:
             np.negative(s.F, out=self.g)
-        # v = ((g1 + g3/(e+x)) - g4/(e-x), g2)
-        np.divide(g34, s.e, out=t)
-        np.add(self.g1, t_l, out=v_x)
-        np.subtract(v_x, t_r, out=v_x)
-        np.copyto(self.v_lam, self.g2)
-        # the Q block's diagonal: Q_jj + ((omega + mu_l/(e+x)) + mu_r/(e-x))
-        np.divide(s.mu, s.e, out=t)
-        np.add(self.omega, t_l, out=self.tn)
-        np.add(self.tn, t_r, out=self.tn)
-        np.add(self.qdiag, self.tn, out=self.hdiag)
-        u = QRFactor(self.H, pivot_tol=0.0).solve(self.v)
-        # dmu = (g34 - mu∘(dx, -dx))/e: (g3 - mu_l*dx)/(e+x) and
-        # (g4 + mu_r*dx)/(e-x) bit for bit
-        np.copyto(self.dz_u, u)
-        np.copyto(t_l, self.dz_x)
-        np.negative(self.dz_x, out=t_r)
-        np.multiply(s.mu, t, out=t)
-        np.subtract(g34, t, out=self.dz_mu)
-        np.divide(self.dz_mu, s.e, out=self.dz_mu)
+        # v = ((g1 + g3/(e+x)) - g4/(e-x), g2), written over g12
+        np.divide(self.g34, s.e, out=self.t)
+        np.add(g1, t_l, out=g1)
+        np.subtract(g1, t_r, out=g1)
+        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
+        np.divide(s.mu, s.e, out=self.w)
+        np.add(self.qdiag, w_l, out=self.hdiag)
+        np.add(self.hdiag, w_r, out=self.hdiag)
+        np.copyto(self.dz_u, QRFactor(self.H, pivot_tol=0.0).solve(self.g12))
+        # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
+        np.multiply(self.w2, self.dz_x, out=self.dmu2)
+        np.subtract(t_l, self.dmu_l, out=self.dmu_l)
+        np.add(t_r, self.dmu_r, out=self.dmu_r)
         return self.dz
 
     def cond_DF(self, s: _State) -> float:
         """LAPACK 1-norm condition estimate of the full DF at s; inf, never an
-        error, when DF is singular.  DF is a copy of a Fortran-ordered
-        template built at the first call, so LAPACK reads it without a
-        transposing copy."""
-        if self._DF0 is None:
-            self._DF0 = _DF_template(self.p, self.omega, order="F")
-        J = self._DF0.copy(order="F")
-        _fill_DF(J, self.n, self.m, s.x, s.mu_l, s.mu_r)
-        return cond_estimate(J)
+        error, when DF is singular.  DF is one Fortran-ordered matrix built at
+        the first call, so LAPACK reads it without a transposing copy; each
+        call rewrites its four z-dependent diagonals, and LAPACK factors a
+        copy."""
+        if self._DF is None:
+            self._DF = _DF_template(self.p, self.mp.omega, order="F")
+            self._DF_diagonals = _DF_diagonals(self._DF, self.n, self.m)
+        _fill_DF(self._DF_diagonals, s.x, s.mu_l, s.mu_r)
+        return cond_estimate(self._DF)

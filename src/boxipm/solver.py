@@ -28,13 +28,14 @@ establishes their invariants and counts the repairs it makes.
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: each
 step reads one of its two state buffers and writes the other in place,
-and the only objects it builds are the ``QRFactor`` of the reduced system
-and that factor's solution.  Within ``solve()`` each step's post-check residual is the next
-step's right-hand side, and a path step only recomputes its complementarity
-blocks as mu∘e - tau.  Trace rows read the state buffers, and only when
-tracing.  The returned solution x satisfies ``||x||_inf < 1``, an objective
-within tol of the best attainable, and an equality residual within tol of
-the box-minimal one.
+and the only objects it builds are the ``QRFactor`` of the reduced system,
+that factor's solution and, in a step that repairs its iterate, the masks
+of :func:`_advance`.  Within ``solve()`` each step's post-check residual is
+the next step's right-hand side, and a path step only recomputes its
+complementarity blocks as mu∘e - tau.  Trace rows read the state buffers,
+and only when tracing.  The returned solution x satisfies
+``||x||_inf < 1``, an objective within tol of the best attainable, and an
+equality residual within tol of the box-minimal one.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def _advance(
     x is clipped to |x_j| <= nextafter(1, 0); a mu component driven
     nonpositive by rounding at one-ulp margins is reset to its central-path
     value tau/(1 +- x_j).  Both repairs are within the practical envelope,
-    and both are counted: returns (coordinates clipped, mu components reset).
+    and both are counted: returns (coordinates clipped, mu components reset)
+    and adds them to ``ws.x_clipped`` and ``ws.mu_reset``.
 
     With dz finite, the result satisfies the invariants of an Iterate except
     finiteness (finite + finite can overflow to inf); the caller checks the
@@ -174,19 +176,21 @@ def _advance(
     enters.
     """
     np.add(s.z, dz, out=nxt.z)
-    x, e_l = nxt.x, nxt.e_l
-    np.greater(np.abs(x, out=e_l), _X_MAX, out=ws.mask_n)  # e_l is scratch until derive_e
-    clipped = int(np.count_nonzero(ws.mask_n))
-    if clipped:
+    x, mu, absx = nxt.x, nxt.mu, nxt.e_l  # e_l is scratch until derive_e
+    clipped = reset = 0
+    # one reduction tests each repair; the counts are taken only if it is due
+    if np.abs(x, out=absx).max(initial=0.0) > _X_MAX:
+        clipped = int(np.count_nonzero(absx > _X_MAX))
         np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
         np.minimum(x, _X_MAX, out=x)
     nxt.derive_e()
-    mu, bad = nxt.mu, ws.mask
-    np.less_equal(mu, 0.0, out=bad)
-    reset = int(np.count_nonzero(bad))
-    if reset:
+    if mu.min(initial=math.inf) <= 0.0:
+        bad = mu <= 0.0
+        reset = int(np.count_nonzero(bad))
         mu[bad] = tau / nxt.e[bad]
     nxt.derive_mue()
+    ws.x_clipped += clipped
+    ws.mu_reset += reset
     return clipped, reset
 
 
@@ -202,8 +206,7 @@ def _step(
     (``None`` is the envelope allowance); a failed check raises
     StepRejected, and the step is never damped.  So does a Newton system
     that overflows, a step that is not finite and a new iterate that is
-    not.  The repairs of :func:`_advance` are added to ``ws.x_clipped`` and
-    ``ws.mu_reset``.
+    not.  :func:`_advance` counts its repairs in ``ws``.
     """
     try:
         dz = ws.newton(s, kind == STEP_ERROR_RESET)
@@ -215,9 +218,7 @@ def _step(
     if not math.isfinite(dz.dot(dz)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
     nxt = ws.other(s)
-    clipped, reset = _advance(ws, s, dz, nxt, tau)
-    ws.x_clipped += clipped
-    ws.mu_reset += reset
+    _advance(ws, s, dz, nxt, tau)
     ws.eval_F(nxt, tau)
     if not math.isfinite(nxt.eq_norm + nxt.comp_norm):
         raise StepRejected(
@@ -249,11 +250,14 @@ def _primal_steps(p: BoxQP, mp: MethodParams):
     gnorm = float(np.linalg.norm(eval_grad_f(p, mp, x)))
     if gnorm > mp.rho:
         raise PrimalInitFailed(
-            f"||grad f(x_K)|| = {gnorm!r} exceeds rho = {mp.rho!r} after K = {mp.K} steps"
+            f"||grad f(x_K)|| = {gnorm!r} exceeds rho = {mp.rho!r} after K = {mp.K} steps",
+            bound="gradient", value=gnorm, limit=mp.rho, K=mp.K,
         )
     xnorm = float(np.linalg.norm(x))
     if xnorm > 0.5:
-        raise PrimalInitFailed(f"||x_K||_2 = {xnorm!r} exceeds 0.5")
+        raise PrimalInitFailed(
+            f"||x_K||_2 = {xnorm!r} exceeds 0.5", bound="x_norm", value=xnorm, limit=0.5, K=mp.K
+        )
 
 
 def primal_init(p: BoxQP, mp: MethodParams) -> np.ndarray:
@@ -455,7 +459,8 @@ def solve(
         raise
     if tau > mp.tau_E * (1.0 + TAU_END_RTOL):
         raise IterationBudgetExceeded(
-            f"tau = {tau!r} still above tau_E = {mp.tau_E!r} after M = {mp.M} cycles"
+            f"tau = {tau!r} still above tau_E = {mp.tau_E!r} after M = {mp.M} cycles",
+            tau=tau, tau_E=mp.tau_E, M=mp.M,
         )
 
     return SolveReport(

@@ -79,6 +79,29 @@ class TestSolveCommand:
         assert (fields["kind"], fields["cycle"], fields["block"]) == ("path", "1", "comp")
         assert float(fields["value"]) > float(fields["limit"])
 
+    @pytest.mark.parametrize("override, error, fields", [
+        ({"M": 1}, "IterationBudgetExceeded", ["tau", "tau_E", "M"]),
+        ({"K": 0}, "PrimalInitFailed", ["bound", "value", "limit", "K"]),
+    ])
+    def test_solver_error_prints_its_context(self, box_file, capsys, monkeypatch,
+                                             override, error, fields):
+        import dataclasses
+
+        import boxipm.solver
+
+        practical = boxipm.solver.compute_params_practical
+        monkeypatch.setattr(boxipm.solver, "compute_params_practical",
+                            lambda p: dataclasses.replace(practical(p), **override))
+        assert run(["solve", box_file]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"error: {error}: ")
+        context = dict(kv.split("=") for kv in err[1].split())
+        assert list(context) == fields
+        if "M" in override:
+            assert context["M"] == "1"
+        else:
+            assert (context["bound"], context["K"]) == ("gradient", "0")  # x_K is the origin
+
     def test_solve_writes_json(self, box_file, capsys):
         assert run(["solve", box_file]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -305,22 +305,24 @@ def backward_error(J, dz, rhs):
 def assert_step_equals_reference(p, mp, z, tau, reset_only):
     """The reduction written array by array, as in the _Workspace docstring,
     is the reference the in-place step must equal bit for bit, signed zeros
-    included."""
+    included: the Q block's diagonal is (Q_jj + omega) + w_l + w_r and
+    dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
     n, m = p.n, p.m
     F = eval_F(p, mp, z, tau)
     comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
     g = -np.concatenate([F.r1, F.r2, comp])
     g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
     e_plus_x, e_minus_x = 1.0 + z.x, 1.0 - z.x
+    w_l, w_r = z.mu_l / e_plus_x, z.mu_r / e_minus_x
     H = np.zeros((n + m, n + m))
     H[:n, :n] = p.Q
     H[:n, n:] = -p.A.T
     H[n:, :n] = p.A
     H[n:, n:] = mp.omega * np.eye(m)
-    H[np.diag_indices(n)] += mp.omega + z.mu_l / e_plus_x + z.mu_r / e_minus_x
+    H[np.diag_indices(n)] = (np.diag(p.Q) + mp.omega) + w_l + w_r
     u = QRFactor(H, pivot_tol=0.0).solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
     dx = u[:n]
-    ref = np.concatenate([u, (g3 - z.mu_l * dx) / e_plus_x, (g4 + z.mu_r * dx) / e_minus_x])
+    ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
     ws = _Workspace(p, mp)
     s = ws.load(z)
     ws.eval_F(s, tau)
@@ -391,6 +393,14 @@ class TestReducedDF:
             _Workspace(p, make_mp()).load(z)
 
 
+def F_blocks(p, mp, z, tau):
+    """F_tau block by block, left to right as in the kkt module docstring:
+    the reference the one-gemv residual is held to."""
+    r1 = p.Q @ z.x + mp.omega * z.x + p.c - p.A.T @ z.lam - z.mu_l + z.mu_r
+    r2 = p.A @ z.x - p.b + mp.omega * z.lam
+    return r1, r2, z.mu_l * (1.0 + z.x) - tau, z.mu_r * (1.0 - z.x) - tau
+
+
 class TestWorkspaceResidual:
     """The workspace's in-place F is eval_F's, bit for bit."""
 
@@ -408,6 +418,29 @@ class TestWorkspaceResidual:
         assert (s.eq_norm, s.comp_norm) == (F.eq_norm, F.comp_norm)
         ws.retarget(s, 0.25)
         assert s.F.tobytes() == eval_F(p, mp, z, 0.25).as_array().tobytes()
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (4, 2), (20, 8)])
+    @pytest.mark.parametrize("face", [0.0, 1.0, -1.0])
+    def test_within_the_gemv_bound_of_the_block_formula(self, n, m, face):
+        # (r1, r2) = T z + (c, -b) sums in the BLAS kernel's order, so it is
+        # held to the block formula within (N + 2) eps (|T||z| + |(c, -b)|),
+        # componentwise; (r3, r4) = mu∘e - tau is the block formula exactly
+        rng = np.random.default_rng(80 + n + m)
+        p = random_boxqp(rng, n, m, tol=1e-2)
+        mp = compute_params_practical(p)
+        z = random_iterate(rng, n, m)
+        if face:  # x_0 one ulp from a face
+            v = z.as_array()
+            v[0] = face * np.nextafter(1.0, 0.0)
+            z = iterate_from_array(v, n, m)
+        F = eval_F(p, mp, z, 0.75)
+        r1, r2, r3, r4 = F_blocks(p, mp, z, 0.75)
+        T = eval_DF(p, mp, z)[: n + m]
+        cb = np.concatenate([p.c, -p.b])
+        bound = (3 * n + m + 2) * EPS_MACH * (np.abs(T) @ np.abs(z.as_array()) + np.abs(cb))
+        err = np.abs(np.concatenate([F.r1, F.r2]) - np.concatenate([r1, r2]))
+        assert (err <= bound).all()
+        assert np.concatenate([F.r3, F.r4]).tobytes() == np.concatenate([r3, r4]).tobytes()
 
     def test_interior_margin_is_read_off_e(self):
         # 1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit

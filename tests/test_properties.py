@@ -1,0 +1,71 @@
+"""Property tests against the enumeration oracle over degenerate families.
+
+Each example draws a family, the dimensions (n <= 6, so the 3^n oracle
+stays cheap) and a seed for the data; the solve must return a strictly
+interior x whose objective and equality residual are within tol of the
+oracle's, as in acceptance criterion 1.  ``derandomize=True`` makes the
+examples the same on every run.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from boxipm import BoxQP, oracle_min_residual, oracle_solve_boxqp, solve
+
+from support import random_boxqp_interior_infeasible
+
+FAMILIES = ("rank_deficient_Q", "rank_deficient_A", "infeasible_b", "interior_infeasible",
+            "all_zero")
+
+
+def degenerate_boxqp(family: str, n: int, m: int, seed: int, tol: float) -> BoxQP:
+    """One instance of ``family``: Q of rank < n, A of rank < m (m >= 1, b in
+    the range of A), b outside A(box) (m >= 1), A of rank m - 1 with b off
+    its range and an interior least-squares point (m >= 2), or Q, c, A, b
+    all zero."""
+    if family == "all_zero":
+        return BoxQP(Q=np.zeros((n, n)), c=np.zeros(n), A=np.zeros((m, n)), b=np.zeros(m), tol=tol)
+    rng = np.random.default_rng(seed)
+    if family == "interior_infeasible":
+        return random_boxqp_interior_infeasible(rng, n, max(m, 2), tol=tol)
+    rank_Q = int(rng.integers(0, n)) if family == "rank_deficient_Q" else n
+    B = rng.normal(size=(rank_Q, n))
+    Q = B.T @ B / n
+    c = rng.normal(size=n)
+    if family == "rank_deficient_Q":
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(-0.8, 0.8, size=n)
+    elif family == "rank_deficient_A":
+        m = max(m, 1)
+        r = int(rng.integers(0, m))
+        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        b = A @ rng.uniform(-0.8, 0.8, size=n)
+    else:  # infeasible_b: ||A(x - x0)|| <= 2 sqrt(n) ||A|| on the box
+        m = max(m, 1)
+        A = rng.normal(size=(m, n))
+        u = rng.normal(size=m)
+        b = A @ rng.uniform(-0.8, 0.8, size=n) + 3.0 * np.sqrt(n) * np.linalg.norm(A) * u / np.linalg.norm(u)
+    return BoxQP(Q=Q, c=c, A=A, b=b, tol=tol)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(1, 6),
+    m=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-1, 1e-2]),
+    mode=st.sampled_from(["stable", "fast"]),
+)
+# n = 1 and m = 0 in every family that allows them
+@example(family="all_zero", n=1, m=0, seed=0, tol=1e-2, mode="stable")
+@example(family="rank_deficient_Q", n=1, m=0, seed=1, tol=1e-2, mode="stable")
+@example(family="rank_deficient_A", n=1, m=1, seed=2, tol=1e-2, mode="fast")
+@example(family="infeasible_b", n=1, m=1, seed=3, tol=1e-2, mode="stable")
+@example(family="interior_infeasible", n=1, m=2, seed=4, tol=1e-2, mode="stable")
+def test_solution_conditions_vs_oracle(family, n, m, seed, tol, mode):
+    p = degenerate_boxqp(family, n, m, seed, tol)
+    rep = solve(p, mode=mode)
+    assert float(np.abs(rep.x).max()) < 1.0
+    assert rep.objective <= oracle_solve_boxqp(p).objective + p.tol
+    assert rep.feas_residual <= oracle_min_residual(p) + p.tol

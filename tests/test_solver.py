@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -21,7 +22,7 @@ from boxipm import (
     solve,
     solve_standard,
 )
-from boxipm.errors import StepRejected
+from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, StepRejected
 from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_grad_f, eval_hess_f
 from boxipm.linalg import QRFactor, cond_estimate
 from boxipm.neighborhoods import check_step
@@ -325,13 +326,20 @@ class TestSolveBytes:
     # (d5d834f6e245c172, be802806af747fc7, e02a44af740b3398 before); with
     # cond_DF left out of the hash they were unchanged (c3dbd8cd124b6bba,
     # 1d4fbcfaab54f631, a7b2d956ea2b9da7).
+    # All six were re-measured when (r1, r2) became one gemv T z + (c, -b),
+    # the Q block's diagonal (Q_jj + omega) + w_l + w_r and
+    # dmu = g34/e - w∘(dx, -dx), which round differently; the counts
+    # (linear_solves, iterations_pd, x_clipped, mu_reset) stayed the same
+    # and x moved by at most 1.1e-15.  Before: 61 c569f5ad8e3430b1,
+    # 62 25800f110b889c14, 63 1b8e3e127ff27f51, 64 fb7a734c88fc2a65,
+    # 65 ee531b92383c890d, 66 21f295b41d6f1451.
     @pytest.mark.parametrize("seed, n, m, feasible, mode, traced, digest", [
-        (61, 3, 2, True, "stable", True, "c569f5ad8e3430b1"),
-        (62, 5, 2, True, "fast", False, "25800f110b889c14"),
-        (63, 8, 3, True, "stable", False, "1b8e3e127ff27f51"),
-        (64, 5, 2, False, "stable", True, "fb7a734c88fc2a65"),
-        (65, 3, 1, False, "fast", True, "ee531b92383c890d"),
-        (66, 8, 3, False, "stable", False, "21f295b41d6f1451"),
+        (61, 3, 2, True, "stable", True, "d8dc925b1f234acc"),
+        (62, 5, 2, True, "fast", False, "3caf25be2de09f62"),
+        (63, 8, 3, True, "stable", False, "f95ab1da2368ee71"),
+        (64, 5, 2, False, "stable", True, "523f9ef2ebf45654"),
+        (65, 3, 1, False, "fast", True, "f84da1605a661ae9"),
+        (66, 8, 3, False, "stable", False, "481a3d929d6fdd17"),
     ])
     def test_solve_digest(self, seed, n, m, feasible, mode, traced, digest):
         p = random_boxqp(np.random.default_rng(seed), n, m, feasible=feasible, tol=1e-2)
@@ -345,9 +353,28 @@ def _counted(calls, key, fn):
     return wrapper
 
 
+class _CountingNumpy:
+    """Stands in for the ``np`` of a module and counts the calls of numpy's
+    functions and ufuncs through it; types and submodules pass through."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
 class TestStepLoopStructure:
     """Counts calls, not time: validation, a second F evaluation, a per-step
-    workspace or concatenation creeping back into the step loop fails here."""
+    workspace, a concatenation or any other numpy call creeping back into
+    the step loop fails here."""
 
     def test_calls_per_solve(self, monkeypatch):
         calls = dict.fromkeys(
@@ -375,6 +402,29 @@ class TestStepLoopStructure:
         assert calls["workspace"] == 1
         assert calls["check_step"] == pd_steps  # one rule, once per step
         assert calls["DF_template"] == 0  # only traced solves estimate cond(DF)
+
+    def test_numpy_calls_per_step_kind(self, monkeypatch):
+        # numpy module calls in kkt, solver and linalg, per step as solve()
+        # makes it (a path step includes its retarget), on steps that make
+        # no repair; method calls such as ndarray.dot are not counted
+        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
+        mp = compute_params_practical(p)
+        ws = _Workspace(p, mp)
+        s = ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(s, mp.tau_A)
+        counter = _CountingNumpy()
+        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
+            monkeypatch.setattr(module, "np", counter)
+        tau, calls = mp.tau_A, {}
+        for kind in (STEP_ERROR_RESET, STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
+            counter.calls = 0
+            if kind == STEP_PATH:
+                tau = mp.sigma * tau
+                ws.retarget(s, tau)
+            s = _step(kind, ws, s, tau)
+            assert calls.setdefault(kind, counter.calls) == counter.calls
+        assert (ws.x_clipped, ws.mu_reset) == (0, 0)
+        assert calls == {STEP_ERROR_RESET: 26, STEP_PATH: 27, STEP_CENTRALITY: 26}
 
     def test_one_DF_template_per_traced_solve(self, monkeypatch):
         calls = {"DF_template": 0, "workspace": 0}
@@ -604,6 +654,44 @@ class TestStructuredRejection:
         assert exc.tau == tau
 
 
+class TestStructuredFailures:
+    """IterationBudgetExceeded and PrimalInitFailed say which bound failed."""
+
+    def test_budget_exceeded_carries_tau_tau_E_and_M(self, monkeypatch):
+        p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
+        mp = dataclasses.replace(compute_params_practical(p), M=2)
+        monkeypatch.setattr(boxipm.solver, "compute_params_practical", lambda _: mp)
+        with pytest.raises(IterationBudgetExceeded, match="after M = 2 cycles") as info:
+            solve(p)
+        tau = mp.sigma * (mp.sigma * mp.tau_A)
+        assert info.value.context() == {"tau": tau, "tau_E": mp.tau_E, "M": 2}
+
+    def test_primal_gradient_bound(self):
+        # the strict cascade's rho = 5.6e-103 is below binary64's gradient floor
+        p = random_boxqp(np.random.default_rng(0), 2, 1, tol=0.1)
+        mp = compute_params(p)
+        with pytest.raises(PrimalInitFailed, match="exceeds rho") as info:
+            solve(p, params_mode="strict")
+        exc = info.value
+        assert list(exc.context()) == ["bound", "value", "limit", "K"]
+        assert (exc.bound, exc.limit, exc.K) == ("gradient", mp.rho, mp.K)
+        assert exc.value > exc.limit
+
+    def test_primal_x_norm_bound(self):
+        # the barrier minimizer of x^2/2 - 2x on the box is x = 0.529...,
+        # outside the half ball; K = 6 steps meet rho = 1e-3
+        p = BoxQP(Q=[[0.0]], c=[-2.0], A=[[0.0]], b=[0.0], tol=0.1)
+        with pytest.raises(PrimalInitFailed, match="exceeds 0.5") as info:
+            primal_init(p, make_mp(K=6))
+        exc = info.value
+        assert (exc.bound, exc.limit, exc.K) == ("x_norm", 0.5, 6)
+        assert 0.529 < exc.value < 0.53
+
+    def test_unknown_field_is_an_error(self):
+        with pytest.raises(TypeError, match="no fields"):
+            IterationBudgetExceeded("budget", cycle=3)
+
+
 class TestRepairCounters:
     def test_infeasible_instance_clips(self):
         rng = np.random.default_rng(7)
@@ -637,8 +725,8 @@ class TestCondDF:
             ws = _Workspace(p, mp)
             cond = ws.cond_DF(ws.load(z))
             J = eval_DF(p, mp, z)
-            # the Fortran-ordered template, filled, is DF
-            assert np.array_equal(ws._DF0, boxipm.kkt._DF_template(p, mp.omega))
+            # the workspace's Fortran-ordered DF, its diagonals filled, is DF
+            assert np.array_equal(ws._DF, J) and ws._DF.flags.f_contiguous
             assert cond == cond_estimate(J)
             exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
             assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
