@@ -16,7 +16,8 @@ function
 
 to the central path, where z = (x, lam, mu_l, mu_r) has dimension
 N = 3n + m.  The Jacobian DF does not depend on tau.  Its two mu block rows
-are diagonal, so Newton systems on DF reduce exactly to (n+m) unknowns.
+are diagonal, so Newton systems on DF reduce exactly to a symmetric
+quasi-definite system in (n+m) unknowns, one LAPACK call to solve.
 
 The (r1, r2) blocks are affine in z: their matrix T is the top n+m rows of
 DF, which do not depend on z, so (r1, r2) = T z + (c, -b) is one
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidProblem, OutOfDomain
-from .linalg import EPS_MACH, QRFactor, as_vector, cond_estimate
+from .linalg import EPS_MACH, as_vector, cond_estimate, solve_symmetric
 from .problem import BoxQP
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
@@ -329,18 +330,25 @@ class _Workspace:
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
-    closed form; substituting them into the stationarity row leaves the
-    (n+m) x (n+m) system
+    closed form; substituting them into the stationarity row, and negating
+    the equality row, leaves the symmetric (n+m) x (n+m) system
 
         [[Q + omega I + diag(mu_l/(e+x) + mu_r/(e-x)), -A'],
-         [A,                                          omega I]] (dx, dlam)
-            = (g1 + g3/(e+x) - g4/(e-x), g2)
+         [-A,                                        -omega I]] (dx, dlam)
+            = (g1 + g3/(e+x) - g4/(e-x), -g2)
 
-    in ``H``, which :meth:`newton` factors.  ``H`` is the first n+m columns
-    of T, with the diagonal of its Q block rewritten per step from
-    ``qdiag``, the diagonal of Q + omega I; ``QRFactor`` never writes to
-    ``H``, so the rest is written once, here.  ``H`` is Fortran-ordered, so
-    LAPACK copies it without a transpose.
+    in ``H``, which :meth:`newton` solves with
+    :func:`~boxipm.linalg.solve_symmetric`.  Its matrix is quasi-definite:
+    the Q block is positive definite and the last block negative definite.
+    ``H`` is the first n+m columns of T with the equality rows negated, and
+    the diagonal of its Q block is rewritten per step from ``qdiag``, the
+    diagonal of Q + omega I; the solve never writes to ``H``, so the rest is
+    written once, here.  The solve reads only the upper triangle, so a Q
+    that ``BoxQP`` accepted as symmetric to within its tolerance, but not
+    exactly, enters the step as its upper triangle mirrored.  ``H`` is
+    Fortran-ordered, so LAPACK copies it without a transpose.  ``sign`` is
+    -1 on the stationarity and complementarity rows and +1 on the equality
+    rows: ``sign * F`` is -F with the equality rows negated once more.
     """
 
     def __init__(self, p: BoxQP, mp):
@@ -351,14 +359,16 @@ class _Workspace:
         self.T = _affine_rows(p, mp.omega)
         self.cb = np.concatenate([p.c, -p.b])
         self.H = np.array(self.T[:, :nm], order="F")  # a copy, also when n + m = 1
+        np.negative(self.H[n:], out=self.H[n:])
         self.hdiag = _diagonal(self.H, 0, 0, n)
         self.qdiag = self.hdiag.copy()
-        self.g = np.empty(N)  # right-hand side of DF dz = g; then g12 is v
-        self.g1, self.g12, self.g34 = self.g[:n], self.g[:nm], self.g[nm:]
+        self.sign = np.full(N, -1.0)
+        self.sign[n:nm] = 1.0
         self.t = np.empty(2 * n)  # g34/e
         self.t_l, self.t_r = self.t[:n], self.t[n:]
         self.w = np.empty(2 * n)  # mu/e
         self.w_l, self.w_r, self.w2 = self.w[:n], self.w[n:], self.w.reshape(2, n)
+        # dz holds the right-hand side until each block is overwritten by its step
         self.dz = np.empty(N)
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
         dmu = self.dz_mu
@@ -391,30 +401,34 @@ class _Workspace:
         (which by linearity cancels the (r1, r2) blocks exactly).
 
         Returns the workspace's ``dz`` buffer, which the next call
-        overwrites.  The reduced system is factored by
-        ``QRFactor(H, pivot_tol=0.0)``, which rejects only exact zero pivots:
-        near tau_E the a-priori conditioning bound kappa_DF exceeds
-        1/(dim*eps), so the relative pivot test would misflag theory-valid
-        systems as singular.  A matrix or right-hand side that overflowed
-        raises InvalidProblem from ``QRFactor``.
+        overwrites.  The reduced system is one
+        :func:`~boxipm.linalg.solve_symmetric` call on ``H``, which
+        overwrites the right-hand side in ``dz`` with (dx, dlam) and rejects
+        only an exactly zero pivot: near tau_E the a-priori conditioning
+        bound kappa_DF exceeds 1/(dim*eps), so a relative pivot test would
+        misflag theory-valid systems as singular.  The Q block's diagonal
+        and the right-hand side are all of the system that changes per
+        step; if either overflowed, InvalidProblem names it (G or v).
         """
-        g1, t_l, t_r, w_l, w_r = self.g1, self.t_l, self.t_r, self.w_l, self.w_r
+        t_l, t_r, w_l, w_r, dx = self.t_l, self.t_r, self.w_l, self.w_r, self.dz_x
+        np.multiply(self.sign, s.F, out=self.dz)  # (g1, -g2, g3, g4)
         if reset_only:
-            np.negative(s.r12, out=self.g12)
-            self.g34.fill(-0.0)
-        else:
-            np.negative(s.F, out=self.g)
-        # v = ((g1 + g3/(e+x)) - g4/(e-x), g2), written over g12
-        np.divide(self.g34, s.e, out=self.t)
-        np.add(g1, t_l, out=g1)
-        np.subtract(g1, t_r, out=g1)
+            self.dz_mu.fill(-0.0)
+        # v = ((g1 + g3/(e+x)) - g4/(e-x), -g2), written over (dx, dlam)
+        np.divide(self.dz_mu, s.e, out=self.t)
+        np.add(dx, t_l, out=dx)
+        np.subtract(dx, t_r, out=dx)
         # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
         np.divide(s.mu, s.e, out=self.w)
         np.add(self.qdiag, w_l, out=self.hdiag)
         np.add(self.hdiag, w_r, out=self.hdiag)
-        np.copyto(self.dz_u, QRFactor(self.H, pivot_tol=0.0).solve(self.g12))
+        if not np.isfinite(self.hdiag).all():
+            raise InvalidProblem("G contains non-finite entries")
+        if not np.isfinite(self.dz_u).all():
+            raise InvalidProblem("v contains non-finite entries")
+        solve_symmetric(self.H, self.dz_u)
         # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
-        np.multiply(self.w2, self.dz_x, out=self.dmu2)
+        np.multiply(self.w2, dx, out=self.dmu2)
         np.subtract(t_l, self.dmu_l, out=self.dmu_l)
         np.add(t_r, self.dmu_r, out=self.dmu_r)
         return self.dz

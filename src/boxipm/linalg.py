@@ -1,12 +1,24 @@
-"""Dense matrix/vector validation and a backward-stable linear solver.
+"""Dense matrix/vector validation and backward-stable linear solvers.
 
 All other modules express their matrix work through this layer.  Matrices
 and vectors are plain float64 ndarrays; :func:`as_matrix` / :func:`as_vector`
-enforce the package-wide invariants (2-D/1-D shape, finite entries).  Linear
-systems are solved with a column-pivoted Householder QR factorization
-(LAPACK dgeqp3), the reflectors applied to the right-hand side with dormqr
-and back substitution with dtrtrs; Q is never formed.  Every step is
-backward stable.
+enforce the package-wide invariants (2-D/1-D shape, finite entries).
+
+Two solvers cover the method's linear systems, and the method needs of
+each only a normwise backward-stable solve:
+
+- :func:`solve_symmetric` solves the primal-dual Newton systems, which
+  are symmetric indefinite once a block row is negated, by Bunch-Kaufman
+  LDL' (LAPACK dsysv) in one call.  Bunch-Kaufman is backward stable as
+  long as its growth factor stays small, which is the case in practice
+  (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 11); a
+  strict multiprecision reference would settle whether it and the QR
+  below are equivalent on the method's systems.
+- :class:`QRFactor` solves the primal phase's Hessian systems by
+  column-pivoted Householder QR (LAPACK dgeqp3), the reflectors applied to
+  the right-hand side with dormqr and back substitution with dtrtrs; Q is
+  never formed.  Every step is backward stable.
+
 Condition numbers are LAPACK's Hager/Higham 1-norm estimates, never an
 explicit inverse; the trace's ``cond_DF`` is :func:`cond_estimate` of DF on
 primal-dual rows and :meth:`QRFactor.cond_estimate` of the Hessian's R on
@@ -71,19 +83,17 @@ class QRFactor:
     The factor is kept in LAPACK's compact form: R and the Householder
     vectors share one array, next to the reflector scalars ``tau`` and the
     column permutation.  Q is never formed; :meth:`solve` applies Q^T as
-    reflectors.  The caller's arrays are never overwritten.
+    reflectors.  The caller's arrays are never overwritten.  A diagonal
+    entry of R at or below ``d * eps * ||G||_inf`` is a singular pivot and
+    raises SingularSystem.
 
     Parameters
     ----------
     G : ndarray, shape (d, d)
         Square system matrix.
-    pivot_tol : float, optional
-        Absolute threshold below which a diagonal entry of R is declared a
-        singular pivot.  Defaults to ``d * eps * ||G||_inf``.  Pass ``0.0``
-        to reject only exact zeros.
     """
 
-    def __init__(self, G, pivot_tol: float | None = None):
+    def __init__(self, G):
         G = as_matrix(G, name="G")
         d0, d1 = G.shape
         if d0 != d1:
@@ -91,36 +101,25 @@ class QRFactor:
         self.dim = d0
         if d0 == 0:  # LAPACK rejects a leading dimension of 0
             return
-        if pivot_tol is None:
-            pivot_tol = d0 * EPS_MACH * float(np.abs(G).sum(axis=1).max())
+        pivot_tol = d0 * EPS_MACH * float(np.abs(G).sum(axis=1).max())
         # Room for LAPACK's blocked code at any block size up to 64 (reference
         # LAPACK uses 32): the factor a workspace query would lead to, without
         # the query.  overwrite_a stays off, so G is copied.
         self._qr, jpvt, self._tau, _, info = lapack.dgeqp3(G, lwork=2 * d0 + (d0 + 1) * 64)
         _check_info("dgeqp3", info)
         self._piv = jpvt - 1
-        diag = self._qr.diagonal()
-        # At a threshold <= 0 only an exact zero can fail, and counting finds
-        # none at a fraction of the cost of the min reduction.
-        if pivot_tol > 0.0 or np.count_nonzero(diag) < d0:
-            rmin = np.abs(diag).min()
-            if rmin <= pivot_tol:
-                raise SingularSystem(f"pivot {rmin:.3e} at or below threshold {pivot_tol:.3e}")
+        rmin = np.abs(self._qr.diagonal()).min()
+        if rmin <= pivot_tol:
+            raise SingularSystem(f"pivot {rmin:.3e} at or below threshold {pivot_tol:.3e}")
 
     def solve(self, v) -> np.ndarray:
-        """Solve G u = v; ``v`` is a vector of length d or a (d, k) matrix of
-        right-hand-side columns."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 2:
-            v = as_matrix(v, rows=self.dim, name="v")
-        else:
-            v = as_vector(v, dim=self.dim, name="v")
+        """Solve G u = v for a vector ``v`` of length d."""
+        v = as_vector(v, dim=self.dim, name="v")
         if self.dim == 0:
-            return np.empty(v.shape)
+            return np.empty(0)
         # overwrite_c stays off: dormqr copies the caller's array.  Both
-        # routines take a vector as one column.
-        lwork = max(1, v.shape[1]) if v.ndim == 2 else 1
-        c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, v, lwork)
+        # routines take the vector as one column.
+        c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, v, 1)
         _check_info("dormqr", info)
         y, info = lapack.dtrtrs(self._qr, c, overwrite_b=1)
         _check_info("dtrtrs", info)
@@ -129,7 +128,7 @@ class QRFactor:
         return u
 
     def cond_estimate(self) -> float:
-        """dtrcon's estimate of kappa_1(R), inf if R is singular.  As G P = Q R,
+        """dtrcon's estimate of kappa_1(R), inf if its rcond is 0.  As G P = Q R,
         kappa_2(G) = kappa_2(R), within a factor d of kappa_1(R)."""
         if self.dim == 0:
             return 1.0
@@ -138,13 +137,33 @@ class QRFactor:
         return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
+def solve_symmetric(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve G u = v for a symmetric nonsingular ``G`` by Bunch-Kaufman LDL'
+    (LAPACK dsysv), in one call; returns u.
+
+    Only the upper triangle of ``G`` is read, and ``G`` is never written.
+    ``v`` is overwritten with u when it is a contiguous, writable float64
+    vector, and u is then ``v`` itself; any other ``v`` is left unchanged.
+    Neither is validated: the caller passes finite float64 arrays of
+    matching size d >= 1.  An exactly zero pivot in D raises
+    SingularSystem; nothing smaller does, so a nearly singular G gives a
+    large u.
+    """
+    # The default workspace: on one OpenBLAS thread the blocked
+    # factorization was no faster for d = 7, 45 and 112.
+    _, _, u, info = lapack.dsysv(G, v, overwrite_b=1)
+    _check_info("dsysv", info)
+    return u
+
+
 def _check_info(routine: str, info: int) -> None:
     """Raise on a LAPACK ``info``: negative is an illegal argument (a bug),
-    positive from dtrtrs is an exactly zero diagonal entry of R."""
+    positive is an exactly zero diagonal entry of the triangular or block
+    diagonal factor (R of dtrtrs, D of dsysv)."""
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
     if info > 0:
-        raise SingularSystem(f"LAPACK {routine}: R[{info - 1}, {info - 1}] is exactly zero")
+        raise SingularSystem(f"LAPACK {routine}: pivot {info - 1} of the factor is exactly zero")
 
 
 def cond_estimate(G) -> float:

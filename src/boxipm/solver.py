@@ -28,12 +28,15 @@ establishes their invariants and counts the repairs it makes.
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: each
 step reads one of its two state buffers and writes the other in place,
-and the only objects it builds are the ``QRFactor`` of the reduced system,
-that factor's solution and, in a step that repairs its iterate, the masks
-of :func:`_advance`.  Within ``solve()`` each step's post-check residual is
-the next step's right-hand side, and a path step only recomputes its
-complementarity blocks as mu∘e - tau.  Trace rows read the state buffers,
-and only when tracing.  The returned solution x satisfies
+and solves its reduced Newton system with one symmetric LAPACK call
+(Bunch-Kaufman, ``dsysv``) that overwrites the step buffer.  Besides the
+factor and pivot arrays that call returns, the only objects a step builds
+are the masks of :func:`_advance`, in a step that repairs its iterate.
+The K primal steps solve their Hessian systems with ``QRFactor``.  Within
+``solve()`` each step's post-check residual is the next step's
+right-hand side, and a path step only recomputes its complementarity
+blocks as mu∘e - tau.  Trace rows read the state buffers, and only when
+tracing.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
 """

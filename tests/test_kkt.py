@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from boxipm import BoxQP, DimensionError, InvalidProblem, Iterate, OutOfDomain, compute_params_practical
 from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f
-from boxipm.linalg import EPS_MACH, QRFactor
+from boxipm.linalg import EPS_MACH, solve_symmetric
 from boxipm.params import MethodParams
 from boxipm.solver import lift
 
@@ -305,8 +305,9 @@ def backward_error(J, dz, rhs):
 def assert_step_equals_reference(p, mp, z, tau, reset_only):
     """The reduction written array by array, as in the _Workspace docstring,
     is the reference the in-place step must equal bit for bit, signed zeros
-    included: the Q block's diagonal is (Q_jj + omega) + w_l + w_r and
-    dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
+    included: the symmetric H has the equality rows negated, the right-hand
+    side is (g1 + g3/(e+x) - g4/(e-x), -g2), the Q block's diagonal is
+    (Q_jj + omega) + w_l + w_r and dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
     n, m = p.n, p.m
     F = eval_F(p, mp, z, tau)
     comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
@@ -317,10 +318,10 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     H = np.zeros((n + m, n + m))
     H[:n, :n] = p.Q
     H[:n, n:] = -p.A.T
-    H[n:, :n] = p.A
-    H[n:, n:] = mp.omega * np.eye(m)
+    H[n:, :n] = -p.A
+    H[n:, n:] = -mp.omega * np.eye(m)
     H[np.diag_indices(n)] = (np.diag(p.Q) + mp.omega) + w_l + w_r
-    u = QRFactor(H, pivot_tol=0.0).solve(np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, g2]))
+    u = solve_symmetric(H, np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, -g2]))
     dx = u[:n]
     ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
     ws = _Workspace(p, mp)
@@ -334,7 +335,8 @@ class TestReducedDF:
     """The step workspace's reduced Newton system against the full DF."""
 
     def test_reduced_matrix_hand_values(self):
-        # n = 1, m = 1: mu_l/(1+x) + mu_r/(1-x) = 2/1.5 + 1/0.5 joins Q + omega
+        # n = 1, m = 1: mu_l/(1+x) + mu_r/(1-x) = 2/1.5 + 1/0.5 joins Q + omega,
+        # and the equality row is negated, which makes H symmetric
         p = BoxQP(Q=[[3.0]], c=[0.0], A=[[2.0]], b=[0.0], tol=0.1)
         mp = make_mp(omega=0.5)
         z = Iterate(x=[0.5], lam=[0.0], mu_l=[2.0], mu_r=[1.0])
@@ -342,7 +344,7 @@ class TestReducedDF:
         s = ws.load(z)
         ws.eval_F(s, 1.0)
         ws.newton(s, reset_only=False)
-        assert_allclose(ws.H, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [2.0, 0.5]], rtol=1e-15)
+        assert_allclose(ws.H, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [-2.0, -0.5]], rtol=1e-15)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (3, 0), (4, 2), (2, 5), (20, 8)])
     @pytest.mark.parametrize("gap", [0.5, 1e-6, 1e-12])
@@ -360,7 +362,7 @@ class TestReducedDF:
             comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
             rhs = -np.concatenate([F.r1, F.r2, comp])
             J = eval_DF(p, mp, z)
-            ref = QRFactor(J, pivot_tol=0.0).solve(rhs)
+            ref = np.linalg.solve(J, rhs)  # LU with partial pivoting
             s = ws.load(z)
             ws.eval_F(s, tau)
             dz = ws.newton(s, reset_only)

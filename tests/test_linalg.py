@@ -8,12 +8,17 @@ from numpy.testing import assert_allclose
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
 from boxipm.linalg import (
     EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, cond_estimate, norm2_upper,
+    solve_symmetric,
 )
 
 
 def _graded(rng, d):
-    """Random d x d matrix with rows scaled across 1e-8 .. 1e8."""
-    return rng.normal(size=(d, d)) * np.logspace(-8.0, 8.0, d)[rng.permutation(d), None]
+    """Random d x d matrix with rows scaled across 1e-4 .. 1e4.
+
+    QRFactor rejects a pivot at or below d eps ||G||_inf: rows graded across
+    1e-8 .. 1e8 fall below it from d = 5 on, across 1e-4 .. 1e4 they stay
+    above."""
+    return rng.normal(size=(d, d)) * np.logspace(-4.0, 4.0, d)[rng.permutation(d), None]
 
 
 class TestSolveLinear:
@@ -149,7 +154,7 @@ class TestQRFactorCondEstimate:
         spd = rng.normal(size=(d, d))
         for G in (rng.normal(size=(d, d)), _graded(rng, d), spd @ spd.T + np.eye(d)):
             kappa_2 = np.linalg.cond(G)
-            est = QRFactor(G, pivot_tol=0.0).cond_estimate()
+            est = QRFactor(G).cond_estimate()
             assert kappa_2 / d <= est <= d * kappa_2
 
     def test_exact_on_diagonals(self):
@@ -158,7 +163,8 @@ class TestQRFactorCondEstimate:
 
     def test_empty_and_singular(self):
         assert QRFactor(np.zeros((0, 0))).cond_estimate() == 1.0
-        assert QRFactor(np.zeros((2, 2)), pivot_tol=-1.0).cond_estimate() == math.inf
+        with pytest.raises(SingularSystem):  # a singular G has no factor to estimate
+            QRFactor(np.zeros((2, 2)))
 
 
 class TestNorm2Upper:
@@ -205,7 +211,6 @@ class TestValidators:
             lambda: as_matrix(v),  # 1-D input is promoted to one row, then checked
             lambda: QRFactor(G),
             lambda: QRFactor(np.eye(3)).solve(v),
-            lambda: QRFactor(np.eye(3)).solve(np.column_stack([v, v])),
         ):
             with pytest.raises(InvalidProblem):
                 call()
@@ -221,8 +226,7 @@ class TestValidators:
             lambda: QRFactor(np.ones((2, 3))),
             lambda: QRFactor(np.ones((2, 2, 2))),
             lambda: QRFactor(np.eye(3)).solve(np.ones(2)),
-            lambda: QRFactor(np.eye(3)).solve(np.ones((2, 1))),
-            lambda: QRFactor(np.eye(3)).solve(np.ones((3, 1, 1))),
+            lambda: QRFactor(np.eye(3)).solve(np.ones((3, 1))),  # vectors only
         ):
             with pytest.raises(DimensionError):
                 call()
@@ -234,17 +238,70 @@ class TestValidators:
         a = np.arange(3.0)
         assert as_vector(a) is a  # a float64 vector is returned as is, not copied
 
-    def test_qr_factor_matrix_rhs(self):
-        rng = np.random.default_rng(10)
-        G = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-        V = rng.normal(size=(6, 3))
-        fac = QRFactor(G)
-        U = fac.solve(V)
-        assert U.shape == (6, 3)
-        for j in range(3):
-            assert_allclose(U[:, j], fac.solve(V[:, j]), rtol=1e-13)
-        with pytest.raises(DimensionError):
-            fac.solve(np.ones((5, 3)))
+
+def _quasi_definite(rng, d):
+    """Random symmetric d x d matrix [[P, B'], [B, -C]] with P and C
+    positive definite, the shape of the reduced Newton system."""
+    n = (d + 1) // 2
+    X, Y = rng.normal(size=(n, n)), rng.normal(size=(d - n, d - n))
+    G = np.empty((d, d))
+    G[:n, :n] = X @ X.T / n + np.eye(n)
+    G[n:, n:] = -(Y @ Y.T / max(d - n, 1) + np.eye(d - n))
+    G[n:, :n] = rng.normal(size=(d - n, n))
+    G[:n, n:] = G[n:, :n].T
+    return G
+
+
+class TestSolveSymmetric:
+    """solve_symmetric: Bunch-Kaufman LDL' through one dsysv call."""
+
+    @pytest.mark.parametrize("d", [1, 5, 28, 45, 109])
+    def test_backward_error(self, d):
+        rng = np.random.default_rng(400 + d)
+        n = (d + 1) // 2
+        for _ in range(5):
+            scale = np.logspace(-4.0, 4.0, d)[rng.permutation(d)]
+            newton_like = _quasi_definite(rng, d)  # diagonal as near the box faces
+            newton_like[np.diag_indices(n)] += np.logspace(-8.0, 12.0, n)
+            newton_like[n:, n:] *= 1e-6
+            plain = _quasi_definite(rng, d)
+            for G in (plain, scale[:, None] * plain * scale, newton_like):
+                v = rng.normal(size=d)
+                u = solve_symmetric(G, v.copy())
+                bound = 10.0 * d * EPS_MACH * np.linalg.norm(G, 2) * np.linalg.norm(u)
+                assert np.linalg.norm(G @ u - v) <= bound
+
+    def test_exactly_singular_raises(self):
+        for G in (np.zeros((2, 2)), np.ones((3, 3)), np.array([[0.0, 0.0], [0.0, 1.0]])):
+            with pytest.raises(SingularSystem, match="LAPACK dsysv"):
+                solve_symmetric(G, np.ones(G.shape[0]))
+
+    def test_reads_only_the_upper_triangle(self):
+        G = _quasi_definite(np.random.default_rng(8), 6)
+        v = np.arange(1.0, 7.0)
+        junk = G.copy()
+        junk[np.tril_indices(6, -1)] = np.nan
+        assert np.array_equal(solve_symmetric(junk, v.copy()), solve_symmetric(G, v.copy()))
+
+    def test_caller_arrays(self):
+        rng = np.random.default_rng(9)
+        G = _quasi_definite(rng, 7)
+        vbig = rng.normal(size=(7, 2))
+        ref = solve_symmetric(G, vbig[:, 0].copy())
+        G_f, G_ro = np.asfortranarray(G), G.copy()
+        G_ro.flags.writeable = False
+        for M in (G, G_f, G_ro):
+            M0, v0 = M.copy(), vbig.copy()
+            # a strided or read-only v is left unchanged, and so is G
+            assert np.array_equal(solve_symmetric(M, vbig[:, 0]), ref)
+            frozen = vbig[:, 0].copy()
+            frozen.flags.writeable = False
+            assert np.array_equal(solve_symmetric(M, frozen), ref)
+            assert np.array_equal(M, M0) and np.array_equal(vbig, v0)
+            # a contiguous float64 v is overwritten with u, and returned
+            v = vbig[:, 0].copy()
+            assert solve_symmetric(M, v) is v
+            assert np.array_equal(v, ref)
 
 
 class TestQRFactorContract:
@@ -255,7 +312,7 @@ class TestQRFactorContract:
         rng = np.random.default_rng(100 + d)
         for G in (rng.normal(size=(d, d)), _graded(rng, d)):
             _, R, piv = scipy.linalg.qr(G, pivoting=True)
-            fac = QRFactor(G, pivot_tol=0.0)
+            fac = QRFactor(G)
             assert np.array_equal(np.abs(np.diag(fac._qr)), np.abs(np.diag(R)))
             assert np.array_equal(fac._piv, piv)
 
@@ -274,22 +331,19 @@ class TestQRFactorContract:
         for G in cases:
             d = G.shape[0]
             diag_min = np.abs(np.diag(scipy.linalg.qr(G, pivoting=True)[1])).min()
-            for pivot_tol in (None, 0.0):
-                tol = d * EPS_MACH * np.abs(G).sum(axis=1).max() if pivot_tol is None else 0.0
-                if diag_min <= tol:
-                    with pytest.raises(SingularSystem):
-                        QRFactor(G, pivot_tol=pivot_tol)
-                else:
-                    QRFactor(G, pivot_tol=pivot_tol)
+            if diag_min <= d * EPS_MACH * np.abs(G).sum(axis=1).max():
+                with pytest.raises(SingularSystem):
+                    QRFactor(G)
+            else:
+                QRFactor(G)
         with pytest.raises(SingularSystem):
-            QRFactor(zero_col, pivot_tol=0.0)
+            QRFactor(zero_col)
         with pytest.raises(SingularSystem):
             QRFactor(cases[1])
 
     def test_lapack_info_is_checked(self):
-        # A zero pivot let through by a negative tolerance reaches dtrtrs.
-        with pytest.raises(SingularSystem):
-            QRFactor(np.zeros((2, 2)), pivot_tol=-1.0).solve(np.ones(2))
+        with pytest.raises(SingularSystem, match="LAPACK dtrtrs: pivot 1 "):
+            _check_info("dtrtrs", 2)
         with pytest.raises(ValueError, match="argument 3 of LAPACK dormqr"):
             _check_info("dormqr", -3)
         _check_info("dgeqp3", 0)
@@ -298,27 +352,19 @@ class TestQRFactorContract:
     def test_backward_error(self, d):
         rng = np.random.default_rng(200 + d)
         for G in (_graded(rng, d), _graded(rng, d).T):
-            fac = QRFactor(G, pivot_tol=0.0)
-            norm_G = np.linalg.norm(G, 2)
-            for v in (rng.normal(size=d), rng.normal(size=(d, 3))):
-                U = fac.solve(v)
-                assert U.shape == v.shape
-                R, U = (G @ U - v).reshape(d, -1), U.reshape(d, -1)
-                for j in range(U.shape[1]):
-                    bound = 10.0 * d * EPS_MACH * norm_G * np.linalg.norm(U[:, j])
-                    assert np.linalg.norm(R[:, j]) <= bound
+            fac = QRFactor(G)
+            for v in (rng.normal(size=d), G @ rng.normal(size=d)):
+                u = fac.solve(v)
+                assert u.shape == v.shape
+                bound = 10.0 * d * EPS_MACH * np.linalg.norm(G, 2) * np.linalg.norm(u)
+                assert np.linalg.norm(G @ u - v) <= bound
 
 
 class TestQRFactorInputs:
     def test_empty_system(self):
         fac = QRFactor(np.zeros((0, 0)))
         assert fac.solve(np.zeros(0)).shape == (0,)
-        assert fac.solve(np.zeros((0, 3))).shape == (0, 3)
         assert cond_estimate(np.zeros((0, 0))) == 1.0
-
-    def test_no_right_hand_side_columns(self):
-        fac = QRFactor(np.eye(4) + 1.0)
-        assert fac.solve(np.zeros((4, 0))).shape == (4, 0)
 
     def test_layouts_give_the_c_contiguous_result_and_leave_inputs_unchanged(self):
         rng = np.random.default_rng(12)
@@ -330,9 +376,9 @@ class TestQRFactorInputs:
         cases = [
             (frozen_G, frozen_v),
             (big[:7, :7].T, vbig[:7, 1]),
-            (np.asfortranarray(big[:7, :7]), np.asfortranarray(vbig[:7, :3])),
+            (np.asfortranarray(big[:7, :7]), vbig[:7, 2]),
             (big[::2, ::2], vbig[::2, 0]),
-            (big[1::2, 1::2], vbig[1::2, ::2]),
+            (big[1::2, 1::2], vbig[1::2, 3]),
         ]
         for G, v in cases:
             G0, v0 = G.copy(), v.copy()

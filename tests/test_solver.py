@@ -313,10 +313,22 @@ def _solve_digest(rep):
     return h.hexdigest()[:16]
 
 
+# seed, n, m, feasible, mode, traced, digest
+_DIGEST_CASES = [
+    (61, 3, 2, True, "stable", True, "faa0c84a08dfb2e0"),
+    (62, 5, 2, True, "fast", False, "62c928f8b60c022e"),
+    (63, 8, 3, True, "stable", False, "9c71384067d4ad25"),
+    (64, 5, 2, False, "stable", True, "8307f2410663782d"),
+    (65, 3, 1, False, "fast", True, "c46f50af59bada36"),
+    (66, 8, 3, False, "stable", False, "8d5acd3641fa06ef"),
+]
+
+
 class TestSolveBytes:
-    # First 16 hex digits of _solve_digest, measured before the step loop was
-    # streamlined (validation moved to the public boundary, one eval_F per
-    # step, reduced matrices copied from a template).  A change that claims
+    # The digests of _DIGEST_CASES: the first 16 hex digits of
+    # _solve_digest, first measured before the step loop was streamlined
+    # (validation moved to the public boundary, one eval_F per step,
+    # reduced matrices copied from a template).  A change that claims
     # bit-identical solves must keep them; one that changes the arithmetic on
     # purpose re-measures them and says why.  They pin binary64 results of
     # the numpy/OpenBLAS build the suite runs on: a BLAS with other kernels
@@ -333,14 +345,18 @@ class TestSolveBytes:
     # and x moved by at most 1.1e-15.  Before: 61 c569f5ad8e3430b1,
     # 62 25800f110b889c14, 63 1b8e3e127ff27f51, 64 fb7a734c88fc2a65,
     # 65 ee531b92383c890d, 66 21f295b41d6f1451.
-    @pytest.mark.parametrize("seed, n, m, feasible, mode, traced, digest", [
-        (61, 3, 2, True, "stable", True, "d8dc925b1f234acc"),
-        (62, 5, 2, True, "fast", False, "3caf25be2de09f62"),
-        (63, 8, 3, True, "stable", False, "f95ab1da2368ee71"),
-        (64, 5, 2, False, "stable", True, "523f9ef2ebf45654"),
-        (65, 3, 1, False, "fast", True, "f84da1605a661ae9"),
-        (66, 8, 3, False, "stable", False, "481a3d929d6fdd17"),
-    ])
+    # All six were re-measured when the reduced Newton system became one
+    # symmetric Bunch-Kaufman solve (LAPACK dsysv) instead of a
+    # column-pivoted QR; the counts stayed the same, x moved by at most
+    # 2.2e-16 and the objective by at most 4 ulp.  Before: 61 d8dc925b1f234acc,
+    # 62 3caf25be2de09f62, 63 f95ab1da2368ee71, 64 523f9ef2ebf45654,
+    # 65 f84da1605a661ae9, 66 481a3d929d6fdd17.
+    # The test ids carry the seed and shape, not the digest, so that a
+    # re-measurement keeps the test names.
+    @pytest.mark.parametrize(
+        "seed, n, m, feasible, mode, traced, digest", _DIGEST_CASES,
+        ids=[f"seed{c[0]}-n{c[1]}-m{c[2]}" for c in _DIGEST_CASES],
+    )
     def test_solve_digest(self, seed, n, m, feasible, mode, traced, digest):
         p = random_boxqp(np.random.default_rng(seed), n, m, feasible=feasible, tol=1e-2)
         assert _solve_digest(solve(p, mode=mode, collect_trace=traced)) == digest
@@ -378,7 +394,8 @@ class TestStepLoopStructure:
 
     def test_calls_per_solve(self, monkeypatch):
         calls = dict.fromkeys(
-            ["eval_F", "post_init", "workspace", "check_step", "factor", "DF_template"], 0
+            ["eval_F", "post_init", "workspace", "check_step", "factor", "symmetric_solve",
+             "DF_template"], 0
         )
         monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
         monkeypatch.setattr(
@@ -390,13 +407,18 @@ class TestStepLoopStructure:
         )
         monkeypatch.setattr(QRFactor, "__init__", _counted(calls, "factor", QRFactor.__init__))
         monkeypatch.setattr(
+            boxipm.kkt, "solve_symmetric",
+            _counted(calls, "symmetric_solve", boxipm.kkt.solve_symmetric),
+        )
+        monkeypatch.setattr(
             boxipm.kkt, "_DF_template", _counted(calls, "DF_template", boxipm.kkt._DF_template)
         )
         rng = np.random.default_rng(13)
         rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), mode="stable")
         pd_steps = rep.linear_solves - rep.params.K  # the initial reset plus 3 per cycle
         assert pd_steps > 100
-        assert calls["factor"] == rep.linear_solves
+        assert calls["factor"] == rep.params.K  # the primal Hessian steps only
+        assert calls["symmetric_solve"] == pd_steps  # one LAPACK call per primal-dual step
         assert calls["eval_F"] == pd_steps + 1  # + F at the lift point
         assert calls["post_init"] == 1  # the lift point
         assert calls["workspace"] == 1
@@ -424,7 +446,7 @@ class TestStepLoopStructure:
             s = _step(kind, ws, s, tau)
             assert calls.setdefault(kind, counter.calls) == counter.calls
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == {STEP_ERROR_RESET: 26, STEP_PATH: 27, STEP_CENTRALITY: 26}
+        assert calls == {STEP_ERROR_RESET: 20, STEP_PATH: 21, STEP_CENTRALITY: 20}
 
     def test_one_DF_template_per_traced_solve(self, monkeypatch):
         calls = {"DF_template": 0, "workspace": 0}
