@@ -26,12 +26,12 @@ left-to-right order of the formula above; both are backward stable.
 
 Primal-dual points live in one layout: z as one N-vector whose blocks are
 views, next to e = (e+x, e-x) and mu∘e = (mu_l*(e+x), mu_r*(e-x)) as
-2n-vectors and F as one N-vector (:class:`_State`).  :class:`Iterate` is the
-immutable public form of z.  The solver's Newton steps run in a
-:class:`_Workspace`, built once per solve: two such states, T, the reduced
-matrix and scratch vectors, all preallocated, so a step is a fixed sequence
-of in-place array operations.  :func:`eval_F` and :func:`eval_DF` share
-their code with it.
+2n-vectors and F as one N-vector.  :class:`Iterate` is the immutable public
+form of z.  The solver's Newton steps run in a :class:`_Workspace`, built
+once per solve: one primal-dual state in that layout, T, the reduced matrix
+and scratch vectors, all preallocated, so a step is a fixed sequence of
+in-place array operations that updates the state where it is.
+:func:`eval_F` and :func:`eval_DF` share their code with it.
 """
 
 from __future__ import annotations
@@ -186,56 +186,6 @@ def _blocks(v: np.ndarray, n: int, m: int) -> tuple[np.ndarray, ...]:
     return v[:n], v[n:nm], v[nm : nm + n], v[nm + n :]
 
 
-class _State:
-    """A primal-dual point in the solver's layout, with what is derived from it.
-
-    ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``, ``mu_r`` and
-    ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x), with views
-    ``e_l`` and ``e_r``, and ``mue`` = mu∘e are 2n-vectors (:meth:`derive_e`,
-    :meth:`derive_mue`).  ``F`` is one N-vector with views ``r1``, ``r2``,
-    ``r3``, ``r4``, ``r12`` = (r1, r2) and ``r34`` = (r3, r4); ``eq_norm``
-    and ``comp_norm`` are the norms of r12 and r34 as
-    :meth:`_Workspace.eval_F` last wrote them.
-    """
-
-    __slots__ = ("n", "m", "z", "x", "lam", "mu_l", "mu_r", "mu", "e", "e_l", "e_r",
-                 "mue", "F", "r1", "r2", "r3", "r4", "r12", "r34", "eq_norm", "comp_norm")
-
-    def __init__(self, n: int, m: int):
-        nm = n + m
-        self.n, self.m = n, m
-        self.z = np.empty(nm + 2 * n)
-        self.x, self.lam, self.mu_l, self.mu_r = _blocks(self.z, n, m)
-        self.mu = self.z[nm:]
-        self.e = np.empty(2 * n)
-        self.e_l, self.e_r = self.e[:n], self.e[n:]
-        self.mue = np.empty(2 * n)
-        self.F = np.empty(nm + 2 * n)
-        self.r1, self.r2, self.r3, self.r4 = _blocks(self.F, n, m)
-        self.r12, self.r34 = self.F[:nm], self.F[nm:]
-        self.eq_norm = self.comp_norm = math.nan
-
-    def load(self, z: Iterate) -> "_State":
-        """Copy ``z`` in, after checking its dimensions, and derive e and mu∘e."""
-        if z.n != self.n or z.m != self.m:
-            raise DimensionError("iterate dimensions do not match the problem")
-        np.copyto(self.z, z._z)
-        self.derive_e()
-        self.derive_mue()
-        return self
-
-    def derive_e(self) -> None:
-        np.add(1.0, self.x, out=self.e_l)
-        np.subtract(1.0, self.x, out=self.e_r)
-
-    def derive_mue(self) -> None:
-        np.multiply(self.mu, self.e, out=self.mue)
-
-    def iterate(self) -> Iterate:
-        """z as an Iterate, a copy."""
-        return Iterate._wrap(self.z.copy(), self.n)
-
-
 def _check_tau(tau: float) -> None:
     if not tau > 0.0:
         raise InvalidProblem(f"tau must be positive, got {tau!r}")
@@ -256,23 +206,13 @@ def _affine_rows(p: BoxQP, omega: float) -> np.ndarray:
     return T
 
 
-def _residual(T: np.ndarray, cb: np.ndarray, s: _State, tau: float) -> None:
-    """Write F_tau at s into ``s.F`` and its block norms: (r1, r2) = T z + cb,
-    with T from :func:`_affine_rows` and cb = (c, -b); (r3, r4) = mu∘e - tau."""
-    r12, r34 = s.r12, s.r34
-    np.matmul(T, s.z, out=r12)
-    np.add(r12, cb, out=r12)
-    np.subtract(s.mue, tau, out=r34)
-    s.eq_norm = _norm(r12)
-    s.comp_norm = _norm(r34)
-
-
 def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
     """Optimality function F_tau(z), blockwise."""
     _check_tau(tau)
-    s = _State(p.n, p.m).load(z)
-    _residual(_affine_rows(p, mp.omega), np.concatenate([p.c, -p.b]), s, tau)
-    return Residual(s.r1, s.r2, s.r3, s.r4)
+    ws = _Workspace(p, mp)
+    ws.load(z)
+    ws.eval_F(tau)
+    return Residual(ws.r1, ws.r2, ws.r3, ws.r4)
 
 
 def _diagonal(J: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
@@ -323,10 +263,17 @@ class _Workspace:
     """Preallocated buffers for the primal-dual Newton steps of one problem.
 
     Built once per solve (and once per call of a public step function) and
-    dropped with it.  It holds two :class:`_State` buffers ``a`` and ``b``,
-    which the steps alternate between (:meth:`other`), T and cb = (c, -b) of
-    the residual, the reduced Newton matrix, the step ``dz`` and scratch
-    vectors, each with the views a step reads, so that a step slices nothing.
+    dropped with it.  It holds one primal-dual state, which every step
+    updates in place: ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``,
+    ``mu_r`` and ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
+    with views ``e_l`` and ``e_r``, and ``mue`` = mu∘e are 2n-vectors
+    (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is one N-vector with views
+    ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and ``r34`` = (r3, r4);
+    ``eq_norm`` and ``comp_norm`` are the norms of r12 and r34 as
+    :meth:`eval_F` last wrote them.  Next to the state it holds T and
+    cb = (c, -b) of the residual, the reduced Newton matrix, the step ``dz``
+    and scratch vectors, each with the views a step reads, so that a step
+    slices nothing.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -355,7 +302,16 @@ class _Workspace:
         n, m = p.n, p.m
         nm, N = n + m, 3 * n + m
         self.p, self.mp, self.n, self.m = p, mp, n, m
-        self.a, self.b = _State(n, m), _State(n, m)
+        self.z = np.empty(N)
+        self.x, self.lam, self.mu_l, self.mu_r = _blocks(self.z, n, m)
+        self.mu = self.z[nm:]
+        self.e = np.empty(2 * n)
+        self.e_l, self.e_r = self.e[:n], self.e[n:]
+        self.mue = np.empty(2 * n)
+        self.F = np.empty(N)
+        self.r1, self.r2, self.r3, self.r4 = _blocks(self.F, n, m)
+        self.r12, self.r34 = self.F[:nm], self.F[nm:]
+        self.eq_norm = self.comp_norm = math.nan
         self.T = _affine_rows(p, mp.omega)
         self.cb = np.concatenate([p.c, -p.b])
         self.H = np.array(self.T[:, :nm], order="F")  # a copy, also when n + m = 1
@@ -374,29 +330,47 @@ class _Workspace:
         dmu = self.dz_mu
         self.dmu_l, self.dmu_r, self.dmu2 = dmu[:n], dmu[n:], dmu.reshape(2, n)
         self._DF = self._DF_diagonals = None
-        # Totals of the repairs the solver's updates make in these states.
+        # Totals of the repairs the solver's updates make in the state.
         self.x_clipped = self.mu_reset = 0
 
-    def other(self, s: _State) -> _State:
-        return self.b if s is self.a else self.a
+    def load(self, z: Iterate) -> None:
+        """Copy ``z`` in, after checking its dimensions, and derive e and mu∘e."""
+        if z.n != self.n or z.m != self.m:
+            raise DimensionError("iterate dimensions do not match the problem")
+        np.copyto(self.z, z._z)
+        self.derive_e()
+        self.derive_mue()
 
-    def load(self, z: Iterate) -> _State:
-        """``z`` copied into state ``a``; DimensionError if it does not fit."""
-        return self.a.load(z)
+    def derive_e(self) -> None:
+        np.add(1.0, self.x, out=self.e_l)
+        np.subtract(1.0, self.x, out=self.e_r)
 
-    def eval_F(self, s: _State, tau: float) -> None:
-        """F_tau at s into ``s.F``, with its block norms."""
-        _residual(self.T, self.cb, s, tau)
+    def derive_mue(self) -> None:
+        np.multiply(self.mu, self.e, out=self.mue)
 
-    def retarget(self, s: _State, tau: float) -> None:
-        """Move ``s.F`` to another tau: r1 and r2 do not depend on it, and
-        r3, r4 = mu∘e - tau as in :meth:`eval_F`, so ``s.F`` is bit-identical
+    def iterate(self) -> Iterate:
+        """z as an Iterate, a copy."""
+        return Iterate._wrap(self.z.copy(), self.n)
+
+    def eval_F(self, tau: float) -> None:
+        """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
+        and (r3, r4) = mu∘e - tau."""
+        r12, r34 = self.r12, self.r34
+        np.matmul(self.T, self.z, out=r12)
+        np.add(r12, self.cb, out=r12)
+        np.subtract(self.mue, tau, out=r34)
+        self.eq_norm = _norm(r12)
+        self.comp_norm = _norm(r34)
+
+    def retarget(self, tau: float) -> None:
+        """Move ``F`` to another tau: r1 and r2 do not depend on it, and
+        r3, r4 = mu∘e - tau as in :meth:`eval_F`, so ``F`` is bit-identical
         to a fresh evaluation.  ``comp_norm`` is left NaN."""
-        np.subtract(s.mue, tau, out=s.r34)
-        s.comp_norm = math.nan
+        np.subtract(self.mue, tau, out=self.r34)
+        self.comp_norm = math.nan
 
-    def newton(self, s: _State, reset_only: bool) -> np.ndarray:
-        """The Newton step dz with DF(s) dz = g, where g = -F or, with
+    def newton(self, reset_only: bool) -> np.ndarray:
+        """The Newton step dz with DF(z) dz = g, where g = -F or, with
         ``reset_only``, -F with its complementarity blocks replaced by zeros
         (which by linearity cancels the (r1, r2) blocks exactly).
 
@@ -411,15 +385,15 @@ class _Workspace:
         step; if either overflowed, InvalidProblem names it (G or v).
         """
         t_l, t_r, w_l, w_r, dx = self.t_l, self.t_r, self.w_l, self.w_r, self.dz_x
-        np.multiply(self.sign, s.F, out=self.dz)  # (g1, -g2, g3, g4)
+        np.multiply(self.sign, self.F, out=self.dz)  # (g1, -g2, g3, g4)
         if reset_only:
             self.dz_mu.fill(-0.0)
         # v = ((g1 + g3/(e+x)) - g4/(e-x), -g2), written over (dx, dlam)
-        np.divide(self.dz_mu, s.e, out=self.t)
+        np.divide(self.dz_mu, self.e, out=self.t)
         np.add(dx, t_l, out=dx)
         np.subtract(dx, t_r, out=dx)
         # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
-        np.divide(s.mu, s.e, out=self.w)
+        np.divide(self.mu, self.e, out=self.w)
         np.add(self.qdiag, w_l, out=self.hdiag)
         np.add(self.hdiag, w_r, out=self.hdiag)
         if not np.isfinite(self.hdiag).all():
@@ -433,8 +407,8 @@ class _Workspace:
         np.add(t_r, self.dmu_r, out=self.dmu_r)
         return self.dz
 
-    def cond_DF(self, s: _State) -> float:
-        """LAPACK 1-norm condition estimate of the full DF at s; inf, never an
+    def cond_DF(self) -> float:
+        """LAPACK 1-norm condition estimate of the full DF at z; inf, never an
         error, when DF is singular.  DF is one Fortran-ordered matrix built at
         the first call, so LAPACK reads it without a transposing copy; each
         call rewrites its four z-dependent diagonals, and LAPACK factors a
@@ -442,5 +416,5 @@ class _Workspace:
         if self._DF is None:
             self._DF = _DF_template(self.p, self.mp.omega, order="F")
             self._DF_diagonals = _DF_diagonals(self._DF, self.n, self.m)
-        _fill_DF(self._DF_diagonals, s.x, s.mu_l, s.mu_r)
+        _fill_DF(self._DF_diagonals, self.x, self.mu_l, self.mu_r)
         return cond_estimate(self._DF)

@@ -70,15 +70,14 @@ def _pattern_point(H, g, pattern, scale):
     return x, float(0.5 * x @ (H @ x) + g @ x)
 
 
-def oracle_min_box(H, g, strictly_convex: bool = False) -> OracleSolution:
+def oracle_min_box(H, g) -> OracleSolution:
     """Minimize 0.5 x'Hx + g'x over ||x||_inf <= 1 by pattern enumeration.
 
     Parameters
     ----------
     H : ndarray (n, n)
-        Symmetric positive semi-definite; positive definite when
-        ``strictly_convex`` is set, in which case the returned point is the
-        unique global minimizer.
+        Symmetric positive semi-definite; when it is positive definite, the
+        returned point is the unique global minimizer.
     g : ndarray (n,)
 
     Ties between equal-objective patterns resolve to the lexicographically
@@ -126,12 +125,13 @@ def oracle_solve_boxqp(p: BoxQP) -> OracleSolution:
     """Reference minimizer of q over the box intersected with the minimal-
     residual set, to within tol/10 in objective and residual.
 
-    Follows a decreasing penalty weight: minimize
-    q(x) + (w/2)||x||^2 + ||Ax - b||^2 / (2w) over the box for a geometric
-    sequence of w down to the certified weight
-    min{tol'/(2n), tol'^2 / (16 (4 C_q + n)), 1} with tol' = tol/5, at which
-    both certified gaps are <= tol/20.  The activity pattern must stabilize
-    over the final stages; otherwise BracketFailed is raised.
+    Minimizes the penalized q(x) + (w/2)||x||^2 + ||Ax - b||^2 / (2w) over
+    the box at two weights, 10 w and the certified weight
+    w = min{tol'/(2n), tol'^2 / (16 (4 C_q + n)), 1} with tol' = tol/5, at
+    which both certified gaps are <= tol/20, and returns the minimizer at w.
+    BracketFailed is raised unless the objectives q of the two minimizers
+    agree to within tol/5 and the residual at w lies within tol/10 above
+    the box-minimal one.
     """
     if p.n > MAX_ENUM_DIM:
         raise TooLarge(f"enumeration oracle supports n <= {MAX_ENUM_DIM}, got {p.n}")
@@ -140,14 +140,8 @@ def oracle_solve_boxqp(p: BoxQP) -> OracleSolution:
     tol_o = p.tol / 5.0
     w_target = min(tol_o / (2.0 * p.n), tol_o * tol_o / (16.0 * (4.0 * c_q + p.n)), 1.0)
 
-    stages = [w_target * 100.0, w_target * 10.0, w_target]
-    results = []
-    for w in stages:
-        sol = oracle_min_box(*_penalty_data(p, w), strictly_convex=True)
-        results.append((w, sol))
-
-    _, sol_prev = results[-2]
-    w_last, sol_last = results[-1]
+    sol_prev = oracle_min_box(*_penalty_data(p, w_target * 10.0))
+    sol_last = oracle_min_box(*_penalty_data(p, w_target))
     q_prev = eval_q(p, sol_prev.x)
     q_last = eval_q(p, sol_last.x)
     res_last = float(np.linalg.norm(p.A @ sol_last.x - p.b))

@@ -58,7 +58,8 @@ class BoxQP:
     """Immutable box-constrained QP instance (Q, c, A, b, tol).
 
     Q must be symmetric positive semi-definite within tight tolerances,
-    all data finite, and tol > 0.  A has shape (m, n) with m >= 0.
+    all data finite, and tol > 0.  A has shape (m, n) with n >= 1 and
+    m >= 0.
     """
 
     Q: np.ndarray
@@ -72,6 +73,8 @@ class BoxQP:
         n = Q.shape[0]
         if Q.shape[1] != n:
             raise InvalidProblem(f"Q must be square, got shape {Q.shape}")
+        if n == 0:
+            raise InvalidProblem("Q must have at least one row: n = 0")
         c = as_vector(self.c, dim=n, name="c")
         A = as_matrix(self.A, cols=n, name="A")
         b = as_vector(self.b, dim=A.shape[0], name="b")
@@ -97,7 +100,7 @@ class BoxQP:
 @dataclass(frozen=True)
 class StandardQP:
     """Immutable standard-form CQP instance (Qt, ct, At, bt): equality
-    constraints At u = bt with u >= 0."""
+    constraints At u = bt with u >= 0, in n >= 1 unknowns."""
 
     Qt: np.ndarray
     ct: np.ndarray
@@ -109,6 +112,8 @@ class StandardQP:
         n = Qt.shape[0]
         if Qt.shape[1] != n:
             raise InvalidProblem(f"Qt must be square, got shape {Qt.shape}")
+        if n == 0:
+            raise InvalidProblem("Qt must have at least one row: n = 0")
         ct = as_vector(self.ct, dim=n, name="ct")
         At = as_matrix(self.At, cols=n, name="At")
         bt = as_vector(self.bt, dim=At.shape[0], name="bt")

@@ -26,17 +26,19 @@ iterates a step produces are not re-validated, because ``_advance``
 establishes their invariants and counts the repairs it makes.
 
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
-built once per solve and once per call of a public step function: each
-step reads one of its two state buffers and writes the other in place,
-and solves its reduced Newton system with one symmetric LAPACK call
-(Bunch-Kaufman, ``dsysv``) that overwrites the step buffer.  Besides the
-factor and pivot arrays that call returns, the only objects a step builds
-are the masks of :func:`_advance`, in a step that repairs its iterate.
+built once per solve and once per call of a public step function: it holds
+the one primal-dual state of the solve, which each step updates in place,
+and each step solves its reduced Newton system with one symmetric LAPACK
+call (Bunch-Kaufman, ``dsysv``) that overwrites the step buffer.  A step is
+a full Newton step or a rejection, so nothing reads the state a step
+started from once it is taken.  Besides the factor and pivot arrays that
+call returns, the only objects a step builds are the masks of
+:func:`_advance`, in a step that repairs its iterate.
 The K primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side, and a path step only recomputes its complementarity
-blocks as mu∘e - tau.  Trace rows read the state buffers, and only when
-tracing.  The returned solution x satisfies
+blocks as mu∘e - tau.  Trace rows read the workspace's state, and only
+when tracing.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
 """
@@ -44,7 +46,7 @@ equality residual within tol of the box-minimal one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,7 +60,6 @@ from .kkt import (
     Iterate,
     _blocks,
     _check_tau,
-    _State,
     _Workspace,
     eval_DF,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
     eval_F,  # noqa: F401  (likewise)
@@ -100,20 +101,6 @@ _X_MAX = float(np.nextafter(1.0, 0.0))
 STEP_PRIMAL = "primal"
 STEP_LIFT = "lift"
 
-TRACE_FIELDS = (
-    "k",
-    "tau",
-    "step_kind",
-    "residual_comp",
-    "residual_eq",
-    "cond_DF",
-    "step_norm",
-    "interior_margin",
-    "comp_gap",
-    "z_norm",
-    "newton_dot",
-)
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -141,6 +128,9 @@ class TraceEntry:
     newton_dot: float
 
 
+TRACE_FIELDS = tuple(f.name for f in fields(TraceEntry))
+
+
 @dataclass
 class SolveReport:
     """Solver output: the solution, its certificates, and the run record."""
@@ -161,10 +151,8 @@ class SolveReport:
     mu_reset: int = 0
 
 
-def _advance(
-    ws: _Workspace, s: _State, dz: np.ndarray, nxt: _State, tau: float
-) -> tuple[int, int]:
-    """Apply the full Newton update z + dz to state ``s``, into ``nxt``,
+def _advance(ws: _Workspace, dz: np.ndarray, tau: float) -> tuple[int, int]:
+    """Apply the full Newton update z + dz to the workspace's state in place,
     snapping to the representable interior, and derive e and mu∘e there.
 
     x is clipped to |x_j| <= nextafter(1, 0); a mu component driven
@@ -178,41 +166,41 @@ def _advance(
     residual at the result for finiteness, which every component of z
     enters.
     """
-    np.add(s.z, dz, out=nxt.z)
-    x, mu, absx = nxt.x, nxt.mu, nxt.e_l  # e_l is scratch until derive_e
+    np.add(ws.z, dz, out=ws.z)
+    x, mu, absx = ws.x, ws.mu, ws.e_l  # e_l is scratch until derive_e
     clipped = reset = 0
     # one reduction tests each repair; the counts are taken only if it is due
     if np.abs(x, out=absx).max(initial=0.0) > _X_MAX:
         clipped = int(np.count_nonzero(absx > _X_MAX))
         np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
         np.minimum(x, _X_MAX, out=x)
-    nxt.derive_e()
+    ws.derive_e()
     if mu.min(initial=math.inf) <= 0.0:
         bad = mu <= 0.0
         reset = int(np.count_nonzero(bad))
-        mu[bad] = tau / nxt.e[bad]
-    nxt.derive_mue()
+        mu[bad] = tau / ws.e[bad]
+    ws.derive_mue()
     ws.x_clipped += clipped
     ws.mu_reset += reset
     return clipped, reset
 
 
-def _step(
-    kind: str, ws: _Workspace, s: _State, tau: float, slack: float | None = None
-) -> _State:
-    """One primal-dual Newton step of ``kind`` on F_tau from state ``s``, whose
-    ``F`` must hold F_tau(s), then its post-check; returns the workspace's
-    other state, which holds the new iterate and F_tau there.
+def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> None:
+    """One primal-dual Newton step of ``kind`` on F_tau from the workspace's
+    state, whose ``F`` must hold F_tau there, then its post-check.  The step
+    updates the state in place: on return it holds the new iterate and
+    F_tau at it.
 
     The post-check is :func:`~boxipm.neighborhoods.check_step` on the
     residual at the new iterate, with ``slack`` passed through unchecked
     (``None`` is the envelope allowance); a failed check raises
     StepRejected, and the step is never damped.  So does a Newton system
     that overflows, a step that is not finite and a new iterate that is
-    not.  :func:`_advance` counts its repairs in ``ws``.
+    not.  A rejected step may leave the state changed, so its caller drops
+    the workspace.  :func:`_advance` counts its repairs in ``ws``.
     """
     try:
-        dz = ws.newton(s, kind == STEP_ERROR_RESET)
+        dz = ws.newton(kind == STEP_ERROR_RESET)
     except InvalidProblem as exc:
         # z, tau and H were checked where they entered, so a non-finite
         # system here is an overflow in forming it.
@@ -220,15 +208,13 @@ def _step(
     # dz'dz is finite only if dz is; the elementwise test settles the rest.
     if not math.isfinite(dz.dot(dz)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
-    nxt = ws.other(s)
-    _advance(ws, s, dz, nxt, tau)
-    ws.eval_F(nxt, tau)
-    if not math.isfinite(nxt.eq_norm + nxt.comp_norm):
+    _advance(ws, dz, tau)
+    ws.eval_F(tau)
+    if not math.isfinite(ws.eq_norm + ws.comp_norm):
         raise StepRejected(
             "Newton step overflowed to a non-finite iterate", kind=kind, tau=tau
         )
-    check_step(kind, ws.mp, tau, nxt.eq_norm, nxt.comp_norm, slack)
-    return nxt
+    check_step(kind, ws.mp, tau, ws.eq_norm, ws.comp_norm, slack)
 
 
 def _check_slack(slack: float | None) -> None:
@@ -298,9 +284,10 @@ def _public_step(
     """One ``kind`` step at tau from a caller's iterate, in a workspace of its own."""
     _check_tau(tau)
     ws = _Workspace(p, mp)
-    s = ws.load(z)
-    ws.eval_F(s, tau)
-    return _step(kind, ws, s, tau, slack).iterate()
+    ws.load(z)
+    ws.eval_F(tau)
+    _step(kind, ws, tau, slack)
+    return ws.iterate()
 
 
 def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
@@ -356,25 +343,25 @@ def _primal_row(
 
 
 def _pd_row(
-    k: int, kind: str, tau: float, s: _State, cond: float, dz: np.ndarray | None
+    k: int, kind: str, tau: float, ws: _Workspace, cond: float, dz: np.ndarray | None
 ) -> TraceEntry:
-    """The row of a primal-dual step that led to state ``s`` by the step
-    ``dz`` (``None`` for the lift row); ``cond`` is the condition estimate
-    of DF where the step started.  1 - |x_j| is min(1 + x_j, 1 - x_j) bit
-    for bit, so the interior margin is read off e."""
+    """The row of a primal-dual step that led to the workspace's state by the
+    step ``dz`` (``None`` for the lift row); ``cond`` is the condition
+    estimate of DF where the step started.  1 - |x_j| is min(1 + x_j, 1 - x_j)
+    bit for bit, so the interior margin is read off e."""
     step_norm = newton_dot = math.nan
     if dz is not None:
         step_norm = math.sqrt(dz @ dz)
         if kind == STEP_PATH:
-            dx, _, dmu_l, dmu_r = _blocks(dz, s.n, s.m)
+            dx, _, dmu_l, dmu_r = _blocks(dz, ws.n, ws.m)
             newton_dot = float(dx @ (dmu_l - dmu_r))
     return TraceEntry(
         k=k, tau=tau, step_kind=kind,
-        residual_comp=s.comp_norm, residual_eq=s.eq_norm,
+        residual_comp=ws.comp_norm, residual_eq=ws.eq_norm,
         cond_DF=cond, step_norm=step_norm,
-        interior_margin=float(min(s.e.min(initial=math.inf), s.mu.min(initial=math.inf))),
-        comp_gap=complementarity_gap(s),
-        z_norm=math.sqrt(s.z.dot(s.z)),  # np.linalg.norm's own formula for a vector
+        interior_margin=float(min(ws.e.min(initial=math.inf), ws.mu.min(initial=math.inf))),
+        comp_gap=complementarity_gap(ws),
+        z_norm=math.sqrt(ws.z.dot(ws.z)),  # np.linalg.norm's own formula for a vector
         newton_dot=newton_dot,
     )
 
@@ -427,34 +414,35 @@ def solve(
         if collect_trace:
             trace.append(_primal_row(k, p, mp, x, dx, fac))
     # Every step's post-check residual is the next step's right-hand side;
-    # the steps alternate between the workspace's two states.
+    # the steps update the workspace's one state in place.
     ws = _Workspace(p, mp)
-    s = ws.load(lift(p, mp, x))
-    ws.eval_F(s, mp.tau_A)
+    ws.load(lift(p, mp, x))
+    ws.eval_F(mp.tau_A)
     tau = mp.tau_A
     cycles = 0  # started, and on success completed, path-following cycles
     try:
-        nxt = _step(STEP_ERROR_RESET, ws, s, tau)
         if collect_trace:
             # The initial reset factors DF at the lift point, so its condition
             # estimate belongs to the lift row as well.
-            cond = ws.cond_DF(s)
-            trace.append(_pd_row(len(trace) + 1, STEP_LIFT, tau, s, cond, None))
-            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, nxt, cond, ws.dz))
-        s = nxt
+            cond = ws.cond_DF()
+            trace.append(_pd_row(len(trace) + 1, STEP_LIFT, tau, ws, cond, None))
+        _step(STEP_ERROR_RESET, ws, tau)
+        if collect_trace:
+            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, ws, cond, ws.dz))
         for _ in range(mp.M):
             cycles += 1
             tau = mp.sigma * tau
             for kind in cycle:
                 if kind == STEP_PATH:
                     slack = path_slack
-                    ws.retarget(s, tau)
+                    ws.retarget(tau)
                 else:  # same tau as the step before
                     slack = None
-                nxt = _step(kind, ws, s, tau, slack)
                 if collect_trace:
-                    trace.append(_pd_row(len(trace) + 1, kind, tau, nxt, ws.cond_DF(s), ws.dz))
-                s = nxt
+                    cond = ws.cond_DF()  # DF where the step starts
+                _step(kind, ws, tau, slack)
+                if collect_trace:
+                    trace.append(_pd_row(len(trace) + 1, kind, tau, ws, cond, ws.dz))
             if tau <= mp.tau_E:
                 break
     except StepRejected as exc:
@@ -467,9 +455,9 @@ def solve(
         )
 
     return SolveReport(
-        x=s.x.copy(),
-        objective=eval_q(p, s.x),
-        feas_residual=residual_norm(p, s.x),
+        x=ws.x.copy(),
+        objective=eval_q(p, ws.x),
+        feas_residual=residual_norm(p, ws.x),
         tau_final=tau,
         iterations_primal=mp.K,
         iterations_pd=cycles,
@@ -506,15 +494,15 @@ def solve_standard(
     pi: float | str = "auto",
     mode: str = MODE_STABLE,
     params_mode: str = PARAMS_PRACTICAL,
-    pi_start: float = 1.0,
-    pi_cap: float = 1e100,
     collect_trace: bool = False,
 ) -> StandardReport:
     """Solve a standard-form CQP by rescaling into the box.
 
-    With ``pi="auto"``, trial bounds grow geometrically from ``pi_start``
-    until the box solution satisfies max_j x_j < 0.9 (the scaling is then
-    demonstrably large enough) or the cap is hit (PiCapExceeded).
+    ``pi`` is a bound on ||u*||_inf or the string ``"auto"``; any other
+    string is an InvalidProblem.  With ``pi="auto"``, trial bounds grow
+    geometrically from 1 (:func:`~boxipm.problem.grow_pi_schedule`) until
+    the box solution satisfies max_j x_j < 0.9 (the scaling is then
+    demonstrably large enough) or the schedule's cap is hit (PiCapExceeded).
     """
 
     def run(pi_val: float) -> tuple[SolveReport, np.ndarray]:
@@ -522,9 +510,11 @@ def solve_standard(
         rep = solve(box, mode=mode, params_mode=params_mode, collect_trace=collect_trace)
         return rep, back(rep.x)
 
+    if isinstance(pi, str) and pi != "auto":
+        raise InvalidProblem(f"pi must be a number or 'auto', got {pi!r}")
     if pi == "auto":
         trials = 0
-        for pi_val in grow_pi_schedule(pi_start, cap=pi_cap):
+        for pi_val in grow_pi_schedule(1.0):
             trials += 1
             rep, u = run(pi_val)
             if float(rep.x.max(initial=-1.0)) < PI_ACCEPT_MARGIN:

@@ -325,9 +325,9 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     dx = u[:n]
     ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
     ws = _Workspace(p, mp)
-    s = ws.load(z)
-    ws.eval_F(s, tau)
-    assert ws.newton(s, reset_only).tobytes() == ref.tobytes()
+    ws.load(z)
+    ws.eval_F(tau)
+    assert ws.newton(reset_only).tobytes() == ref.tobytes()
     assert ws.H.tobytes(order="C") == H.tobytes()
 
 
@@ -341,9 +341,9 @@ class TestReducedDF:
         mp = make_mp(omega=0.5)
         z = Iterate(x=[0.5], lam=[0.0], mu_l=[2.0], mu_r=[1.0])
         ws = _Workspace(p, mp)
-        s = ws.load(z)
-        ws.eval_F(s, 1.0)
-        ws.newton(s, reset_only=False)
+        ws.load(z)
+        ws.eval_F(1.0)
+        ws.newton(reset_only=False)
         assert_allclose(ws.H, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [-2.0, -0.5]], rtol=1e-15)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (3, 0), (4, 2), (2, 5), (20, 8)])
@@ -363,9 +363,9 @@ class TestReducedDF:
             rhs = -np.concatenate([F.r1, F.r2, comp])
             J = eval_DF(p, mp, z)
             ref = np.linalg.solve(J, rhs)  # LU with partial pivoting
-            s = ws.load(z)
-            ws.eval_F(s, tau)
-            dz = ws.newton(s, reset_only)
+            ws.load(z)
+            ws.eval_F(tau)
+            dz = ws.newton(reset_only)
             assert dz.shape == (N,)
             bound = 10.0 * N * EPS_MACH
             assert backward_error(J, ref, rhs) <= bound
@@ -413,13 +413,13 @@ class TestWorkspaceResidual:
         mp = compute_params_practical(p)
         z = random_iterate(rng, n, m)
         ws = _Workspace(p, mp)
-        s = ws.load(z)
-        ws.eval_F(s, 0.75)
+        ws.load(z)
+        ws.eval_F(0.75)
         F = eval_F(p, mp, z, 0.75)
-        assert s.F.tobytes() == F.as_array().tobytes()
-        assert (s.eq_norm, s.comp_norm) == (F.eq_norm, F.comp_norm)
-        ws.retarget(s, 0.25)
-        assert s.F.tobytes() == eval_F(p, mp, z, 0.25).as_array().tobytes()
+        assert ws.F.tobytes() == F.as_array().tobytes()
+        assert (ws.eq_norm, ws.comp_norm) == (F.eq_norm, F.comp_norm)
+        ws.retarget(0.25)
+        assert ws.F.tobytes() == eval_F(p, mp, z, 0.25).as_array().tobytes()
 
     @pytest.mark.parametrize("n,m", [(1, 0), (4, 2), (20, 8)])
     @pytest.mark.parametrize("face", [0.0, 1.0, -1.0])

@@ -37,7 +37,7 @@ class TestMinBox:
             B = rng.normal(size=(n, n))
             H = B.T @ B + 0.1 * np.eye(n)
             g = rng.normal(size=n)
-            sol = oracle_min_box(H, g, strictly_convex=True)
+            sol = oracle_min_box(H, g)
             grad = H @ sol.x + g
             # projected gradient: zero out components pushing outward at faces
             proj = grad.copy()
@@ -52,7 +52,7 @@ class TestMinBox:
         B = rng.normal(size=(4, 4))
         H = B.T @ B + 0.5 * np.eye(4)
         g = rng.normal(size=4)
-        sol = oracle_min_box(H, g, strictly_convex=True)
+        sol = oracle_min_box(H, g)
         obj = sol.objective
         for _ in range(100):
             d = rng.normal(size=4)
@@ -122,6 +122,6 @@ class TestSolveBoxQP:
             ref = oracle_solve_boxqp(p)
             H = p.Q + mp.omega * np.eye(p.n) + (p.A.T @ p.A) / mp.omega
             g = p.c - (p.A.T @ p.b) / mp.omega
-            sol = oracle_min_box(H, g, strictly_convex=True)
+            sol = oracle_min_box(H, g)
             assert eval_q(p, sol.x) <= ref.objective + p.tol / 2.0
             assert residual_norm(p, sol.x) <= chi + p.tol / 2.0

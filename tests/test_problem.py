@@ -44,6 +44,15 @@ class TestValidation:
         with pytest.raises(InvalidProblem):
             BoxQP(Q=[[1.0]], c=[np.inf], A=[[0.0]], b=[0.0], tol=1.0)
 
+    def test_rejects_empty_problems(self):
+        # n = 0 would reach solve() and divide by zero in the sigma rule
+        with pytest.raises(InvalidProblem, match="n = 0"):
+            BoxQP(Q=np.zeros((0, 0)), c=[], A=np.zeros((0, 0)), b=[], tol=1.0)
+        with pytest.raises(InvalidProblem, match="n = 0"):
+            BoxQP(Q=np.zeros((0, 0)), c=[], A=np.zeros((2, 0)), b=[0.0, 0.0], tol=1.0)
+        with pytest.raises(InvalidProblem, match="n = 0"):
+            StandardQP(Qt=np.zeros((0, 0)), ct=[], At=np.zeros((0, 0)), bt=[])
+
     def test_immutable_arrays(self):
         p = zeros_box(n=2, m=1)
         with pytest.raises(ValueError):

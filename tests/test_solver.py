@@ -12,11 +12,13 @@ import boxipm.kkt
 import boxipm.solver
 from boxipm import (
     BoxQP,
+    InvalidProblem,
     Iterate,
     PiCapExceeded,
     StandardQP,
     compute_params,
     compute_params_practical,
+    grow_pi_schedule,
     oracle_min_residual,
     oracle_solve_boxqp,
     solve,
@@ -432,8 +434,8 @@ class TestStepLoopStructure:
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = _Workspace(p, mp)
-        s = ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(s, mp.tau_A)
+        ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(mp.tau_A)
         counter = _CountingNumpy()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
@@ -442,8 +444,8 @@ class TestStepLoopStructure:
             counter.calls = 0
             if kind == STEP_PATH:
                 tau = mp.sigma * tau
-                ws.retarget(s, tau)
-            s = _step(kind, ws, s, tau)
+                ws.retarget(tau)
+            _step(kind, ws, tau)
             assert calls.setdefault(kind, counter.calls) == counter.calls
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
         assert calls == {STEP_ERROR_RESET: 20, STEP_PATH: 21, STEP_CENTRALITY: 20}
@@ -504,30 +506,30 @@ class TestAdvanceInvariants:
 
     def test_x_outside_the_box_is_clipped_and_counted(self):
         ws = _hand_workspace()
-        s = ws.load(_hand_iterate())
+        ws.load(_hand_iterate())
         dz = np.zeros(3 * 3 + 1)
         dz[:3] = [0.75, -0.5 - _X_MAX, 1.0]  # 1.25, -1 - eps, 1.0: all leave the open box
-        clipped, reset = _advance(ws, s, dz, ws.b, 0.5)
-        z_new = ws.b.iterate()
+        clipped, reset = _advance(ws, dz, 0.5)
+        z_new = ws.iterate()
         assert np.abs(z_new.x).max() <= _X_MAX
         assert z_new.x.tolist() == [_X_MAX, -_X_MAX, _X_MAX]
         assert (clipped, reset) == (3, 0)
         assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
         # e and mu∘e are derived from the clipped x
-        assert ws.b.e.tobytes() == np.concatenate([1.0 + z_new.x, 1.0 - z_new.x]).tobytes()
-        assert ws.b.mue.tobytes() == (ws.b.mu * ws.b.e).tobytes()
+        assert ws.e.tobytes() == np.concatenate([1.0 + z_new.x, 1.0 - z_new.x]).tobytes()
+        assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
 
     def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
         z = _hand_iterate()
         ws = _hand_workspace()
-        s = ws.load(z)
+        ws.load(z)
         tau = 0.3
         dz = np.zeros(3 * 3 + 1)
         dz[:3] = [0.25, -0.125, 0.0]
         dz[4:7] = [-1.0, -3.0, 0.25]  # mu_l -> 0.0, -1.0, 0.75
         dz[7:] = [0.0, -1.0, -2.5]  # mu_r -> 0.5, 0.0, -0.5
-        clipped, reset = _advance(ws, s, dz, ws.b, tau)
-        z_new = ws.b.iterate()
+        clipped, reset = _advance(ws, dz, tau)
+        z_new = ws.iterate()
         x_new = z.x + dz[:3]
         assert clipped == 0 and reset == 4
         assert z_new.mu_l[:2].tobytes() == (tau / (1.0 + x_new[:2])).tobytes()
@@ -546,18 +548,18 @@ class TestAdvanceInvariants:
         z = Iterate(x=[0.25], lam=[0.0], mu_l=[tau / 1.25], mu_r=[tau / 0.75])
         newton = _Workspace.newton
 
-        def pushed(self, s, reset_only):
-            dz = newton(self, s, reset_only)
+        def pushed(self, reset_only):
+            dz = newton(self, reset_only)
             dz[2] = -2.0 * z.mu_l[0]
             return dz
 
         monkeypatch.setattr(_Workspace, "newton", pushed)
         ws = _Workspace(p, mp)
-        s = ws.load(z)
-        ws.eval_F(s, tau)
-        new = _step(STEP_CENTRALITY, ws, s, tau)
+        ws.load(z)
+        ws.eval_F(tau)
+        _step(STEP_CENTRALITY, ws, tau)
         assert ws.mu_reset == 1 and ws.x_clipped == 0
-        assert new.mu_l[0] == tau / (1.0 + new.x[0])
+        assert ws.mu_l[0] == tau / (1.0 + ws.x[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_is_rejected(self, monkeypatch, bad):
@@ -566,8 +568,8 @@ class TestAdvanceInvariants:
         z = _hand_iterate()
         newton = _Workspace.newton
 
-        def broken(self, s, reset_only):
-            dz = newton(self, s, reset_only)
+        def broken(self, reset_only):
+            dz = newton(self, reset_only)
             dz[1] = bad
             return dz
 
@@ -589,7 +591,7 @@ class TestAdvanceInvariants:
         z = Iterate(**values)
         at = {"lam": 3, "mu_l": 4, "mu_r": 7}[block] + j
 
-        def overflowing(self, s, reset_only):
+        def overflowing(self, reset_only):
             self.dz[:] = 0.0
             self.dz[at] = huge
             return self.dz
@@ -656,8 +658,8 @@ class TestStructuredRejection:
         calls = {"newton": 0}
         newton = _Workspace.newton
 
-        def failing(self, s, reset_only):
-            dz = newton(self, s, reset_only)
+        def failing(self, reset_only):
+            dz = newton(self, reset_only)
             calls["newton"] += 1
             if calls["newton"] == fail_at:
                 dz[0] = np.nan
@@ -745,7 +747,8 @@ class TestCondDF:
             mp = compute_params_practical(p)
             z = random_iterate(rng, n, m)
             ws = _Workspace(p, mp)
-            cond = ws.cond_DF(ws.load(z))
+            ws.load(z)
+            cond = ws.cond_DF()
             J = eval_DF(p, mp, z)
             # the workspace's Fortran-ordered DF, its diagonals filled, is DF
             assert np.array_equal(ws._DF, J) and ws._DF.flags.f_contiguous
@@ -858,7 +861,17 @@ class TestSolveStandard:
         assert rep.pi == 4.0
         assert_allclose(rep.x, [3.0], atol=1e-2)
 
-    def test_auto_schedule_cap(self):
+    def test_auto_schedule_cap(self, monkeypatch):
+        # x~* = 3 needs pi = 4; a schedule capped at 2 runs out first
         sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
+        monkeypatch.setattr(
+            boxipm.solver, "grow_pi_schedule", lambda start: grow_pi_schedule(start, cap=2.0)
+        )
         with pytest.raises(PiCapExceeded):
-            solve_standard(sp, tol=1e-2, pi="auto", pi_cap=2.0)
+            solve_standard(sp, tol=1e-2, pi="auto")
+
+    @pytest.mark.parametrize("pi", ["Auto", "", "2.0", "inf"])
+    def test_pi_strings_other_than_auto_are_invalid(self, pi):
+        sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
+        with pytest.raises(InvalidProblem, match="pi must be a number or 'auto'"):
+            solve_standard(sp, tol=1e-2, pi=pi)
