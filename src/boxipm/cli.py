@@ -203,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="3 linear solves per cycle (stable) or 1 (fast)",
             )
             sp_parser.add_argument("--trace", default=None, help="write per-step CSV trace here "
-                                   "(cond_DF: LAPACK 1-norm condition estimate of each Newton matrix)")
+                                   "(cond_DF: 1-norm condition number of each Newton matrix, "
+                                   "from the factor its step made)")
 
     ps = sub.add_parser("solve", help="solve a box problem")
     common(ps)

@@ -25,13 +25,17 @@ matrix-vector product.  Its summation order is the BLAS kernel's, not the
 left-to-right order of the formula above; both are backward stable.
 
 Primal-dual points live in one layout: z as one N-vector whose blocks are
-views, next to e = (e+x, e-x) and mu∘e = (mu_l*(e+x), mu_r*(e-x)) as
-2n-vectors and F as one N-vector.  :class:`Iterate` is the immutable public
+views, followed in the same buffer by e = (e+x, e-x), so that (mu, e) is
+one contiguous 4n-vector, next to mu∘e = (mu_l*(e+x), mu_r*(e-x)) as a
+2n-vector and F as one N-vector.  :class:`Iterate` is the immutable public
 form of z.  The solver's Newton steps run in a :class:`_Workspace`, built
 once per solve: one primal-dual state in that layout, T, the reduced matrix
 and scratch vectors, all preallocated, so a step is a fixed sequence of
 in-place array operations that updates the state where it is.
-:func:`eval_F` and :func:`eval_DF` share their code with it.
+:func:`eval_F` shares its code with it.  The trace's condition number of
+DF is assembled in the workspace from the factor of the reduced matrix
+that the step's solve returns, so no N x N matrix is built in a solve;
+:func:`eval_DF` builds DF for callers outside the solve.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidProblem, OutOfDomain
-from .linalg import EPS_MACH, as_vector, cond_estimate, solve_symmetric
+from .linalg import EPS_MACH, as_vector, solve_symmetric, symmetric_inverse
 from .problem import BoxQP
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
@@ -225,37 +229,19 @@ def _diagonal(J: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
     return J.T.reshape(-1)[col * lead + row :: lead + 1][:size]
 
 
-def _DF_template(p: BoxQP, omega: float, order: str = "C") -> np.ndarray:
-    """DF without its four z-dependent diagonals, which are left zero: T on
-    top of 2n zero rows."""
-    J = np.zeros((3 * p.n + p.m, 3 * p.n + p.m), order=order)
-    J[: p.n + p.m] = _affine_rows(p, omega)
-    return J
-
-
-def _DF_diagonals(J: np.ndarray, n: int, m: int) -> tuple[np.ndarray, ...]:
-    """The four z-dependent diagonals of DF in ``J``, as writable views: the
-    mu_l, e+x, -mu_r and e-x diagonals of the mu block rows."""
-    nm = n + m
-    return (_diagonal(J, nm, 0, n), _diagonal(J, nm, nm, n),
-            _diagonal(J, nm + n, 0, n), _diagonal(J, nm + n, nm + n, n))
-
-
-def _fill_DF(diagonals: tuple[np.ndarray, ...], x, mu_l, mu_r) -> None:
-    """Write z's four diagonals of DF through the views of :func:`_DF_diagonals`."""
-    d_mu_l, d_e_l, d_mu_r, d_e_r = diagonals
-    d_mu_l[:] = mu_l
-    np.add(1.0, x, out=d_e_l)
-    np.negative(mu_r, out=d_mu_r)
-    np.subtract(1.0, x, out=d_e_r)
-
-
 def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
-    """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m."""
+    """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m:
+    T on top of the mu block rows [[diag(mu_l), 0, diag(e+x), 0],
+    [-diag(mu_r), 0, 0, diag(e-x)]]."""
     if z.n != p.n or z.m != p.m:
         raise DimensionError("iterate dimensions do not match the problem")
-    J = _DF_template(p, mp.omega)
-    _fill_DF(_DF_diagonals(J, p.n, p.m), z.x, z.mu_l, z.mu_r)
+    n, nm = p.n, p.n + p.m
+    J = np.zeros((3 * n + p.m, 3 * n + p.m))
+    J[:nm] = _affine_rows(p, mp.omega)
+    _diagonal(J, nm, 0, n)[:] = z.mu_l
+    np.add(1.0, z.x, out=_diagonal(J, nm, nm, n))
+    np.negative(z.mu_r, out=_diagonal(J, nm + n, 0, n))
+    np.subtract(1.0, z.x, out=_diagonal(J, nm + n, nm + n, n))
     return J
 
 
@@ -266,8 +252,11 @@ class _Workspace:
     dropped with it.  It holds one primal-dual state, which every step
     updates in place: ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``,
     ``mu_r`` and ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
-    with views ``e_l`` and ``e_r``, and ``mue`` = mu∘e are 2n-vectors
-    (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is one N-vector with views
+    with views ``e_l`` and ``e_r``, follows z in one buffer, so that
+    ``mu_e`` = (mu, e) is one view; ``margin`` is its minimum, the interior
+    margin, as :meth:`load` or the solver's update last set it.  ``mue`` =
+    mu∘e is a 2n-vector (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is
+    one N-vector with views
     ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and ``r34`` = (r3, r4);
     ``eq_norm`` and ``comp_norm`` are the norms of r12 and r34 as
     :meth:`eval_F` last wrote them.  Next to the state it holds T and
@@ -296,17 +285,23 @@ class _Workspace:
     Fortran-ordered, so LAPACK copies it without a transpose.  ``sign`` is
     -1 on the stationarity and complementarity rows and +1 on the equality
     rows: ``sign * F`` is -F with the equality rows negated once more.
+
+    A ``traced`` workspace also writes ``cond`` in each :meth:`newton`: the
+    exact kappa_1 of the DF that the step solves (Q's upper triangle
+    mirrored) where the step starts, from the factor of ``H`` that the
+    solve returns (:meth:`_cond_DF`).
     """
 
-    def __init__(self, p: BoxQP, mp):
+    def __init__(self, p: BoxQP, mp, traced: bool = False):
         n, m = p.n, p.m
         nm, N = n + m, 3 * n + m
         self.p, self.mp, self.n, self.m = p, mp, n, m
-        self.z = np.empty(N)
+        ze = np.empty(N + 2 * n)
+        self.z, self.e, self.mu_e = ze[:N], ze[N:], ze[nm:]
         self.x, self.lam, self.mu_l, self.mu_r = _blocks(self.z, n, m)
         self.mu = self.z[nm:]
-        self.e = np.empty(2 * n)
         self.e_l, self.e_r = self.e[:n], self.e[n:]
+        self.margin = math.nan
         self.mue = np.empty(2 * n)
         self.F = np.empty(N)
         self.r1, self.r2, self.r3, self.r4 = _blocks(self.F, n, m)
@@ -329,17 +324,30 @@ class _Workspace:
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
         dmu = self.dz_mu
         self.dmu_l, self.dmu_r, self.dmu2 = dmu[:n], dmu[n:], dmu.reshape(2, n)
-        self._DF = self._DF_diagonals = None
         # Totals of the repairs the solver's updates make in the state.
         self.x_clipped = self.mu_reset = 0
+        self.traced, self.cond = traced, math.nan
+        if traced:
+            # the column 1-norms of T with Q's upper triangle mirrored, as
+            # the step solves it
+            absT = np.abs(self.T)
+            upper = np.triu(self.T[:n, :n])
+            absT[:n, :n] = np.abs(upper + np.triu(upper, 1).T)
+            self.tcol = absT.sum(axis=0)
+            self.df_cols = self.tcol.copy()  # the lam columns are T's alone
+            self.inv_cols = np.empty(N)
+            self.s1 = np.ones(nm)
+            self.e2 = self.e.reshape(2, n)
 
     def load(self, z: Iterate) -> None:
-        """Copy ``z`` in, after checking its dimensions, and derive e and mu∘e."""
+        """Copy ``z`` in, after checking its dimensions, and derive e, mu∘e
+        and the margin."""
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
         self.derive_e()
         self.derive_mue()
+        self.margin = float(self.mu_e.min())
 
     def derive_e(self) -> None:
         np.add(1.0, self.x, out=self.e_l)
@@ -382,7 +390,8 @@ class _Workspace:
         bound kappa_DF exceeds 1/(dim*eps), so a relative pivot test would
         misflag theory-valid systems as singular.  The Q block's diagonal
         and the right-hand side are all of the system that changes per
-        step; if either overflowed, InvalidProblem names it (G or v).
+        step; if either overflowed, InvalidProblem names it (G or v).  In a
+        traced workspace it also writes ``cond`` (:meth:`_cond_DF`).
         """
         t_l, t_r, w_l, w_r, dx = self.t_l, self.t_r, self.w_l, self.w_r, self.dz_x
         np.multiply(self.sign, self.F, out=self.dz)  # (g1, -g2, g3, g4)
@@ -396,25 +405,54 @@ class _Workspace:
         np.divide(self.mu, self.e, out=self.w)
         np.add(self.qdiag, w_l, out=self.hdiag)
         np.add(self.hdiag, w_r, out=self.hdiag)
-        if not np.isfinite(self.hdiag).all():
+        # a sum of finite terms and nonnegative w: finite or +inf, never NaN
+        if not self.hdiag.max() < math.inf:
             raise InvalidProblem("G contains non-finite entries")
         if not np.isfinite(self.dz_u).all():
             raise InvalidProblem("v contains non-finite entries")
-        solve_symmetric(self.H, self.dz_u)
+        _, ldu, ipiv = solve_symmetric(self.H, self.dz_u)
+        if self.traced:
+            self.cond = self._cond_DF(ldu, ipiv)
         # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
         np.multiply(self.w2, dx, out=self.dmu2)
         np.subtract(t_l, self.dmu_l, out=self.dmu_l)
         np.add(t_r, self.dmu_r, out=self.dmu_r)
         return self.dz
 
-    def cond_DF(self) -> float:
-        """LAPACK 1-norm condition estimate of the full DF at z; inf, never an
-        error, when DF is singular.  DF is one Fortran-ordered matrix built at
-        the first call, so LAPACK reads it without a transposing copy; each
-        call rewrites its four z-dependent diagonals, and LAPACK factors a
-        copy."""
-        if self._DF is None:
-            self._DF = _DF_template(self.p, self.mp.omega, order="F")
-            self._DF_diagonals = _DF_diagonals(self._DF, self.n, self.m)
-        _fill_DF(self._DF_diagonals, self.x, self.mu_l, self.mu_r)
-        return cond_estimate(self._DF)
+    def _cond_DF(self, ldu: np.ndarray, ipiv: np.ndarray) -> float:
+        """kappa_1 = ||DF||_1 ||DF^-1||_1 of the DF the step solves, at the
+        state where it starts, from the factor (ldu, ipiv) of ``H``; inf if
+        it overflows.  ``ldu`` is overwritten.
+
+        With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`) and
+        s = (w_l + w_r, 0), the block elimination of :meth:`newton` gives
+        every column of DF^-1: column j of the x or lam block is
+        +-(Y_j, -w_l∘Y_xj, w_r∘Y_xj), of 1-norm c_j = ((1 + s)'|Y|)_j, and
+        column j of the mu_l block is column j of the x block over e_l,j
+        with its own mu_l entry (1 - w_l,j Y_jj)/e_l,j instead, of 1-norm
+        (c_j - w_l,j |Y_jj| + |1 - w_l,j Y_jj|)/e_l,j; the mu_r block is
+        alike with w_r and e_r.  The subtraction loses nothing that the sum
+        does not keep: when w_l,j |Y_jj| >= 1 the sum is at least c_j - 1.
+        The column 1-norms of DF are those of T plus (mu_l + mu_r, 0, e).
+        """
+        n, nm = self.n, self.n + self.m
+        Y = symmetric_inverse(ldu, ipiv)
+        wy = self.w2 * Y.diagonal()[:n]  # (w_l∘Y_jj, w_r∘Y_jj) of the x block
+        absY = np.abs(Y, out=Y)
+        s1 = self.s1  # 1 + s
+        np.add(1.0, self.w_l, out=s1[:n])
+        np.add(s1[:n], self.w_r, out=s1[:n])
+        inv_cols, mu_cols = self.inv_cols, self.inv_cols[nm:].reshape(2, n)
+        np.matmul(absY, s1, out=inv_cols[:nm])  # Y is symmetric: row sums are column sums
+        np.abs(wy, out=mu_cols)
+        np.subtract(inv_cols[:n], mu_cols, out=mu_cols)
+        np.subtract(1.0, wy, out=wy)
+        np.abs(wy, out=wy)
+        np.add(mu_cols, wy, out=mu_cols)
+        np.divide(mu_cols, self.e2, out=mu_cols)
+        df_cols = self.df_cols
+        np.add(self.tcol[:n], self.mu_l, out=df_cols[:n])
+        np.add(df_cols[:n], self.mu_r, out=df_cols[:n])
+        np.add(self.tcol[nm:], self.e, out=df_cols[nm:])
+        kappa = df_cols.max() * inv_cols.max()
+        return float(kappa) if kappa < math.inf else math.inf

@@ -19,14 +19,18 @@ each only a normwise backward-stable solve:
   the right-hand side with dormqr and back substitution with dtrtrs; Q is
   never formed.  Every step is backward stable.
 
-Condition numbers are LAPACK's Hager/Higham 1-norm estimates, never an
-explicit inverse; the trace's ``cond_DF`` is :func:`cond_estimate` of DF on
-primal-dual rows and :meth:`QRFactor.cond_estimate` of the Hessian's R on
-primal rows.
+The trace's ``cond_DF`` reads the factor its step made: on primal rows it
+is :meth:`QRFactor.cond_estimate`, LAPACK's 1-norm estimate of the
+Hessian's R (dtrcon); on primal-dual rows it is the exact kappa_1 of the
+DF the step solves (Q's upper triangle mirrored), which ``boxipm.kkt``
+assembles from :func:`symmetric_inverse` of the reduced matrix's
+Bunch-Kaufman factor that :func:`solve_symmetric` returns.  No N x N
+matrix is built or factored for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -137,9 +141,11 @@ class QRFactor:
         return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
-def solve_symmetric(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+def solve_symmetric(G: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve G u = v for a symmetric nonsingular ``G`` by Bunch-Kaufman LDL'
-    (LAPACK dsysv), in one call; returns u.
+    (LAPACK dsysv), in one call; returns (u, ldu, ipiv), where ``ldu`` and
+    ``ipiv`` are the factor of G that the call computed, in LAPACK's form,
+    for :func:`symmetric_inverse`.
 
     Only the upper triangle of ``G`` is read, and ``G`` is never written.
     ``v`` is overwritten with u when it is a contiguous, writable float64
@@ -151,38 +157,35 @@ def solve_symmetric(G: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     # The default workspace: on one OpenBLAS thread the blocked
     # factorization was no faster for d = 7, 45 and 112.
-    _, _, u, info = lapack.dsysv(G, v, overwrite_b=1)
+    ldu, ipiv, u, info = lapack.dsysv(G, v, overwrite_b=1)
     _check_info("dsysv", info)
-    return u
+    return u, ldu, ipiv
+
+
+def symmetric_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
+    """G^-1 from the factor (ldu, ipiv) of G that :func:`solve_symmetric`
+    returned, by LAPACK dsytri, as a full symmetric matrix: dsytri writes
+    the upper triangle, which is mirrored.  ``ldu`` is overwritten."""
+    Y, info = lapack.dsytri(ldu, ipiv, overwrite_a=1)
+    _check_info("dsytri", info)
+    return np.where(_upper_mask(Y.shape[0]), Y, Y.T)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_mask(d: int) -> np.ndarray:
+    """The read-only d x d mask of the upper triangle, diagonal included;
+    np.triu would build it per call."""
+    mask = np.triu(np.ones((d, d), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def _check_info(routine: str, info: int) -> None:
     """Raise on a LAPACK ``info``: negative is an illegal argument (a bug),
     positive is an exactly zero diagonal entry of the triangular or block
-    diagonal factor (R of dtrtrs, D of dsysv)."""
+    diagonal factor (R of dtrtrs, D of dsysv and dsytri)."""
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
     if info > 0:
         raise SingularSystem(f"LAPACK {routine}: pivot {info - 1} of the factor is exactly zero")
 
-
-def cond_estimate(G) -> float:
-    """Estimate of kappa_1(G) = ||G||_1 ||G^-1||_1 from dgetrf and dgecon.
-
-    Up to rounding it never exceeds kappa_1, and is typically within a
-    factor 3 of it.  A singular ``G``, or one whose 1-norm overflows, gives
-    inf; it does not raise.
-    """
-    G = as_matrix(G, name="G")
-    if G.shape[0] != G.shape[1]:
-        raise DimensionError(f"square matrix required, got shape {G.shape}")
-    if G.shape[0] == 0:
-        return 1.0
-    lu, _, info = lapack.dgetrf(G)
-    _check_info("dgetrf", min(info, 0))
-    anorm = lapack.dlange("1", G)
-    if info > 0 or anorm == math.inf:  # an exactly zero pivot, or ||G||_1 overflows
-        return math.inf
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    _check_info("dgecon", min(info, 0))  # info > 0 flags an rcond of 0 or NaN
-    return 1.0 / rcond if 0.0 < rcond < math.inf else math.inf

@@ -38,7 +38,8 @@ The K primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side, and a path step only recomputes its complementarity
 blocks as mu∘e - tau.  Trace rows read the workspace's state, and only
-when tracing.  The returned solution x satisfies
+when tracing; a traced workspace also turns each step's factor into the
+row's condition number.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
 """
@@ -46,7 +47,8 @@ equality residual within tol of the box-minimal one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -108,11 +110,13 @@ class TraceEntry:
 
     For primal rows, residual_eq holds ||grad f(x_k)|| and the complementarity
     fields are NaN; for primal-dual rows the residuals are the post-step
-    blocks of F at the row's tau.  cond_DF is a LAPACK 1-norm condition
-    estimate (inf if singular): of the R factor of the Hessian of f on primal
-    rows, of the full N x N DF at the step's start on primal-dual rows (whose
-    exact (n+m) reduction is what gets factored).  newton_dot is
-    dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
+    blocks of F at the row's tau.  cond_DF is a 1-norm condition number, read
+    off the factor its step made (inf if it overflows): on primal rows
+    LAPACK's estimate of kappa_1 of the R factor of the Hessian of f, on
+    primal-dual rows the exact kappa_1 of the N x N DF that the step solves
+    (Q's upper triangle mirrored) at the step's start, from the factor of
+    its (n+m) reduction; the lift row shares the initial reset's value.
+    newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
     """
 
     k: int
@@ -159,7 +163,8 @@ def _advance(ws: _Workspace, dz: np.ndarray, tau: float) -> tuple[int, int]:
     nonpositive by rounding at one-ulp margins is reset to its central-path
     value tau/(1 +- x_j).  Both repairs are within the practical envelope,
     and both are counted: returns (coordinates clipped, mu components reset)
-    and adds them to ``ws.x_clipped`` and ``ws.mu_reset``.
+    and adds them to ``ws.x_clipped`` and ``ws.mu_reset``.  ``ws.margin``
+    is set to the minimum of (mu, e) at the result.
 
     With dz finite, the result satisfies the invariants of an Iterate except
     finiteness (finite + finite can overflow to inf); the caller checks the
@@ -167,19 +172,26 @@ def _advance(ws: _Workspace, dz: np.ndarray, tau: float) -> tuple[int, int]:
     enters.
     """
     np.add(ws.z, dz, out=ws.z)
-    x, mu, absx = ws.x, ws.mu, ws.e_l  # e_l is scratch until derive_e
-    clipped = reset = 0
-    # one reduction tests each repair; the counts are taken only if it is due
-    if np.abs(x, out=absx).max(initial=0.0) > _X_MAX:
-        clipped = int(np.count_nonzero(absx > _X_MAX))
-        np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
-        np.minimum(x, _X_MAX, out=x)
     ws.derive_e()
-    if mu.min(initial=math.inf) <= 0.0:
+    x, mu = ws.x, ws.mu
+    clipped = reset = 0
+    # |x_j| > _X_MAX exactly when 1 + x_j <= 0 or 1 - x_j <= 0, so one
+    # reduction over (mu, e) tells whether a repair is due; the counts are
+    # taken only if one is
+    margin = ws.mu_e.min()
+    if margin <= 0.0:
+        clipped = int(np.count_nonzero(ws.e <= 0.0))
+        if clipped:
+            np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
+            np.minimum(x, _X_MAX, out=x)
+            ws.derive_e()
         bad = mu <= 0.0
         reset = int(np.count_nonzero(bad))
-        mu[bad] = tau / ws.e[bad]
+        if reset:
+            mu[bad] = tau / ws.e[bad]
+        margin = ws.mu_e.min()
     ws.derive_mue()
+    ws.margin = float(margin)
     ws.x_clipped += clipped
     ws.mu_reset += reset
     return clipped, reset
@@ -342,13 +354,12 @@ def _primal_row(
     )
 
 
-def _pd_row(
-    k: int, kind: str, tau: float, ws: _Workspace, cond: float, dz: np.ndarray | None
-) -> TraceEntry:
+def _pd_row(k: int, kind: str, tau: float, ws: _Workspace, dz: np.ndarray | None) -> TraceEntry:
     """The row of a primal-dual step that led to the workspace's state by the
-    step ``dz`` (``None`` for the lift row); ``cond`` is the condition
-    estimate of DF where the step started.  1 - |x_j| is min(1 + x_j, 1 - x_j)
-    bit for bit, so the interior margin is read off e."""
+    step ``dz`` (``None`` for the lift row, whose ``cond_DF`` the initial
+    reset fills in); ``ws.cond`` is kappa_1 of DF where the step started.
+    1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, so the interior margin
+    is ``ws.margin``, the minimum of (mu, e)."""
     step_norm = newton_dot = math.nan
     if dz is not None:
         step_norm = math.sqrt(dz @ dz)
@@ -358,8 +369,7 @@ def _pd_row(
     return TraceEntry(
         k=k, tau=tau, step_kind=kind,
         residual_comp=ws.comp_norm, residual_eq=ws.eq_norm,
-        cond_DF=cond, step_norm=step_norm,
-        interior_margin=float(min(ws.e.min(initial=math.inf), ws.mu.min(initial=math.inf))),
+        cond_DF=ws.cond, step_norm=step_norm, interior_margin=ws.margin,
         comp_gap=complementarity_gap(ws),
         z_norm=math.sqrt(ws.z.dot(ws.z)),  # np.linalg.norm's own formula for a vector
         newton_dot=newton_dot,
@@ -385,8 +395,11 @@ def solve(
         runs.
     collect_trace : bool
         Record one TraceEntry per step, without changing the solve.  Its
-        ``cond_DF`` is a LAPACK 1-norm condition estimate: of DF (one extra
-        LU per step) on primal-dual rows, of the Hessian's R on primal rows.
+        ``cond_DF`` is a 1-norm condition number read off the factor the
+        step made: on primal-dual rows the exact kappa_1 of DF (Q's upper
+        triangle mirrored), from one LAPACK dsytri on the reduced matrix's
+        factor per step; on primal rows dtrcon's estimate for the
+        Hessian's R.
 
     Returns
     -------
@@ -415,20 +428,20 @@ def solve(
             trace.append(_primal_row(k, p, mp, x, dx, fac))
     # Every step's post-check residual is the next step's right-hand side;
     # the steps update the workspace's one state in place.
-    ws = _Workspace(p, mp)
+    ws = _Workspace(p, mp, traced=collect_trace)
     ws.load(lift(p, mp, x))
     ws.eval_F(mp.tau_A)
     tau = mp.tau_A
     cycles = 0  # started, and on success completed, path-following cycles
     try:
         if collect_trace:
-            # The initial reset factors DF at the lift point, so its condition
-            # estimate belongs to the lift row as well.
-            cond = ws.cond_DF()
-            trace.append(_pd_row(len(trace) + 1, STEP_LIFT, tau, ws, cond, None))
+            lift_row = _pd_row(len(trace) + 1, STEP_LIFT, tau, ws, None)
         _step(STEP_ERROR_RESET, ws, tau)
         if collect_trace:
-            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, ws, cond, ws.dz))
+            # The initial reset factors DF at the lift point, so its
+            # condition number belongs to the lift row as well.
+            trace.append(replace(lift_row, cond_DF=ws.cond))
+            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, ws, ws.dz))
         for _ in range(mp.M):
             cycles += 1
             tau = mp.sigma * tau
@@ -438,11 +451,9 @@ def solve(
                     ws.retarget(tau)
                 else:  # same tau as the step before
                     slack = None
-                if collect_trace:
-                    cond = ws.cond_DF()  # DF where the step starts
                 _step(kind, ws, tau, slack)
                 if collect_trace:
-                    trace.append(_pd_row(len(trace) + 1, kind, tau, ws, cond, ws.dz))
+                    trace.append(_pd_row(len(trace) + 1, kind, tau, ws, ws.dz))
             if tau <= mp.tau_E:
                 break
     except StepRejected as exc:
@@ -498,11 +509,12 @@ def solve_standard(
 ) -> StandardReport:
     """Solve a standard-form CQP by rescaling into the box.
 
-    ``pi`` is a bound on ||u*||_inf or the string ``"auto"``; any other
-    string is an InvalidProblem.  With ``pi="auto"``, trial bounds grow
-    geometrically from 1 (:func:`~boxipm.problem.grow_pi_schedule`) until
-    the box solution satisfies max_j x_j < 0.9 (the scaling is then
-    demonstrably large enough) or the schedule's cap is hit (PiCapExceeded).
+    ``pi`` is a bound on ||u*||_inf, a real number, or the string
+    ``"auto"``; anything else is an InvalidProblem.  With ``pi="auto"``,
+    trial bounds grow geometrically from 1
+    (:func:`~boxipm.problem.grow_pi_schedule`) until the box solution
+    satisfies max_j x_j < 0.9 (the scaling is then demonstrably large
+    enough) or the schedule's cap is hit (PiCapExceeded).
     """
 
     def run(pi_val: float) -> tuple[SolveReport, np.ndarray]:
@@ -510,9 +522,10 @@ def solve_standard(
         rep = solve(box, mode=mode, params_mode=params_mode, collect_trace=collect_trace)
         return rep, back(rep.x)
 
-    if isinstance(pi, str) and pi != "auto":
+    auto = isinstance(pi, str) and pi == "auto"
+    if not (auto or isinstance(pi, numbers.Real)):
         raise InvalidProblem(f"pi must be a number or 'auto', got {pi!r}")
-    if pi == "auto":
+    if auto:
         trials = 0
         for pi_val in grow_pi_schedule(1.0):
             trials += 1

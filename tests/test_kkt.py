@@ -321,7 +321,7 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     H[n:, :n] = -p.A
     H[n:, n:] = -mp.omega * np.eye(m)
     H[np.diag_indices(n)] = (np.diag(p.Q) + mp.omega) + w_l + w_r
-    u = solve_symmetric(H, np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, -g2]))
+    u, _, _ = solve_symmetric(H, np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, -g2]))
     dx = u[:n]
     ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
     ws = _Workspace(p, mp)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
 from boxipm.linalg import (
-    EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, cond_estimate, norm2_upper,
-    solve_symmetric,
+    EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, norm2_upper, solve_symmetric,
+    symmetric_inverse,
 )
 
 
@@ -80,69 +78,6 @@ class TestSolveLinear:
         u1 = QRFactor(G).solve(v)
         u2 = QRFactor(G).solve(v)
         assert np.array_equal(u1, u2)
-
-
-def _kappa_1(G):
-    """The exact 1-norm condition number, through an explicit inverse."""
-    return np.linalg.norm(G, 1) * np.linalg.norm(np.linalg.inv(G), 1)
-
-
-class TestCondEstimate:
-    """cond_estimate: LAPACK's 1-norm estimate, dgetrf then dgecon."""
-
-    def test_identity(self):
-        assert cond_estimate(np.eye(4)) == 1.0
-
-    def test_diagonal_exact_values(self):
-        assert cond_estimate(np.diag([1.0, 1000.0])) == 1000.0
-
-    def test_spd_known_spectrum(self):
-        # kappa_2 = 100, and kappa_2/d <= kappa_1 <= d kappa_2
-        rng = np.random.default_rng(11)
-        lams = np.linspace(1.0, 100.0, 5)
-        W, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        G = W @ np.diag(lams) @ W.T
-        est = cond_estimate(G)
-        assert 100.0 / 5 / 3 <= est <= 100.0 * 5
-        assert est <= _kappa_1(G) * (1.0 + 1e-10)
-
-    def test_never_above_and_rarely_3x_below_the_exact_kappa_1(self):
-        # The estimate of ||G^-1||_1 is the norm of one computed column
-        # combination, so it is a lower bound up to rounding.  Within 3x is
-        # typical, not guaranteed: over 6,000 such draws two fell 3.7x and
-        # 4.2x below.
-        rng = np.random.default_rng(2000)
-        ratios = []
-        for _ in range(500):
-            d = int(rng.integers(1, 13))
-            G = rng.normal(size=(d, d))
-            for A in (G, G * 10.0 ** rng.uniform(-8.0, 8.0, size=(d, 1))):
-                exact, est = _kappa_1(A), cond_estimate(A)
-                assert exact / 10.0 <= est <= exact * (1.0 + 1e-10)
-                ratios.append(exact / est)
-        assert np.mean(np.array(ratios) <= 3.0) >= 0.99
-
-    def test_singular_gives_inf(self):
-        for G in (
-            np.array([[1.0, 1.0], [1.0, 1.0]]),
-            np.zeros((3, 3)),
-            np.diag([1.0, 1e-320]),
-            np.array([[1e308, 1e308], [1e308, -1e308]]),  # ||G||_1 overflows
-        ):
-            assert cond_estimate(G) == math.inf
-
-    def test_empty(self):
-        assert cond_estimate(np.zeros((0, 0))) == 1.0
-
-    def test_inputs_checked_and_left_unchanged(self):
-        G = np.array([[2.0, 1.0], [1.0, 3.0]])
-        G0 = G.copy()
-        cond_estimate(G)
-        assert np.array_equal(G, G0)
-        with pytest.raises(DimensionError):
-            cond_estimate(np.ones((2, 3)))
-        with pytest.raises(InvalidProblem):
-            cond_estimate([[1.0, np.nan], [0.0, 1.0]])
 
 
 class TestQRFactorCondEstimate:
@@ -267,7 +202,7 @@ class TestSolveSymmetric:
             plain = _quasi_definite(rng, d)
             for G in (plain, scale[:, None] * plain * scale, newton_like):
                 v = rng.normal(size=d)
-                u = solve_symmetric(G, v.copy())
+                u, _, _ = solve_symmetric(G, v.copy())
                 bound = 10.0 * d * EPS_MACH * np.linalg.norm(G, 2) * np.linalg.norm(u)
                 assert np.linalg.norm(G @ u - v) <= bound
 
@@ -281,27 +216,51 @@ class TestSolveSymmetric:
         v = np.arange(1.0, 7.0)
         junk = G.copy()
         junk[np.tril_indices(6, -1)] = np.nan
-        assert np.array_equal(solve_symmetric(junk, v.copy()), solve_symmetric(G, v.copy()))
+        assert np.array_equal(solve_symmetric(junk, v.copy())[0], solve_symmetric(G, v.copy())[0])
 
     def test_caller_arrays(self):
         rng = np.random.default_rng(9)
         G = _quasi_definite(rng, 7)
         vbig = rng.normal(size=(7, 2))
-        ref = solve_symmetric(G, vbig[:, 0].copy())
+        ref = solve_symmetric(G, vbig[:, 0].copy())[0]
         G_f, G_ro = np.asfortranarray(G), G.copy()
         G_ro.flags.writeable = False
         for M in (G, G_f, G_ro):
             M0, v0 = M.copy(), vbig.copy()
             # a strided or read-only v is left unchanged, and so is G
-            assert np.array_equal(solve_symmetric(M, vbig[:, 0]), ref)
+            assert np.array_equal(solve_symmetric(M, vbig[:, 0])[0], ref)
             frozen = vbig[:, 0].copy()
             frozen.flags.writeable = False
-            assert np.array_equal(solve_symmetric(M, frozen), ref)
+            assert np.array_equal(solve_symmetric(M, frozen)[0], ref)
             assert np.array_equal(M, M0) and np.array_equal(vbig, v0)
             # a contiguous float64 v is overwritten with u, and returned
             v = vbig[:, 0].copy()
-            assert solve_symmetric(M, v) is v
+            assert solve_symmetric(M, v)[0] is v
             assert np.array_equal(v, ref)
+
+
+class TestSymmetricInverse:
+    """symmetric_inverse: dsytri on the factor that solve_symmetric returned."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 28, 45])
+    def test_matches_the_explicit_inverse(self, d):
+        # quasi-definite matrices need 2 x 2 pivots, so both block kinds of D
+        # are inverted; the inverse is full and exactly symmetric
+        rng = np.random.default_rng(500 + d)
+        for _ in range(5):
+            G = _quasi_definite(rng, d)
+            _, ldu, ipiv = solve_symmetric(G, rng.normal(size=d))
+            Y = symmetric_inverse(ldu, ipiv)
+            assert np.array_equal(Y, Y.T)
+            ref = np.linalg.inv(G)
+            assert np.abs(Y - ref).max() <= 1e3 * d * EPS_MACH * np.abs(ref).max()
+
+    def test_reads_the_factor_of_the_upper_triangle(self):
+        G = _quasi_definite(np.random.default_rng(10), 6)
+        junk = G.copy()
+        junk[np.tril_indices(6, -1)] = np.nan
+        Y = symmetric_inverse(*solve_symmetric(junk, np.ones(6))[1:])
+        assert np.array_equal(Y, symmetric_inverse(*solve_symmetric(G, np.ones(6))[1:]))
 
 
 class TestQRFactorContract:
@@ -364,7 +323,6 @@ class TestQRFactorInputs:
     def test_empty_system(self):
         fac = QRFactor(np.zeros((0, 0)))
         assert fac.solve(np.zeros(0)).shape == (0,)
-        assert cond_estimate(np.zeros((0, 0))) == 1.0
 
     def test_layouts_give_the_c_contiguous_result_and_leave_inputs_unchanged(self):
         rng = np.random.default_rng(12)

@@ -3,16 +3,20 @@
 Each example draws a family, the dimensions (n <= 6, so the 3^n oracle
 stays cheap) and a seed for the data; the solve must return a strictly
 interior x whose objective and equality residual are within tol of the
-oracle's, as in acceptance criterion 1.  ``derandomize=True`` makes the
+oracle's, as in acceptance criterion 1.  The trace's condition number of
+DF, taken from the factor of the step's reduced matrix, must be the exact
+kappa_1 of DF on the same families.  ``derandomize=True`` makes the
 examples the same on every run.
 """
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from boxipm import BoxQP, oracle_min_residual, oracle_solve_boxqp, solve
+from boxipm import BoxQP, compute_params_practical, oracle_min_residual, oracle_solve_boxqp, solve
+from boxipm.kkt import _Workspace, eval_DF
 
 from support import random_boxqp_interior_infeasible
+from test_kkt import near_path_iterate
 
 FAMILIES = ("rank_deficient_Q", "rank_deficient_A", "infeasible_b", "interior_infeasible",
             "all_zero")
@@ -69,3 +73,25 @@ def test_solution_conditions_vs_oracle(family, n, m, seed, tol, mode):
     assert float(np.abs(rep.x).max()) < 1.0
     assert rep.objective <= oracle_solve_boxqp(p).objective + p.tol
     assert rep.feas_residual <= oracle_min_residual(p) + p.tol
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(1, 6),
+    m=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.sampled_from([0.5, 1e-3, 1e-9]),
+    tau=st.sampled_from([1.0, 1e-3, 1e-8]),
+)
+def test_traced_cond_DF_is_the_exact_kappa_1(family, n, m, seed, gap, tau):
+    p = degenerate_boxqp(family, n, m, seed, 1e-2)
+    mp = compute_params_practical(p)
+    z = near_path_iterate(np.random.default_rng(seed), p.n, p.m, gap, tau)
+    ws = _Workspace(p, mp, traced=True)
+    ws.load(z)
+    ws.eval_F(tau)
+    ws.newton(reset_only=False)
+    J = eval_DF(p, mp, z)
+    exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
+    assert abs(ws.cond - exact) <= 1e-6 * exact

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
@@ -26,7 +27,7 @@ from boxipm import (
 )
 from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, StepRejected
 from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_grad_f, eval_hess_f
-from boxipm.linalg import QRFactor, cond_estimate
+from boxipm.linalg import QRFactor
 from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _X_MAX,
@@ -317,11 +318,11 @@ def _solve_digest(rep):
 
 # seed, n, m, feasible, mode, traced, digest
 _DIGEST_CASES = [
-    (61, 3, 2, True, "stable", True, "faa0c84a08dfb2e0"),
+    (61, 3, 2, True, "stable", True, "bd8fd757b33d9396"),
     (62, 5, 2, True, "fast", False, "62c928f8b60c022e"),
     (63, 8, 3, True, "stable", False, "9c71384067d4ad25"),
-    (64, 5, 2, False, "stable", True, "8307f2410663782d"),
-    (65, 3, 1, False, "fast", True, "c46f50af59bada36"),
+    (64, 5, 2, False, "stable", True, "a9fb36e332870ac6"),
+    (65, 3, 1, False, "fast", True, "a1e2ad0cf34b869c"),
     (66, 8, 3, False, "stable", False, "8d5acd3641fa06ef"),
 ]
 
@@ -353,6 +354,11 @@ class TestSolveBytes:
     # 2.2e-16 and the objective by at most 4 ulp.  Before: 61 d8dc925b1f234acc,
     # 62 3caf25be2de09f62, 63 f95ab1da2368ee71, 64 523f9ef2ebf45654,
     # 65 f84da1605a661ae9, 66 481a3d929d6fdd17.
+    # The traced digests (61, 64, 65) were re-measured when cond_DF became
+    # the exact kappa_1 of DF, from the factor of the step's reduced matrix,
+    # instead of LAPACK's LU estimate (faa0c84a08dfb2e0, 8307f2410663782d,
+    # c46f50af59bada36 before); with cond_DF left out of the hash they were
+    # unchanged (a5fae1620f369d58, 544e118119ca3f32, e0fbc53af768d04f).
     # The test ids carry the seed and shape, not the digest, so that a
     # re-measurement keeps the test names.
     @pytest.mark.parametrize(
@@ -373,10 +379,12 @@ def _counted(calls, key, fn):
 
 class _CountingNumpy:
     """Stands in for the ``np`` of a module and counts the calls of numpy's
-    functions and ufuncs through it; types and submodules pass through."""
+    functions and ufuncs through it, and the shapes of the arrays they
+    return; types and submodules pass through."""
 
     def __init__(self):
         self.calls = 0
+        self.shapes = set()
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -385,7 +393,10 @@ class _CountingNumpy:
 
         def counted(*args, **kwargs):
             self.calls += 1
-            return attr(*args, **kwargs)
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.shapes.add(out.shape)
+            return out
         return counted
 
 
@@ -397,7 +408,7 @@ class TestStepLoopStructure:
     def test_calls_per_solve(self, monkeypatch):
         calls = dict.fromkeys(
             ["eval_F", "post_init", "workspace", "check_step", "factor", "symmetric_solve",
-             "DF_template"], 0
+             "symmetric_inverse"], 0
         )
         monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
         monkeypatch.setattr(
@@ -413,7 +424,8 @@ class TestStepLoopStructure:
             _counted(calls, "symmetric_solve", boxipm.kkt.solve_symmetric),
         )
         monkeypatch.setattr(
-            boxipm.kkt, "_DF_template", _counted(calls, "DF_template", boxipm.kkt._DF_template)
+            boxipm.kkt, "symmetric_inverse",
+            _counted(calls, "symmetric_inverse", boxipm.kkt.symmetric_inverse),
         )
         rng = np.random.default_rng(13)
         rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), mode="stable")
@@ -425,7 +437,7 @@ class TestStepLoopStructure:
         assert calls["post_init"] == 1  # the lift point
         assert calls["workspace"] == 1
         assert calls["check_step"] == pd_steps  # one rule, once per step
-        assert calls["DF_template"] == 0  # only traced solves estimate cond(DF)
+        assert calls["symmetric_inverse"] == 0  # only traced solves take cond(DF)
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
         # numpy module calls in kkt, solver and linalg, per step as solve()
@@ -448,20 +460,52 @@ class TestStepLoopStructure:
             _step(kind, ws, tau)
             assert calls.setdefault(kind, counter.calls) == counter.calls
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == {STEP_ERROR_RESET: 20, STEP_PATH: 21, STEP_CENTRALITY: 20}
+        assert calls == {STEP_ERROR_RESET: 18, STEP_PATH: 19, STEP_CENTRALITY: 18}
 
-    def test_one_DF_template_per_traced_solve(self, monkeypatch):
-        calls = {"DF_template": 0, "workspace": 0}
-        monkeypatch.setattr(
-            boxipm.kkt, "_DF_template", _counted(calls, "DF_template", boxipm.kkt._DF_template)
-        )
+    def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
+        # cond_DF comes from the factor of the (n+m) reduced matrix that the
+        # step's one symmetric solve made: one dsytri per primal-dual step,
+        # no LU, and no N x N array made through numpy or LAPACK in kkt,
+        # solver or linalg
+        n, m = 4, 2
+        N = 3 * n + m
+        lapack_calls, shapes = {}, set()
+
+        class SpyLapack:
+            def __getattr__(self, name):
+                fn = getattr(scipy.linalg.lapack, name)
+
+                def spied(*args, **kwargs):
+                    lapack_calls[name] = lapack_calls.get(name, 0) + 1
+                    shapes.update(a.shape for a in args if isinstance(a, np.ndarray))
+                    out = fn(*args, **kwargs)
+                    shapes.update(a.shape for a in out if isinstance(a, np.ndarray))
+                    return out
+                return spied
+
+        calls = {"workspace": 0, "symmetric_solve": 0}
+        counter = _CountingNumpy()
+        monkeypatch.setattr(boxipm.linalg, "lapack", SpyLapack())
+        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
+            monkeypatch.setattr(module, "np", counter)
         monkeypatch.setattr(
             _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
         )
+        monkeypatch.setattr(
+            boxipm.kkt, "solve_symmetric",
+            _counted(calls, "symmetric_solve", boxipm.kkt.solve_symmetric),
+        )
         rng = np.random.default_rng(13)
-        rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), collect_trace=True)
+        rep = solve(random_boxqp(rng, n, m, feasible=True, tol=1e-2), collect_trace=True)
+        pd_steps = rep.linear_solves - rep.params.K
         assert len(rep.trace) == rep.linear_solves + 1
-        assert calls == {"DF_template": 1, "workspace": 1}
+        assert calls == {"workspace": 1, "symmetric_solve": pd_steps}
+        assert lapack_calls == {
+            "dgeqp3": rep.params.K, "dormqr": rep.params.K, "dtrtrs": rep.params.K,
+            "dtrcon": rep.params.K, "dsysv": pd_steps, "dsytri": pd_steps,
+        }
+        shapes |= counter.shapes
+        assert (N, N) not in shapes and (n + m, n + m) in shapes
 
     def test_concatenations_do_not_grow_with_M(self, monkeypatch):
         calls = {"concatenate": 0}
@@ -738,23 +782,44 @@ def feasible_trace():
 
 
 class TestCondDF:
-    def test_matches_full_factor_estimate(self):
-        # cond_DF is the LAPACK 1-norm estimate of the full DF at the step's
-        # starting point, within 3x below its exact kappa_1
+    def test_exact_kappa_1_of_DF(self):
+        # cond_DF is kappa_1 of the full DF at the step's starting point,
+        # taken from the factor of the step's reduced matrix
         rng = np.random.default_rng(31)
-        for n, m in [(1, 0), (3, 2), (5, 7), (12, 5)]:
-            p = random_boxqp(rng, n, m, feasible=True, tol=1e-2)
-            mp = compute_params_practical(p)
-            z = random_iterate(rng, n, m)
-            ws = _Workspace(p, mp)
-            ws.load(z)
-            cond = ws.cond_DF()
-            J = eval_DF(p, mp, z)
-            # the workspace's Fortran-ordered DF, its diagonals filled, is DF
-            assert np.array_equal(ws._DF, J) and ws._DF.flags.f_contiguous
-            assert cond == cond_estimate(J)
+        for n, m in [(1, 0), (2, 0), (3, 2), (5, 7), (12, 5), (20, 8)]:
+            for feasible in (True, False):
+                p = random_boxqp(rng, n, m, feasible=feasible, tol=1e-2)
+                mp = compute_params_practical(p)
+                ws = _Workspace(p, mp, traced=True)  # one workspace for every point
+                for _ in range(5):
+                    z = random_iterate(rng, n, m)
+                    ws.load(z)
+                    ws.eval_F(0.5)
+                    ws.newton(reset_only=False)
+                    J = eval_DF(p, mp, z)
+                    exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
+                    assert ws.cond == pytest.approx(exact, rel=1e-6)
+
+    def test_rows_are_the_exact_kappa_1_where_each_step_starts(self):
+        # replay a traced solve step by step; the lift row shares the
+        # initial reset's value
+        p = random_boxqp(np.random.default_rng(33), 3, 2, feasible=False, tol=1e-2)
+        rep = solve(p, collect_trace=True)
+        pd_rows = rep.trace[rep.params.K :]
+        mp = rep.params
+        ws = _Workspace(p, mp)
+        ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(mp.tau_A)
+        tau = mp.tau_A
+        for row in pd_rows[1:]:
+            if row.step_kind == STEP_PATH:
+                tau = row.tau
+                ws.retarget(tau)
+            J = eval_DF(p, mp, ws.iterate())
             exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
-            assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
+            assert row.cond_DF == pytest.approx(exact, rel=1e-6)
+            _step(row.step_kind, ws, tau)
+        assert pd_rows[0].cond_DF == pd_rows[1].cond_DF
 
     def test_primal_rows_estimate_the_hessian_factor(self):
         rng = np.random.default_rng(32)
@@ -874,4 +939,16 @@ class TestSolveStandard:
     def test_pi_strings_other_than_auto_are_invalid(self, pi):
         sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
         with pytest.raises(InvalidProblem, match="pi must be a number or 'auto'"):
+            solve_standard(sp, tol=1e-2, pi=pi)
+
+    @pytest.mark.parametrize("pi", [None, [2.0], object()], ids=["None", "list", "object"])
+    def test_pi_that_is_not_a_number_is_invalid(self, pi):
+        sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
+        with pytest.raises(InvalidProblem, match="pi must be a number or 'auto'"):
+            solve_standard(sp, tol=1e-2, pi=pi)
+
+    @pytest.mark.parametrize("pi", [0.0, -2.0, math.nan, math.inf, np.float64(-1.0)])
+    def test_nonpositive_and_non_finite_pi_keep_the_transform_message(self, pi):
+        sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
+        with pytest.raises(InvalidProblem, match="pi must be a positive finite real"):
             solve_standard(sp, tol=1e-2, pi=pi)
