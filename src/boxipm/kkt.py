@@ -313,6 +313,11 @@ class _Workspace:
         np.negative(self.H[n:], out=self.H[n:])
         self.hdiag = _diagonal(self.H, 0, 0, n)
         self.qdiag = self.hdiag.copy()
+        # Weights of the sum that newton tests for finiteness: at most half
+        # the largest |entry|, so finite entries never overflow it, and
+        # ndarray.dot, which warns on an overflow, stays silent.
+        self.half_mean = np.full(nm, 0.5 / nm)
+        self.half_mean_x = self.half_mean[:n]
         self.sign = np.full(N, -1.0)
         self.sign[n:nm] = 1.0
         self.t = np.empty(2 * n)  # g34/e
@@ -405,11 +410,14 @@ class _Workspace:
         np.divide(self.mu, self.e, out=self.w)
         np.add(self.qdiag, w_l, out=self.hdiag)
         np.add(self.hdiag, w_r, out=self.hdiag)
-        # a sum of finite terms and nonnegative w: finite or +inf, never NaN
-        if not self.hdiag.max() < math.inf:
-            raise InvalidProblem("G contains non-finite entries")
-        if not np.isfinite(self.dz_u).all():
-            raise InvalidProblem("v contains non-finite entries")
+        # One finite sum clears both; otherwise the elementwise tests name
+        # the culprit.
+        if not math.isfinite(self.hdiag.dot(self.half_mean_x) + self.dz_u.dot(self.half_mean)):
+            # a sum of finite terms and nonnegative w: finite or +inf, never NaN
+            if not self.hdiag.max() < math.inf:
+                raise InvalidProblem("G contains non-finite entries")
+            if not np.isfinite(self.dz_u).all():
+                raise InvalidProblem("v contains non-finite entries")
         _, ldu, ipiv = solve_symmetric(self.H, self.dz_u)
         if self.traced:
             self.cond = self._cond_DF(ldu, ipiv)

@@ -26,6 +26,12 @@ DF the step solves (Q's upper triangle mirrored), which ``boxipm.kkt``
 assembles from :func:`symmetric_inverse` of the reduced matrix's
 Bunch-Kaufman factor that :func:`solve_symmetric` returns.  No N x N
 matrix is built or factored for it.
+
+Every LAPACK routine is called through the module global ``lapack``.
+``scipy.linalg`` is imported at the first call, not with this module:
+parsing, validation, the parameter cascade and the oracle run on numpy
+alone, so a process that never factors never loads it, and one that
+does pays the import once, at its first factorization.
 """
 
 from __future__ import annotations
@@ -34,11 +40,27 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionError, InvalidProblem, SingularSystem
 
 EPS_MACH = float(np.finfo(np.float64).eps)
+
+
+class _DeferredLapack:
+    """Stands in for ``scipy.linalg.lapack`` until a routine is first looked
+    up on it: that lookup imports the module and rebinds :data:`lapack` to
+    it, so every later call is a plain attribute lookup on scipy's module.
+    """
+
+    def __getattr__(self, name: str):
+        global lapack
+        from scipy.linalg import lapack
+        return getattr(lapack, name)
+
+
+# The one name every LAPACK call goes through.  Importing scipy.linalg
+# costs more than importing numpy, and only a factorization needs it.
+lapack = _DeferredLapack()
 
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:

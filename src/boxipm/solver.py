@@ -510,8 +510,8 @@ def solve_standard(
     """Solve a standard-form CQP by rescaling into the box.
 
     ``pi`` is a bound on ||u*||_inf, a real number, or the string
-    ``"auto"``; anything else is an InvalidProblem.  With ``pi="auto"``,
-    trial bounds grow geometrically from 1
+    ``"auto"``; anything else, a bool included, is an InvalidProblem.
+    With ``pi="auto"``, trial bounds grow geometrically from 1
     (:func:`~boxipm.problem.grow_pi_schedule`) until the box solution
     satisfies max_j x_j < 0.9 (the scaling is then demonstrably large
     enough) or the schedule's cap is hit (PiCapExceeded).
@@ -523,7 +523,8 @@ def solve_standard(
         return rep, back(rep.x)
 
     auto = isinstance(pi, str) and pi == "auto"
-    if not (auto or isinstance(pi, numbers.Real)):
+    # bool is a numbers.Real: True would run as the bound 1.0
+    if not (auto or isinstance(pi, numbers.Real)) or isinstance(pi, bool):
         raise InvalidProblem(f"pi must be a number or 'auto', got {pi!r}")
     if auto:
         trials = 0

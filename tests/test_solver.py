@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -460,7 +461,7 @@ class TestStepLoopStructure:
             _step(kind, ws, tau)
             assert calls.setdefault(kind, counter.calls) == counter.calls
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == {STEP_ERROR_RESET: 18, STEP_PATH: 19, STEP_CENTRALITY: 18}
+        assert calls == {STEP_ERROR_RESET: 17, STEP_PATH: 18, STEP_CENTRALITY: 17}
 
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
@@ -667,6 +668,37 @@ class TestAdvanceInvariants:
                     step(p, mp, z, 1.0)
                 assert info.value.kind == kind
                 assert info.value.tau == (mp.sigma if kind == STEP_PATH else 1.0)
+
+    @pytest.mark.parametrize("bad_G, bad_v, message", [
+        (np.inf, None, "G"), (None, np.nan, "v"), (np.inf, np.nan, "G"),
+    ])
+    def test_non_finite_system_names_its_part(self, bad_G, bad_v, message):
+        for kind in (STEP_ERROR_RESET, STEP_PATH, STEP_CENTRALITY):
+            ws = _hand_workspace()
+            ws.load(_hand_iterate())
+            ws.eval_F(1.0)
+            if bad_G is not None:
+                ws.qdiag[1] = bad_G
+            if bad_v is not None:
+                ws.F[1] = bad_v  # the x block: in v for every kind
+            with pytest.raises(
+                StepRejected, match=f"Newton system overflowed: {message} contains non-finite"
+            ) as info:
+                _step(kind, ws, 1.0)
+            assert info.value.kind == kind
+
+    def test_finite_system_near_overflow_is_solved_without_a_warning(self):
+        # sum(hdiag) and v'v would overflow, and ndarray.dot warns when it
+        # overflows; every entry is finite, so the finiteness test passes
+        ws = _hand_workspace()
+        ws.load(_hand_iterate())
+        ws.eval_F(1.0)
+        ws.qdiag[:] = 1e308
+        ws.F[0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dz = ws.newton(False)
+        assert np.isfinite(dz).all()
 
     def test_rhs_overflow_is_a_rejected_step(self):
         # the matrix is finite, but tau/(1 - x) one ulp from the face
@@ -941,7 +973,10 @@ class TestSolveStandard:
         with pytest.raises(InvalidProblem, match="pi must be a number or 'auto'"):
             solve_standard(sp, tol=1e-2, pi=pi)
 
-    @pytest.mark.parametrize("pi", [None, [2.0], object()], ids=["None", "list", "object"])
+    @pytest.mark.parametrize(
+        "pi", [None, [2.0], object(), True, False, np.True_],
+        ids=["None", "list", "object", "True", "False", "np.True_"],
+    )
     def test_pi_that_is_not_a_number_is_invalid(self, pi):
         sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
         with pytest.raises(InvalidProblem, match="pi must be a number or 'auto'"):
