@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidProblem, OutOfDomain
 from .linalg import EPS_MACH, as_vector, solve_symmetric, symmetric_inverse
-from .problem import BoxQP
+from .problem import BoxQP, eval_q_omega, q_omega_data
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
 # a smaller margin would round into +/-inf downstream.
@@ -62,9 +62,7 @@ class Iterate:
     ``||x||_inf < 1`` and ``mu_l, mu_r > 0`` componentwise, and copies the
     blocks into one read-only N-vector, of which ``x``, ``lam``, ``mu_l`` and
     ``mu_r`` are views: an Iterate never aliases its inputs and cannot be
-    written to.  The solver's own Newton updates skip the checks through
-    :meth:`_wrap`, because the update establishes them (see
-    ``boxipm.solver._advance``).
+    written to.
     """
 
     x: np.ndarray
@@ -82,26 +80,11 @@ class Iterate:
             raise InvalidProblem("iterate violates ||x||_inf < 1")
         if n and (mu_l.min() <= 0.0 or mu_r.min() <= 0.0):
             raise InvalidProblem("iterate violates mu_l, mu_r > 0")
-        self._own(np.concatenate([x, lam, mu_l, mu_r]), n)
-
-    def _own(self, z: np.ndarray, n: int) -> None:
+        z = np.concatenate([x, lam, mu_l, mu_r])
         z.setflags(write=False)
-        nm = z.shape[0] - 2 * n
         object.__setattr__(self, "_z", z)
-        object.__setattr__(self, "x", z[:n])
-        object.__setattr__(self, "lam", z[n:nm])
-        object.__setattr__(self, "mu_l", z[nm : nm + n])
-        object.__setattr__(self, "mu_r", z[nm + n :])
-
-    @classmethod
-    def _wrap(cls, z: np.ndarray, n: int) -> "Iterate":
-        """The Iterate that takes over ``z``, a float64 N-vector nobody else
-        holds, laid out as (x, lam, mu_l, mu_r) with n entries in x; built
-        without validation.  The caller guarantees ``||x||_inf < 1``, mu > 0
-        and finite entries."""
-        it = object.__new__(cls)
-        it._own(z, n)
-        return it
+        for name, block in zip(("x", "lam", "mu_l", "mu_r"), _blocks(z, n, lam.shape[0])):
+            object.__setattr__(self, name, block)
 
     @property
     def n(self) -> int:
@@ -147,7 +130,7 @@ def _norm(v: np.ndarray) -> float:
 
 def _interior_x(p: BoxQP, x) -> np.ndarray:
     x = as_vector(x, dim=p.n, name="x")
-    if p.n and np.abs(x).max() >= 1.0 - DOMAIN_MARGIN:
+    if np.abs(x).max() >= 1.0 - DOMAIN_MARGIN:
         raise OutOfDomain(
             f"barrier evaluation requires ||x||_inf < 1 - 4*eps, got {np.abs(x).max()!r}"
         )
@@ -157,10 +140,8 @@ def _interior_x(p: BoxQP, x) -> np.ndarray:
 def eval_f(p: BoxQP, mp, x) -> float:
     """Primal barrier value f(x); raises OutOfDomain near the box boundary."""
     x = _interior_x(p, x)
-    r = p.A @ x - p.b
-    quad = 0.5 * x @ (p.Q @ x) + p.c @ x + 0.5 * mp.omega * (x @ x) + (r @ r) / (2.0 * mp.omega)
     barrier = np.log1p(x) + np.log1p(-x)
-    return float(quad / mp.tau_A - barrier.sum())
+    return float(eval_q_omega(p, mp.omega, x) / mp.tau_A - barrier.sum())
 
 
 def eval_grad_f(p: BoxQP, mp, x) -> np.ndarray:
@@ -177,7 +158,7 @@ def eval_hess_f(p: BoxQP, mp, x) -> np.ndarray:
     satisfies I <= hess <= C_Hf * I.
     """
     x = _interior_x(p, x)
-    quad = (p.Q + mp.omega * np.eye(p.n) + (p.A.T @ p.A) / mp.omega) / mp.tau_A
+    quad = q_omega_data(p, mp.omega)[0] / mp.tau_A
     diag = (1.0 + x) ** -2 + (1.0 - x) ** -2
     h = 0.5 * (quad + quad.T)
     h[np.diag_indices(p.n)] += diag
@@ -279,17 +260,15 @@ class _Workspace:
     ``H`` is the first n+m columns of T with the equality rows negated, and
     the diagonal of its Q block is rewritten per step from ``qdiag``, the
     diagonal of Q + omega I; the solve never writes to ``H``, so the rest is
-    written once, here.  The solve reads only the upper triangle, so a Q
-    that ``BoxQP`` accepted as symmetric to within its tolerance, but not
-    exactly, enters the step as its upper triangle mirrored.  ``H`` is
+    written once, here.  The solve reads only the upper triangle, which
+    is all of ``H``, since ``BoxQP`` stores Q exactly symmetric.  ``H`` is
     Fortran-ordered, so LAPACK copies it without a transpose.  ``sign`` is
     -1 on the stationarity and complementarity rows and +1 on the equality
     rows: ``sign * F`` is -F with the equality rows negated once more.
 
     A ``traced`` workspace also writes ``cond`` in each :meth:`newton`: the
-    exact kappa_1 of the DF that the step solves (Q's upper triangle
-    mirrored) where the step starts, from the factor of ``H`` that the
-    solve returns (:meth:`_cond_DF`).
+    exact kappa_1 of the DF that the step solves where the step starts,
+    from the factor of ``H`` that the solve returns (:meth:`_cond_DF`).
     """
 
     def __init__(self, p: BoxQP, mp, traced: bool = False):
@@ -313,11 +292,12 @@ class _Workspace:
         np.negative(self.H[n:], out=self.H[n:])
         self.hdiag = _diagonal(self.H, 0, 0, n)
         self.qdiag = self.hdiag.copy()
-        # Weights of the sum that newton tests for finiteness: at most half
-        # the largest |entry|, so finite entries never overflow it, and
-        # ndarray.dot, which warns on an overflow, stays silent.
-        self.half_mean = np.full(nm, 0.5 / nm)
-        self.half_mean_x = self.half_mean[:n]
+        # Weights of the sums that newton tests (G and v) and the solver
+        # tests (dz) for finiteness: each sum is at most half the largest
+        # |entry|, so finite entries never overflow it, and ndarray.dot,
+        # which warns on an overflow, stays silent.
+        self.half_mean = np.full(N, 0.5 / N)
+        self.half_mean_x, self.half_mean_u = self.half_mean[:n], self.half_mean[:nm]
         self.sign = np.full(N, -1.0)
         self.sign[n:nm] = 1.0
         self.t = np.empty(2 * n)  # g34/e
@@ -333,12 +313,7 @@ class _Workspace:
         self.x_clipped = self.mu_reset = 0
         self.traced, self.cond = traced, math.nan
         if traced:
-            # the column 1-norms of T with Q's upper triangle mirrored, as
-            # the step solves it
-            absT = np.abs(self.T)
-            upper = np.triu(self.T[:n, :n])
-            absT[:n, :n] = np.abs(upper + np.triu(upper, 1).T)
-            self.tcol = absT.sum(axis=0)
+            self.tcol = np.abs(self.T).sum(axis=0)  # the column 1-norms of T
             self.df_cols = self.tcol.copy()  # the lam columns are T's alone
             self.inv_cols = np.empty(N)
             self.s1 = np.ones(nm)
@@ -363,7 +338,7 @@ class _Workspace:
 
     def iterate(self) -> Iterate:
         """z as an Iterate, a copy."""
-        return Iterate._wrap(self.z.copy(), self.n)
+        return Iterate(self.x, self.lam, self.mu_l, self.mu_r)
 
     def eval_F(self, tau: float) -> None:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
@@ -412,7 +387,7 @@ class _Workspace:
         np.add(self.hdiag, w_r, out=self.hdiag)
         # One finite sum clears both; otherwise the elementwise tests name
         # the culprit.
-        if not math.isfinite(self.hdiag.dot(self.half_mean_x) + self.dz_u.dot(self.half_mean)):
+        if not math.isfinite(self.hdiag.dot(self.half_mean_x) + self.dz_u.dot(self.half_mean_u)):
             # a sum of finite terms and nonnegative w: finite or +inf, never NaN
             if not self.hdiag.max() < math.inf:
                 raise InvalidProblem("G contains non-finite entries")

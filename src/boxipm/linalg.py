@@ -22,10 +22,10 @@ each only a normwise backward-stable solve:
 The trace's ``cond_DF`` reads the factor its step made: on primal rows it
 is :meth:`QRFactor.cond_estimate`, LAPACK's 1-norm estimate of the
 Hessian's R (dtrcon); on primal-dual rows it is the exact kappa_1 of the
-DF the step solves (Q's upper triangle mirrored), which ``boxipm.kkt``
-assembles from :func:`symmetric_inverse` of the reduced matrix's
-Bunch-Kaufman factor that :func:`solve_symmetric` returns.  No N x N
-matrix is built or factored for it.
+DF the step solves, which ``boxipm.kkt`` assembles from
+:func:`symmetric_inverse` of the reduced matrix's Bunch-Kaufman factor
+that :func:`solve_symmetric` returns.  No N x N matrix is built or
+factored for it.
 
 Every LAPACK routine is called through the module global ``lapack``.
 ``scipy.linalg`` is imported at the first call, not with this module:
@@ -116,17 +116,15 @@ class QRFactor:
     Parameters
     ----------
     G : ndarray, shape (d, d)
-        Square system matrix.
+        Square system matrix, d >= 1.
     """
 
     def __init__(self, G):
         G = as_matrix(G, name="G")
         d0, d1 = G.shape
-        if d0 != d1:
-            raise DimensionError(f"square matrix required, got shape {G.shape}")
+        if d0 != d1 or d0 == 0:
+            raise DimensionError(f"square matrix of size d >= 1 required, got shape {G.shape}")
         self.dim = d0
-        if d0 == 0:  # LAPACK rejects a leading dimension of 0
-            return
         pivot_tol = d0 * EPS_MACH * float(np.abs(G).sum(axis=1).max())
         # Room for LAPACK's blocked code at any block size up to 64 (reference
         # LAPACK uses 32): the factor a workspace query would lead to, without
@@ -141,8 +139,6 @@ class QRFactor:
     def solve(self, v) -> np.ndarray:
         """Solve G u = v for a vector ``v`` of length d."""
         v = as_vector(v, dim=self.dim, name="v")
-        if self.dim == 0:
-            return np.empty(0)
         # overwrite_c stays off: dormqr copies the caller's array.  Both
         # routines take the vector as one column.
         c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, v, 1)
@@ -156,8 +152,6 @@ class QRFactor:
     def cond_estimate(self) -> float:
         """dtrcon's estimate of kappa_1(R), inf if its rcond is 0.  As G P = Q R,
         kappa_2(G) = kappa_2(R), within a factor d of kappa_1(R)."""
-        if self.dim == 0:
-            return 1.0
         rcond, info = lapack.dtrcon(self._qr, norm="1", uplo="U", diag="N")
         _check_info("dtrcon", info)
         return 1.0 / rcond if rcond > 0.0 else math.inf

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BracketFailed, TooLarge
 from .linalg import as_matrix, as_vector, norm2_upper
-from .problem import BoxQP, eval_q
+from .problem import BoxQP, eval_q, q_omega_data
 
 LOWER, FREE, UPPER = "lower", "free", "upper"
 
@@ -115,12 +115,6 @@ def oracle_min_residual(p: BoxQP) -> float:
     return float(np.linalg.norm(p.A @ sol.x - p.b))
 
 
-def _penalty_data(p: BoxQP, omega_bar: float):
-    H = p.Q + omega_bar * np.eye(p.n) + (p.A.T @ p.A) / omega_bar
-    g = p.c - (p.A.T @ p.b) / omega_bar
-    return H, g
-
-
 def oracle_solve_boxqp(p: BoxQP) -> OracleSolution:
     """Reference minimizer of q over the box intersected with the minimal-
     residual set, to within tol/10 in objective and residual.
@@ -140,8 +134,8 @@ def oracle_solve_boxqp(p: BoxQP) -> OracleSolution:
     tol_o = p.tol / 5.0
     w_target = min(tol_o / (2.0 * p.n), tol_o * tol_o / (16.0 * (4.0 * c_q + p.n)), 1.0)
 
-    sol_prev = oracle_min_box(*_penalty_data(p, w_target * 10.0))
-    sol_last = oracle_min_box(*_penalty_data(p, w_target))
+    sol_prev = oracle_min_box(*q_omega_data(p, w_target * 10.0))
+    sol_last = oracle_min_box(*q_omega_data(p, w_target))
     q_prev = eval_q(p, sol_prev.x)
     q_last = eval_q(p, sol_last.x)
     res_last = float(np.linalg.norm(p.A @ sol_last.x - p.b))

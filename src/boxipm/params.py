@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParamOverflow
 from .linalg import norm2_upper
-from .problem import BoxQP
+from .problem import BoxQP, q_omega_data
 
 THETA_DEFAULT = 0.3
 BETA_DEFAULT = 0.3
@@ -148,11 +148,8 @@ class _Rule:
 
 
 def _tau_A(d, r) -> float:
-    reg_hess = d.p.Q + r.omega * np.eye(d.n) + (d.p.A.T @ d.p.A) / r.omega
-    return max(
-        norm2_upper(reg_hess) / 4.0,
-        4.0 * float(np.linalg.norm(d.p.c - (d.p.A.T @ d.p.b) / r.omega)),
-    )
+    H, g = q_omega_data(d.p, r.omega)
+    return max(norm2_upper(H) / 4.0, 4.0 * float(np.linalg.norm(g)))
 
 
 def _tau_E_cap(r) -> float:

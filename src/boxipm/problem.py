@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InvalidProblem, PiCapExceeded
-from .linalg import as_matrix, as_vector, norm2_upper
+from .linalg import _upper_mask, as_matrix, as_vector, norm2_upper
 
 # Relative tolerances for accepting Q as symmetric PSD.
 SYMMETRY_RTOL = 1e-12
@@ -25,32 +25,48 @@ PSD_EIG_RTOL = 1e-10
 PI_CAP_DEFAULT = 1e100
 
 
-def _check_symmetric_psd(Q: np.ndarray, name: str) -> None:
+def _validated_qp(Q, c, A, b, names: tuple[str, str, str, str]) -> tuple[np.ndarray, ...]:
+    """(Q, c, A, b) as read-only float64 copies, checked as the data of a QP
+    in n >= 1 unknowns with m >= 0 equality rows; ``names`` name the four
+    arrays in the errors.
+
+    Q must be symmetric to within ``SYMMETRY_RTOL`` and positive
+    semi-definite to within ``PSD_EIG_RTOL``.  It is stored as its upper
+    triangle mirrored, chosen entry by entry, so that an exactly symmetric
+    Q is stored bit for bit and every later reader of Q (the residual, the
+    Newton matrices, the PSD test here) sees one symmetric matrix.
+    """
+    nQ, nc, nA, nb = names
+    Q = as_matrix(Q, name=nQ)
+    n = Q.shape[0]
+    if Q.shape[1] != n:
+        raise InvalidProblem(f"{nQ} must be square, got shape {Q.shape}")
+    if n == 0:
+        raise InvalidProblem(f"{nQ} must have at least one row: n = 0")
+    c = as_vector(c, dim=n, name=nc)
+    A = as_matrix(A, cols=n, name=nA)
+    b = as_vector(b, dim=A.shape[0], name=nb)
     qnorm = norm2_upper(Q)
     asym = float(np.linalg.norm(Q - Q.T))
     if asym > SYMMETRY_RTOL * qnorm:
         raise InvalidProblem(
-            f"{name} is not symmetric: ||{name} - {name}^T|| = {asym:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.0e} * ||{name}||"
+            f"{nQ} is not symmetric: ||{nQ} - {nQ}^T|| = {asym:.3e} "
+            f"exceeds {SYMMETRY_RTOL:.0e} * ||{nQ}||"
         )
+    arrays = (np.where(_upper_mask(n), Q, Q.T), c.copy(), A.copy(), b.copy())
+    for a in arrays:
+        a.setflags(write=False)
     # Fast accept for positive definite matrices; fall back to an eigenvalue
     # tolerance for the PSD-singular case.
     try:
-        np.linalg.cholesky(Q)
-        return
+        np.linalg.cholesky(arrays[0])
     except np.linalg.LinAlgError:
-        pass
-    lam_min = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) if Q.size else 0.0
-    if lam_min < -PSD_EIG_RTOL * max(qnorm, 1.0):
-        raise InvalidProblem(
-            f"{name} is not positive semi-definite: lambda_min = {lam_min:.3e}"
-        )
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+        lam_min = float(np.linalg.eigvalsh(arrays[0]).min())
+        if lam_min < -PSD_EIG_RTOL * max(qnorm, 1.0):
+            raise InvalidProblem(
+                f"{nQ} is not positive semi-definite: lambda_min = {lam_min:.3e}"
+            ) from None
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -59,7 +75,8 @@ class BoxQP:
 
     Q must be symmetric positive semi-definite within tight tolerances,
     all data finite, and tol > 0.  A has shape (m, n) with n >= 1 and
-    m >= 0.
+    m >= 0.  The arrays are read-only copies; Q is stored exactly
+    symmetric, as its upper triangle mirrored (:func:`_validated_qp`).
     """
 
     Q: np.ndarray
@@ -69,23 +86,13 @@ class BoxQP:
     tol: float
 
     def __post_init__(self):
-        Q = as_matrix(self.Q, name="Q")
-        n = Q.shape[0]
-        if Q.shape[1] != n:
-            raise InvalidProblem(f"Q must be square, got shape {Q.shape}")
-        if n == 0:
-            raise InvalidProblem("Q must have at least one row: n = 0")
-        c = as_vector(self.c, dim=n, name="c")
-        A = as_matrix(self.A, cols=n, name="A")
-        b = as_vector(self.b, dim=A.shape[0], name="b")
+        names = ("Q", "c", "A", "b")
+        data = _validated_qp(self.Q, self.c, self.A, self.b, names)
         tol = float(self.tol)
         if not math.isfinite(tol) or tol <= 0.0:
             raise InvalidProblem(f"tol must be a positive finite real, got {tol!r}")
-        _check_symmetric_psd(Q, "Q")
-        object.__setattr__(self, "Q", _freeze(Q))
-        object.__setattr__(self, "c", _freeze(c))
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "b", _freeze(b))
+        for name, a in zip(names, data):
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "tol", tol)
 
     @property
@@ -100,7 +107,8 @@ class BoxQP:
 @dataclass(frozen=True)
 class StandardQP:
     """Immutable standard-form CQP instance (Qt, ct, At, bt): equality
-    constraints At u = bt with u >= 0, in n >= 1 unknowns."""
+    constraints At u = bt with u >= 0, in n >= 1 unknowns, validated and
+    stored as ``BoxQP`` stores its data."""
 
     Qt: np.ndarray
     ct: np.ndarray
@@ -108,20 +116,10 @@ class StandardQP:
     bt: np.ndarray
 
     def __post_init__(self):
-        Qt = as_matrix(self.Qt, name="Qt")
-        n = Qt.shape[0]
-        if Qt.shape[1] != n:
-            raise InvalidProblem(f"Qt must be square, got shape {Qt.shape}")
-        if n == 0:
-            raise InvalidProblem("Qt must have at least one row: n = 0")
-        ct = as_vector(self.ct, dim=n, name="ct")
-        At = as_matrix(self.At, cols=n, name="At")
-        bt = as_vector(self.bt, dim=At.shape[0], name="bt")
-        _check_symmetric_psd(Qt, "Qt")
-        object.__setattr__(self, "Qt", _freeze(Qt))
-        object.__setattr__(self, "ct", _freeze(ct))
-        object.__setattr__(self, "At", _freeze(At))
-        object.__setattr__(self, "bt", _freeze(bt))
+        names = ("Qt", "ct", "At", "bt")
+        data = _validated_qp(self.Qt, self.ct, self.At, self.bt, names)
+        for name, a in zip(names, data):
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -149,6 +147,14 @@ def eval_q_omega(p: BoxQP, omega: float, x) -> float:
     x = as_vector(x, dim=p.n, name="x")
     r = p.A @ x - p.b
     return float(0.5 * omega * (x @ x) + eval_q(p, x) + (r @ r) / (2.0 * omega))
+
+
+def q_omega_data(p: BoxQP, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H, g) of the regularized objective, q_omega(x) = 0.5 x'Hx + g'x + const:
+    H = Q + omega I + A'A/omega and g = c - A'b/omega, new arrays."""
+    H = p.Q + omega * np.eye(p.n) + (p.A.T @ p.A) / omega
+    g = p.c - (p.A.T @ p.b) / omega
+    return H, g
 
 
 def residual_norm(p: BoxQP, x) -> float:

@@ -22,8 +22,8 @@ overflows is rejected the same way, and every rejection names its step
 kind and tau (``solve()`` adds the cycle).  Inputs are validated where they
 enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
 ``QRFactor``, the ``tau`` and ``slack`` of the public step functions); the
-iterates a step produces are not re-validated, because ``_advance``
-establishes their invariants and counts the repairs it makes.
+iterates the steps of ``solve()`` produce are not re-validated, because
+``_advance`` establishes their invariants and counts the repairs it makes.
 
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: it holds
@@ -114,8 +114,8 @@ class TraceEntry:
     off the factor its step made (inf if it overflows): on primal rows
     LAPACK's estimate of kappa_1 of the R factor of the Hessian of f, on
     primal-dual rows the exact kappa_1 of the N x N DF that the step solves
-    (Q's upper triangle mirrored) at the step's start, from the factor of
-    its (n+m) reduction; the lift row shares the initial reset's value.
+    at the step's start, from the factor of its (n+m) reduction; the lift
+    row shares the initial reset's value.
     newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
     """
 
@@ -217,8 +217,10 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
         # z, tau and H were checked where they entered, so a non-finite
         # system here is an overflow in forming it.
         raise StepRejected(f"Newton system overflowed: {exc}", kind=kind, tau=tau) from exc
-    # dz'dz is finite only if dz is; the elementwise test settles the rest.
-    if not math.isfinite(dz.dot(dz)) and not np.isfinite(dz).all():
+    # dz weighted by half-means sums to a finite value only if dz is finite,
+    # and finite entries cannot overflow the sum; the elementwise test
+    # settles the rest.
+    if not math.isfinite(dz.dot(ws.half_mean)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
     _advance(ws, dz, tau)
     ws.eval_F(tau)
@@ -396,10 +398,9 @@ def solve(
     collect_trace : bool
         Record one TraceEntry per step, without changing the solve.  Its
         ``cond_DF`` is a 1-norm condition number read off the factor the
-        step made: on primal-dual rows the exact kappa_1 of DF (Q's upper
-        triangle mirrored), from one LAPACK dsytri on the reduced matrix's
-        factor per step; on primal rows dtrcon's estimate for the
-        Hessian's R.
+        step made: on primal-dual rows the exact kappa_1 of DF, from one
+        LAPACK dsytri on the reduced matrix's factor per step; on primal
+        rows dtrcon's estimate for the Hessian's R.
 
     Returns
     -------

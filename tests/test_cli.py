@@ -1,10 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import boxipm.cli
 from boxipm import solve, solve_standard
 from boxipm.cli import run
+from boxipm.oracle import OracleSolution
 from boxipm.probfile import parse_problem
 from boxipm.solver import TRACE_FIELDS
 
@@ -129,6 +132,15 @@ class TestSolveCommand:
         assert out["oracle"]["within_tol"] is True
         assert out["oracle"]["objective_gap"] <= 1e-2
 
+    def test_check_oracle_fail(self, box_file, capsys, monkeypatch):
+        def better(p):  # an oracle that claims a far lower objective
+            return OracleSolution(x=np.zeros(p.n), objective=-1e9, active_pattern=("free",))
+
+        monkeypatch.setattr(boxipm.cli, "oracle_solve_boxqp", better)
+        assert run(["solve", box_file, "--check-oracle"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["oracle"]["within_tol"] is False
+
     def test_tol_override(self, box_file, capsys):
         assert run(["solve", box_file, "--tol", "1e-3", "--check-oracle"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -212,6 +224,36 @@ class TestOracleAndFactor:
         assert run(["factor", box_file]) == 0
         val = float(capsys.readouterr().out.strip())
         assert val > 0.0
+
+
+class TestStandardFiles:
+    """Standard-form files: the box subcommands need the file's pi, and
+    solve-standard takes --pi and --trace."""
+
+    @pytest.mark.parametrize("command", ["solve", "params", "oracle", "factor"])
+    def test_box_subcommands_need_pi(self, command, std_file, tmp_path, capsys):
+        assert run([command, std_file]) == 0
+        no_pi = tmp_path / "no_pi.qp"
+        no_pi.write_text(STD_TEXT.replace("pi: 2.0\n", ""))
+        capsys.readouterr()
+        assert run([command, str(no_pi)]) == 2
+        assert "requires 'pi'" in capsys.readouterr().err
+
+    def test_pi_flag_auto_and_invalid(self, std_file, capsys):
+        assert run(["solve-standard", std_file, "--pi", "auto"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] >= 1
+        assert run(["solve-standard", std_file, "--pi", "abc"]) == 2
+        assert "--pi must be a number or 'auto'" in capsys.readouterr().err
+
+    def test_trace_has_one_row_per_solve_and_the_lift(self, std_file, tmp_path, capsys):
+        trace_path = tmp_path / "trace.csv"
+        assert run(["solve-standard", std_file, "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        box = solve_standard(parse_problem(STD_TEXT).to_standardqp(), tol=1e-2, pi=2.0).box_report
+        with open(trace_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == TRACE_FIELDS
+        assert len(rows) - 1 == box.linear_solves + 1
 
 
 class TestExitCodes:

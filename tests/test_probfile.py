@@ -103,6 +103,41 @@ class TestParse:
         assert exc.value.line == BOX_TEXT.splitlines().index("tol: 1e-3") + 1
 
 
+def _box(old, new):
+    text = BOX_TEXT.replace(old, new)
+    assert text != BOX_TEXT
+    return lambda: parse_problem(text)
+
+
+class TestRejections:
+    """Every ParseError the format raises, with its line and column where
+    one is given: the column of the value, or 1 where the whole line is at
+    fault."""
+
+    @pytest.mark.parametrize("make, message, line, column", [
+        (lambda: parse_problem(STD_TEXT).to_boxqp(), "kind is not 'box'", None, None),
+        (lambda: parse_problem(BOX_TEXT).to_standardqp(), "kind is not 'standard'", None, None),
+        (_box("n: 2", "n: 2.5"), "not an integer: '2.5'", 3, 3),
+        (_box("tol: 1e-3", "tol: 1e-3\ngarbage"), "expected 'key: value'", 13, 1),
+        (_box("c: [ -3.0 0.0 ]", "c: -3.0 0.0"), "array value for 'c' must start with '\\['", 9, 3),
+        (_box("c: [ -3.0 0.0 ]", "c: [ -3.0 0.0 ] 1.0"), "unexpected text after '\\]'", 9, 1),
+        (_box("b: [ 1.0 ]\ntol: 1e-3", "tol: 1e-3\nb: [ 1.0"), "unterminated array for 'b'", 12, 3),
+        (_box("tol: 1e-3", "tol:"), "missing value for 'tol'", 12, 5),
+        (_box("kind: box", "kind: boxy"), "kind must be 'box' or 'standard'", 2, 6),
+        (_box("n: 2", "n: 0"), "need n >= 1 and m >= 0, got n=0, m=1", None, None),
+        (_box("m: 1", "m: -1"), "need n >= 1 and m >= 0, got n=2, m=-1", None, None),
+        (lambda: parse_problem(STD_TEXT.replace("pi: 4.0", "pi: 0.0")), "pi must be > 0", None, None),
+    ], ids=[
+        "to_boxqp", "to_standardqp", "n_not_integer", "no_colon", "no_bracket",
+        "text_after_bracket", "unterminated", "missing_value", "bad_kind", "n_zero",
+        "m_negative", "pi_zero",
+    ])
+    def test_rejection(self, make, message, line, column):
+        with pytest.raises(ParseError, match=message) as exc:
+            make()
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+
 class TestRoundTrip:
     def test_bit_exact_round_trip(self):
         rng = np.random.default_rng(0)

@@ -15,7 +15,7 @@ from boxipm import (
     problem_factor,
     transform_standard,
 )
-from boxipm.problem import residual_norm
+from boxipm.problem import SYMMETRY_RTOL, residual_norm
 
 
 def zeros_box(n=1, m=1, tol=1.0):
@@ -52,6 +52,36 @@ class TestValidation:
             BoxQP(Q=np.zeros((0, 0)), c=[], A=np.zeros((2, 0)), b=[0.0, 0.0], tol=1.0)
         with pytest.raises(InvalidProblem, match="n = 0"):
             StandardQP(Qt=np.zeros((0, 0)), ct=[], At=np.zeros((0, 0)), bt=[])
+
+    def test_rejects_non_square_q(self):
+        with pytest.raises(InvalidProblem, match="Q must be square"):
+            BoxQP(Q=np.ones((2, 3)), c=[0.0, 0.0], A=np.zeros((1, 2)), b=[0.0], tol=1.0)
+        with pytest.raises(InvalidProblem, match="Qt must be square"):
+            StandardQP(Qt=np.ones((2, 3)), ct=[0.0, 0.0], At=np.zeros((1, 2)), bt=[0.0])
+
+    def test_q_is_stored_exactly_symmetric(self):
+        # one symmetric Q for every reader: an exactly symmetric Q is kept bit
+        # for bit, signed zeros included; one that is symmetric only to
+        # within SYMMETRY_RTOL is stored as its upper triangle mirrored
+        n = 4
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        G = np.random.default_rng(7).normal(size=(n, n))
+        Q = np.where(upper, G @ G.T, (G @ G.T).T) + np.eye(n)
+        Q[0, 3] = Q[3, 0] = -0.0
+        near = Q.copy()
+        delta = 0.2 * SYMMETRY_RTOL * np.linalg.norm(Q)  # ||near - near'|| = 2 delta
+        near[2, 0] += delta
+        near[1, 3] -= delta
+        assert not np.array_equal(near, near.T)
+        for make in (
+            lambda Q: BoxQP(Q=Q, c=np.zeros(n), A=np.ones((1, n)), b=[0.0], tol=1.0).Q,
+            lambda Q: StandardQP(Qt=Q, ct=np.zeros(n), At=np.ones((1, n)), bt=[0.0]).Qt,
+        ):
+            assert make(Q).tobytes() == Q.tobytes()
+            stored = make(near)
+            assert stored.tobytes() == np.where(upper, near, near.T).tobytes()
+            assert np.array_equal(stored, stored.T)
+            assert stored[2, 0] == Q[0, 2] and stored[3, 1] == near[1, 3]
 
     def test_immutable_arrays(self):
         p = zeros_box(n=2, m=1)

@@ -623,6 +623,25 @@ class TestAdvanceInvariants:
             path_step(p, mp, z, 1.0)
         assert (info.value.kind, info.value.tau) == (STEP_PATH, mp.sigma)
 
+    def test_huge_finite_step_is_checked_without_a_warning(self, monkeypatch):
+        # dz'dz would overflow, and ndarray.dot warns when it overflows; the
+        # step is finite, so it is taken, and x is clipped back into the box
+        newton = _Workspace.newton
+
+        def huge(self, reset_only):
+            dz = newton(self, reset_only)
+            dz[0] = 1e200
+            return dz
+
+        monkeypatch.setattr(_Workspace, "newton", huge)
+        ws = _hand_workspace()
+        ws.load(_hand_iterate())
+        ws.eval_F(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _step(STEP_CENTRALITY, ws, 1.0)
+        assert ws.x_clipped == 1 and ws.x[0] == _X_MAX
+
     @pytest.mark.parametrize("block", ["lam", "mu_l", "mu_r"])
     def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
         # finite + finite = inf: the update passes the finite-dz check, and
