@@ -79,6 +79,7 @@ def _solution_json(report: SolveReport, extra: dict | None = None) -> str:
         "feas_residual": report.feas_residual,
         "tau_final": report.tau_final,
         "iterations": {"primal": report.iterations_primal, "path_following": report.iterations_pd},
+        "linear_algebra": {"solves": report.linear_solves, "factorizations": report.factorizations},
         "repairs": {"x_clipped": report.x_clipped, "mu_reset": report.mu_reset},
         "mode": report.mode,
         "params_digest": _params_digest(report.params),

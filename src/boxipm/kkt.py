@@ -46,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidProblem, OutOfDomain
-from .linalg import EPS_MACH, as_vector, solve_symmetric, symmetric_inverse
+from .linalg import (
+    EPS_MACH,
+    abs_sum,
+    as_vector,
+    solve_factored,
+    solve_symmetric,
+    symmetric_inverse,
+)
 from .problem import BoxQP, eval_q_omega, q_omega_data
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
@@ -243,7 +250,9 @@ class _Workspace:
     :meth:`eval_F` last wrote them.  Next to the state it holds T and
     cb = (c, -b) of the residual, the reduced Newton matrix, the step ``dz``
     and scratch vectors, each with the views a step reads, so that a step
-    slices nothing.
+    slices nothing.  ``factor`` is the Bunch-Kaufman factor (ldu, ipiv) of
+    ``H`` that the last factoring step computed, ``None`` after
+    :meth:`load`, and ``factorizations`` counts those steps.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -266,9 +275,11 @@ class _Workspace:
     -1 on the stationarity and complementarity rows and +1 on the equality
     rows: ``sign * F`` is -F with the equality rows negated once more.
 
-    A ``traced`` workspace also writes ``cond`` in each :meth:`newton`: the
-    exact kappa_1 of the DF that the step solves where the step starts,
-    from the factor of ``H`` that the solve returns (:meth:`_cond_DF`).
+    A ``traced`` workspace also writes ``cond`` in each factoring
+    :meth:`newton`: the exact kappa_1 of the DF that the step solves where
+    the step starts, from the factor of ``H`` that the solve returns
+    (:meth:`_cond_DF`).  A reset on an earlier step's factor solves that
+    step's DF and leaves ``cond`` as it is.
     """
 
     def __init__(self, p: BoxQP, mp, traced: bool = False):
@@ -292,12 +303,6 @@ class _Workspace:
         np.negative(self.H[n:], out=self.H[n:])
         self.hdiag = _diagonal(self.H, 0, 0, n)
         self.qdiag = self.hdiag.copy()
-        # Weights of the sums that newton tests (G and v) and the solver
-        # tests (dz) for finiteness: each sum is at most half the largest
-        # |entry|, so finite entries never overflow it, and ndarray.dot,
-        # which warns on an overflow, stays silent.
-        self.half_mean = np.full(N, 0.5 / N)
-        self.half_mean_x, self.half_mean_u = self.half_mean[:n], self.half_mean[:nm]
         self.sign = np.full(N, -1.0)
         self.sign[n:nm] = 1.0
         self.t = np.empty(2 * n)  # g34/e
@@ -311,6 +316,7 @@ class _Workspace:
         self.dmu_l, self.dmu_r, self.dmu2 = dmu[:n], dmu[n:], dmu.reshape(2, n)
         # Totals of the repairs the solver's updates make in the state.
         self.x_clipped = self.mu_reset = 0
+        self.factor, self.factorizations = None, 0
         self.traced, self.cond = traced, math.nan
         if traced:
             self.tcol = np.abs(self.T).sum(axis=0)  # the column 1-norms of T
@@ -321,10 +327,11 @@ class _Workspace:
 
     def load(self, z: Iterate) -> None:
         """Copy ``z`` in, after checking its dimensions, and derive e, mu∘e
-        and the margin."""
+        and the margin; the next step factors its own matrix."""
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
+        self.factor = None
         self.derive_e()
         self.derive_mue()
         self.margin = float(self.mu_e.min())
@@ -358,23 +365,48 @@ class _Workspace:
         self.comp_norm = math.nan
 
     def newton(self, reset_only: bool) -> np.ndarray:
-        """The Newton step dz with DF(z) dz = g, where g = -F or, with
+        """The Newton step dz with DF dz = g, where g = -F or, with
         ``reset_only``, -F with its complementarity blocks replaced by zeros
         (which by linearity cancels the (r1, r2) blocks exactly).
 
         Returns the workspace's ``dz`` buffer, which the next call
-        overwrites.  The reduced system is one
-        :func:`~boxipm.linalg.solve_symmetric` call on ``H``, which
-        overwrites the right-hand side in ``dz`` with (dx, dlam) and rejects
-        only an exactly zero pivot: near tau_E the a-priori conditioning
-        bound kappa_DF exceeds 1/(dim*eps), so a relative pivot test would
-        misflag theory-valid systems as singular.  The Q block's diagonal
-        and the right-hand side are all of the system that changes per
-        step; if either overflowed, InvalidProblem names it (G or v).  In a
-        traced workspace it also writes ``cond`` (:meth:`_cond_DF`).
+        overwrites.  A factoring step solves the reduced system at the
+        state by one :func:`~boxipm.linalg.solve_symmetric` call on ``H``,
+        which overwrites the right-hand side in ``dz`` with (dx, dlam) and
+        rejects only an exactly zero pivot: near tau_E the a-priori
+        conditioning bound kappa_DF exceeds 1/(dim*eps), so a relative
+        pivot test would misflag theory-valid systems as singular.  The Q
+        block's diagonal and the right-hand side are all of the system that
+        changes per step; if either overflowed, InvalidProblem names it (G
+        or v).  The step keeps its factor in ``factor`` and counts itself in
+        ``factorizations``; in a traced workspace it also writes ``cond``
+        (:meth:`_cond_DF`).
+
+        A reset in a workspace that holds a factor, that is after another
+        step since :meth:`load`, factors nothing: it solves on that factor
+        by :func:`~boxipm.linalg.solve_factored`, with the ``w`` it was
+        built from.  So it solves DF(z') dz = g, where z' is the state at
+        which the factoring step started.  This is exact for the blocks the
+        reset must zero: (r1, r2) are affine in z with the constant matrix T,
+        the top rows of every DF, so any dz with T dz = -(r1, r2) cancels
+        them, and with g34 = 0 the reduced right-hand side (g1, -g2) does
+        not read w.  Only dmu = -w'∘(dx, -dx) does, with w' = mu'/e'.  With
+        de = (dx, -dx), the new complementarity blocks are
+        mu∘e - tau + mu∘de + e∘dmu + dmu∘de, and mu∘de + e∘dmu is
+        e∘(w - w')∘de for w = mu/e, where a factor at z would cancel it.
+        That term is second order: dx only cancels rounding, and w - w' is
+        the change of one step.  v needs no test: it is (-r1, r2) of a
+        residual that the previous step's post-check found finite.
         """
-        t_l, t_r, w_l, w_r, dx = self.t_l, self.t_r, self.w_l, self.w_r, self.dz_x
+        dx = self.dz_x
         np.multiply(self.sign, self.F, out=self.dz)  # (g1, -g2, g3, g4)
+        if reset_only and self.factor is not None:
+            solve_factored(*self.factor, self.dz_u)
+            # dmu = -w'∘(dx, -dx): -w_l*dx and w_r*dx
+            np.multiply(self.w2, dx, out=self.dmu2)
+            np.negative(self.dmu_l, out=self.dmu_l)
+            return self.dz
+        t_l, t_r, w_l, w_r = self.t_l, self.t_r, self.w_l, self.w_r
         if reset_only:
             self.dz_mu.fill(-0.0)
         # v = ((g1 + g3/(e+x)) - g4/(e-x), -g2), written over (dx, dlam)
@@ -385,15 +417,17 @@ class _Workspace:
         np.divide(self.mu, self.e, out=self.w)
         np.add(self.qdiag, w_l, out=self.hdiag)
         np.add(self.hdiag, w_r, out=self.hdiag)
-        # One finite sum clears both; otherwise the elementwise tests name
-        # the culprit.
-        if not math.isfinite(self.hdiag.dot(self.half_mean_x) + self.dz_u.dot(self.half_mean_u)):
+        # One finite sum of absolute values clears both; otherwise the
+        # elementwise tests name the culprit.
+        if not math.isfinite(abs_sum(self.hdiag) + abs_sum(self.dz_u)):
             # a sum of finite terms and nonnegative w: finite or +inf, never NaN
             if not self.hdiag.max() < math.inf:
                 raise InvalidProblem("G contains non-finite entries")
             if not np.isfinite(self.dz_u).all():
                 raise InvalidProblem("v contains non-finite entries")
         _, ldu, ipiv = solve_symmetric(self.H, self.dz_u)
+        self.factor = ldu, ipiv
+        self.factorizations += 1
         if self.traced:
             self.cond = self._cond_DF(ldu, ipiv)
         # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
@@ -405,7 +439,7 @@ class _Workspace:
     def _cond_DF(self, ldu: np.ndarray, ipiv: np.ndarray) -> float:
         """kappa_1 = ||DF||_1 ||DF^-1||_1 of the DF the step solves, at the
         state where it starts, from the factor (ldu, ipiv) of ``H``; inf if
-        it overflows.  ``ldu`` is overwritten.
+        it overflows.  The factor is not written.
 
         With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`) and
         s = (w_l + w_r, 0), the block elimination of :meth:`newton` gives

@@ -9,8 +9,10 @@ Three phases:
 3. Path following: at most M cycles.  Each cycle reduces tau by the factor
    sigma with a path step; in ``stable`` mode a centrality step (same tau)
    and an error-reset step follow, so rounding errors cannot accumulate
-   across cycles.  ``fast`` mode solves one system per cycle instead of
-   three and is appropriate when stability is not a concern.
+   across cycles.  The three steps solve three linear systems on two
+   factorizations: the reset solves on the centrality step's factor.
+   ``fast`` mode solves one system per cycle and is appropriate when
+   stability is not a concern.
 
 ``solve()`` is built from the public step functions: it runs the primal
 loop behind ``primal_init``, then ``lift``, and makes every primal-dual
@@ -29,10 +31,13 @@ Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: it holds
 the one primal-dual state of the solve, which each step updates in place,
 and each step solves its reduced Newton system with one symmetric LAPACK
-call (Bunch-Kaufman, ``dsysv``) that overwrites the step buffer.  A step is
-a full Newton step or a rejection, so nothing reads the state a step
-started from once it is taken.  Besides the factor and pivot arrays that
-call returns, the only objects a step builds are the masks of
+call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or, for a
+cycle's error reset, the triangular solves alone (``dsytrs``) on the
+factor its centrality step left.  A step is a full Newton step or a
+rejection, so nothing reads the state a step started from once it is
+taken.  Besides the factor and pivot arrays that ``dsysv`` returns and
+the contiguous copy of the Q block's diagonal that its finiteness test
+hands to BLAS, the only objects a step builds are the masks of
 :func:`_advance`, in a step that repairs its iterate.
 The K primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
@@ -68,7 +73,7 @@ from .kkt import (
     eval_grad_f,
     eval_hess_f,
 )
-from .linalg import QRFactor
+from .linalg import QRFactor, abs_sum
 from .neighborhoods import (
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -111,11 +116,14 @@ class TraceEntry:
     For primal rows, residual_eq holds ||grad f(x_k)|| and the complementarity
     fields are NaN; for primal-dual rows the residuals are the post-step
     blocks of F at the row's tau.  cond_DF is a 1-norm condition number, read
-    off the factor its step made (inf if it overflows): on primal rows
-    LAPACK's estimate of kappa_1 of the R factor of the Hessian of f, on
-    primal-dual rows the exact kappa_1 of the N x N DF that the step solves
-    at the step's start, from the factor of its (n+m) reduction; the lift
-    row shares the initial reset's value.
+    off the factor its step solved with (inf if it overflows): on primal
+    rows LAPACK's estimate of kappa_1 of the R factor of the Hessian of f,
+    on primal-dual rows the exact kappa_1 of the N x N DF that the step
+    solves, from the factor of its (n+m) reduction.  That DF is the one at
+    the step's start, except on a cycle's error-reset row: the reset solves
+    on its centrality step's factor, so its row repeats the centrality
+    row's value, with no dsytri of its own.  The lift row shares the
+    initial reset's value, and the initial reset factors its own DF.
     newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
     """
 
@@ -149,6 +157,9 @@ class SolveReport:
     params: MethodParams
     trace: list[TraceEntry] = field(default_factory=list)
     linear_solves: int = 0
+    # Matrices factored: the K Hessians and the primal-dual steps that do
+    # not solve on an earlier step's factor (see kkt._Workspace.newton).
+    factorizations: int = 0
     # Repairs made by the primal-dual updates (see _advance): coordinates of
     # x clipped to +-nextafter(1, 0), and mu components reset to tau/(1 +- x).
     x_clipped: int = 0
@@ -217,10 +228,9 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
         # z, tau and H were checked where they entered, so a non-finite
         # system here is an overflow in forming it.
         raise StepRejected(f"Newton system overflowed: {exc}", kind=kind, tau=tau) from exc
-    # dz weighted by half-means sums to a finite value only if dz is finite,
-    # and finite entries cannot overflow the sum; the elementwise test
-    # settles the rest.
-    if not math.isfinite(dz.dot(ws.half_mean)) and not np.isfinite(dz).all():
+    # The sum of |dz_j| is finite only if dz is, and it raises no warning
+    # on infinities or on an overflow; the elementwise test settles the rest.
+    if not math.isfinite(abs_sum(dz)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
     _advance(ws, dz, tau)
     ws.eval_F(tau)
@@ -309,7 +319,10 @@ def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iter
 
     By linearity the new stationarity/equality residuals vanish to roundoff;
     the post-check holds them to the binary64 floor of
-    :func:`~boxipm.neighborhoods.check_step`.
+    :func:`~boxipm.neighborhoods.check_step`.  It runs in a workspace of its
+    own, so it factors DF at ``z``, as the initial reset of :func:`solve`
+    does; a reset within a cycle of :func:`solve` solves on its centrality
+    step's factor instead.
     """
     return _public_step(STEP_ERROR_RESET, p, mp, z, tau)
 
@@ -359,7 +372,7 @@ def _primal_row(
 def _pd_row(k: int, kind: str, tau: float, ws: _Workspace, dz: np.ndarray | None) -> TraceEntry:
     """The row of a primal-dual step that led to the workspace's state by the
     step ``dz`` (``None`` for the lift row, whose ``cond_DF`` the initial
-    reset fills in); ``ws.cond`` is kappa_1 of DF where the step started.
+    reset fills in); ``ws.cond`` is kappa_1 of the DF the step solved.
     1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, so the interior margin
     is ``ws.margin``, the minimum of (mu, e)."""
     step_norm = newton_dot = math.nan
@@ -390,7 +403,9 @@ def solve(
     ----------
     mode : {"stable", "fast"}
         ``stable`` performs the path, centrality and error-reset solves each
-        cycle (3 linear systems); ``fast`` performs the path solve only.
+        cycle (3 linear systems on 2 factorizations: the reset solves on
+        the centrality step's factor); ``fast`` performs the path solve
+        only.
     params_mode : {"strict", "practical"}
         Strict uses the pure theoretical parameter cascade (may raise
         ParamOverflow); practical applies representability floors and always
@@ -398,9 +413,10 @@ def solve(
     collect_trace : bool
         Record one TraceEntry per step, without changing the solve.  Its
         ``cond_DF`` is a 1-norm condition number read off the factor the
-        step made: on primal-dual rows the exact kappa_1 of DF, from one
-        LAPACK dsytri on the reduced matrix's factor per step; on primal
-        rows dtrcon's estimate for the Hessian's R.
+        step solved with: on primal-dual rows the exact kappa_1 of DF, from
+        one LAPACK dsytri on the reduced matrix's factor per factorization,
+        so a cycle's error-reset row repeats its centrality row's value; on
+        primal rows dtrcon's estimate for the Hessian's R.
 
     Returns
     -------
@@ -477,6 +493,7 @@ def solve(
         params=mp,
         trace=trace,
         linear_solves=mp.K + 1 + cycles * len(cycle),
+        factorizations=mp.K + ws.factorizations,
         x_clipped=ws.x_clipped,
         mu_reset=ws.mu_reset,
     )

@@ -120,6 +120,14 @@ class TestSolveCommand:
         report = solve(parse_problem(BOX_TEXT).to_boxqp())
         assert out["repairs"] == {"x_clipped": report.x_clipped, "mu_reset": report.mu_reset}
 
+    def test_solve_json_counts_linear_algebra(self, box_file, capsys):
+        assert run(["solve", box_file]) == 0
+        out = json.loads(capsys.readouterr().out)
+        report = solve(parse_problem(BOX_TEXT).to_boxqp())
+        assert out["linear_algebra"] == {
+            "solves": report.linear_solves, "factorizations": report.factorizations,
+        }
+
     def test_deterministic_stdout(self, box_file, capsys):
         assert run(["solve", box_file]) == 0
         first = capsys.readouterr().out

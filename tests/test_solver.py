@@ -28,7 +28,7 @@ from boxipm import (
 )
 from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, StepRejected
 from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_grad_f, eval_hess_f
-from boxipm.linalg import QRFactor
+from boxipm.linalg import EPS_MACH, QRFactor
 from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _X_MAX,
@@ -46,7 +46,12 @@ from boxipm.solver import (
     path_step,
     primal_init,
 )
-from support import random_boxqp, random_iterate, random_standard_with_optimum
+from support import (
+    random_boxqp,
+    random_boxqp_interior_infeasible,
+    random_iterate,
+    random_standard_with_optimum,
+)
 from test_kkt import make_mp, zeros_problem
 
 
@@ -319,10 +324,10 @@ def _solve_digest(rep):
 
 # seed, n, m, feasible, mode, traced, digest
 _DIGEST_CASES = [
-    (61, 3, 2, True, "stable", True, "bd8fd757b33d9396"),
+    (61, 3, 2, True, "stable", True, "375c61b1e3290112"),
     (62, 5, 2, True, "fast", False, "62c928f8b60c022e"),
-    (63, 8, 3, True, "stable", False, "9c71384067d4ad25"),
-    (64, 5, 2, False, "stable", True, "a9fb36e332870ac6"),
+    (63, 8, 3, True, "stable", False, "0bef941c96699a8b"),
+    (64, 5, 2, False, "stable", True, "ceff3f4a38116c26"),
     (65, 3, 1, False, "fast", True, "a1e2ad0cf34b869c"),
     (66, 8, 3, False, "stable", False, "8d5acd3641fa06ef"),
 ]
@@ -360,6 +365,11 @@ class TestSolveBytes:
     # instead of LAPACK's LU estimate (faa0c84a08dfb2e0, 8307f2410663782d,
     # c46f50af59bada36 before); with cond_DF left out of the hash they were
     # unchanged (a5fae1620f369d58, 544e118119ca3f32, e0fbc53af768d04f).
+    # The stable digests (61, 63, 64) were re-measured when each cycle's
+    # error reset began to solve on the centrality step's factor (LAPACK
+    # dsytrs) instead of factoring its own matrix; the counts stayed the
+    # same, x moved by at most 2.2e-16, and 66 kept its digest.  Before:
+    # 61 bd8fd757b33d9396, 63 9c71384067d4ad25, 64 a9fb36e332870ac6.
     # The test ids carry the seed and shape, not the digest, so that a
     # re-measurement keeps the test names.
     @pytest.mark.parametrize(
@@ -409,7 +419,7 @@ class TestStepLoopStructure:
     def test_calls_per_solve(self, monkeypatch):
         calls = dict.fromkeys(
             ["eval_F", "post_init", "workspace", "check_step", "factor", "symmetric_solve",
-             "symmetric_inverse"], 0
+             "factored_solve", "symmetric_inverse"], 0
         )
         monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
         monkeypatch.setattr(
@@ -425,25 +435,51 @@ class TestStepLoopStructure:
             _counted(calls, "symmetric_solve", boxipm.kkt.solve_symmetric),
         )
         monkeypatch.setattr(
+            boxipm.kkt, "solve_factored",
+            _counted(calls, "factored_solve", boxipm.kkt.solve_factored),
+        )
+        monkeypatch.setattr(
             boxipm.kkt, "symmetric_inverse",
             _counted(calls, "symmetric_inverse", boxipm.kkt.symmetric_inverse),
         )
         rng = np.random.default_rng(13)
         rep = solve(random_boxqp(rng, 4, 2, feasible=True, tol=1e-2), mode="stable")
         pd_steps = rep.linear_solves - rep.params.K  # the initial reset plus 3 per cycle
+        cycles = rep.iterations_pd
         assert pd_steps > 100
         assert calls["factor"] == rep.params.K  # the primal Hessian steps only
-        assert calls["symmetric_solve"] == pd_steps  # one LAPACK call per primal-dual step
+        # one LAPACK call per primal-dual step: each cycle's reset solves on
+        # its centrality step's factor (dsytrs), every other step factors
+        assert calls["symmetric_solve"] == pd_steps - cycles
+        assert calls["factored_solve"] == cycles
         assert calls["eval_F"] == pd_steps + 1  # + F at the lift point
         assert calls["post_init"] == 1  # the lift point
         assert calls["workspace"] == 1
         assert calls["check_step"] == pd_steps  # one rule, once per step
         assert calls["symmetric_inverse"] == 0  # only traced solves take cond(DF)
 
+    @pytest.mark.parametrize("mode, per_cycle", [("stable", 2), ("fast", 1)])
+    def test_factorizations_are_the_factoring_lapack_calls(self, monkeypatch, mode, per_cycle):
+        # QR of the K Hessians (dgeqp3) and Bunch-Kaufman (dsysv) of every
+        # primal-dual step but a cycle's reset
+        calls = {}
+
+        class CountingLapack:
+            def __getattr__(self, name):
+                calls[name] = calls.get(name, 0) + 1
+                return getattr(scipy.linalg.lapack, name)
+
+        monkeypatch.setattr(boxipm.linalg, "lapack", CountingLapack())
+        rep = solve(random_boxqp(np.random.default_rng(13), 4, 2, tol=1e-2), mode=mode)
+        assert rep.factorizations == calls["dgeqp3"] + calls["dsysv"]
+        assert rep.factorizations == rep.params.K + 1 + per_cycle * rep.iterations_pd
+
     def test_numpy_calls_per_step_kind(self, monkeypatch):
         # numpy module calls in kkt, solver and linalg, per step as solve()
         # makes it (a path step includes its retarget), on steps that make
-        # no repair; method calls such as ndarray.dot are not counted
+        # no repair; method calls such as ndarray.dot are not counted.  The
+        # initial reset factors its own matrix; a cycle's reset solves on
+        # the centrality step's factor and rebuilds nothing.
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = _Workspace(p, mp)
@@ -452,22 +488,24 @@ class TestStepLoopStructure:
         counter = _CountingNumpy()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
-        tau, calls = mp.tau_A, {}
-        for kind in (STEP_ERROR_RESET, STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
+        tau, calls = mp.tau_A, []
+        kinds = [STEP_ERROR_RESET] + [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET] * 2
+        for kind in kinds:
             counter.calls = 0
             if kind == STEP_PATH:
                 tau = mp.sigma * tau
                 ws.retarget(tau)
             _step(kind, ws, tau)
-            assert calls.setdefault(kind, counter.calls) == counter.calls
+            calls.append(counter.calls)
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == {STEP_ERROR_RESET: 17, STEP_PATH: 18, STEP_CENTRALITY: 17}
+        assert calls == [17] + [18, 17, 10] * 2
 
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
-        # step's one symmetric solve made: one dsytri per primal-dual step,
-        # no LU, and no N x N array made through numpy or LAPACK in kkt,
-        # solver or linalg
+        # step's one symmetric solve made: one dsytri per factoring
+        # primal-dual step, none for a cycle's reset, which solves on its
+        # centrality step's factor (dsytrs), no LU, and no N x N array made
+        # through numpy or LAPACK in kkt, solver or linalg
         n, m = 4, 2
         N = 3 * n + m
         lapack_calls, shapes = {}, set()
@@ -499,11 +537,13 @@ class TestStepLoopStructure:
         rng = np.random.default_rng(13)
         rep = solve(random_boxqp(rng, n, m, feasible=True, tol=1e-2), collect_trace=True)
         pd_steps = rep.linear_solves - rep.params.K
+        cycles = rep.iterations_pd
         assert len(rep.trace) == rep.linear_solves + 1
-        assert calls == {"workspace": 1, "symmetric_solve": pd_steps}
+        assert calls == {"workspace": 1, "symmetric_solve": pd_steps - cycles}
         assert lapack_calls == {
             "dgeqp3": rep.params.K, "dormqr": rep.params.K, "dtrtrs": rep.params.K,
-            "dtrcon": rep.params.K, "dsysv": pd_steps, "dsytri": pd_steps,
+            "dtrcon": rep.params.K, "dsysv": pd_steps - cycles, "dsytrs": cycles,
+            "dsytri": pd_steps - cycles,
         }
         shapes |= counter.shapes
         assert (N, N) not in shapes and (n + m, n + m) in shapes
@@ -641,6 +681,35 @@ class TestAdvanceInvariants:
             warnings.simplefilter("error")
             _step(STEP_CENTRALITY, ws, 1.0)
         assert ws.x_clipped == 1 and ws.x[0] == _X_MAX
+
+    def test_infinities_of_both_signs_are_rejected_without_a_warning(self, monkeypatch):
+        # a weighted sum of dz would meet inf - inf, and ndarray.dot warns
+        # "invalid value" there before the step could be rejected
+        newton = _Workspace.newton
+
+        def opposite(self, reset_only):
+            dz = newton(self, reset_only)
+            dz[0], dz[1] = np.inf, -np.inf
+            return dz
+
+        monkeypatch.setattr(_Workspace, "newton", opposite)
+        ws = _hand_workspace()
+        ws.load(_hand_iterate())
+        ws.eval_F(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRejected, match="non-finite components"):
+                _step(STEP_CENTRALITY, ws, 1.0)
+
+    def test_rhs_infinities_of_both_signs_name_v_without_a_warning(self):
+        ws = _hand_workspace()
+        ws.load(_hand_iterate())
+        ws.eval_F(1.0)
+        ws.F[0], ws.F[1] = np.inf, -np.inf  # the x block: in v for every kind
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblem, match="v contains non-finite"):
+                ws.newton(False)
 
     @pytest.mark.parametrize("block", ["lam", "mu_l", "mu_r"])
     def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
@@ -853,7 +922,8 @@ class TestCondDF:
 
     def test_rows_are_the_exact_kappa_1_where_each_step_starts(self):
         # replay a traced solve step by step; the lift row shares the
-        # initial reset's value
+        # initial reset's value, and a cycle's reset row its centrality
+        # row's, whose factor, and so whose DF, the reset solves with
         p = random_boxqp(np.random.default_rng(33), 3, 2, feasible=False, tol=1e-2)
         rep = solve(p, collect_trace=True)
         pd_rows = rep.trace[rep.params.K :]
@@ -862,13 +932,16 @@ class TestCondDF:
         ws.load(lift(p, mp, primal_init(p, mp)))
         ws.eval_F(mp.tau_A)
         tau = mp.tau_A
-        for row in pd_rows[1:]:
+        for before, row in zip(pd_rows, pd_rows[1:]):
             if row.step_kind == STEP_PATH:
                 tau = row.tau
                 ws.retarget(tau)
-            J = eval_DF(p, mp, ws.iterate())
-            exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
-            assert row.cond_DF == pytest.approx(exact, rel=1e-6)
+            if row.step_kind == STEP_ERROR_RESET and before.step_kind == STEP_CENTRALITY:
+                assert row.cond_DF == before.cond_DF
+            else:  # the initial reset, path and centrality rows
+                J = eval_DF(p, mp, ws.iterate())
+                exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
+                assert row.cond_DF == pytest.approx(exact, rel=1e-6)
             _step(row.step_kind, ws, tau)
         assert pd_rows[0].cond_DF == pd_rows[1].cond_DF
 
@@ -884,6 +957,67 @@ class TestCondDF:
             kappa_2 = np.linalg.cond(H)
             assert kappa_2 / p.n <= e.cond_DF <= p.n * kappa_2
             x = x + QRFactor(H).solve(-eval_grad_f(p, mp, x))
+
+
+# family, seed, n, m: every n in 2..8 once or twice over the four families
+_STALE_W_DRAWS = [
+    ("feasible", 81, 2, 2), ("feasible", 82, 6, 3),
+    ("box_infeasible", 83, 3, 3), ("box_infeasible", 84, 7, 2),
+    ("interior_infeasible", 85, 4, 3), ("interior_infeasible", 86, 8, 2),
+    ("rank_deficient", 87, 5, 2), ("rank_deficient", 88, 8, 3),
+    ("feasible", 89, 20, 8),
+]
+
+
+def _stale_w_problem(family, seed, n, m):
+    rng = np.random.default_rng(seed)
+    if family == "interior_infeasible":
+        return random_boxqp_interior_infeasible(rng, n, m)
+    if family == "rank_deficient":
+        return random_boxqp(rng, n, m, rank=n // 2)
+    return random_boxqp(rng, n, m, feasible=family == "feasible")
+
+
+class TestResetOnTheCentralityFactor:
+    """A cycle's error reset solves on its centrality step's factor and w
+    (``_Workspace.newton``).  On every cycle of a stable solve, it is held
+    against a fresh-factor reset (``error_reset_step``) from the same
+    iterate."""
+
+    @pytest.mark.parametrize(
+        "family, seed, n, m", _STALE_W_DRAWS,
+        ids=[f"{d[0]}-seed{d[1]}-n{d[2]}-m{d[3]}" for d in _STALE_W_DRAWS],
+    )
+    def test_stale_w_moves_only_the_complementarity_blocks(self, family, seed, n, m):
+        p = _stale_w_problem(family, seed, n, m)
+        mp = compute_params_practical(p)
+        eq_floor = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z  # the reset's post-check
+        ws = _Workspace(p, mp)
+        ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(mp.tau_A)
+        tau = mp.tau_A
+        _step(STEP_ERROR_RESET, ws, tau)
+        for _ in range(mp.M):
+            tau = mp.sigma * tau
+            ws.retarget(tau)
+            _step(STEP_PATH, ws, tau)
+            _step(STEP_CENTRALITY, ws, tau)
+            fresh = eval_F(p, mp, error_reset_step(p, mp, ws.iterate(), tau), tau)
+            w_stale, w, e = ws.w.copy(), ws.mu / ws.e, ws.e.copy()
+            _step(STEP_ERROR_RESET, ws, tau)
+            assert max(ws.eq_norm, fresh.eq_norm) <= eq_floor
+            # against a fresh factor, the stale w adds e∘(w - w_stale)∘de to
+            # (r3, r4), with de = (dx, -dx); each result's mu∘e - tau also
+            # rounds by about eps*|mu_j| per entry, as e = 1 +- x is known
+            # to ulp(1)
+            dx = ws.dz_x
+            stale_term = np.linalg.norm(e * (w - w_stale) * np.concatenate([dx, -dx]))
+            rounding = 2.0 * EPS_MACH * np.linalg.norm(ws.mu)
+            moved = np.linalg.norm(ws.r34 - np.concatenate([fresh.r3, fresh.r4]))
+            assert moved <= stale_term + rounding
+            if tau <= mp.tau_E:
+                break
+        assert tau <= mp.tau_E * (1.0 + 1e-10)
 
 
 class TestTraceDoesNotChangeTheSolve:
