@@ -30,12 +30,15 @@ one contiguous 4n-vector, next to mu∘e = (mu_l*(e+x), mu_r*(e-x)) as a
 2n-vector and F as one N-vector.  :class:`Iterate` is the immutable public
 form of z.  The solver's Newton steps run in a :class:`_Workspace`, built
 once per solve: one primal-dual state in that layout, T, the reduced matrix
-and scratch vectors, all preallocated, so a step is a fixed sequence of
-in-place array operations that updates the state where it is.
-:func:`eval_F` shares its code with it.  The trace's condition number of
-DF is assembled in the workspace from the factor of the reduced matrix
-that the step's solve returns, so no N x N matrix is built in a solve;
-:func:`eval_DF` builds DF for callers outside the solve.
+and scratch vectors, all preallocated, so a step
+(``boxipm.solver._step``) is a fixed sequence of in-place array
+operations that updates the state where it is.  The workspace's
+:meth:`_Workspace.eval_F` is the one residual evaluation: the step calls
+it, and so does :func:`eval_F`, in a workspace that takes no step and so
+binds no LAPACK routine.  The trace's condition number of DF is assembled
+in the workspace from the factor of the reduced matrix that the step's
+solve returns, so no N x N matrix is built in a solve; :func:`eval_DF`
+builds DF for callers outside the solve.
 """
 
 from __future__ import annotations
@@ -46,14 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidProblem, OutOfDomain
-from .linalg import (
-    EPS_MACH,
-    abs_sum,
-    as_vector,
-    solve_factored,
-    solve_symmetric,
-    symmetric_inverse,
-)
+from .linalg import EPS_MACH, as_vector, symmetric_inverse
 from .problem import BoxQP, eval_q_omega, q_omega_data
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
@@ -242,17 +238,20 @@ class _Workspace:
     ``mu_r`` and ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
     with views ``e_l`` and ``e_r``, follows z in one buffer, so that
     ``mu_e`` = (mu, e) is one view; ``margin`` is its minimum, the interior
-    margin, as :meth:`load` or the solver's update last set it.  ``mue`` =
-    mu∘e is a 2n-vector (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is
-    one N-vector with views
-    ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and ``r34`` = (r3, r4);
-    ``eq_norm`` and ``comp_norm`` are the norms of r12 and r34 as
-    :meth:`eval_F` last wrote them.  Next to the state it holds T and
-    cb = (c, -b) of the residual, the reduced Newton matrix, the step ``dz``
-    and scratch vectors, each with the views a step reads, so that a step
-    slices nothing.  ``factor`` is the Bunch-Kaufman factor (ldu, ipiv) of
-    ``H`` that the last factoring step computed, ``None`` after
-    :meth:`load`, and ``factorizations`` counts those steps.
+    margin, as :meth:`load` or the last step set it.  ``mue`` = mu∘e is a
+    2n-vector (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is one N-vector
+    with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
+    ``r34`` = (r3, r4); ``eq_norm`` and ``comp_norm`` are the norms of r12
+    and r34 as :meth:`eval_F` last wrote them.  Next to the state it holds T
+    and cb = (c, -b) of the residual, the reduced Newton matrix, the step
+    ``dz`` and scratch vectors, each with the views a step reads, so that a
+    step slices nothing.  The step itself is ``boxipm.solver._step``: it
+    binds what it reads once, at the workspace's first step, into
+    ``bound`` (``None`` until then), so that building a workspace looks up
+    no LAPACK routine and loads no ``scipy.linalg``.  ``factor`` is the
+    Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
+    computed, ``None`` after :meth:`load`, and ``factorizations`` counts
+    those steps.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -263,23 +262,26 @@ class _Workspace:
          [-A,                                        -omega I]] (dx, dlam)
             = (g1 + g3/(e+x) - g4/(e-x), -g2)
 
-    in ``H``, which :meth:`newton` solves with
-    :func:`~boxipm.linalg.solve_symmetric`.  Its matrix is quasi-definite:
-    the Q block is positive definite and the last block negative definite.
-    ``H`` is the first n+m columns of T with the equality rows negated, and
-    the diagonal of its Q block is rewritten per step from ``qdiag``, the
-    diagonal of Q + omega I; the solve never writes to ``H``, so the rest is
-    written once, here.  The solve reads only the upper triangle, which
-    is all of ``H``, since ``BoxQP`` stores Q exactly symmetric.  ``H`` is
-    Fortran-ordered, so LAPACK copies it without a transpose.  ``sign`` is
-    -1 on the stationarity and complementarity rows and +1 on the equality
-    rows: ``sign * F`` is -F with the equality rows negated once more.
+    in ``H``, which a step solves by Bunch-Kaufman (LAPACK dsysv).  Its
+    matrix is quasi-definite: the Q block is positive definite and the last
+    block negative definite.  ``H`` is the first n+m columns of T with the
+    equality rows negated, and the diagonal of its Q block is rewritten per
+    step from ``qdiag``, the diagonal of Q + omega I; the solve never writes
+    to ``H``, so the rest is written once, here.  The solve reads only the
+    upper triangle, which is all of ``H``, since ``BoxQP`` stores Q exactly
+    symmetric.  ``H`` is Fortran-ordered, so LAPACK copies it without a
+    transpose.  ``sign`` is -1 on the stationarity and complementarity rows
+    and +1 on the equality rows: ``sign * F`` is -F with the equality rows
+    negated once more.  ``t`` = g34/e and ``w`` = mu/e are the step's
+    scratch; after a factoring step ``w`` holds (-w_l, w_r), the signed
+    weights of dmu = g34/e - w∘(dx, -dx), with which a later reset on the
+    same factor derives its dmu.
 
-    A ``traced`` workspace also writes ``cond`` in each factoring
-    :meth:`newton`: the exact kappa_1 of the DF that the step solves where
-    the step starts, from the factor of ``H`` that the solve returns
-    (:meth:`_cond_DF`).  A reset on an earlier step's factor solves that
-    step's DF and leaves ``cond`` as it is.
+    A ``traced`` workspace also writes ``cond`` in each factoring step: the
+    exact kappa_1 of the DF that the step solves where the step starts, from
+    the factor of ``H`` that the solve returns (:meth:`_cond_DF`).  A reset
+    on an earlier step's factor solves that step's DF and leaves ``cond`` as
+    it is.
     """
 
     def __init__(self, p: BoxQP, mp, traced: bool = False):
@@ -307,16 +309,16 @@ class _Workspace:
         self.sign[n:nm] = 1.0
         self.t = np.empty(2 * n)  # g34/e
         self.t_l, self.t_r = self.t[:n], self.t[n:]
-        self.w = np.empty(2 * n)  # mu/e
+        self.w = np.empty(2 * n)  # mu/e, then (-w_l, w_r)
         self.w_l, self.w_r, self.w2 = self.w[:n], self.w[n:], self.w.reshape(2, n)
         # dz holds the right-hand side until each block is overwritten by its step
         self.dz = np.empty(N)
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
-        dmu = self.dz_mu
-        self.dmu_l, self.dmu_r, self.dmu2 = dmu[:n], dmu[n:], dmu.reshape(2, n)
-        # Totals of the repairs the solver's updates make in the state.
+        self.dmu2 = self.dz_mu.reshape(2, n)
+        # Totals of the repairs the steps make in the state.
         self.x_clipped = self.mu_reset = 0
         self.factor, self.factorizations = None, 0
+        self.bound = None
         self.traced, self.cond = traced, math.nan
         if traced:
             self.tcol = np.abs(self.T).sum(axis=0)  # the column 1-norms of T
@@ -334,14 +336,14 @@ class _Workspace:
         self.factor = None
         self.derive_e()
         self.derive_mue()
-        self.margin = float(self.mu_e.min())
+        self.margin = float(np.minimum.reduce(self.mu_e))
 
     def derive_e(self) -> None:
-        np.add(1.0, self.x, out=self.e_l)
-        np.subtract(1.0, self.x, out=self.e_r)
+        np.add(1.0, self.x, self.e_l)
+        np.subtract(1.0, self.x, self.e_r)
 
     def derive_mue(self) -> None:
-        np.multiply(self.mu, self.e, out=self.mue)
+        np.multiply(self.mu, self.e, self.mue)
 
     def iterate(self) -> Iterate:
         """z as an Iterate, a copy."""
@@ -351,9 +353,9 @@ class _Workspace:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
         and (r3, r4) = mu∘e - tau."""
         r12, r34 = self.r12, self.r34
-        np.matmul(self.T, self.z, out=r12)
-        np.add(r12, self.cb, out=r12)
-        np.subtract(self.mue, tau, out=r34)
+        np.matmul(self.T, self.z, r12)
+        np.add(r12, self.cb, r12)
+        np.subtract(self.mue, tau, r34)
         self.eq_norm = _norm(r12)
         self.comp_norm = _norm(r34)
 
@@ -361,88 +363,17 @@ class _Workspace:
         """Move ``F`` to another tau: r1 and r2 do not depend on it, and
         r3, r4 = mu∘e - tau as in :meth:`eval_F`, so ``F`` is bit-identical
         to a fresh evaluation.  ``comp_norm`` is left NaN."""
-        np.subtract(self.mue, tau, out=self.r34)
+        np.subtract(self.mue, tau, self.r34)
         self.comp_norm = math.nan
-
-    def newton(self, reset_only: bool) -> np.ndarray:
-        """The Newton step dz with DF dz = g, where g = -F or, with
-        ``reset_only``, -F with its complementarity blocks replaced by zeros
-        (which by linearity cancels the (r1, r2) blocks exactly).
-
-        Returns the workspace's ``dz`` buffer, which the next call
-        overwrites.  A factoring step solves the reduced system at the
-        state by one :func:`~boxipm.linalg.solve_symmetric` call on ``H``,
-        which overwrites the right-hand side in ``dz`` with (dx, dlam) and
-        rejects only an exactly zero pivot: near tau_E the a-priori
-        conditioning bound kappa_DF exceeds 1/(dim*eps), so a relative
-        pivot test would misflag theory-valid systems as singular.  The Q
-        block's diagonal and the right-hand side are all of the system that
-        changes per step; if either overflowed, InvalidProblem names it (G
-        or v).  The step keeps its factor in ``factor`` and counts itself in
-        ``factorizations``; in a traced workspace it also writes ``cond``
-        (:meth:`_cond_DF`).
-
-        A reset in a workspace that holds a factor, that is after another
-        step since :meth:`load`, factors nothing: it solves on that factor
-        by :func:`~boxipm.linalg.solve_factored`, with the ``w`` it was
-        built from.  So it solves DF(z') dz = g, where z' is the state at
-        which the factoring step started.  This is exact for the blocks the
-        reset must zero: (r1, r2) are affine in z with the constant matrix T,
-        the top rows of every DF, so any dz with T dz = -(r1, r2) cancels
-        them, and with g34 = 0 the reduced right-hand side (g1, -g2) does
-        not read w.  Only dmu = -w'∘(dx, -dx) does, with w' = mu'/e'.  With
-        de = (dx, -dx), the new complementarity blocks are
-        mu∘e - tau + mu∘de + e∘dmu + dmu∘de, and mu∘de + e∘dmu is
-        e∘(w - w')∘de for w = mu/e, where a factor at z would cancel it.
-        That term is second order: dx only cancels rounding, and w - w' is
-        the change of one step.  v needs no test: it is (-r1, r2) of a
-        residual that the previous step's post-check found finite.
-        """
-        dx = self.dz_x
-        np.multiply(self.sign, self.F, out=self.dz)  # (g1, -g2, g3, g4)
-        if reset_only and self.factor is not None:
-            solve_factored(*self.factor, self.dz_u)
-            # dmu = -w'∘(dx, -dx): -w_l*dx and w_r*dx
-            np.multiply(self.w2, dx, out=self.dmu2)
-            np.negative(self.dmu_l, out=self.dmu_l)
-            return self.dz
-        t_l, t_r, w_l, w_r = self.t_l, self.t_r, self.w_l, self.w_r
-        if reset_only:
-            self.dz_mu.fill(-0.0)
-        # v = ((g1 + g3/(e+x)) - g4/(e-x), -g2), written over (dx, dlam)
-        np.divide(self.dz_mu, self.e, out=self.t)
-        np.add(dx, t_l, out=dx)
-        np.subtract(dx, t_r, out=dx)
-        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
-        np.divide(self.mu, self.e, out=self.w)
-        np.add(self.qdiag, w_l, out=self.hdiag)
-        np.add(self.hdiag, w_r, out=self.hdiag)
-        # One finite sum of absolute values clears both; otherwise the
-        # elementwise tests name the culprit.
-        if not math.isfinite(abs_sum(self.hdiag) + abs_sum(self.dz_u)):
-            # a sum of finite terms and nonnegative w: finite or +inf, never NaN
-            if not self.hdiag.max() < math.inf:
-                raise InvalidProblem("G contains non-finite entries")
-            if not np.isfinite(self.dz_u).all():
-                raise InvalidProblem("v contains non-finite entries")
-        _, ldu, ipiv = solve_symmetric(self.H, self.dz_u)
-        self.factor = ldu, ipiv
-        self.factorizations += 1
-        if self.traced:
-            self.cond = self._cond_DF(ldu, ipiv)
-        # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
-        np.multiply(self.w2, dx, out=self.dmu2)
-        np.subtract(t_l, self.dmu_l, out=self.dmu_l)
-        np.add(t_r, self.dmu_r, out=self.dmu_r)
-        return self.dz
 
     def _cond_DF(self, ldu: np.ndarray, ipiv: np.ndarray) -> float:
         """kappa_1 = ||DF||_1 ||DF^-1||_1 of the DF the step solves, at the
         state where it starts, from the factor (ldu, ipiv) of ``H``; inf if
-        it overflows.  The factor is not written.
+        it overflows.  The factor is not written.  The step calls it before
+        it signs ``w``, which then holds mu/e.
 
         With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`) and
-        s = (w_l + w_r, 0), the block elimination of :meth:`newton` gives
+        s = (w_l + w_r, 0), the block elimination of the step gives
         every column of DF^-1: column j of the x or lam block is
         +-(Y_j, -w_l∘Y_xj, w_r∘Y_xj), of 1-norm c_j = ((1 + s)'|Y|)_j, and
         column j of the mu_l block is column j of the x block over e_l,j

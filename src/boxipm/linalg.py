@@ -7,15 +7,20 @@ enforce the package-wide invariants (2-D/1-D shape, finite entries).
 Two solvers cover the method's linear systems, and the method needs of
 each only a normwise backward-stable solve:
 
-- :func:`solve_symmetric` solves the primal-dual Newton systems, which
-  are symmetric indefinite once a block row is negated, by Bunch-Kaufman
-  LDL' (LAPACK dsysv) in one call, and returns the factor it computed;
-  :func:`solve_factored` solves another right-hand side on that factor
-  by the triangular solves alone (LAPACK dsytrs).  Bunch-Kaufman is
-  backward stable as long as its growth factor stays small, which is the
-  case in practice (Higham, *Accuracy and Stability of Numerical
-  Algorithms*, ch. 11); a strict multiprecision reference would settle
-  whether it and the QR below are equivalent on the method's systems.
+- The primal-dual Newton systems, which are symmetric indefinite once a
+  block row is negated, are solved by Bunch-Kaufman LDL' (LAPACK dsysv)
+  in one call, which also returns the factor it computed; a cycle's
+  error reset solves another right-hand side on that factor by the
+  triangular solves alone (LAPACK dsytrs).  :func:`solve_symmetric` is
+  that dsysv call.  The step itself (``boxipm.solver._step``) binds
+  dsysv, dsytrs and BLAS dasum once per workspace and makes the same
+  calls inline, with the arguments in their positional slots; the tests
+  hold its solution to :func:`solve_symmetric`'s bit for bit.
+  Bunch-Kaufman is backward stable as long as its growth factor stays
+  small, which is the case in practice (Higham, *Accuracy and Stability
+  of Numerical Algorithms*, ch. 11); a strict multiprecision reference
+  would settle whether it and the QR below are equivalent on the
+  method's systems.
 - :class:`QRFactor` solves the primal phase's Hessian systems by
   column-pivoted Householder QR (LAPACK dgeqp3), the reflectors applied to
   the right-hand side with dormqr and back substitution with dtrtrs; Q is
@@ -26,12 +31,12 @@ primal rows it is :meth:`QRFactor.cond_estimate`, LAPACK's 1-norm
 estimate of the Hessian's R (dtrcon); on primal-dual rows it is the exact
 kappa_1 of the DF the step solves, which ``boxipm.kkt`` assembles from
 :func:`symmetric_inverse` of the reduced matrix's Bunch-Kaufman factor
-that :func:`solve_symmetric` returns.  No N x N matrix is built or
+that the step's dsysv call returns.  No N x N matrix is built or
 factored for it.
 
-Every LAPACK routine is called through the module global ``lapack``, and
-the one BLAS routine, dasum (:func:`abs_sum`), through ``blas``.
-``scipy.linalg`` is imported at the first call, not with this module:
+Every LAPACK routine is looked up on the module global ``lapack``, and
+the one BLAS routine, dasum, on ``blas``.  ``scipy.linalg`` is imported
+at the first lookup, not with this module:
 parsing, validation, the parameter cascade and the oracle run on numpy
 alone, so a process that never factors never loads it, and one that
 does pays the import once, at its first factorization.
@@ -170,7 +175,8 @@ def solve_symmetric(G: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Solve G u = v for a symmetric nonsingular ``G`` by Bunch-Kaufman LDL'
     (LAPACK dsysv), in one call; returns (u, ldu, ipiv), where ``ldu`` and
     ``ipiv`` are the factor of G that the call computed, in LAPACK's form,
-    for :func:`solve_factored` and :func:`symmetric_inverse`.
+    for LAPACK dsytrs (another right-hand side, by the triangular solves
+    alone) and :func:`symmetric_inverse`.
 
     Only the upper triangle of ``G`` is read, and ``G`` is never written.
     ``v`` is overwritten with u when it is a contiguous, writable float64
@@ -187,33 +193,14 @@ def solve_symmetric(G: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return u, ldu, ipiv
 
 
-def solve_factored(ldu: np.ndarray, ipiv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve G u = v on the factor (ldu, ipiv) of G that
-    :func:`solve_symmetric` returned, by LAPACK dsytrs: the triangular
-    solves alone, with no factorization.  ``v`` is overwritten with u, and
-    nothing is validated, as in :func:`solve_symmetric`; the factor is not
-    written."""
-    u, info = lapack.dsytrs(ldu, ipiv, v, overwrite_b=1)
-    _check_info("dsytrs", info)
-    return u
-
-
 def symmetric_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     """G^-1 from the factor (ldu, ipiv) of G that :func:`solve_symmetric`
     returned, by LAPACK dsytri, as a full symmetric matrix: dsytri writes
     the upper triangle, which is mirrored.  ``ldu`` is copied, not
-    overwritten, so the factor still serves :func:`solve_factored`."""
+    overwritten, so the factor still serves dsytrs."""
     Y, info = lapack.dsytri(ldu, ipiv, overwrite_a=0)
     _check_info("dsytri", info)
     return np.where(_upper_mask(Y.shape[0]), Y, Y.T)
-
-
-def abs_sum(v: np.ndarray) -> float:
-    """sum_j |v_j| by BLAS dasum: finite when every entry is finite and the
-    sum does not overflow, inf or NaN otherwise.  It never raises a numpy
-    floating-point warning, as ``ndarray.dot`` does on an overflow or on
-    infinities of both signs, so it is the cheap first test of finiteness."""
-    return blas.dasum(v)
 
 
 @functools.lru_cache(maxsize=8)

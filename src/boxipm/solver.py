@@ -25,7 +25,8 @@ kind and tau (``solve()`` adds the cycle).  Inputs are validated where they
 enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
 ``QRFactor``, the ``tau`` and ``slack`` of the public step functions); the
 iterates the steps of ``solve()`` produce are not re-validated, because
-``_advance`` establishes their invariants and counts the repairs it makes.
+``_step`` establishes their invariants (with :func:`_repair`) and counts
+the repairs it makes.
 
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: it holds
@@ -35,10 +36,13 @@ call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or, for a
 cycle's error reset, the triangular solves alone (``dsytrs``) on the
 factor its centrality step left.  A step is a full Newton step or a
 rejection, so nothing reads the state a step started from once it is
-taken.  Besides the factor and pivot arrays that ``dsysv`` returns and
-the contiguous copy of the Q block's diagonal that its finiteness test
-hands to BLAS, the only objects a step builds are the masks of
-:func:`_advance`, in a step that repairs its iterate.
+taken.  ``_step`` runs a whole step in one frame (the residual is one
+method call, :meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve,
+the update and the post-check, on views, ufuncs and LAPACK and BLAS
+routines that it binds once per workspace, at the first step.  Besides
+the factor and pivot arrays that ``dsysv`` returns, the only objects a
+step builds are the masks of :func:`_repair`, in a step that repairs its
+iterate.
 The K primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side, and a path step only recomputes its complementarity
@@ -73,7 +77,8 @@ from .kkt import (
     eval_grad_f,
     eval_hess_f,
 )
-from .linalg import QRFactor, abs_sum
+from . import linalg
+from .linalg import QRFactor, _check_info
 from .neighborhoods import (
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -105,6 +110,13 @@ TAU_END_RTOL = 1e-10
 # margin tau/mu drops below this spacing long before tau_E.
 _X_MAX = float(np.nextafter(1.0, 0.0))
 
+# The constant operand of e = (1 + x, 1 - x), as a 0-d array: numpy
+# converts a Python float per call.
+_ONE = np.ones(())
+_ONE.setflags(write=False)
+
+_OVERFLOW = "Newton system overflowed: {} contains non-finite entries"
+
 STEP_PRIMAL = "primal"
 STEP_LIFT = "lift"
 
@@ -124,7 +136,13 @@ class TraceEntry:
     on its centrality step's factor, so its row repeats the centrality
     row's value, with no dsytri of its own.  The lift row shares the
     initial reset's value, and the initial reset factors its own DF.
-    newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN elsewhere.
+    interior_margin is 1 - ||x||_inf on primal rows; on primal-dual rows it
+    is the minimum of (mu, e), min(1 - ||x||_inf, min mu), the margin that
+    decides whether a step repairs its iterate, so it reads min mu wherever
+    a multiplier is closer to 0 than x is to the box faces (1,623 of the
+    3,134 primal-dual rows of ``random_boxqp(seed 0, n=20, m=8)`` of the
+    test suite).  newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN
+    elsewhere.
     """
 
     k: int
@@ -158,87 +176,172 @@ class SolveReport:
     trace: list[TraceEntry] = field(default_factory=list)
     linear_solves: int = 0
     # Matrices factored: the K Hessians and the primal-dual steps that do
-    # not solve on an earlier step's factor (see kkt._Workspace.newton).
+    # not solve on an earlier step's factor (see _step).
     factorizations: int = 0
-    # Repairs made by the primal-dual updates (see _advance): coordinates of
+    # Repairs made by the primal-dual updates (see _repair): coordinates of
     # x clipped to +-nextafter(1, 0), and mu components reset to tau/(1 +- x).
     x_clipped: int = 0
     mu_reset: int = 0
 
 
-def _advance(ws: _Workspace, dz: np.ndarray, tau: float) -> tuple[int, int]:
-    """Apply the full Newton update z + dz to the workspace's state in place,
-    snapping to the representable interior, and derive e and mu∘e there.
+def _bind(ws: _Workspace) -> tuple:
+    """What a step of ``ws`` reads, looked up once, at its first step, and
+    kept in ``ws.bound``: the workspace's views, the numpy ufuncs, and the
+    LAPACK and BLAS routines from ``boxipm.linalg.lapack`` and
+    ``boxipm.linalg.blas``, whose first lookup in a process imports
+    ``scipy.linalg``.  The order is the unpacking order of :func:`_step`."""
+    lapack, blas = linalg.lapack, linalg.blas
+    ws.bound = (
+        ws.z, ws.x, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
+        ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.dmu2, ws.t, ws.t_l, ws.t_r,
+        ws.w, ws.w_l, ws.w_r, ws.w2, ws.H, ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
+        ws.H.ravel(order="F"),
+        np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
+        lapack.dsysv, lapack.dsytrs, blas.dasum,
+    )
+    return ws.bound
+
+
+def _repair(ws: _Workspace, tau: float) -> None:
+    """Snap the workspace's state, just updated by a step, back to the
+    representable interior, re-deriving e, and count the repairs in
+    ``ws.x_clipped`` and ``ws.mu_reset``.
 
     x is clipped to |x_j| <= nextafter(1, 0); a mu component driven
     nonpositive by rounding at one-ulp margins is reset to its central-path
-    value tau/(1 +- x_j).  Both repairs are within the practical envelope,
-    and both are counted: returns (coordinates clipped, mu components reset)
-    and adds them to ``ws.x_clipped`` and ``ws.mu_reset``.  ``ws.margin``
-    is set to the minimum of (mu, e) at the result.
-
-    With dz finite, the result satisfies the invariants of an Iterate except
-    finiteness (finite + finite can overflow to inf); the caller checks the
-    residual at the result for finiteness, which every component of z
-    enters.
+    value tau/(1 +- x_j).  Both repairs are within the practical envelope.
+    :func:`_step` calls this only when the minimum of (mu, e) is not
+    positive: |x_j| > _X_MAX exactly when 1 + x_j <= 0 or 1 - x_j <= 0.
     """
-    np.add(ws.z, dz, out=ws.z)
-    ws.derive_e()
-    x, mu = ws.x, ws.mu
-    clipped = reset = 0
-    # |x_j| > _X_MAX exactly when 1 + x_j <= 0 or 1 - x_j <= 0, so one
-    # reduction over (mu, e) tells whether a repair is due; the counts are
-    # taken only if one is
-    margin = ws.mu_e.min()
-    if margin <= 0.0:
-        clipped = int(np.count_nonzero(ws.e <= 0.0))
-        if clipped:
-            np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
-            np.minimum(x, _X_MAX, out=x)
-            ws.derive_e()
-        bad = mu <= 0.0
-        reset = int(np.count_nonzero(bad))
-        if reset:
-            mu[bad] = tau / ws.e[bad]
-        margin = ws.mu_e.min()
-    ws.derive_mue()
-    ws.margin = float(margin)
+    x, mu, e = ws.x, ws.mu, ws.e
+    clipped = int(np.count_nonzero(e <= 0.0))
+    if clipped:
+        np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
+        np.minimum(x, _X_MAX, out=x)
+        ws.derive_e()
+    bad = mu <= 0.0
+    reset = int(np.count_nonzero(bad))
+    if reset:
+        mu[bad] = tau / e[bad]
     ws.x_clipped += clipped
     ws.mu_reset += reset
-    return clipped, reset
 
 
 def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> None:
     """One primal-dual Newton step of ``kind`` on F_tau from the workspace's
     state, whose ``F`` must hold F_tau there, then its post-check.  The step
-    updates the state in place: on return it holds the new iterate and
-    F_tau at it.
+    updates the state in place: on return it holds the new iterate, F_tau
+    at it in ``F``, and the step in ``dz``.
 
-    The post-check is :func:`~boxipm.neighborhoods.check_step` on the
-    residual at the new iterate, with ``slack`` passed through unchecked
-    (``None`` is the envelope allowance); a failed check raises
-    StepRejected, and the step is never damped.  So does a Newton system
-    that overflows, a step that is not finite and a new iterate that is
-    not.  A rejected step may leave the state changed, so its caller drops
-    the workspace.  :func:`_advance` counts its repairs in ``ws``.
+    The step dz solves DF dz = g, where g = -F or, for an error reset, -F
+    with its complementarity blocks replaced by zeros (which by linearity
+    cancels the (r1, r2) blocks exactly).  A factoring step solves the
+    reduced system of :class:`~boxipm.kkt._Workspace` at the state by one
+    LAPACK dsysv call on ``H``, as :func:`~boxipm.linalg.solve_symmetric`
+    makes it, which overwrites the right-hand side in ``dz`` with
+    (dx, dlam) and rejects only an exactly zero pivot: near tau_E the
+    a-priori conditioning bound kappa_DF exceeds 1/(dim*eps), so a relative
+    pivot test would misflag theory-valid systems as singular.  The Q
+    block's diagonal (G) and the right-hand side (v) are all of the system
+    that changes per step; one finite sum of absolute values clears both,
+    and otherwise the step is rejected naming the culprit.  The step keeps
+    its factor in ``ws.factor`` and counts itself in ``ws.factorizations``;
+    in a traced workspace it also writes ``ws.cond``
+    (:meth:`~boxipm.kkt._Workspace._cond_DF`).
+
+    An error reset in a workspace that holds a factor, that is after another
+    step since :meth:`~boxipm.kkt._Workspace.load`, factors nothing: it
+    solves on that factor by LAPACK dsytrs (the triangular solves alone),
+    with the signed weights (-w_l, w_r) the factoring step left in
+    ``ws.w``.  So it solves DF(z') dz = g, where z' is the state at which
+    the factoring step started.  This is exact for the blocks the reset must zero: (r1, r2)
+    are affine in z with the constant matrix T, the top rows of every DF,
+    so any dz with T dz = -(r1, r2) cancels them, and with g34 = 0 the
+    reduced right-hand side (g1, -g2) does not read w.  Only
+    dmu = -w'∘(dx, -dx) does, with w' = mu'/e'.  With de = (dx, -dx), the
+    new complementarity blocks are mu∘e - tau + mu∘de + e∘dmu + dmu∘de, and
+    mu∘de + e∘dmu is e∘(w - w')∘de for w = mu/e, where a factor at z would
+    cancel it.  That term is second order: dx only cancels rounding, and
+    w - w' is the change of one step.  v needs no test: it is (-r1, r2) of
+    a residual that the previous step's post-check found finite.
+
+    The update z + dz derives e and the margin, the minimum of (mu, e);
+    only a margin that is not positive calls :func:`_repair`.  The
+    post-check is :func:`~boxipm.neighborhoods.check_step` on the residual
+    at the new iterate (:meth:`~boxipm.kkt._Workspace.eval_F`), with
+    ``slack`` passed through unchecked (``None`` is the envelope
+    allowance); a failed check raises StepRejected, and the step is never
+    damped.  So does a Newton system that overflows, a step that is not
+    finite and a new iterate that is not.  A rejected step may leave the
+    state changed, so its caller drops the workspace.
+
+    The step runs in this one frame, on what :func:`_bind` looked up at the
+    workspace's first step; ufuncs take ``out`` positionally, and constant
+    operands are 0-d arrays, so numpy converts no Python float per call.
+    Every operation is the one the formulas above name, in their order.
     """
-    try:
-        dz = ws.newton(kind == STEP_ERROR_RESET)
-    except InvalidProblem as exc:
-        # z, tau and H were checked where they entered, so a non-finite
-        # system here is an overflow in forming it.
-        raise StepRejected(f"Newton system overflowed: {exc}", kind=kind, tau=tau) from exc
+    (z, x, mu, e, e_l, e_r, mu_e, mue, F, sign, dz, dx, dz_u, dz_mu, dmu2, t, t_l, t_r,
+     w, w_l, w_r, w2, H, hdiag, qdiag, n, d, hflat,
+     add, subtract, multiply, divide, negative, reduce_min, dsysv, dsytrs, dasum) = (
+        ws.bound or _bind(ws)
+    )
+    multiply(sign, F, dz)  # (g1, -g2, g3, g4)
+    reset = kind == STEP_ERROR_RESET
+    if reset and ws.factor is not None:
+        ldu, ipiv = ws.factor
+        info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
+        if info:
+            _check_info("dsytrs", info)
+        multiply(w2, dx, dmu2)  # dmu = -w'∘(dx, -dx): -w_l*dx and w_r*dx
+    else:
+        if reset:
+            dz_mu.fill(-0.0)
+        # v = ((g1 + g3/(e+x)) - g4/(e-x), -g2), written over (dx, dlam)
+        divide(dz_mu, e, t)
+        add(dx, t_l, dx)
+        subtract(dx, t_r, dx)
+        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
+        divide(mu, e, w)
+        add(qdiag, w_l, hdiag)
+        add(hdiag, w_r, hdiag)
+        # hdiag, summed in place: its (d + 1)-strided slots of H's buffer
+        if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
+            # z and tau were checked where they entered, so a non-finite
+            # system here is an overflow in forming it.  hdiag is a sum of
+            # finite terms and nonnegative w: finite or +inf, never NaN.
+            if not hdiag.max() < math.inf:
+                raise StepRejected(_OVERFLOW.format("G"), kind=kind, tau=tau)
+            if not np.isfinite(dz_u).all():
+                raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
+        ldu, ipiv, _, info = dsysv(H, dz_u, d, 0, 0, 1)
+        if info:
+            _check_info("dsysv", info)
+        ws.factor = ldu, ipiv
+        ws.factorizations += 1
+        if ws.traced:
+            ws.cond = ws._cond_DF(ldu, ipiv)
+        # dmu = g34/e - w∘(dx, -dx): g3/(e+x) + (-w_l)*dx and g4/(e-x) + w_r*dx
+        negative(w_l, w_l)
+        multiply(w2, dx, dmu2)
+        add(t, dz_mu, dz_mu)
     # The sum of |dz_j| is finite only if dz is, and it raises no warning
     # on infinities or on an overflow; the elementwise test settles the rest.
-    if not math.isfinite(abs_sum(dz)) and not np.isfinite(dz).all():
+    if not math.isfinite(dasum(dz)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
-    _advance(ws, dz, tau)
+    add(z, dz, z)
+    add(_ONE, x, e_l)  # e, as derive_e writes it
+    subtract(_ONE, x, e_r)
+    margin = reduce_min(mu_e)
+    if margin <= 0.0:
+        _repair(ws, tau)
+        margin = reduce_min(mu_e)
+    multiply(mu, e, mue)  # mu∘e, as derive_mue writes it
+    ws.margin = float(margin)
     ws.eval_F(tau)
-    if not math.isfinite(ws.eq_norm + ws.comp_norm):
-        raise StepRejected(
-            "Newton step overflowed to a non-finite iterate", kind=kind, tau=tau
-        )
-    check_step(kind, ws.mp, tau, ws.eq_norm, ws.comp_norm, slack)
+    eq_norm, comp_norm = ws.eq_norm, ws.comp_norm
+    if not math.isfinite(eq_norm + comp_norm):
+        raise StepRejected("Newton step overflowed to a non-finite iterate", kind=kind, tau=tau)
+    check_step(kind, ws.mp, tau, eq_norm, comp_norm, slack)
 
 
 def _check_slack(slack: float | None) -> None:
@@ -373,8 +476,9 @@ def _pd_row(k: int, kind: str, tau: float, ws: _Workspace, dz: np.ndarray | None
     """The row of a primal-dual step that led to the workspace's state by the
     step ``dz`` (``None`` for the lift row, whose ``cond_DF`` the initial
     reset fills in); ``ws.cond`` is kappa_1 of the DF the step solved.
-    1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, so the interior margin
-    is ``ws.margin``, the minimum of (mu, e)."""
+    The interior margin is ``ws.margin``, the minimum of (mu, e): as
+    1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, it is
+    min(1 - ||x||_inf, min mu)."""
     step_norm = newton_dot = math.nan
     if dz is not None:
         step_norm = math.sqrt(dz @ dz)

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from boxipm import BoxQP, StandardQP
+from boxipm import BoxQP, StandardQP, StepRejected
+from boxipm.neighborhoods import STEP_CENTRALITY, STEP_ERROR_RESET
+from boxipm.solver import _step
 
 
 def random_boxqp(rng, n, m, feasible=True, tol=1e-2, rank=None, scale=1.0):
@@ -82,3 +84,17 @@ def random_iterate(rng, n, m):
         mu_l=rng.uniform(0.1, 2.0, size=n),
         mu_r=rng.uniform(0.1, 2.0, size=n),
     )
+
+
+def newton_step(ws, tau, reset_only):
+    """The Newton step dz that ``boxipm.solver._step`` takes from the
+    workspace's state, whose F must hold F_tau: an error reset with
+    ``reset_only``, otherwise a centrality step, whose right-hand side -F a
+    path step shares.  The state moves on; a failed post-check, which says
+    nothing of dz, is ignored, and any other rejection raises."""
+    try:
+        _step(STEP_ERROR_RESET if reset_only else STEP_CENTRALITY, ws, tau)
+    except StepRejected as exc:
+        if exc.block is None:
+            raise
+    return ws.dz

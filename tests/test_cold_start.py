@@ -1,6 +1,6 @@
 """A fresh interpreter loads ``scipy.linalg`` at its first factorization,
 not at ``import boxipm``: parsing, validation, the parameter cascade, the
-oracle and the problem factor run on numpy alone."""
+oracle, the problem factor and the residual F run on numpy alone."""
 
 import json
 import subprocess
@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxipm import ProblemFile, parse_problem, serialize_problem, solve
+from boxipm import (
+    BoxQP,
+    Iterate,
+    ProblemFile,
+    compute_params_practical,
+    parse_problem,
+    serialize_problem,
+    solve,
+)
+from boxipm.kkt import eval_F
 
 from support import random_boxqp
 from test_cli import BOX_TEXT, STD_TEXT
@@ -57,6 +66,24 @@ import boxipm.cli
 assert boxipm.cli.run([{command!r}, {str(path)!r}]) == 0
 """
     assert _fresh(body)[1] == []
+
+
+def test_a_step_workspace_binds_lapack_at_its_first_step_not_when_built():
+    # eval_F builds a step workspace and evaluates F in it without stepping
+    data = dict(Q=[[2.0, 0.5], [0.5, 1.0]], c=[1.0, -1.0], A=[[1.0, 1.0]], b=[0.5], tol=1e-2)
+    point = dict(x=[0.1, -0.2], lam=[0.3], mu_l=[1.0, 2.0], mu_r=[0.5, 1.5])
+    body = f"""
+import boxipm
+from boxipm.kkt import eval_F
+p = boxipm.BoxQP(**{data!r})
+z = boxipm.Iterate(**{point!r})
+print(eval_F(p, boxipm.compute_params_practical(p), z, 0.5).as_array().tobytes().hex())
+"""
+    printed, loaded = _fresh(body)
+    assert loaded == []
+    p = BoxQP(**data)
+    here = eval_F(p, compute_params_practical(p), Iterate(**point), 0.5).as_array()
+    assert printed == [here.tobytes().hex()]
 
 
 def test_first_solve_loads_lapack_and_gives_the_same_bytes(tmp_path):

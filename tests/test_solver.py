@@ -33,7 +33,7 @@ from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _X_MAX,
     TRACE_FIELDS,
-    _advance,
+    _repair,
     _step,
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -47,6 +47,7 @@ from boxipm.solver import (
     primal_init,
 )
 from support import (
+    newton_step,
     random_boxqp,
     random_boxqp_interior_infeasible,
     random_iterate,
@@ -390,25 +391,80 @@ def _counted(calls, key, fn):
 
 class _CountingNumpy:
     """Stands in for the ``np`` of a module and counts the calls of numpy's
-    functions and ufuncs through it, and the shapes of the arrays they
-    return; types and submodules pass through."""
+    functions and ufuncs through it, a ufunc's ``reduce`` included, and the
+    shapes of the arrays they return; types and submodules pass through.
+    A routine looked up once and called many times is counted per call."""
 
     def __init__(self):
         self.calls = 0
         self.shapes = set()
 
-    def __getattr__(self, name):
-        attr = getattr(np, name)
-        if not callable(attr) or isinstance(attr, type):
-            return attr
-
+    def count(self, fn):
         def counted(*args, **kwargs):
             self.calls += 1
-            out = attr(*args, **kwargs)
+            out = fn(*args, **kwargs)
             if isinstance(out, np.ndarray):
                 self.shapes.add(out.shape)
             return out
         return counted
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc):
+            return _CountedUfunc(self.count, attr)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+        return self.count(attr)
+
+
+class _CountedUfunc:
+    """A ufunc whose calls and reductions a _CountingNumpy counts."""
+
+    def __init__(self, count, ufunc):
+        self._call = count(ufunc)
+        self.reduce = count(ufunc.reduce)
+
+    def __call__(self, *args, **kwargs):
+        return self._call(*args, **kwargs)
+
+
+class _CountingLapack:
+    """Stands in for ``boxipm.linalg.lapack`` and counts the calls of each
+    LAPACK routine, not its lookups: a step looks its routines up once per
+    workspace."""
+
+    def __init__(self):
+        self.calls = {}
+
+    def __getattr__(self, name):
+        fn = getattr(scipy.linalg.lapack, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def _edit_solutions(monkeypatch, edit):
+    """Inject at the LAPACK boundary, ``boxipm.linalg.lapack``: every dsysv
+    and dsytrs call, that is every primal-dual step's one solve, solves as
+    LAPACK does, then ``edit(u)`` may change its solution (dx, dlam), the
+    step's own buffer, in place.  Patch before a workspace's first step,
+    which binds the routines."""
+
+    class Editing:
+        def __getattr__(self, name):
+            fn = getattr(scipy.linalg.lapack, name)
+            if name not in ("dsysv", "dsytrs"):
+                return fn
+
+            def edited(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                edit(out[2] if name == "dsysv" else out[0])
+                return out
+            return edited
+
+    monkeypatch.setattr(boxipm.linalg, "lapack", Editing())
 
 
 class TestStepLoopStructure:
@@ -418,8 +474,7 @@ class TestStepLoopStructure:
 
     def test_calls_per_solve(self, monkeypatch):
         calls = dict.fromkeys(
-            ["eval_F", "post_init", "workspace", "check_step", "factor", "symmetric_solve",
-             "factored_solve", "symmetric_inverse"], 0
+            ["eval_F", "post_init", "workspace", "check_step", "factor", "symmetric_inverse"], 0
         )
         monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
         monkeypatch.setattr(
@@ -430,14 +485,8 @@ class TestStepLoopStructure:
             Iterate, "__post_init__", _counted(calls, "post_init", Iterate.__post_init__)
         )
         monkeypatch.setattr(QRFactor, "__init__", _counted(calls, "factor", QRFactor.__init__))
-        monkeypatch.setattr(
-            boxipm.kkt, "solve_symmetric",
-            _counted(calls, "symmetric_solve", boxipm.kkt.solve_symmetric),
-        )
-        monkeypatch.setattr(
-            boxipm.kkt, "solve_factored",
-            _counted(calls, "factored_solve", boxipm.kkt.solve_factored),
-        )
+        lapack = _CountingLapack()
+        monkeypatch.setattr(boxipm.linalg, "lapack", lapack)
         monkeypatch.setattr(
             boxipm.kkt, "symmetric_inverse",
             _counted(calls, "symmetric_inverse", boxipm.kkt.symmetric_inverse),
@@ -450,8 +499,8 @@ class TestStepLoopStructure:
         assert calls["factor"] == rep.params.K  # the primal Hessian steps only
         # one LAPACK call per primal-dual step: each cycle's reset solves on
         # its centrality step's factor (dsytrs), every other step factors
-        assert calls["symmetric_solve"] == pd_steps - cycles
-        assert calls["factored_solve"] == cycles
+        assert lapack.calls["dsysv"] == pd_steps - cycles
+        assert lapack.calls["dsytrs"] == cycles
         assert calls["eval_F"] == pd_steps + 1  # + F at the lift point
         assert calls["post_init"] == 1  # the lift point
         assert calls["workspace"] == 1
@@ -462,22 +511,18 @@ class TestStepLoopStructure:
     def test_factorizations_are_the_factoring_lapack_calls(self, monkeypatch, mode, per_cycle):
         # QR of the K Hessians (dgeqp3) and Bunch-Kaufman (dsysv) of every
         # primal-dual step but a cycle's reset
-        calls = {}
-
-        class CountingLapack:
-            def __getattr__(self, name):
-                calls[name] = calls.get(name, 0) + 1
-                return getattr(scipy.linalg.lapack, name)
-
-        monkeypatch.setattr(boxipm.linalg, "lapack", CountingLapack())
+        lapack = _CountingLapack()
+        monkeypatch.setattr(boxipm.linalg, "lapack", lapack)
         rep = solve(random_boxqp(np.random.default_rng(13), 4, 2, tol=1e-2), mode=mode)
-        assert rep.factorizations == calls["dgeqp3"] + calls["dsysv"]
+        assert rep.factorizations == lapack.calls["dgeqp3"] + lapack.calls["dsysv"]
         assert rep.factorizations == rep.params.K + 1 + per_cycle * rep.iterations_pd
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
         # numpy module calls in kkt, solver and linalg, per step as solve()
         # makes it (a path step includes its retarget), on steps that make
-        # no repair; method calls such as ndarray.dot are not counted.  The
+        # no repair; the margin's np.minimum.reduce is one, and method calls
+        # such as ndarray.dot are not counted.  The step binds its ufuncs at
+        # its workspace's first step, after the counter is in place.  The
         # initial reset factors its own matrix; a cycle's reset solves on
         # the centrality step's factor and rebuilds nothing.
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
@@ -498,7 +543,7 @@ class TestStepLoopStructure:
             _step(kind, ws, tau)
             calls.append(counter.calls)
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == [17] + [18, 17, 10] * 2
+        assert calls == [18] + [19, 18, 10] * 2
 
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
@@ -522,7 +567,7 @@ class TestStepLoopStructure:
                     return out
                 return spied
 
-        calls = {"workspace": 0, "symmetric_solve": 0}
+        calls = {"workspace": 0}
         counter = _CountingNumpy()
         monkeypatch.setattr(boxipm.linalg, "lapack", SpyLapack())
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
@@ -530,16 +575,12 @@ class TestStepLoopStructure:
         monkeypatch.setattr(
             _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
         )
-        monkeypatch.setattr(
-            boxipm.kkt, "solve_symmetric",
-            _counted(calls, "symmetric_solve", boxipm.kkt.solve_symmetric),
-        )
         rng = np.random.default_rng(13)
         rep = solve(random_boxqp(rng, n, m, feasible=True, tol=1e-2), collect_trace=True)
         pd_steps = rep.linear_solves - rep.params.K
         cycles = rep.iterations_pd
         assert len(rep.trace) == rep.linear_solves + 1
-        assert calls == {"workspace": 1, "symmetric_solve": pd_steps - cycles}
+        assert calls == {"workspace": 1}
         assert lapack_calls == {
             "dgeqp3": rep.params.K, "dormqr": rep.params.K, "dtrtrs": rep.params.K,
             "dtrcon": rep.params.K, "dsysv": pd_steps - cycles, "dsytrs": cycles,
@@ -584,25 +625,31 @@ def _hand_workspace():
     return _Workspace(p, compute_params_practical(p))
 
 
-class TestAdvanceInvariants:
-    """_advance writes the next state unchecked; these are the invariants it
-    establishes instead.  Steps are injected at the workspace's seam,
-    ``_Workspace.newton``."""
+class TestRepairInvariants:
+    """A step writes the next state unchecked, and _repair establishes these
+    invariants when its margin is not positive.  Steps are injected at the
+    LAPACK boundary (:func:`_edit_solutions`) or come from a crafted state."""
+
+    @staticmethod
+    def _update(ws, dz):
+        # z + dz and e, as a step writes them before its margin test
+        np.add(ws.z, dz, out=ws.z)
+        ws.derive_e()
 
     def test_x_outside_the_box_is_clipped_and_counted(self):
         ws = _hand_workspace()
         ws.load(_hand_iterate())
         dz = np.zeros(3 * 3 + 1)
         dz[:3] = [0.75, -0.5 - _X_MAX, 1.0]  # 1.25, -1 - eps, 1.0: all leave the open box
-        clipped, reset = _advance(ws, dz, 0.5)
+        self._update(ws, dz)
+        _repair(ws, 0.5)
         z_new = ws.iterate()
         assert np.abs(z_new.x).max() <= _X_MAX
         assert z_new.x.tolist() == [_X_MAX, -_X_MAX, _X_MAX]
-        assert (clipped, reset) == (3, 0)
+        assert (ws.x_clipped, ws.mu_reset) == (3, 0)
         assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
-        # e and mu∘e are derived from the clipped x
+        # e is derived from the clipped x
         assert ws.e.tobytes() == np.concatenate([1.0 + z_new.x, 1.0 - z_new.x]).tobytes()
-        assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
 
     def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
         z = _hand_iterate()
@@ -613,10 +660,11 @@ class TestAdvanceInvariants:
         dz[:3] = [0.25, -0.125, 0.0]
         dz[4:7] = [-1.0, -3.0, 0.25]  # mu_l -> 0.0, -1.0, 0.75
         dz[7:] = [0.0, -1.0, -2.5]  # mu_r -> 0.5, 0.0, -0.5
-        clipped, reset = _advance(ws, dz, tau)
+        self._update(ws, dz)
+        _repair(ws, tau)
         z_new = ws.iterate()
         x_new = z.x + dz[:3]
-        assert clipped == 0 and reset == 4
+        assert (ws.x_clipped, ws.mu_reset) == (0, 4)
         assert z_new.mu_l[:2].tobytes() == (tau / (1.0 + x_new[:2])).tobytes()
         assert z_new.mu_l[2] == 0.75
         assert z_new.mu_r[1:].tobytes() == (tau / (1.0 - x_new[1:])).tobytes()
@@ -625,74 +673,65 @@ class TestAdvanceInvariants:
         # the unchecked result is a valid Iterate
         Iterate(x=z_new.x, lam=z_new.lam, mu_l=z_new.mu_l, mu_r=z_new.mu_r)
 
-    def test_a_step_that_drives_mu_negative_is_repaired_and_counted(self, monkeypatch):
-        # at a central point the centrality step is zero; push its mu_l past 0
+    def test_a_step_that_drives_mu_negative_is_repaired_and_counted(self):
+        # a crafted right-hand side at a central point: g3 = -2 tau and
+        # g1 = -g3/(1+x) give dx = 0 and dmu_l = g3/(1+x) = -2 mu_l
         p = zeros_problem()
         mp = make_mp()
         tau = 0.5
         z = Iterate(x=[0.25], lam=[0.0], mu_l=[tau / 1.25], mu_r=[tau / 0.75])
-        newton = _Workspace.newton
-
-        def pushed(self, reset_only):
-            dz = newton(self, reset_only)
-            dz[2] = -2.0 * z.mu_l[0]
-            return dz
-
-        monkeypatch.setattr(_Workspace, "newton", pushed)
         ws = _Workspace(p, mp)
         ws.load(z)
         ws.eval_F(tau)
+        ws.F[:] = [-1.0 / 1.25, 0.0, 1.0, 0.0]  # g = (1/1.25, 0, -1, 0)
         _step(STEP_CENTRALITY, ws, tau)
+        assert ws.dz[0] == 0.0 and ws.dz[2] == -2.0 * z.mu_l[0]
         assert ws.mu_reset == 1 and ws.x_clipped == 0
         assert ws.mu_l[0] == tau / (1.0 + ws.x[0])
+        # mu∘e is derived from the repaired state
+        assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_is_rejected(self, monkeypatch, bad):
         p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
         mp = compute_params_practical(p)
         z = _hand_iterate()
-        newton = _Workspace.newton
 
-        def broken(self, reset_only):
-            dz = newton(self, reset_only)
-            dz[1] = bad
-            return dz
+        def broken(u):
+            u[1] = bad
 
-        monkeypatch.setattr(_Workspace, "newton", broken)
+        _edit_solutions(monkeypatch, broken)
         with pytest.raises(StepRejected, match="non-finite components") as info:
             path_step(p, mp, z, 1.0)
         assert (info.value.kind, info.value.tau) == (STEP_PATH, mp.sigma)
 
     def test_huge_finite_step_is_checked_without_a_warning(self, monkeypatch):
         # dz'dz would overflow, and ndarray.dot warns when it overflows; the
-        # step is finite, so it is taken, and x is clipped back into the box
-        newton = _Workspace.newton
+        # step is finite, so it is taken, and x is clipped back into the box.
+        # mu_0 is tiny, so that the dmu_0 = -w∘(dx_0, -dx_0) part of the
+        # step stays moderate.
+        def huge(u):
+            u[0] = 1e200
 
-        def huge(self, reset_only):
-            dz = newton(self, reset_only)
-            dz[0] = 1e200
-            return dz
-
-        monkeypatch.setattr(_Workspace, "newton", huge)
+        _edit_solutions(monkeypatch, huge)
         ws = _hand_workspace()
-        ws.load(_hand_iterate())
+        ws.load(Iterate(x=[0.5, -0.5, 0.0], lam=[0.1], mu_l=[1e-190, 2.0, 0.5],
+                        mu_r=[1e-190, 1.0, 2.0]))
         ws.eval_F(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _step(STEP_CENTRALITY, ws, 1.0)
+        assert ws.dz[0] == 1e200
         assert ws.x_clipped == 1 and ws.x[0] == _X_MAX
+        assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
 
     def test_infinities_of_both_signs_are_rejected_without_a_warning(self, monkeypatch):
         # a weighted sum of dz would meet inf - inf, and ndarray.dot warns
         # "invalid value" there before the step could be rejected
-        newton = _Workspace.newton
+        def opposite(u):
+            u[0], u[1] = np.inf, -np.inf
 
-        def opposite(self, reset_only):
-            dz = newton(self, reset_only)
-            dz[0], dz[1] = np.inf, -np.inf
-            return dz
-
-        monkeypatch.setattr(_Workspace, "newton", opposite)
+        _edit_solutions(monkeypatch, opposite)
         ws = _hand_workspace()
         ws.load(_hand_iterate())
         ws.eval_F(1.0)
@@ -708,13 +747,17 @@ class TestAdvanceInvariants:
         ws.F[0], ws.F[1] = np.inf, -np.inf  # the x block: in v for every kind
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidProblem, match="v contains non-finite"):
-                ws.newton(False)
+            with pytest.raises(StepRejected, match="Newton system overflowed: v contains non-finite"):
+                _step(STEP_CENTRALITY, ws, 1.0)
 
     @pytest.mark.parametrize("block", ["lam", "mu_l", "mu_r"])
     def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
         # finite + finite = inf: the update passes the finite-dz check, and
-        # the residual at the new point must catch it
+        # the residual at the new point must catch it.  z holds a huge entry
+        # in the block, and the step adds another: dlam from the solve; dmu
+        # = g34/e - w∘(dx, -dx) from dx in a reset, whose g34 is 0, and from
+        # a crafted g34 with dx = 0 in the other steps.  (r1, r2) of the
+        # right-hand side is zero, so that v stays finite.
         p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
         mp = compute_params_practical(p)
         huge = 1e308
@@ -723,23 +766,28 @@ class TestAdvanceInvariants:
         values[block][j] = huge
         z = Iterate(**values)
         at = {"lam": 3, "mu_l": 4, "mu_r": 7}[block] + j
+        solution = np.zeros(4)
 
-        def overflowing(self, reset_only):
-            self.dz[:] = 0.0
-            self.dz[at] = huge
-            return self.dz
+        def overflowing(u):
+            u[:] = solution
 
-        monkeypatch.setattr(_Workspace, "newton", overflowing)
-        returned = []
+        _edit_solutions(monkeypatch, overflowing)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in (
-                lambda: path_step(p, mp, z, 1.0),
-                lambda: centrality_step(p, mp, z, 1.0),
-                lambda: error_reset_step(p, mp, z, 1.0),
-            ):
-                with pytest.raises(StepRejected, match="non-finite iterate"):
-                    returned.append(step())
-        assert returned == []
+            for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
+                ws = _Workspace(p, mp)
+                ws.load(z)
+                ws.eval_F(1.0)
+                ws.F[:] = 0.0
+                solution[:] = 0.0
+                if block == "lam":
+                    solution[3] = huge
+                elif kind == STEP_ERROR_RESET:  # -w_l*dx = mu_l, w_r*dx = mu_r
+                    solution[j] = -ws.e_l[j] if block == "mu_l" else ws.e_r[j]
+                else:  # g34/e = huge
+                    ws.F[at] = -huge * ws.e[at - 4]
+                with pytest.raises(StepRejected, match="non-finite iterate") as info:
+                    _step(kind, ws, 1.0)
+                assert info.value.kind == kind
 
     def test_matrix_overflow_is_a_rejected_step(self):
         # z is valid, but mu_r/(1 - x) overflows in the reduced matrix
@@ -785,7 +833,7 @@ class TestAdvanceInvariants:
         ws.F[0] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dz = ws.newton(False)
+            dz = newton_step(ws, 1.0, reset_only=False)
         assert np.isfinite(dz).all()
 
     def test_rhs_overflow_is_a_rejected_step(self):
@@ -819,17 +867,15 @@ class TestStructuredRejection:
         (1, 0, STEP_ERROR_RESET), (2, 1, STEP_PATH), (6, 2, STEP_CENTRALITY),
     ])
     def test_solve_names_the_cycle(self, monkeypatch, fail_at, cycle, kind):
-        calls = {"newton": 0}
-        newton = _Workspace.newton
+        # every primal-dual step makes one dsysv or dsytrs call
+        calls = {"solve": 0}
 
-        def failing(self, reset_only):
-            dz = newton(self, reset_only)
-            calls["newton"] += 1
-            if calls["newton"] == fail_at:
-                dz[0] = np.nan
-            return dz
+        def failing(u):
+            calls["solve"] += 1
+            if calls["solve"] == fail_at:
+                u[0] = np.nan
 
-        monkeypatch.setattr(_Workspace, "newton", failing)
+        _edit_solutions(monkeypatch, failing)
         p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
         with pytest.raises(StepRejected, match="non-finite components") as info:
             solve(p, mode="stable")
@@ -915,7 +961,7 @@ class TestCondDF:
                     z = random_iterate(rng, n, m)
                     ws.load(z)
                     ws.eval_F(0.5)
-                    ws.newton(reset_only=False)
+                    newton_step(ws, 0.5, reset_only=False)
                     J = eval_DF(p, mp, z)
                     exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
                     assert ws.cond == pytest.approx(exact, rel=1e-6)
@@ -980,7 +1026,7 @@ def _stale_w_problem(family, seed, n, m):
 
 class TestResetOnTheCentralityFactor:
     """A cycle's error reset solves on its centrality step's factor and w
-    (``_Workspace.newton``).  On every cycle of a stable solve, it is held
+    (``_step``).  On every cycle of a stable solve, it is held
     against a fresh-factor reset (``error_reset_step``) from the same
     iterate."""
 
