@@ -56,6 +56,12 @@ from .problem import BoxQP, eval_q_omega, q_omega_data
 # a smaller margin would round into +/-inf downstream.
 DOMAIN_MARGIN = 4.0 * EPS_MACH
 
+# The constant operand of e = (1 + x, 1 - x), as a 0-d array: numpy
+# converts a Python float per call.  The step writes e with it as
+# :meth:`_Workspace.derive_e` does.
+_ONE = np.ones(())
+_ONE.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Iterate:
@@ -273,9 +279,8 @@ class _Workspace:
     transpose.  ``sign`` is -1 on the stationarity and complementarity rows
     and +1 on the equality rows: ``sign * F`` is -F with the equality rows
     negated once more.  ``t`` = g34/e and ``w`` = mu/e are the step's
-    scratch; after a factoring step ``w`` holds (-w_l, w_r), the signed
-    weights of dmu = g34/e - w∘(dx, -dx), with which a later reset on the
-    same factor derives its dmu.
+    scratch; a later reset on a factoring step's factor derives its dmu
+    from the ``w`` that step left.
 
     A ``traced`` workspace also writes ``cond`` in each factoring step: the
     exact kappa_1 of the DF that the step solves where the step starts, from
@@ -309,11 +314,12 @@ class _Workspace:
         self.sign[n:nm] = 1.0
         self.t = np.empty(2 * n)  # g34/e
         self.t_l, self.t_r = self.t[:n], self.t[n:]
-        self.w = np.empty(2 * n)  # mu/e, then (-w_l, w_r)
+        self.w = np.empty(2 * n)  # mu/e
         self.w_l, self.w_r, self.w2 = self.w[:n], self.w[n:], self.w.reshape(2, n)
         # dz holds the right-hand side until each block is overwritten by its step
         self.dz = np.empty(N)
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
+        self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
         self.dmu2 = self.dz_mu.reshape(2, n)
         # Totals of the repairs the steps make in the state.
         self.x_clipped = self.mu_reset = 0
@@ -339,8 +345,8 @@ class _Workspace:
         self.margin = float(np.minimum.reduce(self.mu_e))
 
     def derive_e(self) -> None:
-        np.add(1.0, self.x, self.e_l)
-        np.subtract(1.0, self.x, self.e_r)
+        np.add(_ONE, self.x, self.e_l)
+        np.subtract(_ONE, self.x, self.e_r)
 
     def derive_mue(self) -> None:
         np.multiply(self.mu, self.e, self.mue)
@@ -369,8 +375,7 @@ class _Workspace:
     def _cond_DF(self, ldu: np.ndarray, ipiv: np.ndarray) -> float:
         """kappa_1 = ||DF||_1 ||DF^-1||_1 of the DF the step solves, at the
         state where it starts, from the factor (ldu, ipiv) of ``H``; inf if
-        it overflows.  The factor is not written.  The step calls it before
-        it signs ``w``, which then holds mu/e.
+        it overflows.  The factor is not written.
 
         With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`) and
         s = (w_l + w_r, 0), the block elimination of the step gives

@@ -68,6 +68,7 @@ from .errors import (
     StepRejected,
 )
 from .kkt import (
+    _ONE,
     Iterate,
     _blocks,
     _check_tau,
@@ -109,11 +110,6 @@ TAU_END_RTOL = 1e-10
 # updates are snapped back inside; on degenerate instances the exact path
 # margin tau/mu drops below this spacing long before tau_E.
 _X_MAX = float(np.nextafter(1.0, 0.0))
-
-# The constant operand of e = (1 + x, 1 - x), as a 0-d array: numpy
-# converts a Python float per call.
-_ONE = np.ones(())
-_ONE.setflags(write=False)
 
 _OVERFLOW = "Newton system overflowed: {} contains non-finite entries"
 
@@ -184,24 +180,6 @@ class SolveReport:
     mu_reset: int = 0
 
 
-def _bind(ws: _Workspace) -> tuple:
-    """What a step of ``ws`` reads, looked up once, at its first step, and
-    kept in ``ws.bound``: the workspace's views, the numpy ufuncs, and the
-    LAPACK and BLAS routines from ``boxipm.linalg.lapack`` and
-    ``boxipm.linalg.blas``, whose first lookup in a process imports
-    ``scipy.linalg``.  The order is the unpacking order of :func:`_step`."""
-    lapack, blas = linalg.lapack, linalg.blas
-    ws.bound = (
-        ws.z, ws.x, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
-        ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.dmu2, ws.t, ws.t_l, ws.t_r,
-        ws.w, ws.w_l, ws.w_r, ws.w2, ws.H, ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
-        ws.H.ravel(order="F"),
-        np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
-        lapack.dsysv, lapack.dsytrs, blas.dasum,
-    )
-    return ws.bound
-
-
 def _repair(ws: _Workspace, tau: float) -> None:
     """Snap the workspace's state, just updated by a step, back to the
     representable interior, re-deriving e, and count the repairs in
@@ -252,9 +230,9 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     An error reset in a workspace that holds a factor, that is after another
     step since :meth:`~boxipm.kkt._Workspace.load`, factors nothing: it
     solves on that factor by LAPACK dsytrs (the triangular solves alone),
-    with the signed weights (-w_l, w_r) the factoring step left in
-    ``ws.w``.  So it solves DF(z') dz = g, where z' is the state at which
-    the factoring step started.  This is exact for the blocks the reset must zero: (r1, r2)
+    with the w = mu/e the factoring step left in ``ws.w``.  So it solves
+    DF(z') dz = g, where z' is the state at which the factoring step
+    started.  This is exact for the blocks the reset must zero: (r1, r2)
     are affine in z with the constant matrix T, the top rows of every DF,
     so any dz with T dz = -(r1, r2) cancels them, and with g34 = 0 the
     reduced right-hand side (g1, -g2) does not read w.  Only
@@ -275,16 +253,31 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     finite and a new iterate that is not.  A rejected step may leave the
     state changed, so its caller drops the workspace.
 
-    The step runs in this one frame, on what :func:`_bind` looked up at the
-    workspace's first step; ufuncs take ``out`` positionally, and constant
+    The step runs in this one frame, on the views, numpy ufuncs and LAPACK
+    and BLAS routines that it looks up at the workspace's first step and
+    keeps in ``ws.bound``; the routines come from ``boxipm.linalg.lapack``
+    and ``boxipm.linalg.blas``, whose first lookup in a process imports
+    ``scipy.linalg``.  Ufuncs take ``out`` positionally, and constant
     operands are 0-d arrays, so numpy converts no Python float per call.
     Every operation is the one the formulas above name, in their order.
     """
-    (z, x, mu, e, e_l, e_r, mu_e, mue, F, sign, dz, dx, dz_u, dz_mu, dmu2, t, t_l, t_r,
-     w, w_l, w_r, w2, H, hdiag, qdiag, n, d, hflat,
-     add, subtract, multiply, divide, negative, reduce_min, dsysv, dsytrs, dasum) = (
-        ws.bound or _bind(ws)
-    )
+    bound = ws.bound
+    if bound is None:  # line for line as unpacked below
+        lapack, blas = linalg.lapack, linalg.blas
+        bound = ws.bound = (
+            ws.z, ws.x, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
+            ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.dmu_l, ws.dmu_r, ws.dmu2,
+            ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r, ws.w2,
+            ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
+            np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
+            lapack.dsysv, lapack.dsytrs, blas.dasum,
+        )
+    (z, x, mu, e, e_l, e_r, mu_e, mue, F, sign,
+     dz, dx, dz_u, dz_mu, dmu_l, dmu_r, dmu2,
+     t, t_l, t_r, w, w_l, w_r, w2,
+     H, hflat, hdiag, qdiag, n, d,
+     add, subtract, multiply, divide, negative, reduce_min,
+     dsysv, dsytrs, dasum) = bound
     multiply(sign, F, dz)  # (g1, -g2, g3, g4)
     reset = kind == STEP_ERROR_RESET
     if reset and ws.factor is not None:
@@ -292,7 +285,9 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
         info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
         if info:
             _check_info("dsytrs", info)
-        multiply(w2, dx, dmu2)  # dmu = -w'∘(dx, -dx): -w_l*dx and w_r*dx
+        # dmu = -w'∘(dx, -dx): -w_l*dx and w_r*dx
+        multiply(w2, dx, dmu2)
+        negative(dmu_l, dmu_l)
     else:
         if reset:
             dz_mu.fill(-0.0)
@@ -320,10 +315,10 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
         ws.factorizations += 1
         if ws.traced:
             ws.cond = ws._cond_DF(ldu, ipiv)
-        # dmu = g34/e - w∘(dx, -dx): g3/(e+x) + (-w_l)*dx and g4/(e-x) + w_r*dx
-        negative(w_l, w_l)
+        # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
         multiply(w2, dx, dmu2)
-        add(t, dz_mu, dz_mu)
+        subtract(t_l, dmu_l, dmu_l)
+        add(t_r, dmu_r, dmu_r)
     # The sum of |dz_j| is finite only if dz is, and it raises no warning
     # on infinities or on an overflow; the elementwise test settles the rest.
     if not math.isfinite(dasum(dz)) and not np.isfinite(dz).all():

@@ -542,8 +542,14 @@ class TestStepLoopStructure:
                 ws.retarget(tau)
             _step(kind, ws, tau)
             calls.append(counter.calls)
+            # the step writes e and mu∘e inline, bit for bit as
+            # derive_e and derive_mue write them
+            e, mue = ws.e.copy(), ws.mue.copy()
+            ws.derive_e()
+            ws.derive_mue()
+            assert (e.tobytes(), mue.tobytes()) == (ws.e.tobytes(), ws.mue.tobytes())
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == [18] + [19, 18, 10] * 2
+        assert calls == [18] + [19, 18, 11] * 2
 
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
