@@ -286,7 +286,12 @@ class _Workspace:
     exact kappa_1 of the DF that the step solves where the step starts, from
     the factor of ``H`` that the solve returns (:meth:`_cond_DF`).  A reset
     on an earlier step's factor solves that step's DF and leaves ``cond`` as
-    it is.
+    it is.  For it the workspace also holds ``Y``, a Fortran-ordered
+    (n+m) x (n+m) buffer in which each factoring step inverts its factor in
+    place, ``YT``, its C-ordered transpose, the vectors :meth:`_cond_DF`
+    writes with the views it reads, and ``dmu_diff``, the scratch of a
+    trace row (``boxipm.solver._pd_row``): every array that a traced step
+    and its row write is allocated here, once.
     """
 
     def __init__(self, p: BoxQP, mp, traced: bool = False):
@@ -327,11 +332,21 @@ class _Workspace:
         self.bound = None
         self.traced, self.cond = traced, math.nan
         if traced:
-            self.tcol = np.abs(self.T).sum(axis=0)  # the column 1-norms of T
-            self.df_cols = self.tcol.copy()  # the lam columns are T's alone
+            tcol = np.abs(self.T).sum(axis=0)  # the column 1-norms of T
+            self.tcol_x, self.tcol_e = tcol[:n], tcol[nm:]
+            self.df_cols = tcol.copy()  # the lam columns are T's alone
+            self.df_x, self.df_e = self.df_cols[:n], self.df_cols[nm:]
             self.inv_cols = np.empty(N)
-            self.s1 = np.ones(nm)
+            self.inv_x, self.inv_u = self.inv_cols[:n], self.inv_cols[:nm]
+            self.inv_mu2 = self.inv_cols[nm:].reshape(2, n)
+            self.s1 = np.ones(nm)  # 1 + s
+            self.s1_x = self.s1[:n]
             self.e2 = self.e.reshape(2, n)
+            self.Y = np.empty((nm, nm), order="F")  # H^-1
+            self.YT = self.Y.T
+            self.ydiag_x = _diagonal(self.Y, 0, 0, n)
+            self.wy = np.empty((2, n))
+            self.dmu_diff = np.empty(n)  # dmu_l - dmu_r, the trace's scratch
 
     def load(self, z: Iterate) -> None:
         """Copy ``z`` in, after checking its dimensions, and derive e, mu∘e
@@ -387,25 +402,31 @@ class _Workspace:
         alike with w_r and e_r.  The subtraction loses nothing that the sum
         does not keep: when w_l,j |Y_jj| >= 1 the sum is at least c_j - 1.
         The column 1-norms of DF are those of T plus (mu_l + mu_r, 0, e).
+
+        Y is computed in place in the buffer ``Y``
+        (:func:`~boxipm.linalg.symmetric_inverse`) and every operation
+        writes a buffer of the workspace.  The row sums of |Y| are taken on
+        ``YT``, the C-ordered view of the symmetric Y: numpy hands a C matrix
+        and an F matrix to BLAS gemv in opposite orientations, whose kernels
+        sum in different orders, and the C orientation is the one that the
+        traced digests of the test suite were measured with.  Constants are
+        0-d arrays and ``out`` is positional, as in ``boxipm.solver._step``.
         """
-        n, nm = self.n, self.n + self.m
-        Y = symmetric_inverse(ldu, ipiv)
-        wy = self.w2 * Y.diagonal()[:n]  # (w_l∘Y_jj, w_r∘Y_jj) of the x block
-        absY = np.abs(Y, out=Y)
-        s1 = self.s1  # 1 + s
-        np.add(1.0, self.w_l, out=s1[:n])
-        np.add(s1[:n], self.w_r, out=s1[:n])
-        inv_cols, mu_cols = self.inv_cols, self.inv_cols[nm:].reshape(2, n)
-        np.matmul(absY, s1, out=inv_cols[:nm])  # Y is symmetric: row sums are column sums
-        np.abs(wy, out=mu_cols)
-        np.subtract(inv_cols[:n], mu_cols, out=mu_cols)
-        np.subtract(1.0, wy, out=wy)
-        np.abs(wy, out=wy)
-        np.add(mu_cols, wy, out=mu_cols)
-        np.divide(mu_cols, self.e2, out=mu_cols)
-        df_cols = self.df_cols
-        np.add(self.tcol[:n], self.mu_l, out=df_cols[:n])
-        np.add(df_cols[:n], self.mu_r, out=df_cols[:n])
-        np.add(self.tcol[nm:], self.e, out=df_cols[nm:])
-        kappa = df_cols.max() * inv_cols.max()
+        symmetric_inverse(ldu, ipiv, self.Y)
+        YT, wy, mu_cols, s1_x, df_x = self.YT, self.wy, self.inv_mu2, self.s1_x, self.df_x
+        np.multiply(self.w2, self.ydiag_x, wy)  # (w_l∘Y_jj, w_r∘Y_jj) of the x block
+        np.abs(YT, YT)
+        np.add(_ONE, self.w_l, s1_x)
+        np.add(s1_x, self.w_r, s1_x)
+        np.matmul(YT, self.s1, self.inv_u)  # Y is symmetric: row sums are column sums
+        np.abs(wy, mu_cols)
+        np.subtract(self.inv_x, mu_cols, mu_cols)
+        np.subtract(_ONE, wy, wy)
+        np.abs(wy, wy)
+        np.add(mu_cols, wy, mu_cols)
+        np.divide(mu_cols, self.e2, mu_cols)
+        np.add(self.tcol_x, self.mu_l, df_x)
+        np.add(df_x, self.mu_r, df_x)
+        np.add(self.tcol_e, self.e, self.df_e)
+        kappa = np.maximum.reduce(self.df_cols) * np.maximum.reduce(self.inv_cols)
         return float(kappa) if kappa < math.inf else math.inf

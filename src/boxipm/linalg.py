@@ -31,8 +31,9 @@ primal rows it is :meth:`QRFactor.cond_estimate`, LAPACK's 1-norm
 estimate of the Hessian's R (dtrcon); on primal-dual rows it is the exact
 kappa_1 of the DF the step solves, which ``boxipm.kkt`` assembles from
 :func:`symmetric_inverse` of the reduced matrix's Bunch-Kaufman factor
-that the step's dsysv call returns.  No N x N matrix is built or
-factored for it.
+that the step's dsysv call returns, inverted in place in a buffer that
+the traced workspace holds.  No N x N matrix is built or factored for
+it.
 
 Every LAPACK routine is looked up on the module global ``lapack``, and
 the one BLAS routine, dasum, on ``blas``.  ``scipy.linalg`` is imported
@@ -193,21 +194,35 @@ def solve_symmetric(G: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return u, ldu, ipiv
 
 
-def symmetric_inverse(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
+def symmetric_inverse(ldu: np.ndarray, ipiv: np.ndarray, out: np.ndarray) -> np.ndarray:
     """G^-1 from the factor (ldu, ipiv) of G that :func:`solve_symmetric`
-    returned, by LAPACK dsytri, as a full symmetric matrix: dsytri writes
-    the upper triangle, which is mirrored.  ``ldu`` is copied, not
-    overwritten, so the factor still serves dsytrs."""
-    Y, info = lapack.dsytri(ldu, ipiv, overwrite_a=0)
+    returned, by LAPACK dsytri, as a full symmetric matrix in ``out``, a
+    Fortran-ordered float64 d x d buffer, which is returned.
+
+    The factor is copied into ``out`` and inverted there in place
+    (``overwrite_a``); dsytri writes the upper triangle, which
+    :func:`mirror_upper` copies into the lower one.  So the call builds no
+    d x d array, and ``ldu`` is not written: the factor still serves
+    dsytrs.
+    """
+    np.copyto(out, ldu)
+    Y, info = lapack.dsytri(out, ipiv, overwrite_a=1)
     _check_info("dsytri", info)
-    return np.where(_upper_mask(Y.shape[0]), Y, Y.T)
+    mirror_upper(Y)
+    return Y
+
+
+def mirror_upper(G: np.ndarray) -> None:
+    """Copy the upper triangle of the square ``G`` into its lower one, in
+    place, by selection: an exactly symmetric ``G`` keeps its bits."""
+    np.copyto(G, G.T, where=_strict_lower(G.shape[0]))
 
 
 @functools.lru_cache(maxsize=8)
-def _upper_mask(d: int) -> np.ndarray:
-    """The read-only d x d mask of the upper triangle, diagonal included;
-    np.triu would build it per call."""
-    mask = np.triu(np.ones((d, d), dtype=bool))
+def _strict_lower(d: int) -> np.ndarray:
+    """The read-only d x d mask of the strict lower triangle; np.tril would
+    build it per call."""
+    mask = np.tril(np.ones((d, d), dtype=bool), -1)
     mask.setflags(write=False)
     return mask
 

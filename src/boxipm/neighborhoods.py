@@ -65,9 +65,14 @@ def check_step(
         )
 
 
-def complementarity_gap(z: Iterate) -> float:
+def complementarity_gap(z) -> float:
     """mu_l'(e + x) + mu_r'(e - x); bounded by 2n(1+theta)tau on the path
     neighborhood, which certifies the optimality gap.  ``z`` is an
-    :class:`~boxipm.kkt.Iterate` or any point with its ``x``, ``mu_l`` and
-    ``mu_r`` blocks."""
-    return float(z.mu_l.dot(1.0 + z.x) + z.mu_r.dot(1.0 - z.x))
+    :class:`~boxipm.kkt.Iterate`, for which e = (1 + x, 1 - x) is formed
+    here, or a step workspace (:class:`~boxipm.kkt._Workspace`), which holds
+    it, bit for bit, in its views ``e_l`` and ``e_r``."""
+    if isinstance(z, Iterate):
+        e_l, e_r = 1.0 + z.x, 1.0 - z.x
+    else:
+        e_l, e_r = z.e_l, z.e_r
+    return float(z.mu_l.dot(e_l) + z.mu_r.dot(e_r))

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InvalidProblem, PiCapExceeded
-from .linalg import _upper_mask, as_matrix, as_vector, norm2_upper
+from .linalg import as_matrix, as_vector, mirror_upper, norm2_upper
 
 # Relative tolerances for accepting Q as symmetric PSD.
 SYMMETRY_RTOL = 1e-12
@@ -31,10 +31,11 @@ def _validated_qp(Q, c, A, b, names: tuple[str, str, str, str]) -> tuple[np.ndar
     arrays in the errors.
 
     Q must be symmetric to within ``SYMMETRY_RTOL`` and positive
-    semi-definite to within ``PSD_EIG_RTOL``.  It is stored as its upper
-    triangle mirrored, chosen entry by entry, so that an exactly symmetric
-    Q is stored bit for bit and every later reader of Q (the residual, the
-    Newton matrices, the PSD test here) sees one symmetric matrix.
+    semi-definite to within ``PSD_EIG_RTOL``.  It is stored C-ordered as its
+    upper triangle mirrored (:func:`~boxipm.linalg.mirror_upper`, by
+    selection), so that an exactly symmetric Q is stored bit for bit and
+    every later reader of Q (the residual, the Newton matrices, the PSD
+    test here) sees one symmetric matrix.
     """
     nQ, nc, nA, nb = names
     Q = as_matrix(Q, name=nQ)
@@ -53,7 +54,9 @@ def _validated_qp(Q, c, A, b, names: tuple[str, str, str, str]) -> tuple[np.ndar
             f"{nQ} is not symmetric: ||{nQ} - {nQ}^T|| = {asym:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * ||{nQ}||"
         )
-    arrays = (np.where(_upper_mask(n), Q, Q.T), c.copy(), A.copy(), b.copy())
+    Q = Q.copy(order="C")
+    mirror_upper(Q)
+    arrays = (Q, c.copy(), A.copy(), b.copy())
     for a in arrays:
         a.setflags(write=False)
     # Fast accept for positive definite matrices; fall back to an eigenvalue

@@ -70,7 +70,6 @@ from .errors import (
 from .kkt import (
     _ONE,
     Iterate,
-    _blocks,
     _check_tau,
     _Workspace,
     eval_DF,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
@@ -467,26 +466,28 @@ def _primal_row(
     )
 
 
-def _pd_row(k: int, kind: str, tau: float, ws: _Workspace, dz: np.ndarray | None) -> TraceEntry:
-    """The row of a primal-dual step that led to the workspace's state by the
-    step ``dz`` (``None`` for the lift row, whose ``cond_DF`` the initial
-    reset fills in); ``ws.cond`` is kappa_1 of the DF the step solved.
-    The interior margin is ``ws.margin``, the minimum of (mu, e): as
-    1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, it is
-    min(1 - ||x||_inf, min mu)."""
+def _pd_row(k: int, kind: str, tau: float, ws: _Workspace) -> TraceEntry:
+    """The row of the primal-dual step of ``kind`` that led to the
+    workspace's state by the step in ``ws.dz``, or of the lift, whose
+    ``cond_DF`` the initial reset fills in; ``ws.cond`` is kappa_1 of the DF
+    the step solved.  The interior margin is ``ws.margin``, the minimum of
+    (mu, e): as 1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, it is
+    min(1 - ||x||_inf, min mu).  The row reads the workspace's views and
+    writes only its scratch ``dmu_diff``."""
     step_norm = newton_dot = math.nan
-    if dz is not None:
-        step_norm = math.sqrt(dz @ dz)
+    if kind != STEP_LIFT:
+        dz = ws.dz
+        step_norm = math.sqrt(dz.dot(dz))
         if kind == STEP_PATH:
-            dx, _, dmu_l, dmu_r = _blocks(dz, ws.n, ws.m)
-            newton_dot = float(dx @ (dmu_l - dmu_r))
+            diff = ws.dmu_diff
+            np.subtract(ws.dmu_l, ws.dmu_r, diff)
+            newton_dot = float(ws.dz_x.dot(diff))
+    z = ws.z
     return TraceEntry(
-        k=k, tau=tau, step_kind=kind,
-        residual_comp=ws.comp_norm, residual_eq=ws.eq_norm,
-        cond_DF=ws.cond, step_norm=step_norm, interior_margin=ws.margin,
-        comp_gap=complementarity_gap(ws),
-        z_norm=math.sqrt(ws.z.dot(ws.z)),  # np.linalg.norm's own formula for a vector
-        newton_dot=newton_dot,
+        k, tau, kind, ws.comp_norm, ws.eq_norm, ws.cond, step_norm, ws.margin,
+        complementarity_gap(ws),
+        math.sqrt(z.dot(z)),  # np.linalg.norm's own formula for a vector
+        newton_dot,
     )
 
 
@@ -551,13 +552,13 @@ def solve(
     cycles = 0  # started, and on success completed, path-following cycles
     try:
         if collect_trace:
-            lift_row = _pd_row(len(trace) + 1, STEP_LIFT, tau, ws, None)
+            lift_row = _pd_row(len(trace) + 1, STEP_LIFT, tau, ws)
         _step(STEP_ERROR_RESET, ws, tau)
         if collect_trace:
             # The initial reset factors DF at the lift point, so its
             # condition number belongs to the lift row as well.
             trace.append(replace(lift_row, cond_DF=ws.cond))
-            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, ws, ws.dz))
+            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, ws))
         for _ in range(mp.M):
             cycles += 1
             tau = mp.sigma * tau
@@ -569,7 +570,7 @@ def solve(
                     slack = None
                 _step(kind, ws, tau, slack)
                 if collect_trace:
-                    trace.append(_pd_row(len(trace) + 1, kind, tau, ws, ws.dz))
+                    trace.append(_pd_row(len(trace) + 1, kind, tau, ws))
             if tau <= mp.tau_E:
                 break
     except StepRejected as exc:

@@ -167,6 +167,11 @@ class TestSolveCommand:
         assert tuple(rows[0]) == TRACE_FIELDS
         kinds = {row[2] for row in rows[1:]}
         assert {"primal", "lift", "path", "centrality", "error_reset"} <= kinds
+        kind_col = TRACE_FIELDS.index("step_kind")
+        for row in rows[1:]:
+            for i, cell in enumerate(row):
+                if i != kind_col:
+                    float(cell)  # not np.float64(...)
 
 
 class TestSolveStandardCommand:

@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
 from boxipm.linalg import (
-    EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, norm2_upper, solve_symmetric,
-    symmetric_inverse,
+    EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, mirror_upper, norm2_upper,
+    solve_symmetric, symmetric_inverse,
 )
 
 
@@ -241,17 +241,23 @@ class TestSolveSymmetric:
 
 
 class TestSymmetricInverse:
-    """symmetric_inverse: dsytri on the factor that solve_symmetric returned."""
+    """symmetric_inverse: dsytri on the factor that solve_symmetric returned,
+    in the caller's buffer."""
 
     @pytest.mark.parametrize("d", [1, 2, 5, 28, 45])
     def test_matches_the_explicit_inverse(self, d):
         # quasi-definite matrices need 2 x 2 pivots, so both block kinds of D
-        # are inverted; the inverse is full and exactly symmetric
+        # are inverted; the inverse is full and exactly symmetric, written
+        # over the buffer, and the factor is left as it was
         rng = np.random.default_rng(500 + d)
+        out = np.empty((d, d), order="F")
         for _ in range(5):
             G = _quasi_definite(rng, d)
             _, ldu, ipiv = solve_symmetric(G, rng.normal(size=d))
-            Y = symmetric_inverse(ldu, ipiv)
+            factor = ldu.copy(order="F")
+            Y = symmetric_inverse(ldu, ipiv, out)
+            assert Y is out
+            assert ldu.tobytes(order="F") == factor.tobytes(order="F")
             assert np.array_equal(Y, Y.T)
             ref = np.linalg.inv(G)
             assert np.abs(Y - ref).max() <= 1e3 * d * EPS_MACH * np.abs(ref).max()
@@ -260,8 +266,24 @@ class TestSymmetricInverse:
         G = _quasi_definite(np.random.default_rng(10), 6)
         junk = G.copy()
         junk[np.tril_indices(6, -1)] = np.nan
-        Y = symmetric_inverse(*solve_symmetric(junk, np.ones(6))[1:])
-        assert np.array_equal(Y, symmetric_inverse(*solve_symmetric(G, np.ones(6))[1:]))
+        Y = symmetric_inverse(*solve_symmetric(junk, np.ones(6))[1:], np.empty((6, 6), order="F"))
+        ref = symmetric_inverse(*solve_symmetric(G, np.ones(6))[1:], np.empty((6, 6), order="F"))
+        assert np.array_equal(Y, ref)
+
+
+class TestMirrorUpper:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_selects_the_upper_triangle_in_place(self, order):
+        # by selection, as np.where would: signed zeros and the diagonal keep
+        # their bits, and nothing of the strict lower triangle is read
+        G = np.array(np.random.default_rng(11).normal(size=(5, 5)), order=order)
+        G[0, 3] = -0.0
+        ref = np.where(np.triu(np.ones((5, 5), dtype=bool)), G, G.T)
+        G[np.tril_indices(5, -1)] = np.nan
+        buf = G
+        mirror_upper(G)
+        assert G is buf and G.flags[f"{order}_CONTIGUOUS"]
+        assert G.tobytes() == ref.tobytes()
 
 
 class TestQRFactorContract:

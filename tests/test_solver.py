@@ -27,12 +27,13 @@ from boxipm import (
     solve_standard,
 )
 from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, StepRejected
-from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_grad_f, eval_hess_f
-from boxipm.linalg import EPS_MACH, QRFactor
+from boxipm.kkt import _Workspace, _affine_rows, eval_DF, eval_F, eval_grad_f, eval_hess_f
+from boxipm.linalg import EPS_MACH, QRFactor, mirror_upper, symmetric_inverse
 from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _X_MAX,
     TRACE_FIELDS,
+    _pd_row,
     _repair,
     _step,
     STEP_CENTRALITY,
@@ -53,7 +54,8 @@ from support import (
     random_iterate,
     random_standard_with_optimum,
 )
-from test_kkt import make_mp, zeros_problem
+from test_kkt import make_mp, near_path_iterate, zeros_problem
+from test_properties import FAMILIES, degenerate_boxqp
 
 
 class TestPrimalInit:
@@ -551,6 +553,66 @@ class TestStepLoopStructure:
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
         assert calls == [18] + [19, 18, 11] * 2
 
+    def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
+        # as above, in a traced workspace, each step followed by its row: a
+        # factoring step adds _cond_DF (the copy of the factor, the mirror and
+        # 16 vector operations), a path row its dmu_l - dmu_r, and a cycle's
+        # reset nothing.  The mirror's mask is cached per size, so it is
+        # built before the counter is in place.
+        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
+        mp = compute_params_practical(p)
+        ws = _Workspace(p, mp, traced=True)
+        ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(mp.tau_A)
+        mirror_upper(np.empty((p.n + p.m, p.n + p.m)))
+        counter = _CountingNumpy()
+        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
+            monkeypatch.setattr(module, "np", counter)
+        tau, calls = mp.tau_A, []
+        kinds = [STEP_ERROR_RESET] + [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET] * 2
+        for kind in kinds:
+            counter.calls = 0
+            if kind == STEP_PATH:
+                tau = mp.sigma * tau
+                ws.retarget(tau)
+            _step(kind, ws, tau)
+            _pd_row(1, kind, tau, ws)
+            calls.append(counter.calls)
+        assert (ws.x_clipped, ws.mu_reset) == (0, 0)
+        assert calls == [18 + 18] + [19 + 18 + 1, 18 + 18, 11] * 2
+
+    def test_traced_inverse_runs_in_the_workspace_buffer(self, monkeypatch):
+        # every dsytri of a traced solve inverts the factor in place in one
+        # F-ordered buffer that the workspace holds, and returns that buffer
+        workspaces, inverted = [], []
+        build = _Workspace.__init__
+
+        def init(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            workspaces.append(self)
+
+        class SpyLapack:
+            def __getattr__(self, name):
+                fn = getattr(scipy.linalg.lapack, name)
+                if name != "dsytri":
+                    return fn
+
+                def spied(a, *args, **kwargs):
+                    out = fn(a, *args, **kwargs)
+                    inverted.append((a, kwargs.get("overwrite_a"), out[0]))
+                    return out
+                return spied
+
+        monkeypatch.setattr(_Workspace, "__init__", init)
+        monkeypatch.setattr(boxipm.linalg, "lapack", SpyLapack())
+        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
+        rep = solve(p, collect_trace=True)
+        (ws,) = workspaces
+        assert len(inverted) == rep.factorizations - rep.params.K > 100
+        for a, overwrite_a, Y in inverted:
+            assert a is ws.Y and Y is ws.Y and overwrite_a
+            assert a.flags.f_contiguous and a.shape == (p.n + p.m, p.n + p.m)
+
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
         # step's one symmetric solve made: one dsytri per factoring
@@ -997,6 +1059,23 @@ class TestCondDF:
             _step(row.step_kind, ws, tau)
         assert pd_rows[0].cond_DF == pd_rows[1].cond_DF
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, m", [(1, 0), (3, 0), (4, 2), (20, 8)])
+    def test_bit_for_bit_with_the_reference_formula(self, family, n, m):
+        # the in-place _cond_DF against the formula on a fresh inverse and a
+        # C-contiguous copy of it, from the same factor; n = 1, m = 0 is
+        # d = 1, and degenerate_boxqp raises m to what its family needs
+        p = degenerate_boxqp(family, n, m, seed=40 + n, tol=1e-2)
+        mp = compute_params_practical(p)
+        rng = np.random.default_rng(41 + n + m)
+        ws = _Workspace(p, mp, traced=True)
+        for gap, tau in [(0.5, 1.0), (1e-3, 1e-3), (1e-9, 1e-8)]:
+            z = near_path_iterate(rng, p.n, p.m, gap, tau)
+            ws.load(z)
+            ws.eval_F(tau)
+            newton_step(ws, tau, reset_only=False)
+            assert ws.cond == _reference_cond_DF(p, mp, z, *ws.factor)
+
     def test_primal_rows_estimate_the_hessian_factor(self):
         rng = np.random.default_rng(32)
         p = random_boxqp(rng, 4, 2, feasible=True, tol=1e-2)
@@ -1009,6 +1088,27 @@ class TestCondDF:
             kappa_2 = np.linalg.cond(H)
             assert kappa_2 / p.n <= e.cond_DF <= p.n * kappa_2
             x = x + QRFactor(H).solve(-eval_grad_f(p, mp, x))
+
+
+def _reference_cond_DF(p, mp, z, ldu, ipiv):
+    """kappa_1 of DF at z by the formula of ``_Workspace._cond_DF``, written
+    array by array: the inverse of H in a new buffer, and its row sums
+    taken on a C-contiguous copy, so by the gemv kernel of a C matrix."""
+    n, nm = p.n, p.n + p.m
+    e = np.concatenate([1.0 + z.x, 1.0 - z.x])
+    w = np.concatenate([z.mu_l, z.mu_r]) / e
+    Y = np.ascontiguousarray(symmetric_inverse(ldu, ipiv, np.empty((nm, nm), order="F")))
+    wy = w.reshape(2, n) * Y.diagonal()[:n]
+    s1 = np.ones(nm)
+    s1[:n] = (1.0 + w[:n]) + w[n:]
+    inv_cols = np.empty(3 * n + p.m)
+    inv_cols[:nm] = np.abs(Y) @ s1
+    inv_cols[nm:] = (((inv_cols[:n] - np.abs(wy)) + np.abs(1.0 - wy)) / e.reshape(2, n)).ravel()
+    df_cols = np.abs(_affine_rows(p, mp.omega)).sum(axis=0)
+    df_cols[:n] = (df_cols[:n] + z.mu_l) + z.mu_r
+    df_cols[nm:] += e
+    kappa = df_cols.max() * inv_cols.max()
+    return float(kappa) if kappa < math.inf else math.inf
 
 
 # family, seed, n, m: every n in 2..8 once or twice over the four families
@@ -1083,6 +1183,22 @@ class TestTraceDoesNotChangeTheSolve:
         assert plain.x.tobytes() == traced.x.tobytes()
         for name in ("tau_final", "linear_solves", "iterations_pd", "x_clipped", "mu_reset"):
             assert getattr(plain, name) == getattr(traced, name), name
+
+
+class TestTraceRowTypes:
+    @pytest.mark.parametrize("mode", ["stable", "fast"])
+    def test_fields_are_python_scalars(self, mode):
+        # the CLI writes floats by repr, and repr(np.float64(x)) is not a
+        # number under numpy 2
+        p = random_boxqp(np.random.default_rng(72), 4, 2, feasible=False, tol=1e-2)
+        rep = solve(p, mode=mode, collect_trace=True)
+        kinds = {STEP_PRIMAL, STEP_LIFT, STEP_ERROR_RESET, STEP_PATH}
+        if mode == "stable":
+            kinds.add(STEP_CENTRALITY)
+        assert {row.step_kind for row in rep.trace} == kinds
+        for row in rep.trace:
+            types = [type(getattr(row, name)) for name in TRACE_FIELDS]
+            assert types == [int, float, str] + [float] * (len(TRACE_FIELDS) - 3), row
 
 
 class TestTraceProperties:

@@ -8,8 +8,11 @@ names ``boxipm_a`` and ``boxipm_b``, and solves every instance of the
 workload (``perfbench/workloads.py`` of the checkout that holds this
 script, imported read-only) with A and B in turn, ``--repeats`` times
 each.  Prints, per instance, the best wall time of each side, their
-ratio B/A and whether the two solutions are bit-identical, then the
-totals of the best times; exits 1 unless every x is bit-identical.
+ratio B/A and whether the two solves are bit-identical, then the totals
+of the best times; exits 1 unless every solve is.  A solve is identical
+when its x is, and, on a traced instance, when every value of every
+trace row is too: each value is packed on its own (numbers as binary64
+bytes, so that NaN compares by its bits), outside the timed region.
 
 Alternating within one process cancels most of the machine's speed drift:
 on a 2-vCPU VM the speed of Python-bound code moves by up to 2x between
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import struct
 import sys
 import time
 from pathlib import Path
@@ -52,19 +56,41 @@ def load_workloads():
 
 
 def solver(bx, inst):
-    """A function that solves ``inst`` with the package ``bx`` and returns x."""
+    """A function that solves ``inst`` with the package ``bx`` and returns
+    (x, trace rows)."""
     if inst.kind == "box":
         p = bx.BoxQP(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b, tol=inst.tol)
-        return lambda: bx.solve(p, mode=inst.mode, collect_trace=inst.collect_trace).x
+
+        def run():
+            rep = bx.solve(p, mode=inst.mode, collect_trace=inst.collect_trace)
+            return rep.x, rep.trace
+        return run
     p = bx.StandardQP(Qt=inst.Q, ct=inst.c, At=inst.A, bt=inst.b)
-    return lambda: bx.solve_standard(p, tol=inst.tol, pi="auto", mode=inst.mode).x
+
+    def run():
+        rep = bx.solve_standard(p, tol=inst.tol, pi="auto", mode=inst.mode)
+        return rep.x, rep.box_report.trace
+    return run
 
 
-def timed(run) -> tuple[float, object]:
-    """(wall time, x) of one solve."""
+def packed_trace(bx, rows) -> list[tuple]:
+    """The field names of the package ``bx``'s trace, then every row as the
+    tuple of its values packed one by one: strings as they are, numbers as
+    little-endian binary64 bytes, so that equal rows mean equal bits, NaN
+    included."""
+    fields = sys.modules[bx.__name__ + ".solver"].TRACE_FIELDS
+    packed = [tuple(fields)]
+    for row in rows:
+        values = (getattr(row, name) for name in fields)
+        packed.append(tuple(v if isinstance(v, str) else struct.pack("<d", v) for v in values))
+    return packed
+
+
+def timed(run) -> tuple[float, tuple]:
+    """(wall time, (x, trace rows)) of one solve."""
     t0 = time.perf_counter()
-    x = run()
-    return time.perf_counter() - t0, x
+    out = run()
+    return time.perf_counter() - t0, out
 
 
 def main(argv=None) -> int:
@@ -81,21 +107,23 @@ def main(argv=None) -> int:
     insts = wl.instances(wl.WORKLOADS[args.workload], args.seed)
     total_a = total_b = 0.0
     identical = 0
-    print(f"{'instance':<32} {'A best s':>10} {'B best s':>10} {'B/A':>6}  x")
+    print(f"{'instance':<32} {'A best s':>10} {'B best s':>10} {'B/A':>6}  x          trace")
     for inst in insts:
         run_a, run_b = solver(a, inst), solver(b, inst)
         best_a = best_b = float("inf")
         for _ in range(args.repeats):
-            wall, xa = timed(run_a)
+            wall, (xa, trace_a) = timed(run_a)
             best_a = min(best_a, wall)
-            wall, xb = timed(run_b)
+            wall, (xb, trace_b) = timed(run_b)
             best_b = min(best_b, wall)
-        same = xa.tobytes() == xb.tobytes()
-        identical += same
+        same_x = xa.tobytes() == xb.tobytes()
+        same_trace = packed_trace(a, trace_a) == packed_trace(b, trace_b)
+        identical += same_x and same_trace
         total_a += best_a
         total_b += best_b
+        trace_note = ("identical" if same_trace else "DIFFERS") if inst.collect_trace else "-"
         print(f"{inst.label:<32} {best_a:10.4f} {best_b:10.4f} {best_b / best_a:6.3f}  "
-              f"{'identical' if same else 'DIFFERS'}")
+              f"{'identical' if same_x else 'DIFFERS':<10} {trace_note}")
     print(f"{'total':<32} {total_a:10.4f} {total_b:10.4f} {total_b / total_a:6.3f}  "
           f"{identical}/{len(insts)} identical")
     return 0 if identical == len(insts) else 1
