@@ -36,9 +36,9 @@ operations that updates the state where it is.  The workspace's
 :meth:`_Workspace.eval_F` is the one residual evaluation: the step calls
 it, and so does :func:`eval_F`, in a workspace that takes no step and so
 binds no LAPACK routine.  The trace's condition number of DF is assembled
-in the workspace from the factor of the reduced matrix that the step's
-solve returns, so no N x N matrix is built in a solve; :func:`eval_DF`
-builds DF for callers outside the solve.
+by :func:`cond_DF`, for a batch of steps at once, from the factors of the
+reduced matrix that the steps' solves returned, so no N x N matrix is
+built in a solve; :func:`eval_DF` builds DF for callers outside the solve.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ class _Workspace:
     dropped with it.  It holds one primal-dual state, which every step
     updates in place: ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``,
     ``mu_r`` and ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
-    with views ``e_l`` and ``e_r``, follows z in one buffer, so that
+    with views ``e_l`` and ``e_r``, follows z in one buffer, ``ze``, so that
     ``mu_e`` = (mu, e) is one view; ``margin`` is its minimum, the interior
     margin, as :meth:`load` or the last step set it.  ``mue`` = mu∘e is a
     2n-vector (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is one N-vector
@@ -282,23 +282,17 @@ class _Workspace:
     scratch; a later reset on a factoring step's factor derives its dmu
     from the ``w`` that step left.
 
-    A ``traced`` workspace also writes ``cond`` in each factoring step: the
-    exact kappa_1 of the DF that the step solves where the step starts, from
-    the factor of ``H`` that the solve returns (:meth:`_cond_DF`).  A reset
-    on an earlier step's factor solves that step's DF and leaves ``cond`` as
-    it is.  For it the workspace also holds ``Y``, a Fortran-ordered
-    (n+m) x (n+m) buffer in which each factoring step inverts its factor in
-    place, ``YT``, its C-ordered transpose, the vectors :meth:`_cond_DF`
-    writes with the views it reads, and ``dmu_diff``, the scratch of a
-    trace row (``boxipm.solver._pd_row``): every array that a traced step
-    and its row write is allocated here, once.
+    The workspace holds nothing for the trace: a traced solve's recorder
+    (``boxipm.solver._Recorder``) copies ``ze``, ``dz`` and a new
+    ``factor`` after each step and builds the rows per batch, with
+    :func:`cond_DF` for the condition numbers.
     """
 
-    def __init__(self, p: BoxQP, mp, traced: bool = False):
+    def __init__(self, p: BoxQP, mp):
         n, m = p.n, p.m
         nm, N = n + m, 3 * n + m
         self.p, self.mp, self.n, self.m = p, mp, n, m
-        ze = np.empty(N + 2 * n)
+        self.ze = ze = np.empty(N + 2 * n)
         self.z, self.e, self.mu_e = ze[:N], ze[N:], ze[nm:]
         self.x, self.lam, self.mu_l, self.mu_r = _blocks(self.z, n, m)
         self.mu = self.z[nm:]
@@ -330,23 +324,6 @@ class _Workspace:
         self.x_clipped = self.mu_reset = 0
         self.factor, self.factorizations = None, 0
         self.bound = None
-        self.traced, self.cond = traced, math.nan
-        if traced:
-            tcol = np.abs(self.T).sum(axis=0)  # the column 1-norms of T
-            self.tcol_x, self.tcol_e = tcol[:n], tcol[nm:]
-            self.df_cols = tcol.copy()  # the lam columns are T's alone
-            self.df_x, self.df_e = self.df_cols[:n], self.df_cols[nm:]
-            self.inv_cols = np.empty(N)
-            self.inv_x, self.inv_u = self.inv_cols[:n], self.inv_cols[:nm]
-            self.inv_mu2 = self.inv_cols[nm:].reshape(2, n)
-            self.s1 = np.ones(nm)  # 1 + s
-            self.s1_x = self.s1[:n]
-            self.e2 = self.e.reshape(2, n)
-            self.Y = np.empty((nm, nm), order="F")  # H^-1
-            self.YT = self.Y.T
-            self.ydiag_x = _diagonal(self.Y, 0, 0, n)
-            self.wy = np.empty((2, n))
-            self.dmu_diff = np.empty(n)  # dmu_l - dmu_r, the trace's scratch
 
     def load(self, z: Iterate) -> None:
         """Copy ``z`` in, after checking its dimensions, and derive e, mu∘e
@@ -387,46 +364,67 @@ class _Workspace:
         np.subtract(self.mue, tau, self.r34)
         self.comp_norm = math.nan
 
-    def _cond_DF(self, ldu: np.ndarray, ipiv: np.ndarray) -> float:
-        """kappa_1 = ||DF||_1 ||DF^-1||_1 of the DF the step solves, at the
-        state where it starts, from the factor (ldu, ipiv) of ``H``; inf if
-        it overflows.  The factor is not written.
 
-        With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`) and
-        s = (w_l + w_r, 0), the block elimination of the step gives
-        every column of DF^-1: column j of the x or lam block is
-        +-(Y_j, -w_l∘Y_xj, w_r∘Y_xj), of 1-norm c_j = ((1 + s)'|Y|)_j, and
-        column j of the mu_l block is column j of the x block over e_l,j
-        with its own mu_l entry (1 - w_l,j Y_jj)/e_l,j instead, of 1-norm
-        (c_j - w_l,j |Y_jj| + |1 - w_l,j Y_jj|)/e_l,j; the mu_r block is
-        alike with w_r and e_r.  The subtraction loses nothing that the sum
-        does not keep: when w_l,j |Y_jj| >= 1 the sum is at least c_j - 1.
-        The column 1-norms of DF are those of T plus (mu_l + mu_r, 0, e).
+def cond_DF(T: np.ndarray, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.ndarray:
+    """kappa_1 = ||DF||_1 ||DF^-1||_1 of a batch of DFs, each the Jacobian
+    that a factoring step of :class:`_Workspace` solves, from the factor of
+    its reduced matrix ``H``; inf where it overflows.
 
-        Y is computed in place in the buffer ``Y``
-        (:func:`~boxipm.linalg.symmetric_inverse`) and every operation
-        writes a buffer of the workspace.  The row sums of |Y| are taken on
-        ``YT``, the C-ordered view of the symmetric Y: numpy hands a C matrix
-        and an F matrix to BLAS gemv in opposite orientations, whose kernels
-        sum in different orders, and the C orientation is the one that the
-        traced digests of the test suite were measured with.  Constants are
-        0-d arrays and ``out`` is positional, as in ``boxipm.solver._step``.
-        """
-        symmetric_inverse(ldu, ipiv, self.Y)
-        YT, wy, mu_cols, s1_x, df_x = self.YT, self.wy, self.inv_mu2, self.s1_x, self.df_x
-        np.multiply(self.w2, self.ydiag_x, wy)  # (w_l∘Y_jj, w_r∘Y_jj) of the x block
-        np.abs(YT, YT)
-        np.add(_ONE, self.w_l, s1_x)
-        np.add(s1_x, self.w_r, s1_x)
-        np.matmul(YT, self.s1, self.inv_u)  # Y is symmetric: row sums are column sums
-        np.abs(wy, mu_cols)
-        np.subtract(self.inv_x, mu_cols, mu_cols)
-        np.subtract(_ONE, wy, wy)
-        np.abs(wy, wy)
-        np.add(mu_cols, wy, mu_cols)
-        np.divide(mu_cols, self.e2, mu_cols)
-        np.add(self.tcol_x, self.mu_l, df_x)
-        np.add(df_x, self.mu_r, df_x)
-        np.add(self.tcol_e, self.e, self.df_e)
-        kappa = np.maximum.reduce(self.df_cols) * np.maximum.reduce(self.inv_cols)
-        return float(kappa) if kappa < math.inf else math.inf
+    ``T`` is the workspace's; ``factors`` is a stack (F, d, d) of the
+    factors ``ldu`` of the F matrices ``H``, each Fortran-ordered, which is
+    overwritten, and ``ipivs`` their F pivot arrays; row i of ``mu_e``
+    (F, 4n) is (mu, e) at the point where step i starts.
+
+    With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`), w = mu/e and
+    s = (w_l + w_r, 0), the block elimination of the step gives every
+    column of DF^-1: column j of the x or lam block is
+    +-(Y_j, -w_l∘Y_xj, w_r∘Y_xj), of 1-norm c_j = ((1 + s)'|Y|)_j, and
+    column j of the mu_l block is column j of the x block over e_l,j with
+    its own mu_l entry (1 - w_l,j Y_jj)/e_l,j instead, of 1-norm
+    (c_j - w_l,j |Y_jj| + |1 - w_l,j Y_jj|)/e_l,j; the mu_r block is alike
+    with w_r and e_r.  The subtraction loses nothing that the sum does not
+    keep: when w_l,j |Y_jj| >= 1 the sum is at least c_j - 1.  The column
+    1-norms of DF are those of T plus (mu_l + mu_r, 0, e).
+
+    Each operation runs once over the whole batch and gives every item the
+    bits that it gives one point: w by the step's own divide, the row sums
+    of |Y| by one matmul over the C-ordered stack of the symmetric
+    inverses, which makes one BLAS gemv per item in the orientation of a C
+    matrix (the two orientations sum in different orders), and the maxima,
+    which are exact in any order.  Constants are 0-d arrays, as in
+    ``boxipm.solver._step``.
+    """
+    F, d = factors.shape[:2]
+    n = mu_e.shape[1] // 4
+    N = d + 2 * n
+    # C-ordered: each F-ordered inverse seen transposed, which it equals.
+    Y = symmetric_inverse(factors, ipivs).transpose(0, 2, 1)
+    mu, e = mu_e[:, : 2 * n], mu_e[:, 2 * n :]
+    w = np.divide(mu, e)
+    w_l, w_r = w[:, :n], w[:, n:]
+    wy = np.multiply(w.reshape(F, 2, n), Y.diagonal(0, 1, 2)[:, None, :n])  # w∘Y_jj, x block
+    np.abs(Y, Y)
+    s1 = np.ones((F, d))  # 1 + s
+    s1_x = s1[:, :n]
+    np.add(_ONE, w_l, s1_x)
+    np.add(s1_x, w_r, s1_x)
+    cols = np.empty((2, F, N))  # the column 1-norms of each DF^-1 and DF
+    inv, df = cols
+    np.matmul(Y, s1[:, :, None], inv[:, :d, None])  # Y is symmetric: row sums are column sums
+    mu_cols = inv[:, d:].reshape(F, 2, n)
+    np.abs(wy, mu_cols)
+    np.subtract(inv[:, None, :n], mu_cols, mu_cols)
+    np.subtract(_ONE, wy, wy)
+    np.abs(wy, wy)
+    np.add(mu_cols, wy, mu_cols)
+    np.divide(mu_cols, e.reshape(F, 2, n), mu_cols)
+    tcol = np.abs(T).sum(axis=0)
+    df_x = df[:, :n]
+    np.add(tcol[:n], mu[:, :n], df_x)
+    np.add(df_x, mu[:, n:], df_x)
+    df[:, n:d] = tcol[n:d]  # the lam columns are T's alone
+    np.add(tcol[d:], e, df[:, d:])
+    inv_max, df_max = np.maximum.reduce(cols, axis=2)
+    kappa = np.multiply(df_max, inv_max)
+    kappa[~(kappa < math.inf)] = math.inf
+    return kappa

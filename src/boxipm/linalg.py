@@ -29,11 +29,11 @@ each only a normwise backward-stable solve:
 The trace's ``cond_DF`` reads the factor its step solved with: on
 primal rows it is :meth:`QRFactor.cond_estimate`, LAPACK's 1-norm
 estimate of the Hessian's R (dtrcon); on primal-dual rows it is the exact
-kappa_1 of the DF the step solves, which ``boxipm.kkt`` assembles from
-:func:`symmetric_inverse` of the reduced matrix's Bunch-Kaufman factor
-that the step's dsysv call returns, inverted in place in a buffer that
-the traced workspace holds.  No N x N matrix is built or factored for
-it.
+kappa_1 of the DF the step solves, which ``boxipm.kkt.cond_DF``
+assembles for a batch of steps from :func:`symmetric_inverse` of the
+reduced matrices' Bunch-Kaufman factors that the steps' dsysv calls
+returned, each inverted in place in a slot of the stack that the trace's
+recorder holds.  No N x N matrix is built or factored for it.
 
 Every LAPACK routine is looked up on the module global ``lapack``, and
 the one BLAS routine, dasum, on ``blas``.  ``scipy.linalg`` is imported
@@ -194,37 +194,62 @@ def solve_symmetric(G: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return u, ldu, ipiv
 
 
-def symmetric_inverse(ldu: np.ndarray, ipiv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """G^-1 from the factor (ldu, ipiv) of G that :func:`solve_symmetric`
-    returned, by LAPACK dsytri, as a full symmetric matrix in ``out``, a
-    Fortran-ordered float64 d x d buffer, which is returned.
+def symmetric_inverse(factors: np.ndarray, ipivs) -> np.ndarray:
+    """G^-1 for each factor (ldu, ipiv) of a G that :func:`solve_symmetric`
+    returned, by LAPACK dsytri, in place: ``factors`` is a stack (k, d, d)
+    of the ``ldu`` of each G, each item Fortran-ordered, and ``ipivs`` the
+    k pivot arrays.  Each item is overwritten by its full symmetric inverse,
+    and ``factors`` is returned.
 
-    The factor is copied into ``out`` and inverted there in place
-    (``overwrite_a``); dsytri writes the upper triangle, which
-    :func:`mirror_upper` copies into the lower one.  So the call builds no
-    d x d array, and ``ldu`` is not written: the factor still serves
-    dsytrs.
+    dsytri inverts each item where it lies (``overwrite_a``) and writes its
+    upper triangle, which one :func:`mirror_upper` over the stack copies
+    into the lower ones.  So the call builds no d x d array.
     """
-    np.copyto(out, ldu)
-    Y, info = lapack.dsytri(out, ipiv, overwrite_a=1)
-    _check_info("dsytri", info)
-    mirror_upper(Y)
-    return Y
+    dsytri = lapack.dsytri
+    for a, ipiv in zip(factors, ipivs):
+        info = dsytri(a, ipiv, overwrite_a=1)[1]
+        _check_info("dsytri", info)
+    mirror_upper(factors)
+    return factors
 
 
 def mirror_upper(G: np.ndarray) -> None:
-    """Copy the upper triangle of the square ``G`` into its lower one, in
-    place, by selection: an exactly symmetric ``G`` keeps its bits."""
-    np.copyto(G, G.T, where=_strict_lower(G.shape[0]))
+    """Copy the upper triangle of each square matrix of ``G`` (..., d, d)
+    into its lower one, in place, by selection: an exactly symmetric matrix
+    keeps its bits.
+
+    The matrices must be all C-ordered (``G`` C-contiguous) or all
+    Fortran-ordered (its last two axes swapped, C-contiguous), so that each
+    is one flat run of d*d entries; the copy gathers the strict upper
+    triangle at the flat indices :func:`_strict_triangles` caches per size
+    and scatters it over the strict lower one, so its only temporary is the
+    gathered half of each matrix.
+    """
+    d = G.shape[-1]
+    upper, lower = _strict_triangles(d)
+    if not G.flags.c_contiguous:
+        # A Fortran-ordered matrix is the C-ordered one of its transpose,
+        # whose strict lower triangle is the strict upper one of G.
+        G = np.swapaxes(G, -1, -2)
+        if not G.flags.c_contiguous:
+            raise ValueError("mirror_upper needs C- or Fortran-ordered matrices")
+        upper, lower = lower, upper
+    # One matrix per column, so that a single matrix is indexed as a plain
+    # vector: indexing along a later axis doubles the temporary.
+    flat = G.reshape(G.shape[:-2] + (d * d,)).T
+    flat[lower] = flat[upper]
 
 
 @functools.lru_cache(maxsize=8)
-def _strict_lower(d: int) -> np.ndarray:
-    """The read-only d x d mask of the strict lower triangle; np.tril would
-    build it per call."""
-    mask = np.tril(np.ones((d, d), dtype=bool), -1)
-    mask.setflags(write=False)
-    return mask
+def _strict_triangles(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat C-order indices of the strict upper triangle of a d x d
+    matrix, and those of its mirror image in the strict lower one, pair by
+    pair; read-only, built once per size."""
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i * d + j, j * d + i
+    for a in (upper, lower):
+        a.setflags(write=False)
+    return upper, lower
 
 
 def _check_info(routine: str, info: int) -> None:

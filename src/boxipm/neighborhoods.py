@@ -21,6 +21,8 @@ is not tested here: every iterate is strictly interior by construction.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import StepRejected
 from .kkt import Iterate
 from .linalg import EPS_MACH
@@ -65,14 +67,21 @@ def check_step(
         )
 
 
-def complementarity_gap(z) -> float:
+def complementarity_gap(z):
     """mu_l'(e + x) + mu_r'(e - x); bounded by 2n(1+theta)tau on the path
-    neighborhood, which certifies the optimality gap.  ``z`` is an
-    :class:`~boxipm.kkt.Iterate`, for which e = (1 + x, 1 - x) is formed
-    here, or a step workspace (:class:`~boxipm.kkt._Workspace`), which holds
-    it, bit for bit, in its views ``e_l`` and ``e_r``."""
+    neighborhood, which certifies the optimality gap.
+
+    ``z`` is an :class:`~boxipm.kkt.Iterate`, for which e = (1 + x, 1 - x)
+    is formed here and the gap is a float, or a batch of points as a
+    (k, 4n) array whose rows are (mu_l, mu_r, e_l, e_r), the layout of a
+    step workspace's ``mu_e`` (:class:`~boxipm.kkt._Workspace`), for which
+    it is an array of k gaps.  Each dot product is one BLAS ddot per point,
+    as ``ndarray.dot`` makes it, by one batched matmul."""
     if isinstance(z, Iterate):
-        e_l, e_r = 1.0 + z.x, 1.0 - z.x
-    else:
-        e_l, e_r = z.e_l, z.e_r
-    return float(z.mu_l.dot(e_l) + z.mu_r.dot(e_r))
+        x = z.x
+        z = np.concatenate([z.mu_l, z.mu_r, 1.0 + x, 1.0 - x])[None]
+        return float(complementarity_gap(z)[0])
+    n = z.shape[1] // 4
+    mu_l, mu_r, e_l, e_r = (z[:, None, j * n : (j + 1) * n] for j in range(4))
+    gap = np.matmul(mu_l, e_l.transpose(0, 2, 1)) + np.matmul(mu_r, e_r.transpose(0, 2, 1))
+    return gap.ravel()

@@ -46,9 +46,10 @@ iterate.
 The K primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side, and a path step only recomputes its complementarity
-blocks as mu∘e - tau.  Trace rows read the workspace's state, and only
-when tracing; a traced workspace also turns each step's factor into the
-row's condition number.  The returned solution x satisfies
+blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
+each step's state, step and new factor to a :class:`_Recorder`, which
+copies them and builds the rows per batch, every value with the bits it
+would have if built right after its step.  The returned solution x satisfies
 ``||x||_inf < 1``, an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
 """
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,6 +73,7 @@ from .kkt import (
     Iterate,
     _check_tau,
     _Workspace,
+    cond_DF,
     eval_DF,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
     eval_F,  # noqa: F401  (likewise)
     eval_grad_f,
@@ -131,6 +133,8 @@ class TraceEntry:
     on its centrality step's factor, so its row repeats the centrality
     row's value, with no dsytri of its own.  The lift row shares the
     initial reset's value, and the initial reset factors its own DF.
+    Primal-dual rows are built per batch (:class:`_Recorder`), each
+    value with the same bits as a row built right after its step.
     interior_margin is 1 - ||x||_inf on primal rows; on primal-dual rows it
     is the minimum of (mu, e), min(1 - ||x||_inf, min mu), the margin that
     decides whether a step repairs its iterate, so it reads min mu wherever
@@ -222,9 +226,9 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     block's diagonal (G) and the right-hand side (v) are all of the system
     that changes per step; one finite sum of absolute values clears both,
     and otherwise the step is rejected naming the culprit.  The step keeps
-    its factor in ``ws.factor`` and counts itself in ``ws.factorizations``;
-    in a traced workspace it also writes ``ws.cond``
-    (:meth:`~boxipm.kkt._Workspace._cond_DF`).
+    its factor in ``ws.factor`` and counts itself in ``ws.factorizations``.
+    The step does no trace work: a traced solve's :class:`_Recorder` reads
+    what the step left.
 
     An error reset in a workspace that holds a factor, that is after another
     step since :meth:`~boxipm.kkt._Workspace.load`, factors nothing: it
@@ -312,8 +316,6 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
             _check_info("dsysv", info)
         ws.factor = ldu, ipiv
         ws.factorizations += 1
-        if ws.traced:
-            ws.cond = ws._cond_DF(ldu, ipiv)
         # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
         multiply(w2, dx, dmu2)
         subtract(t_l, dmu_l, dmu_l)
@@ -466,29 +468,106 @@ def _primal_row(
     )
 
 
-def _pd_row(k: int, kind: str, tau: float, ws: _Workspace) -> TraceEntry:
-    """The row of the primal-dual step of ``kind`` that led to the
-    workspace's state by the step in ``ws.dz``, or of the lift, whose
-    ``cond_DF`` the initial reset fills in; ``ws.cond`` is kappa_1 of the DF
-    the step solved.  The interior margin is ``ws.margin``, the minimum of
-    (mu, e): as 1 - |x_j| is min(1 + x_j, 1 - x_j) bit for bit, it is
-    min(1 - ||x||_inf, min mu).  The row reads the workspace's views and
-    writes only its scratch ``dmu_diff``."""
-    step_norm = newton_dot = math.nan
-    if kind != STEP_LIFT:
-        dz = ws.dz
-        step_norm = math.sqrt(dz.dot(dz))
-        if kind == STEP_PATH:
-            diff = ws.dmu_diff
-            np.subtract(ws.dmu_l, ws.dmu_r, diff)
-            newton_dot = float(ws.dz_x.dot(diff))
-    z = ws.z
-    return TraceEntry(
-        k, tau, kind, ws.comp_norm, ws.eq_norm, ws.cond, step_norm, ws.margin,
-        complementarity_gap(ws),
-        math.sqrt(z.dot(z)),  # np.linalg.norm's own formula for a vector
-        newton_dot,
-    )
+# Factors a trace recorder holds before it turns its rows into TraceEntry
+# rows: at n + m = 28 their stack takes 64 * 28^2 * 8 B = 400 KB.
+TRACE_BATCH = 64
+
+
+class _Recorder:
+    """The primal-dual trace rows of one solve, built in batches.
+
+    A traced :func:`solve` builds one on its workspace and calls it after
+    the lift and after every primal-dual step, with the row's kind and tau.
+    A call only records: into buffers allocated here, once, it copies the
+    workspace's (z, e) buffer ``ze`` and step ``dz``, and, when the step
+    factored (``ws.factorizations`` grew), the factor's ``ldu`` into a
+    slot of a stack, keeping ``ipiv``; the workspace's factor is not
+    written, so a cycle's reset still solves on it.  It keeps the row's
+    scalars as they are.
+
+    Once ``TRACE_BATCH`` factors are pending, or the row buffers are full,
+    and at the end of the solve (:meth:`flush`), one flush turns the
+    pending rows into ``TraceEntry`` rows, appended to ``trace``:
+    :func:`~boxipm.kkt.cond_DF` gives the exact kappa_1 for every factor at
+    once, each at the (mu, e) of the row before its own, where its step
+    started; batched matmuls give the norms, one ddot per row as
+    ``ndarray.dot`` makes it; and :func:`complementarity_gap` gives every
+    row's gap in one call.  So every value has the bits that the row would
+    have if it were built right after its step.  A row that did not factor
+    takes the value of the last factor before it, a cycle's reset its
+    centrality step's, in this batch or carried over from the last one;
+    the lift row takes the next one's, the initial reset's.  Row 0 of the
+    snapshot buffer carries the last row of the previous batch, the start
+    of a step that opens the next one.
+    """
+
+    def __init__(self, ws: _Workspace, trace: list):
+        n, d = ws.n, ws.n + ws.m
+        rows = 2 * TRACE_BATCH  # a stable cycle adds 3 rows on 2 factors
+        self.ws, self.trace = ws, trace
+        self.ze = np.empty((rows + 1, ws.ze.shape[0]))
+        self.dz = np.empty((rows, ws.dz.shape[0]))
+        self.dmu_diff = np.empty((rows, n))
+        # C-ordered; seen transposed, each slot is a Fortran-ordered factor
+        self.factors = np.empty((TRACE_BATCH, d, d)).transpose(0, 2, 1)
+        self.rows: list[tuple] = []  # kind, tau, comp, eq, margin, cond index
+        self.ipivs: list[np.ndarray] = []
+        self.starts: list[int] = []  # the snapshot where each factor's step starts
+        self.factorizations = ws.factorizations
+        self.cond = math.nan  # the last factor's kappa_1, once flushed
+
+    def __call__(self, kind: str, tau: float) -> None:
+        ws, rows, ipivs = self.ws, self.rows, self.ipivs
+        i = len(rows)
+        self.ze[i + 1] = ws.ze
+        if kind == STEP_LIFT:
+            self.dz[i] = 0.0  # no step: its norms are dropped, but read
+            cond = 1  # the initial reset's
+        else:
+            self.dz[i] = ws.dz
+            cond = len(ipivs)  # the last factor's, 0 for the one carried over
+        if ws.factorizations != self.factorizations:
+            self.factorizations = ws.factorizations
+            ldu, ipiv = ws.factor
+            self.factors[len(ipivs)] = ldu
+            ipivs.append(ipiv)
+            self.starts.append(i)
+            cond = len(ipivs)
+        rows.append((kind, tau, ws.comp_norm, ws.eq_norm, ws.margin, cond))
+        if len(ipivs) == TRACE_BATCH or len(rows) == len(self.dz):
+            self.flush()
+
+    def flush(self) -> None:
+        """Append a TraceEntry for every pending row to ``trace``."""
+        rows, ipivs, trace = self.rows, self.ipivs, self.trace
+        r, f = len(rows), len(ipivs)
+        if not r:
+            return
+        n, nm, N = self.ws.n, self.ws.n + self.ws.m, self.dz.shape[1]
+        conds = [self.cond]
+        if f:
+            mu_e = self.ze[self.starts, nm:]
+            conds += cond_DF(self.ws.T, self.factors[:f], ipivs, mu_e).tolist()
+        ze, dz, diff = self.ze[1 : r + 1], self.dz[:r], self.dmu_diff[:r]
+        z = ze[:, :N]
+        np.subtract(dz[:, nm : nm + n], dz[:, nm + n :], diff)  # dmu_l - dmu_r
+        z_norms = np.sqrt(np.matmul(z[:, None], z[:, :, None])).ravel().tolist()
+        step_norms = np.sqrt(np.matmul(dz[:, None], dz[:, :, None])).ravel().tolist()
+        dots = np.matmul(dz[:, None, :n], diff[:, :, None]).ravel().tolist()
+        gaps = complementarity_gap(ze[:, nm:]).tolist()
+        for (kind, tau, comp, eq, margin, cond), step_norm, gap, z_norm, dot in zip(
+            rows, step_norms, gaps, z_norms, dots
+        ):
+            trace.append(TraceEntry(
+                len(trace) + 1, tau, kind, comp, eq, conds[cond],
+                math.nan if kind == STEP_LIFT else step_norm, margin, gap, z_norm,
+                dot if kind == STEP_PATH else math.nan,
+            ))
+        self.cond = conds[-1]
+        self.ze[0] = self.ze[r]
+        rows.clear()
+        ipivs.clear()
+        self.starts.clear()
 
 
 def solve(
@@ -516,7 +595,10 @@ def solve(
         step solved with: on primal-dual rows the exact kappa_1 of DF, from
         one LAPACK dsytri on the reduced matrix's factor per factorization,
         so a cycle's error-reset row repeats its centrality row's value; on
-        primal rows dtrcon's estimate for the Hessian's R.
+        primal rows dtrcon's estimate for the Hessian's R.  The steps only
+        record; primal-dual rows are built per batch of ``TRACE_BATCH``
+        factors, with the bits a row built right after its step would
+        have.
 
     Returns
     -------
@@ -545,20 +627,18 @@ def solve(
             trace.append(_primal_row(k, p, mp, x, dx, fac))
     # Every step's post-check residual is the next step's right-hand side;
     # the steps update the workspace's one state in place.
-    ws = _Workspace(p, mp, traced=collect_trace)
+    ws = _Workspace(p, mp)
     ws.load(lift(p, mp, x))
     ws.eval_F(mp.tau_A)
     tau = mp.tau_A
+    record = _Recorder(ws, trace) if collect_trace else None
     cycles = 0  # started, and on success completed, path-following cycles
     try:
-        if collect_trace:
-            lift_row = _pd_row(len(trace) + 1, STEP_LIFT, tau, ws)
+        if record is not None:
+            record(STEP_LIFT, tau)
         _step(STEP_ERROR_RESET, ws, tau)
-        if collect_trace:
-            # The initial reset factors DF at the lift point, so its
-            # condition number belongs to the lift row as well.
-            trace.append(replace(lift_row, cond_DF=ws.cond))
-            trace.append(_pd_row(len(trace) + 1, STEP_ERROR_RESET, tau, ws))
+        if record is not None:
+            record(STEP_ERROR_RESET, tau)
         for _ in range(mp.M):
             cycles += 1
             tau = mp.sigma * tau
@@ -569,8 +649,8 @@ def solve(
                 else:  # same tau as the step before
                     slack = None
                 _step(kind, ws, tau, slack)
-                if collect_trace:
-                    trace.append(_pd_row(len(trace) + 1, kind, tau, ws))
+                if record is not None:
+                    record(kind, tau)
             if tau <= mp.tau_E:
                 break
     except StepRejected as exc:
@@ -581,6 +661,8 @@ def solve(
             f"tau = {tau!r} still above tau_E = {mp.tau_E!r} after M = {mp.M} cycles",
             tau=tau, tau_E=mp.tau_E, M=mp.M,
         )
+    if record is not None:
+        record.flush()
 
     return SolveReport(
         x=ws.x.copy(),

@@ -3,6 +3,7 @@
 import numpy as np
 
 from boxipm import BoxQP, StandardQP, StepRejected
+from boxipm.kkt import cond_DF
 from boxipm.neighborhoods import STEP_CENTRALITY, STEP_ERROR_RESET
 from boxipm.solver import _step
 
@@ -98,3 +99,28 @@ def newton_step(ws, tau, reset_only):
         if exc.block is None:
             raise
     return ws.dz
+
+
+def step_factors(ws, tau, points):
+    """The factoring steps of ``newton_step`` from each of ``points`` in
+    the workspace ``ws``, as a trace recorder keeps them: a stack of their
+    factors' ``ldu``, each Fortran-ordered, their pivots, and the (mu, e)
+    of each point, one row each."""
+    d = ws.n + ws.m
+    factors = np.empty((len(points), d, d)).transpose(0, 2, 1)
+    ipivs, mu_e = [], np.empty((len(points), 4 * ws.n))
+    for slot, row, z in zip(factors, mu_e, points):
+        ws.load(z)
+        ws.eval_F(tau)
+        row[:] = ws.mu_e
+        newton_step(ws, tau, reset_only=False)
+        ldu, ipiv = ws.factor
+        slot[:] = ldu
+        ipivs.append(ipiv)
+    return factors, ipivs, mu_e
+
+
+def batched_cond_DF(ws, tau, points):
+    """kappa_1 of the DF that the factoring step from each of ``points``
+    solves, as one batch of :func:`boxipm.kkt.cond_DF`, a list of floats."""
+    return cond_DF(ws.T, *step_factors(ws, tau, points)).tolist()

@@ -240,35 +240,64 @@ class TestSolveSymmetric:
             assert np.array_equal(v, ref)
 
 
+def _factor_stack(k, d):
+    """An empty stack of k Fortran-ordered d x d matrices, as a trace
+    recorder holds its factors."""
+    return np.empty((k, d, d)).transpose(0, 2, 1)
+
+
 class TestSymmetricInverse:
-    """symmetric_inverse: dsytri on the factor that solve_symmetric returned,
-    in the caller's buffer."""
+    """symmetric_inverse: dsytri on each factor that solve_symmetric
+    returned, in place in the caller's stack."""
 
     @pytest.mark.parametrize("d", [1, 2, 5, 28, 45])
     def test_matches_the_explicit_inverse(self, d):
         # quasi-definite matrices need 2 x 2 pivots, so both block kinds of D
-        # are inverted; the inverse is full and exactly symmetric, written
-        # over the buffer, and the factor is left as it was
+        # are inverted; each inverse is full and exactly symmetric, written
+        # over its factor's slot, and the factors dsysv returned are left as
+        # they were
         rng = np.random.default_rng(500 + d)
-        out = np.empty((d, d), order="F")
-        for _ in range(5):
-            G = _quasi_definite(rng, d)
-            _, ldu, ipiv = solve_symmetric(G, rng.normal(size=d))
-            factor = ldu.copy(order="F")
-            Y = symmetric_inverse(ldu, ipiv, out)
-            assert Y is out
+        Gs = [_quasi_definite(rng, d) for _ in range(5)]
+        factors = [solve_symmetric(G, rng.normal(size=d))[1:] for G in Gs]
+        kept = [ldu.copy(order="F") for ldu, _ in factors]
+        stack = _factor_stack(5, d)
+        for slot, (ldu, _) in zip(stack, factors):
+            np.copyto(slot, ldu)
+        Y = symmetric_inverse(stack, [ipiv for _, ipiv in factors])
+        assert Y is stack
+        for G, (ldu, _), factor, Yi in zip(Gs, factors, kept, Y):
             assert ldu.tobytes(order="F") == factor.tobytes(order="F")
-            assert np.array_equal(Y, Y.T)
+            assert np.array_equal(Yi, Yi.T)
             ref = np.linalg.inv(G)
-            assert np.abs(Y - ref).max() <= 1e3 * d * EPS_MACH * np.abs(ref).max()
+            assert np.abs(Yi - ref).max() <= 1e3 * d * EPS_MACH * np.abs(ref).max()
+
+    def test_a_batch_gives_each_factor_the_bits_it_gives_alone(self):
+        rng = np.random.default_rng(12)
+        factors = [solve_symmetric(_quasi_definite(rng, 7), np.ones(7))[1:] for _ in range(3)]
+        stack = _factor_stack(3, 7)
+        for slot, (ldu, _) in zip(stack, factors):
+            np.copyto(slot, ldu)
+        symmetric_inverse(stack, [ipiv for _, ipiv in factors])
+        for Yi, (ldu, ipiv) in zip(stack, factors):
+            alone = _factor_stack(1, 7)
+            np.copyto(alone[0], ldu)
+            assert symmetric_inverse(alone, [ipiv])[0].tobytes() == Yi.tobytes()
 
     def test_reads_the_factor_of_the_upper_triangle(self):
         G = _quasi_definite(np.random.default_rng(10), 6)
         junk = G.copy()
         junk[np.tril_indices(6, -1)] = np.nan
-        Y = symmetric_inverse(*solve_symmetric(junk, np.ones(6))[1:], np.empty((6, 6), order="F"))
-        ref = symmetric_inverse(*solve_symmetric(G, np.ones(6))[1:], np.empty((6, 6), order="F"))
-        assert np.array_equal(Y, ref)
+        Y, ref = _factor_stack(1, 6), _factor_stack(1, 6)
+        (ldu, ipiv), (ref_ldu, ref_ipiv) = (solve_symmetric(a, np.ones(6))[1:] for a in (junk, G))
+        np.copyto(Y[0], ldu)
+        np.copyto(ref[0], ref_ldu)
+        assert np.array_equal(symmetric_inverse(Y, [ipiv]), symmetric_inverse(ref, [ref_ipiv]))
+
+
+def _mirrored(G):
+    """The upper triangle of the last two axes of ``G`` mirrored, by np.where."""
+    d = G.shape[-1]
+    return np.where(np.triu(np.ones((d, d), dtype=bool)), G, np.swapaxes(G, -1, -2))
 
 
 class TestMirrorUpper:
@@ -278,12 +307,48 @@ class TestMirrorUpper:
         # their bits, and nothing of the strict lower triangle is read
         G = np.array(np.random.default_rng(11).normal(size=(5, 5)), order=order)
         G[0, 3] = -0.0
-        ref = np.where(np.triu(np.ones((5, 5), dtype=bool)), G, G.T)
+        ref = _mirrored(G)
         G[np.tril_indices(5, -1)] = np.nan
         buf = G
         mirror_upper(G)
         assert G is buf and G.flags[f"{order}_CONTIGUOUS"]
         assert G.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mirrors_every_matrix_of_a_stack(self, order, k):
+        # C-ordered matrices, or Fortran-ordered ones as a trace recorder's
+        # factor slots, a leading part of the stack only
+        stack = np.random.default_rng(12).normal(size=(4, 6, 6))
+        if order == "F":
+            stack = stack.transpose(0, 2, 1)
+        ref = _mirrored(stack[:k])
+        rest = stack[k:].copy()
+        stack[:k][:, *np.tril_indices(6, -1)] = np.nan
+        mirror_upper(stack[:k])
+        assert np.array_equal(stack[:k], ref) and np.array_equal(stack[k:], rest)
+
+    def test_other_layouts_are_refused(self):
+        with pytest.raises(ValueError, match="C- or Fortran-ordered"):
+            mirror_upper(np.zeros((6, 6))[::2, ::2])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_peak_memory_is_below_one_matrix(self, order):
+        # the gather of the strict upper triangle, 28 * 27 / 2 entries, is
+        # the only temporary: the mask selection that this replaced copied
+        # the whole transpose, as G.T overlaps G
+        import tracemalloc
+
+        d = 28
+        G = np.zeros((d, d), order=order)
+        mirror_upper(G)  # the index pairs of the size are cached
+        tracemalloc.start()
+        try:
+            mirror_upper(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < G.nbytes
 
 
 class TestQRFactorContract:

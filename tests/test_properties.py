@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from boxipm import BoxQP, compute_params_practical, oracle_min_residual, oracle_solve_boxqp, solve
 from boxipm.kkt import _Workspace, eval_DF
 
-from support import newton_step, random_boxqp_interior_infeasible
+from support import batched_cond_DF, random_boxqp_interior_infeasible
 from test_kkt import near_path_iterate
 
 FAMILIES = ("rank_deficient_Q", "rank_deficient_A", "infeasible_b", "interior_infeasible",
@@ -88,10 +88,7 @@ def test_traced_cond_DF_is_the_exact_kappa_1(family, n, m, seed, gap, tau):
     p = degenerate_boxqp(family, n, m, seed, 1e-2)
     mp = compute_params_practical(p)
     z = near_path_iterate(np.random.default_rng(seed), p.n, p.m, gap, tau)
-    ws = _Workspace(p, mp, traced=True)
-    ws.load(z)
-    ws.eval_F(tau)
-    newton_step(ws, tau, reset_only=False)
+    (cond,) = batched_cond_DF(_Workspace(p, mp), tau, [z])
     J = eval_DF(p, mp, z)
     exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
-    assert abs(ws.cond - exact) <= 1e-6 * exact
+    assert abs(cond - exact) <= 1e-6 * exact

@@ -33,7 +33,7 @@ from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     _X_MAX,
     TRACE_FIELDS,
-    _pd_row,
+    _Recorder,
     _repair,
     _step,
     STEP_CENTRALITY,
@@ -48,11 +48,13 @@ from boxipm.solver import (
     primal_init,
 )
 from support import (
+    batched_cond_DF,
     newton_step,
     random_boxqp,
     random_boxqp_interior_infeasible,
     random_iterate,
     random_standard_with_optimum,
+    step_factors,
 )
 from test_kkt import make_mp, near_path_iterate, zeros_problem
 from test_properties import FAMILIES, degenerate_boxqp
@@ -554,42 +556,54 @@ class TestStepLoopStructure:
         assert calls == [18] + [19, 18, 11] * 2
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
-        # as above, in a traced workspace, each step followed by its row: a
-        # factoring step adds _cond_DF (the copy of the factor, the mirror and
-        # 16 vector operations), a path row its dmu_l - dmu_r, and a cycle's
-        # reset nothing.  The mirror's mask is cached per size, so it is
-        # built before the counter is in place.
+        # as above, each step followed by its trace row: recording a row
+        # copies buffers by assignment and makes no numpy call, so a traced
+        # step costs what an untraced one does.  A flush makes a fixed
+        # number of calls, the same for 8 rows as for 12 (the index pairs
+        # of the inverses' mirror are cached per size, so they are built
+        # before the counter is in place).
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
-        ws = _Workspace(p, mp, traced=True)
+        ws = _Workspace(p, mp)
         ws.load(lift(p, mp, primal_init(p, mp)))
         ws.eval_F(mp.tau_A)
+        trace = []
+        record = _Recorder(ws, trace)
         mirror_upper(np.empty((p.n + p.m, p.n + p.m)))
         counter = _CountingNumpy()
-        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
+        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg, boxipm.neighborhoods):
             monkeypatch.setattr(module, "np", counter)
-        tau, calls = mp.tau_A, []
-        kinds = [STEP_ERROR_RESET] + [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET] * 2
-        for kind in kinds:
+        tau, calls, flushes = mp.tau_A, [], []
+        record(STEP_LIFT, tau)
+        assert counter.calls == 0
+        cycle = [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET]
+        for kinds in ([STEP_ERROR_RESET] + cycle * 2, cycle * 4):
+            for kind in kinds:
+                counter.calls = 0
+                if kind == STEP_PATH:
+                    tau = mp.sigma * tau
+                    ws.retarget(tau)
+                _step(kind, ws, tau)
+                record(kind, tau)
+                calls.append(counter.calls)
             counter.calls = 0
-            if kind == STEP_PATH:
-                tau = mp.sigma * tau
-                ws.retarget(tau)
-            _step(kind, ws, tau)
-            _pd_row(1, kind, tau, ws)
-            calls.append(counter.calls)
+            record.flush()
+            flushes.append(counter.calls)
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == [18 + 18] + [19 + 18 + 1, 18 + 18, 11] * 2
+        assert calls == [18] + [19, 18, 11] * 6
+        assert len(trace) == 1 + 7 + 12 and record.rows == []
+        assert flushes == [29, 29]
 
-    def test_traced_inverse_runs_in_the_workspace_buffer(self, monkeypatch):
-        # every dsytri of a traced solve inverts the factor in place in one
-        # F-ordered buffer that the workspace holds, and returns that buffer
-        workspaces, inverted = [], []
-        build = _Workspace.__init__
+    def test_traced_inverse_runs_in_a_recorder_slot(self, monkeypatch):
+        # every dsytri of a traced solve inverts a factor in place in a
+        # slot of the Fortran-ordered factor stack that the solve's one
+        # recorder holds, once per factoring primal-dual step
+        recorders, inverted = [], []
+        build = _Recorder.__init__
 
         def init(self, *args, **kwargs):
             build(self, *args, **kwargs)
-            workspaces.append(self)
+            recorders.append(self)
 
         class SpyLapack:
             def __getattr__(self, name):
@@ -603,15 +617,17 @@ class TestStepLoopStructure:
                     return out
                 return spied
 
-        monkeypatch.setattr(_Workspace, "__init__", init)
+        monkeypatch.setattr(_Recorder, "__init__", init)
         monkeypatch.setattr(boxipm.linalg, "lapack", SpyLapack())
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         rep = solve(p, collect_trace=True)
-        (ws,) = workspaces
+        (record,) = recorders
         assert len(inverted) == rep.factorizations - rep.params.K > 100
+        slots = record.factors.__array_interface__["data"][0]
         for a, overwrite_a, Y in inverted:
-            assert a is ws.Y and Y is ws.Y and overwrite_a
+            assert Y is a and overwrite_a and np.shares_memory(a, record.factors)
             assert a.flags.f_contiguous and a.shape == (p.n + p.m, p.n + p.m)
+            assert (a.__array_interface__["data"][0] - slots) % a.nbytes == 0
 
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
@@ -955,6 +971,34 @@ class TestStructuredRejection:
             tau = mp.sigma * tau
         assert exc.tau == tau
 
+    @pytest.mark.parametrize("mode", ["stable", "fast"])
+    @pytest.mark.parametrize("fail_at", [1, 2, 6, 200])
+    def test_traced_solve_is_rejected_as_the_untraced_one(self, monkeypatch, mode, fail_at):
+        # a rejection after the trace's first flush (200 steps) included:
+        # the same step fails with the same context, and the rows recorded
+        # before it raise no warning, as they are never flushed
+        calls = {"solve": 0}
+
+        def failing(u):
+            calls["solve"] += 1
+            if calls["solve"] == fail_at:
+                u[0] = np.nan
+
+        _edit_solutions(monkeypatch, failing)
+        p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
+        rejected = []
+        for collect_trace in (False, True):
+            calls["solve"] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(StepRejected, match="non-finite components") as info:
+                    solve(p, mode=mode, collect_trace=collect_trace)
+            exc = info.value
+            rejected.append((str(exc), exc.cycle, exc.context()))
+        assert rejected[0] == rejected[1]
+        # the initial reset is solve 1, then one solve a cycle, or three
+        assert rejected[0][1] == (fail_at - 1 if mode == "fast" else (fail_at + 1) // 3)
+
 
 class TestStructuredFailures:
     """IterationBudgetExceeded and PrimalInitFailed say which bound failed."""
@@ -1016,23 +1060,23 @@ def feasible_trace():
 
 
 class TestCondDF:
-    def test_exact_kappa_1_of_DF(self):
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_exact_kappa_1_of_DF(self, batch):
         # cond_DF is kappa_1 of the full DF at the step's starting point,
-        # taken from the factor of the step's reduced matrix
+        # taken from the factor of the step's reduced matrix, for every
+        # point of a batch
         rng = np.random.default_rng(31)
         for n, m in [(1, 0), (2, 0), (3, 2), (5, 7), (12, 5), (20, 8)]:
             for feasible in (True, False):
                 p = random_boxqp(rng, n, m, feasible=feasible, tol=1e-2)
                 mp = compute_params_practical(p)
-                ws = _Workspace(p, mp, traced=True)  # one workspace for every point
-                for _ in range(5):
-                    z = random_iterate(rng, n, m)
-                    ws.load(z)
-                    ws.eval_F(0.5)
-                    newton_step(ws, 0.5, reset_only=False)
-                    J = eval_DF(p, mp, z)
-                    exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
-                    assert ws.cond == pytest.approx(exact, rel=1e-6)
+                ws = _Workspace(p, mp)  # one workspace for every point
+                for _ in range(6 // batch):
+                    points = [random_iterate(rng, n, m) for _ in range(batch)]
+                    for z, cond in zip(points, batched_cond_DF(ws, 0.5, points)):
+                        J = eval_DF(p, mp, z)
+                        exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
+                        assert cond == pytest.approx(exact, rel=1e-6)
 
     def test_rows_are_the_exact_kappa_1_where_each_step_starts(self):
         # replay a traced solve step by step; the lift row shares the
@@ -1062,19 +1106,23 @@ class TestCondDF:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n, m", [(1, 0), (3, 0), (4, 2), (20, 8)])
     def test_bit_for_bit_with_the_reference_formula(self, family, n, m):
-        # the in-place _cond_DF against the formula on a fresh inverse and a
-        # C-contiguous copy of it, from the same factor; n = 1, m = 0 is
-        # d = 1, and degenerate_boxqp raises m to what its family needs
+        # the batched cond_DF against the formula on a fresh inverse and a
+        # C-contiguous copy of it, from the same factor, point by point and
+        # for the three points as one batch; n = 1, m = 0 is d = 1, and
+        # degenerate_boxqp raises m to what its family needs
         p = degenerate_boxqp(family, n, m, seed=40 + n, tol=1e-2)
         mp = compute_params_practical(p)
         rng = np.random.default_rng(41 + n + m)
-        ws = _Workspace(p, mp, traced=True)
-        for gap, tau in [(0.5, 1.0), (1e-3, 1e-3), (1e-9, 1e-8)]:
-            z = near_path_iterate(rng, p.n, p.m, gap, tau)
-            ws.load(z)
-            ws.eval_F(tau)
-            newton_step(ws, tau, reset_only=False)
-            assert ws.cond == _reference_cond_DF(p, mp, z, *ws.factor)
+        ws = _Workspace(p, mp)
+        for tau, points in [
+            (tau, [near_path_iterate(rng, p.n, p.m, gap, tau) for _ in range(3)])
+            for gap, tau in [(0.5, 1.0), (1e-3, 1e-3), (1e-9, 1e-8)]
+        ]:
+            factors, ipivs, _ = step_factors(ws, tau, points)
+            ref = [_reference_cond_DF(p, mp, z, f.copy(order="F"), ipiv)
+                   for z, f, ipiv in zip(points, factors, ipivs)]
+            assert batched_cond_DF(ws, tau, points) == ref
+            assert [batched_cond_DF(ws, tau, [z])[0] for z in points] == ref
 
     def test_primal_rows_estimate_the_hessian_factor(self):
         rng = np.random.default_rng(32)
@@ -1091,13 +1139,14 @@ class TestCondDF:
 
 
 def _reference_cond_DF(p, mp, z, ldu, ipiv):
-    """kappa_1 of DF at z by the formula of ``_Workspace._cond_DF``, written
-    array by array: the inverse of H in a new buffer, and its row sums
-    taken on a C-contiguous copy, so by the gemv kernel of a C matrix."""
+    """kappa_1 of DF at z by the formula of ``boxipm.kkt.cond_DF``, written
+    array by array for one point: the inverse of H in a new buffer, and its
+    row sums taken on a C-contiguous copy, so by the gemv kernel of a C
+    matrix."""
     n, nm = p.n, p.n + p.m
     e = np.concatenate([1.0 + z.x, 1.0 - z.x])
     w = np.concatenate([z.mu_l, z.mu_r]) / e
-    Y = np.ascontiguousarray(symmetric_inverse(ldu, ipiv, np.empty((nm, nm), order="F")))
+    Y = np.ascontiguousarray(symmetric_inverse(ldu[None], [ipiv])[0])
     wy = w.reshape(2, n) * Y.diagonal()[:n]
     s1 = np.ones(nm)
     s1[:n] = (1.0 + w[:n]) + w[n:]
@@ -1183,6 +1232,73 @@ class TestTraceDoesNotChangeTheSolve:
         assert plain.x.tobytes() == traced.x.tobytes()
         for name in ("tau_final", "linear_solves", "iterations_pd", "x_clipped", "mu_reset"):
             assert getattr(plain, name) == getattr(traced, name), name
+
+
+def _packed_trace(trace):
+    """Every value of every row, numbers as binary64 bytes, so that equal
+    traces mean equal bits, NaN included."""
+    return [
+        tuple(v if isinstance(v, str) else struct.pack("<d", v)
+              for v in (getattr(row, name) for name in TRACE_FIELDS))
+        for row in trace
+    ]
+
+
+class TestTraceBatches:
+    """Trace rows are built per batch of TRACE_BATCH factors; the batch
+    boundaries do not move a bit of any row."""
+
+    @staticmethod
+    def _spy_batches(monkeypatch):
+        # the step kinds of the rows of each flush
+        batches = []
+        flush = _Recorder.flush
+
+        def spied(self):
+            batches.append([row[0] for row in self.rows])
+            flush(self)
+
+        monkeypatch.setattr(_Recorder, "flush", spied)
+        return batches
+
+    @pytest.mark.parametrize("mode", ["stable", "fast"])
+    def test_batch_size_does_not_change_the_trace(self, monkeypatch, mode):
+        p = random_boxqp(np.random.default_rng(74), 5, 3, feasible=False, tol=1e-2)
+        ref = solve(p, mode=mode, collect_trace=True)
+        assert len(ref.trace) == ref.linear_solves + 1
+        batches = self._spy_batches(monkeypatch)
+        for batch in (1, 2, 3):
+            monkeypatch.setattr(boxipm.solver, "TRACE_BATCH", batch)
+            batches.clear()
+            rep = solve(p, mode=mode, collect_trace=True)
+            assert _packed_trace(rep.trace) == _packed_trace(ref.trace)
+            assert len(batches) > len(rep.trace) // (3 * batch)
+            if mode == "stable" and batch != 2:
+                # a cycle's reset whose centrality row was flushed before it
+                assert any(a[-1] == STEP_CENTRALITY and b[0] == STEP_ERROR_RESET
+                           for a, b in zip(batches, batches[1:]))
+
+    def test_each_pi_trial_records_its_own_trace(self, monkeypatch):
+        # x~* = 3 forces trials pi = 1, 2, 4; the report keeps the trace of
+        # the accepted one
+        sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
+        ref = solve_standard(sp, tol=1e-2, pi="auto", collect_trace=True)
+        assert ref.trials == 3
+        recorders = []
+        build = _Recorder.__init__
+
+        def init(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            recorders.append(self)
+
+        monkeypatch.setattr(_Recorder, "__init__", init)
+        for batch in (1, 2, 3):
+            monkeypatch.setattr(boxipm.solver, "TRACE_BATCH", batch)
+            recorders.clear()
+            rep = solve_standard(sp, tol=1e-2, pi="auto", collect_trace=True)
+            assert len(recorders) == rep.trials == 3
+            assert recorders[-1].trace is rep.box_report.trace
+            assert _packed_trace(rep.box_report.trace) == _packed_trace(ref.box_report.trace)
 
 
 class TestTraceRowTypes:

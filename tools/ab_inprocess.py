@@ -12,7 +12,10 @@ ratio B/A and whether the two solves are bit-identical, then the totals
 of the best times; exits 1 unless every solve is.  A solve is identical
 when its x is, and, on a traced instance, when every value of every
 trace row is too: each value is packed on its own (numbers as binary64
-bytes, so that NaN compares by its bits), outside the timed region.
+bytes, so that NaN compares by its bits), outside the timed region.  On a
+traced instance each side also solves untraced, interleaved with the
+traced solves, and a second line gives the trace's own cost per row,
+(best traced - best untraced) / rows, for A and B.
 
 Alternating within one process cancels most of the machine's speed drift:
 on a 2-vCPU VM the speed of Python-bound code moves by up to 2x between
@@ -55,14 +58,16 @@ def load_workloads():
     return module
 
 
-def solver(bx, inst):
+def solver(bx, inst, collect_trace=None):
     """A function that solves ``inst`` with the package ``bx`` and returns
-    (x, trace rows)."""
+    (x, trace rows); ``collect_trace`` overrides the instance's own."""
+    if collect_trace is None:
+        collect_trace = inst.collect_trace
     if inst.kind == "box":
         p = bx.BoxQP(Q=inst.Q, c=inst.c, A=inst.A, b=inst.b, tol=inst.tol)
 
         def run():
-            rep = bx.solve(p, mode=inst.mode, collect_trace=inst.collect_trace)
+            rep = bx.solve(p, mode=inst.mode, collect_trace=collect_trace)
             return rep.x, rep.trace
         return run
     p = bx.StandardQP(Qt=inst.Q, ct=inst.c, At=inst.A, bt=inst.b)
@@ -110,12 +115,18 @@ def main(argv=None) -> int:
     print(f"{'instance':<32} {'A best s':>10} {'B best s':>10} {'B/A':>6}  x          trace")
     for inst in insts:
         run_a, run_b = solver(a, inst), solver(b, inst)
+        if inst.collect_trace:
+            plain_a, plain_b = solver(a, inst, False), solver(b, inst, False)
+            plain = {"a": float("inf"), "b": float("inf")}
         best_a = best_b = float("inf")
         for _ in range(args.repeats):
             wall, (xa, trace_a) = timed(run_a)
             best_a = min(best_a, wall)
             wall, (xb, trace_b) = timed(run_b)
             best_b = min(best_b, wall)
+            if inst.collect_trace:
+                plain["a"] = min(plain["a"], timed(plain_a)[0])
+                plain["b"] = min(plain["b"], timed(plain_b)[0])
         same_x = xa.tobytes() == xb.tobytes()
         same_trace = packed_trace(a, trace_a) == packed_trace(b, trace_b)
         identical += same_x and same_trace
@@ -124,6 +135,12 @@ def main(argv=None) -> int:
         trace_note = ("identical" if same_trace else "DIFFERS") if inst.collect_trace else "-"
         print(f"{inst.label:<32} {best_a:10.4f} {best_b:10.4f} {best_b / best_a:6.3f}  "
               f"{'identical' if same_x else 'DIFFERS':<10} {trace_note}")
+        if inst.collect_trace:
+            per_row_a = (best_a - plain["a"]) / len(trace_a) * 1e6
+            per_row_b = (best_b - plain["b"]) / len(trace_b) * 1e6
+            print(f"{'  trace cost, us per row':<32} {per_row_a:10.2f} {per_row_b:10.2f}  "
+                  f"{'':6}  untraced best {plain['a']:.4f} s and {plain['b']:.4f} s, "
+                  f"{len(trace_b)} rows")
     print(f"{'total':<32} {total_a:10.4f} {total_b:10.4f} {total_b / total_a:6.3f}  "
           f"{identical}/{len(insts)} identical")
     return 0 if identical == len(insts) else 1
