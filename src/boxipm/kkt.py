@@ -57,10 +57,15 @@ from .problem import BoxQP, eval_q_omega, q_omega_data
 DOMAIN_MARGIN = 4.0 * EPS_MACH
 
 # The constant operand of e = (1 + x, 1 - x), as a 0-d array: numpy
-# converts a Python float per call.  The step writes e with it as
-# :meth:`_Workspace.derive_e` does.
+# converts a Python float per call.
 _ONE = np.ones(())
 _ONE.setflags(write=False)
+
+# Largest representable strictly-interior coordinate.  A step carries
+# e = (1 + x, 1 - x) itself, so its distance to a face may be far below the
+# spacing of x near 1, where x rounds onto the face or past it; the x
+# handed out (:meth:`_Workspace.interior_x`) is rounded to this.
+_X_MAX = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,17 @@ class _Workspace:
     updates in place: ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``,
     ``mu_r`` and ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
     with views ``e_l`` and ``e_r``, follows z in one buffer, ``ze``, so that
-    ``mu_e`` = (mu, e) is one view; ``margin`` is its minimum, the interior
-    margin, as :meth:`load` or the last step set it.  ``mue`` = mu∘e is a
-    2n-vector (:meth:`derive_e`, :meth:`derive_mue`).  ``F`` is one N-vector
+    ``mu_e`` = (mu, e) is one view.  e is part of the state: :meth:`load`
+    derives it from the iterate, the one place that does, and every step
+    adds (dx, -dx) to it, so that it keeps a distance to a face below the
+    spacing of x near 1 (ulp(1)/2 = 1.1e-16), where x itself rounds onto the
+    face; it stays within rounding of 1 +- x.  ``margin`` is the minimum of
+    (mu, e), the interior margin, as :meth:`load` or the last step set it.
+    ``mue`` = mu∘e is a 2n-vector (:meth:`derive_mue`).  :meth:`interior_x`
+    is x rounded into the open box, as a solve reports it and
+    :meth:`iterate` carries it; ``x_clipped`` is the number of coordinates
+    it rounded, and ``mu_reset`` counts the multipliers that steps reset
+    (``boxipm.solver._repair``).  ``F`` is one N-vector
     with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
     ``r34`` = (r3, r4); ``eq_norm`` and ``comp_norm`` are the norms of r12
     and r34 as :meth:`eval_F` last wrote them.  Next to the state it holds T
@@ -320,7 +333,6 @@ class _Workspace:
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
         self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
         self.dmu2 = self.dz_mu.reshape(2, n)
-        # Totals of the repairs the steps make in the state.
         self.x_clipped = self.mu_reset = 0
         self.factor, self.factorizations = None, 0
         self.bound = None
@@ -332,20 +344,24 @@ class _Workspace:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
         self.factor = None
-        self.derive_e()
-        self.derive_mue()
-        self.margin = float(np.minimum.reduce(self.mu_e))
-
-    def derive_e(self) -> None:
         np.add(_ONE, self.x, self.e_l)
         np.subtract(_ONE, self.x, self.e_r)
+        self.derive_mue()
+        self.margin = float(np.minimum.reduce(self.mu_e))
 
     def derive_mue(self) -> None:
         np.multiply(self.mu, self.e, self.mue)
 
+    def interior_x(self) -> np.ndarray:
+        """x rounded into the open box, to |x_j| <= nextafter(1, 0), a copy;
+        sets ``x_clipped`` to the number of coordinates rounded."""
+        x = np.clip(self.x, -_X_MAX, _X_MAX)
+        self.x_clipped = int(np.count_nonzero(x != self.x))
+        return x
+
     def iterate(self) -> Iterate:
-        """z as an Iterate, a copy."""
-        return Iterate(self.x, self.lam, self.mu_l, self.mu_r)
+        """z as an Iterate, with x rounded by :meth:`interior_x`, a copy."""
+        return Iterate(self.interior_x(), self.lam, self.mu_l, self.mu_r)
 
     def eval_F(self, tau: float) -> None:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb

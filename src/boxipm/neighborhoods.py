@@ -6,17 +6,16 @@ of F_tau vanish and the complementarity blocks (r3, r4) have 2-norm at most
 theta*tau.  :func:`check_step` is the one place that rule is written, as
 the bound each primal-dual Newton step must meet at its new iterate:
 
-- path step (at the reduced tau): ||(r3, r4)|| <= theta tau (1 + COMP_CHECK_RTOL) + slack;
+- path step (at the reduced tau): ||(r3, r4)|| <= theta tau (1 + COMP_CHECK_RTOL);
 - centrality step (same tau): the half width, theta/2 in place of theta;
 - error-reset step: ||(r1, r2)|| <= 100 N eps C_DF C_z, the binary64 floor
   of exact block-vanishing.
 
-Exact membership is unattainable in floating point, so the complementarity
-bound carries a relative roundoff grace and a ``slack``: zero holds a step
-to the theoretical contraction, and the default is the envelope allowance
-C_dF nu_1 (path) or C_dF nu_2 (centrality), the sufficient-condition proxy
-for membership in the nu-envelope of the exact neighborhood.  Interiority
-is not tested here: every iterate is strictly interior by construction.
+The complementarity bound is the width bound itself, in both parameter
+modes, with only a relative roundoff grace: it shrinks with tau, so every
+path and centrality step of a solve is held to the neighborhood at its
+own tau.  Interiority is not tested here: the step that makes an iterate
+rejects one that leaves the box (``boxipm.solver._repair``).
 """
 
 from __future__ import annotations
@@ -35,31 +34,20 @@ STEP_ERROR_RESET = "error_reset"
 COMP_CHECK_RTOL = 1e-6
 
 
-def check_step(
-    kind: str, mp, tau: float, eq_norm: float, comp_norm: float, slack: float | None = None
-) -> None:
+def check_step(kind: str, mp, tau: float, eq_norm: float, comp_norm: float) -> None:
     """Raise StepRejected unless a ``kind`` step's new iterate meets its bound.
 
     ``eq_norm`` and ``comp_norm`` are ||(r1, r2)|| and ||(r3, r4)|| of F_tau
-    there; an error-reset step is held to the first and ignores ``slack``,
-    path and centrality steps to the second.  ``slack=None`` is the envelope
-    allowance; a given slack is trusted to be finite and nonnegative.
-
-    That allowance is a constant while ``theta*tau`` shrinks, so only
-    ``slack=0`` (strict fast mode) holds a step to the width-theta bound: on
-    ``random_boxqp(seed 0, n=20, m=8)`` of the test suite the practical
-    C_dF nu_1 is 1.2e11 against theta tau_A = 3.1e9.
+    there; an error-reset step is held to the first, path and centrality
+    steps to the second, at width theta and theta/2.
     """
     if kind == STEP_ERROR_RESET:
         block, value = "eq", eq_norm
         limit = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
     else:
-        path = kind == STEP_PATH
-        if slack is None:
-            slack = mp.C_dF * (mp.nu_1 if path else mp.nu_2)
-        width = mp.theta if path else 0.5 * mp.theta
+        width = mp.theta if kind == STEP_PATH else 0.5 * mp.theta
         block, value = "comp", comp_norm
-        limit = width * tau * (1.0 + COMP_CHECK_RTOL) + slack
+        limit = width * tau * (1.0 + COMP_CHECK_RTOL)
     if not value <= limit:
         raise StepRejected(
             f"{kind} step failed its post-check: {block} residual {value!r} > {limit!r}",

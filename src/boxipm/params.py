@@ -22,8 +22,10 @@ Two variants exist:
 * :func:`compute_params_practical`:  identical formulas with floors on the
   envelope radii, tau_E, the interiority gap, and the primal target rho
   (the ``floor`` of their rules), so the record is always representable and
-  the solver always runs.  The loop structure is unchanged; only the
-  diagnostic slacks are relaxed.
+  the solver always runs.  The loop structure and the post-check are
+  unchanged: every step is held to the width bound at its tau in both
+  variants, and the envelope radii reach the solve only through the
+  primal target rho, and so K.
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ and is rejected (never damped) when it fails; a Newton system that
 overflows is rejected the same way, and every rejection names its step
 kind and tau (``solve()`` adds the cycle).  Inputs are validated where they
 enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
-``QRFactor``, the ``tau`` and ``slack`` of the public step functions); the
-iterates the steps of ``solve()`` produce are not re-validated, because
-``_step`` establishes their invariants (with :func:`_repair`) and counts
-the repairs it makes.
+``QRFactor``, the ``tau`` of the public step functions); the iterates the
+steps of ``solve()`` produce are not re-validated, because ``_step``
+establishes their invariants (with :func:`_repair`) and counts the
+multipliers it resets.
 
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: it holds
@@ -41,8 +41,8 @@ method call, :meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve,
 the update and the post-check, on views, ufuncs and LAPACK and BLAS
 routines that it binds once per workspace, at the first step.  Besides
 the factor and pivot arrays that ``dsysv`` returns, the only objects a
-step builds are the masks of :func:`_repair`, in a step that repairs its
-iterate.
+step builds are the masks of :func:`_repair`, in a step that resets a
+multiplier.
 The K primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side, and a path step only recomputes its complementarity
@@ -50,8 +50,9 @@ blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
 each step's state, step and new factor to a :class:`_Recorder`, which
 copies them and builds the rows per batch, every value with the bits it
 would have if built right after its step.  The returned solution x satisfies
-``||x||_inf < 1``, an objective within tol of the best attainable, and an
-equality residual within tol of the box-minimal one.
+``||x||_inf < 1`` (the state's x rounded into the open box, once, at the
+end), an objective within tol of the best attainable, and an equality
+residual within tol of the box-minimal one.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .errors import (
     StepRejected,
 )
 from .kkt import (
-    _ONE,
     Iterate,
     _check_tau,
     _Workspace,
@@ -106,12 +106,6 @@ PARAMS_PRACTICAL = "practical"
 # Relative roundoff grace on the final tau <= tau_E comparison.
 TAU_END_RTOL = 1e-10
 
-# Largest representable strictly-interior coordinate.  Newton targets with a
-# smaller distance to the box faces than one ulp round onto the boundary, so
-# updates are snapped back inside; on degenerate instances the exact path
-# margin tau/mu drops below this spacing long before tau_E.
-_X_MAX = float(np.nextafter(1.0, 0.0))
-
 _OVERFLOW = "Newton system overflowed: {} contains non-finite entries"
 
 STEP_PRIMAL = "primal"
@@ -136,12 +130,14 @@ class TraceEntry:
     Primal-dual rows are built per batch (:class:`_Recorder`), each
     value with the same bits as a row built right after its step.
     interior_margin is 1 - ||x||_inf on primal rows; on primal-dual rows it
-    is the minimum of (mu, e), min(1 - ||x||_inf, min mu), the margin that
-    decides whether a step repairs its iterate, so it reads min mu wherever
-    a multiplier is closer to 0 than x is to the box faces (1,623 of the
-    3,134 primal-dual rows of ``random_boxqp(seed 0, n=20, m=8)`` of the
-    test suite).  newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN
-    elsewhere.
+    is the minimum of (mu, e), with e = (1 + x, 1 - x) as the steps carry
+    it (:class:`~boxipm.kkt._Workspace`), so the distance to the nearest
+    face or the smallest multiplier, whichever is less: the margin that
+    decides whether a step resets a multiplier or is rejected.  It reads
+    min mu wherever a multiplier is closer to 0 than x is to the box faces
+    (1,623 of the 3,134 primal-dual rows of ``random_boxqp(seed 0, n=20,
+    m=8)`` of the test suite).  newton_dot is dx'(dmu_l - dmu_r) on path
+    steps and NaN elsewhere.
     """
 
     k: int
@@ -177,38 +173,40 @@ class SolveReport:
     # Matrices factored: the K Hessians and the primal-dual steps that do
     # not solve on an earlier step's factor (see _step).
     factorizations: int = 0
-    # Repairs made by the primal-dual updates (see _repair): coordinates of
-    # x clipped to +-nextafter(1, 0), and mu components reset to tau/(1 +- x).
+    # Coordinates of x rounded into the open box, to +-nextafter(1, 0),
+    # when the solve returned it (kkt._Workspace.interior_x), and mu
+    # components that the primal-dual steps reset to tau/e (see _repair).
     x_clipped: int = 0
     mu_reset: int = 0
 
 
-def _repair(ws: _Workspace, tau: float) -> None:
-    """Snap the workspace's state, just updated by a step, back to the
-    representable interior, re-deriving e, and count the repairs in
-    ``ws.x_clipped`` and ``ws.mu_reset``.
+def _repair(ws: _Workspace, kind: str, tau: float) -> None:
+    """Reset the multipliers that a ``kind`` step, just taken in the
+    workspace, drove nonpositive, and count them in ``ws.mu_reset``; a
+    step that left some e = (1 + x, 1 - x) nonpositive is rejected.
 
-    x is clipped to |x_j| <= nextafter(1, 0); a mu component driven
-    nonpositive by rounding at one-ulp margins is reset to its central-path
-    value tau/(1 +- x_j).  Both repairs are within the practical envelope.
-    :func:`_step` calls this only when the minimum of (mu, e) is not
-    positive: |x_j| > _X_MAX exactly when 1 + x_j <= 0 or 1 - x_j <= 0.
+    A mu component driven nonpositive by rounding at tiny margins is reset
+    to its central-path value tau/e_j.  e is carried by the steps, not
+    derived from x, so a nonpositive e_j is a step out of the box, not
+    rounding: StepRejected with block ``"interior"``, the minimum of e as
+    its value and 0 as its limit.  :func:`_step` calls this only when the
+    minimum of (mu, e) is not positive.
     """
-    x, mu, e = ws.x, ws.mu, ws.e
-    clipped = int(np.count_nonzero(e <= 0.0))
-    if clipped:
-        np.maximum(x, -_X_MAX, out=x)  # np.clip, without its wrapper
-        np.minimum(x, _X_MAX, out=x)
-        ws.derive_e()
+    mu, e = ws.mu, ws.e
+    e_min = float(e.min())
+    if not e_min > 0.0:
+        raise StepRejected(
+            f"{kind} step left the interior: e = (1 + x, 1 - x) reached {e_min!r} <= 0.0",
+            kind=kind, tau=tau, block="interior", value=e_min, limit=0.0,
+        )
     bad = mu <= 0.0
     reset = int(np.count_nonzero(bad))
     if reset:
         mu[bad] = tau / e[bad]
-    ws.x_clipped += clipped
     ws.mu_reset += reset
 
 
-def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> None:
+def _step(kind: str, ws: _Workspace, tau: float) -> None:
     """One primal-dual Newton step of ``kind`` on F_tau from the workspace's
     state, whose ``F`` must hold F_tau there, then its post-check.  The step
     updates the state in place: on return it holds the new iterate, F_tau
@@ -246,15 +244,17 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     w - w' is the change of one step.  v needs no test: it is (-r1, r2) of
     a residual that the previous step's post-check found finite.
 
-    The update z + dz derives e and the margin, the minimum of (mu, e);
-    only a margin that is not positive calls :func:`_repair`.  The
-    post-check is :func:`~boxipm.neighborhoods.check_step` on the residual
-    at the new iterate (:meth:`~boxipm.kkt._Workspace.eval_F`), with
-    ``slack`` passed through unchecked (``None`` is the envelope
-    allowance); a failed check raises StepRejected, and the step is never
-    damped.  So does a Newton system that overflows, a step that is not
-    finite and a new iterate that is not.  A rejected step may leave the
-    state changed, so its caller drops the workspace.
+    The update z + dz carries e along, e + (dx, -dx), and takes the margin,
+    the minimum of (mu, e); only a margin that is not positive calls
+    :func:`_repair`.  e is never re-derived from x, so x may round onto a
+    face while e keeps its distance to it.  The post-check is
+    :func:`~boxipm.neighborhoods.check_step` on the residual at the new
+    iterate (:meth:`~boxipm.kkt._Workspace.eval_F`): the width bound of its
+    kind for a path or centrality step; a failed check raises StepRejected,
+    and the step is never damped.  So does a Newton system that overflows,
+    a step that is not finite, a step that leaves the box and a new
+    iterate that is not finite.  A rejected step may leave the state
+    changed, so its caller drops the workspace.
 
     The step runs in this one frame, on the views, numpy ufuncs and LAPACK
     and BLAS routines that it looks up at the workspace's first step and
@@ -268,14 +268,14 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     if bound is None:  # line for line as unpacked below
         lapack, blas = linalg.lapack, linalg.blas
         bound = ws.bound = (
-            ws.z, ws.x, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
+            ws.z, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
             ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.dmu_l, ws.dmu_r, ws.dmu2,
             ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r, ws.w2,
             ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
             np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
             lapack.dsysv, lapack.dsytrs, blas.dasum,
         )
-    (z, x, mu, e, e_l, e_r, mu_e, mue, F, sign,
+    (z, mu, e, e_l, e_r, mu_e, mue, F, sign,
      dz, dx, dz_u, dz_mu, dmu_l, dmu_r, dmu2,
      t, t_l, t_r, w, w_l, w_r, w2,
      H, hflat, hdiag, qdiag, n, d,
@@ -325,11 +325,11 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     if not math.isfinite(dasum(dz)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
     add(z, dz, z)
-    add(_ONE, x, e_l)  # e, as derive_e writes it
-    subtract(_ONE, x, e_r)
+    add(e_l, dx, e_l)  # e + (dx, -dx)
+    subtract(e_r, dx, e_r)
     margin = reduce_min(mu_e)
     if margin <= 0.0:
-        _repair(ws, tau)
+        _repair(ws, kind, tau)
         margin = reduce_min(mu_e)
     multiply(mu, e, mue)  # mu∘e, as derive_mue writes it
     ws.margin = float(margin)
@@ -337,12 +337,7 @@ def _step(kind: str, ws: _Workspace, tau: float, slack: float | None = None) -> 
     eq_norm, comp_norm = ws.eq_norm, ws.comp_norm
     if not math.isfinite(eq_norm + comp_norm):
         raise StepRejected("Newton step overflowed to a non-finite iterate", kind=kind, tau=tau)
-    check_step(kind, ws.mp, tau, eq_norm, comp_norm, slack)
-
-
-def _check_slack(slack: float | None) -> None:
-    if slack is not None and not 0.0 <= slack < math.inf:
-        raise InvalidProblem(f"slack must be finite and nonnegative, got {slack!r}")
+    check_step(kind, ws.mp, tau, eq_norm, comp_norm)
 
 
 def _primal_steps(p: BoxQP, mp: MethodParams):
@@ -401,15 +396,15 @@ def lift(p: BoxQP, mp: MethodParams, xk) -> Iterate:
     )
 
 
-def _public_step(
-    kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float, slack: float | None = None
-) -> Iterate:
-    """One ``kind`` step at tau from a caller's iterate, in a workspace of its own."""
+def _public_step(kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
+    """One ``kind`` step at tau from a caller's iterate, in a workspace of
+    its own: e is derived from z's x, and the new iterate's x is rounded
+    into the open box."""
     _check_tau(tau)
     ws = _Workspace(p, mp)
     ws.load(z)
     ws.eval_F(tau)
-    _step(kind, ws, tau, slack)
+    _step(kind, ws, tau)
     return ws.iterate()
 
 
@@ -426,32 +421,22 @@ def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iter
     return _public_step(STEP_ERROR_RESET, p, mp, z, tau)
 
 
-def path_step(
-    p: BoxQP, mp: MethodParams, z: Iterate, tau: float, slack: float | None = None
-) -> tuple[Iterate, float]:
+def path_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> tuple[Iterate, float]:
     """Newton step on F at the reduced parameter tau_hat = sigma * tau.
 
     Returns (new iterate, tau_hat).  Post-check: the width-theta rule of
-    :func:`~boxipm.neighborhoods.check_step` at tau_hat, loosened by
-    ``slack`` (default: the envelope allowance), which must be finite and
-    nonnegative.
+    :func:`~boxipm.neighborhoods.check_step` at tau_hat.
     """
-    _check_slack(slack)
     tau_hat = mp.sigma * tau
-    return _public_step(STEP_PATH, p, mp, z, tau_hat, slack), tau_hat
+    return _public_step(STEP_PATH, p, mp, z, tau_hat), tau_hat
 
 
-def centrality_step(
-    p: BoxQP, mp: MethodParams, z: Iterate, tau: float, slack: float | None = None
-) -> Iterate:
+def centrality_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
     """Newton step on F at unchanged tau; halves the neighborhood width.
 
-    Post-check: the half-width rule of :func:`~boxipm.neighborhoods.check_step`,
-    loosened by ``slack`` (default: the envelope allowance), which must be
-    finite and nonnegative.
+    Post-check: the half-width rule of :func:`~boxipm.neighborhoods.check_step`.
     """
-    _check_slack(slack)
-    return _public_step(STEP_CENTRALITY, p, mp, z, tau, slack)
+    return _public_step(STEP_CENTRALITY, p, mp, z, tau)
 
 
 def _primal_row(
@@ -616,9 +601,6 @@ def solve(
         raise InvalidProblem(f"unknown params mode {params_mode!r}")
     mp = compute_params(p) if params_mode == PARAMS_STRICT else compute_params_practical(p)
     cycle = (STEP_PATH,) if mode == MODE_FAST else (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
-    # Strict params in fast mode hold the path step to the theoretical
-    # contraction, with no envelope allowance.
-    path_slack = 0.0 if mode == MODE_FAST and params_mode == PARAMS_STRICT else None
     trace: list[TraceEntry] = []
 
     x = np.zeros(p.n)
@@ -643,12 +625,9 @@ def solve(
             cycles += 1
             tau = mp.sigma * tau
             for kind in cycle:
-                if kind == STEP_PATH:
-                    slack = path_slack
+                if kind == STEP_PATH:  # the other steps keep its tau
                     ws.retarget(tau)
-                else:  # same tau as the step before
-                    slack = None
-                _step(kind, ws, tau, slack)
+                _step(kind, ws, tau)
                 if record is not None:
                     record(kind, tau)
             if tau <= mp.tau_E:
@@ -664,10 +643,11 @@ def solve(
     if record is not None:
         record.flush()
 
+    x = ws.interior_x()
     return SolveReport(
-        x=ws.x.copy(),
-        objective=eval_q(p, ws.x),
-        feas_residual=residual_norm(p, ws.x),
+        x=x,
+        objective=eval_q(p, x),
+        feas_residual=residual_norm(p, x),
         tau_final=tau,
         iterations_primal=mp.K,
         iterations_pd=cycles,

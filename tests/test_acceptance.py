@@ -3,10 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The traced pool mixes
 feasible instances (one with singular Q) and infeasible instances whose
 least-squares point is interior to the box; infeasible instances whose LS
-solution clips at the box faces develop multipliers ~1/omega whose exact
-path margins are unrepresentable in binary64 near the practical tau floor,
-so they are exercised through the final-solution criterion (1) rather than
-the per-step trace assertions.  See test_scalar_product_noise_floor for the
+solution lies on the box faces develop multipliers ~1/omega and are
+exercised here through the final-solution criterion (1); the per-step
+width bounds of criteria 4 and 5 are held on them by the property tests
+of ``tests/test_properties.py``.  See test_scalar_product_noise_floor for the
 one stated tolerance that binary64 provably cannot honor on infeasible
 tails.
 """
@@ -135,10 +135,9 @@ def test_criterion_04_path_step_contraction(traced):
     steps = 0
     for _, p, rep in traced:
         mp = rep.params
-        slack = mp.C_dF * mp.nu_1
         for e in rep.trace:
             if e.step_kind == STEP_PATH:
-                assert e.residual_comp <= mp.theta * e.tau * (1.0 + 1e-6) + slack
+                assert e.residual_comp <= mp.theta * e.tau * (1.0 + 1e-6)
                 steps += 1
         for e in _pd_rows(rep):
             assert e.interior_margin > 0.0
@@ -149,10 +148,9 @@ def test_criterion_05_centrality_halving(traced):
     steps = 0
     for _, p, rep in traced:
         mp = rep.params
-        slack = mp.C_dF * mp.nu_2
         for e in rep.trace:
             if e.step_kind == STEP_CENTRALITY:
-                assert e.residual_comp <= 0.5 * mp.theta * e.tau + slack
+                assert e.residual_comp <= 0.5 * mp.theta * e.tau
                 steps += 1
     assert steps > 0
     _pass(5, f"half-width bound on {steps} centrality steps")

@@ -68,10 +68,10 @@ class TestSolveCommand:
         import boxipm.solver
         from boxipm.neighborhoods import check_step
 
-        def failing(kind, mp, tau, eq_norm, comp_norm, slack=None):
+        def failing(kind, mp, tau, eq_norm, comp_norm):
             if kind == "path":
-                slack = -2.0 * mp.theta * tau  # a negative limit: every path step fails
-            check_step(kind, mp, tau, eq_norm, comp_norm, slack)
+                comp_norm += 2.0 * mp.theta * tau  # above the width: every path step fails
+            check_step(kind, mp, tau, eq_norm, comp_norm)
 
         monkeypatch.setattr(boxipm.solver, "check_step", failing)
         assert run(["solve", box_file]) == 1

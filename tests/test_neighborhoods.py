@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boxipm import BoxQP, InvalidProblem, Iterate, compute_params_practical
+from boxipm import BoxQP, Iterate, compute_params_practical
 from boxipm.errors import StepRejected
 from boxipm.kkt import eval_F
 from boxipm.linalg import EPS_MACH
@@ -15,16 +13,15 @@ from boxipm.neighborhoods import (
     check_step,
     complementarity_gap,
 )
-from boxipm.solver import centrality_step, path_step
 
-from support import random_boxqp, random_iterate
-from test_kkt import make_mp, zeros_problem
+from support import random_boxqp
+from test_kkt import make_mp, near_path_iterate, zeros_problem
 
 
-def passes(kind, mp, tau, F, slack=None):
+def passes(kind, mp, tau, F):
     """Whether the residual F at a new iterate meets the rule for ``kind``."""
     try:
-        check_step(kind, mp, tau, F.eq_norm, F.comp_norm, slack)
+        check_step(kind, mp, tau, F.eq_norm, F.comp_norm)
     except StepRejected:
         return False
     return True
@@ -41,7 +38,7 @@ class TestClassify:
         F = eval_F(p, mp, z, tau)
         assert F.eq_norm == 0.0 and F.comp_norm == 0.0
         for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
-            assert passes(kind, mp, tau, F, slack=0.0)
+            assert passes(kind, mp, tau, F)
 
     def test_boundary_of_width_theta(self):
         # r1..r2 vanish by choosing c = mu_l - mu_r; comp residual hits
@@ -56,20 +53,9 @@ class TestClassify:
         F = eval_F(p, mp, z, tau)
         assert F.eq_norm == 0.0
         assert F.comp_norm == mp.theta * tau
-        assert passes(STEP_PATH, mp, tau, F, slack=0.0)
+        assert passes(STEP_PATH, mp, tau, F)
         with pytest.raises(StepRejected, match="centrality step failed its post-check: comp"):
-            check_step(STEP_CENTRALITY, mp, tau, F.eq_norm, F.comp_norm, 0.0)
-
-    def test_slack_loosens_membership(self):
-        rng = np.random.default_rng(1)
-        p = random_boxqp(rng, 2, 1, tol=1e-2)
-        mp = compute_params_practical(p)
-        z = random_iterate(rng, 2, 1)
-        tau = 1.0
-        F = eval_F(p, mp, z, tau)
-        for kind in (STEP_PATH, STEP_CENTRALITY):
-            assert not passes(kind, mp, tau, F, slack=0.0)
-            assert passes(kind, mp, tau, F, slack=1e12)
+            check_step(STEP_CENTRALITY, mp, tau, F.eq_norm, F.comp_norm)
 
     def test_half_width_implies_full_width(self):
         rng = np.random.default_rng(2)
@@ -77,33 +63,21 @@ class TestClassify:
         mp = compute_params_practical(p)
         held = 0
         for _ in range(200):
-            z = random_iterate(rng, 3, 2)
             tau = float(rng.uniform(1e-6, 10.0))
-            slack = float(rng.choice([0.0, 1e-3, 1.0, 1e3]))
+            z = near_path_iterate(rng, 3, 2, 0.5, tau)  # mu∘e within 10% of tau
             F = eval_F(p, mp, z, tau)
-            if passes(STEP_CENTRALITY, mp, tau, F, slack):
+            if passes(STEP_CENTRALITY, mp, tau, F):
                 held += 1
-                assert passes(STEP_PATH, mp, tau, F, slack)
+                assert passes(STEP_PATH, mp, tau, F)
         assert 0 < held < 200
 
     def test_error_reset_floor(self):
-        # the (r1, r2) bound ignores slack and the complementarity blocks
+        # the (r1, r2) bound ignores the complementarity blocks
         mp = make_mp()
         floor = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z
-        check_step(STEP_ERROR_RESET, mp, 1.0, floor, 1e300, slack=None)
+        check_step(STEP_ERROR_RESET, mp, 1.0, floor, 1e300)
         with pytest.raises(StepRejected, match="error_reset step failed its post-check: eq"):
-            check_step(STEP_ERROR_RESET, mp, 1.0, 2.0 * floor, 0.0, slack=1e300)
-
-    def test_rejects_negative_slack(self):
-        # check_step trusts its slack; the public steps reject a bad one
-        p = zeros_problem()
-        mp = make_mp()
-        z = Iterate(x=[0.0], lam=[0.0], mu_l=[1.0], mu_r=[1.0])
-        for slack in (-1.0, -1e-300, math.nan, math.inf):
-            with pytest.raises(InvalidProblem, match="slack"):
-                path_step(p, mp, z, 1.0, slack=slack)
-            with pytest.raises(InvalidProblem, match="slack"):
-                centrality_step(p, mp, z, 1.0, slack=slack)
+            check_step(STEP_ERROR_RESET, mp, 1.0, 2.0 * floor, 0.0)
 
 
 class TestComplementarityGap:

@@ -5,8 +5,10 @@ stays cheap) and a seed for the data; the solve must return a strictly
 interior x whose objective and equality residual are within tol of the
 oracle's, as in acceptance criterion 1.  The trace's condition number of
 DF, taken from the factor of the step's reduced matrix, must be the exact
-kappa_1 of DF on the same families.  ``derandomize=True`` makes the
-examples the same on every run.
+kappa_1 of DF on the same families.  Every path and centrality step of a
+traced solve must meet the width bound of its kind, with no allowance
+beyond the post-check's roundoff grace, at a strictly interior point.
+``derandomize=True`` makes the examples the same on every run.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from boxipm import BoxQP, compute_params_practical, oracle_min_residual, oracle_solve_boxqp, solve
 from boxipm.kkt import _Workspace, eval_DF
+from boxipm.neighborhoods import COMP_CHECK_RTOL, STEP_CENTRALITY, STEP_PATH
 
 from support import batched_cond_DF, random_boxqp_interior_infeasible
 from test_kkt import near_path_iterate
@@ -26,7 +29,8 @@ def degenerate_boxqp(family: str, n: int, m: int, seed: int, tol: float) -> BoxQ
     """One instance of ``family``: Q of rank < n, A of rank < m (m >= 1, b in
     the range of A), b outside A(box) (m >= 1), A of rank m - 1 with b off
     its range and an interior least-squares point (m >= 2), or Q, c, A, b
-    all zero."""
+    all zero; or, outside ``FAMILIES``, ``"feasible"``: Q of full rank and
+    b in A(box)."""
     if family == "all_zero":
         return BoxQP(Q=np.zeros((n, n)), c=np.zeros(n), A=np.zeros((m, n)), b=np.zeros(m), tol=tol)
     rng = np.random.default_rng(seed)
@@ -36,7 +40,7 @@ def degenerate_boxqp(family: str, n: int, m: int, seed: int, tol: float) -> BoxQ
     B = rng.normal(size=(rank_Q, n))
     Q = B.T @ B / n
     c = rng.normal(size=n)
-    if family == "rank_deficient_Q":
+    if family in ("feasible", "rank_deficient_Q"):
         A = rng.normal(size=(m, n))
         b = A @ rng.uniform(-0.8, 0.8, size=n)
     elif family == "rank_deficient_A":
@@ -92,3 +96,29 @@ def test_traced_cond_DF_is_the_exact_kappa_1(family, n, m, seed, gap, tau):
     J = eval_DF(p, mp, z)
     exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
     assert abs(cond - exact) <= 1e-6 * exact
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(("feasible",) + FAMILIES),
+    n=st.integers(1, 6),
+    m=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["stable", "fast"]),
+)
+@example(family="all_zero", n=1, m=0, seed=0, mode="fast")
+@example(family="feasible", n=1, m=0, seed=5, mode="stable")
+@example(family="infeasible_b", n=5, m=2, seed=6, mode="stable")
+@example(family="infeasible_b", n=3, m=1, seed=7, mode="fast")
+def test_every_step_meets_the_width_bound(family, n, m, seed, mode):
+    p = degenerate_boxqp(family, n, m, seed, 1e-2)
+    rep = solve(p, mode=mode, collect_trace=True)
+    theta = rep.params.theta
+    steps = 0
+    for e in rep.trace:
+        if e.step_kind in (STEP_PATH, STEP_CENTRALITY):
+            width = theta if e.step_kind == STEP_PATH else 0.5 * theta
+            assert e.residual_comp <= width * e.tau * (1.0 + COMP_CHECK_RTOL)
+            assert e.interior_margin > 0.0
+            steps += 1
+    assert steps >= rep.iterations_pd > 0

@@ -27,11 +27,10 @@ from boxipm import (
     solve_standard,
 )
 from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, StepRejected
-from boxipm.kkt import _Workspace, _affine_rows, eval_DF, eval_F, eval_grad_f, eval_hess_f
+from boxipm.kkt import _X_MAX, _Workspace, _affine_rows, eval_DF, eval_F, eval_grad_f, eval_hess_f
 from boxipm.linalg import EPS_MACH, QRFactor, mirror_upper, symmetric_inverse
 from boxipm.neighborhoods import check_step
 from boxipm.solver import (
-    _X_MAX,
     TRACE_FIELDS,
     _Recorder,
     _repair,
@@ -191,7 +190,7 @@ class TestCentralityStep:
         p = BoxQP(Q=np.zeros((1, 1)), c=[0.25], A=np.zeros((1, 1)), b=[0.0], tol=0.1)
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[mu_l], mu_r=[tau])
         before = eval_F(p, mp, z, tau).comp_norm
-        z2 = centrality_step(p, mp, z, tau, slack=0.0)
+        z2 = centrality_step(p, mp, z, tau)
         after = eval_F(p, mp, z2, tau).comp_norm
         assert before == mp.theta * tau
         assert after <= 0.5 * mp.theta * tau
@@ -244,7 +243,7 @@ class TestSolve:
 
     def test_strict_params_on_trivial_instance(self):
         # the theoretical cascade is representable (and attainable) only for
-        # near-trivial data at large tol; exercises the zero-slack fast path
+        # near-trivial data at large tol
         p = BoxQP(Q=[[0.0]], c=[0.01], A=[[0.0]], b=[0.0], tol=10.0)
         rep = solve(p, params_mode="strict", mode="fast")
         assert rep.params.floors_applied == ()
@@ -265,39 +264,91 @@ class TestSolve:
         assert min(margins) > 0.0
 
 
-def _drive_steps(p, mode, params_mode="practical", path_slack=None):
-    """solve() spelled out with the public step functions."""
-    mp = compute_params(p) if params_mode == "strict" else compute_params_practical(p)
-    z = error_reset_step(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
-    tau = mp.tau_A
+def _drive_steps(p, mode, check=None):
+    """A solve spelled out with the public step functions, each from the
+    iterate the one before returned; ``check(kind, z, tau, new)``, if given,
+    sees every step."""
+    mp = compute_params_practical(p)
+
+    def step(kind, z, tau):
+        if kind == STEP_PATH:
+            new, tau = path_step(p, mp, z, tau)
+        else:
+            new = (error_reset_step if kind == STEP_ERROR_RESET else centrality_step)(p, mp, z, tau)
+        if check is not None:
+            check(kind, z, tau, new)
+        return new, tau
+
+    z, tau = step(STEP_ERROR_RESET, lift(p, mp, primal_init(p, mp)), mp.tau_A)
+    cycle = [STEP_PATH] + ([STEP_CENTRALITY, STEP_ERROR_RESET] if mode == "stable" else [])
     for _ in range(mp.M):
-        z, tau = path_step(p, mp, z, tau, slack=path_slack)
-        if mode == "stable":
-            z = centrality_step(p, mp, z, tau)
-            z = error_reset_step(p, mp, z, tau)
+        for kind in cycle:
+            z, tau = step(kind, z, tau)
         if tau <= mp.tau_E:
             break
     return z.x, tau
 
 
+def _step_loop(p, mode, params_mode="practical"):
+    """solve() spelled out as its loop of _step on one workspace, which
+    carries e from step to step; returns the reported x and the last tau."""
+    mp = compute_params(p) if params_mode == "strict" else compute_params_practical(p)
+    ws = _Workspace(p, mp)
+    ws.load(lift(p, mp, primal_init(p, mp)))
+    tau = mp.tau_A
+    ws.eval_F(tau)
+    _step(STEP_ERROR_RESET, ws, tau)
+    cycle = [STEP_PATH] + ([STEP_CENTRALITY, STEP_ERROR_RESET] if mode == "stable" else [])
+    for _ in range(mp.M):
+        tau = mp.sigma * tau
+        ws.retarget(tau)
+        for kind in cycle:
+            _step(kind, ws, tau)
+        if tau <= mp.tau_E:
+            break
+    return ws.interior_x(), tau
+
+
 class TestSolveComposition:
+    """solve() is its _step loop on one workspace.  A public step loads its
+    iterate into a workspace of its own, which derives e from x, so a chain
+    of public steps is not that loop: each public step is one _step from a
+    freshly loaded workspace instead."""
+
     @pytest.mark.parametrize("mode", ["stable", "fast"])
     def test_step_functions_reproduce_solve(self, mode):
-        # feasible, so x keeps interior coordinates that record the step
-        # order (infeasible instances clip every coordinate to the box)
-        rng = np.random.default_rng(13)
-        p = random_boxqp(rng, 4, 2, feasible=True, tol=1e-2)
-        rep = solve(p, mode=mode)
-        x, tau = _drive_steps(p, mode)
+        # a feasible draw, and a box-infeasible one whose x ends on the faces
+        for feasible in (True, False):
+            p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=feasible, tol=1e-2)
+            rep = solve(p, mode=mode)
+            x, tau = _step_loop(p, mode)
+            assert x.tobytes() == rep.x.tobytes()
+            assert tau == rep.tau_final
+
+    def test_strict_fast_solve_is_the_step_loop(self):
+        p = BoxQP(Q=[[0.0]], c=[0.01], A=[[0.0]], b=[0.0], tol=10.0)
+        rep = solve(p, params_mode="strict", mode="fast")
+        x, tau = _step_loop(p, "fast", params_mode="strict")
         assert x.tobytes() == rep.x.tobytes()
         assert tau == rep.tau_final
 
-    def test_strict_fast_path_has_zero_slack(self):
-        p = BoxQP(Q=[[0.0]], c=[0.01], A=[[0.0]], b=[0.0], tol=10.0)
-        rep = solve(p, params_mode="strict", mode="fast")
-        x, tau = _drive_steps(p, "fast", params_mode="strict", path_slack=0.0)
-        assert x.tobytes() == rep.x.tobytes()
-        assert tau == rep.tau_final
+    @pytest.mark.parametrize("mode", ["stable", "fast"])
+    def test_each_public_step_is_one_step_from_a_loaded_workspace(self, mode):
+        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
+        mp = compute_params_practical(p)
+        kinds = []
+
+        def check(kind, z, tau, new):
+            ws = _Workspace(p, mp)
+            ws.load(z)
+            ws.eval_F(tau)
+            _step(kind, ws, tau)
+            assert ws.iterate().as_array().tobytes() == new.as_array().tobytes()
+            kinds.append(kind)
+
+        _drive_steps(p, mode, check)
+        cycles = (len(kinds) - 1) // (3 if mode == "stable" else 1)
+        assert cycles > 100 and kinds.count(STEP_PATH) == cycles
 
     @pytest.mark.parametrize(
         "mode, cycle",
@@ -329,12 +380,12 @@ def _solve_digest(rep):
 
 # seed, n, m, feasible, mode, traced, digest
 _DIGEST_CASES = [
-    (61, 3, 2, True, "stable", True, "375c61b1e3290112"),
-    (62, 5, 2, True, "fast", False, "62c928f8b60c022e"),
-    (63, 8, 3, True, "stable", False, "0bef941c96699a8b"),
-    (64, 5, 2, False, "stable", True, "ceff3f4a38116c26"),
-    (65, 3, 1, False, "fast", True, "a1e2ad0cf34b869c"),
-    (66, 8, 3, False, "stable", False, "8d5acd3641fa06ef"),
+    (61, 3, 2, True, "stable", True, "b49dadfbcbaea3b5"),
+    (62, 5, 2, True, "fast", False, "2bc42ae1547b1c62"),
+    (63, 8, 3, True, "stable", False, "2839a486398df334"),
+    (64, 5, 2, False, "stable", True, "6e78bc7b046fb8f3"),
+    (65, 3, 1, False, "fast", True, "145942242fe4f22f"),
+    (66, 8, 3, False, "stable", False, "e79adba84d7b63ea"),
 ]
 
 
@@ -375,6 +426,16 @@ class TestSolveBytes:
     # dsytrs) instead of factoring its own matrix; the counts stayed the
     # same, x moved by at most 2.2e-16, and 66 kept its digest.  Before:
     # 61 bd8fd757b33d9396, 63 9c71384067d4ad25, 64 a9fb36e332870ac6.
+    # All six were re-measured when the steps began to carry e = (1 + x,
+    # 1 - x) as e + (dx, -dx) instead of re-deriving it from x after each
+    # update, and the reported x became the state's x rounded into the open
+    # box once, at the end: e rounds differently, so every later step does.
+    # linear_solves, iterations_pd, factorizations and mu_reset stayed the
+    # same; x moved by at most 2.2e-15 and the objective by at most 5.3e-15.
+    # x_clipped now counts the rounding of the reported x (64: 894 -> 1,
+    # 65: 142 -> 1, 66: 1,892 -> 0).  Before: 61 375c61b1e3290112,
+    # 62 62c928f8b60c022e, 63 0bef941c96699a8b, 64 ceff3f4a38116c26,
+    # 65 a1e2ad0cf34b869c, 66 8d5acd3641fa06ef.
     # The test ids carry the seed and shape, not the digest, so that a
     # re-measurement keeps the test names.
     @pytest.mark.parametrize(
@@ -544,14 +605,16 @@ class TestStepLoopStructure:
             if kind == STEP_PATH:
                 tau = mp.sigma * tau
                 ws.retarget(tau)
+            e = ws.e.copy()
             _step(kind, ws, tau)
             calls.append(counter.calls)
-            # the step writes e and mu∘e inline, bit for bit as
-            # derive_e and derive_mue write them
-            e, mue = ws.e.copy(), ws.mue.copy()
-            ws.derive_e()
+            # the step carries e as e + (dx, -dx), and writes mu∘e inline,
+            # bit for bit as derive_mue writes it
+            dx = ws.dz_x
+            assert ws.e.tobytes() == np.concatenate([e[: p.n] + dx, e[p.n :] - dx]).tobytes()
+            mue = ws.mue.copy()
             ws.derive_mue()
-            assert (e.tobytes(), mue.tobytes()) == (ws.e.tobytes(), ws.mue.tobytes())
+            assert mue.tobytes() == ws.mue.tobytes()
         assert (ws.x_clipped, ws.mu_reset) == (0, 0)
         assert calls == [18] + [19, 18, 11] * 2
 
@@ -711,29 +774,46 @@ def _hand_workspace():
 
 class TestRepairInvariants:
     """A step writes the next state unchecked, and _repair establishes these
-    invariants when its margin is not positive.  Steps are injected at the
-    LAPACK boundary (:func:`_edit_solutions`) or come from a crafted state."""
+    invariants when its margin is not positive, or rejects the step.  Steps
+    are injected at the LAPACK boundary (:func:`_edit_solutions`) or come
+    from a crafted state."""
 
     @staticmethod
     def _update(ws, dz):
-        # z + dz and e, as a step writes them before its margin test
+        # z + dz and e + (dx, -dx), as a step writes them before its margin test
         np.add(ws.z, dz, out=ws.z)
-        ws.derive_e()
+        np.add(ws.e_l, dz[: ws.n], out=ws.e_l)
+        np.subtract(ws.e_r, dz[: ws.n], out=ws.e_r)
 
-    def test_x_outside_the_box_is_clipped_and_counted(self):
+    def test_x_outside_the_box_is_rejected(self):
         ws = _hand_workspace()
         ws.load(_hand_iterate())
         dz = np.zeros(3 * 3 + 1)
         dz[:3] = [0.75, -0.5 - _X_MAX, 1.0]  # 1.25, -1 - eps, 1.0: all leave the open box
         self._update(ws, dz)
-        _repair(ws, 0.5)
-        z_new = ws.iterate()
-        assert np.abs(z_new.x).max() <= _X_MAX
-        assert z_new.x.tolist() == [_X_MAX, -_X_MAX, _X_MAX]
-        assert (ws.x_clipped, ws.mu_reset) == (3, 0)
-        assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
-        # e is derived from the clipped x
-        assert ws.e.tobytes() == np.concatenate([1.0 + z_new.x, 1.0 - z_new.x]).tobytes()
+        with pytest.raises(StepRejected, match="path step left the interior") as info:
+            _repair(ws, STEP_PATH, 0.5)
+        exc = info.value
+        assert (exc.kind, exc.tau, exc.block, exc.limit) == (STEP_PATH, 0.5, "interior", 0.0)
+        assert exc.value == ws.e.min() < 0.0
+        assert ws.mu_reset == 0
+
+    def test_x_on_a_face_is_rounded_once_and_counted(self):
+        # e keeps a distance of 2^-54 to the faces, which x, rounded onto
+        # them, cannot; the state keeps both, and x is rounded where it is
+        # handed out
+        ws = _hand_workspace()
+        ws.load(_hand_iterate())
+        dz = np.zeros(3 * 3 + 1)
+        dz[:2] = [0.5 - 2.0**-54, -0.5 + 2.0**-54]
+        self._update(ws, dz)
+        assert ws.x.tolist() == [1.0, -1.0, 0.0]
+        assert (ws.e_r[0], ws.e_l[1]) == (2.0**-54, 2.0**-54)
+        x = ws.interior_x()
+        assert x.tolist() == [_X_MAX, -_X_MAX, 0.0] and ws.x_clipped == 2
+        assert ws.x.tolist() == [1.0, -1.0, 0.0]
+        z = ws.iterate()
+        assert z.x.tobytes() == x.tobytes() and ws.x_clipped == 2
 
     def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
         z = _hand_iterate()
@@ -745,13 +825,12 @@ class TestRepairInvariants:
         dz[4:7] = [-1.0, -3.0, 0.25]  # mu_l -> 0.0, -1.0, 0.75
         dz[7:] = [0.0, -1.0, -2.5]  # mu_r -> 0.5, 0.0, -0.5
         self._update(ws, dz)
-        _repair(ws, tau)
+        _repair(ws, STEP_CENTRALITY, tau)
         z_new = ws.iterate()
-        x_new = z.x + dz[:3]
         assert (ws.x_clipped, ws.mu_reset) == (0, 4)
-        assert z_new.mu_l[:2].tobytes() == (tau / (1.0 + x_new[:2])).tobytes()
+        assert z_new.mu_l[:2].tobytes() == (tau / ws.e_l[:2]).tobytes()
         assert z_new.mu_l[2] == 0.75
-        assert z_new.mu_r[1:].tobytes() == (tau / (1.0 - x_new[1:])).tobytes()
+        assert z_new.mu_r[1:].tobytes() == (tau / ws.e_r[1:]).tobytes()
         assert z_new.mu_r[0] == 0.5
         assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
         # the unchecked result is a valid Iterate
@@ -771,7 +850,7 @@ class TestRepairInvariants:
         _step(STEP_CENTRALITY, ws, tau)
         assert ws.dz[0] == 0.0 and ws.dz[2] == -2.0 * z.mu_l[0]
         assert ws.mu_reset == 1 and ws.x_clipped == 0
-        assert ws.mu_l[0] == tau / (1.0 + ws.x[0])
+        assert ws.mu_l[0] == tau / ws.e_l[0]
         # mu∘e is derived from the repaired state
         assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
 
@@ -791,9 +870,9 @@ class TestRepairInvariants:
 
     def test_huge_finite_step_is_checked_without_a_warning(self, monkeypatch):
         # dz'dz would overflow, and ndarray.dot warns when it overflows; the
-        # step is finite, so it is taken, and x is clipped back into the box.
-        # mu_0 is tiny, so that the dmu_0 = -w∘(dx_0, -dx_0) part of the
-        # step stays moderate.
+        # step is finite, so it is taken, and it leaves the box: e_r,0 =
+        # 0.5 - 1e200.  mu_0 is tiny, so that the dmu_0 = -w∘(dx_0, -dx_0)
+        # part of the step stays moderate.
         def huge(u):
             u[0] = 1e200
 
@@ -804,10 +883,10 @@ class TestRepairInvariants:
         ws.eval_F(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _step(STEP_CENTRALITY, ws, 1.0)
+            with pytest.raises(StepRejected, match="centrality step left the interior") as info:
+                _step(STEP_CENTRALITY, ws, 1.0)
         assert ws.dz[0] == 1e200
-        assert ws.x_clipped == 1 and ws.x[0] == _X_MAX
-        assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
+        assert (info.value.block, info.value.value) == ("interior", -1e200)
 
     def test_infinities_of_both_signs_are_rejected_without_a_warning(self, monkeypatch):
         # a weighted sum of dz would meet inf - inf, and ndarray.dot warns
@@ -840,8 +919,9 @@ class TestRepairInvariants:
         # the residual at the new point must catch it.  z holds a huge entry
         # in the block, and the step adds another: dlam from the solve; dmu
         # = g34/e - w∘(dx, -dx) from dx in a reset, whose g34 is 0, and from
-        # a crafted g34 with dx = 0 in the other steps.  (r1, r2) of the
-        # right-hand side is zero, so that v stays finite.
+        # a crafted g34 with dx = 0 in the other steps; the reset's dx takes
+        # x 0.9 of the way to the face, so the step stays in the box.  (r1,
+        # r2) of the right-hand side is zero, so that v stays finite.
         p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
         mp = compute_params_practical(p)
         huge = 1e308
@@ -865,8 +945,8 @@ class TestRepairInvariants:
                 solution[:] = 0.0
                 if block == "lam":
                     solution[3] = huge
-                elif kind == STEP_ERROR_RESET:  # -w_l*dx = mu_l, w_r*dx = mu_r
-                    solution[j] = -ws.e_l[j] if block == "mu_l" else ws.e_r[j]
+                elif kind == STEP_ERROR_RESET:  # -w_l*dx = 0.9 mu_l, w_r*dx = 0.9 mu_r
+                    solution[j] = -0.9 * ws.e_l[j] if block == "mu_l" else 0.9 * ws.e_r[j]
                 else:  # g34/e = huge
                     ws.F[at] = -huge * ws.e[at - 4]
                 with pytest.raises(StepRejected, match="non-finite iterate") as info:
@@ -938,7 +1018,7 @@ class TestStructuredRejection:
         mp = compute_params_practical(p)
         z = random_iterate(rng, 2, 1)  # far from the central path
         with pytest.raises(StepRejected, match="path step failed its post-check: comp") as info:
-            path_step(p, mp, z, 1.0, slack=0.0)
+            path_step(p, mp, z, 1.0)
         exc = info.value
         tau_hat = mp.sigma * 1.0
         assert (exc.kind, exc.tau, exc.block) == (STEP_PATH, tau_hat, "comp")
@@ -1040,9 +1120,12 @@ class TestStructuredFailures:
 
 class TestRepairCounters:
     def test_infeasible_instance_clips(self):
+        # its x ends on the faces, where one coordinate rounds onto a face
+        # and is rounded back into the open box, once, when reported
         rng = np.random.default_rng(7)
         rep = solve(random_boxqp(rng, 3, 2, feasible=False, tol=1e-2))
-        assert rep.x_clipped > 0
+        assert rep.x_clipped == 1
+        assert np.abs(rep.x).max() == _X_MAX
         assert rep.mu_reset == 0
 
     def test_feasible_instance_does_not(self):
@@ -1050,6 +1133,34 @@ class TestRepairCounters:
         rep = solve(random_boxqp(rng, 3, 2, feasible=True, tol=1e-2))
         assert rep.x_clipped == 0
         assert rep.mu_reset == 0
+
+
+# seed, n, m, feasible: draws at scale 1e4 and tol 1e-4 whose stable solve
+# ended outside tol while a constant allowance C_dF*nu stood on top of the
+# width bound (objective 8972.26 against the oracle's 8647.74 on the first,
+# a residual 0.18 above the box-minimal 3.4e-12 on the second)
+_SCALED_DRAWS = [(1935574272, 2, 5, False), (2487427991, 3, 5, True)]
+
+
+class TestScaledDraws:
+    @pytest.mark.parametrize(
+        "seed, n, m, feasible", _SCALED_DRAWS, ids=[f"seed{d[0]}" for d in _SCALED_DRAWS]
+    )
+    def test_answer_within_tol_or_a_named_rejection(self, seed, n, m, feasible):
+        p = random_boxqp(np.random.default_rng(seed), n, m, feasible=feasible, tol=1e-4,
+                         scale=1e4)
+        try:
+            rep = solve(p, mode="stable")
+        except StepRejected as exc:
+            assert exc.cycle > 0
+            assert exc.kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
+            assert exc.block in ("eq", "comp", "interior")
+            # a residual above its limit, or an e at or below 0
+            assert (exc.value <= exc.limit) == (exc.block == "interior")
+            return
+        assert float(np.abs(rep.x).max()) < 1.0
+        assert rep.objective <= oracle_solve_boxqp(p).objective + p.tol
+        assert rep.feas_residual <= oracle_min_residual(p) + p.tol
 
 
 @pytest.fixture(scope="module")
@@ -1079,9 +1190,10 @@ class TestCondDF:
                         assert cond == pytest.approx(exact, rel=1e-6)
 
     def test_rows_are_the_exact_kappa_1_where_each_step_starts(self):
-        # replay a traced solve step by step; the lift row shares the
-        # initial reset's value, and a cycle's reset row its centrality
-        # row's, whose factor, and so whose DF, the reset solves with
+        # replay a traced solve step by step, each DF at the (mu, e) that
+        # the workspace carries; the lift row shares the initial reset's
+        # value, and a cycle's reset row its centrality row's, whose
+        # factor, and so whose DF, the reset solves with
         p = random_boxqp(np.random.default_rng(33), 3, 2, feasible=False, tol=1e-2)
         rep = solve(p, collect_trace=True)
         pd_rows = rep.trace[rep.params.K :]
@@ -1097,7 +1209,7 @@ class TestCondDF:
             if row.step_kind == STEP_ERROR_RESET and before.step_kind == STEP_CENTRALITY:
                 assert row.cond_DF == before.cond_DF
             else:  # the initial reset, path and centrality rows
-                J = eval_DF(p, mp, ws.iterate())
+                J = _DF_of_state(ws)
                 exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
                 assert row.cond_DF == pytest.approx(exact, rel=1e-6)
             _step(row.step_kind, ws, tau)
@@ -1136,6 +1248,19 @@ class TestCondDF:
             kappa_2 = np.linalg.cond(H)
             assert kappa_2 / p.n <= e.cond_DF <= p.n * kappa_2
             x = x + QRFactor(H).solve(-eval_grad_f(p, mp, x))
+
+
+def _DF_of_state(ws):
+    """DF at a workspace's state, its mu rows read from (mu, e) as the steps
+    carry them: T on top of [[diag(mu_l), 0, diag(e_l), 0],
+    [-diag(mu_r), 0, 0, diag(e_r)]]."""
+    n, nm = ws.n, ws.n + ws.m
+    J = np.zeros((nm + 2 * n, nm + 2 * n))
+    J[:nm] = ws.T
+    J[nm : nm + n, :n] = np.diag(ws.mu_l)
+    J[nm + n :, :n] = -np.diag(ws.mu_r)
+    J[nm:, nm:] = np.diag(ws.e)
+    return J
 
 
 def _reference_cond_DF(p, mp, z, ldu, ipiv):
@@ -1181,9 +1306,9 @@ def _stale_w_problem(family, seed, n, m):
 
 class TestResetOnTheCentralityFactor:
     """A cycle's error reset solves on its centrality step's factor and w
-    (``_step``).  On every cycle of a stable solve, it is held
-    against a fresh-factor reset (``error_reset_step``) from the same
-    iterate."""
+    (``_step``).  On every cycle of a stable solve, it is held against a
+    fresh-factor reset from the same state (z, e), in a workspace of its
+    own."""
 
     @pytest.mark.parametrize(
         "family, seed, n, m", _STALE_W_DRAWS,
@@ -1203,18 +1328,21 @@ class TestResetOnTheCentralityFactor:
             ws.retarget(tau)
             _step(STEP_PATH, ws, tau)
             _step(STEP_CENTRALITY, ws, tau)
-            fresh = eval_F(p, mp, error_reset_step(p, mp, ws.iterate(), tau), tau)
+            fresh = _Workspace(p, mp)
+            fresh.ze[:] = ws.ze
+            fresh.derive_mue()
+            fresh.eval_F(tau)
+            _step(STEP_ERROR_RESET, fresh, tau)
             w_stale, w, e = ws.w.copy(), ws.mu / ws.e, ws.e.copy()
             _step(STEP_ERROR_RESET, ws, tau)
             assert max(ws.eq_norm, fresh.eq_norm) <= eq_floor
             # against a fresh factor, the stale w adds e∘(w - w_stale)∘de to
             # (r3, r4), with de = (dx, -dx); each result's mu∘e - tau also
-            # rounds by about eps*|mu_j| per entry, as e = 1 +- x is known
-            # to ulp(1)
+            # rounds by about eps*|mu_j| per entry
             dx = ws.dz_x
             stale_term = np.linalg.norm(e * (w - w_stale) * np.concatenate([dx, -dx]))
             rounding = 2.0 * EPS_MACH * np.linalg.norm(ws.mu)
-            moved = np.linalg.norm(ws.r34 - np.concatenate([fresh.r3, fresh.r4]))
+            moved = np.linalg.norm(ws.r34 - fresh.r34)
             assert moved <= stale_term + rounding
             if tau <= mp.tau_E:
                 break

@@ -9,7 +9,9 @@ workload (``perfbench/workloads.py`` of the checkout that holds this
 script, imported read-only) with A and B in turn, ``--repeats`` times
 each.  Prints, per instance, the best wall time of each side, their
 ratio B/A and whether the two solves are bit-identical, then the totals
-of the best times; exits 1 unless every solve is.  A solve is identical
+of the best times; exits 1 unless every solve is.  For a solve that is
+not, a second line sizes the change: max |x_A - x_B| and
+|objective_A - objective_B|.  A solve is identical
 when its x is, and, on a traced instance, when every value of every
 trace row is too: each value is packed on its own (numbers as binary64
 bytes, so that NaN compares by its bits), outside the timed region.  On a
@@ -60,7 +62,8 @@ def load_workloads():
 
 def solver(bx, inst, collect_trace=None):
     """A function that solves ``inst`` with the package ``bx`` and returns
-    (x, trace rows); ``collect_trace`` overrides the instance's own."""
+    (x, objective, trace rows); ``collect_trace`` overrides the instance's
+    own."""
     if collect_trace is None:
         collect_trace = inst.collect_trace
     if inst.kind == "box":
@@ -68,13 +71,13 @@ def solver(bx, inst, collect_trace=None):
 
         def run():
             rep = bx.solve(p, mode=inst.mode, collect_trace=collect_trace)
-            return rep.x, rep.trace
+            return rep.x, rep.objective, rep.trace
         return run
     p = bx.StandardQP(Qt=inst.Q, ct=inst.c, At=inst.A, bt=inst.b)
 
     def run():
         rep = bx.solve_standard(p, tol=inst.tol, pi="auto", mode=inst.mode)
-        return rep.x, rep.box_report.trace
+        return rep.x, rep.objective, rep.box_report.trace
     return run
 
 
@@ -92,7 +95,7 @@ def packed_trace(bx, rows) -> list[tuple]:
 
 
 def timed(run) -> tuple[float, tuple]:
-    """(wall time, (x, trace rows)) of one solve."""
+    """(wall time, (x, objective, trace rows)) of one solve."""
     t0 = time.perf_counter()
     out = run()
     return time.perf_counter() - t0, out
@@ -120,9 +123,9 @@ def main(argv=None) -> int:
             plain = {"a": float("inf"), "b": float("inf")}
         best_a = best_b = float("inf")
         for _ in range(args.repeats):
-            wall, (xa, trace_a) = timed(run_a)
+            wall, (xa, obj_a, trace_a) = timed(run_a)
             best_a = min(best_a, wall)
-            wall, (xb, trace_b) = timed(run_b)
+            wall, (xb, obj_b, trace_b) = timed(run_b)
             best_b = min(best_b, wall)
             if inst.collect_trace:
                 plain["a"] = min(plain["a"], timed(plain_a)[0])
@@ -135,6 +138,9 @@ def main(argv=None) -> int:
         trace_note = ("identical" if same_trace else "DIFFERS") if inst.collect_trace else "-"
         print(f"{inst.label:<32} {best_a:10.4f} {best_b:10.4f} {best_b / best_a:6.3f}  "
               f"{'identical' if same_x else 'DIFFERS':<10} {trace_note}")
+        if not (same_x and same_trace):
+            print(f"{'  change':<32} max |x_A - x_B| {abs(xa - xb).max(initial=0.0):.3g}, "
+                  f"|objective_A - objective_B| {abs(obj_a - obj_b):.3g}")
         if inst.collect_trace:
             per_row_a = (best_a - plain["a"]) / len(trace_a) * 1e6
             per_row_b = (best_b - plain["b"]) / len(trace_b) * 1e6
