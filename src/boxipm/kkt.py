@@ -64,7 +64,7 @@ _ONE.setflags(write=False)
 # Largest representable strictly-interior coordinate.  A step carries
 # e = (1 + x, 1 - x) itself, so its distance to a face may be far below the
 # spacing of x near 1, where x rounds onto the face or past it; the x
-# handed out (:meth:`_Workspace.interior_x`) is rounded to this.
+# handed out (:meth:`_Workspace.rounded_x`) is rounded to this.
 _X_MAX = float(np.nextafter(1.0, 0.0))
 
 
@@ -254,11 +254,10 @@ class _Workspace:
     spacing of x near 1 (ulp(1)/2 = 1.1e-16), where x itself rounds onto the
     face; it stays within rounding of 1 +- x.  ``margin`` is the minimum of
     (mu, e), the interior margin, as :meth:`load` or the last step set it.
-    ``mue`` = mu∘e is a 2n-vector (:meth:`derive_mue`).  :meth:`interior_x`
+    ``mue`` = mu∘e is a 2n-vector (:meth:`derive_mue`).  :meth:`rounded_x`
     is x rounded into the open box, as a solve reports it and
-    :meth:`iterate` carries it; ``x_clipped`` is the number of coordinates
-    it rounded, and ``mu_reset`` counts the multipliers that steps reset
-    (``boxipm.solver._repair``).  ``F`` is one N-vector
+    :meth:`iterate` carries it, and ``mu_reset`` counts the multipliers that
+    steps reset (``boxipm.solver._repair``).  ``F`` is one N-vector
     with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
     ``r34`` = (r3, r4); ``eq_norm`` and ``comp_norm`` are the norms of r12
     and r34 as :meth:`eval_F` last wrote them.  Next to the state it holds T
@@ -274,26 +273,31 @@ class _Workspace:
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
-    closed form; substituting them into the stationarity row, and negating
-    the equality row, leaves the symmetric (n+m) x (n+m) system
+    closed form; substituting them into the stationarity row, negating the
+    equality row and scaling it and dlam by ``lam_scale`` = s, the power of
+    two nearest 1/sqrt(omega), leaves the symmetric (n+m) x (n+m) system
 
-        [[Q + omega I + diag(mu_l/(e+x) + mu_r/(e-x)), -A'],
-         [-A,                                        -omega I]] (dx, dlam)
-            = (g1 + g3/(e+x) - g4/(e-x), -g2)
+        [[Q + omega I + diag(mu_l/(e+x) + mu_r/(e-x)), -s A'],
+         [-s A,                               -s^2 omega I]] (dx, dlam/s)
+            = (g1 + g3/(e+x) - g4/(e-x), -s g2)
 
     in ``H``, which a step solves by Bunch-Kaufman (LAPACK dsysv).  Its
     matrix is quasi-definite: the Q block is positive definite and the last
-    block negative definite.  ``H`` is the first n+m columns of T with the
-    equality rows negated, and the diagonal of its Q block is rewritten per
+    block lies in [-2I, -I/2].  s is a power of two, so the scaling is exact;
+    without it, on scaled data (omega near 1e-16, mu/e up to 1e57),
+    Bunch-Kaufman loses the omega block to the rounding of its Schur
+    complement and returns a dx with no correct digit.  ``H`` is the first
+    n+m columns of T with the equality rows negated and the lam rows and
+    columns scaled, and the diagonal of its Q block is rewritten per
     step from ``qdiag``, the diagonal of Q + omega I; the solve never writes
     to ``H``, so the rest is written once, here.  The solve reads only the
     upper triangle, which is all of ``H``, since ``BoxQP`` stores Q exactly
     symmetric.  ``H`` is Fortran-ordered, so LAPACK copies it without a
     transpose.  ``sign`` is -1 on the stationarity and complementarity rows
-    and +1 on the equality rows: ``sign * F`` is -F with the equality rows
-    negated once more.  ``t`` = g34/e and ``w`` = mu/e are the step's
-    scratch; a later reset on a factoring step's factor derives its dmu
-    from the ``w`` that step left.
+    and s on the equality rows: ``sign * F`` is -F with the equality rows
+    negated once more and scaled.  ``t`` = g34/e and ``w`` = mu/e are the
+    step's scratch; a later reset on a factoring step's factor derives its
+    dmu from the ``w`` that step left.
 
     The workspace holds nothing for the trace: a traced solve's recorder
     (``boxipm.solver._Recorder``) copies ``ze``, ``dz`` and a new
@@ -318,12 +322,14 @@ class _Workspace:
         self.eq_norm = self.comp_norm = math.nan
         self.T = _affine_rows(p, mp.omega)
         self.cb = np.concatenate([p.c, -p.b])
+        self.lam_scale = s = np.full((), math.ldexp(1.0, round(-0.5 * math.log2(mp.omega))))
         self.H = np.array(self.T[:, :nm], order="F")  # a copy, also when n + m = 1
-        np.negative(self.H[n:], out=self.H[n:])
+        np.multiply(self.H[n:], -s, self.H[n:])
+        np.multiply(self.H[:, n:], s, self.H[:, n:])
         self.hdiag = _diagonal(self.H, 0, 0, n)
         self.qdiag = self.hdiag.copy()
         self.sign = np.full(N, -1.0)
-        self.sign[n:nm] = 1.0
+        self.sign[n:nm] = s
         self.t = np.empty(2 * n)  # g34/e
         self.t_l, self.t_r = self.t[:n], self.t[n:]
         self.w = np.empty(2 * n)  # mu/e
@@ -331,9 +337,10 @@ class _Workspace:
         # dz holds the right-hand side until each block is overwritten by its step
         self.dz = np.empty(N)
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
+        self.dz_lam = self.dz[n:nm]
         self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
         self.dmu2 = self.dz_mu.reshape(2, n)
-        self.x_clipped = self.mu_reset = 0
+        self.mu_reset = 0
         self.factor, self.factorizations = None, 0
         self.bound = None
 
@@ -352,16 +359,13 @@ class _Workspace:
     def derive_mue(self) -> None:
         np.multiply(self.mu, self.e, self.mue)
 
-    def interior_x(self) -> np.ndarray:
-        """x rounded into the open box, to |x_j| <= nextafter(1, 0), a copy;
-        sets ``x_clipped`` to the number of coordinates rounded."""
-        x = np.clip(self.x, -_X_MAX, _X_MAX)
-        self.x_clipped = int(np.count_nonzero(x != self.x))
-        return x
+    def rounded_x(self) -> np.ndarray:
+        """x rounded into the open box, to |x_j| <= nextafter(1, 0), a copy."""
+        return np.clip(self.x, -_X_MAX, _X_MAX)
 
     def iterate(self) -> Iterate:
-        """z as an Iterate, with x rounded by :meth:`interior_x`, a copy."""
-        return Iterate(self.interior_x(), self.lam, self.mu_l, self.mu_r)
+        """z as an Iterate, with x rounded by :meth:`rounded_x`, a copy."""
+        return Iterate(self.rounded_x(), self.lam, self.mu_l, self.mu_r)
 
     def eval_F(self, tau: float) -> None:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
@@ -381,20 +385,23 @@ class _Workspace:
         self.comp_norm = math.nan
 
 
-def cond_DF(T: np.ndarray, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.ndarray:
+def cond_DF(ws: _Workspace, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.ndarray:
     """kappa_1 = ||DF||_1 ||DF^-1||_1 of a batch of DFs, each the Jacobian
     that a factoring step of :class:`_Workspace` solves, from the factor of
     its reduced matrix ``H``; inf where it overflows.
 
-    ``T`` is the workspace's; ``factors`` is a stack (F, d, d) of the
-    factors ``ldu`` of the F matrices ``H``, each Fortran-ordered, which is
-    overwritten, and ``ipivs`` their F pivot arrays; row i of ``mu_e``
-    (F, 4n) is (mu, e) at the point where step i starts.
+    ``ws`` is the workspace whose steps returned the factors, read for its
+    T and s; ``factors`` is a stack (F, d, d) of the factors ``ldu`` of the
+    F matrices ``H``, each Fortran-ordered, which is overwritten, and
+    ``ipivs`` their F pivot arrays; row i of ``mu_e`` (F, 4n) is (mu, e) at
+    the point where step i starts.
 
-    With Y = H^-1 (:func:`~boxipm.linalg.symmetric_inverse`), w = mu/e and
-    s = (w_l + w_r, 0), the block elimination of the step gives every
-    column of DF^-1: column j of the x or lam block is
-    +-(Y_j, -w_l∘Y_xj, w_r∘Y_xj), of 1-norm c_j = ((1 + s)'|Y|)_j, and
+    With Y = S H^-1 S, the inverse of the unscaled matrix, for
+    S = diag(I, s I) (:func:`~boxipm.linalg.symmetric_inverse`, then two
+    exact products), w = mu/e and h = (w_l + w_r, 0), the block
+    elimination of the step gives every column of DF^-1: column j of the x
+    or lam block is +-(Y_j, -w_l∘Y_xj, w_r∘Y_xj), of 1-norm
+    c_j = ((1 + h)'|Y|)_j, and
     column j of the mu_l block is column j of the x block over e_l,j with
     its own mu_l entry (1 - w_l,j Y_jj)/e_l,j instead, of 1-norm
     (c_j - w_l,j |Y_jj| + |1 - w_l,j Y_jj|)/e_l,j; the mu_r block is alike
@@ -415,12 +422,14 @@ def cond_DF(T: np.ndarray, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.n
     N = d + 2 * n
     # C-ordered: each F-ordered inverse seen transposed, which it equals.
     Y = symmetric_inverse(factors, ipivs).transpose(0, 2, 1)
+    np.multiply(Y[:, n:], ws.lam_scale, Y[:, n:])
+    np.multiply(Y[:, :, n:], ws.lam_scale, Y[:, :, n:])
     mu, e = mu_e[:, : 2 * n], mu_e[:, 2 * n :]
     w = np.divide(mu, e)
     w_l, w_r = w[:, :n], w[:, n:]
     wy = np.multiply(w.reshape(F, 2, n), Y.diagonal(0, 1, 2)[:, None, :n])  # w∘Y_jj, x block
     np.abs(Y, Y)
-    s1 = np.ones((F, d))  # 1 + s
+    s1 = np.ones((F, d))  # 1 + h
     s1_x = s1[:, :n]
     np.add(_ONE, w_l, s1_x)
     np.add(s1_x, w_r, s1_x)
@@ -434,7 +443,7 @@ def cond_DF(T: np.ndarray, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.n
     np.abs(wy, wy)
     np.add(mu_cols, wy, mu_cols)
     np.divide(mu_cols, e.reshape(F, 2, n), mu_cols)
-    tcol = np.abs(T).sum(axis=0)
+    tcol = np.abs(ws.T).sum(axis=0)
     df_x = df[:, :n]
     np.add(tcol[:n], mu[:, :n], df_x)
     np.add(df_x, mu[:, n:], df_x)

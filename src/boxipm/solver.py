@@ -174,7 +174,7 @@ class SolveReport:
     # not solve on an earlier step's factor (see _step).
     factorizations: int = 0
     # Coordinates of x rounded into the open box, to +-nextafter(1, 0),
-    # when the solve returned it (kkt._Workspace.interior_x), and mu
+    # when the solve returned it (kkt._Workspace.rounded_x), and mu
     # components that the primal-dual steps reset to tau/e (see _repair).
     x_clipped: int = 0
     mu_reset: int = 0
@@ -218,9 +218,10 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     reduced system of :class:`~boxipm.kkt._Workspace` at the state by one
     LAPACK dsysv call on ``H``, as :func:`~boxipm.linalg.solve_symmetric`
     makes it, which overwrites the right-hand side in ``dz`` with
-    (dx, dlam) and rejects only an exactly zero pivot: near tau_E the
-    a-priori conditioning bound kappa_DF exceeds 1/(dim*eps), so a relative
-    pivot test would misflag theory-valid systems as singular.  The Q
+    (dx, dlam/s), s = ``ws.lam_scale``, and rejects only an exactly zero
+    pivot: near tau_E the a-priori conditioning bound kappa_DF exceeds
+    1/(dim*eps), so a relative pivot test would misflag theory-valid
+    systems as singular.  The Q
     block's diagonal (G) and the right-hand side (v) are all of the system
     that changes per step; one finite sum of absolute values clears both,
     and otherwise the step is rejected naming the culprit.  The step keeps
@@ -236,12 +237,12 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     started.  This is exact for the blocks the reset must zero: (r1, r2)
     are affine in z with the constant matrix T, the top rows of every DF,
     so any dz with T dz = -(r1, r2) cancels them, and with g34 = 0 the
-    reduced right-hand side (g1, -g2) does not read w.  Only
+    reduced right-hand side (g1, -s g2) does not read w.  Only
     dmu = -w'∘(dx, -dx) does, with w' = mu'/e'.  With de = (dx, -dx), the
     new complementarity blocks are mu∘e - tau + mu∘de + e∘dmu + dmu∘de, and
     mu∘de + e∘dmu is e∘(w - w')∘de for w = mu/e, where a factor at z would
     cancel it.  That term is second order: dx only cancels rounding, and
-    w - w' is the change of one step.  v needs no test: it is (-r1, r2) of
+    w - w' is the change of one step.  v needs no test: it is (-r1, s r2) of
     a residual that the previous step's post-check found finite.
 
     The update z + dz carries e along, e + (dx, -dx), and takes the margin,
@@ -269,19 +270,19 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
         lapack, blas = linalg.lapack, linalg.blas
         bound = ws.bound = (
             ws.z, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
-            ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.dmu_l, ws.dmu_r, ws.dmu2,
-            ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r, ws.w2,
+            ws.dz, ws.dz_x, ws.dz_u, ws.dz_lam, ws.dz_mu, ws.dmu_l, ws.dmu_r, ws.dmu2,
+            ws.lam_scale, ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r, ws.w2,
             ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
             np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
             lapack.dsysv, lapack.dsytrs, blas.dasum,
         )
     (z, mu, e, e_l, e_r, mu_e, mue, F, sign,
-     dz, dx, dz_u, dz_mu, dmu_l, dmu_r, dmu2,
-     t, t_l, t_r, w, w_l, w_r, w2,
+     dz, dx, dz_u, dz_lam, dz_mu, dmu_l, dmu_r, dmu2,
+     lam_scale, t, t_l, t_r, w, w_l, w_r, w2,
      H, hflat, hdiag, qdiag, n, d,
      add, subtract, multiply, divide, negative, reduce_min,
      dsysv, dsytrs, dasum) = bound
-    multiply(sign, F, dz)  # (g1, -g2, g3, g4)
+    multiply(sign, F, dz)  # (g1, -s g2, g3, g4)
     reset = kind == STEP_ERROR_RESET
     if reset and ws.factor is not None:
         ldu, ipiv = ws.factor
@@ -294,7 +295,7 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     else:
         if reset:
             dz_mu.fill(-0.0)
-        # v = ((g1 + g3/(e+x)) - g4/(e-x), -g2), written over (dx, dlam)
+        # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam)
         divide(dz_mu, e, t)
         add(dx, t_l, dx)
         subtract(dx, t_r, dx)
@@ -320,6 +321,7 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
         multiply(w2, dx, dmu2)
         subtract(t_l, dmu_l, dmu_l)
         add(t_r, dmu_r, dmu_r)
+    multiply(dz_lam, lam_scale, dz_lam)  # dlam = s (dlam/s), exactly
     # The sum of |dz_j| is finite only if dz is, and it raises no warning
     # on infinities or on an overflow; the elementwise test settles the rest.
     if not math.isfinite(dasum(dz)) and not np.isfinite(dz).all():
@@ -532,7 +534,7 @@ class _Recorder:
         conds = [self.cond]
         if f:
             mu_e = self.ze[self.starts, nm:]
-            conds += cond_DF(self.ws.T, self.factors[:f], ipivs, mu_e).tolist()
+            conds += cond_DF(self.ws, self.factors[:f], ipivs, mu_e).tolist()
         ze, dz, diff = self.ze[1 : r + 1], self.dz[:r], self.dmu_diff[:r]
         z = ze[:, :N]
         np.subtract(dz[:, nm : nm + n], dz[:, nm + n :], diff)  # dmu_l - dmu_r
@@ -643,7 +645,7 @@ def solve(
     if record is not None:
         record.flush()
 
-    x = ws.interior_x()
+    x = ws.rounded_x()
     return SolveReport(
         x=x,
         objective=eval_q(p, x),
@@ -656,7 +658,7 @@ def solve(
         trace=trace,
         linear_solves=mp.K + 1 + cycles * len(cycle),
         factorizations=mp.K + ws.factorizations,
-        x_clipped=ws.x_clipped,
+        x_clipped=int(np.count_nonzero(x != ws.x)),
         mu_reset=ws.mu_reset,
     )
 

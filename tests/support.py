@@ -123,4 +123,4 @@ def step_factors(ws, tau, points):
 def batched_cond_DF(ws, tau, points):
     """kappa_1 of the DF that the factoring step from each of ``points``
     solves, as one batch of :func:`boxipm.kkt.cond_DF`, a list of floats."""
-    return cond_DF(ws.T, *step_factors(ws, tau, points)).tolist()
+    return cond_DF(ws, *step_factors(ws, tau, points)).tolist()

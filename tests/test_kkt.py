@@ -305,9 +305,11 @@ def backward_error(J, dz, rhs):
 def assert_step_equals_reference(p, mp, z, tau, reset_only):
     """The reduction written array by array, as in the _Workspace docstring,
     is the reference the in-place step must equal bit for bit, signed zeros
-    included: the symmetric H has the equality rows negated, the right-hand
-    side is (g1 + g3/(e+x) - g4/(e-x), -g2), the Q block's diagonal is
-    (Q_jj + omega) + w_l + w_r and dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
+    included: the symmetric H has the equality rows negated and the lam rows
+    and columns scaled by s, the power of two nearest 1/sqrt(omega), the
+    right-hand side is (g1 + g3/(e+x) - g4/(e-x), -s g2), the solution's lam
+    block is scaled by s, the Q block's diagonal is (Q_jj + omega) + w_l + w_r
+    and dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
     n, m = p.n, p.m
     F = eval_F(p, mp, z, tau)
     comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
@@ -315,13 +317,15 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
     e_plus_x, e_minus_x = 1.0 + z.x, 1.0 - z.x
     w_l, w_r = z.mu_l / e_plus_x, z.mu_r / e_minus_x
+    s = 2.0 ** round(-0.5 * math.log2(mp.omega))
     H = np.zeros((n + m, n + m))
     H[:n, :n] = p.Q
-    H[:n, n:] = -p.A.T
-    H[n:, :n] = -p.A
-    H[n:, n:] = -mp.omega * np.eye(m)
+    H[:n, n:] = -p.A.T * s
+    H[n:, :n] = -p.A * s
+    H[n:, n:] = -mp.omega * s * s * np.eye(m)
     H[np.diag_indices(n)] = (np.diag(p.Q) + mp.omega) + w_l + w_r
-    u, _, _ = solve_symmetric(H, np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, -g2]))
+    u, _, _ = solve_symmetric(H, np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, -s * g2]))
+    u[n:] *= s
     dx = u[:n]
     ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
     ws = _Workspace(p, mp)

@@ -306,7 +306,7 @@ def _step_loop(p, mode, params_mode="practical"):
             _step(kind, ws, tau)
         if tau <= mp.tau_E:
             break
-    return ws.interior_x(), tau
+    return ws.rounded_x(), tau
 
 
 class TestSolveComposition:
@@ -380,9 +380,9 @@ def _solve_digest(rep):
 
 # seed, n, m, feasible, mode, traced, digest
 _DIGEST_CASES = [
-    (61, 3, 2, True, "stable", True, "b49dadfbcbaea3b5"),
-    (62, 5, 2, True, "fast", False, "2bc42ae1547b1c62"),
-    (63, 8, 3, True, "stable", False, "2839a486398df334"),
+    (61, 3, 2, True, "stable", True, "8ccc8605b486b3d1"),
+    (62, 5, 2, True, "fast", False, "45873c73ba8539a1"),
+    (63, 8, 3, True, "stable", False, "a2c4435147a53fc5"),
     (64, 5, 2, False, "stable", True, "6e78bc7b046fb8f3"),
     (65, 3, 1, False, "fast", True, "145942242fe4f22f"),
     (66, 8, 3, False, "stable", False, "e79adba84d7b63ea"),
@@ -436,6 +436,14 @@ class TestSolveBytes:
     # 65: 142 -> 1, 66: 1,892 -> 0).  Before: 61 375c61b1e3290112,
     # 62 62c928f8b60c022e, 63 0bef941c96699a8b, 64 ceff3f4a38116c26,
     # 65 a1e2ad0cf34b869c, 66 8d5acd3641fa06ef.
+    # The feasible digests (61, 62, 63) were re-measured when the reduced
+    # matrix's lam rows and columns, and so dlam, were scaled by the power
+    # of two nearest 1/sqrt(omega): the scaling is exact, so a solve keeps
+    # its bits unless Bunch-Kaufman picks other pivots, which it did on
+    # these three.  The counts stayed the same, x moved by at most 1.1e-15
+    # and the objective by at most 5.3e-15; 64, 65 and 66 kept their
+    # digests.  Before: 61 b49dadfbcbaea3b5, 62 2bc42ae1547b1c62,
+    # 63 2839a486398df334.
     # The test ids carry the seed and shape, not the digest, so that a
     # re-measurement keeps the test names.
     @pytest.mark.parametrize(
@@ -615,8 +623,8 @@ class TestStepLoopStructure:
             mue = ws.mue.copy()
             ws.derive_mue()
             assert mue.tobytes() == ws.mue.tobytes()
-        assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == [18] + [19, 18, 11] * 2
+        assert ws.mu_reset == 0
+        assert calls == [19] + [20, 19, 12] * 2
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
         # as above, each step followed by its trace row: recording a row
@@ -652,10 +660,10 @@ class TestStepLoopStructure:
             counter.calls = 0
             record.flush()
             flushes.append(counter.calls)
-        assert (ws.x_clipped, ws.mu_reset) == (0, 0)
-        assert calls == [18] + [19, 18, 11] * 6
+        assert ws.mu_reset == 0
+        assert calls == [19] + [20, 19, 12] * 6
         assert len(trace) == 1 + 7 + 12 and record.rows == []
-        assert flushes == [29, 29]
+        assert flushes == [31, 31]
 
     def test_traced_inverse_runs_in_a_recorder_slot(self, monkeypatch):
         # every dsytri of a traced solve inverts a factor in place in a
@@ -798,7 +806,7 @@ class TestRepairInvariants:
         assert exc.value == ws.e.min() < 0.0
         assert ws.mu_reset == 0
 
-    def test_x_on_a_face_is_rounded_once_and_counted(self):
+    def test_x_on_a_face_is_rounded_where_it_is_handed_out(self):
         # e keeps a distance of 2^-54 to the faces, which x, rounded onto
         # them, cannot; the state keeps both, and x is rounded where it is
         # handed out
@@ -809,11 +817,11 @@ class TestRepairInvariants:
         self._update(ws, dz)
         assert ws.x.tolist() == [1.0, -1.0, 0.0]
         assert (ws.e_r[0], ws.e_l[1]) == (2.0**-54, 2.0**-54)
-        x = ws.interior_x()
-        assert x.tolist() == [_X_MAX, -_X_MAX, 0.0] and ws.x_clipped == 2
+        x = ws.rounded_x()
+        assert x.tolist() == [_X_MAX, -_X_MAX, 0.0]
         assert ws.x.tolist() == [1.0, -1.0, 0.0]
         z = ws.iterate()
-        assert z.x.tobytes() == x.tobytes() and ws.x_clipped == 2
+        assert z.x.tobytes() == x.tobytes()
 
     def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
         z = _hand_iterate()
@@ -827,7 +835,7 @@ class TestRepairInvariants:
         self._update(ws, dz)
         _repair(ws, STEP_CENTRALITY, tau)
         z_new = ws.iterate()
-        assert (ws.x_clipped, ws.mu_reset) == (0, 4)
+        assert ws.mu_reset == 4
         assert z_new.mu_l[:2].tobytes() == (tau / ws.e_l[:2]).tobytes()
         assert z_new.mu_l[2] == 0.75
         assert z_new.mu_r[1:].tobytes() == (tau / ws.e_r[1:]).tobytes()
@@ -849,7 +857,7 @@ class TestRepairInvariants:
         ws.F[:] = [-1.0 / 1.25, 0.0, 1.0, 0.0]  # g = (1/1.25, 0, -1, 0)
         _step(STEP_CENTRALITY, ws, tau)
         assert ws.dz[0] == 0.0 and ws.dz[2] == -2.0 * z.mu_l[0]
-        assert ws.mu_reset == 1 and ws.x_clipped == 0
+        assert ws.mu_reset == 1
         assert ws.mu_l[0] == tau / ws.e_l[0]
         # mu∘e is derived from the repaired state
         assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
@@ -917,7 +925,8 @@ class TestRepairInvariants:
     def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
         # finite + finite = inf: the update passes the finite-dz check, and
         # the residual at the new point must catch it.  z holds a huge entry
-        # in the block, and the step adds another: dlam from the solve; dmu
+        # in the block, and the step adds another: dlam from the solve (as
+        # dlam/s, which the step scales back exactly); dmu
         # = g34/e - w∘(dx, -dx) from dx in a reset, whose g34 is 0, and from
         # a crafted g34 with dx = 0 in the other steps; the reset's dx takes
         # x 0.9 of the way to the face, so the step stays in the box.  (r1,
@@ -943,8 +952,8 @@ class TestRepairInvariants:
                 ws.eval_F(1.0)
                 ws.F[:] = 0.0
                 solution[:] = 0.0
-                if block == "lam":
-                    solution[3] = huge
+                if block == "lam":  # the solve returns dlam/s
+                    solution[3] = huge / ws.lam_scale
                 elif kind == STEP_ERROR_RESET:  # -w_l*dx = 0.9 mu_l, w_r*dx = 0.9 mu_r
                     solution[j] = -0.9 * ws.e_l[j] if block == "mu_l" else 0.9 * ws.e_r[j]
                 else:  # g34/e = huge
@@ -1135,29 +1144,29 @@ class TestRepairCounters:
         assert rep.mu_reset == 0
 
 
-# seed, n, m, feasible: draws at scale 1e4 and tol 1e-4 whose stable solve
+# seed, n, m, feasible, mode: draws at scale 1e4 and tol 1e-4 whose solve
 # ended outside tol while a constant allowance C_dF*nu stood on top of the
-# width bound (objective 8972.26 against the oracle's 8647.74 on the first,
-# a residual 0.18 above the box-minimal 3.4e-12 on the second)
-_SCALED_DRAWS = [(1935574272, 2, 5, False), (2487427991, 3, 5, True)]
+# width bound (stable: objective 8972.26 against the oracle's 8647.74 on the
+# first, a residual 0.18 above the box-minimal 3.4e-12 on the second; fast:
+# a residual 825 above on the first), and, held to the width bound alone,
+# were rejected or stayed outside tol until the reduced matrix's lam block
+# was scaled by s.  Each must now be answered within tol of the oracle.
+_SCALED_DRAWS = [
+    (1935574272, 2, 5, False, "stable"),
+    (1935574272, 2, 5, False, "fast"),
+    (2487427991, 3, 5, True, "stable"),
+]
 
 
 class TestScaledDraws:
     @pytest.mark.parametrize(
-        "seed, n, m, feasible", _SCALED_DRAWS, ids=[f"seed{d[0]}" for d in _SCALED_DRAWS]
+        "seed, n, m, feasible, mode", _SCALED_DRAWS,
+        ids=[f"seed{d[0]}-{d[4]}" for d in _SCALED_DRAWS],
     )
-    def test_answer_within_tol_or_a_named_rejection(self, seed, n, m, feasible):
+    def test_answer_within_tol(self, seed, n, m, feasible, mode):
         p = random_boxqp(np.random.default_rng(seed), n, m, feasible=feasible, tol=1e-4,
                          scale=1e4)
-        try:
-            rep = solve(p, mode="stable")
-        except StepRejected as exc:
-            assert exc.cycle > 0
-            assert exc.kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
-            assert exc.block in ("eq", "comp", "interior")
-            # a residual above its limit, or an e at or below 0
-            assert (exc.value <= exc.limit) == (exc.block == "interior")
-            return
+        rep = solve(p, mode=mode)
         assert float(np.abs(rep.x).max()) < 1.0
         assert rep.objective <= oracle_solve_boxqp(p).objective + p.tol
         assert rep.feas_residual <= oracle_min_residual(p) + p.tol
@@ -1265,13 +1274,16 @@ def _DF_of_state(ws):
 
 def _reference_cond_DF(p, mp, z, ldu, ipiv):
     """kappa_1 of DF at z by the formula of ``boxipm.kkt.cond_DF``, written
-    array by array for one point: the inverse of H in a new buffer, and its
-    row sums taken on a C-contiguous copy, so by the gemv kernel of a C
-    matrix."""
+    array by array for one point: the inverse of H in a new buffer, its lam
+    rows and columns scaled back by s, and its row sums taken on a
+    C-contiguous copy, so by the gemv kernel of a C matrix."""
     n, nm = p.n, p.n + p.m
     e = np.concatenate([1.0 + z.x, 1.0 - z.x])
     w = np.concatenate([z.mu_l, z.mu_r]) / e
     Y = np.ascontiguousarray(symmetric_inverse(ldu[None], [ipiv])[0])
+    s = 2.0 ** round(-0.5 * math.log2(mp.omega))
+    Y[n:] *= s
+    Y[:, n:] *= s
     wy = w.reshape(2, n) * Y.diagonal()[:n]
     s1 = np.ones(nm)
     s1[:n] = (1.0 + w[:n]) + w[n:]
