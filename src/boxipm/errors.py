@@ -65,8 +65,9 @@ class StepRejected(BoxIpmError):
     Carries where it happened, each field ``None`` when unknown: the step
     ``kind`` and its ``tau``; for a failed post-check the residual ``block``
     (``"eq"`` or ``"comp"``), its ``value`` and the ``limit`` it exceeded,
-    and for a step that left the box the block ``"interior"``, with the
-    minimum of e = (1 + x, 1 - x) as its value and 0 as its limit; and,
+    and for a step that left the interior, driving some mu or
+    e = (1 + x, 1 - x) to zero or below, the block ``"interior"``, with
+    the minimum of (mu, e) as its value and 0 as its limit; and,
     when raised inside ``solve()``, the path-following ``cycle`` (0 for the
     initial error reset).
     """

@@ -253,11 +253,11 @@ class _Workspace:
     adds (dx, -dx) to it, so that it keeps a distance to a face below the
     spacing of x near 1 (ulp(1)/2 = 1.1e-16), where x itself rounds onto the
     face; it stays within rounding of 1 +- x.  ``margin`` is the minimum of
-    (mu, e), the interior margin, as :meth:`load` or the last step set it.
+    (mu, e), the interior margin, as :meth:`load` or the last step set it;
+    a step whose margin is not positive is rejected.
     ``mue`` = mu∘e is a 2n-vector (:meth:`derive_mue`).  :meth:`rounded_x`
     is x rounded into the open box, as a solve reports it and
-    :meth:`iterate` carries it, and ``mu_reset`` counts the multipliers that
-    steps reset (``boxipm.solver._repair``).  ``F`` is one N-vector
+    :meth:`iterate` carries it.  ``F`` is one N-vector
     with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
     ``r34`` = (r3, r4); ``eq_norm`` and ``comp_norm`` are the norms of r12
     and r34 as :meth:`eval_F` last wrote them.  Next to the state it holds T
@@ -340,7 +340,6 @@ class _Workspace:
         self.dz_lam = self.dz[n:nm]
         self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
         self.dmu2 = self.dz_mu.reshape(2, n)
-        self.mu_reset = 0
         self.factor, self.factorizations = None, 0
         self.bound = None
 

@@ -15,7 +15,8 @@ The complementarity bound is the width bound itself, in both parameter
 modes, with only a relative roundoff grace: it shrinks with tau, so every
 path and centrality step of a solve is held to the neighborhood at its
 own tau.  Interiority is not tested here: the step that makes an iterate
-rejects one that leaves the box (``boxipm.solver._repair``).
+rejects one whose mu or e = (1 + x, 1 - x) is not positive
+(``boxipm.solver._step``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StepRejected
-from .kkt import Iterate
 from .linalg import EPS_MACH
 
 STEP_PATH = "path"
@@ -56,19 +56,14 @@ def check_step(kind: str, mp, tau: float, eq_norm: float, comp_norm: float) -> N
 
 
 def complementarity_gap(z):
-    """mu_l'(e + x) + mu_r'(e - x); bounded by 2n(1+theta)tau on the path
-    neighborhood, which certifies the optimality gap.
+    """mu_l'(e + x) + mu_r'(e - x) of each of k points; bounded by
+    2n(1+theta)tau on the path neighborhood, which certifies the optimality
+    gap.
 
-    ``z`` is an :class:`~boxipm.kkt.Iterate`, for which e = (1 + x, 1 - x)
-    is formed here and the gap is a float, or a batch of points as a
-    (k, 4n) array whose rows are (mu_l, mu_r, e_l, e_r), the layout of a
-    step workspace's ``mu_e`` (:class:`~boxipm.kkt._Workspace`), for which
-    it is an array of k gaps.  Each dot product is one BLAS ddot per point,
-    as ``ndarray.dot`` makes it, by one batched matmul."""
-    if isinstance(z, Iterate):
-        x = z.x
-        z = np.concatenate([z.mu_l, z.mu_r, 1.0 + x, 1.0 - x])[None]
-        return float(complementarity_gap(z)[0])
+    ``z`` is a (k, 4n) array whose rows are (mu_l, mu_r, e_l, e_r), the
+    layout of a step workspace's ``mu_e`` (:class:`~boxipm.kkt._Workspace`),
+    and the result an array of k gaps.  Each dot product is one BLAS ddot
+    per point, as ``ndarray.dot`` makes it, by one batched matmul."""
     n = z.shape[1] // 4
     mu_l, mu_r, e_l, e_r = (z[:, None, j * n : (j + 1) * n] for j in range(4))
     gap = np.matmul(mu_l, e_l.transpose(0, 2, 1)) + np.matmul(mu_r, e_r.transpose(0, 2, 1))

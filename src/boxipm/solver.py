@@ -19,14 +19,14 @@ loop behind ``primal_init``, then ``lift``, and makes every primal-dual
 Newton step through ``_step``, the single implementation behind
 ``error_reset_step``, ``path_step`` and ``centrality_step``.  Every step
 ends with the neighborhood rule of :func:`boxipm.neighborhoods.check_step`
-and is rejected (never damped) when it fails; a Newton system that
-overflows is rejected the same way, and every rejection names its step
-kind and tau (``solve()`` adds the cycle).  Inputs are validated where they
-enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
+and is rejected (never damped or repaired) when it fails; a Newton system
+that overflows, or a step that drives some mu or e = (1 + x, 1 - x) to
+zero or below, is rejected the same way, and every rejection names its
+step kind and tau (``solve()`` adds the cycle).  Inputs are validated where
+they enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
 ``QRFactor``, the ``tau`` of the public step functions); the iterates the
-steps of ``solve()`` produce are not re-validated, because ``_step``
-establishes their invariants (with :func:`_repair`) and counts the
-multipliers it resets.
+steps of ``solve()`` produce are not re-validated, because a step that
+breaks their invariants is rejected.
 
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: it holds
@@ -39,14 +39,12 @@ rejection, so nothing reads the state a step started from once it is
 taken.  ``_step`` runs a whole step in one frame (the residual is one
 method call, :meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve,
 the update and the post-check, on views, ufuncs and LAPACK and BLAS
-routines that it binds once per workspace, at the first step.  Besides
-the factor and pivot arrays that ``dsysv`` returns, the only objects a
-step builds are the masks of :func:`_repair`, in a step that resets a
-multiplier.
-The K primal steps solve their Hessian systems with ``QRFactor``.  Within
-``solve()`` each step's post-check residual is the next step's
-right-hand side, and a path step only recomputes its complementarity
-blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
+routines that it binds once per workspace, at the first step.  The only
+arrays a step builds are the factor and pivot arrays that ``dsysv``
+returns.  The K primal steps solve their Hessian systems with
+``QRFactor``.  Within ``solve()`` each step's post-check residual is the
+next step's right-hand side, and a path step only recomputes its
+complementarity blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
 each step's state, step and new factor to a :class:`_Recorder`, which
 copies them and builds the rows per batch, every value with the bits it
 would have if built right after its step.  The returned solution x satisfies
@@ -133,7 +131,7 @@ class TraceEntry:
     is the minimum of (mu, e), with e = (1 + x, 1 - x) as the steps carry
     it (:class:`~boxipm.kkt._Workspace`), so the distance to the nearest
     face or the smallest multiplier, whichever is less: the margin that
-    decides whether a step resets a multiplier or is rejected.  It reads
+    rejects a step when it is not positive.  It reads
     min mu wherever a multiplier is closer to 0 than x is to the box faces
     (1,623 of the 3,134 primal-dual rows of ``random_boxqp(seed 0, n=20,
     m=8)`` of the test suite).  newton_dot is dx'(dmu_l - dmu_r) on path
@@ -164,7 +162,6 @@ class SolveReport:
     objective: float
     feas_residual: float
     tau_final: float
-    iterations_primal: int
     iterations_pd: int
     mode: str
     params: MethodParams
@@ -174,36 +171,8 @@ class SolveReport:
     # not solve on an earlier step's factor (see _step).
     factorizations: int = 0
     # Coordinates of x rounded into the open box, to +-nextafter(1, 0),
-    # when the solve returned it (kkt._Workspace.rounded_x), and mu
-    # components that the primal-dual steps reset to tau/e (see _repair).
+    # when the solve returned it (kkt._Workspace.rounded_x).
     x_clipped: int = 0
-    mu_reset: int = 0
-
-
-def _repair(ws: _Workspace, kind: str, tau: float) -> None:
-    """Reset the multipliers that a ``kind`` step, just taken in the
-    workspace, drove nonpositive, and count them in ``ws.mu_reset``; a
-    step that left some e = (1 + x, 1 - x) nonpositive is rejected.
-
-    A mu component driven nonpositive by rounding at tiny margins is reset
-    to its central-path value tau/e_j.  e is carried by the steps, not
-    derived from x, so a nonpositive e_j is a step out of the box, not
-    rounding: StepRejected with block ``"interior"``, the minimum of e as
-    its value and 0 as its limit.  :func:`_step` calls this only when the
-    minimum of (mu, e) is not positive.
-    """
-    mu, e = ws.mu, ws.e
-    e_min = float(e.min())
-    if not e_min > 0.0:
-        raise StepRejected(
-            f"{kind} step left the interior: e = (1 + x, 1 - x) reached {e_min!r} <= 0.0",
-            kind=kind, tau=tau, block="interior", value=e_min, limit=0.0,
-        )
-    bad = mu <= 0.0
-    reset = int(np.count_nonzero(bad))
-    if reset:
-        mu[bad] = tau / e[bad]
-    ws.mu_reset += reset
 
 
 def _step(kind: str, ws: _Workspace, tau: float) -> None:
@@ -246,16 +215,21 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     a residual that the previous step's post-check found finite.
 
     The update z + dz carries e along, e + (dx, -dx), and takes the margin,
-    the minimum of (mu, e); only a margin that is not positive calls
-    :func:`_repair`.  e is never re-derived from x, so x may round onto a
-    face while e keeps its distance to it.  The post-check is
+    the minimum of (mu, e).  A margin that is not positive rejects the step,
+    with block ``"interior"``, the margin as its value and 0 as its limit,
+    whichever of mu and e reached it: a step that leaves the box and one
+    that drives a multiplier to zero are rejected alike, and no multiplier
+    is reset.  The method's iterates keep mu_j e_j >= (1 - theta) tau > 0
+    with both factors positive, so a step that crosses zero has left its
+    neighborhood.  e is never re-derived from x, so x may round onto a face
+    while e keeps its distance to it.  The post-check is
     :func:`~boxipm.neighborhoods.check_step` on the residual at the new
     iterate (:meth:`~boxipm.kkt._Workspace.eval_F`): the width bound of its
     kind for a path or centrality step; a failed check raises StepRejected,
     and the step is never damped.  So does a Newton system that overflows,
-    a step that is not finite, a step that leaves the box and a new
-    iterate that is not finite.  A rejected step may leave the state
-    changed, so its caller drops the workspace.
+    a step that is not finite and a new iterate that is not finite.  A
+    rejected step may leave the state changed, so its caller drops the
+    workspace.
 
     The step runs in this one frame, on the views, numpy ufuncs and LAPACK
     and BLAS routines that it looks up at the workspace's first step and
@@ -330,9 +304,11 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     add(e_l, dx, e_l)  # e + (dx, -dx)
     subtract(e_r, dx, e_r)
     margin = reduce_min(mu_e)
-    if margin <= 0.0:
-        _repair(ws, kind, tau)
-        margin = reduce_min(mu_e)
+    if margin <= 0.0:  # a NaN margin passes on to the residual test, which names it
+        raise StepRejected(
+            f"{kind} step left the interior: min(mu, e) reached {float(margin)!r} <= 0.0",
+            kind=kind, tau=tau, block="interior", value=float(margin), limit=0.0,
+        )
     multiply(mu, e, mue)  # mu∘e, as derive_mue writes it
     ws.margin = float(margin)
     ws.eval_F(tau)
@@ -651,7 +627,6 @@ def solve(
         objective=eval_q(p, x),
         feas_residual=residual_norm(p, x),
         tau_final=tau,
-        iterations_primal=mp.K,
         iterations_pd=cycles,
         mode=mode,
         params=mp,
@@ -659,7 +634,6 @@ def solve(
         linear_solves=mp.K + 1 + cycles * len(cycle),
         factorizations=mp.K + ws.factorizations,
         x_clipped=int(np.count_nonzero(x != ws.x)),
-        mu_reset=ws.mu_reset,
     )
 
 

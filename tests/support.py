@@ -75,6 +75,12 @@ def iterate_from_array(v, n, m):
     return Iterate(x=v[:n], lam=v[n : n + m], mu_l=v[n + m : 2 * n + m], mu_r=v[2 * n + m :])
 
 
+def mu_e_row(z):
+    """The iterate z as a batch of one (mu_l, mu_r, 1 + x, 1 - x) row, as
+    :func:`boxipm.neighborhoods.complementarity_gap` takes it."""
+    return np.concatenate([z.mu_l, z.mu_r, 1.0 + z.x, 1.0 - z.x])[None]
+
+
 def random_iterate(rng, n, m):
     """Strictly interior primal-dual point (not on any central path)."""
     from boxipm import Iterate
@@ -91,8 +97,10 @@ def newton_step(ws, tau, reset_only):
     """The Newton step dz that ``boxipm.solver._step`` takes from the
     workspace's state, whose F must hold F_tau: an error reset with
     ``reset_only``, otherwise a centrality step, whose right-hand side -F a
-    path step shares.  The state moves on; a failed post-check, which says
-    nothing of dz, is ignored, and any other rejection raises."""
+    path step shares.  The state moves on; a failed post-check or interior
+    test, which the step makes after it writes dz, H and the factor and
+    which says nothing of them, is ignored, and any other rejection
+    raises."""
     try:
         _step(STEP_ERROR_RESET if reset_only else STEP_CENTRALITY, ws, tau)
     except StepRejected as exc:

@@ -118,7 +118,7 @@ class TestSolveCommand:
         assert run(["solve", box_file]) == 0
         out = json.loads(capsys.readouterr().out)
         report = solve(parse_problem(BOX_TEXT).to_boxqp())
-        assert out["repairs"] == {"x_clipped": report.x_clipped, "mu_reset": report.mu_reset}
+        assert out["repairs"] == {"x_clipped": report.x_clipped}
 
     def test_solve_json_counts_linear_algebra(self, box_file, capsys):
         assert run(["solve", box_file]) == 0
@@ -126,6 +126,9 @@ class TestSolveCommand:
         report = solve(parse_problem(BOX_TEXT).to_boxqp())
         assert out["linear_algebra"] == {
             "solves": report.linear_solves, "factorizations": report.factorizations,
+        }
+        assert out["iterations"] == {
+            "primal": report.params.K, "path_following": report.iterations_pd,
         }
 
     def test_deterministic_stdout(self, box_file, capsys):
@@ -186,7 +189,7 @@ class TestSolveStandardCommand:
         assert run(["solve-standard", std_file]) == 0
         out = json.loads(capsys.readouterr().out)
         box = solve_standard(parse_problem(STD_TEXT).to_standardqp(), tol=1e-2, pi=2.0).box_report
-        assert out["repairs"] == {"x_clipped": box.x_clipped, "mu_reset": box.mu_reset}
+        assert out["repairs"] == {"x_clipped": box.x_clipped}
         assert out["tau_final"] == box.tau_final
 
     def test_deterministic_stdout(self, std_file, capsys):

@@ -14,7 +14,7 @@ from boxipm.neighborhoods import (
     complementarity_gap,
 )
 
-from support import random_boxqp
+from support import mu_e_row, random_boxqp
 from test_kkt import make_mp, near_path_iterate, zeros_problem
 
 
@@ -84,12 +84,12 @@ class TestComplementarityGap:
     def test_central_point(self):
         tau = 0.3
         z = Iterate(x=np.zeros(4), lam=np.zeros(2), mu_l=tau * np.ones(4), mu_r=tau * np.ones(4))
-        assert_allclose(complementarity_gap(z), 2 * 4 * tau)
+        assert_allclose(complementarity_gap(mu_e_row(z)), [2 * 4 * tau])
 
     def test_hand_case(self):
         tau = 0.9
         z = Iterate(x=[0.5], lam=[0.0], mu_l=[2.0 * tau / 3.0], mu_r=[2.0 * tau])
-        assert_allclose(complementarity_gap(z), 2.0 * tau)
+        assert_allclose(complementarity_gap(mu_e_row(z)), [2.0 * tau])
 
     def test_neighborhood_bound(self):
         # any point with comp residual <= theta*tau has gap <= 2n(1+theta)tau
@@ -105,7 +105,7 @@ class TestComplementarityGap:
             mu_l = (tau + d[:n]) / (1.0 + x)
             mu_r = (tau + d[n:]) / (1.0 - x)
             z = Iterate(x=x, lam=np.zeros(1), mu_l=mu_l, mu_r=mu_r)
-            assert complementarity_gap(z) <= 2 * n * (1 + theta) * tau * (1 + 1e-12)
+            assert complementarity_gap(mu_e_row(z))[0] <= 2 * n * (1 + theta) * tau * (1 + 1e-12)
 
 
 class TestMinCompProduct:

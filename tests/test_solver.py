@@ -33,7 +33,6 @@ from boxipm.neighborhoods import check_step
 from boxipm.solver import (
     TRACE_FIELDS,
     _Recorder,
-    _repair,
     _step,
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -48,6 +47,7 @@ from boxipm.solver import (
 )
 from support import (
     batched_cond_DF,
+    mu_e_row,
     newton_step,
     random_boxqp,
     random_boxqp_interior_infeasible,
@@ -592,8 +592,8 @@ class TestStepLoopStructure:
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
         # numpy module calls in kkt, solver and linalg, per step as solve()
-        # makes it (a path step includes its retarget), on steps that make
-        # no repair; the margin's np.minimum.reduce is one, and method calls
+        # makes it (a path step includes its retarget); the margin's
+        # np.minimum.reduce is one, and method calls
         # such as ndarray.dot are not counted.  The step binds its ufuncs at
         # its workspace's first step, after the counter is in place.  The
         # initial reset factors its own matrix; a cycle's reset solves on
@@ -623,7 +623,6 @@ class TestStepLoopStructure:
             mue = ws.mue.copy()
             ws.derive_mue()
             assert mue.tobytes() == ws.mue.tobytes()
-        assert ws.mu_reset == 0
         assert calls == [19] + [20, 19, 12] * 2
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
@@ -660,7 +659,6 @@ class TestStepLoopStructure:
             counter.calls = 0
             record.flush()
             flushes.append(counter.calls)
-        assert ws.mu_reset == 0
         assert calls == [19] + [20, 19, 12] * 6
         assert len(trace) == 1 + 7 + 12 and record.rows == []
         assert flushes == [31, 31]
@@ -781,10 +779,11 @@ def _hand_workspace():
 
 
 class TestRepairInvariants:
-    """A step writes the next state unchecked, and _repair establishes these
-    invariants when its margin is not positive, or rejects the step.  Steps
-    are injected at the LAPACK boundary (:func:`_edit_solutions`) or come
-    from a crafted state."""
+    """A step writes the next state unchecked, and rejects it when its
+    margin, the minimum of (mu, e), is not positive: a step that leaves the
+    box and one that drives a multiplier to zero alike, and no multiplier
+    is reset.  Steps are injected at the LAPACK boundary
+    (:func:`_edit_solutions`) or come from a crafted state."""
 
     @staticmethod
     def _update(ws, dz):
@@ -793,18 +792,46 @@ class TestRepairInvariants:
         np.add(ws.e_l, dz[: ws.n], out=ws.e_l)
         np.subtract(ws.e_r, dz[: ws.n], out=ws.e_r)
 
-    def test_x_outside_the_box_is_rejected(self):
-        ws = _hand_workspace()
-        ws.load(_hand_iterate())
-        dz = np.zeros(3 * 3 + 1)
-        dz[:3] = [0.75, -0.5 - _X_MAX, 1.0]  # 1.25, -1 - eps, 1.0: all leave the open box
-        self._update(ws, dz)
-        with pytest.raises(StepRejected, match="path step left the interior") as info:
-            _repair(ws, STEP_PATH, 0.5)
+    @staticmethod
+    def _rejected_step(monkeypatch, kind, x, dx0):
+        # a step of kind at tau = 0.5 from x with lam = 0 and mu = 1 on the
+        # zero right-hand side, solved as dx = (dx0, 0, 0) and dlam = 0:
+        # dmu = -w∘(dx, -dx), with w = mu/e
+        p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
+        mp = compute_params_practical(p)
+
+        def injected(u):
+            u[:] = 0.0
+            u[0] = dx0
+
+        _edit_solutions(monkeypatch, injected)
+        ws = _Workspace(p, mp)
+        ws.load(Iterate(x=x, lam=[0.0], mu_l=[1.0] * 3, mu_r=[1.0] * 3))
+        ws.eval_F(0.5)
+        ws.F[:] = 0.0
+        with pytest.raises(StepRejected, match=f"{kind} step left the interior") as info:
+            _step(kind, ws, 0.5)
         exc = info.value
-        assert (exc.kind, exc.tau, exc.block, exc.limit) == (STEP_PATH, 0.5, "interior", 0.0)
-        assert exc.value == ws.e.min() < 0.0
-        assert ws.mu_reset == 0
+        assert (exc.kind, exc.tau, exc.block, exc.limit) == (kind, 0.5, "interior", 0.0)
+        assert exc.value == ws.mu_e.min() < 0.0
+        assert list(exc.context()) == ["kind", "tau", "block", "value", "limit"]
+        return ws
+
+    @pytest.mark.parametrize("kind", [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET])
+    def test_x_outside_the_box_is_rejected(self, monkeypatch, kind):
+        # x_0 = 0.5 + 0.75 leaves the box, e_r,0 = -0.25, while mu_l,0 halves
+        # and mu_r,0 grows
+        ws = self._rejected_step(monkeypatch, kind, [0.5, -0.5, 0.0], 0.75)
+        assert ws.e_r[0] == -0.25 == ws.mu_e.min()
+        assert ws.mu.min() > 0.0
+
+    @pytest.mark.parametrize("kind", [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET])
+    def test_a_step_that_drives_mu_negative_inside_the_box_is_rejected(self, monkeypatch, kind):
+        # dx_0 = -1.35 keeps x_0 = 0.5 - 1.35 in the box, e_l,0 = 0.15, and
+        # drives mu_r,0 = 1 + (1/0.5)(-1.35) to -1.7
+        ws = self._rejected_step(monkeypatch, kind, [0.5, -0.5, 0.0], -0.9 * 1.5)
+        assert ws.e.min() > 0.0
+        assert ws.mu_r[0] == ws.mu_e.min() < 0.0
 
     def test_x_on_a_face_is_rounded_where_it_is_handed_out(self):
         # e keeps a distance of 2^-54 to the faces, which x, rounded onto
@@ -823,30 +850,28 @@ class TestRepairInvariants:
         z = ws.iterate()
         assert z.x.tobytes() == x.tobytes()
 
-    def test_nonpositive_mu_reset_bit_for_bit_and_counted(self):
-        z = _hand_iterate()
-        ws = _hand_workspace()
-        ws.load(z)
-        tau = 0.3
-        dz = np.zeros(3 * 3 + 1)
-        dz[:3] = [0.25, -0.125, 0.0]
-        dz[4:7] = [-1.0, -3.0, 0.25]  # mu_l -> 0.0, -1.0, 0.75
-        dz[7:] = [0.0, -1.0, -2.5]  # mu_r -> 0.5, 0.0, -0.5
-        self._update(ws, dz)
-        _repair(ws, STEP_CENTRALITY, tau)
-        z_new = ws.iterate()
-        assert ws.mu_reset == 4
-        assert z_new.mu_l[:2].tobytes() == (tau / ws.e_l[:2]).tobytes()
-        assert z_new.mu_l[2] == 0.75
-        assert z_new.mu_r[1:].tobytes() == (tau / ws.e_r[1:]).tobytes()
-        assert z_new.mu_r[0] == 0.5
-        assert z_new.mu_l.min() > 0.0 and z_new.mu_r.min() > 0.0
-        # the unchecked result is a valid Iterate
-        Iterate(x=z_new.x, lam=z_new.lam, mu_l=z_new.mu_l, mu_r=z_new.mu_r)
+    def test_an_error_reset_that_drives_mu_negative_is_rejected(self):
+        # a public reset at x = 0.5 with c set so that the Newton step is
+        # dx = -(1 + 1e-9)/2, just past e_r: mu_r = 1e-3 (1 + dx/e_r) reaches
+        # -1e-12, while e stays positive.  Resetting mu_r to tau/e_r = 1e-12
+        # would leave ||(r1, r2)|| = 2e-12, inside the reset's floor of
+        # 8.9e-12, so only the interior test rejects the step.
+        mp = make_mp()  # omega = 1
+        tau = 1e-12
+        z = Iterate(x=[0.5], lam=[0.0], mu_l=[1e-3], mu_r=[1e-3])
+        r1 = eval_F(zeros_problem(tol=0.1), mp, z, tau).r1[0]
+        G = 1.0 + 1e-3 / 1.5 + 1e-3 / 0.5  # omega + mu_l/(1 + x) + mu_r/(1 - x)
+        p = BoxQP(Q=[[0.0]], c=[0.5 * (1.0 + 1e-9) * G - r1], A=[[0.0]], b=[0.0], tol=0.1)
+        with pytest.raises(StepRejected, match="error_reset step left the interior") as info:
+            error_reset_step(p, mp, z, tau)
+        exc = info.value
+        assert (exc.kind, exc.tau, exc.block, exc.limit) == (STEP_ERROR_RESET, tau, "interior", 0.0)
+        assert -1.1e-12 < exc.value < -0.9e-12
 
-    def test_a_step_that_drives_mu_negative_is_repaired_and_counted(self):
+    def test_a_step_that_drives_mu_negative_is_rejected(self):
         # a crafted right-hand side at a central point: g3 = -2 tau and
-        # g1 = -g3/(1+x) give dx = 0 and dmu_l = g3/(1+x) = -2 mu_l
+        # g1 = -g3/(1+x) give dx = 0 and dmu_l = g3/(1+x) = -2 mu_l.  Its
+        # |mu_l (1 + x) - tau| = 2 tau is far outside the half width.
         p = zeros_problem()
         mp = make_mp()
         tau = 0.5
@@ -855,12 +880,12 @@ class TestRepairInvariants:
         ws.load(z)
         ws.eval_F(tau)
         ws.F[:] = [-1.0 / 1.25, 0.0, 1.0, 0.0]  # g = (1/1.25, 0, -1, 0)
-        _step(STEP_CENTRALITY, ws, tau)
+        with pytest.raises(StepRejected, match="centrality step left the interior") as info:
+            _step(STEP_CENTRALITY, ws, tau)
         assert ws.dz[0] == 0.0 and ws.dz[2] == -2.0 * z.mu_l[0]
-        assert ws.mu_reset == 1
-        assert ws.mu_l[0] == tau / ws.e_l[0]
-        # mu∘e is derived from the repaired state
-        assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
+        exc = info.value
+        assert (exc.kind, exc.tau, exc.block, exc.limit) == (STEP_CENTRALITY, tau, "interior", 0.0)
+        assert exc.value == ws.mu_l[0] == -z.mu_l[0] < 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_is_rejected(self, monkeypatch, bad):
@@ -929,13 +954,16 @@ class TestRepairInvariants:
         # dlam/s, which the step scales back exactly); dmu
         # = g34/e - w∘(dx, -dx) from dx in a reset, whose g34 is 0, and from
         # a crafted g34 with dx = 0 in the other steps; the reset's dx takes
-        # x 0.9 of the way to the face, so the step stays in the box.  (r1,
-        # r2) of the right-hand side is zero, so that v stays finite.
+        # x 0.9 of the way to the face, so the step stays in the box, and,
+        # from x_j = 0, takes the other multiplier of coordinate j to 0.1
+        # of its value, so that no component reaches 0 and the overflow is
+        # what the step is rejected for.  (r1, r2) of the right-hand side
+        # is zero, so that v stays finite.
         p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
         mp = compute_params_practical(p)
         huge = 1e308
         values = {"x": [0.5, -0.5, 0.0], "lam": [0.0], "mu_l": [1.0] * 3, "mu_r": [1.0] * 3}
-        j = 2 if block == "mu_r" else 0  # where mu/(1 +- x) stays finite in the reduced matrix
+        j = 0 if block == "lam" else 2  # x_j = 0: mu_j/(1 +- x_j) stays finite in the reduced matrix
         values[block][j] = huge
         z = Iterate(**values)
         at = {"lam": 3, "mu_l": 4, "mu_r": 7}[block] + j
@@ -1060,6 +1088,34 @@ class TestStructuredRejection:
             tau = mp.sigma * tau
         assert exc.tau == tau
 
+    @pytest.mark.parametrize("fail_at, cycle, kind", [
+        (1, 0, STEP_ERROR_RESET), (4, 1, STEP_ERROR_RESET), (6, 2, STEP_CENTRALITY),
+    ])
+    def test_solve_names_the_cycle_of_an_interior_rejection(
+        self, monkeypatch, fail_at, cycle, kind
+    ):
+        # dx_0 = 4 takes x_0 out of the box, on a factoring step or on a
+        # cycle's reset, which solves on its centrality step's factor
+        calls = {"solve": 0}
+
+        def leaving(u):
+            calls["solve"] += 1
+            if calls["solve"] == fail_at:
+                u[0] = 4.0
+
+        _edit_solutions(monkeypatch, leaving)
+        p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
+        with pytest.raises(StepRejected, match=f"{kind} step left the interior") as info:
+            solve(p, mode="stable")
+        exc = info.value
+        assert (exc.cycle, exc.kind, exc.block, exc.limit) == (cycle, kind, "interior", 0.0)
+        assert exc.value < 0.0
+        mp = compute_params_practical(p)
+        tau = mp.tau_A
+        for _ in range(cycle):
+            tau = mp.sigma * tau
+        assert exc.tau == tau
+
     @pytest.mark.parametrize("mode", ["stable", "fast"])
     @pytest.mark.parametrize("fail_at", [1, 2, 6, 200])
     def test_traced_solve_is_rejected_as_the_untraced_one(self, monkeypatch, mode, fail_at):
@@ -1135,13 +1191,11 @@ class TestRepairCounters:
         rep = solve(random_boxqp(rng, 3, 2, feasible=False, tol=1e-2))
         assert rep.x_clipped == 1
         assert np.abs(rep.x).max() == _X_MAX
-        assert rep.mu_reset == 0
 
     def test_feasible_instance_does_not(self):
         rng = np.random.default_rng(7)
         rep = solve(random_boxqp(rng, 3, 2, feasible=True, tol=1e-2))
         assert rep.x_clipped == 0
-        assert rep.mu_reset == 0
 
 
 # seed, n, m, feasible, mode: draws at scale 1e4 and tol 1e-4 whose solve
@@ -1370,7 +1424,7 @@ class TestTraceDoesNotChangeTheSolve:
         plain, traced = solve(p, mode=mode), solve(p, mode=mode, collect_trace=True)
         assert plain.trace == [] and len(traced.trace) == traced.linear_solves + 1
         assert plain.x.tobytes() == traced.x.tobytes()
-        for name in ("tau_final", "linear_solves", "iterations_pd", "x_clipped", "mu_reset"):
+        for name in ("tau_final", "linear_solves", "iterations_pd", "x_clipped"):
             assert getattr(plain, name) == getattr(traced, name), name
 
 
@@ -1510,7 +1564,8 @@ class TestTraceProperties:
             z = error_reset_step(p, mp, z, tau)
             products = np.concatenate([(1.0 + z.x) * z.mu_l, (1.0 - z.x) * z.mu_r])
             assert products.min() >= (1.0 - mp.theta - 1e-8) * tau
-            assert complementarity_gap(z) <= 2 * p.n * (1 + mp.theta) * tau * (1 + 1e-8)
+            gap = complementarity_gap(mu_e_row(z))[0]
+            assert gap <= 2 * p.n * (1 + mp.theta) * tau * (1 + 1e-8)
 
 
 class TestSolveStandard:
