@@ -269,7 +269,9 @@ class _Workspace:
     no LAPACK routine and loads no ``scipy.linalg``.  ``factor`` is the
     Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
     computed, ``None`` after :meth:`load`, and ``factorizations`` counts
-    those steps.
+    those steps.  ``after_reset`` says whether the last step was an error
+    reset, ``False`` after :meth:`load`: a path step right after one
+    solves on ``factor`` too.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -296,7 +298,7 @@ class _Workspace:
     transpose.  ``sign`` is -1 on the stationarity and complementarity rows
     and s on the equality rows: ``sign * F`` is -F with the equality rows
     negated once more and scaled.  ``t`` = g34/e and ``w`` = mu/e are the
-    step's scratch; a later reset on a factoring step's factor derives its
+    step's scratch; a later step on a factoring step's factor derives its
     dmu from the ``w`` that step left.
 
     The workspace holds nothing for the trace: a traced solve's recorder
@@ -341,6 +343,7 @@ class _Workspace:
         self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
         self.dmu2 = self.dz_mu.reshape(2, n)
         self.factor, self.factorizations = None, 0
+        self.after_reset = False
         self.bound = None
 
     def load(self, z: Iterate) -> None:
@@ -349,7 +352,7 @@ class _Workspace:
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
-        self.factor = None
+        self.factor, self.after_reset = None, False
         np.add(_ONE, self.x, self.e_l)
         np.subtract(_ONE, self.x, self.e_r)
         self.derive_mue()

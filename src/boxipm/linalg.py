@@ -10,8 +10,8 @@ each only a normwise backward-stable solve:
 - The primal-dual Newton systems, which are symmetric indefinite once a
   block row is negated, are solved by Bunch-Kaufman LDL' (LAPACK dsysv)
   in one call, which also returns the factor it computed; a cycle's
-  error reset solves another right-hand side on that factor by the
-  triangular solves alone (LAPACK dsytrs).  :func:`solve_symmetric` is
+  error reset, and the path step after it, solve other right-hand sides
+  on that factor by the triangular solves alone (LAPACK dsytrs).  :func:`solve_symmetric` is
   that dsysv call.  The step itself (``boxipm.solver._step``) binds
   dsysv, dsytrs and BLAS dasum once per workspace and makes the same
   calls inline, with the arguments in their positional slots; the tests

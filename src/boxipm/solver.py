@@ -9,10 +9,12 @@ Three phases:
 3. Path following: at most M cycles.  Each cycle reduces tau by the factor
    sigma with a path step; in ``stable`` mode a centrality step (same tau)
    and an error-reset step follow, so rounding errors cannot accumulate
-   across cycles.  The three steps solve three linear systems on two
-   factorizations: the reset solves on the centrality step's factor.
-   ``fast`` mode solves one system per cycle and is appropriate when
-   stability is not a concern.
+   across cycles.  The three steps solve three linear systems on one
+   factorization: the centrality step's, on which the reset and then the
+   next cycle's path step solve.  ``fast`` mode solves one system per
+   cycle, on a factorization of its own but for the first path step, which
+   solves on the initial reset's, and is appropriate when stability is not
+   a concern.
 
 ``solve()`` is built from the public step functions: it runs the primal
 loop behind ``primal_init``, then ``lift``, and makes every primal-dual
@@ -33,8 +35,9 @@ built once per solve and once per call of a public step function: it holds
 the one primal-dual state of the solve, which each step updates in place,
 and each step solves its reduced Newton system with one symmetric LAPACK
 call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or, for a
-cycle's error reset, the triangular solves alone (``dsytrs``) on the
-factor its centrality step left.  A step is a full Newton step or a
+cycle's error reset and a path step right after a reset, the triangular
+solves alone (``dsytrs``) on the factor the last factoring step left.  A
+step is a full Newton step or a
 rejection, so nothing reads the state a step started from once it is
 taken.  ``_step`` runs a whole step in one frame (the residual is one
 method call, :meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve,
@@ -121,10 +124,13 @@ class TraceEntry:
     rows LAPACK's estimate of kappa_1 of the R factor of the Hessian of f,
     on primal-dual rows the exact kappa_1 of the N x N DF that the step
     solves, from the factor of its (n+m) reduction.  That DF is the one at
-    the step's start, except on a cycle's error-reset row: the reset solves
-    on its centrality step's factor, so its row repeats the centrality
-    row's value, with no dsytri of its own.  The lift row shares the
-    initial reset's value, and the initial reset factors its own DF.
+    the step's start, except on the rows of steps that solve on the held
+    factor: a cycle's error reset, which repeats its centrality row's
+    value, and a path step right after a reset, which repeats the value of
+    the row that factored, the centrality row of the cycle before or, on
+    the first cycle, the initial reset's; neither takes a dsytri of its
+    own.  The lift row shares the initial reset's value, and the initial
+    reset factors its own DF.
     Primal-dual rows are built per batch (:class:`_Recorder`), each
     value with the same bits as a row built right after its step.
     interior_margin is 1 - ||x||_inf on primal rows; on primal-dual rows it
@@ -214,6 +220,29 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     w - w' is the change of one step.  v needs no test: it is (-r1, s r2) of
     a residual that the previous step's post-check found finite.
 
+    A path step right after an error reset (``ws.after_reset``) factors
+    nothing either: it solves on the held factor by dsytrs, with its w'.
+    This is the chord (simplified Newton) method (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).
+    In a stable solve the held factor is the centrality step's, so a cycle
+    factors once; in a fast solve only the first path step, after the
+    initial reset, has one.  Its right-hand side is g34/e at the current
+    e, t, and v = (g1 + t_l - t_r, -s g2), whose dasum alone is tested, as
+    the held G was when it was factored; dmu = t - w'∘(dx, -dx).  (r1, r2)
+    cancel as on a fresh factor: with this dmu the stationarity row is the
+    reduced system with w' in G.  The new complementarity blocks are
+    mu∘e - tau + mu∘de + e∘dmu + dmu∘de = e∘(w - w')∘de + dmu∘de, where a
+    factor at z leaves only the dmu∘de that every Newton step leaves.  The
+    error term e∘(w - w')∘de is the product of the path step and the change
+    of w since the factoring step started (a centrality step and a reset,
+    or the initial reset alone; at most 0.3% relative on the draws
+    measured), so it is of the order of dmu∘de, and the post-check judges
+    the step as it judges any other.  One rule serves both params modes.
+    The paper's analysis assumes exact Newton steps: the multiprecision
+    reference of ROADMAP item 7 must check that with the stale w' every
+    path step still meets its width bound with zero slack, and that K, M
+    and the cycles stay the same.
+
     The update z + dz carries e along, e + (dx, -dx), and takes the margin,
     the minimum of (mu, e).  A margin that is not positive rejects the step,
     with block ``"interior"``, the margin as its value and 0 as its limit,
@@ -258,7 +287,9 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
      dsysv, dsytrs, dasum) = bound
     multiply(sign, F, dz)  # (g1, -s g2, g3, g4)
     reset = kind == STEP_ERROR_RESET
-    if reset and ws.factor is not None:
+    held = (reset and ws.factor is not None) or (kind == STEP_PATH and ws.after_reset)
+    ws.after_reset = reset
+    if reset and held:
         ldu, ipiv = ws.factor
         info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
         if info:
@@ -273,25 +304,35 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
         divide(dz_mu, e, t)
         add(dx, t_l, dx)
         subtract(dx, t_r, dx)
-        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
-        divide(mu, e, w)
-        add(qdiag, w_l, hdiag)
-        add(hdiag, w_r, hdiag)
-        # hdiag, summed in place: its (d + 1)-strided slots of H's buffer
-        if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
-            # z and tau were checked where they entered, so a non-finite
-            # system here is an overflow in forming it.  hdiag is a sum of
-            # finite terms and nonnegative w: finite or +inf, never NaN.
-            if not hdiag.max() < math.inf:
-                raise StepRejected(_OVERFLOW.format("G"), kind=kind, tau=tau)
-            if not np.isfinite(dz_u).all():
+        if held:
+            # the held factor's G was tested when it was factored: v alone
+            if not math.isfinite(dasum(dz_u)) and not np.isfinite(dz_u).all():
                 raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
-        ldu, ipiv, _, info = dsysv(H, dz_u, d, 0, 0, 1)
-        if info:
-            _check_info("dsysv", info)
-        ws.factor = ldu, ipiv
-        ws.factorizations += 1
-        # dmu = g34/e - w∘(dx, -dx): g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
+            ldu, ipiv = ws.factor
+            info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
+            if info:
+                _check_info("dsytrs", info)
+        else:
+            # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
+            divide(mu, e, w)
+            add(qdiag, w_l, hdiag)
+            add(hdiag, w_r, hdiag)
+            # hdiag, summed in place: its (d + 1)-strided slots of H's buffer
+            if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
+                # z and tau were checked where they entered, so a non-finite
+                # system here is an overflow in forming it.  hdiag is a sum of
+                # finite terms and nonnegative w: finite or +inf, never NaN.
+                if not hdiag.max() < math.inf:
+                    raise StepRejected(_OVERFLOW.format("G"), kind=kind, tau=tau)
+                if not np.isfinite(dz_u).all():
+                    raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
+            ldu, ipiv, _, info = dsysv(H, dz_u, d, 0, 0, 1)
+            if info:
+                _check_info("dsysv", info)
+            ws.factor = ldu, ipiv
+            ws.factorizations += 1
+        # dmu = g34/e - w∘(dx, -dx), with the w of the factor's own step:
+        # g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
         multiply(w2, dx, dmu2)
         subtract(t_l, dmu_l, dmu_l)
         add(t_r, dmu_r, dmu_r)
@@ -445,7 +486,8 @@ class _Recorder:
     workspace's (z, e) buffer ``ze`` and step ``dz``, and, when the step
     factored (``ws.factorizations`` grew), the factor's ``ldu`` into a
     slot of a stack, keeping ``ipiv``; the workspace's factor is not
-    written, so a cycle's reset still solves on it.  It keeps the row's
+    written, so a cycle's reset and the path step after it still solve on
+    it.  It keeps the row's
     scalars as they are.
 
     Once ``TRACE_BATCH`` factors are pending, or the row buffers are full,
@@ -457,8 +499,9 @@ class _Recorder:
     ``ndarray.dot`` makes it; and :func:`complementarity_gap` gives every
     row's gap in one call.  So every value has the bits that the row would
     have if it were built right after its step.  A row that did not factor
-    takes the value of the last factor before it, a cycle's reset its
-    centrality step's, in this batch or carried over from the last one;
+    takes the value of the last factor before it, a cycle's reset and the
+    next path step their centrality step's, in this batch or carried over
+    from the last one;
     the lift row takes the next one's, the initial reset's.  Row 0 of the
     snapshot buffer carries the last row of the previous batch, the start
     of a step that opens the next one.
@@ -466,7 +509,10 @@ class _Recorder:
 
     def __init__(self, ws: _Workspace, trace: list):
         n, d = ws.n, ws.n + ws.m
-        rows = 2 * TRACE_BATCH  # a stable cycle adds 3 rows on 2 factors
+        # A stable cycle adds 3 rows on 1 factor, and a batch opens with
+        # the reset and path rows of the cycle whose factor closed the last
+        # one: at most 3 rows per factor, so a flush batches TRACE_BATCH.
+        rows = 3 * TRACE_BATCH
         self.ws, self.trace = ws, trace
         self.ze = np.empty((rows + 1, ws.ze.shape[0]))
         self.dz = np.empty((rows, ws.dz.shape[0]))
@@ -545,9 +591,10 @@ def solve(
     ----------
     mode : {"stable", "fast"}
         ``stable`` performs the path, centrality and error-reset solves each
-        cycle (3 linear systems on 2 factorizations: the reset solves on
-        the centrality step's factor); ``fast`` performs the path solve
-        only.
+        cycle (3 linear systems on 1 factorization: the reset and the next
+        cycle's path step solve on the centrality step's factor); ``fast``
+        performs the path solve only, on a factorization of its own but
+        for the first one, which solves on the initial reset's.
     params_mode : {"strict", "practical"}
         Strict uses the pure theoretical parameter cascade (may raise
         ParamOverflow); practical applies representability floors and always
@@ -557,7 +604,8 @@ def solve(
         ``cond_DF`` is a 1-norm condition number read off the factor the
         step solved with: on primal-dual rows the exact kappa_1 of DF, from
         one LAPACK dsytri on the reduced matrix's factor per factorization,
-        so a cycle's error-reset row repeats its centrality row's value; on
+        so the rows of a cycle's error reset and of a path step right after
+        a reset repeat the value of the row that factored; on
         primal rows dtrcon's estimate for the Hessian's R.  The steps only
         record; primal-dual rows are built per batch of ``TRACE_BATCH``
         factors, with the bits a row built right after its step would

@@ -7,7 +7,9 @@ oracle's, as in acceptance criterion 1.  The trace's condition number of
 DF, taken from the factor of the step's reduced matrix, must be the exact
 kappa_1 of DF on the same families.  Every path and centrality step of a
 traced solve must meet the width bound of its kind, with no allowance
-beyond the post-check's roundoff grace, at a strictly interior point.
+beyond the post-check's roundoff grace, at a strictly interior point.  A
+solve factors once per cycle, plus the K Hessians and, in stable mode, the
+initial reset.
 ``derandomize=True`` makes the examples the same on every run.
 """
 
@@ -122,3 +124,30 @@ def test_every_step_meets_the_width_bound(family, n, m, seed, mode):
             assert e.interior_margin > 0.0
             steps += 1
     assert steps >= rep.iterations_pd > 0
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(("feasible",) + FAMILIES),
+    n=st.integers(1, 6),
+    m=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["stable", "fast"]),
+)
+@example(family="all_zero", n=1, m=0, seed=0, mode="fast")
+@example(family="interior_infeasible", n=4, m=2, seed=8, mode="stable")
+def test_one_factorization_per_cycle(family, n, m, seed, mode):
+    # the K Hessians and one per cycle, the centrality step (stable) or the
+    # path step (fast), plus the initial reset in stable mode: a path step
+    # right after a reset solves on the held factor, so a fast solve's
+    # first one does on the initial reset's
+    p = degenerate_boxqp(family, n, m, seed, 1e-2)
+    rep = solve(p, mode=mode)
+    K, cycles = rep.params.K, rep.iterations_pd
+    if mode == "stable":
+        assert rep.linear_solves == K + 1 + 3 * cycles
+        assert rep.factorizations == K + 1 + cycles
+    else:
+        assert rep.linear_solves == K + 1 + cycles
+        assert rep.factorizations == K + cycles
+    assert cycles > 0

@@ -380,12 +380,12 @@ def _solve_digest(rep):
 
 # seed, n, m, feasible, mode, traced, digest
 _DIGEST_CASES = [
-    (61, 3, 2, True, "stable", True, "8ccc8605b486b3d1"),
+    (61, 3, 2, True, "stable", True, "33bcea707fb0a5f5"),
     (62, 5, 2, True, "fast", False, "45873c73ba8539a1"),
-    (63, 8, 3, True, "stable", False, "a2c4435147a53fc5"),
-    (64, 5, 2, False, "stable", True, "6e78bc7b046fb8f3"),
-    (65, 3, 1, False, "fast", True, "145942242fe4f22f"),
-    (66, 8, 3, False, "stable", False, "e79adba84d7b63ea"),
+    (63, 8, 3, True, "stable", False, "ac3b7ebec4fcb6c8"),
+    (64, 5, 2, False, "stable", True, "8dd3d1abaa12cbfe"),
+    (65, 3, 1, False, "fast", True, "c6b13566ad20b203"),
+    (66, 8, 3, False, "stable", False, "2986ae9346411df3"),
 ]
 
 
@@ -444,6 +444,17 @@ class TestSolveBytes:
     # and the objective by at most 5.3e-15; 64, 65 and 66 kept their
     # digests.  Before: 61 b49dadfbcbaea3b5, 62 2bc42ae1547b1c62,
     # 63 2839a486398df334.
+    # Five digests (61, 63, 64, 65, 66) were re-measured when a path step
+    # right after an error reset began to solve on the held factor (LAPACK
+    # dsytrs) with that factor's w, instead of factoring its own matrix:
+    # every stable cycle's path step and a fast solve's first one.  The
+    # counts (linear_solves, iterations_pd) stayed the same; factorizations
+    # fell to K + 1 + cycles (stable) and K + cycles (fast); x moved by at
+    # most 2.2e-15 and the objective by at most 4.5e-15; 66's x_clipped
+    # went from 0 to 2.  62 (fast, untraced) kept its digest, and so did
+    # 65's x: its digest moved with the trace row of the reused step.
+    # Before: 61 8ccc8605b486b3d1, 63 a2c4435147a53fc5, 64 6e78bc7b046fb8f3,
+    # 65 145942242fe4f22f, 66 e79adba84d7b63ea.
     # The test ids carry the seed and shape, not the digest, so that a
     # re-measurement keeps the test names.
     @pytest.mark.parametrize(
@@ -570,25 +581,30 @@ class TestStepLoopStructure:
         cycles = rep.iterations_pd
         assert pd_steps > 100
         assert calls["factor"] == rep.params.K  # the primal Hessian steps only
-        # one LAPACK call per primal-dual step: each cycle's reset solves on
-        # its centrality step's factor (dsytrs), every other step factors
-        assert lapack.calls["dsysv"] == pd_steps - cycles
-        assert lapack.calls["dsytrs"] == cycles
+        # one LAPACK call per primal-dual step: each cycle's reset and the
+        # next path step solve on its centrality step's factor (dsytrs), the
+        # first path step on the initial reset's; the initial reset and the
+        # centrality steps factor
+        assert lapack.calls["dsysv"] == 1 + cycles
+        assert lapack.calls["dsytrs"] == 2 * cycles
         assert calls["eval_F"] == pd_steps + 1  # + F at the lift point
         assert calls["post_init"] == 1  # the lift point
         assert calls["workspace"] == 1
         assert calls["check_step"] == pd_steps  # one rule, once per step
         assert calls["symmetric_inverse"] == 0  # only traced solves take cond(DF)
 
-    @pytest.mark.parametrize("mode, per_cycle", [("stable", 2), ("fast", 1)])
-    def test_factorizations_are_the_factoring_lapack_calls(self, monkeypatch, mode, per_cycle):
+    @pytest.mark.parametrize("mode, initial", [("stable", 1), ("fast", 0)])
+    def test_factorizations_are_the_factoring_lapack_calls(self, monkeypatch, mode, initial):
         # QR of the K Hessians (dgeqp3) and Bunch-Kaufman (dsysv) of every
-        # primal-dual step but a cycle's reset
+        # primal-dual step that does not solve on the held factor: the
+        # initial reset and one step per cycle, the centrality step (stable)
+        # or the path step (fast), but for a fast solve's first path step,
+        # which solves on the initial reset's factor
         lapack = _CountingLapack()
         monkeypatch.setattr(boxipm.linalg, "lapack", lapack)
         rep = solve(random_boxqp(np.random.default_rng(13), 4, 2, tol=1e-2), mode=mode)
         assert rep.factorizations == lapack.calls["dgeqp3"] + lapack.calls["dsysv"]
-        assert rep.factorizations == rep.params.K + 1 + per_cycle * rep.iterations_pd
+        assert rep.factorizations == rep.params.K + initial + rep.iterations_pd
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
         # numpy module calls in kkt, solver and linalg, per step as solve()
@@ -596,8 +612,9 @@ class TestStepLoopStructure:
         # np.minimum.reduce is one, and method calls
         # such as ndarray.dot are not counted.  The step binds its ufuncs at
         # its workspace's first step, after the counter is in place.  The
-        # initial reset factors its own matrix; a cycle's reset solves on
-        # the centrality step's factor and rebuilds nothing.
+        # initial reset and the centrality steps factor their own matrices;
+        # a cycle's reset and the path step after a reset solve on the held
+        # factor and rebuild no Q block diagonal.
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = _Workspace(p, mp)
@@ -623,7 +640,7 @@ class TestStepLoopStructure:
             mue = ws.mue.copy()
             ws.derive_mue()
             assert mue.tobytes() == ws.mue.tobytes()
-        assert calls == [19] + [20, 19, 12] * 2
+        assert calls == [19] + [17, 19, 12] * 2
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
         # as above, each step followed by its trace row: recording a row
@@ -659,7 +676,7 @@ class TestStepLoopStructure:
             counter.calls = 0
             record.flush()
             flushes.append(counter.calls)
-        assert calls == [19] + [20, 19, 12] * 6
+        assert calls == [19] + [17, 19, 12] * 6
         assert len(trace) == 1 + 7 + 12 and record.rows == []
         assert flushes == [31, 31]
 
@@ -701,9 +718,9 @@ class TestStepLoopStructure:
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
         # step's one symmetric solve made: one dsytri per factoring
-        # primal-dual step, none for a cycle's reset, which solves on its
-        # centrality step's factor (dsytrs), no LU, and no N x N array made
-        # through numpy or LAPACK in kkt, solver or linalg
+        # primal-dual step, none for a cycle's reset or a path step after a
+        # reset, which solve on the held factor (dsytrs), no LU, and no
+        # N x N array made through numpy or LAPACK in kkt, solver or linalg
         n, m = 4, 2
         N = 3 * n + m
         lapack_calls, shapes = {}, set()
@@ -736,9 +753,10 @@ class TestStepLoopStructure:
         assert calls == {"workspace": 1}
         assert lapack_calls == {
             "dgeqp3": rep.params.K, "dormqr": rep.params.K, "dtrtrs": rep.params.K,
-            "dtrcon": rep.params.K, "dsysv": pd_steps - cycles, "dsytrs": cycles,
-            "dsytri": pd_steps - cycles,
+            "dtrcon": rep.params.K, "dsysv": 1 + cycles, "dsytrs": 2 * cycles,
+            "dsytri": 1 + cycles,
         }
+        assert pd_steps == 1 + 3 * cycles
         shapes |= counter.shapes
         assert (N, N) not in shapes and (n + m, n + m) in shapes
 
@@ -1024,6 +1042,27 @@ class TestRepairInvariants:
                 _step(kind, ws, 1.0)
             assert info.value.kind == kind
 
+    @pytest.mark.parametrize("bad_v", [np.nan, np.inf])
+    def test_a_path_step_on_the_held_factor_names_v(self, bad_v):
+        # after a reset the path step solves on the held factor, whose G was
+        # tested when it was factored, so it tests v alone
+        p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
+        mp = compute_params_practical(p)
+        ws = _Workspace(p, mp)
+        ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(mp.tau_A)
+        _step(STEP_ERROR_RESET, ws, mp.tau_A)
+        tau = mp.sigma * mp.tau_A
+        ws.retarget(tau)
+        ws.F[1] = bad_v  # the x block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                StepRejected, match="Newton system overflowed: v contains non-finite"
+            ) as info:
+                _step(STEP_PATH, ws, tau)
+        assert info.value.kind == STEP_PATH and ws.factorizations == 1
+
     def test_finite_system_near_overflow_is_solved_without_a_warning(self):
         # sum(hdiag) and v'v would overflow, and ndarray.dot warns when it
         # overflows; every entry is finite, so the finiteness test passes
@@ -1255,8 +1294,10 @@ class TestCondDF:
     def test_rows_are_the_exact_kappa_1_where_each_step_starts(self):
         # replay a traced solve step by step, each DF at the (mu, e) that
         # the workspace carries; the lift row shares the initial reset's
-        # value, and a cycle's reset row its centrality row's, whose
-        # factor, and so whose DF, the reset solves with
+        # value.  A row that solves on the held factor, a cycle's reset
+        # and a path step right after a reset, takes the value of the row
+        # that factored it, the kappa_1 of the DF at that row's start, not
+        # at its own
         p = random_boxqp(np.random.default_rng(33), 3, 2, feasible=False, tol=1e-2)
         rep = solve(p, collect_trace=True)
         pd_rows = rep.trace[rep.params.K :]
@@ -1264,18 +1305,23 @@ class TestCondDF:
         ws = _Workspace(p, mp)
         ws.load(lift(p, mp, primal_init(p, mp)))
         ws.eval_F(mp.tau_A)
-        tau = mp.tau_A
+        tau, held = mp.tau_A, 0
         for before, row in zip(pd_rows, pd_rows[1:]):
             if row.step_kind == STEP_PATH:
                 tau = row.tau
                 ws.retarget(tau)
-            if row.step_kind == STEP_ERROR_RESET and before.step_kind == STEP_CENTRALITY:
-                assert row.cond_DF == before.cond_DF
-            else:  # the initial reset, path and centrality rows
+            if (before.step_kind, row.step_kind) in (
+                (STEP_CENTRALITY, STEP_ERROR_RESET), (STEP_ERROR_RESET, STEP_PATH)
+            ):
+                assert row.cond_DF == factored.cond_DF
+                held += 1
+            else:  # the initial reset, the centrality rows and fast path rows
                 J = _DF_of_state(ws)
                 exact = np.linalg.norm(J, 1) * np.linalg.norm(np.linalg.inv(J), 1)
                 assert row.cond_DF == pytest.approx(exact, rel=1e-6)
+                factored = row
             _step(row.step_kind, ws, tau)
+        assert held == 2 * rep.iterations_pd
         assert pd_rows[0].cond_DF == pd_rows[1].cond_DF
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -1415,6 +1461,61 @@ class TestResetOnTheCentralityFactor:
         assert tau <= mp.tau_E * (1.0 + 1e-10)
 
 
+class TestPathOnTheResetFactor:
+    """A path step right after an error reset solves on the held factor and
+    its w (``_step``): the centrality step's, or in the first cycle the
+    initial reset's, as a fast solve's first path step does.  On every cycle
+    of a stable solve, it is held against a fresh-factor path step from the
+    same state (z, e), in a workspace of its own."""
+
+    @pytest.mark.parametrize(
+        "family, seed, n, m", _STALE_W_DRAWS,
+        ids=[f"{d[0]}-seed{d[1]}-n{d[2]}-m{d[3]}" for d in _STALE_W_DRAWS],
+    )
+    def test_stale_w_moves_only_the_complementarity_blocks(self, family, seed, n, m):
+        p = _stale_w_problem(family, seed, n, m)
+        mp = compute_params_practical(p)
+        eq_floor = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z  # the reset's post-check
+        ws = _Workspace(p, mp)
+        ws.load(lift(p, mp, primal_init(p, mp)))
+        ws.eval_F(mp.tau_A)
+        tau = mp.tau_A
+        _step(STEP_ERROR_RESET, ws, tau)
+        for _ in range(mp.M):
+            tau = mp.sigma * tau
+            ws.retarget(tau)
+            fresh = _Workspace(p, mp)
+            fresh.ze[:] = ws.ze
+            fresh.derive_mue()
+            fresh.eval_F(tau)
+            _step(STEP_PATH, fresh, tau)
+            w_stale, w, e = ws.w.copy(), ws.mu / ws.e, ws.e.copy()
+            factorizations = ws.factorizations
+            _step(STEP_PATH, ws, tau)
+            assert ws.factorizations == factorizations
+            # (r1, r2) cancel as on a fresh factor: the stationarity row with
+            # dmu = g34/e - w_stale∘de is the reduced system with w_stale
+            assert max(ws.eq_norm, fresh.eq_norm) <= eq_floor
+            # against a fresh factor, the stale w adds e∘(w - w_stale)∘de to
+            # (r3, r4), with de = (dx, -dx), and each step leaves its own
+            # dmu∘de there; each result's mu∘e - tau also rounds by about
+            # eps*|mu_j| per entry
+            de, fresh_de = (np.concatenate([s.dz_x, -s.dz_x]) for s in (ws, fresh))
+            stale_term = e * (w - w_stale) * de
+            second_order = ws.dz_mu * de - fresh.dz_mu * fresh_de
+            rounding = 2.0 * EPS_MACH * np.linalg.norm(ws.mu)
+            moved = ws.r34 - fresh.r34
+            assert np.linalg.norm(moved - stale_term - second_order) <= rounding
+            assert np.linalg.norm(moved) <= (
+                np.linalg.norm(stale_term) + np.linalg.norm(second_order) + rounding
+            )
+            _step(STEP_CENTRALITY, ws, tau)
+            _step(STEP_ERROR_RESET, ws, tau)
+            if tau <= mp.tau_E:
+                break
+        assert tau <= mp.tau_E * (1.0 + 1e-10)
+
+
 class TestTraceDoesNotChangeTheSolve:
     @pytest.mark.parametrize("mode", ["stable", "fast"])
     @pytest.mark.parametrize("feasible", [True, False])
@@ -1444,12 +1545,12 @@ class TestTraceBatches:
 
     @staticmethod
     def _spy_batches(monkeypatch):
-        # the step kinds of the rows of each flush
+        # the step kinds of the rows of each flush, and its factor count
         batches = []
         flush = _Recorder.flush
 
         def spied(self):
-            batches.append([row[0] for row in self.rows])
+            batches.append(([row[0] for row in self.rows], len(self.ipivs)))
             flush(self)
 
         monkeypatch.setattr(_Recorder, "flush", spied)
@@ -1466,11 +1567,15 @@ class TestTraceBatches:
             batches.clear()
             rep = solve(p, mode=mode, collect_trace=True)
             assert _packed_trace(rep.trace) == _packed_trace(ref.trace)
-            assert len(batches) > len(rep.trace) // (3 * batch)
-            if mode == "stable" and batch != 2:
-                # a cycle's reset whose centrality row was flushed before it
-                assert any(a[-1] == STEP_CENTRALITY and b[0] == STEP_ERROR_RESET
-                           for a, b in zip(batches, batches[1:]))
+            kinds, factors = zip(*batches)
+            # every flush but the end of the solve's batches TRACE_BATCH
+            # factors: the row buffers never fill first
+            assert len(batches) > 1 and set(factors[:-1]) == {batch}
+            if mode == "stable":
+                # a path row that solves on the factor of a centrality row
+                # flushed before it, with the reset between them
+                assert any(a[-1] == STEP_CENTRALITY and b[:2] == [STEP_ERROR_RESET, STEP_PATH]
+                           for a, b in zip(kinds, kinds[1:]))
 
     def test_each_pi_trial_records_its_own_trace(self, monkeypatch):
         # x~* = 3 forces trials pi = 1, 2, 4; the report keeps the trace of

@@ -8,9 +8,13 @@ names ``boxipm_a`` and ``boxipm_b``, and solves every instance of the
 workload (``perfbench/workloads.py`` of the checkout that holds this
 script, imported read-only) with A and B in turn, ``--repeats`` times
 each.  Prints, per instance, the best wall time of each side, their
-ratio B/A and whether the two solves are bit-identical, then the totals
-of the best times; exits 1 unless every solve is.  For a solve that is
-not, a second line sizes the change: max |x_A - x_B| and
+ratio B/A and whether the two solves are bit-identical, then a line with
+each side's counts (cycles, linear solves and factorizations, and pi
+trials on a standard-form instance), flagged ``COUNTS DIFFER`` when the
+cycles, linear solves or pi trials differ: a speedup counts only with the
+same counts.  Then the totals of the best times; exits 1 unless every
+solve is identical with the same counts.  For a solve that is not
+identical, a further line sizes the change: max |x_A - x_B| and
 |objective_A - objective_B|.  A solve is identical
 when its x is, and, on a traced instance, when every value of every
 trace row is too: each value is packed on its own (numbers as binary64
@@ -60,10 +64,18 @@ def load_workloads():
     return module
 
 
+def counts(rep, trials=1) -> dict:
+    """The counts of a solve that must match between A and B, and its
+    factorizations, which a change may cut."""
+    return {"cycles": rep.iterations_pd, "solves": rep.linear_solves,
+            "factorizations": rep.factorizations, "trials": trials}
+
+
 def solver(bx, inst, collect_trace=None):
     """A function that solves ``inst`` with the package ``bx`` and returns
-    (x, objective, trace rows); ``collect_trace`` overrides the instance's
-    own."""
+    (x, objective, trace rows, counts); ``collect_trace`` overrides the
+    instance's own.  On a standard-form instance the counts are the
+    accepted trial's, with the number of trials."""
     if collect_trace is None:
         collect_trace = inst.collect_trace
     if inst.kind == "box":
@@ -71,13 +83,13 @@ def solver(bx, inst, collect_trace=None):
 
         def run():
             rep = bx.solve(p, mode=inst.mode, collect_trace=collect_trace)
-            return rep.x, rep.objective, rep.trace
+            return rep.x, rep.objective, rep.trace, counts(rep)
         return run
     p = bx.StandardQP(Qt=inst.Q, ct=inst.c, At=inst.A, bt=inst.b)
 
     def run():
         rep = bx.solve_standard(p, tol=inst.tol, pi="auto", mode=inst.mode)
-        return rep.x, rep.objective, rep.box_report.trace
+        return rep.x, rep.objective, rep.box_report.trace, counts(rep.box_report, rep.trials)
     return run
 
 
@@ -95,7 +107,7 @@ def packed_trace(bx, rows) -> list[tuple]:
 
 
 def timed(run) -> tuple[float, tuple]:
-    """(wall time, (x, objective, trace rows)) of one solve."""
+    """(wall time, (x, objective, trace rows, counts)) of one solve."""
     t0 = time.perf_counter()
     out = run()
     return time.perf_counter() - t0, out
@@ -123,21 +135,26 @@ def main(argv=None) -> int:
             plain = {"a": float("inf"), "b": float("inf")}
         best_a = best_b = float("inf")
         for _ in range(args.repeats):
-            wall, (xa, obj_a, trace_a) = timed(run_a)
+            wall, (xa, obj_a, trace_a, counts_a) = timed(run_a)
             best_a = min(best_a, wall)
-            wall, (xb, obj_b, trace_b) = timed(run_b)
+            wall, (xb, obj_b, trace_b, counts_b) = timed(run_b)
             best_b = min(best_b, wall)
             if inst.collect_trace:
                 plain["a"] = min(plain["a"], timed(plain_a)[0])
                 plain["b"] = min(plain["b"], timed(plain_b)[0])
         same_x = xa.tobytes() == xb.tobytes()
         same_trace = packed_trace(a, trace_a) == packed_trace(b, trace_b)
-        identical += same_x and same_trace
+        same_counts = all(counts_a[k] == counts_b[k] for k in ("cycles", "solves", "trials"))
+        identical += same_x and same_trace and same_counts
         total_a += best_a
         total_b += best_b
         trace_note = ("identical" if same_trace else "DIFFERS") if inst.collect_trace else "-"
         print(f"{inst.label:<32} {best_a:10.4f} {best_b:10.4f} {best_b / best_a:6.3f}  "
               f"{'identical' if same_x else 'DIFFERS':<10} {trace_note}")
+        shown = [k for k in counts_a if k != "trials" or inst.kind != "box"]
+        print(f"{'  counts A/B':<32} "
+              + ", ".join(f"{k} {counts_a[k]}/{counts_b[k]}" for k in shown)
+              + ("" if same_counts else "  COUNTS DIFFER"))
         if not (same_x and same_trace):
             print(f"{'  change':<32} max |x_A - x_B| {abs(xa - xb).max(initial=0.0):.3g}, "
                   f"|objective_A - objective_B| {abs(obj_a - obj_b):.3g}")
@@ -148,7 +165,7 @@ def main(argv=None) -> int:
                   f"{'':6}  untraced best {plain['a']:.4f} s and {plain['b']:.4f} s, "
                   f"{len(trace_b)} rows")
     print(f"{'total':<32} {total_a:10.4f} {total_b:10.4f} {total_b / total_a:6.3f}  "
-          f"{identical}/{len(insts)} identical")
+          f"{identical}/{len(insts)} identical with the same counts")
     return 0 if identical == len(insts) else 1
 
 
