@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -39,10 +40,7 @@ def _load(path: str, tol_override: float | None) -> ProblemFile:
     if tol_override is not None:
         if tol_override <= 0.0:
             raise InvalidProblem(f"--tol must be > 0, got {tol_override!r}")
-        pf = ProblemFile(
-            format_version=pf.format_version, kind=pf.kind, n=pf.n, m=pf.m,
-            Q=pf.Q, c=pf.c, A=pf.A, b=pf.b, tol=tol_override, pi=pf.pi,
-        )
+        pf = dataclasses.replace(pf, tol=tol_override)
     return pf
 
 
@@ -68,8 +66,7 @@ def _write_trace(path: str, report: SolveReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
         for entry in report.trace:
-            writer.writerow([repr(getattr(entry, f)) if isinstance(getattr(entry, f), float)
-                             else getattr(entry, f) for f in TRACE_FIELDS])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in entry])
 
 
 def _solution_json(report: SolveReport, extra: dict | None = None) -> str:

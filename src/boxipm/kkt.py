@@ -270,8 +270,8 @@ class _Workspace:
     Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
     computed, ``None`` after :meth:`load`, and ``factorizations`` counts
     those steps.  ``after_reset`` says whether the last step was an error
-    reset, ``False`` after :meth:`load`: a path step right after one
-    solves on ``factor`` too.
+    reset, ``False`` after :meth:`load`; ``_step`` reads both to decide
+    which steps solve on the held ``factor``.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in

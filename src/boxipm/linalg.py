@@ -9,13 +9,14 @@ each only a normwise backward-stable solve:
 
 - The primal-dual Newton systems, which are symmetric indefinite once a
   block row is negated, are solved by Bunch-Kaufman LDL' (LAPACK dsysv)
-  in one call, which also returns the factor it computed; a cycle's
-  error reset, and the path step after it, solve other right-hand sides
-  on that factor by the triangular solves alone (LAPACK dsytrs).  :func:`solve_symmetric` is
-  that dsysv call.  The step itself (``boxipm.solver._step``) binds
-  dsysv, dsytrs and BLAS dasum once per workspace and makes the same
-  calls inline, with the arguments in their positional slots; the tests
-  hold its solution to :func:`solve_symmetric`'s bit for bit.
+  in one call, which also returns the factor it computed; the steps that
+  ``boxipm.solver._step`` puts on a held factor solve other right-hand
+  sides on it by the triangular solves alone (LAPACK dsytrs).
+  :func:`solve_symmetric` is that dsysv call.  The step itself
+  (``boxipm.solver._step``) binds dsysv, dsytrs and BLAS dasum once per
+  workspace and makes the same calls inline, with the arguments in their
+  positional slots; the tests hold its solution to
+  :func:`solve_symmetric`'s bit for bit.
   Bunch-Kaufman is backward stable as long as its growth factor stays
   small, which is the case in practice (Higham, *Accuracy and Stability
   of Numerical Algorithms*, ch. 11); a strict multiprecision reference

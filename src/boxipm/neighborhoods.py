@@ -8,8 +8,11 @@ the bound each primal-dual Newton step must meet at its new iterate:
 
 - path step (at the reduced tau): ||(r3, r4)|| <= theta tau (1 + COMP_CHECK_RTOL);
 - centrality step (same tau): the half width, theta/2 in place of theta;
-- error-reset step: ||(r1, r2)|| <= 100 N eps C_DF C_z, the binary64 floor
-  of exact block-vanishing.
+- error-reset step: ||(r1, r2)|| <= 100 N eps C_DF C_z, a constant of the
+  a-priori bounds, not a binary64 floor: on ``random_boxqp(seed 0)`` of
+  the tests it is 2e13 to 8e18 times the largest ||(r1, r2)|| that any
+  reset of the solve leaves (ROADMAP item 1), so it catches only a reset
+  that fails outright.
 
 The complementarity bound is the width bound itself, in both parameter
 modes, with only a relative roundoff grace: it shrinks with tau, so every

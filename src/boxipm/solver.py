@@ -9,17 +9,15 @@ Three phases:
 3. Path following: at most M cycles.  Each cycle reduces tau by the factor
    sigma with a path step; in ``stable`` mode a centrality step (same tau)
    and an error-reset step follow, so rounding errors cannot accumulate
-   across cycles.  The three steps solve three linear systems on one
-   factorization: the centrality step's, on which the reset and then the
-   next cycle's path step solve.  ``fast`` mode solves one system per
-   cycle, on a factorization of its own but for the first path step, which
-   solves on the initial reset's, and is appropriate when stability is not
-   a concern.
+   across cycles.  ``fast`` mode makes the path step alone and is
+   appropriate when stability is not a concern.  Which steps factor their
+   matrix and which solve on a held factor is the rule of ``_step``.
 
-``solve()`` is built from the public step functions: it runs the primal
-loop behind ``primal_init``, then ``lift``, and makes every primal-dual
-Newton step through ``_step``, the single implementation behind
-``error_reset_step``, ``path_step`` and ``centrality_step``.  Every step
+``solve()`` is built from the public step functions: it runs
+``primal_init``, which also writes the primal trace rows, then ``lift``,
+and makes every primal-dual Newton step through ``_step``, the single
+implementation behind ``error_reset_step``, ``path_step`` and
+``centrality_step``.  Every step
 ends with the neighborhood rule of :func:`boxipm.neighborhoods.check_step`
 and is rejected (never damped or repaired) when it fails; a Newton system
 that overflows, or a step that drives some mu or e = (1 + x, 1 - x) to
@@ -34,33 +32,33 @@ Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
 built once per solve and once per call of a public step function: it holds
 the one primal-dual state of the solve, which each step updates in place,
 and each step solves its reduced Newton system with one symmetric LAPACK
-call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or, for a
-cycle's error reset and a path step right after a reset, the triangular
-solves alone (``dsytrs``) on the factor the last factoring step left.  A
-step is a full Newton step or a
-rejection, so nothing reads the state a step started from once it is
-taken.  ``_step`` runs a whole step in one frame (the residual is one
-method call, :meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve,
-the update and the post-check, on views, ufuncs and LAPACK and BLAS
-routines that it binds once per workspace, at the first step.  The only
-arrays a step builds are the factor and pivot arrays that ``dsysv``
-returns.  The K primal steps solve their Hessian systems with
-``QRFactor``.  Within ``solve()`` each step's post-check residual is the
-next step's right-hand side, and a path step only recomputes its
-complementarity blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
+call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or the
+triangular solves alone (``dsytrs``) on a held factor, as ``_step``
+decides.  A step is a full Newton step or a rejection, so nothing reads
+the state a step started from once it is taken.  ``_step`` runs a whole
+step in one frame (the residual is one method call,
+:meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve, the update and
+the post-check, on views, ufuncs and LAPACK and BLAS routines that it
+binds once per workspace, at the first step.  The only arrays a step
+builds are the factor and pivot arrays that ``dsysv`` returns.  The K
+primal steps solve their Hessian systems with ``QRFactor``.  Within
+``solve()`` each step's post-check residual is the next step's
+right-hand side, and a path step only recomputes its complementarity
+blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
 each step's state, step and new factor to a :class:`_Recorder`, which
 copies them and builds the rows per batch, every value with the bits it
-would have if built right after its step.  The returned solution x satisfies
-``||x||_inf < 1`` (the state's x rounded into the open box, once, at the
-end), an objective within tol of the best attainable, and an equality
-residual within tol of the box-minimal one.
+would have if built right after its step.  The returned solution x
+satisfies ``||x||_inf < 1`` (the state's x rounded into the open box,
+once, at the end), an objective within tol of the best attainable, and an
+equality residual within tol of the box-minimal one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +111,7 @@ STEP_PRIMAL = "primal"
 STEP_LIFT = "lift"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One row per Newton step (plus one for the lift).
 
     For primal rows, residual_eq holds ||grad f(x_k)|| and the complementarity
@@ -123,16 +120,12 @@ class TraceEntry:
     off the factor its step solved with (inf if it overflows): on primal
     rows LAPACK's estimate of kappa_1 of the R factor of the Hessian of f,
     on primal-dual rows the exact kappa_1 of the N x N DF that the step
-    solves, from the factor of its (n+m) reduction.  That DF is the one at
-    the step's start, except on the rows of steps that solve on the held
-    factor: a cycle's error reset, which repeats its centrality row's
-    value, and a path step right after a reset, which repeats the value of
-    the row that factored, the centrality row of the cycle before or, on
-    the first cycle, the initial reset's; neither takes a dsytri of its
-    own.  The lift row shares the initial reset's value, and the initial
-    reset factors its own DF.
-    Primal-dual rows are built per batch (:class:`_Recorder`), each
-    value with the same bits as a row built right after its step.
+    solves, from the factor of its (n+m) reduction: the DF at the start of
+    the step that factored, so a row whose step solved on a held factor
+    (``_step``) repeats the value of the row that factored it, and the lift
+    row shares the initial reset's.  Primal-dual rows are built per batch
+    (:class:`_Recorder`), each value with the same bits as a row built
+    right after its step.
     interior_margin is 1 - ||x||_inf on primal rows; on primal-dual rows it
     is the minimum of (mu, e), with e = (1 + x, 1 - x) as the steps carry
     it (:class:`~boxipm.kkt._Workspace`), so the distance to the nearest
@@ -157,7 +150,7 @@ class TraceEntry:
     newton_dot: float
 
 
-TRACE_FIELDS = tuple(f.name for f in fields(TraceEntry))
+TRACE_FIELDS = TraceEntry._fields
 
 
 @dataclass
@@ -189,59 +182,60 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
 
     The step dz solves DF dz = g, where g = -F or, for an error reset, -F
     with its complementarity blocks replaced by zeros (which by linearity
-    cancels the (r1, r2) blocks exactly).  A factoring step solves the
-    reduced system of :class:`~boxipm.kkt._Workspace` at the state by one
-    LAPACK dsysv call on ``H``, as :func:`~boxipm.linalg.solve_symmetric`
-    makes it, which overwrites the right-hand side in ``dz`` with
-    (dx, dlam/s), s = ``ws.lam_scale``, and rejects only an exactly zero
-    pivot: near tau_E the a-priori conditioning bound kappa_DF exceeds
-    1/(dim*eps), so a relative pivot test would misflag theory-valid
-    systems as singular.  The Q
-    block's diagonal (G) and the right-hand side (v) are all of the system
-    that changes per step; one finite sum of absolute values clears both,
-    and otherwise the step is rejected naming the culprit.  The step keeps
-    its factor in ``ws.factor`` and counts itself in ``ws.factorizations``.
-    The step does no trace work: a traced solve's :class:`_Recorder` reads
-    what the step left.
+    cancels the (r1, r2) blocks exactly), by the reduced system of
+    :class:`~boxipm.kkt._Workspace` in (dx, dlam/s), s = ``ws.lam_scale``,
+    in three stages:
 
-    An error reset in a workspace that holds a factor, that is after another
-    step since :meth:`~boxipm.kkt._Workspace.load`, factors nothing: it
-    solves on that factor by LAPACK dsytrs (the triangular solves alone),
-    with the w = mu/e the factoring step left in ``ws.w``.  So it solves
-    DF(z') dz = g, where z' is the state at which the factoring step
-    started.  This is exact for the blocks the reset must zero: (r1, r2)
-    are affine in z with the constant matrix T, the top rows of every DF,
-    so any dz with T dz = -(r1, r2) cancels them, and with g34 = 0 the
-    reduced right-hand side (g1, -s g2) does not read w.  Only
-    dmu = -w'∘(dx, -dx) does, with w' = mu'/e'.  With de = (dx, -dx), the
-    new complementarity blocks are mu∘e - tau + mu∘de + e∘dmu + dmu∘de, and
-    mu∘de + e∘dmu is e∘(w - w')∘de for w = mu/e, where a factor at z would
-    cancel it.  That term is second order: dx only cancels rounding, and
-    w - w' is the change of one step.  v needs no test: it is (-r1, s r2) of
-    a residual that the previous step's post-check found finite.
+    1. Right-hand side: ``sign * F`` writes (g1, -s g2, g3, g4) into
+       ``dz``.  A step that is not a reset adds t = g34/e into
+       v = (g1 + t_l - t_r, -s g2); a reset's g34 is 0, so its v is
+       (g1, -s g2) as written.
+    2. Solve, over v in place.  The step solves on the held factor
+       ``ws.factor``, the one the last factoring step left, when it is an
+       error reset after another step since
+       :meth:`~boxipm.kkt._Workspace.load`, or a path step right after a
+       reset (``ws.after_reset``): one LAPACK dsytrs call, the triangular
+       solves alone.  The held G was tested when it was factored, so only
+       v is, by one finite sum of absolute values, and a reset's v not at
+       all: it is (-r1, s r2) of a residual that the last post-check found
+       finite.  Any other step writes the Q block's diagonal G from
+       w = mu/e and factors ``H`` by one LAPACK dsysv call, as
+       :func:`~boxipm.linalg.solve_symmetric` makes it, which rejects only
+       an exactly zero pivot: near tau_E the a-priori conditioning bound
+       kappa_DF exceeds 1/(dim*eps), so a relative pivot test would
+       misflag theory-valid systems as singular.  G and v are all of the
+       system that changes per step; one finite sum of absolute values
+       clears both, and otherwise the step is rejected naming the
+       culprit.  It keeps its factor in ``ws.factor`` and counts itself in
+       ``ws.factorizations``.
+    3. Multipliers: dmu = g34/e - w'∘(dx, -dx), with the w' = mu'/e' of
+       the step that factored, left in ``ws.w``: a reset negates w'_l dx,
+       any other step adds t.
 
-    A path step right after an error reset (``ws.after_reset``) factors
-    nothing either: it solves on the held factor by dsytrs, with its w'.
-    This is the chord (simplified Newton) method (Kelley, *Iterative
-    Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).
     In a stable solve the held factor is the centrality step's, so a cycle
     factors once; in a fast solve only the first path step, after the
-    initial reset, has one.  Its right-hand side is g34/e at the current
-    e, t, and v = (g1 + t_l - t_r, -s g2), whose dasum alone is tested, as
-    the held G was when it was factored; dmu = t - w'∘(dx, -dx).  (r1, r2)
-    cancel as on a fresh factor: with this dmu the stationarity row is the
-    reduced system with w' in G.  The new complementarity blocks are
-    mu∘e - tau + mu∘de + e∘dmu + dmu∘de = e∘(w - w')∘de + dmu∘de, where a
-    factor at z leaves only the dmu∘de that every Newton step leaves.  The
-    error term e∘(w - w')∘de is the product of the path step and the change
-    of w since the factoring step started (a centrality step and a reset,
-    or the initial reset alone; at most 0.3% relative on the draws
-    measured), so it is of the order of dmu∘de, and the post-check judges
-    the step as it judges any other.  One rule serves both params modes.
-    The paper's analysis assumes exact Newton steps: the multiprecision
-    reference of ROADMAP item 7 must check that with the stale w' every
-    path step still meets its width bound with zero slack, and that K, M
-    and the cycles stay the same.
+    initial reset, holds one.  A step on the held factor solves
+    DF(z') dz = g, where z' is the state at which the factoring step
+    started: the chord (simplified Newton) method (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).
+    (r1, r2) cancel as on a fresh factor: they are affine in z with the
+    constant matrix T, the top rows of every DF, and with the dmu of stage
+    3 the stationarity row is the reduced system with w' in G.  With
+    de = (dx, -dx) and w = mu/e, the new complementarity blocks are
+    mu∘e - tau + mu∘de + e∘dmu + dmu∘de.  Against a factor at z they move
+    by the error term e∘(w - w')∘de, plus the change of the dmu∘de that
+    every Newton step leaves.  The error term is the product of the step
+    and the change of w since the factoring step started (a centrality
+    step and a reset, or the initial reset alone; at most 0.3% relative on
+    the draws measured): second order in a reset, whose dx only cancels
+    rounding, and of the order of dmu∘de in a path step, which the
+    post-check judges as it judges any other.
+    One rule serves both params modes.  The paper's analysis assumes exact
+    Newton steps: the multiprecision reference of ROADMAP item 7 must check
+    that with the stale w' every path step still meets its width bound with
+    zero slack, and that K, M and the cycles stay the same.
+    The step does no trace work: a traced solve's :class:`_Recorder` reads
+    what the step left.
 
     The update z + dz carries e along, e + (dx, -dx), and takes the margin,
     the minimum of (mu, e).  A margin that is not positive rejects the step,
@@ -289,51 +283,46 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     reset = kind == STEP_ERROR_RESET
     held = (reset and ws.factor is not None) or (kind == STEP_PATH and ws.after_reset)
     ws.after_reset = reset
-    if reset and held:
+    if not reset:
+        # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam);
+        # a reset's g34 is 0, so its v is (g1, -s g2) as written above
+        divide(dz_mu, e, t)
+        add(dx, t_l, dx)
+        subtract(dx, t_r, dx)
+    if held:
+        # the held factor's G was tested when it was factored, and a reset's
+        # v is (-r1, s r2) of a residual the last post-check found finite
+        if not reset and not math.isfinite(dasum(dz_u)) and not np.isfinite(dz_u).all():
+            raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
         ldu, ipiv = ws.factor
         info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
         if info:
             _check_info("dsytrs", info)
-        # dmu = -w'∘(dx, -dx): -w_l*dx and w_r*dx
-        multiply(w2, dx, dmu2)
+    else:
+        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
+        divide(mu, e, w)
+        add(qdiag, w_l, hdiag)
+        add(hdiag, w_r, hdiag)
+        # hdiag, summed in place: its (d + 1)-strided slots of H's buffer
+        if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
+            # z and tau were checked where they entered, so a non-finite
+            # system here is an overflow in forming it.  hdiag is a sum of
+            # finite terms and nonnegative w: finite or +inf, never NaN.
+            if not hdiag.max() < math.inf:
+                raise StepRejected(_OVERFLOW.format("G"), kind=kind, tau=tau)
+            if not np.isfinite(dz_u).all():
+                raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
+        ldu, ipiv, _, info = dsysv(H, dz_u, d, 0, 0, 1)
+        if info:
+            _check_info("dsysv", info)
+        ws.factor = ldu, ipiv
+        ws.factorizations += 1
+    # dmu = g34/e - w'∘(dx, -dx): -w'_l*dx and w'_r*dx in a reset,
+    # g3/(e+x) - w'_l*dx and g4/(e-x) + w'_r*dx otherwise
+    multiply(w2, dx, dmu2)
+    if reset:
         negative(dmu_l, dmu_l)
     else:
-        if reset:
-            dz_mu.fill(-0.0)
-        # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam)
-        divide(dz_mu, e, t)
-        add(dx, t_l, dx)
-        subtract(dx, t_r, dx)
-        if held:
-            # the held factor's G was tested when it was factored: v alone
-            if not math.isfinite(dasum(dz_u)) and not np.isfinite(dz_u).all():
-                raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
-            ldu, ipiv = ws.factor
-            info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
-            if info:
-                _check_info("dsytrs", info)
-        else:
-            # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
-            divide(mu, e, w)
-            add(qdiag, w_l, hdiag)
-            add(hdiag, w_r, hdiag)
-            # hdiag, summed in place: its (d + 1)-strided slots of H's buffer
-            if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
-                # z and tau were checked where they entered, so a non-finite
-                # system here is an overflow in forming it.  hdiag is a sum of
-                # finite terms and nonnegative w: finite or +inf, never NaN.
-                if not hdiag.max() < math.inf:
-                    raise StepRejected(_OVERFLOW.format("G"), kind=kind, tau=tau)
-                if not np.isfinite(dz_u).all():
-                    raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
-            ldu, ipiv, _, info = dsysv(H, dz_u, d, 0, 0, 1)
-            if info:
-                _check_info("dsysv", info)
-            ws.factor = ldu, ipiv
-            ws.factorizations += 1
-        # dmu = g34/e - w∘(dx, -dx), with the w of the factor's own step:
-        # g3/(e+x) - w_l*dx and g4/(e-x) + w_r*dx
-        multiply(w2, dx, dmu2)
         subtract(t_l, dmu_l, dmu_l)
         add(t_r, dmu_r, dmu_r)
     multiply(dz_lam, lam_scale, dz_lam)  # dlam = s (dlam/s), exactly
@@ -359,21 +348,36 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     check_step(kind, ws.mp, tau, eq_norm, comp_norm)
 
 
-def _primal_steps(p: BoxQP, mp: MethodParams):
-    """The K full Newton steps on f from the origin.
+def primal_init(p: BoxQP, mp: MethodParams, trace: list | None = None) -> np.ndarray:
+    """Run exactly K full Newton steps on f from the origin.
 
-    Yields (k, x_k, dx, factor of the Hessian) per step, so a caller can
-    record each one; once exhausted, checks the guarantees of x_K.
+    Returns x_K with ||grad f(x_K)|| <= rho and ||x_K||_2 <= 0.5; raises
+    PrimalInitFailed when rounding prevents either guarantee (the precision
+    budget is too small for this instance).  Given a ``trace`` list, one
+    primal ``TraceEntry`` per step is appended to it.  The gradient is
+    evaluated once at each of x_0 .. x_K: at x_k it is the right-hand side
+    of step k + 1, the residual of step k's row and, at x_K, the final
+    check's.
     """
     x = np.zeros(p.n)
+    grad = eval_grad_f(p, mp, x)
     for k in range(1, mp.K + 1):
-        grad = eval_grad_f(p, mp, x)
         hess = eval_hess_f(p, mp, x)
         fac = QRFactor(hess)  # provably well conditioned: I <= hess <= C_Hf I
         dx = fac.solve(-grad)
         x = x + dx
-        yield k, x, dx, fac
-    gnorm = float(np.linalg.norm(eval_grad_f(p, mp, x)))
+        grad = eval_grad_f(p, mp, x)
+        if trace is not None:
+            trace.append(TraceEntry(
+                k=k, tau=mp.tau_A, step_kind=STEP_PRIMAL,
+                residual_comp=math.nan,
+                residual_eq=float(np.linalg.norm(grad)),
+                cond_DF=fac.cond_estimate(),
+                step_norm=float(np.linalg.norm(dx)),
+                interior_margin=float(1.0 - np.abs(x).max(initial=0.0)),
+                comp_gap=math.nan, z_norm=math.nan, newton_dot=math.nan,
+            ))
+    gnorm = float(np.linalg.norm(grad))
     if gnorm > mp.rho:
         raise PrimalInitFailed(
             f"||grad f(x_K)|| = {gnorm!r} exceeds rho = {mp.rho!r} after K = {mp.K} steps",
@@ -384,18 +388,6 @@ def _primal_steps(p: BoxQP, mp: MethodParams):
         raise PrimalInitFailed(
             f"||x_K||_2 = {xnorm!r} exceeds 0.5", bound="x_norm", value=xnorm, limit=0.5, K=mp.K
         )
-
-
-def primal_init(p: BoxQP, mp: MethodParams) -> np.ndarray:
-    """Run exactly K full Newton steps on f from the origin.
-
-    Returns x_K with ||grad f(x_K)|| <= rho and ||x_K||_2 <= 0.5; raises
-    PrimalInitFailed when rounding prevents either guarantee (the precision
-    budget is too small for this instance).
-    """
-    x = np.zeros(p.n)
-    for _, x, *_ in _primal_steps(p, mp):
-        pass
     return x
 
 
@@ -431,8 +423,8 @@ def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iter
     """Newton step whose right-hand side zeroes only the (r1, r2) blocks.
 
     By linearity the new stationarity/equality residuals vanish to roundoff;
-    the post-check holds them to the binary64 floor of
-    :func:`~boxipm.neighborhoods.check_step`.  It runs in a workspace of its
+    the post-check holds them to the error-reset limit of
+    :func:`~boxipm.neighborhoods.check_step`, which is far looser.  It runs in a workspace of its
     own, so it factors DF at ``z``, as the initial reset of :func:`solve`
     does; a reset within a cycle of :func:`solve` solves on its centrality
     step's factor instead.
@@ -458,20 +450,6 @@ def centrality_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Itera
     return _public_step(STEP_CENTRALITY, p, mp, z, tau)
 
 
-def _primal_row(
-    k: int, p: BoxQP, mp: MethodParams, x: np.ndarray, dx: np.ndarray, fac: QRFactor
-) -> TraceEntry:
-    return TraceEntry(
-        k=k, tau=mp.tau_A, step_kind=STEP_PRIMAL,
-        residual_comp=math.nan,
-        residual_eq=float(np.linalg.norm(eval_grad_f(p, mp, x))),
-        cond_DF=fac.cond_estimate(),
-        step_norm=float(np.linalg.norm(dx)),
-        interior_margin=float(1.0 - np.abs(x).max(initial=0.0)),
-        comp_gap=math.nan, z_norm=math.nan, newton_dot=math.nan,
-    )
-
-
 # Factors a trace recorder holds before it turns its rows into TraceEntry
 # rows: at n + m = 28 their stack takes 64 * 28^2 * 8 B = 400 KB.
 TRACE_BATCH = 64
@@ -486,9 +464,8 @@ class _Recorder:
     workspace's (z, e) buffer ``ze`` and step ``dz``, and, when the step
     factored (``ws.factorizations`` grew), the factor's ``ldu`` into a
     slot of a stack, keeping ``ipiv``; the workspace's factor is not
-    written, so a cycle's reset and the path step after it still solve on
-    it.  It keeps the row's
-    scalars as they are.
+    written, so the steps that solve on it (``_step``) still can.  It keeps
+    the row's scalars as they are.
 
     Once ``TRACE_BATCH`` factors are pending, or the row buffers are full,
     and at the end of the solve (:meth:`flush`), one flush turns the
@@ -499,10 +476,9 @@ class _Recorder:
     ``ndarray.dot`` makes it; and :func:`complementarity_gap` gives every
     row's gap in one call.  So every value has the bits that the row would
     have if it were built right after its step.  A row that did not factor
-    takes the value of the last factor before it, a cycle's reset and the
-    next path step their centrality step's, in this batch or carried over
-    from the last one;
-    the lift row takes the next one's, the initial reset's.  Row 0 of the
+    takes the value of the last factor before it, in this batch or carried
+    over from the last one; the lift row takes the next one's, the initial
+    reset's.  Row 0 of the
     snapshot buffer carries the last row of the previous batch, the start
     of a step that opens the next one.
     """
@@ -591,10 +567,9 @@ def solve(
     ----------
     mode : {"stable", "fast"}
         ``stable`` performs the path, centrality and error-reset solves each
-        cycle (3 linear systems on 1 factorization: the reset and the next
-        cycle's path step solve on the centrality step's factor); ``fast``
-        performs the path solve only, on a factorization of its own but
-        for the first one, which solves on the initial reset's.
+        cycle (3 linear systems on 1 factorization); ``fast`` performs the
+        path solve only.  ``_step`` says which steps solve on a held
+        factor.
     params_mode : {"strict", "practical"}
         Strict uses the pure theoretical parameter cascade (may raise
         ParamOverflow); practical applies representability floors and always
@@ -604,9 +579,9 @@ def solve(
         ``cond_DF`` is a 1-norm condition number read off the factor the
         step solved with: on primal-dual rows the exact kappa_1 of DF, from
         one LAPACK dsytri on the reduced matrix's factor per factorization,
-        so the rows of a cycle's error reset and of a path step right after
-        a reset repeat the value of the row that factored; on
-        primal rows dtrcon's estimate for the Hessian's R.  The steps only
+        so a row whose step solved on a held factor repeats the value of
+        the row that factored; on primal rows dtrcon's estimate for the
+        Hessian's R.  The steps only
         record; primal-dual rows are built per batch of ``TRACE_BATCH``
         factors, with the bits a row built right after its step would
         have.
@@ -629,10 +604,7 @@ def solve(
     cycle = (STEP_PATH,) if mode == MODE_FAST else (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
     trace: list[TraceEntry] = []
 
-    x = np.zeros(p.n)
-    for k, x, dx, fac in _primal_steps(p, mp):
-        if collect_trace:
-            trace.append(_primal_row(k, p, mp, x, dx, fac))
+    x = primal_init(p, mp, trace if collect_trace else None)
     # Every step's post-check residual is the next step's right-hand side;
     # the steps update the workspace's one state in place.
     ws = _Workspace(p, mp)

@@ -18,9 +18,10 @@ import pytest
 
 import boxipm as bx
 from boxipm import BoxQP, StandardQP
+from boxipm.errors import StepRejected
 from boxipm.kkt import Iterate, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f
 from boxipm.linalg import EPS_MACH
-from boxipm.neighborhoods import COMP_CHECK_RTOL
+from boxipm.neighborhoods import COMP_CHECK_RTOL, check_step
 from boxipm.solver import (
     STEP_CENTRALITY,
     STEP_ERROR_RESET,
@@ -254,6 +255,23 @@ def test_scalar_product_noise_floor():
     for e in rep.trace:
         if e.step_kind == STEP_PATH:
             assert e.newton_dot >= -1e-10 * e.step_norm**2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the error-reset limit 100 N eps C_DF C_z is a constant of the "
+    "a-priori bounds, not a binary64 floor: on this draw it is 3.5e17 times "
+    "the largest ||(r1, r2)|| that a reset leaves",
+)
+def test_error_reset_limit_is_near_the_residuals_it_bounds():
+    # The limit as check_step applies it, read off the rejection of an
+    # infinite residual, against every post-reset ||(r1, r2)|| of a solve.
+    p = random_boxqp(np.random.default_rng(0), 20, 8, tol=1e-2)
+    rep = bx.solve(p, collect_trace=True)
+    with pytest.raises(StepRejected) as exc:
+        check_step(STEP_ERROR_RESET, rep.params, rep.tau_final, math.inf, 0.0)
+    worst = max(e.residual_eq for e in rep.trace if e.step_kind == STEP_ERROR_RESET)
+    assert 0.0 < worst and exc.value.limit <= 1e6 * worst
 
 
 def test_criterion_11_standard_form_round_trip():

@@ -307,9 +307,10 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     is the reference the in-place step must equal bit for bit, signed zeros
     included: the symmetric H has the equality rows negated and the lam rows
     and columns scaled by s, the power of two nearest 1/sqrt(omega), the
-    right-hand side is (g1 + g3/(e+x) - g4/(e-x), -s g2), the solution's lam
-    block is scaled by s, the Q block's diagonal is (Q_jj + omega) + w_l + w_r
-    and dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
+    right-hand side is (g1 + g3/(e+x) - g4/(e-x), -s g2), or (g1, -s g2) for
+    a reset, whose g34 is 0, the solution's lam block is scaled by s, the Q
+    block's diagonal is (Q_jj + omega) + w_l + w_r and
+    dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
     n, m = p.n, p.m
     F = eval_F(p, mp, z, tau)
     comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
@@ -324,7 +325,8 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     H[n:, :n] = -p.A * s
     H[n:, n:] = -mp.omega * s * s * np.eye(m)
     H[np.diag_indices(n)] = (np.diag(p.Q) + mp.omega) + w_l + w_r
-    u, _, _ = solve_symmetric(H, np.concatenate([g1 + g3 / e_plus_x - g4 / e_minus_x, -s * g2]))
+    v = g1 if reset_only else g1 + g3 / e_plus_x - g4 / e_minus_x
+    u, _, _ = solve_symmetric(H, np.concatenate([v, -s * g2]))
     u[n:] *= s
     dx = u[:n]
     ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
@@ -387,7 +389,8 @@ class TestReducedDF:
     @pytest.mark.parametrize("reset_only", [False, True])
     def test_signed_zeros_at_a_central_point(self, reset_only):
         # F = 0 exactly, so the step is made of zeros whose signs come from
-        # -F and, in a reset, from the -0.0 of its right-hand side
+        # -F (a reset's right-hand side is its (g1, -s g2) alone) and from
+        # the products of the solve and of dmu
         p = zeros_problem(n=2, m=1)
         z = Iterate(x=[0.0, 0.0], lam=[0.0], mu_l=[0.5, 0.5], mu_r=[0.5, 0.5])
         assert_step_equals_reference(p, make_mp(), z, 0.5, reset_only)

@@ -94,6 +94,18 @@ class TestPrimalInit:
             assert np.linalg.norm(eval_grad_f(p, mp, x_k)) <= mp.rho
             assert np.linalg.norm(x_k) <= 0.41 + 3.0 * mp.rho
 
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    def test_one_gradient_per_iterate(self, monkeypatch, collect_trace):
+        # grad f at each of x_0 .. x_K once, traced or not: a step's
+        # right-hand side, the trace row of the step that made x_k and the
+        # final check at x_K read the same evaluation.  Counted through the
+        # solver's own name, which perfbench/tracer.py wraps too.
+        calls = {"grad": 0}
+        monkeypatch.setattr(boxipm.solver, "eval_grad_f", _counted(calls, "grad", eval_grad_f))
+        p = random_boxqp(np.random.default_rng(1), 3, 2, tol=1e-2)
+        rep = solve(p, collect_trace=collect_trace)
+        assert calls["grad"] == rep.params.K + 1
+
 
 class TestLift:
     def test_zero_point(self):
@@ -614,7 +626,8 @@ class TestStepLoopStructure:
         # its workspace's first step, after the counter is in place.  The
         # initial reset and the centrality steps factor their own matrices;
         # a cycle's reset and the path step after a reset solve on the held
-        # factor and rebuild no Q block diagonal.
+        # factor and rebuild no Q block diagonal.  A reset's g34 is 0, so it
+        # adds no g34/e to its right-hand side or its dmu.
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = _Workspace(p, mp)
@@ -640,7 +653,7 @@ class TestStepLoopStructure:
             mue = ws.mue.copy()
             ws.derive_mue()
             assert mue.tobytes() == ws.mue.tobytes()
-        assert calls == [19] + [17, 19, 12] * 2
+        assert calls == [15] + [17, 19, 12] * 2
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
         # as above, each step followed by its trace row: recording a row
@@ -676,7 +689,7 @@ class TestStepLoopStructure:
             counter.calls = 0
             record.flush()
             flushes.append(counter.calls)
-        assert calls == [19] + [17, 19, 12] * 6
+        assert calls == [15] + [17, 19, 12] * 6
         assert len(trace) == 1 + 7 + 12 and record.rows == []
         assert flushes == [31, 31]
 
