@@ -15,9 +15,7 @@ import hashlib
 import json
 import sys
 
-from .errors import (
-    BoxIpmError, DimensionError, InvalidProblem, ParseError, TooLarge,
-)
+from .errors import BoxIpmError, InvalidProblem, ParseError, TooLarge
 from .oracle import oracle_min_residual, oracle_solve_boxqp
 from .params import compute_params, compute_params_practical, format_params
 from .probfile import ProblemFile, parse_problem
@@ -27,7 +25,8 @@ from .solver import (
     solve_standard,
 )
 
-_INPUT_ERRORS = (ParseError, DimensionError, InvalidProblem, TooLarge)
+# Exit 2, with the message alone; DimensionError is an InvalidProblem.
+_INPUT_ERRORS = (ParseError, InvalidProblem, TooLarge, OSError)
 
 EXIT_OK = 0
 EXIT_SOLVE = 1
@@ -37,9 +36,7 @@ EXIT_INPUT = 2
 def _load(path: str, tol_override: float | None) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as fh:
         pf = parse_problem(fh.read())
-    if tol_override is not None:
-        if tol_override <= 0.0:
-            raise InvalidProblem(f"--tol must be > 0, got {tol_override!r}")
+    if tol_override is not None:  # BoxQP checks it, as it checks the file's
         pf = dataclasses.replace(pf, tol=tol_override)
     return pf
 
@@ -188,13 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp_parser, with_solver_flags=True):
+    def common(sp_parser, with_params=True, with_solver_flags=True):
         sp_parser.add_argument("problem", help="problem file path")
         sp_parser.add_argument("--tol", type=float, default=None, help="override the file's tol")
-        sp_parser.add_argument(
-            "--params", choices=(PARAMS_STRICT, PARAMS_PRACTICAL), default=PARAMS_PRACTICAL,
-            help="parameter cascade variant",
-        )
+        if with_params:
+            sp_parser.add_argument(
+                "--params", choices=(PARAMS_STRICT, PARAMS_PRACTICAL), default=PARAMS_PRACTICAL,
+                help="parameter cascade variant",
+            )
         if with_solver_flags:
             sp_parser.add_argument(
                 "--mode", choices=(MODE_STABLE, MODE_FAST), default=MODE_STABLE,
@@ -222,11 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_params)
 
     po = sub.add_parser("oracle", help="solve a tiny instance by enumeration")
-    common(po, with_solver_flags=False)
+    common(po, with_params=False, with_solver_flags=False)
     po.set_defaults(func=_cmd_oracle)
 
     pf_ = sub.add_parser("factor", help="print the problem factor L")
-    common(pf_, with_solver_flags=False)
+    common(pf_, with_params=False, with_solver_flags=False)
     pf_.set_defaults(func=_cmd_factor)
     return top
 
@@ -241,9 +239,6 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BoxIpmError as exc:

@@ -95,12 +95,13 @@ class BracketFailed(BoxIpmError):
 
 
 class ParseError(BoxIpmError):
-    """Problem-file text rejected; carries a 1-based line and column."""
+    """Problem-file text rejected; carries a 1-based ``line`` and ``column``,
+    which the message also names."""
+
+    FIELDS = ("line", "column")
 
     def __init__(self, message, line=None, column=None):
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+        super().__init__(message + loc, line=line, column=column)

@@ -169,13 +169,13 @@ def eval_hess_f(p: BoxQP, mp, x) -> np.ndarray:
     """Hessian of f: (Q + omega I + A'A/omega)/tau_A + diag((e+x)^-2 + (e-x)^-2).
 
     Symmetric positive definite on the open box; on ||x||_2 <= 0.5 it
-    satisfies I <= hess <= C_Hf * I.
+    satisfies I <= hess <= C_Hf * I.  It is exactly symmetric as built:
+    ``BoxQP`` stores Q mirrored, and BLAS forms A'A as one symmetric
+    product.
     """
     x = _interior_x(p, x)
-    quad = q_omega_data(p, mp.omega)[0] / mp.tau_A
-    diag = (1.0 + x) ** -2 + (1.0 - x) ** -2
-    h = 0.5 * (quad + quad.T)
-    h[np.diag_indices(p.n)] += diag
+    h = q_omega_data(p, mp.omega)[0] / mp.tau_A
+    h[np.diag_indices(p.n)] += (1.0 + x) ** -2 + (1.0 - x) ** -2
     return h
 
 
@@ -193,15 +193,15 @@ def _check_tau(tau: float) -> None:
 def _affine_rows(p: BoxQP, omega: float) -> np.ndarray:
     """T, the top n+m rows of DF: [[Q + omega I, -A', -I, I], [A, omega I, 0, 0]],
     C-ordered, so that (r1, r2) = T z + (c, -b)."""
-    n, m = p.n, p.m
-    T = np.zeros((n + m, 3 * n + m))
+    n, nm = p.n, p.n + p.m
+    T = np.zeros((nm, 3 * n + p.m))
     T[:n, :n] = p.Q
-    T[:n, n : n + m] = -p.A.T
+    np.fill_diagonal(T[:n, :n], p.Q.diagonal() + omega)  # Q + omega I
+    T[:n, n:nm] = -p.A.T
+    np.fill_diagonal(T[:n, nm : nm + n], -1.0)
+    np.fill_diagonal(T[:n, nm + n :], 1.0)
     T[n:, :n] = p.A
-    _diagonal(T, 0, 0, n)[:] += omega  # Q + omega I
-    _diagonal(T, 0, n + m, n)[:] = -1.0
-    _diagonal(T, 0, 2 * n + m, n)[:] = 1.0
-    _diagonal(T, n, n, m)[:] = omega
+    np.fill_diagonal(T[n:, n:nm], omega)
     return T
 
 
@@ -214,16 +214,6 @@ def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
     return Residual(ws.r1, ws.r2, ws.r3, ws.r4)
 
 
-def _diagonal(J: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
-    """The diagonal of the size x size block of a C- or F-contiguous ``J``
-    whose top-left entry is J[row, col], as a writable view."""
-    if J.flags.c_contiguous:
-        lead = J.shape[1]
-        return J.reshape(-1)[row * lead + col :: lead + 1][:size]
-    lead = J.shape[0]
-    return J.T.reshape(-1)[col * lead + row :: lead + 1][:size]
-
-
 def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
     """Jacobian of F at z (independent of tau), shape (N, N) with N = 3n + m:
     T on top of the mu block rows [[diag(mu_l), 0, diag(e+x), 0],
@@ -233,10 +223,11 @@ def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
     n, nm = p.n, p.n + p.m
     J = np.zeros((3 * n + p.m, 3 * n + p.m))
     J[:nm] = _affine_rows(p, mp.omega)
-    _diagonal(J, nm, 0, n)[:] = z.mu_l
-    np.add(1.0, z.x, out=_diagonal(J, nm, nm, n))
-    np.negative(z.mu_r, out=_diagonal(J, nm + n, 0, n))
-    np.subtract(1.0, z.x, out=_diagonal(J, nm + n, nm + n, n))
+    rows_l, rows_r = J[nm : nm + n], J[nm + n :]
+    np.fill_diagonal(rows_l[:, :n], z.mu_l)
+    np.fill_diagonal(rows_l[:, nm : nm + n], 1.0 + z.x)
+    np.fill_diagonal(rows_r[:, :n], -z.mu_r)
+    np.fill_diagonal(rows_r[:, nm + n :], 1.0 - z.x)
     return J
 
 
@@ -259,14 +250,16 @@ class _Workspace:
     is x rounded into the open box, as a solve reports it and
     :meth:`iterate` carries it.  ``F`` is one N-vector
     with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
-    ``r34`` = (r3, r4); ``eq_norm`` and ``comp_norm`` are the norms of r12
-    and r34 as :meth:`eval_F` last wrote them.  Next to the state it holds T
-    and cb = (c, -b) of the residual, the reduced Newton matrix, the step
-    ``dz`` and scratch vectors, each with the views a step reads, so that a
-    step slices nothing.  The step itself is ``boxipm.solver._step``: it
-    binds what it reads once, at the workspace's first step, into
-    ``bound`` (``None`` until then), so that building a workspace looks up
-    no LAPACK routine and loads no ``scipy.linalg``.  ``factor`` is the
+    ``r34`` = (r3, r4); :meth:`eval_F` writes it, and a path step rewrites
+    r34 at its own tau before it reads ``F``.  ``eq_norm`` and
+    ``comp_norm`` are the norms of r12 and r34 as :meth:`eval_F` last wrote
+    them.  Next to the state it holds T and cb = (c, -b) of the residual,
+    the reduced Newton matrix, the step ``dz`` and scratch vectors, each
+    with the views a step reads, so that a step slices nothing.  The step
+    itself is ``boxipm.solver._step``: it binds what it reads once, at the
+    workspace's first step, into ``bound`` (``None`` until then), so that
+    building a workspace looks up no LAPACK routine and loads no
+    ``scipy.linalg``.  ``factor`` is the
     Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
     computed, ``None`` after :meth:`load`, and ``factorizations`` counts
     those steps.  ``after_reset`` says whether the last step was an error
@@ -328,7 +321,7 @@ class _Workspace:
         self.H = np.array(self.T[:, :nm], order="F")  # a copy, also when n + m = 1
         np.multiply(self.H[n:], -s, self.H[n:])
         np.multiply(self.H[:, n:], s, self.H[:, n:])
-        self.hdiag = _diagonal(self.H, 0, 0, n)
+        self.hdiag = np.einsum("ii->i", self.H[:n, :n])  # a writable view
         self.qdiag = self.hdiag.copy()
         self.sign = np.full(N, -1.0)
         self.sign[n:nm] = s
@@ -378,13 +371,6 @@ class _Workspace:
         np.subtract(self.mue, tau, r34)
         self.eq_norm = _norm(r12)
         self.comp_norm = _norm(r34)
-
-    def retarget(self, tau: float) -> None:
-        """Move ``F`` to another tau: r1 and r2 do not depend on it, and
-        r3, r4 = mu∘e - tau as in :meth:`eval_F`, so ``F`` is bit-identical
-        to a fresh evaluation.  ``comp_norm`` is left NaN."""
-        np.subtract(self.mue, tau, self.r34)
-        self.comp_norm = math.nan
 
 
 def cond_DF(ws: _Workspace, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.ndarray:

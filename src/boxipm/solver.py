@@ -43,11 +43,12 @@ binds once per workspace, at the first step.  The only arrays a step
 builds are the factor and pivot arrays that ``dsysv`` returns.  The K
 primal steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
-right-hand side, and a path step only recomputes its complementarity
-blocks as mu∘e - tau.  The steps do no trace work: a traced solve hands
-each step's state, step and new factor to a :class:`_Recorder`, which
-copies them and builds the rows per batch, every value with the bits it
-would have if built right after its step.  The returned solution x
+right-hand side; a path step, the one step that moves tau, rewrites its
+complementarity blocks as mu∘e - tau at its own tau.  The steps do no
+trace work: a traced solve hands each step's state, step and new factor
+to a :class:`_Recorder`, which copies them and builds the rows per
+batch, every value with the bits it would have if built right after its
+step.  The returned solution x
 satisfies ``||x||_inf < 1`` (the state's x rounded into the open box,
 once, at the end), an objective within tol of the best attainable, and an
 equality residual within tol of the box-minimal one.
@@ -176,9 +177,11 @@ class SolveReport:
 
 def _step(kind: str, ws: _Workspace, tau: float) -> None:
     """One primal-dual Newton step of ``kind`` on F_tau from the workspace's
-    state, whose ``F`` must hold F_tau there, then its post-check.  The step
-    updates the state in place: on return it holds the new iterate, F_tau
-    at it in ``F``, and the step in ``dz``.
+    state, then its post-check.  ``F`` must hold the residual of the state
+    at the tau of the last step or of :meth:`~boxipm.kkt._Workspace.eval_F`;
+    a path step moves it to its own tau.  The step updates the state in
+    place: on return it holds the new iterate, F_tau at it in ``F``, and
+    the step in ``dz``.
 
     The step dz solves DF dz = g, where g = -F or, for an error reset, -F
     with its complementarity blocks replaced by zeros (which by linearity
@@ -186,10 +189,12 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     :class:`~boxipm.kkt._Workspace` in (dx, dlam/s), s = ``ws.lam_scale``,
     in three stages:
 
-    1. Right-hand side: ``sign * F`` writes (g1, -s g2, g3, g4) into
-       ``dz``.  A step that is not a reset adds t = g34/e into
-       v = (g1 + t_l - t_r, -s g2); a reset's g34 is 0, so its v is
-       (g1, -s g2) as written.
+    1. Right-hand side: a path step first writes r3, r4 = mu∘e - tau
+       into ``F``, as :meth:`~boxipm.kkt._Workspace.eval_F` writes them,
+       since r1 and r2 do not depend on tau.  ``sign * F`` writes
+       (g1, -s g2, g3, g4) into ``dz``.  A step that is not a reset adds
+       t = g34/e into v = (g1 + t_l - t_r, -s g2); a reset's g34 is 0, so
+       its v is (g1, -s g2) as written.
     2. Solve, over v in place.  The step solves on the held factor
        ``ws.factor``, the one the last factoring step left, when it is an
        error reset after another step since
@@ -266,22 +271,24 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     if bound is None:  # line for line as unpacked below
         lapack, blas = linalg.lapack, linalg.blas
         bound = ws.bound = (
-            ws.z, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.sign,
+            ws.z, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.r34, ws.sign,
             ws.dz, ws.dz_x, ws.dz_u, ws.dz_lam, ws.dz_mu, ws.dmu_l, ws.dmu_r, ws.dmu2,
             ws.lam_scale, ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r, ws.w2,
             ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
             np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
             lapack.dsysv, lapack.dsytrs, blas.dasum,
         )
-    (z, mu, e, e_l, e_r, mu_e, mue, F, sign,
+    (z, mu, e, e_l, e_r, mu_e, mue, F, r34, sign,
      dz, dx, dz_u, dz_lam, dz_mu, dmu_l, dmu_r, dmu2,
      lam_scale, t, t_l, t_r, w, w_l, w_r, w2,
      H, hflat, hdiag, qdiag, n, d,
      add, subtract, multiply, divide, negative, reduce_min,
      dsysv, dsytrs, dasum) = bound
+    reset, path = kind == STEP_ERROR_RESET, kind == STEP_PATH
+    if path:  # F at the new tau; the other steps keep the last step's
+        subtract(mue, tau, r34)
     multiply(sign, F, dz)  # (g1, -s g2, g3, g4)
-    reset = kind == STEP_ERROR_RESET
-    held = (reset and ws.factor is not None) or (kind == STEP_PATH and ws.after_reset)
+    held = (reset and ws.factor is not None) or (path and ws.after_reset)
     ws.after_reset = reset
     if not reset:
         # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam);
@@ -623,8 +630,6 @@ def solve(
             cycles += 1
             tau = mp.sigma * tau
             for kind in cycle:
-                if kind == STEP_PATH:  # the other steps keep its tau
-                    ws.retarget(tau)
                 _step(kind, ws, tau)
                 if record is not None:
                     record(kind, tau)
@@ -692,30 +697,18 @@ def solve_standard(
     satisfies max_j x_j < 0.9 (the scaling is then demonstrably large
     enough) or the schedule's cap is hit (PiCapExceeded).
     """
-
-    def run(pi_val: float) -> tuple[SolveReport, np.ndarray]:
-        box, back = transform_standard(sp, pi_val, tol)
-        rep = solve(box, mode=mode, params_mode=params_mode, collect_trace=collect_trace)
-        return rep, back(rep.x)
-
     auto = isinstance(pi, str) and pi == "auto"
     # bool is a numbers.Real: True would run as the bound 1.0
     if not (auto or isinstance(pi, numbers.Real)) or isinstance(pi, bool):
         raise InvalidProblem(f"pi must be a number or 'auto', got {pi!r}")
-    if auto:
-        trials = 0
-        for pi_val in grow_pi_schedule(1.0):
-            trials += 1
-            rep, u = run(pi_val)
-            if float(rep.x.max(initial=-1.0)) < PI_ACCEPT_MARGIN:
-                break
-        # grow_pi_schedule raises PiCapExceeded when exhausted, so reaching
-        # here means the trial was accepted.
-    else:
-        pi_val = float(pi)
-        trials = 1
-        rep, u = run(pi_val)
-
+    # grow_pi_schedule raises PiCapExceeded when exhausted, so the loop ends
+    # on an accepted trial or after the one trial of a given bound.
+    for trials, pi_val in enumerate(grow_pi_schedule(1.0) if auto else (float(pi),), 1):
+        box, back = transform_standard(sp, pi_val, tol)
+        rep = solve(box, mode=mode, params_mode=params_mode, collect_trace=collect_trace)
+        if float(rep.x.max(initial=-1.0)) < PI_ACCEPT_MARGIN:
+            break
+    u = back(rep.x)
     return StandardReport(
         x=u,
         objective=sp.objective(u),

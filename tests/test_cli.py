@@ -241,6 +241,12 @@ class TestOracleAndFactor:
         val = float(capsys.readouterr().out.strip())
         assert val > 0.0
 
+    @pytest.mark.parametrize("command", ["oracle", "factor"])
+    def test_params_flag_is_a_usage_error(self, command, box_file, capsys):
+        # neither reads the parameter cascade, so neither accepts --params
+        assert run([command, box_file, "--params", "strict"]) == 2
+        assert "unrecognized arguments: --params" in capsys.readouterr().err
+
 
 class TestStandardFiles:
     """Standard-form files: the box subcommands need the file's pi, and
@@ -284,5 +290,10 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 
-    def test_bad_tol_flag(self, box_file, capsys):
-        assert run(["solve", box_file, "--tol", "-1"]) == 2
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["solve", "solve-standard", "params", "oracle", "factor"])
+    def test_bad_tol_flag(self, command, tol, box_file, std_file, capsys):
+        # BoxQP checks tol wherever it is used, the file's or the flag's
+        path = std_file if command == "solve-standard" else box_file
+        assert run([command, path, "--tol", tol]) == 2
+        assert "tol must be a positive finite real" in capsys.readouterr().err

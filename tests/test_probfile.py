@@ -136,6 +136,15 @@ class TestRejections:
         with pytest.raises(ParseError, match=message) as exc:
             make()
         assert (exc.value.line, exc.value.column) == (line, column)
+        located = {"line": line, "column": column}
+        assert exc.value.context() == {k: v for k, v in located.items() if v is not None}
+
+    def test_context_names_line_and_column(self):
+        exc = ParseError("bad value", line=3, column=5)
+        assert exc.context() == {"line": 3, "column": 5}
+        assert str(exc) == "bad value (line 3, column 5)"
+        assert ParseError("bad value", line=3).context() == {"line": 3}
+        assert ParseError("bad value").context() == {}
 
 
 class TestRoundTrip:

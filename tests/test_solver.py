@@ -313,7 +313,6 @@ def _step_loop(p, mode, params_mode="practical"):
     cycle = [STEP_PATH] + ([STEP_CENTRALITY, STEP_ERROR_RESET] if mode == "stable" else [])
     for _ in range(mp.M):
         tau = mp.sigma * tau
-        ws.retarget(tau)
         for kind in cycle:
             _step(kind, ws, tau)
         if tau <= mp.tau_E:
@@ -620,7 +619,7 @@ class TestStepLoopStructure:
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
         # numpy module calls in kkt, solver and linalg, per step as solve()
-        # makes it (a path step includes its retarget); the margin's
+        # makes it (a path step includes rewriting (r3, r4) at its tau); the margin's
         # np.minimum.reduce is one, and method calls
         # such as ndarray.dot are not counted.  The step binds its ufuncs at
         # its workspace's first step, after the counter is in place.  The
@@ -642,7 +641,6 @@ class TestStepLoopStructure:
             counter.calls = 0
             if kind == STEP_PATH:
                 tau = mp.sigma * tau
-                ws.retarget(tau)
             e = ws.e.copy()
             _step(kind, ws, tau)
             calls.append(counter.calls)
@@ -682,7 +680,6 @@ class TestStepLoopStructure:
                 counter.calls = 0
                 if kind == STEP_PATH:
                     tau = mp.sigma * tau
-                    ws.retarget(tau)
                 _step(kind, ws, tau)
                 record(kind, tau)
                 calls.append(counter.calls)
@@ -840,6 +837,7 @@ class TestRepairInvariants:
         ws.load(Iterate(x=x, lam=[0.0], mu_l=[1.0] * 3, mu_r=[1.0] * 3))
         ws.eval_F(0.5)
         ws.F[:] = 0.0
+        ws.mue[:] = 0.5  # a path step rewrites (r3, r4) as mu∘e - tau
         with pytest.raises(StepRejected, match=f"{kind} step left the interior") as info:
             _step(kind, ws, 0.5)
         exc = info.value
@@ -1010,6 +1008,7 @@ class TestRepairInvariants:
                 ws.load(z)
                 ws.eval_F(1.0)
                 ws.F[:] = 0.0
+                ws.mue[:] = 1.0  # a path step rewrites (r3, r4) as mu∘e - tau
                 solution[:] = 0.0
                 if block == "lam":  # the solve returns dlam/s
                     solution[3] = huge / ws.lam_scale
@@ -1017,6 +1016,7 @@ class TestRepairInvariants:
                     solution[j] = -0.9 * ws.e_l[j] if block == "mu_l" else 0.9 * ws.e_r[j]
                 else:  # g34/e = huge
                     ws.F[at] = -huge * ws.e[at - 4]
+                    ws.mue[at - 4] = ws.F[at] + 1.0
                 with pytest.raises(StepRejected, match="non-finite iterate") as info:
                     _step(kind, ws, 1.0)
                 assert info.value.kind == kind
@@ -1066,7 +1066,6 @@ class TestRepairInvariants:
         ws.eval_F(mp.tau_A)
         _step(STEP_ERROR_RESET, ws, mp.tau_A)
         tau = mp.sigma * mp.tau_A
-        ws.retarget(tau)
         ws.F[1] = bad_v  # the x block
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1322,7 +1321,6 @@ class TestCondDF:
         for before, row in zip(pd_rows, pd_rows[1:]):
             if row.step_kind == STEP_PATH:
                 tau = row.tau
-                ws.retarget(tau)
             if (before.step_kind, row.step_kind) in (
                 (STEP_CENTRALITY, STEP_ERROR_RESET), (STEP_ERROR_RESET, STEP_PATH)
             ):
@@ -1450,7 +1448,6 @@ class TestResetOnTheCentralityFactor:
         _step(STEP_ERROR_RESET, ws, tau)
         for _ in range(mp.M):
             tau = mp.sigma * tau
-            ws.retarget(tau)
             _step(STEP_PATH, ws, tau)
             _step(STEP_CENTRALITY, ws, tau)
             fresh = _Workspace(p, mp)
@@ -1496,7 +1493,6 @@ class TestPathOnTheResetFactor:
         _step(STEP_ERROR_RESET, ws, tau)
         for _ in range(mp.M):
             tau = mp.sigma * tau
-            ws.retarget(tau)
             fresh = _Workspace(p, mp)
             fresh.ze[:] = ws.ze
             fresh.derive_mue()
@@ -1707,6 +1703,21 @@ class TestSolveStandard:
         assert rep.trials == 3
         assert rep.pi == 4.0
         assert_allclose(rep.x, [3.0], atol=1e-2)
+
+    def test_a_given_bound_is_one_trial(self, monkeypatch):
+        # x~* = 3 lies beyond pi = 2, so the trial is not accepted; a given
+        # bound is still solved once and returned
+        sp = StandardQP(Qt=np.zeros((1, 1)), ct=[0.0], At=[[1.0]], bt=[3.0])
+        calls, box_solve = [], boxipm.solver.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return box_solve(*args, **kwargs)
+
+        monkeypatch.setattr(boxipm.solver, "solve", counted)
+        rep = solve_standard(sp, tol=1e-2, pi=2.0)
+        assert (len(calls), rep.trials, rep.pi) == (1, 1, 2.0)
+        assert rep.box_report.x.max() >= 0.9
 
     def test_auto_schedule_cap(self, monkeypatch):
         # x~* = 3 needs pi = 4; a schedule capped at 2 runs out first
