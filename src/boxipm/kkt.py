@@ -116,22 +116,16 @@ class Iterate:
 @dataclass(frozen=True)
 class Residual:
     """Blockwise value of F_tau: stationarity r1 (n), equality r2 (m),
-    left/right complementarity r3, r4 (n each)."""
+    left/right complementarity r3, r4 (n each), and the 2-norms of the
+    stacked (r1, r2) and (r3, r4) blocks, each by one dot as a step's
+    post-check takes it."""
 
     r1: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
     r4: np.ndarray
-
-    @property
-    def eq_norm(self) -> float:
-        """2-norm of the stacked (r1, r2) blocks, by one dot as the solver takes it."""
-        return _norm(np.concatenate([self.r1, self.r2]))
-
-    @property
-    def comp_norm(self) -> float:
-        """2-norm of the stacked (r3, r4) blocks, by one dot as the solver takes it."""
-        return _norm(np.concatenate([self.r3, self.r4]))
+    eq_norm: float
+    comp_norm: float
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.r1, self.r2, self.r3, self.r4])
@@ -185,11 +179,6 @@ def _blocks(v: np.ndarray, n: int, m: int) -> tuple[np.ndarray, ...]:
     return v[:n], v[n:nm], v[nm : nm + n], v[nm + n :]
 
 
-def _check_tau(tau: float) -> None:
-    if not tau > 0.0:
-        raise InvalidProblem(f"tau must be positive, got {tau!r}")
-
-
 def _affine_rows(p: BoxQP, omega: float) -> np.ndarray:
     """T, the top n+m rows of DF: [[Q + omega I, -A', -I, I], [A, omega I, 0, 0]],
     C-ordered, so that (r1, r2) = T z + (c, -b)."""
@@ -206,12 +195,15 @@ def _affine_rows(p: BoxQP, omega: float) -> np.ndarray:
 
 
 def eval_F(p: BoxQP, mp, z: Iterate, tau: float) -> Residual:
-    """Optimality function F_tau(z), blockwise."""
-    _check_tau(tau)
+    """Optimality function F_tau(z), blockwise, with its block norms, as
+    :meth:`_Workspace.eval_F` writes them; tau must be a positive finite
+    real."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise InvalidProblem(f"tau must be a positive finite real, got {tau!r}")
     ws = _Workspace(p, mp)
     ws.load(z)
     ws.eval_F(tau)
-    return Residual(ws.r1, ws.r2, ws.r3, ws.r4)
+    return Residual(ws.r1, ws.r2, ws.r3, ws.r4, ws.eq_norm, ws.comp_norm)
 
 
 def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
@@ -234,10 +226,10 @@ def eval_DF(p: BoxQP, mp, z: Iterate) -> np.ndarray:
 class _Workspace:
     """Preallocated buffers for the primal-dual Newton steps of one problem.
 
-    Built once per solve (and once per call of a public step function) and
-    dropped with it.  It holds one primal-dual state, which every step
-    updates in place: ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``,
-    ``mu_r`` and ``mu`` = (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
+    Built once per solve, or per :func:`eval_F` call, and dropped with it.
+    It holds one primal-dual state, which every step updates in place:
+    ``z`` is one N-vector; ``x``, ``lam``, ``mu_l``, ``mu_r`` and ``mu`` =
+    (mu_l, mu_r) are views of it.  ``e`` = (e+x, e-x),
     with views ``e_l`` and ``e_r``, follows z in one buffer, ``ze``, so that
     ``mu_e`` = (mu, e) is one view.  e is part of the state: :meth:`load`
     derives it from the iterate, the one place that does, and every step
@@ -247,9 +239,8 @@ class _Workspace:
     (mu, e), the interior margin, as :meth:`load` or the last step set it;
     a step whose margin is not positive is rejected.
     ``mue`` = mu∘e is a 2n-vector (:meth:`derive_mue`).  :meth:`rounded_x`
-    is x rounded into the open box, as a solve reports it and
-    :meth:`iterate` carries it.  ``F`` is one N-vector
-    with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
+    is x rounded into the open box, as a solve reports it.  ``F`` is one
+    N-vector with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
     ``r34`` = (r3, r4); :meth:`eval_F` writes it, and a path step rewrites
     r34 at its own tau before it reads ``F``.  ``eq_norm`` and
     ``comp_norm`` are the norms of r12 and r34 as :meth:`eval_F` last wrote
@@ -357,10 +348,6 @@ class _Workspace:
     def rounded_x(self) -> np.ndarray:
         """x rounded into the open box, to |x_j| <= nextafter(1, 0), a copy."""
         return np.clip(self.x, -_X_MAX, _X_MAX)
-
-    def iterate(self) -> Iterate:
-        """z as an Iterate, with x rounded by :meth:`rounded_x`, a copy."""
-        return Iterate(self.rounded_x(), self.lam, self.mu_l, self.mu_r)
 
     def eval_F(self, tau: float) -> None:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb

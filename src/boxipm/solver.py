@@ -13,23 +13,21 @@ Three phases:
    appropriate when stability is not a concern.  Which steps factor their
    matrix and which solve on a held factor is the rule of ``_step``.
 
-``solve()`` is built from the public step functions: it runs
-``primal_init``, which also writes the primal trace rows, then ``lift``,
-and makes every primal-dual Newton step through ``_step``, the single
-implementation behind ``error_reset_step``, ``path_step`` and
-``centrality_step``.  Every step
-ends with the neighborhood rule of :func:`boxipm.neighborhoods.check_step`
-and is rejected (never damped or repaired) when it fails; a Newton system
-that overflows, or a step that drives some mu or e = (1 + x, 1 - x) to
-zero or below, is rejected the same way, and every rejection names its
-step kind and tau (``solve()`` adds the cycle).  Inputs are validated where
-they enter (``BoxQP``, the public ``Iterate`` constructor, ``eval_F``,
-``QRFactor``, the ``tau`` of the public step functions); the iterates the
+``solve()`` runs ``primal_init``, which also writes the primal trace rows,
+then ``lift``, and makes every primal-dual Newton step through ``_step``,
+the one implementation of a step.  Every step ends with the neighborhood
+rule of :func:`boxipm.neighborhoods.check_step` and is rejected (never
+damped or repaired) when it fails; a Newton system that overflows, or a
+step that drives some mu or e = (1 + x, 1 - x) to zero or below, is
+rejected the same way, and every rejection names its step kind and tau
+(``solve()`` adds the cycle).  Inputs are validated where they enter
+(``BoxQP``, ``solve()``'s mode strings, the public ``Iterate``
+constructor, ``eval_F`` and ``eval_DF``, ``QRFactor``); the iterates the
 steps of ``solve()`` produce are not re-validated, because a step that
 breaks their invariants is rejected.
 
 Steps run in place in a step workspace (:class:`boxipm.kkt._Workspace`),
-built once per solve and once per call of a public step function: it holds
+built once per solve and once per ``eval_F`` call: it holds
 the one primal-dual state of the solve, which each step updates in place,
 and each step solves its reduced Newton system with one symmetric LAPACK
 call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or the
@@ -71,7 +69,6 @@ from .errors import (
 )
 from .kkt import (
     Iterate,
-    _check_tau,
     _Workspace,
     cond_DF,
     eval_DF,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
@@ -236,9 +233,10 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     rounding, and of the order of dmu∘de in a path step, which the
     post-check judges as it judges any other.
     One rule serves both params modes.  The paper's analysis assumes exact
-    Newton steps: the multiprecision reference of ROADMAP item 7 must check
-    that with the stale w' every path step still meets its width bound with
-    zero slack, and that K, M and the cycles stay the same.
+    Newton steps: the multiprecision reference (ROADMAP, "The paper's
+    strict method, end to end in multiprecision") must check that with the
+    stale w' every path step still meets its width bound with zero slack,
+    and that K, M and the cycles stay the same.
     The step does no trace work: a traced solve's :class:`_Recorder` reads
     what the step left.
 
@@ -412,49 +410,6 @@ def lift(p: BoxQP, mp: MethodParams, xk) -> Iterate:
         mu_l=mp.tau_A / (1.0 + xk),
         mu_r=mp.tau_A / (1.0 - xk),
     )
-
-
-def _public_step(kind: str, p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
-    """One ``kind`` step at tau from a caller's iterate, in a workspace of
-    its own: e is derived from z's x, and the new iterate's x is rounded
-    into the open box."""
-    _check_tau(tau)
-    ws = _Workspace(p, mp)
-    ws.load(z)
-    ws.eval_F(tau)
-    _step(kind, ws, tau)
-    return ws.iterate()
-
-
-def error_reset_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
-    """Newton step whose right-hand side zeroes only the (r1, r2) blocks.
-
-    By linearity the new stationarity/equality residuals vanish to roundoff;
-    the post-check holds them to the error-reset limit of
-    :func:`~boxipm.neighborhoods.check_step`, which is far looser.  It runs in a workspace of its
-    own, so it factors DF at ``z``, as the initial reset of :func:`solve`
-    does; a reset within a cycle of :func:`solve` solves on its centrality
-    step's factor instead.
-    """
-    return _public_step(STEP_ERROR_RESET, p, mp, z, tau)
-
-
-def path_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> tuple[Iterate, float]:
-    """Newton step on F at the reduced parameter tau_hat = sigma * tau.
-
-    Returns (new iterate, tau_hat).  Post-check: the width-theta rule of
-    :func:`~boxipm.neighborhoods.check_step` at tau_hat.
-    """
-    tau_hat = mp.sigma * tau
-    return _public_step(STEP_PATH, p, mp, z, tau_hat), tau_hat
-
-
-def centrality_step(p: BoxQP, mp: MethodParams, z: Iterate, tau: float) -> Iterate:
-    """Newton step on F at unchanged tau; halves the neighborhood width.
-
-    Post-check: the half-width rule of :func:`~boxipm.neighborhoods.check_step`.
-    """
-    return _public_step(STEP_CENTRALITY, p, mp, z, tau)
 
 
 # Factors a trace recorder holds before it turns its rows into TraceEntry

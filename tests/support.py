@@ -3,7 +3,7 @@
 import numpy as np
 
 from boxipm import BoxQP, StandardQP, StepRejected
-from boxipm.kkt import cond_DF
+from boxipm.kkt import _Workspace, cond_DF
 from boxipm.neighborhoods import STEP_CENTRALITY, STEP_ERROR_RESET
 from boxipm.solver import _step
 
@@ -91,6 +91,17 @@ def random_iterate(rng, n, m):
         mu_l=rng.uniform(0.1, 2.0, size=n),
         mu_r=rng.uniform(0.1, 2.0, size=n),
     )
+
+
+def loaded_workspace(p, mp, z, tau):
+    """A step workspace of its own that holds the iterate z, with F_tau in
+    ``F``: the state from which ``boxipm.solver._step`` steps, as
+    ``solve()`` loads the lift point.  A test steps as ``solve()`` does,
+    with ``_step(kind, ws, tau)``, a path step at its own reduced tau."""
+    ws = _Workspace(p, mp)
+    ws.load(z)
+    ws.eval_F(tau)
+    return ws
 
 
 def newton_step(ws, tau, reset_only):

@@ -14,7 +14,9 @@ from boxipm.neighborhoods import STEP_PATH
 from boxipm.params import MethodParams
 from boxipm.solver import _step, lift
 
-from support import iterate_from_array, newton_step, random_boxqp, random_iterate
+from support import (
+    iterate_from_array, loaded_workspace, newton_step, random_boxqp, random_iterate,
+)
 
 
 def make_mp(**overrides):
@@ -220,6 +222,12 @@ class TestOptimalityFunction:
         assert_allclose(F2.r2, F.r2)
         assert_allclose(F2.r4, F.r4)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_tau_that_is_not_positive_and_finite(self, tau):
+        z = Iterate(x=[0.0], lam=[0.0], mu_l=[1.0], mu_r=[1.0])
+        with pytest.raises(InvalidProblem, match="tau must be a positive finite real"):
+            eval_F(zeros_problem(), make_mp(), z, tau)
+
 
 def eval_DF_blocks(p, mp, z):
     """DF assembled block by block from identity and diagonal matrices: the
@@ -259,6 +267,12 @@ class TestJacobian:
         assert_allclose(F_a.r3 - F_b.r3, np.ones(2))
         J = eval_DF(p, mp, z)
         assert np.array_equal(J, eval_DF(p, mp, z))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (1, 2)])
+    def test_rejects_an_iterate_of_other_dimensions(self, n, m):
+        z = Iterate(x=[0.0] * n, lam=[0.0] * m, mu_l=[1.0] * n, mu_r=[1.0] * n)
+        with pytest.raises(DimensionError, match="iterate dimensions"):
+            eval_DF(zeros_problem(), make_mp(), z)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (4, 2), (20, 8)])
     def test_equals_the_block_built_reference(self, n, m):
@@ -334,9 +348,7 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     u[n:] *= s
     dx = u[:n]
     ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
-    ws = _Workspace(p, mp)
-    ws.load(z)
-    ws.eval_F(tau)
+    ws = loaded_workspace(p, mp, z, tau)
     assert newton_step(ws, tau, reset_only).tobytes() == ref.tobytes()
     assert ws.H.tobytes(order="C") == H.tobytes()
 
@@ -350,9 +362,7 @@ class TestReducedDF:
         p = BoxQP(Q=[[3.0]], c=[0.0], A=[[2.0]], b=[0.0], tol=0.1)
         mp = make_mp(omega=0.5)
         z = Iterate(x=[0.5], lam=[0.0], mu_l=[2.0], mu_r=[1.0])
-        ws = _Workspace(p, mp)
-        ws.load(z)
-        ws.eval_F(1.0)
+        ws = loaded_workspace(p, mp, z, 1.0)
         newton_step(ws, 1.0, reset_only=False)
         assert_allclose(ws.H, [[3.5 + 2.0 / 1.5 + 2.0, -2.0], [-2.0, -0.5]], rtol=1e-15)
 
@@ -427,17 +437,16 @@ class TestWorkspaceResidual:
         p = random_boxqp(rng, n, m, tol=1e-2)
         mp = compute_params_practical(p)
         z = random_iterate(rng, n, m)
-        ws = _Workspace(p, mp)
-        ws.load(z)
-        ws.eval_F(0.75)
+        ws = loaded_workspace(p, mp, z, 0.75)
         F = eval_F(p, mp, z, 0.75)
         assert ws.F.tobytes() == F.as_array().tobytes()
-        assert (ws.eq_norm, ws.comp_norm) == (F.eq_norm, F.comp_norm)
+        # each norm is one dot over its stacked blocks
+        r12, r34 = np.concatenate([F.r1, F.r2]), np.concatenate([F.r3, F.r4])
+        norms = (math.sqrt(r12.dot(r12)), math.sqrt(r34.dot(r34)))
+        assert (ws.eq_norm, ws.comp_norm) == (F.eq_norm, F.comp_norm) == norms
         steps = []
         for tau in (0.75, 0.25):
-            ws = _Workspace(p, mp)
-            ws.load(z)
-            ws.eval_F(tau)
+            ws = loaded_workspace(p, mp, z, tau)
             try:
                 _step(STEP_PATH, ws, 0.25)
             except StepRejected:  # the post-check does not matter here

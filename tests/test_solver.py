@@ -39,15 +39,12 @@ from boxipm.solver import (
     STEP_LIFT,
     STEP_PATH,
     STEP_PRIMAL,
-    centrality_step,
-    error_reset_step,
     lift,
-    path_step,
     primal_init,
 )
 from support import (
     batched_cond_DF,
-    mu_e_row,
+    loaded_workspace,
     newton_step,
     random_boxqp,
     random_boxqp_interior_infeasible,
@@ -136,29 +133,27 @@ class TestErrorResetStep:
         mp = make_mp()
         tau = 0.5
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[tau], mu_r=[tau])
-        z2 = error_reset_step(p, mp, z, tau)
-        assert_allclose(z2.as_array(), z.as_array(), atol=1e-15)
+        ws = loaded_workspace(p, mp, z, tau)
+        _step(STEP_ERROR_RESET, ws, tau)
+        assert_allclose(ws.z, z.as_array(), atol=1e-15)
 
     def test_restores_equality_block_linearly(self):
         # perturbing lam only enters block 2 linearly, so one reset zeroes it
         p = zeros_problem()
         mp = make_mp()
         tau = 0.5
-        z = Iterate(x=[0.0], lam=[0.25], mu_l=[tau], mu_r=[tau])
-        z2 = error_reset_step(p, mp, z, tau)
-        F = eval_F(p, mp, z2, tau)
-        assert abs(F.r2[0]) <= 1e-15
+        ws = loaded_workspace(p, mp, Iterate(x=[0.0], lam=[0.25], mu_l=[tau], mu_r=[tau]), tau)
+        _step(STEP_ERROR_RESET, ws, tau)
+        assert abs(ws.r2[0]) <= 1e-15
 
     def test_never_increases_equality_residual(self):
         rng = np.random.default_rng(3)
         p = random_boxqp(rng, 3, 2, tol=1e-2)
         mp = compute_params_practical(p)
-        x = primal_init(p, mp)
-        z = lift(p, mp, x)
-        before = eval_F(p, mp, z, mp.tau_A).eq_norm
-        z2 = error_reset_step(p, mp, z, mp.tau_A)
-        after = eval_F(p, mp, z2, mp.tau_A).eq_norm
-        assert after <= before + 1e-12 * (1.0 + before)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
+        before = ws.eq_norm
+        _step(STEP_ERROR_RESET, ws, mp.tau_A)
+        assert ws.eq_norm <= before + 1e-12 * (1.0 + before)
 
 
 class TestPathStep:
@@ -168,21 +163,12 @@ class TestPathStep:
         p = zeros_problem()
         mp = make_mp(omega=1.0, sigma=0.75)
         tau = 1.0
-        z = Iterate(x=[0.0], lam=[0.0], mu_l=[tau], mu_r=[tau])
-        z2, tau_hat = path_step(p, mp, z, tau)
-        assert tau_hat == 0.75
-        assert_allclose(z2.x, [0.0], atol=1e-15)
-        assert_allclose(z2.mu_l, [tau_hat], rtol=1e-14)
-        assert_allclose(z2.mu_r, [tau_hat], rtol=1e-14)
-
-    def test_tau_update_exact(self):
-        rng = np.random.default_rng(4)
-        p = random_boxqp(rng, 2, 1, tol=1e-2)
-        mp = compute_params_practical(p)
-        z = lift(p, mp, primal_init(p, mp))
-        z = error_reset_step(p, mp, z, mp.tau_A)
-        _, tau_hat = path_step(p, mp, z, mp.tau_A)
-        assert tau_hat == mp.sigma * mp.tau_A
+        ws = loaded_workspace(p, mp, Iterate(x=[0.0], lam=[0.0], mu_l=[tau], mu_r=[tau]), tau)
+        tau_hat = mp.sigma * tau
+        _step(STEP_PATH, ws, tau_hat)
+        assert_allclose(ws.x, [0.0], atol=1e-15)
+        assert_allclose(ws.mu_l, [tau_hat], rtol=1e-14)
+        assert_allclose(ws.mu_r, [tau_hat], rtol=1e-14)
 
 
 class TestCentralityStep:
@@ -191,8 +177,9 @@ class TestCentralityStep:
         mp = make_mp()
         tau = 0.5
         z = Iterate(x=[0.0], lam=[0.0], mu_l=[tau], mu_r=[tau])
-        z2 = centrality_step(p, mp, z, tau)
-        assert_allclose(z2.as_array(), z.as_array(), atol=1e-15)
+        ws = loaded_workspace(p, mp, z, tau)
+        _step(STEP_CENTRALITY, ws, tau)
+        assert_allclose(ws.z, z.as_array(), atol=1e-15)
 
     def test_halves_width_from_boundary(self):
         # start on the width-theta boundary of a pure-barrier instance
@@ -200,10 +187,10 @@ class TestCentralityStep:
         tau = 1.0
         mu_l = 1.25
         p = BoxQP(Q=np.zeros((1, 1)), c=[0.25], A=np.zeros((1, 1)), b=[0.0], tol=0.1)
-        z = Iterate(x=[0.0], lam=[0.0], mu_l=[mu_l], mu_r=[tau])
-        before = eval_F(p, mp, z, tau).comp_norm
-        z2 = centrality_step(p, mp, z, tau)
-        after = eval_F(p, mp, z2, tau).comp_norm
+        ws = loaded_workspace(p, mp, Iterate(x=[0.0], lam=[0.0], mu_l=[mu_l], mu_r=[tau]), tau)
+        before = ws.comp_norm
+        _step(STEP_CENTRALITY, ws, tau)
+        after = ws.comp_norm
         assert before == mp.theta * tau
         assert after <= 0.5 * mp.theta * tau
         assert after < before
@@ -268,6 +255,14 @@ class TestSolve:
         assert rep.objective <= ref.objective + p.tol
         assert rep.feas_residual == 0.0
 
+    @pytest.mark.parametrize("option, value", [
+        ("mode", "Stable"), ("mode", "short"), ("params_mode", "exact"), ("params_mode", ""),
+    ])
+    def test_unknown_mode_strings_are_invalid(self, option, value):
+        p = zeros_problem(n=2, m=1, tol=0.1)
+        with pytest.raises(InvalidProblem, match=f"unknown {option.replace('_', ' ')} {value!r}"):
+            solve(p, **{option: value})
+
     def test_interiority_throughout(self):
         rng = np.random.default_rng(7)
         p = random_boxqp(rng, 3, 2, feasible=False, tol=1e-2)
@@ -276,39 +271,12 @@ class TestSolve:
         assert min(margins) > 0.0
 
 
-def _drive_steps(p, mode, check=None):
-    """A solve spelled out with the public step functions, each from the
-    iterate the one before returned; ``check(kind, z, tau, new)``, if given,
-    sees every step."""
-    mp = compute_params_practical(p)
-
-    def step(kind, z, tau):
-        if kind == STEP_PATH:
-            new, tau = path_step(p, mp, z, tau)
-        else:
-            new = (error_reset_step if kind == STEP_ERROR_RESET else centrality_step)(p, mp, z, tau)
-        if check is not None:
-            check(kind, z, tau, new)
-        return new, tau
-
-    z, tau = step(STEP_ERROR_RESET, lift(p, mp, primal_init(p, mp)), mp.tau_A)
-    cycle = [STEP_PATH] + ([STEP_CENTRALITY, STEP_ERROR_RESET] if mode == "stable" else [])
-    for _ in range(mp.M):
-        for kind in cycle:
-            z, tau = step(kind, z, tau)
-        if tau <= mp.tau_E:
-            break
-    return z.x, tau
-
-
 def _step_loop(p, mode, params_mode="practical"):
     """solve() spelled out as its loop of _step on one workspace, which
     carries e from step to step; returns the reported x and the last tau."""
     mp = compute_params(p) if params_mode == "strict" else compute_params_practical(p)
-    ws = _Workspace(p, mp)
-    ws.load(lift(p, mp, primal_init(p, mp)))
     tau = mp.tau_A
-    ws.eval_F(tau)
+    ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), tau)
     _step(STEP_ERROR_RESET, ws, tau)
     cycle = [STEP_PATH] + ([STEP_CENTRALITY, STEP_ERROR_RESET] if mode == "stable" else [])
     for _ in range(mp.M):
@@ -321,10 +289,8 @@ def _step_loop(p, mode, params_mode="practical"):
 
 
 class TestSolveComposition:
-    """solve() is its _step loop on one workspace.  A public step loads its
-    iterate into a workspace of its own, which derives e from x, so a chain
-    of public steps is not that loop: each public step is one _step from a
-    freshly loaded workspace instead."""
+    """solve() is its _step loop on one workspace, which derives e from x
+    once, at the lift point, and carries it from step to step."""
 
     @pytest.mark.parametrize("mode", ["stable", "fast"])
     def test_step_functions_reproduce_solve(self, mode):
@@ -342,24 +308,6 @@ class TestSolveComposition:
         x, tau = _step_loop(p, "fast", params_mode="strict")
         assert x.tobytes() == rep.x.tobytes()
         assert tau == rep.tau_final
-
-    @pytest.mark.parametrize("mode", ["stable", "fast"])
-    def test_each_public_step_is_one_step_from_a_loaded_workspace(self, mode):
-        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
-        mp = compute_params_practical(p)
-        kinds = []
-
-        def check(kind, z, tau, new):
-            ws = _Workspace(p, mp)
-            ws.load(z)
-            ws.eval_F(tau)
-            _step(kind, ws, tau)
-            assert ws.iterate().as_array().tobytes() == new.as_array().tobytes()
-            kinds.append(kind)
-
-        _drive_steps(p, mode, check)
-        cycles = (len(kinds) - 1) // (3 if mode == "stable" else 1)
-        assert cycles > 100 and kinds.count(STEP_PATH) == cycles
 
     @pytest.mark.parametrize(
         "mode, cycle",
@@ -629,9 +577,7 @@ class TestStepLoopStructure:
         # adds no g34/e to its right-hand side or its dmu.
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
-        ws = _Workspace(p, mp)
-        ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(mp.tau_A)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         counter = _CountingNumpy()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
@@ -662,9 +608,7 @@ class TestStepLoopStructure:
         # before the counter is in place).
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
-        ws = _Workspace(p, mp)
-        ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(mp.tau_A)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         trace = []
         record = _Recorder(ws, trace)
         mirror_upper(np.empty((p.n + p.m, p.n + p.m)))
@@ -783,19 +727,6 @@ class TestStepLoopStructure:
         assert Ms[0] != Ms[1]
         assert counts[0] == counts[1]
 
-    def test_public_steps_build_one_workspace_each(self, monkeypatch):
-        p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
-        # error_reset_step, then path, centrality and error reset per cycle
-        public_steps = 1 + 3 * solve(p).iterations_pd
-        calls = {"workspace": 0, "eval_F": 0}
-        monkeypatch.setattr(
-            _Workspace, "__init__", _counted(calls, "workspace", _Workspace.__init__)
-        )
-        monkeypatch.setattr(_Workspace, "eval_F", _counted(calls, "eval_F", _Workspace.eval_F))
-        _drive_steps(p, "stable")
-        # each builds a workspace and evaluates F before and after its step
-        assert calls == {"workspace": public_steps, "eval_F": 2 * public_steps}
-
 
 def _hand_iterate():
     return Iterate(x=[0.5, -0.5, 0.0], lam=[0.1], mu_l=[1.0, 2.0, 0.5], mu_r=[0.5, 1.0, 2.0])
@@ -833,9 +764,8 @@ class TestRepairInvariants:
             u[0] = dx0
 
         _edit_solutions(monkeypatch, injected)
-        ws = _Workspace(p, mp)
-        ws.load(Iterate(x=x, lam=[0.0], mu_l=[1.0] * 3, mu_r=[1.0] * 3))
-        ws.eval_F(0.5)
+        z = Iterate(x=x, lam=[0.0], mu_l=[1.0] * 3, mu_r=[1.0] * 3)
+        ws = loaded_workspace(p, mp, z, 0.5)
         ws.F[:] = 0.0
         ws.mue[:] = 0.5  # a path step rewrites (r3, r4) as mu∘e - tau
         with pytest.raises(StepRejected, match=f"{kind} step left the interior") as info:
@@ -876,11 +806,9 @@ class TestRepairInvariants:
         x = ws.rounded_x()
         assert x.tolist() == [_X_MAX, -_X_MAX, 0.0]
         assert ws.x.tolist() == [1.0, -1.0, 0.0]
-        z = ws.iterate()
-        assert z.x.tobytes() == x.tobytes()
 
     def test_an_error_reset_that_drives_mu_negative_is_rejected(self):
-        # a public reset at x = 0.5 with c set so that the Newton step is
+        # a reset at x = 0.5 with c set so that the Newton step is
         # dx = -(1 + 1e-9)/2, just past e_r: mu_r = 1e-3 (1 + dx/e_r) reaches
         # -1e-12, while e stays positive.  Resetting mu_r to tau/e_r = 1e-12
         # would leave ||(r1, r2)|| = 2e-12, inside the reset's floor of
@@ -891,8 +819,9 @@ class TestRepairInvariants:
         r1 = eval_F(zeros_problem(tol=0.1), mp, z, tau).r1[0]
         G = 1.0 + 1e-3 / 1.5 + 1e-3 / 0.5  # omega + mu_l/(1 + x) + mu_r/(1 - x)
         p = BoxQP(Q=[[0.0]], c=[0.5 * (1.0 + 1e-9) * G - r1], A=[[0.0]], b=[0.0], tol=0.1)
+        ws = loaded_workspace(p, mp, z, tau)
         with pytest.raises(StepRejected, match="error_reset step left the interior") as info:
-            error_reset_step(p, mp, z, tau)
+            _step(STEP_ERROR_RESET, ws, tau)
         exc = info.value
         assert (exc.kind, exc.tau, exc.block, exc.limit) == (STEP_ERROR_RESET, tau, "interior", 0.0)
         assert -1.1e-12 < exc.value < -0.9e-12
@@ -905,9 +834,7 @@ class TestRepairInvariants:
         mp = make_mp()
         tau = 0.5
         z = Iterate(x=[0.25], lam=[0.0], mu_l=[tau / 1.25], mu_r=[tau / 0.75])
-        ws = _Workspace(p, mp)
-        ws.load(z)
-        ws.eval_F(tau)
+        ws = loaded_workspace(p, mp, z, tau)
         ws.F[:] = [-1.0 / 1.25, 0.0, 1.0, 0.0]  # g = (1/1.25, 0, -1, 0)
         with pytest.raises(StepRejected, match="centrality step left the interior") as info:
             _step(STEP_CENTRALITY, ws, tau)
@@ -926,8 +853,9 @@ class TestRepairInvariants:
             u[1] = bad
 
         _edit_solutions(monkeypatch, broken)
+        ws = loaded_workspace(p, mp, z, 1.0)
         with pytest.raises(StepRejected, match="non-finite components") as info:
-            path_step(p, mp, z, 1.0)
+            _step(STEP_PATH, ws, mp.sigma)
         assert (info.value.kind, info.value.tau) == (STEP_PATH, mp.sigma)
 
     def test_huge_finite_step_is_checked_without_a_warning(self, monkeypatch):
@@ -1004,9 +932,7 @@ class TestRepairInvariants:
         _edit_solutions(monkeypatch, overflowing)
         with np.errstate(over="ignore", invalid="ignore"):
             for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
-                ws = _Workspace(p, mp)
-                ws.load(z)
-                ws.eval_F(1.0)
+                ws = loaded_workspace(p, mp, z, 1.0)
                 ws.F[:] = 0.0
                 ws.mue[:] = 1.0  # a path step rewrites (r3, r4) as mu∘e - tau
                 solution[:] = 0.0
@@ -1027,15 +953,12 @@ class TestRepairInvariants:
         mp = compute_params_practical(p)
         z = Iterate(x=[0.5, 0.0], lam=[], mu_l=[1.0, 1.0], mu_r=[1e308, 1.0])
         with np.errstate(over="ignore"):
-            for step, kind in (
-                (path_step, STEP_PATH),
-                (centrality_step, STEP_CENTRALITY),
-                (error_reset_step, STEP_ERROR_RESET),
-            ):
+            for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
+                ws = loaded_workspace(p, mp, z, 1.0)
+                tau = mp.sigma if kind == STEP_PATH else 1.0
                 with pytest.raises(StepRejected, match="Newton system overflowed: G") as info:
-                    step(p, mp, z, 1.0)
-                assert info.value.kind == kind
-                assert info.value.tau == (mp.sigma if kind == STEP_PATH else 1.0)
+                    _step(kind, ws, tau)
+                assert (info.value.kind, info.value.tau) == (kind, tau)
 
     @pytest.mark.parametrize("bad_G, bad_v, message", [
         (np.inf, None, "G"), (None, np.nan, "v"), (np.inf, np.nan, "G"),
@@ -1061,9 +984,7 @@ class TestRepairInvariants:
         # tested when it was factored, so it tests v alone
         p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
         mp = compute_params_practical(p)
-        ws = _Workspace(p, mp)
-        ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(mp.tau_A)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         _step(STEP_ERROR_RESET, ws, mp.tau_A)
         tau = mp.sigma * mp.tau_A
         ws.F[1] = bad_v  # the x block
@@ -1095,8 +1016,9 @@ class TestRepairInvariants:
         mp = compute_params_practical(p)
         z = Iterate(x=[_X_MAX, 0.0], lam=[], mu_l=[1.0, 1.0], mu_r=[1e-300, 1.0])
         with np.errstate(over="ignore"):
+            ws = loaded_workspace(p, mp, z, 1e300)
             with pytest.raises(StepRejected, match="Newton system overflowed: v"):
-                path_step(p, mp, z, 1e300)
+                _step(STEP_PATH, ws, mp.sigma * 1e300)
 
 
 class TestStructuredRejection:
@@ -1105,10 +1027,11 @@ class TestStructuredRejection:
         p = random_boxqp(rng, 2, 1, tol=1e-2)
         mp = compute_params_practical(p)
         z = random_iterate(rng, 2, 1)  # far from the central path
-        with pytest.raises(StepRejected, match="path step failed its post-check: comp") as info:
-            path_step(p, mp, z, 1.0)
-        exc = info.value
+        ws = loaded_workspace(p, mp, z, 1.0)
         tau_hat = mp.sigma * 1.0
+        with pytest.raises(StepRejected, match="path step failed its post-check: comp") as info:
+            _step(STEP_PATH, ws, tau_hat)
+        exc = info.value
         assert (exc.kind, exc.tau, exc.block) == (STEP_PATH, tau_hat, "comp")
         assert exc.limit == mp.theta * tau_hat * (1.0 + 1e-6)
         assert exc.value > exc.limit
@@ -1314,9 +1237,7 @@ class TestCondDF:
         rep = solve(p, collect_trace=True)
         pd_rows = rep.trace[rep.params.K :]
         mp = rep.params
-        ws = _Workspace(p, mp)
-        ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(mp.tau_A)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         tau, held = mp.tau_A, 0
         for before, row in zip(pd_rows, pd_rows[1:]):
             if row.step_kind == STEP_PATH:
@@ -1441,9 +1362,7 @@ class TestResetOnTheCentralityFactor:
         p = _stale_w_problem(family, seed, n, m)
         mp = compute_params_practical(p)
         eq_floor = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z  # the reset's post-check
-        ws = _Workspace(p, mp)
-        ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(mp.tau_A)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         tau = mp.tau_A
         _step(STEP_ERROR_RESET, ws, tau)
         for _ in range(mp.M):
@@ -1486,9 +1405,7 @@ class TestPathOnTheResetFactor:
         p = _stale_w_problem(family, seed, n, m)
         mp = compute_params_practical(p)
         eq_floor = 100.0 * mp.N * EPS_MACH * mp.C_DF * mp.C_z  # the reset's post-check
-        ws = _Workspace(p, mp)
-        ws.load(lift(p, mp, primal_init(p, mp)))
-        ws.eval_F(mp.tau_A)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         tau = mp.tau_A
         _step(STEP_ERROR_RESET, ws, tau)
         for _ in range(mp.M):
@@ -1663,23 +1580,25 @@ class TestTraceProperties:
             if e.step_kind == STEP_PATH:
                 assert e.residual_comp <= mp.theta * e.tau * (1.0 + 1e-6)
 
-    def test_min_comp_product_and_gap_along_iterates(self):
-        # drive the three-step cycle by hand to see the iterates themselves
+    def test_min_comp_product_and_gap_along_iterates(self, monkeypatch):
+        # solve()'s own step loop, seen after every step: mu∘e and (mu, e)
+        # as the workspace carries them
         from boxipm.neighborhoods import complementarity_gap
 
-        rng = np.random.default_rng(55)
-        p = random_boxqp(rng, 3, 2, feasible=True, tol=1e-2)
+        p = random_boxqp(np.random.default_rng(55), 3, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
-        z = error_reset_step(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
-        tau = mp.tau_A
-        for _ in range(60):
-            z, tau = path_step(p, mp, z, tau)
-            z = centrality_step(p, mp, z, tau)
-            z = error_reset_step(p, mp, z, tau)
-            products = np.concatenate([(1.0 + z.x) * z.mu_l, (1.0 - z.x) * z.mu_r])
-            assert products.min() >= (1.0 - mp.theta - 1e-8) * tau
-            gap = complementarity_gap(mu_e_row(z))[0]
+        kinds = []
+
+        def checked(kind, ws, tau):
+            _step(kind, ws, tau)
+            kinds.append(kind)
+            assert ws.mue.min() >= (1.0 - mp.theta - 1e-8) * tau
+            gap = complementarity_gap(ws.mu_e[None])[0]
             assert gap <= 2 * p.n * (1 + mp.theta) * tau * (1 + 1e-8)
+
+        monkeypatch.setattr(boxipm.solver, "_step", checked)
+        rep = solve(p, mode="stable")
+        assert len(kinds) == rep.linear_solves - mp.K == 1 + 3 * rep.iterations_pd > 60
 
 
 class TestSolveStandard:
