@@ -253,9 +253,12 @@ class _Workspace:
     ``scipy.linalg``.  ``factor`` is the
     Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
     computed, ``None`` after :meth:`load`, and ``factorizations`` counts
-    those steps.  ``after_reset`` says whether the last step was an error
-    reset, ``False`` after :meth:`load`; ``_step`` reads both to decide
-    which steps solve on the held ``factor``.
+    those steps.  ``held_steps`` counts the steps other than error resets
+    that have solved on the held ``factor`` since it was computed, 0 after
+    :meth:`load`, and ``held_limit`` is how many such steps one factor may
+    serve (the solver sets it per mode; 0, the default, makes every step
+    but a reset factor); ``_step`` reads all three to decide which steps
+    solve on the held ``factor``.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -291,7 +294,7 @@ class _Workspace:
     :func:`cond_DF` for the condition numbers.
     """
 
-    def __init__(self, p: BoxQP, mp):
+    def __init__(self, p: BoxQP, mp, held_limit: int = 0):
         n, m = p.n, p.m
         nm, N = n + m, 3 * n + m
         self.p, self.mp, self.n, self.m = p, mp, n, m
@@ -327,7 +330,7 @@ class _Workspace:
         self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
         self.dmu2 = self.dz_mu.reshape(2, n)
         self.factor, self.factorizations = None, 0
-        self.after_reset = False
+        self.held_steps, self.held_limit = 0, held_limit
         self.bound = None
 
     def load(self, z: Iterate) -> None:
@@ -336,7 +339,7 @@ class _Workspace:
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
-        self.factor, self.after_reset = None, False
+        self.factor, self.held_steps = None, 0
         np.add(_ONE, self.x, self.e_l)
         np.subtract(_ONE, self.x, self.e_r)
         self.derive_mue()

@@ -11,7 +11,9 @@ Three phases:
    and an error-reset step follow, so rounding errors cannot accumulate
    across cycles.  ``fast`` mode makes the path step alone and is
    appropriate when stability is not a concern.  Which steps factor their
-   matrix and which solve on a held factor is the rule of ``_step``.
+   matrix and which solve on a held factor is the rule of ``_step``, the
+   Shamanskii rule: one factor serves three stable cycles, or four fast
+   path steps.
 
 ``solve()`` runs ``primal_init``, which also writes the primal trace rows,
 then ``lift``, and makes every primal-dual Newton step through ``_step``,
@@ -108,6 +110,12 @@ _OVERFLOW = "Newton system overflowed: {} contains non-finite entries"
 STEP_PRIMAL = "primal"
 STEP_LIFT = "lift"
 
+# The Shamanskii rule of _step, per mode: how many steps other than error
+# resets solve on one held factor before the next such step factors.  A
+# factor then serves the path and centrality steps of three stable cycles,
+# or four fast path steps.
+HELD_STEPS = {MODE_STABLE: 5, MODE_FAST: 3}
+
 
 class TraceEntry(NamedTuple):
     """One row per Newton step (plus one for the lift).
@@ -121,7 +129,8 @@ class TraceEntry(NamedTuple):
     solves, from the factor of its (n+m) reduction: the DF at the start of
     the step that factored, so a row whose step solved on a held factor
     (``_step``) repeats the value of the row that factored it, and the lift
-    row shares the initial reset's.  Primal-dual rows are built per batch
+    row shares the initial reset's: one value serves up to 9 rows of a
+    stable solve and 4 of a fast one.  Primal-dual rows are built per batch
     (:class:`_Recorder`), each value with the same bits as a row built
     right after its step.
     interior_margin is 1 - ||x||_inf on primal rows; on primal-dual rows it
@@ -165,7 +174,8 @@ class SolveReport:
     trace: list[TraceEntry] = field(default_factory=list)
     linear_solves: int = 0
     # Matrices factored: the K Hessians and the primal-dual steps that do
-    # not solve on an earlier step's factor (see _step).
+    # not solve on an earlier step's factor (see _step), K + 1 + cycles // 3
+    # in a stable solve and K + 1 + cycles // 4 in a fast one.
     factorizations: int = 0
     # Coordinates of x rounded into the open box, to +-nextafter(1, 0),
     # when the solve returned it (kkt._Workspace.rounded_x).
@@ -192,51 +202,57 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
        (g1, -s g2, g3, g4) into ``dz``.  A step that is not a reset adds
        t = g34/e into v = (g1 + t_l - t_r, -s g2); a reset's g34 is 0, so
        its v is (g1, -s g2) as written.
-    2. Solve, over v in place.  The step solves on the held factor
-       ``ws.factor``, the one the last factoring step left, when it is an
-       error reset after another step since
-       :meth:`~boxipm.kkt._Workspace.load`, or a path step right after a
-       reset (``ws.after_reset``): one LAPACK dsytrs call, the triangular
-       solves alone.  The held G was tested when it was factored, so only
-       v is, by one finite sum of absolute values, and a reset's v not at
-       all: it is (-r1, s r2) of a residual that the last post-check found
-       finite.  Any other step writes the Q block's diagonal G from
-       w = mu/e and factors ``H`` by one LAPACK dsysv call, as
+    2. Solve, over v in place.  While there is a held factor
+       ``ws.factor``, the one the last factoring step left (none after
+       :meth:`~boxipm.kkt._Workspace.load`), an error reset solves on it,
+       and so does any other step until ``ws.held_limit`` steps that are
+       not resets have (``ws.held_steps``, which such a step counts): one
+       LAPACK dsytrs call, the triangular solves alone.  The held G was
+       tested when it was factored, so only v is, by one finite sum of
+       absolute values, and a reset's v not at all: it is (-r1, s r2) of a
+       residual that the last post-check found finite.  Any other step
+       writes the Q block's diagonal G from w = mu/e and factors ``H`` by
+       one LAPACK dsysv call, as
        :func:`~boxipm.linalg.solve_symmetric` makes it, which rejects only
        an exactly zero pivot: near tau_E the a-priori conditioning bound
        kappa_DF exceeds 1/(dim*eps), so a relative pivot test would
        misflag theory-valid systems as singular.  G and v are all of the
        system that changes per step; one finite sum of absolute values
        clears both, and otherwise the step is rejected naming the
-       culprit.  It keeps its factor in ``ws.factor`` and counts itself in
-       ``ws.factorizations``.
+       culprit.  It keeps its factor in ``ws.factor``, counts itself in
+       ``ws.factorizations`` and sets ``ws.held_steps`` to 0.
     3. Multipliers: dmu = g34/e - w'∘(dx, -dx), with the w' = mu'/e' of
        the step that factored, left in ``ws.w``: a reset negates w'_l dx,
        any other step adds t.
 
-    In a stable solve the held factor is the centrality step's, so a cycle
-    factors once; in a fast solve only the first path step, after the
-    initial reset, holds one.  A step on the held factor solves
-    DF(z') dz = g, where z' is the state at which the factoring step
-    started: the chord (simplified Newton) method (Kelley, *Iterative
-    Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).
-    (r1, r2) cancel as on a fresh factor: they are affine in z with the
-    constant matrix T, the top rows of every DF, and with the dmu of stage
-    3 the stationarity row is the reduced system with w' in G.  With
-    de = (dx, -dx) and w = mu/e, the new complementarity blocks are
-    mu∘e - tau + mu∘de + e∘dmu + dmu∘de.  Against a factor at z they move
-    by the error term e∘(w - w')∘de, plus the change of the dmu∘de that
-    every Newton step leaves.  The error term is the product of the step
-    and the change of w since the factoring step started (a centrality
-    step and a reset, or the initial reset alone; at most 0.3% relative on
-    the draws measured): second order in a reset, whose dx only cancels
-    rounding, and of the order of dmu∘de in a path step, which the
-    post-check judges as it judges any other.
+    ``solve()`` sets ``ws.held_limit`` per mode (``HELD_STEPS``): 5 in a
+    stable solve, so the path and centrality steps of three cycles and
+    their resets share one factor, the one the centrality step of every
+    third cycle makes; 3 in a fast solve, so four path steps share one, and
+    every fourth factors.  A step on the held factor solves DF(z') dz = g,
+    where z' is the state at which the factoring step started: refactoring
+    only every held_limit + 1 steps is the Shamanskii method, and a step
+    on the factor of the step before is the chord (simplified Newton)
+    method (Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+    SIAM 1995, chapter 5).  (r1, r2) cancel as on a fresh factor: they are
+    affine in z with the constant matrix T, the top rows of every DF, and
+    with the dmu of stage 3 the stationarity row is the reduced system
+    with w' in G.  With de = (dx, -dx) and w = mu/e, the new
+    complementarity blocks are mu∘e - tau + mu∘de + e∘dmu + dmu∘de.
+    Against a factor at z they move by the error term e∘(w - w')∘de, plus
+    the change of the dmu∘de that every Newton step leaves.  The error
+    term is the product of the step and the change of w since the
+    factoring step started, up to three cycles before: second order in a
+    reset, whose dx only cancels rounding, and in a path or centrality
+    step a term that the post-check judges as it judges any other, so a
+    step on a factor too stale is rejected, never taken.  On the draws
+    measured, no path or centrality step used more than half of its width
+    bound.
     One rule serves both params modes.  The paper's analysis assumes exact
     Newton steps: the multiprecision reference (ROADMAP, "The paper's
     strict method, end to end in multiprecision") must check that with the
-    stale w' every path step still meets its width bound with zero slack,
-    and that K, M and the cycles stay the same.
+    stale w' every path and centrality step still meets its width bound
+    with zero slack, and that K, M and the cycles stay the same.
     The step does no trace work: a traced solve's :class:`_Recorder` reads
     what the step left.
 
@@ -286,8 +302,7 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     if path:  # F at the new tau; the other steps keep the last step's
         subtract(mue, tau, r34)
     multiply(sign, F, dz)  # (g1, -s g2, g3, g4)
-    held = (reset and ws.factor is not None) or (path and ws.after_reset)
-    ws.after_reset = reset
+    held = ws.factor is not None and (reset or ws.held_steps < ws.held_limit)
     if not reset:
         # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam);
         # a reset's g34 is 0, so its v is (g1, -s g2) as written above
@@ -297,8 +312,10 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     if held:
         # the held factor's G was tested when it was factored, and a reset's
         # v is (-r1, s r2) of a residual the last post-check found finite
-        if not reset and not math.isfinite(dasum(dz_u)) and not np.isfinite(dz_u).all():
-            raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
+        if not reset:
+            if not math.isfinite(dasum(dz_u)) and not np.isfinite(dz_u).all():
+                raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
+            ws.held_steps += 1
         ldu, ipiv = ws.factor
         info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
         if info:
@@ -322,6 +339,7 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
             _check_info("dsysv", info)
         ws.factor = ldu, ipiv
         ws.factorizations += 1
+        ws.held_steps = 0
     # dmu = g34/e - w'∘(dx, -dx): -w'_l*dx and w'_r*dx in a reset,
     # g3/(e+x) - w'_l*dx and g4/(e-x) + w'_r*dx otherwise
     multiply(w2, dx, dmu2)
@@ -413,15 +431,18 @@ def lift(p: BoxQP, mp: MethodParams, xk) -> Iterate:
 
 
 # Factors a trace recorder holds before it turns its rows into TraceEntry
-# rows: at n + m = 28 their stack takes 64 * 28^2 * 8 B = 400 KB.
+# rows: at n + m = 28 their stack takes 64 * 28^2 * 8 B = 400 KB, and at
+# n = 20, m = 8 the row buffers of a stable solve, 9 rows per factor, take
+# 576 * 196 * 8 B = 0.9 MB.
 TRACE_BATCH = 64
 
 
 class _Recorder:
     """The primal-dual trace rows of one solve, built in batches.
 
-    A traced :func:`solve` builds one on its workspace and calls it after
-    the lift and after every primal-dual step, with the row's kind and tau.
+    A traced :func:`solve` builds one on its workspace and the step kinds
+    of its cycle, which size its row buffers, and calls it after the lift
+    and after every primal-dual step, with the row's kind and tau.
     A call only records: into buffers allocated here, once, it copies the
     workspace's (z, e) buffer ``ze`` and step ``dz``, and, when the step
     factored (``ws.factorizations`` grew), the factor's ``ldu`` into a
@@ -445,12 +466,18 @@ class _Recorder:
     of a step that opens the next one.
     """
 
-    def __init__(self, ws: _Workspace, trace: list):
+    def __init__(self, ws: _Workspace, trace: list, cycle: tuple[str, ...]):
         n, d = ws.n, ws.n + ws.m
-        # A stable cycle adds 3 rows on 1 factor, and a batch opens with
-        # the reset and path rows of the cycle whose factor closed the last
-        # one: at most 3 rows per factor, so a flush batches TRACE_BATCH.
-        rows = 3 * TRACE_BATCH
+        # A factor serves its own step and ws.held_limit more that are not
+        # error resets (_step), so the rows of (held_limit + 1)/k cycles, k
+        # the steps of a cycle that are not resets: 9 rows in a stable
+        # solve, 4 in a fast one.  A batch opens with the lift row or with
+        # the rows that the last factor of the previous batch still serves,
+        # and closes on the row of its TRACE_BATCH-th factor, so it holds at
+        # most TRACE_BATCH times that many rows: the factor stack fills
+        # first, and a flush batches TRACE_BATCH factors.
+        k = sum(kind != STEP_ERROR_RESET for kind in cycle)
+        rows = TRACE_BATCH * len(cycle) * (ws.held_limit + 1) // k
         self.ws, self.trace = ws, trace
         self.ze = np.empty((rows + 1, ws.ze.shape[0]))
         self.dz = np.empty((rows, ws.dz.shape[0]))
@@ -529,9 +556,9 @@ def solve(
     ----------
     mode : {"stable", "fast"}
         ``stable`` performs the path, centrality and error-reset solves each
-        cycle (3 linear systems on 1 factorization); ``fast`` performs the
-        path solve only.  ``_step`` says which steps solve on a held
-        factor.
+        cycle (9 linear systems on 1 factorization per three cycles);
+        ``fast`` performs the path solve only (one factorization per four
+        cycles).  ``_step`` says which steps solve on a held factor.
     params_mode : {"strict", "practical"}
         Strict uses the pure theoretical parameter cascade (may raise
         ParamOverflow); practical applies representability floors and always
@@ -569,11 +596,11 @@ def solve(
     x = primal_init(p, mp, trace if collect_trace else None)
     # Every step's post-check residual is the next step's right-hand side;
     # the steps update the workspace's one state in place.
-    ws = _Workspace(p, mp)
+    ws = _Workspace(p, mp, HELD_STEPS[mode])
     ws.load(lift(p, mp, x))
     ws.eval_F(mp.tau_A)
     tau = mp.tau_A
-    record = _Recorder(ws, trace) if collect_trace else None
+    record = _Recorder(ws, trace, cycle) if collect_trace else None
     cycles = 0  # started, and on success completed, path-following cycles
     try:
         if record is not None:

@@ -5,7 +5,7 @@ import numpy as np
 from boxipm import BoxQP, StandardQP, StepRejected
 from boxipm.kkt import _Workspace, cond_DF
 from boxipm.neighborhoods import STEP_CENTRALITY, STEP_ERROR_RESET
-from boxipm.solver import _step
+from boxipm.solver import HELD_STEPS, _step
 
 
 def random_boxqp(rng, n, m, feasible=True, tol=1e-2, rank=None, scale=1.0):
@@ -93,12 +93,13 @@ def random_iterate(rng, n, m):
     )
 
 
-def loaded_workspace(p, mp, z, tau):
+def loaded_workspace(p, mp, z, tau, mode="stable"):
     """A step workspace of its own that holds the iterate z, with F_tau in
     ``F``: the state from which ``boxipm.solver._step`` steps, as
-    ``solve()`` loads the lift point.  A test steps as ``solve()`` does,
-    with ``_step(kind, ws, tau)``, a path step at its own reduced tau."""
-    ws = _Workspace(p, mp)
+    ``solve()`` loads the lift point, with the held-factor limit of
+    ``mode``.  A test steps as ``solve()`` does, with
+    ``_step(kind, ws, tau)``, a path step at its own reduced tau."""
+    ws = _Workspace(p, mp, HELD_STEPS[mode])
     ws.load(z)
     ws.eval_F(tau)
     return ws

@@ -127,6 +127,10 @@ class TestSolveCommand:
         assert out["linear_algebra"] == {
             "solves": report.linear_solves, "factorizations": report.factorizations,
         }
+        # a stable solve: the K Hessians, the initial reset, and one factor
+        # per three cycles
+        K, cycles = report.params.K, report.iterations_pd
+        assert report.factorizations == K + 1 + cycles // 3
         assert out["iterations"] == {
             "primal": report.params.K, "path_following": report.iterations_pd,
         }

@@ -12,10 +12,11 @@ ratio B/A and whether the two solves are bit-identical, then a line with
 each side's counts (cycles, linear solves and factorizations, and pi
 trials on a standard-form instance), flagged ``COUNTS DIFFER`` when the
 cycles, linear solves or pi trials differ: a speedup counts only with the
-same counts.  Then the totals of the best times; exits 1 unless every
-solve is identical with the same counts.  For a solve that is not
-identical, a further line sizes the change: max |x_A - x_B| and
-|objective_A - objective_B|.  A solve is identical
+same counts.  Then the totals of the best times and of each side's
+factorizations, so that a cut in factorizations shows next to the time;
+exits 1 unless every solve is identical with the same counts.  For a
+solve that is not identical, a further line sizes the change:
+max |x_A - x_B| and |objective_A - objective_B|.  A solve is identical
 when its x is, and, on a traced instance, when every value of every
 trace row is too: each value is packed on its own (numbers as binary64
 bytes, so that NaN compares by its bits), outside the timed region.  On a
@@ -126,6 +127,7 @@ def main(argv=None) -> int:
     a, b = load_package(args.a.resolve(), "boxipm_a"), load_package(args.b.resolve(), "boxipm_b")
     insts = wl.instances(wl.WORKLOADS[args.workload], args.seed)
     total_a = total_b = 0.0
+    factorizations_a = factorizations_b = 0
     identical = 0
     print(f"{'instance':<32} {'A best s':>10} {'B best s':>10} {'B/A':>6}  x          trace")
     for inst in insts:
@@ -148,6 +150,8 @@ def main(argv=None) -> int:
         identical += same_x and same_trace and same_counts
         total_a += best_a
         total_b += best_b
+        factorizations_a += counts_a["factorizations"]
+        factorizations_b += counts_b["factorizations"]
         trace_note = ("identical" if same_trace else "DIFFERS") if inst.collect_trace else "-"
         print(f"{inst.label:<32} {best_a:10.4f} {best_b:10.4f} {best_b / best_a:6.3f}  "
               f"{'identical' if same_x else 'DIFFERS':<10} {trace_note}")
@@ -165,7 +169,8 @@ def main(argv=None) -> int:
                   f"{'':6}  untraced best {plain['a']:.4f} s and {plain['b']:.4f} s, "
                   f"{len(trace_b)} rows")
     print(f"{'total':<32} {total_a:10.4f} {total_b:10.4f} {total_b / total_a:6.3f}  "
-          f"{identical}/{len(insts)} identical with the same counts")
+          f"{identical}/{len(insts)} identical with the same counts, "
+          f"factorizations {factorizations_a}/{factorizations_b}")
     return 0 if identical == len(insts) else 1
 
 
