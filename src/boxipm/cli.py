@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import BoxIpmError, InvalidProblem, ParseError, TooLarge
-from .oracle import oracle_min_residual, oracle_solve_boxqp
+from .oracle import oracle_solve_boxqp
 from .params import compute_params, compute_params_practical, format_params
 from .probfile import ProblemFile, parse_problem
 from .problem import BoxQP, problem_factor, transform_standard
@@ -95,7 +95,7 @@ def _cmd_solve(args) -> int:
     status = EXIT_OK
     if args.check_oracle:
         ref = oracle_solve_boxqp(p)
-        chi = oracle_min_residual(p)
+        chi = ref.min_residual
         obj_gap = report.objective - ref.objective
         feas_gap = report.feas_residual - chi
         ok = (
@@ -164,7 +164,7 @@ def _cmd_oracle(args) -> int:
     out = {
         "x": [float(v) for v in ref.x],
         "objective": ref.objective,
-        "feas_residual": float(oracle_min_residual(p)),
+        "feas_residual": ref.min_residual,
         "active_pattern": list(ref.active_pattern),
     }
     print(json.dumps(out, indent=2))

@@ -91,7 +91,8 @@ class TooLarge(BoxIpmError):
 
 
 class BracketFailed(BoxIpmError):
-    """The reference solver's penalty continuation did not stabilize."""
+    """No activity pattern of the reference solver's enumeration satisfied
+    the optimality conditions."""
 
 
 class ParseError(BoxIpmError):

@@ -72,7 +72,7 @@ _X_MAX = float(np.nextafter(1.0, 0.0))
 class Iterate:
     """Primal-dual point z = (x, lam, mu_l, mu_r); strictly interior.
 
-    The constructor enforces finite 1-D blocks of matching lengths,
+    The constructor enforces finite 1-D blocks of matching lengths, n >= 1,
     ``||x||_inf < 1`` and ``mu_l, mu_r > 0`` componentwise, and copies the
     blocks into one read-only N-vector, of which ``x``, ``lam``, ``mu_l`` and
     ``mu_r`` are views: an Iterate never aliases its inputs and cannot be
@@ -87,12 +87,14 @@ class Iterate:
     def __post_init__(self):
         x = as_vector(self.x, name="x")
         n = x.shape[0]
+        if n == 0:
+            raise DimensionError("x must have at least one entry: n = 0")
         lam = as_vector(self.lam, name="lam")
         mu_l = as_vector(self.mu_l, dim=n, name="mu_l")
         mu_r = as_vector(self.mu_r, dim=n, name="mu_r")
-        if np.abs(x).max(initial=0.0) >= 1.0:
+        if np.abs(x).max() >= 1.0:
             raise InvalidProblem("iterate violates ||x||_inf < 1")
-        if n and (mu_l.min() <= 0.0 or mu_r.min() <= 0.0):
+        if mu_l.min() <= 0.0 or mu_r.min() <= 0.0:
             raise InvalidProblem("iterate violates mu_l, mu_r > 0")
         z = np.concatenate([x, lam, mu_l, mu_r])
         z.setflags(write=False)

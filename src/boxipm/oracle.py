@@ -1,8 +1,9 @@
 """Brute-force reference solver for desk-scale verification.
 
-Minimizes a convex quadratic over the closed unit box by enumerating all
-3^n lower/free/upper activity patterns, solving the reduced system on the
-free coordinates, and keeping the best feasible KKT point.  Intended for
+Minimizes a convex quadratic over the closed unit box, optionally subject to
+linear equalities, by enumerating all 3^n lower/free/upper activity
+patterns, solving the pattern's KKT system on the free coordinates, and
+keeping the best point that passes the optimality tests.  Intended for
 n <= 10 only (59049 tiny solves at worst); used by the test suite and the
 ``--check-oracle`` CLI path, never by the solver itself.
 """
@@ -10,14 +11,13 @@ n <= 10 only (59049 tiny solves at worst); used by the test suite and the
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketFailed, TooLarge
 from .linalg import as_matrix, as_vector, norm2_upper
-from .problem import BoxQP, eval_q, q_omega_data
+from .problem import BoxQP, eval_q
 
 LOWER, FREE, UPPER = "lower", "free", "upper"
 
@@ -28,46 +28,71 @@ BOX_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Minimizer from active-set enumeration with its activity pattern."""
+    """Minimizer from active-set enumeration with its activity pattern, and
+    the smallest ||Ax - b|| over the box (0.0 where there are no equality
+    rows)."""
 
     x: np.ndarray
     objective: float
     active_pattern: tuple[str, ...]
+    min_residual: float = 0.0
 
 
-def _pattern_point(H, g, pattern, scale):
-    """Solve one activity pattern; return (x, objective) or None if infeasible.
+def _pattern_point(M, v, pattern, scale):
+    """Solve one activity pattern of min 0.5 x'Hx + g'x over the box subject
+    to Ex = d; return (x, objective) or None if the pattern fails.
 
-    The reduced system on the free coordinates is solved in the least-squares
-    sense so PSD-singular blocks are handled; inconsistent (degenerate)
-    patterns are skipped via the consistency check.
+    M = [[H, E'], [E, 0]] and v = (g, -d) give the KKT system
+    M (x, y) + v = (bound multipliers, 0).  The pattern fixes x on its faces
+    and solves the rows and columns of the free coordinates and of y in the
+    least-squares sense, so singular H and dependent rows of E are handled;
+    inconsistent (degenerate) patterns are skipped via the consistency check.
     """
-    n = g.shape[0]
-    x = np.zeros(n)
+    n = len(pattern)
+    z = np.zeros(v.shape[0])
     lower = [j for j, t in enumerate(pattern) if t == LOWER]
     upper = [j for j, t in enumerate(pattern) if t == UPPER]
     free = [j for j, t in enumerate(pattern) if t == FREE]
-    x[lower] = -1.0
-    x[upper] = 1.0
-    if free:
-        Hff = H[np.ix_(free, free)]
-        rhs = -(g[free] + H[np.ix_(free, lower + upper)] @ x[lower + upper])
-        xf, *_ = np.linalg.lstsq(Hff, rhs, rcond=None)
-        if not np.all(np.isfinite(xf)):
-            return None
-        if np.linalg.norm(Hff @ xf - rhs) > KKT_RTOL * scale:
-            return None  # inconsistent singular reduced system
-        if np.abs(xf).max() > 1.0 + BOX_RTOL:
-            return None
-        x[free] = np.clip(xf, -1.0, 1.0)
-    grad = H @ x + g
-    # Multiplier signs: at the lower face the bound multiplier equals grad_j
-    # and must be >= 0; at the upper face it equals -grad_j.
-    if any(grad[j] < -KKT_RTOL * scale for j in lower):
+    z[lower] = -1.0
+    z[upper] = 1.0
+    idx = free + list(range(n, v.shape[0]))
+    K = M[np.ix_(idx, idx)]
+    rhs = -(M @ z + v)[idx]  # z is zero on idx here
+    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+    if not np.all(np.isfinite(sol)):
         return None
-    if any(grad[j] > KKT_RTOL * scale for j in upper):
+    if np.linalg.norm(K @ sol - rhs) > KKT_RTOL * scale:
+        return None  # inconsistent singular KKT system
+    if np.abs(sol[: len(free)]).max(initial=0.0) > 1.0 + BOX_RTOL:
         return None
-    return x, float(0.5 * x @ (H @ x) + g @ x)
+    z[idx] = sol
+    z[:n] = x = np.clip(z[:n], -1.0, 1.0)
+    # Multiplier signs: at the lower face the bound multiplier (Hx + g + E'y)_j
+    # must be >= 0; at the upper face its negative must be.
+    grad = M[:n] @ z + v[:n]
+    if (grad[lower] < -KKT_RTOL * scale).any() or (grad[upper] > KKT_RTOL * scale).any():
+        return None
+    return x, float(0.5 * x @ (M[:n, :n] @ x) + v[:n] @ x)
+
+
+def _enumerate(H, g, E, d):
+    """(x, objective, pattern) minimizing 0.5 x'Hx + g'x over the box
+    subject to Ex = d, over all 3^n patterns in lexicographic order."""
+    n, k = g.shape[0], d.shape[0]
+    if n > MAX_ENUM_DIM:
+        raise TooLarge(f"enumeration oracle supports n <= {MAX_ENUM_DIM}, got {n}")
+    M = np.block([[H, E.T], [E, np.zeros((k, k))]])
+    v = np.concatenate([g, -d])
+    scale = (1.0 + float(np.linalg.norm(g)) + norm2_upper(H)
+             + norm2_upper(E) + float(np.linalg.norm(d)))
+    best = None
+    for pattern in itertools.product((LOWER, FREE, UPPER), repeat=n):
+        res = _pattern_point(M, v, pattern, scale)
+        if res is not None and (best is None or res[1] < best[1]):
+            best = (*res, tuple(pattern))
+    if best is None:
+        raise BracketFailed("no activity pattern satisfied the optimality conditions")
+    return best
 
 
 def oracle_min_box(H, g) -> OracleSolution:
@@ -87,64 +112,32 @@ def oracle_min_box(H, g) -> OracleSolution:
     g = as_vector(g, name="g")
     n = g.shape[0]
     H = as_matrix(H, rows=n, cols=n, name="H")
-    if n > MAX_ENUM_DIM:
-        raise TooLarge(f"enumeration oracle supports n <= {MAX_ENUM_DIM}, got {n}")
-    scale = 1.0 + float(np.linalg.norm(g)) + norm2_upper(H)
-    best = None
-    for pattern in itertools.product((LOWER, FREE, UPPER), repeat=n):
-        res = _pattern_point(H, g, pattern, scale)
-        if res is None:
-            continue
-        x, obj = res
-        if best is None or obj < best[1]:
-            best = (x, obj, pattern)
-    if best is None:
-        raise BracketFailed("no activity pattern satisfied the optimality conditions")
-    x, obj, pattern = best
-    return OracleSolution(x=x, objective=obj, active_pattern=tuple(pattern))
+    return OracleSolution(*_enumerate(H, g, np.zeros((0, n)), np.zeros(0)))
+
+
+def _stage_1(p: BoxQP) -> tuple[np.ndarray, float]:
+    """(A x_ls, ||A x_ls - b||) at a minimizer x_ls of ||Ax - b|| over the
+    box, by enumeration on the normal quadratic (H = A'A, g = -A'b)."""
+    d = p.A @ oracle_min_box(p.A.T @ p.A, -(p.A.T @ p.b)).x
+    return d, float(np.linalg.norm(d - p.b))
 
 
 def oracle_min_residual(p: BoxQP) -> float:
-    """Smallest equality residual over the closed box.
-
-    min ||Ax - b||_2 over ||x||_inf <= 1, via enumeration on the normal
-    quadratic (H = A'A, g = -A'b); zero exactly when the constraints are
-    box-feasible.
-    """
-    sol = oracle_min_box(p.A.T @ p.A, -(p.A.T @ p.b))
-    return float(np.linalg.norm(p.A @ sol.x - p.b))
+    """Smallest equality residual min ||Ax - b||_2 over ||x||_inf <= 1;
+    zero exactly when the constraints are box-feasible."""
+    return _stage_1(p)[1]
 
 
 def oracle_solve_boxqp(p: BoxQP) -> OracleSolution:
     """Reference minimizer of q over the box intersected with the minimal-
-    residual set, to within tol/10 in objective and residual.
+    residual set, by two enumerations.
 
-    Minimizes the penalized q(x) + (w/2)||x||^2 + ||Ax - b||^2 / (2w) over
-    the box at two weights, 10 w and the certified weight
-    w = min{tol'/(2n), tol'^2 / (16 (4 C_q + n)), 1} with tol' = tol/5, at
-    which both certified gaps are <= tol/20, and returns the minimizer at w.
-    BracketFailed is raised unless the objectives q of the two minimizers
-    agree to within tol/5 and the residual at w lies within tol/10 above
-    the box-minimal one.
+    Stage 1 finds a box least-squares point x_ls, as
+    :func:`oracle_min_residual` does; its residual is ``min_residual``.  Ax
+    takes the same value at every box least-squares minimizer, so stage 2
+    minimizes q over the box subject to Ax = A x_ls, which is exactly the
+    minimal-residual set.  Ties resolve as in :func:`oracle_min_box`.
     """
-    if p.n > MAX_ENUM_DIM:
-        raise TooLarge(f"enumeration oracle supports n <= {MAX_ENUM_DIM}, got {p.n}")
-    chi = oracle_min_residual(p)
-    c_q = norm2_upper(p.Q) * p.n + float(np.linalg.norm(p.c)) * math.sqrt(p.n)
-    tol_o = p.tol / 5.0
-    w_target = min(tol_o / (2.0 * p.n), tol_o * tol_o / (16.0 * (4.0 * c_q + p.n)), 1.0)
-
-    sol_prev = oracle_min_box(*q_omega_data(p, w_target * 10.0))
-    sol_last = oracle_min_box(*q_omega_data(p, w_target))
-    q_prev = eval_q(p, sol_prev.x)
-    q_last = eval_q(p, sol_last.x)
-    res_last = float(np.linalg.norm(p.A @ sol_last.x - p.b))
-    if abs(q_last - q_prev) > p.tol / 5.0:
-        raise BracketFailed(
-            f"penalty continuation did not stabilize: |{q_last!r} - {q_prev!r}| > tol/5"
-        )
-    if res_last > chi + p.tol / 10.0 + 1e-9 * (1.0 + chi):
-        raise BracketFailed(
-            f"penalty solution residual {res_last!r} exceeds the certified band above {chi!r}"
-        )
-    return OracleSolution(x=sol_last.x, objective=q_last, active_pattern=sol_last.active_pattern)
+    d, chi = _stage_1(p)
+    x, _, pattern = _enumerate(p.Q, p.c, p.A, d)
+    return OracleSolution(x=x, objective=eval_q(p, x), active_pattern=pattern, min_residual=chi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import boxipm.cli
+import boxipm.oracle
 from boxipm import solve, solve_standard
 from boxipm.cli import run
 from boxipm.oracle import OracleSolution
@@ -239,6 +240,17 @@ class TestOracleAndFactor:
         out = json.loads(capsys.readouterr().out)
         assert out["x"] == [1.0]
         assert out["active_pattern"] == ["upper"]
+
+    @pytest.mark.parametrize("argv", [["oracle"], ["solve", "--check-oracle"]])
+    def test_two_enumerations_per_call(self, argv, box_file, capsys, monkeypatch):
+        # stage 1 gives chi with the least-squares point, stage 2 the
+        # reference objective; chi is not enumerated a second time
+        calls = []
+        enumerate_ = boxipm.oracle._enumerate
+        monkeypatch.setattr(boxipm.oracle, "_enumerate",
+                            lambda *args: calls.append(args) or enumerate_(*args))
+        assert run([argv[0], box_file, *argv[1:]]) == 0
+        assert len(calls) == 2
 
     def test_factor_command(self, box_file, capsys):
         assert run(["factor", box_file]) == 0

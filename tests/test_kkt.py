@@ -45,6 +45,11 @@ class TestIterate:
         with pytest.raises(InvalidProblem):
             Iterate(x=[0.0], lam=[0.0], mu_l=[0.0], mu_r=[1.0])
 
+    def test_rejects_empty_x(self):
+        # n = 0 is no iterate of any problem: BoxQP rejects it too
+        with pytest.raises(DimensionError):
+            Iterate(x=[], lam=[1.0], mu_l=[], mu_r=[])
+
     def test_round_trip_array(self):
         z = Iterate(x=[0.1, -0.2], lam=[3.0], mu_l=[1.0, 2.0], mu_r=[0.5, 0.25])
         assert z.as_array().tolist() == [0.1, -0.2, 3.0, 1.0, 2.0, 0.5, 0.25]

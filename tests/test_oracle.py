@@ -126,16 +126,31 @@ class TestSolveBoxQP:
             assert eval_q(p, sol.x) <= ref.objective + p.tol / 2.0
             assert residual_norm(p, sol.x) <= chi + p.tol / 2.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the penalized oracle returns a feasible point 3e4 above the solver's: "
-        "30433.57 against 471.38 (ROADMAP, 'A penalty-free oracle')",
-    )
+    def test_min_residual_is_stage_1s(self):
+        # chi is the residual at the box least-squares point, not at the
+        # returned point, whose residual can only be larger
+        rng = np.random.default_rng(5)
+        for feasible in (True, False):
+            p = random_boxqp(rng, 3, 2, feasible=feasible, tol=1e-2)
+            assert oracle_solve_boxqp(p).min_residual == oracle_min_residual(p)
+
     def test_scaled_feasible_draw_is_no_worse_than_the_solver(self):
-        # judged both ways: the solver meets the oracle's residual, and the
-        # oracle's objective is no worse than the solver's
-        p = random_boxqp(np.random.default_rng([0, 2, 1, 100000000, 4]), 2, 1, tol=1e-4,
-                         scale=1e4)
-        rep = solve(p)
-        assert rep.feas_residual <= oracle_min_residual(p) + p.tol
-        assert oracle_solve_boxqp(p).objective <= rep.objective + p.tol
+        # the penalized oracle returned 30433.57 here, a feasible point 3e4
+        # above the solver's, without raising
+        _judge_both_ways(random_boxqp(np.random.default_rng([0, 2, 1, 100000000, 4]), 2, 1,
+                                      tol=1e-4, scale=1e4))
+
+    def test_scaled_feasible_draw_that_broke_the_penalty_continuation(self):
+        # the penalized oracle raised BracketFailed here: its objectives at
+        # the weights w and 10 w did not agree to within tol/5
+        _judge_both_ways(random_boxqp(np.random.default_rng([9200, 4, 2, 0]), 4, 2, tol=1e-2,
+                                      scale=1e4))
+
+
+def _judge_both_ways(p):
+    """The solver meets the oracle's residual, and the objectives agree to
+    within tol."""
+    rep = solve(p)
+    ref = oracle_solve_boxqp(p)
+    assert rep.feas_residual <= ref.min_residual + p.tol
+    assert abs(ref.objective - rep.objective) <= p.tol

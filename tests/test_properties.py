@@ -3,9 +3,10 @@
 Each example draws a family, the dimensions (n <= 6, so the 3^n oracle
 stays cheap) and a seed for the data; the solve must return a strictly
 interior x whose objective and equality residual are within tol of the
-oracle's, as in acceptance criterion 1.  The trace's condition number of
-DF, taken from the factor of the step's reduced matrix, must be the exact
-kappa_1 of DF on the same families.  Every path and centrality step of a
+oracle's, as in acceptance criterion 1, on data scaled by 1e-4, 1 or
+1e4.  The trace's condition number of DF, taken from the factor of the
+step's reduced matrix, must be the exact kappa_1 of DF on the same
+families.  Every path and centrality step of a
 traced solve must meet the width bound of its kind, with no allowance
 beyond the post-check's roundoff grace, at a strictly interior point.  A
 solve factors the K Hessians, the initial reset's matrix, and once per
@@ -14,9 +15,10 @@ three stable or four fast cycles.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxipm import BoxQP, compute_params_practical, oracle_min_residual, oracle_solve_boxqp, solve
+from boxipm import BoxQP, compute_params_practical, oracle_solve_boxqp, solve
 from boxipm.kkt import _Workspace, eval_DF
 from boxipm.neighborhoods import COMP_CHECK_RTOL, STEP_CENTRALITY, STEP_PATH
 
@@ -66,19 +68,39 @@ def degenerate_boxqp(family: str, n: int, m: int, seed: int, tol: float) -> BoxQ
     seed=st.integers(0, 2**32 - 1),
     tol=st.sampled_from([1e-1, 1e-2]),
     mode=st.sampled_from(["stable", "fast"]),
+    scale=st.sampled_from([1e-4, 1.0, 1e4]),
 )
 # n = 1 and m = 0 in every family that allows them
-@example(family="all_zero", n=1, m=0, seed=0, tol=1e-2, mode="stable")
-@example(family="rank_deficient_Q", n=1, m=0, seed=1, tol=1e-2, mode="stable")
-@example(family="rank_deficient_A", n=1, m=1, seed=2, tol=1e-2, mode="fast")
-@example(family="infeasible_b", n=1, m=1, seed=3, tol=1e-2, mode="stable")
-@example(family="interior_infeasible", n=1, m=2, seed=4, tol=1e-2, mode="stable")
-def test_solution_conditions_vs_oracle(family, n, m, seed, tol, mode):
+@example(family="all_zero", n=1, m=0, seed=0, tol=1e-2, mode="stable", scale=1.0)
+@example(family="rank_deficient_Q", n=1, m=0, seed=1, tol=1e-2, mode="stable", scale=1.0)
+@example(family="rank_deficient_A", n=1, m=1, seed=2, tol=1e-2, mode="fast", scale=1.0)
+@example(family="infeasible_b", n=1, m=1, seed=3, tol=1e-2, mode="stable", scale=1.0)
+@example(family="interior_infeasible", n=1, m=2, seed=4, tol=1e-2, mode="stable", scale=1.0)
+def test_solution_conditions_vs_oracle(family, n, m, seed, tol, mode, scale):
+    _check_vs_oracle(family, n, m, seed, tol, mode, scale)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="interior-infeasible data scaled by 1e4 (chi = 5000): the solve ends 4.7 tol "
+    "(stable) and 3.5 tol (fast) above the oracle's objective, with the residual at chi "
+    "(ROADMAP, Known failures)",
+)
+@pytest.mark.parametrize("mode", ["stable", "fast"])
+def test_scaled_interior_infeasible_draw_vs_oracle(mode):
+    _check_vs_oracle("interior_infeasible", 2, 0, 1, 1e-2, mode, 1e4)
+
+
+def _check_vs_oracle(family, n, m, seed, tol, mode, scale):
+    # judged both ways: the objective is within tol of the oracle's, above
+    # or below, on data scaled by ``scale``
     p = degenerate_boxqp(family, n, m, seed, tol)
+    p = BoxQP(Q=scale * p.Q, c=scale * p.c, A=scale * p.A, b=scale * p.b, tol=tol)
     rep = solve(p, mode=mode)
+    ref = oracle_solve_boxqp(p)
     assert float(np.abs(rep.x).max()) < 1.0
-    assert rep.objective <= oracle_solve_boxqp(p).objective + p.tol
-    assert rep.feas_residual <= oracle_min_residual(p) + p.tol
+    assert abs(rep.objective - ref.objective) <= p.tol
+    assert rep.feas_residual <= ref.min_residual + p.tol
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
