@@ -100,7 +100,7 @@ def _cmd_solve(args) -> int:
         feas_gap = report.feas_residual - chi
         ok = (
             max(abs(v) for v in report.x) < 1.0
-            and obj_gap <= p.tol
+            and abs(obj_gap) <= p.tol
             and feas_gap <= p.tol
         )
         extra = {

@@ -247,9 +247,12 @@ class _Workspace:
     r34 at its own tau before it reads ``F``.  ``eq_norm`` and
     ``comp_norm`` are the norms of r12 and r34 as :meth:`eval_F` last wrote
     them.  Next to the state it holds T and cb = (c, -b) of the residual,
-    the reduced Newton matrix, the step ``dz`` and scratch vectors, each
-    with the views a step reads, so that a step slices nothing.  The step
-    itself is ``boxipm.solver._step``: it binds what it reads once, at the
+    the reduced Newton matrix, the step and scratch vectors, each with the
+    views a step reads, so that a step slices nothing.  The step ``dz`` is
+    followed in one buffer, ``dze``, by ``de`` = (dx, -dx), with views
+    ``de_l`` and ``de_r``, as z is by e, so that one addition of ``dze``
+    to ``ze`` moves the state.  The step itself is
+    ``boxipm.solver._step``: it binds what it reads once, at the
     workspace's first step, into ``bound`` (``None`` until then), so that
     building a workspace looks up no LAPACK routine and loads no
     ``scipy.linalg``.  ``factor`` is the
@@ -324,13 +327,13 @@ class _Workspace:
         self.t = np.empty(2 * n)  # g34/e
         self.t_l, self.t_r = self.t[:n], self.t[n:]
         self.w = np.empty(2 * n)  # mu/e
-        self.w_l, self.w_r, self.w2 = self.w[:n], self.w[n:], self.w.reshape(2, n)
-        # dz holds the right-hand side until each block is overwritten by its step
-        self.dz = np.empty(N)
+        self.w_l, self.w_r = self.w[:n], self.w[n:]
+        # dz holds the right-hand side until each block is overwritten by its
+        # step; de = (dx, -dx) follows it, as e follows z
+        self.dze = np.empty(N + 2 * n)
+        self.dz, self.de = self.dze[:N], self.dze[N:]
         self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
-        self.dz_lam = self.dz[n:nm]
-        self.dmu_l, self.dmu_r = self.dz_mu[:n], self.dz_mu[n:]
-        self.dmu2 = self.dz_mu.reshape(2, n)
+        self.de_l, self.de_r = self.de[:n], self.de[n:]
         self.factor, self.factorizations = None, 0
         self.held_steps, self.held_limit = 0, held_limit
         self.bound = None
@@ -358,7 +361,7 @@ class _Workspace:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
         and (r3, r4) = mu∘e - tau."""
         r12, r34 = self.r12, self.r34
-        np.matmul(self.T, self.z, r12)
+        self.T.dot(self.z, r12)  # np.matmul's gemv, at a lower call cost
         np.add(r12, self.cb, r12)
         np.subtract(self.mue, tau, r34)
         self.eq_norm = _norm(r12)

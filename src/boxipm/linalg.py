@@ -13,10 +13,11 @@ each only a normwise backward-stable solve:
   ``boxipm.solver._step`` puts on a held factor solve other right-hand
   sides on it by the triangular solves alone (LAPACK dsytrs).
   :func:`solve_symmetric` is that dsysv call.  The step itself
-  (``boxipm.solver._step``) binds dsysv, dsytrs and BLAS dasum once per
-  workspace and makes the same calls inline, with the arguments in their
-  positional slots; the tests hold its solution to
-  :func:`solve_symmetric`'s bit for bit.
+  (``boxipm.solver._step``) binds dsysv and dsytrs, and the BLAS level-1
+  routines of its finiteness tests and vector updates, once per workspace
+  and makes the same calls inline, with the arguments in their positional
+  slots; the tests hold its solution to :func:`solve_symmetric`'s bit for
+  bit.
   Bunch-Kaufman is backward stable as long as its growth factor stays
   small, which is the case in practice (Higham, *Accuracy and Stability
   of Numerical Algorithms*, ch. 11); a strict multiprecision reference
@@ -37,8 +38,9 @@ returned, each inverted in place in a slot of the stack that the trace's
 recorder holds.  No N x N matrix is built or factored for it.
 
 Every LAPACK routine is looked up on the module global ``lapack``, and
-the one BLAS routine, dasum, on ``blas``.  ``scipy.linalg`` is imported
-at the first lookup, not with this module:
+every BLAS routine on ``blas``: the step's level-1 calls, dasum for its
+finiteness tests and daxpy, dcopy and dscal for its vector updates.
+``scipy.linalg`` is imported at the first lookup, not with this module:
 parsing, validation, the parameter cascade and the oracle run on numpy
 alone, so a process that never factors never loads it, and one that
 does pays the import once, at its first factorization.

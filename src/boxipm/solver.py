@@ -38,10 +38,11 @@ decides.  A step is a full Newton step or a rejection, so nothing reads
 the state a step started from once it is taken.  ``_step`` runs a whole
 step in one frame (the residual is one method call,
 :meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve, the update and
-the post-check, on views, ufuncs and LAPACK and BLAS routines that it
-binds once per workspace, at the first step.  The only arrays a step
-builds are the factor and pivot arrays that ``dsysv`` returns.  The K
-primal steps solve their Hessian systems with ``QRFactor``.  Within
+the post-check, on views, ufuncs, LAPACK routines and BLAS level-1
+routines that it binds once per workspace, at the first step.  The only
+arrays a step builds are the factor and pivot arrays that ``dsysv``
+returns.  The K primal steps solve their Hessian systems with
+``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side; a path step, the one step that moves tau, rewrites its
 complementarity blocks as mu∘e - tau at its own tau.  The steps do no
@@ -221,9 +222,10 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
        clears both, and otherwise the step is rejected naming the
        culprit.  It keeps its factor in ``ws.factor``, counts itself in
        ``ws.factorizations`` and sets ``ws.held_steps`` to 0.
-    3. Multipliers: dmu = g34/e - w'∘(dx, -dx), with the w' = mu'/e' of
-       the step that factored, left in ``ws.w``: a reset negates w'_l dx,
-       any other step adds t.
+    3. Multipliers: dmu = g34/e - w'∘de, de = (dx, -dx), with the w' =
+       mu'/e' of the step that factored, left in ``ws.w``: the step writes
+       de into ``ws.de``, which follows dz in one buffer ``ws.dze``, negates
+       w'∘de, and adds t unless it is a reset.
 
     ``solve()`` sets ``ws.held_limit`` per mode (``HELD_STEPS``): 5 in a
     stable solve, so the path and centrality steps of three cycles and
@@ -256,8 +258,9 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     The step does no trace work: a traced solve's :class:`_Recorder` reads
     what the step left.
 
-    The update z + dz carries e along, e + (dx, -dx), and takes the margin,
-    the minimum of (mu, e).  A margin that is not positive rejects the step,
+    The update (z, e) + (dz, de), one addition over ``ws.ze`` and
+    ``ws.dze``, carries e along as e + (dx, -dx), and takes the margin, the
+    minimum of (mu, e).  A margin that is not positive rejects the step,
     with block ``"interior"``, the margin as its value and 0 as its limit,
     whichever of mu and e reached it: a step that leaves the box and one
     that drives a multiplier to zero are rejected alike, and no multiplier
@@ -279,25 +282,32 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     and ``boxipm.linalg.blas``, whose first lookup in a process imports
     ``scipy.linalg``.  Ufuncs take ``out`` positionally, and constant
     operands are 0-d arrays, so numpy converts no Python float per call.
-    Every operation is the one the formulas above name, in their order.
+    The additions, copies and exact scalings are BLAS level-1 calls, at
+    about a third of a ufunc's call cost on these short vectors: daxpy with
+    a = +-1, dcopy, and dscal by -1 or by s, each of which rounds exactly
+    as the ufunc it stands for.  A strided target goes through its
+    contiguous base with an increment (the Q block's diagonal is every
+    (d + 1)-th entry of ``H``'s buffer), since the wrappers copy a
+    non-contiguous array and would write the copy.  Every operation is the
+    one the formulas above name, in their order.
     """
     bound = ws.bound
     if bound is None:  # line for line as unpacked below
         lapack, blas = linalg.lapack, linalg.blas
         bound = ws.bound = (
-            ws.z, ws.mu, ws.e, ws.e_l, ws.e_r, ws.mu_e, ws.mue, ws.F, ws.r34, ws.sign,
-            ws.dz, ws.dz_x, ws.dz_u, ws.dz_lam, ws.dz_mu, ws.dmu_l, ws.dmu_r, ws.dmu2,
-            ws.lam_scale, ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r, ws.w2,
-            ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.n + ws.m,
-            np.add, np.subtract, np.multiply, np.divide, np.negative, np.minimum.reduce,
-            lapack.dsysv, lapack.dsytrs, blas.dasum,
+            ws.ze, ws.mu, ws.e, ws.mu_e, ws.mue, ws.F, ws.r34, ws.sign,
+            ws.dze, ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.de, ws.de_l, ws.de_r,
+            float(ws.lam_scale), ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r,
+            ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.m, ws.n + ws.m,
+            np.subtract, np.multiply, np.divide, np.minimum.reduce,
+            lapack.dsysv, lapack.dsytrs, blas.dasum, blas.daxpy, blas.dcopy, blas.dscal,
         )
-    (z, mu, e, e_l, e_r, mu_e, mue, F, r34, sign,
-     dz, dx, dz_u, dz_lam, dz_mu, dmu_l, dmu_r, dmu2,
-     lam_scale, t, t_l, t_r, w, w_l, w_r, w2,
-     H, hflat, hdiag, qdiag, n, d,
-     add, subtract, multiply, divide, negative, reduce_min,
-     dsysv, dsytrs, dasum) = bound
+    (ze, mu, e, mu_e, mue, F, r34, sign,
+     dze, dz, dx, dz_u, dz_mu, de, de_l, de_r,
+     s, t, t_l, t_r, w, w_l, w_r,
+     H, hflat, hdiag, qdiag, n, m, d,
+     subtract, multiply, divide, reduce_min,
+     dsysv, dsytrs, dasum, daxpy, dcopy, dscal) = bound
     reset, path = kind == STEP_ERROR_RESET, kind == STEP_PATH
     if path:  # F at the new tau; the other steps keep the last step's
         subtract(mue, tau, r34)
@@ -307,8 +317,8 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
         # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam);
         # a reset's g34 is 0, so its v is (g1, -s g2) as written above
         divide(dz_mu, e, t)
-        add(dx, t_l, dx)
-        subtract(dx, t_r, dx)
+        daxpy(t_l, dx)
+        daxpy(t_r, dx, n, -1.0)
     if held:
         # the held factor's G was tested when it was factored, and a reset's
         # v is (-r1, s r2) of a residual the last post-check found finite
@@ -321,11 +331,12 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
         if info:
             _check_info("dsytrs", info)
     else:
-        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x)
+        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x),
+        # written through H's buffer: hdiag is its (d + 1)-strided slots
         divide(mu, e, w)
-        add(qdiag, w_l, hdiag)
-        add(hdiag, w_r, hdiag)
-        # hdiag, summed in place: its (d + 1)-strided slots of H's buffer
+        dcopy(qdiag, hflat, n, 0, 1, 0, d + 1)
+        daxpy(w_l, hflat, n, 1.0, 0, 1, 0, d + 1)
+        daxpy(w_r, hflat, n, 1.0, 0, 1, 0, d + 1)
         if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
             # z and tau were checked where they entered, so a non-finite
             # system here is an overflow in forming it.  hdiag is a sum of
@@ -340,22 +351,21 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
         ws.factor = ldu, ipiv
         ws.factorizations += 1
         ws.held_steps = 0
-    # dmu = g34/e - w'∘(dx, -dx): -w'_l*dx and w'_r*dx in a reset,
-    # g3/(e+x) - w'_l*dx and g4/(e-x) + w'_r*dx otherwise
-    multiply(w2, dx, dmu2)
-    if reset:
-        negative(dmu_l, dmu_l)
-    else:
-        subtract(t_l, dmu_l, dmu_l)
-        add(t_r, dmu_r, dmu_r)
-    multiply(dz_lam, lam_scale, dz_lam)  # dlam = s (dlam/s), exactly
+    # de = (dx, -dx), then dmu = g34/e - w'∘de: -(w'∘de) in a reset,
+    # t + -(w'∘de) otherwise
+    dcopy(dx, de_l)
+    dcopy(dx, de_r)
+    dscal(-1.0, de_r)
+    multiply(w, de, dz_mu)
+    dscal(-1.0, dz_mu)
+    if not reset:
+        daxpy(t, dz_mu)
+    dscal(s, dz, m, n)  # dlam = s (dlam/s), exactly
     # The sum of |dz_j| is finite only if dz is, and it raises no warning
     # on infinities or on an overflow; the elementwise test settles the rest.
     if not math.isfinite(dasum(dz)) and not np.isfinite(dz).all():
         raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
-    add(z, dz, z)
-    add(e_l, dx, e_l)  # e + (dx, -dx)
-    subtract(e_r, dx, e_r)
+    daxpy(dze, ze)  # (z, e) + (dz, de): z + dz and e + (dx, -dx)
     margin = reduce_min(mu_e)
     if margin <= 0.0:  # a NaN margin passes on to the residual test, which names it
         raise StepRejected(

@@ -157,6 +157,20 @@ class TestSolveCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["oracle"]["within_tol"] is False
 
+    def test_check_oracle_fails_a_solver_objective_below_the_oracles(
+        self, box_file, capsys, monkeypatch
+    ):
+        # within tol judges both ways: an oracle whose objective sits more
+        # than tol above the solver's is as far off as one below it
+        def worse(p):
+            return OracleSolution(x=np.zeros(p.n), objective=1e9, active_pattern=("free",))
+
+        monkeypatch.setattr(boxipm.cli, "oracle_solve_boxqp", worse)
+        assert run(["solve", box_file, "--check-oracle"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["oracle"]["objective_gap"] < -1e-2
+        assert out["oracle"]["within_tol"] is False
+
     def test_tol_override(self, box_file, capsys):
         assert run(["solve", box_file, "--tol", "1e-3", "--check-oracle"]) == 0
         out = json.loads(capsys.readouterr().out)

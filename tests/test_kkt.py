@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 from boxipm import (
@@ -333,12 +334,12 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     right-hand side is (g1 + g3/(e+x) - g4/(e-x), -s g2), or (g1, -s g2) for
     a reset, whose g34 is 0, the solution's lam block is scaled by s, the Q
     block's diagonal is (Q_jj + omega) + w_l + w_r and
-    dmu = g34/e - w∘(dx, -dx), with w = mu/e."""
+    dmu = g34/e - w∘(dx, -dx), with w = mu/e.  A second step of the same
+    kind, from the state and residual that the first left, solves on the
+    first one's factor (LAPACK dsytrs) with its w and the carried e, and
+    each step moves (z, e) to (z + dz, e + (dx, -dx)), byte for byte."""
     n, m = p.n, p.m
-    F = eval_F(p, mp, z, tau)
-    comp = np.zeros(2 * n) if reset_only else np.concatenate([F.r3, F.r4])
-    g = -np.concatenate([F.r1, F.r2, comp])
-    g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
+    N = 3 * n + m
     e_plus_x, e_minus_x = 1.0 + z.x, 1.0 - z.x
     w_l, w_r = z.mu_l / e_plus_x, z.mu_r / e_minus_x
     s = 2.0 ** round(-0.5 * math.log2(mp.omega))
@@ -348,13 +349,31 @@ def assert_step_equals_reference(p, mp, z, tau, reset_only):
     H[n:, :n] = -p.A * s
     H[n:, n:] = -mp.omega * s * s * np.eye(m)
     H[np.diag_indices(n)] = (np.diag(p.Q) + mp.omega) + w_l + w_r
-    v = g1 if reset_only else g1 + g3 / e_plus_x - g4 / e_minus_x
-    u, _, _ = solve_symmetric(H, np.concatenate([v, -s * g2]))
-    u[n:] *= s
-    dx = u[:n]
-    ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
     ws = loaded_workspace(p, mp, z, tau)
-    assert newton_step(ws, tau, reset_only).tobytes() == ref.tobytes()
+    assert ws.F.tobytes() == eval_F(p, mp, z, tau).as_array().tobytes()
+    assert ws.e.tobytes() == np.concatenate([e_plus_x, e_minus_x]).tobytes()
+    factor = None
+    for _ in range(2):
+        F, ze = ws.F.copy(), ws.ze.copy()
+        e_plus_x, e_minus_x = ze[N : N + n], ze[N + n :]
+        comp = np.zeros(2 * n) if reset_only else F[n + m :]
+        g = -np.concatenate([F[: n + m], comp])
+        g1, g2, g3, g4 = g[:n], g[n : n + m], g[n + m : 2 * n + m], g[2 * n + m :]
+        v = g1 if reset_only else g1 + g3 / e_plus_x - g4 / e_minus_x
+        rhs = np.concatenate([v, -s * g2])
+        if factor is None:
+            u, ldu, ipiv = solve_symmetric(H, rhs)
+            factor = ldu, ipiv
+        else:
+            u, info = scipy.linalg.lapack.dsytrs(*factor, rhs)
+            assert info == 0
+        u[n:] *= s
+        dx = u[:n]
+        ref = np.concatenate([u, g3 / e_plus_x - w_l * dx, g4 / e_minus_x - w_r * -dx])
+        assert newton_step(ws, tau, reset_only).tobytes() == ref.tobytes()
+        moved = np.concatenate([ze[:N] + ref, e_plus_x + dx, e_minus_x - dx])
+        assert ws.ze.tobytes() == moved.tobytes()
+    assert ws.factorizations == 1
     assert ws.H.tobytes(order="C") == H.tobytes()
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
@@ -486,16 +487,25 @@ class _CountingLapack:
     LAPACK routine, not its lookups: a step looks its routines up once per
     workspace."""
 
+    module = scipy.linalg.lapack
+
     def __init__(self):
         self.calls = {}
 
     def __getattr__(self, name):
-        fn = getattr(scipy.linalg.lapack, name)
+        fn = getattr(self.module, name)
 
         def counted(*args, **kwargs):
             self.calls[name] = self.calls.get(name, 0) + 1
             return fn(*args, **kwargs)
         return counted
+
+
+class _CountingBlas(_CountingLapack):
+    """Stands in for ``boxipm.linalg.blas`` and counts the calls of each
+    BLAS routine, as _CountingLapack does LAPACK's."""
+
+    module = scipy.linalg.blas
 
 
 def _edit_solutions(monkeypatch, edit):
@@ -518,6 +528,25 @@ def _edit_solutions(monkeypatch, edit):
             return edited
 
     monkeypatch.setattr(boxipm.linalg, "lapack", Editing())
+
+
+# Calls per step: numpy module calls, and BLAS calls per routine.  A step
+# that factors writes the Q block's diagonal (one dcopy, two daxpy) and
+# tests it (one dasum); a step that is not a reset adds g34/e into its
+# right-hand side (two daxpy) and its dmu (one daxpy), and a path step
+# rewrites (r3, r4) at its tau (one subtract).
+_RESET_FACTORS = (7, {"dcopy": 3, "daxpy": 3, "dasum": 3, "dscal": 3})
+_RESET_HELD = (6, {"dcopy": 2, "dscal": 3, "dasum": 1, "daxpy": 1})
+_PATH_HELD = (8, {"daxpy": 4, "dasum": 2, "dcopy": 2, "dscal": 3})
+_CENTRALITY_HELD = (7, {"daxpy": 4, "dasum": 2, "dcopy": 2, "dscal": 3})
+_CENTRALITY_FACTORS = (8, {"daxpy": 6, "dcopy": 3, "dasum": 3, "dscal": 3})
+# The initial reset, then three stable cycles on its factor; the third
+# cycle's centrality step factors.
+_STEP_CALLS = (
+    [_RESET_FACTORS]
+    + [_PATH_HELD, _CENTRALITY_HELD, _RESET_HELD] * 2
+    + [_PATH_HELD, _CENTRALITY_FACTORS, _RESET_HELD]
+)
 
 
 class TestStepLoopStructure:
@@ -576,38 +605,45 @@ class TestStepLoopStructure:
         assert rep.factorizations == rep.params.K + 1 + rep.iterations_pd // cycles_per_factor
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
-        # numpy module calls in kkt, solver and linalg, per step as solve()
-        # makes it (a path step includes rewriting (r3, r4) at its tau); the margin's
-        # np.minimum.reduce is one, and method calls
-        # such as ndarray.dot are not counted.  The step binds its ufuncs at
-        # its workspace's first step, after the counter is in place.  The
-        # initial reset and the third cycle's centrality step factor their
-        # own matrices; every other step solves on the held factor and
-        # rebuilds no Q block diagonal.  A reset's g34 is 0, so it adds no
-        # g34/e to its right-hand side or its dmu.
+        # numpy module calls in kkt, solver and linalg, and BLAS calls, per
+        # step as solve() makes it (a path step includes rewriting (r3, r4)
+        # at its tau); the margin's np.minimum.reduce is one, and method calls
+        # such as ndarray.dot are not counted.  The step binds its ufuncs and
+        # BLAS routines at its workspace's first step, after the counters are
+        # in place.  The initial reset and the third cycle's centrality step
+        # factor their own matrices; every other step solves on the held
+        # factor and rebuilds no Q block diagonal.  A reset's g34 is 0, so it
+        # adds no g34/e to its right-hand side or its dmu.
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
-        counter = _CountingNumpy()
+        counter, blas = _CountingNumpy(), _CountingBlas()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
+        monkeypatch.setattr(boxipm.linalg, "blas", blas)
         tau, calls = mp.tau_A, []
         kinds = [STEP_ERROR_RESET] + [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET] * 3
         for kind in kinds:
-            counter.calls = 0
+            counter.calls, blas.calls = 0, {}
             if kind == STEP_PATH:
                 tau = mp.sigma * tau
-            e = ws.e.copy()
+            e, mue = ws.e.copy(), ws.mue.copy()
             _step(kind, ws, tau)
-            calls.append(counter.calls)
-            # the step carries e as e + (dx, -dx), and writes mu∘e inline,
-            # bit for bit as derive_mue writes it
+            calls.append((counter.calls, blas.calls))
+            # the step carries e as e + (dx, -dx), writes mu∘e inline, bit
+            # for bit as derive_mue writes it, and dmu = g34/e - w'∘(dx, -dx)
+            # as ufuncs write it, with the w' = mu'/e' of the step that
+            # factored; a reset's g34 is 0 and its dmu -(w'∘(dx, -dx))
             dx = ws.dz_x
-            assert ws.e.tobytes() == np.concatenate([e[: p.n] + dx, e[p.n :] - dx]).tobytes()
+            de = np.concatenate([dx, -dx])
+            assert ws.e.tobytes() == (e + de).tobytes()
+            w_de = ws.w * de
+            dmu = -w_de if kind == STEP_ERROR_RESET else -(mue - tau) / e - w_de
+            assert ws.dz_mu.tobytes() == dmu.tobytes()
             mue = ws.mue.copy()
             ws.derive_mue()
             assert mue.tobytes() == ws.mue.tobytes()
-        assert calls == [15] + [17, 16, 12] * 2 + [17, 19, 12]
+        assert calls == _STEP_CALLS
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
         # as above, each step followed by its trace row: recording a row
@@ -626,23 +662,25 @@ class TestStepLoopStructure:
         counter = _CountingNumpy()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg, boxipm.neighborhoods):
             monkeypatch.setattr(module, "np", counter)
+        blas = _CountingBlas()
+        monkeypatch.setattr(boxipm.linalg, "blas", blas)
         tau, calls, flushes = mp.tau_A, [], []
         record(STEP_LIFT, tau)
         assert counter.calls == 0
         for kinds in ((STEP_ERROR_RESET,) + cycle * 2, cycle * 4):
             for kind in kinds:
-                counter.calls = 0
+                counter.calls, blas.calls = 0, {}
                 if kind == STEP_PATH:
                     tau = mp.sigma * tau
                 _step(kind, ws, tau)
                 record(kind, tau)
-                calls.append(counter.calls)
-            counter.calls = 0
+                calls.append((counter.calls, blas.calls))
+            counter.calls, blas.calls = 0, {}
             record.flush()
-            flushes.append(counter.calls)
-        assert calls == [15] + ([17, 16, 12] * 2 + [17, 19, 12]) * 2
+            flushes.append((counter.calls, blas.calls))
+        assert calls == _STEP_CALLS + _STEP_CALLS[1:]  # six cycles
         assert len(trace) == 1 + 7 + 12 and record.rows == []
-        assert flushes == [31, 31]
+        assert flushes == [(31, {}), (31, {})]
 
     def test_traced_inverse_runs_in_a_recorder_slot(self, monkeypatch):
         # every dsytri of a traced solve inverts a factor in place in a

@@ -10,12 +10,15 @@ script, imported read-only) with A and B in turn, ``--repeats`` times
 each.  Prints, per instance, the best wall time of each side, their
 ratio B/A and whether the two solves are bit-identical, then a line with
 each side's counts (cycles, linear solves and factorizations, and pi
-trials on a standard-form instance), flagged ``COUNTS DIFFER`` when the
-cycles, linear solves or pi trials differ: a speedup counts only with the
-same counts.  Then the totals of the best times and of each side's
-factorizations, so that a cut in factorizations shows next to the time;
-exits 1 unless every solve is identical with the same counts.  For a
-solve that is not identical, a further line sizes the change:
+trials on a standard-form instance) and each side's best time per
+linear solve, in microseconds a step (on a standard-form instance, per
+solve of the accepted trial, though the time covers every trial), flagged
+``COUNTS DIFFER`` when the cycles, linear solves or pi trials differ: a
+speedup counts only with the same counts.  Then the totals of the best
+times and of each side's factorizations, so that a cut in factorizations
+shows next to the time; exits 1 unless every solve is identical with the
+same counts.  For a solve that is not identical, a further line sizes the
+change:
 max |x_A - x_B| and |objective_A - objective_B|.  A solve is identical
 when its x is, and, on a traced instance, when every value of every
 trace row is too: each value is packed on its own (numbers as binary64
@@ -158,6 +161,8 @@ def main(argv=None) -> int:
         shown = [k for k in counts_a if k != "trials" or inst.kind != "box"]
         print(f"{'  counts A/B':<32} "
               + ", ".join(f"{k} {counts_a[k]}/{counts_b[k]}" for k in shown)
+              + f", us a step {best_a / counts_a['solves'] * 1e6:.2f}"
+              + f"/{best_b / counts_b['solves'] * 1e6:.2f}"
               + ("" if same_counts else "  COUNTS DIFFER"))
         if not (same_x and same_trace):
             print(f"{'  change':<32} max |x_A - x_B| {abs(xa - xb).max(initial=0.0):.3g}, "
