@@ -34,11 +34,14 @@ and scratch vectors, all preallocated, so a step
 (``boxipm.solver._step``) is a fixed sequence of in-place array
 operations that updates the state where it is.  The workspace's
 :meth:`_Workspace.eval_F` is the one residual evaluation: the step calls
-it, and so does :func:`eval_F`, in a workspace that takes no step and so
-binds no LAPACK routine.  The trace's condition number of DF is assembled
-by :func:`cond_DF`, for a batch of steps at once, from the factors of the
-reduced matrix that the steps' solves returned, so no N x N matrix is
-built in a solve; :func:`eval_DF` builds DF for callers outside the solve.
+it, and so does :func:`eval_F`, in a workspace that takes no step.  It
+runs on BLAS level-1 routines that it binds at its first evaluation,
+which loads ``scipy.linalg`` in a process that has not loaded it yet;
+building a workspace loads nothing.  The trace's condition number of DF
+is assembled by :func:`cond_DF`, for a batch of steps at once, from the
+factors of the reduced matrix that the steps' solves returned, so no
+N x N matrix is built in a solve; :func:`eval_DF` builds DF for callers
+outside the solve.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionError, InvalidProblem, OutOfDomain
 from .linalg import EPS_MACH, as_vector, symmetric_inverse
 from .problem import BoxQP, eval_q_omega, q_omega_data
@@ -119,8 +123,8 @@ class Iterate:
 class Residual:
     """Blockwise value of F_tau: stationarity r1 (n), equality r2 (m),
     left/right complementarity r3, r4 (n each), and the 2-norms of the
-    stacked (r1, r2) and (r3, r4) blocks, each by one dot as a step's
-    post-check takes it."""
+    stacked (r1, r2) and (r3, r4) blocks, each the square root of one BLAS
+    ddot, as a step's post-check takes it."""
 
     r1: np.ndarray
     r2: np.ndarray
@@ -131,11 +135,6 @@ class Residual:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.r1, self.r2, self.r3, self.r4])
-
-
-def _norm(v: np.ndarray) -> float:
-    # ndarray.dot is cblas_ddot, as @ is on vectors, at half the call cost
-    return math.sqrt(v.dot(v))
 
 
 def _interior_x(p: BoxQP, x) -> np.ndarray:
@@ -239,23 +238,25 @@ class _Workspace:
     spacing of x near 1 (ulp(1)/2 = 1.1e-16), where x itself rounds onto the
     face; it stays within rounding of 1 +- x.  ``margin`` is the minimum of
     (mu, e), the interior margin, as :meth:`load` or the last step set it;
-    a step whose margin is not positive is rejected.
-    ``mue`` = mu∘e is a 2n-vector (:meth:`derive_mue`).  :meth:`rounded_x`
-    is x rounded into the open box, as a solve reports it.  ``F`` is one
-    N-vector with views ``r1``, ``r2``, ``r3``, ``r4``, ``r12`` = (r1, r2) and
-    ``r34`` = (r3, r4); :meth:`eval_F` writes it, and a path step rewrites
-    r34 at its own tau before it reads ``F``.  ``eq_norm`` and
-    ``comp_norm`` are the norms of r12 and r34 as :meth:`eval_F` last wrote
-    them.  Next to the state it holds T and cb = (c, -b) of the residual,
-    the reduced Newton matrix, the step and scratch vectors, each with the
-    views a step reads, so that a step slices nothing.  The step ``dz`` is
-    followed in one buffer, ``dze``, by ``de`` = (dx, -dx), with views
-    ``de_l`` and ``de_r``, as z is by e, so that one addition of ``dze``
-    to ``ze`` moves the state.  The step itself is
-    ``boxipm.solver._step``: it binds what it reads once, at the
-    workspace's first step, into ``bound`` (``None`` until then), so that
-    building a workspace looks up no LAPACK routine and loads no
-    ``scipy.linalg``.  ``factor`` is the
+    a step whose margin is not positive is rejected.  ``mue`` = mu∘e is a
+    2n-vector, which :meth:`eval_F` writes, and ``ones`` a 2n-vector of
+    ones, the operand that subtracts tau by one BLAS daxpy.
+    :meth:`rounded_x` is x rounded into the open box, as a solve reports
+    it.  ``F`` is one N-vector with views ``r1``, ``r2``, ``r3``, ``r4``,
+    ``r12`` = (r1, r2) and ``r34`` = (r3, r4); :meth:`eval_F` writes it,
+    and a path step rewrites r34 at its own tau before it reads ``F``.
+    ``eq_norm`` and ``comp_norm`` are the norms of r12 and r34 as
+    :meth:`eval_F` last wrote them; it binds its BLAS routines at its
+    first evaluation, into ``bound_F`` (``None`` until then).  Next to the
+    state it holds T and cb = (c, -b) of the residual, the reduced Newton
+    matrix, the step and scratch vectors, each with the views a step
+    reads, so that a step slices nothing.  The step ``dz`` is followed in
+    one buffer, ``dze``, by ``de`` = (dx, -dx), with views ``de_l`` and
+    ``de_r``, as z is by e, so that one addition of ``dze`` to ``ze``
+    moves the state.  The step itself is ``boxipm.solver._step``: it binds
+    what it reads once, at the workspace's first step, into ``bound``
+    (``None`` until then).  So building a workspace looks up no BLAS or
+    LAPACK routine and loads no ``scipy.linalg``.  ``factor`` is the
     Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
     computed, ``None`` after :meth:`load`, and ``factorizations`` counts
     those steps.  ``held_steps`` counts the steps other than error resets
@@ -310,10 +311,12 @@ class _Workspace:
         self.e_l, self.e_r = self.e[:n], self.e[n:]
         self.margin = math.nan
         self.mue = np.empty(2 * n)
+        self.ones = np.ones(2 * n)
         self.F = np.empty(N)
         self.r1, self.r2, self.r3, self.r4 = _blocks(self.F, n, m)
         self.r12, self.r34 = self.F[:nm], self.F[nm:]
         self.eq_norm = self.comp_norm = math.nan
+        self.bound_F = None
         self.T = _affine_rows(p, mp.omega)
         self.cb = np.concatenate([p.c, -p.b])
         self.lam_scale = s = np.full((), math.ldexp(1.0, round(-0.5 * math.log2(mp.omega))))
@@ -339,19 +342,15 @@ class _Workspace:
         self.bound = None
 
     def load(self, z: Iterate) -> None:
-        """Copy ``z`` in, after checking its dimensions, and derive e, mu∘e
-        and the margin; the next step factors its own matrix."""
+        """Copy ``z`` in, after checking its dimensions, and derive e and the
+        margin; the next step factors its own matrix."""
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
         self.factor, self.held_steps = None, 0
         np.add(_ONE, self.x, self.e_l)
         np.subtract(_ONE, self.x, self.e_r)
-        self.derive_mue()
         self.margin = float(np.minimum.reduce(self.mu_e))
-
-    def derive_mue(self) -> None:
-        np.multiply(self.mu, self.e, self.mue)
 
     def rounded_x(self) -> np.ndarray:
         """x rounded into the open box, to |x_j| <= nextafter(1, 0), a copy."""
@@ -359,13 +358,33 @@ class _Workspace:
 
     def eval_F(self, tau: float) -> None:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
-        and (r3, r4) = mu∘e - tau."""
-        r12, r34 = self.r12, self.r34
-        self.T.dot(self.z, r12)  # np.matmul's gemv, at a lower call cost
-        np.add(r12, self.cb, r12)
-        np.subtract(self.mue, tau, r34)
-        self.eq_norm = _norm(r12)
-        self.comp_norm = _norm(r34)
+        and (r3, r4) = mu∘e - tau, with mu∘e into ``mue``.
+
+        One gemv (``T.dot``, np.matmul's at a lower call cost) and one
+        multiply; the rest is BLAS level-1, at about a third of a ufunc's
+        call cost on these short vectors, and rounds exactly as the ufunc
+        it stands for: the addition of cb is a daxpy with a = 1, the
+        subtraction of tau a copy of mu∘e and a daxpy of ``ones`` with
+        a = -tau, and each norm the square root of one ddot.  The routines
+        come from ``boxipm.linalg.blas``, looked up at the first
+        evaluation, like ``boxipm.solver._step``'s at its first step.
+        """
+        bound = self.bound_F
+        if bound is None:  # line for line as unpacked below
+            blas = linalg.blas
+            bound = self.bound_F = (
+                self.T.dot, self.z, self.r12, self.cb, self.r34, self.mu, self.e, self.mue,
+                self.ones, 2 * self.n, np.multiply, blas.daxpy, blas.dcopy, blas.ddot,
+            )
+        (gemv, z, r12, cb, r34, mu, e, mue,
+         ones, n2, multiply, daxpy, dcopy, ddot) = bound
+        gemv(z, r12)
+        daxpy(cb, r12)
+        multiply(mu, e, mue)
+        dcopy(mue, r34)
+        daxpy(ones, r34, n2, -tau)
+        self.eq_norm = math.sqrt(ddot(r12, r12))
+        self.comp_norm = math.sqrt(ddot(r34, r34))
 
 
 def cond_DF(ws: _Workspace, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.ndarray:

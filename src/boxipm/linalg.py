@@ -39,11 +39,13 @@ recorder holds.  No N x N matrix is built or factored for it.
 
 Every LAPACK routine is looked up on the module global ``lapack``, and
 every BLAS routine on ``blas``: the step's level-1 calls, dasum for its
-finiteness tests and daxpy, dcopy and dscal for its vector updates.
-``scipy.linalg`` is imported at the first lookup, not with this module:
-parsing, validation, the parameter cascade and the oracle run on numpy
-alone, so a process that never factors never loads it, and one that
-does pays the import once, at its first factorization.
+finiteness tests and daxpy, dcopy and dscal for its vector updates, and
+the residual's (``boxipm.kkt._Workspace.eval_F``), daxpy and dcopy for
+its additions and ddot for its norms.  ``scipy.linalg`` is imported at
+the first lookup, not with this module: parsing, validation, the
+parameter cascade and the oracle run on numpy alone, so a process that
+never factors or evaluates a residual never loads it, and a solve pays
+the import once, at its first factorization.
 """
 
 from __future__ import annotations

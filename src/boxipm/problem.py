@@ -179,6 +179,9 @@ def transform_standard(
     and objective gaps as well as equality residuals are preserved exactly,
     so the same tol applies in both coordinate systems.
 
+    A pi so large that the scaled data overflow, such as (pi/2)^2 Qt or
+    Q e, is an InvalidProblem that names pi.
+
     Returns
     -------
     (BoxQP, back_map)
@@ -189,10 +192,14 @@ def transform_standard(
         raise InvalidProblem(f"pi must be a positive finite real, got {pi!r}")
     e = np.ones(sp.n)
     half = 0.5 * pi
-    A = half * sp.At
-    b = sp.bt - A @ e
-    Q = half * half * sp.Qt
-    c = half * sp.ct + Q @ e
+    # an overflow is tested for below, on the results, and named there
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = half * sp.At
+        b = sp.bt - A @ e
+        Q = half * half * sp.Qt
+        c = half * sp.ct + Q @ e
+    if not all(np.isfinite(a).all() for a in (Q, c, A, b)):
+        raise InvalidProblem(f"pi = {pi!r} is too large: the scaled data overflow")
     box = BoxQP(Q=Q, c=c, A=A, b=b, tol=tol)
 
     def back_map(x) -> np.ndarray:

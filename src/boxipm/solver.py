@@ -284,33 +284,36 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     operands are 0-d arrays, so numpy converts no Python float per call.
     The additions, copies and exact scalings are BLAS level-1 calls, at
     about a third of a ufunc's call cost on these short vectors: daxpy with
-    a = +-1, dcopy, and dscal by -1 or by s, each of which rounds exactly
-    as the ufunc it stands for.  A strided target goes through its
-    contiguous base with an increment (the Q block's diagonal is every
-    (d + 1)-th entry of ``H``'s buffer), since the wrappers copy a
-    non-contiguous array and would write the copy.  Every operation is the
+    a = +-1, dcopy, dscal by -1 or by s, and a path step's mu∘e - tau as
+    :meth:`~boxipm.kkt._Workspace.eval_F` writes it, a copy and a daxpy of
+    ``ws.ones`` with a = -tau; each rounds exactly as the ufunc it stands
+    for.  A strided target goes through its contiguous base with an
+    increment (the Q block's diagonal is every (d + 1)-th entry of ``H``'s
+    buffer), since the wrappers copy a non-contiguous array and would
+    write the copy.  Every operation is the
     one the formulas above name, in their order.
     """
     bound = ws.bound
     if bound is None:  # line for line as unpacked below
         lapack, blas = linalg.lapack, linalg.blas
         bound = ws.bound = (
-            ws.ze, ws.mu, ws.e, ws.mu_e, ws.mue, ws.F, ws.r34, ws.sign,
+            ws.ze, ws.mu, ws.e, ws.mu_e, ws.mue, ws.ones, ws.F, ws.r34, ws.sign,
             ws.dze, ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.de, ws.de_l, ws.de_r,
             float(ws.lam_scale), ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r,
             ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.m, ws.n + ws.m,
-            np.subtract, np.multiply, np.divide, np.minimum.reduce,
+            np.multiply, np.divide, np.minimum.reduce,
             lapack.dsysv, lapack.dsytrs, blas.dasum, blas.daxpy, blas.dcopy, blas.dscal,
         )
-    (ze, mu, e, mu_e, mue, F, r34, sign,
+    (ze, mu, e, mu_e, mue, ones, F, r34, sign,
      dze, dz, dx, dz_u, dz_mu, de, de_l, de_r,
      s, t, t_l, t_r, w, w_l, w_r,
      H, hflat, hdiag, qdiag, n, m, d,
-     subtract, multiply, divide, reduce_min,
+     multiply, divide, reduce_min,
      dsysv, dsytrs, dasum, daxpy, dcopy, dscal) = bound
     reset, path = kind == STEP_ERROR_RESET, kind == STEP_PATH
-    if path:  # F at the new tau; the other steps keep the last step's
-        subtract(mue, tau, r34)
+    if path:  # F at the new tau, as eval_F writes it; the other steps keep the last step's
+        dcopy(mue, r34)
+        daxpy(ones, r34, 2 * n, -tau)
     multiply(sign, F, dz)  # (g1, -s g2, g3, g4)
     held = ws.factor is not None and (reset or ws.held_steps < ws.held_limit)
     if not reset:
@@ -372,7 +375,6 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
             f"{kind} step left the interior: min(mu, e) reached {float(margin)!r} <= 0.0",
             kind=kind, tau=tau, block="interior", value=float(margin), limit=0.0,
         )
-    multiply(mu, e, mue)  # mu∘e, as derive_mue writes it
     ws.margin = float(margin)
     ws.eval_F(tau)
     eq_norm, comp_norm = ws.eq_norm, ws.comp_norm

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,17 @@ class TestStandardFiles:
         assert json.loads(capsys.readouterr().out)["trials"] >= 1
         assert run(["solve-standard", std_file, "--pi", "abc"]) == 2
         assert "--pi must be a number or 'auto'" in capsys.readouterr().err
+
+    def test_pi_that_overflows_the_scaled_data(self, std_file, capsys):
+        # (pi/2)^2 overflows, and inf * 0 in Qt would be NaN: exit 2 naming
+        # pi, with no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["solve-standard", std_file, "--pi", "1e200"]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "pi = 1e+200 is too large" in err
+        assert "Warning" not in err
 
     def test_trace_has_one_row_per_solve_and_the_lift(self, std_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"

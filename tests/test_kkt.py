@@ -449,23 +449,35 @@ def F_blocks(p, mp, z, tau):
 
 
 class TestWorkspaceResidual:
-    """The workspace's in-place F is eval_F's, bit for bit."""
+    """The workspace's in-place F is eval_F's, bit for bit, and the numpy
+    formula's that its BLAS level-1 calls stand for."""
 
-    @pytest.mark.parametrize("n,m", [(1, 0), (4, 2), (20, 8)])
-    def test_equals_eval_F_and_a_path_step_retargets_it(self, n, m):
+    @pytest.mark.parametrize("n,m,scale", [
+        pytest.param(1, 0, 1.0, id="1-0"),
+        pytest.param(4, 2, 1.0, id="4-2"),
+        pytest.param(20, 8, 1.0, id="20-8"),
+        pytest.param(32, 13, 1.0, id="32-13"),
+        pytest.param(6, 3, 1e4, id="6-3-scale1e4"),
+    ])
+    def test_equals_eval_F_and_a_path_step_retargets_it(self, n, m, scale):
         # a path step writes (r3, r4) at its own tau, so its step from a
         # residual at another tau is the step from one at its own, bit for
         # bit; the step is taken before the post-check, which a random
         # iterate may fail
         rng = np.random.default_rng(70 + n + m)
-        p = random_boxqp(rng, n, m, tol=1e-2)
+        p = random_boxqp(rng, n, m, tol=1e-2, scale=scale)
         mp = compute_params_practical(p)
         z = random_iterate(rng, n, m)
         ws = loaded_workspace(p, mp, z, 0.75)
         F = eval_F(p, mp, z, 0.75)
         assert ws.F.tobytes() == F.as_array().tobytes()
-        # each norm is one dot over its stacked blocks
-        r12, r34 = np.concatenate([F.r1, F.r2]), np.concatenate([F.r3, F.r4])
+        # daxpy with a = 1, a copy and a daxpy of ones with a = -tau round
+        # as the ufuncs of the formula do
+        r12 = np.add(ws.T.dot(ws.z), ws.cb)
+        r34 = np.subtract(np.multiply(ws.mu, ws.e), 0.75)
+        assert ws.F.tobytes() == np.concatenate([r12, r34]).tobytes()
+        # each norm is one dot over its stacked blocks, BLAS ddot as
+        # ndarray.dot makes it
         norms = (math.sqrt(r12.dot(r12)), math.sqrt(r34.dot(r34)))
         assert (ws.eq_norm, ws.comp_norm) == (F.eq_norm, F.comp_norm) == norms
         steps = []

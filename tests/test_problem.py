@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +179,20 @@ class TestTransformStandard:
                 # equality residuals are preserved exactly
                 r_std = np.linalg.norm(sp.At @ u - sp.bt)
                 assert_allclose(residual_norm(box, x), r_std, rtol=1e-10, atol=1e-12)
+
+
+    @pytest.mark.parametrize("pi", [1e154, 1e200])
+    def test_pi_that_overflows_the_scaled_data_is_named(self, pi):
+        # (pi/2)^2 Qt overflows at 1e154 with these entries, and (pi/2)^2
+        # itself at 1e200: an InvalidProblem that names pi, not a warning
+        # and a "Q contains non-finite entries" for a finite Qt
+        sp = StandardQP(Qt=[[16.0, 4.0], [4.0, 16.0]], ct=[1.0, -1.0], At=[[1.0, 2.0]],
+                        bt=[1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidProblem, match=re.escape(f"pi = {pi!r} is too large")):
+                transform_standard(sp, pi, tol=1e-2)
+        assert caught == []
 
 
 class TestProblemFactor:

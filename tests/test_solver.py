@@ -451,11 +451,13 @@ class _CountingNumpy:
 
     def __init__(self):
         self.calls = 0
+        self.names = []
         self.shapes = set()
 
     def count(self, fn):
         def counted(*args, **kwargs):
             self.calls += 1
+            self.names.append(fn.__name__)
             out = fn(*args, **kwargs)
             if isinstance(out, np.ndarray):
                 self.shapes.add(out.shape)
@@ -530,16 +532,18 @@ def _edit_solutions(monkeypatch, edit):
     monkeypatch.setattr(boxipm.linalg, "lapack", Editing())
 
 
-# Calls per step: numpy module calls, and BLAS calls per routine.  A step
-# that factors writes the Q block's diagonal (one dcopy, two daxpy) and
-# tests it (one dasum); a step that is not a reset adds g34/e into its
-# right-hand side (two daxpy) and its dmu (one daxpy), and a path step
-# rewrites (r3, r4) at its tau (one subtract).
-_RESET_FACTORS = (7, {"dcopy": 3, "daxpy": 3, "dasum": 3, "dscal": 3})
-_RESET_HELD = (6, {"dcopy": 2, "dscal": 3, "dasum": 1, "daxpy": 1})
-_PATH_HELD = (8, {"daxpy": 4, "dasum": 2, "dcopy": 2, "dscal": 3})
-_CENTRALITY_HELD = (7, {"daxpy": 4, "dasum": 2, "dcopy": 2, "dscal": 3})
-_CENTRALITY_FACTORS = (8, {"daxpy": 6, "dcopy": 3, "dasum": 3, "dscal": 3})
+# Calls per step: numpy module calls, and BLAS calls per routine, its
+# residual's (_EVAL_F_CALLS) included.  A step that factors writes the Q
+# block's diagonal (one dcopy, two daxpy) and tests it (one dasum); a step
+# that is not a reset adds g34/e into its right-hand side (two daxpy) and
+# its dmu (one daxpy), and a path step rewrites (r3, r4) at its tau (one
+# dcopy, one daxpy).
+_EVAL_F_CALLS = (["multiply"], {"daxpy": 2, "dcopy": 1, "ddot": 2})
+_RESET_FACTORS = (5, {"dcopy": 4, "daxpy": 5, "ddot": 2, "dasum": 3, "dscal": 3})
+_RESET_HELD = (4, {"dcopy": 3, "dscal": 3, "dasum": 1, "daxpy": 3, "ddot": 2})
+_PATH_HELD = (5, {"daxpy": 7, "dasum": 2, "dcopy": 4, "dscal": 3, "ddot": 2})
+_CENTRALITY_HELD = (5, {"daxpy": 6, "dasum": 2, "dcopy": 3, "dscal": 3, "ddot": 2})
+_CENTRALITY_FACTORS = (6, {"daxpy": 8, "dcopy": 4, "dasum": 3, "dscal": 3, "ddot": 2})
 # The initial reset, then three stable cycles on its factor; the third
 # cycle's centrality step factors.
 _STEP_CALLS = (
@@ -608,19 +612,20 @@ class TestStepLoopStructure:
         # numpy module calls in kkt, solver and linalg, and BLAS calls, per
         # step as solve() makes it (a path step includes rewriting (r3, r4)
         # at its tau); the margin's np.minimum.reduce is one, and method calls
-        # such as ndarray.dot are not counted.  The step binds its ufuncs and
-        # BLAS routines at its workspace's first step, after the counters are
-        # in place.  The initial reset and the third cycle's centrality step
-        # factor their own matrices; every other step solves on the held
-        # factor and rebuilds no Q block diagonal.  A reset's g34 is 0, so it
-        # adds no g34/e to its right-hand side or its dmu.
-        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
-        mp = compute_params_practical(p)
-        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
+        # such as ndarray.dot are not counted.  The residual binds its
+        # routines at its first evaluation and the step at its first step,
+        # both after the counters are in place.  The initial reset and the
+        # third cycle's centrality step factor their own matrices; every
+        # other step solves on the held factor and rebuilds no Q block
+        # diagonal.  A reset's g34 is 0, so it adds no g34/e to its
+        # right-hand side or its dmu.
         counter, blas = _CountingNumpy(), _CountingBlas()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
         monkeypatch.setattr(boxipm.linalg, "blas", blas)
+        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
+        mp = compute_params_practical(p)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         tau, calls = mp.tau_A, []
         kinds = [STEP_ERROR_RESET] + [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET] * 3
         for kind in kinds:
@@ -630,20 +635,32 @@ class TestStepLoopStructure:
             e, mue = ws.e.copy(), ws.mue.copy()
             _step(kind, ws, tau)
             calls.append((counter.calls, blas.calls))
-            # the step carries e as e + (dx, -dx), writes mu∘e inline, bit
-            # for bit as derive_mue writes it, and dmu = g34/e - w'∘(dx, -dx)
-            # as ufuncs write it, with the w' = mu'/e' of the step that
-            # factored; a reset's g34 is 0 and its dmu -(w'∘(dx, -dx))
+            # the step carries e as e + (dx, -dx), its residual writes mu∘e
+            # as a ufunc writes it, and dmu = g34/e - w'∘(dx, -dx) as ufuncs
+            # write it, with the w' = mu'/e' of the step that factored; a
+            # reset's g34 is 0 and its dmu -(w'∘(dx, -dx))
             dx = ws.dz_x
             de = np.concatenate([dx, -dx])
             assert ws.e.tobytes() == (e + de).tobytes()
             w_de = ws.w * de
             dmu = -w_de if kind == STEP_ERROR_RESET else -(mue - tau) / e - w_de
             assert ws.dz_mu.tobytes() == dmu.tobytes()
-            mue = ws.mue.copy()
-            ws.derive_mue()
-            assert mue.tobytes() == ws.mue.tobytes()
+            assert ws.mue.tobytes() == (ws.mu * ws.e).tobytes()
         assert calls == _STEP_CALLS
+
+    def test_calls_of_the_residual(self, monkeypatch):
+        # the residual is one multiply, the gemv T.dot (a method call, not
+        # counted) and BLAS level-1: no numpy call but mu∘e creeps back in
+        counter, blas = _CountingNumpy(), _CountingBlas()
+        monkeypatch.setattr(boxipm.kkt, "np", counter)
+        monkeypatch.setattr(boxipm.linalg, "blas", blas)
+        p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
+        ws = _Workspace(p, compute_params_practical(p))
+        ws.load(random_iterate(np.random.default_rng(14), 4, 2))
+        for tau in (0.5, 0.25):
+            counter.calls, counter.names, blas.calls = 0, [], {}
+            ws.eval_F(tau)
+            assert (counter.names, blas.calls) == _EVAL_F_CALLS
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
         # as above, each step followed by its trace row: recording a row
@@ -651,7 +668,11 @@ class TestStepLoopStructure:
         # step costs what an untraced one does.  A flush makes a fixed
         # number of calls, the same for 8 rows on 1 factor as for 12 on 2
         # (the index pairs of the inverses' mirror are cached per size, so
-        # they are built before the counter is in place).
+        # they are built before the steps are counted).
+        counter, blas = _CountingNumpy(), _CountingBlas()
+        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg, boxipm.neighborhoods):
+            monkeypatch.setattr(module, "np", counter)
+        monkeypatch.setattr(boxipm.linalg, "blas", blas)
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
@@ -659,12 +680,8 @@ class TestStepLoopStructure:
         cycle = (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
         record = _Recorder(ws, trace, cycle)
         mirror_upper(np.empty((p.n + p.m, p.n + p.m)))
-        counter = _CountingNumpy()
-        for module in (boxipm.kkt, boxipm.solver, boxipm.linalg, boxipm.neighborhoods):
-            monkeypatch.setattr(module, "np", counter)
-        blas = _CountingBlas()
-        monkeypatch.setattr(boxipm.linalg, "blas", blas)
         tau, calls, flushes = mp.tau_A, [], []
+        counter.calls = 0
         record(STEP_LIFT, tau)
         assert counter.calls == 0
         for kinds in ((STEP_ERROR_RESET,) + cycle * 2, cycle * 4):
@@ -1420,7 +1437,6 @@ def _fresh_workspace(p, mp, ws, tau):
     ``F``, whose next step factors its own matrix."""
     fresh = _Workspace(p, mp)
     fresh.ze[:] = ws.ze
-    fresh.derive_mue()
     fresh.eval_F(tau)
     return fresh
 

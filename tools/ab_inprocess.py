@@ -7,9 +7,10 @@ Loads ``src/boxipm`` of each checkout into one process, under the package
 names ``boxipm_a`` and ``boxipm_b``, and solves every instance of the
 workload (``perfbench/workloads.py`` of the checkout that holds this
 script, imported read-only) with A and B in turn, ``--repeats`` times
-each.  Prints, per instance, the best wall time of each side, their
-ratio B/A and whether the two solves are bit-identical, then a line with
-each side's counts (cycles, linear solves and factorizations, and pi
+each, alternating which side runs first: A then B on the first repeat,
+B then A on the second, and so on.  Prints, per instance, the best wall
+time of each side, their ratio B/A and whether the two solves are
+bit-identical, then a line with each side's counts (cycles, linear solves and factorizations, and pi
 trials on a standard-form instance) and each side's best time per
 linear solve, in microseconds a step (on a standard-form instance, per
 solve of the accepted trial, though the time covers every trial), flagged
@@ -23,12 +24,13 @@ max |x_A - x_B| and |objective_A - objective_B|.  A solve is identical
 when its x is, and, on a traced instance, when every value of every
 trace row is too: each value is packed on its own (numbers as binary64
 bytes, so that NaN compares by its bits), outside the timed region.  On a
-traced instance each side also solves untraced, interleaved with the
-traced solves, and a second line gives the trace's own cost per row,
-(best traced - best untraced) / rows, for A and B.
+traced instance each side also solves untraced, after the traced solves
+of the repeat and in their order, and a second line gives the trace's
+own cost per row, (best traced - best untraced) / rows, for A and B.
 
-Alternating within one process cancels most of the machine's speed drift:
-on a 2-vCPU VM the speed of Python-bound code moves by up to 2x between
+Alternating within one process cancels most of the machine's speed
+drift, and alternating which side runs first cancels the advantage of
+either place in the order: on a 2-vCPU VM the speed of Python-bound code moves by up to 2x between
 process runs, which makes a comparison of separate runs unreliable.  The
 instances are built from the generators' arrays directly, not parsed from
 problem-file text as the benchmark does; the serialization is bit-exact,
@@ -134,19 +136,23 @@ def main(argv=None) -> int:
     identical = 0
     print(f"{'instance':<32} {'A best s':>10} {'B best s':>10} {'B/A':>6}  x          trace")
     for inst in insts:
-        run_a, run_b = solver(a, inst), solver(b, inst)
+        runs = {"a": solver(a, inst), "b": solver(b, inst)}
         if inst.collect_trace:
-            plain_a, plain_b = solver(a, inst, False), solver(b, inst, False)
+            plain_runs = {"a": solver(a, inst, False), "b": solver(b, inst, False)}
             plain = {"a": float("inf"), "b": float("inf")}
-        best_a = best_b = float("inf")
+        best = {"a": float("inf"), "b": float("inf")}
+        out = {}
+        order = ("a", "b")
         for _ in range(args.repeats):
-            wall, (xa, obj_a, trace_a, counts_a) = timed(run_a)
-            best_a = min(best_a, wall)
-            wall, (xb, obj_b, trace_b, counts_b) = timed(run_b)
-            best_b = min(best_b, wall)
+            for side in order:
+                wall, out[side] = timed(runs[side])
+                best[side] = min(best[side], wall)
             if inst.collect_trace:
-                plain["a"] = min(plain["a"], timed(plain_a)[0])
-                plain["b"] = min(plain["b"], timed(plain_b)[0])
+                for side in order:
+                    plain[side] = min(plain[side], timed(plain_runs[side])[0])
+            order = order[::-1]
+        (xa, obj_a, trace_a, counts_a), (xb, obj_b, trace_b, counts_b) = out["a"], out["b"]
+        best_a, best_b = best["a"], best["b"]
         same_x = xa.tobytes() == xb.tobytes()
         same_trace = packed_trace(a, trace_a) == packed_trace(b, trace_b)
         same_counts = all(counts_a[k] == counts_b[k] for k in ("cycles", "solves", "trials"))
