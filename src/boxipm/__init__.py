@@ -31,7 +31,6 @@ from .problem import (
     BoxQP,
     StandardQP,
     eval_q,
-    eval_q_omega,
     grow_pi_schedule,
     problem_factor,
     transform_standard,
@@ -55,7 +54,7 @@ __all__ = [
     "OracleSolution", "oracle_min_residual", "oracle_min_box", "oracle_solve_boxqp",
     "MethodParams", "compute_params", "compute_params_practical", "validate_params",
     "ProblemFile", "parse_problem", "serialize_problem",
-    "BoxQP", "StandardQP", "eval_q", "eval_q_omega", "grow_pi_schedule",
+    "BoxQP", "StandardQP", "eval_q", "grow_pi_schedule",
     "problem_factor", "transform_standard",
     "SolveReport", "StandardReport", "TraceEntry", "solve", "solve_standard",
     "__version__",

@@ -54,7 +54,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, InvalidProblem, OutOfDomain
 from .linalg import EPS_MACH, as_vector, symmetric_inverse
-from .problem import BoxQP, eval_q_omega, q_omega_data
+from .problem import BoxQP, q_omega_data
 
 # Barrier evaluations are rejected this close to the box boundary: the log of
 # a smaller margin would round into +/-inf downstream.
@@ -146,13 +146,6 @@ def _interior_x(p: BoxQP, x) -> np.ndarray:
     return x
 
 
-def eval_f(p: BoxQP, mp, x) -> float:
-    """Primal barrier value f(x); raises OutOfDomain near the box boundary."""
-    x = _interior_x(p, x)
-    barrier = np.log1p(x) + np.log1p(-x)
-    return float(eval_q_omega(p, mp.omega, x) / mp.tau_A - barrier.sum())
-
-
 def eval_grad_f(p: BoxQP, mp, x) -> np.ndarray:
     """Gradient of f: (Qx + omega x + c + A'(Ax-b)/omega)/tau_A - (1/(e+x) - 1/(e-x))."""
     x = _interior_x(p, x)
@@ -236,9 +229,8 @@ class _Workspace:
     derives it from the iterate, the one place that does, and every step
     adds (dx, -dx) to it, so that it keeps a distance to a face below the
     spacing of x near 1 (ulp(1)/2 = 1.1e-16), where x itself rounds onto the
-    face; it stays within rounding of 1 +- x.  ``margin`` is the minimum of
-    (mu, e), the interior margin, as :meth:`load` or the last step set it;
-    a step whose margin is not positive is rejected.  ``mue`` = mu∘e is a
+    face; it stays within rounding of 1 +- x.  A step whose margin, the
+    minimum of (mu, e), is not positive is rejected.  ``mue`` = mu∘e is a
     2n-vector, which :meth:`eval_F` writes, and ``ones`` a 2n-vector of
     ones, the operand that subtracts tau by one BLAS daxpy.
     :meth:`rounded_x` is x rounded into the open box, as a solve reports
@@ -297,7 +289,8 @@ class _Workspace:
     The workspace holds nothing for the trace: a traced solve's recorder
     (``boxipm.solver._Recorder``) copies ``ze``, ``dz`` and a new
     ``factor`` after each step and builds the rows per batch, with
-    :func:`cond_DF` for the condition numbers.
+    :func:`cond_DF` for the condition numbers and the minimum of each
+    copied (mu, e) for the interior margins.
     """
 
     def __init__(self, p: BoxQP, mp, held_limit: int = 0):
@@ -309,7 +302,6 @@ class _Workspace:
         self.x, self.lam, self.mu_l, self.mu_r = _blocks(self.z, n, m)
         self.mu = self.z[nm:]
         self.e_l, self.e_r = self.e[:n], self.e[n:]
-        self.margin = math.nan
         self.mue = np.empty(2 * n)
         self.ones = np.ones(2 * n)
         self.F = np.empty(N)
@@ -342,15 +334,14 @@ class _Workspace:
         self.bound = None
 
     def load(self, z: Iterate) -> None:
-        """Copy ``z`` in, after checking its dimensions, and derive e and the
-        margin; the next step factors its own matrix."""
+        """Copy ``z`` in, after checking its dimensions, and derive e; the
+        next step factors its own matrix."""
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
         self.factor, self.held_steps = None, 0
         np.add(_ONE, self.x, self.e_l)
         np.subtract(_ONE, self.x, self.e_r)
-        self.margin = float(np.minimum.reduce(self.mu_e))
 
     def rounded_x(self) -> np.ndarray:
         """x rounded into the open box, to |x_j| <= nextafter(1, 0), a copy."""

@@ -11,13 +11,11 @@ each only a normwise backward-stable solve:
   block row is negated, are solved by Bunch-Kaufman LDL' (LAPACK dsysv)
   in one call, which also returns the factor it computed; the steps that
   ``boxipm.solver._step`` puts on a held factor solve other right-hand
-  sides on it by the triangular solves alone (LAPACK dsytrs).
-  :func:`solve_symmetric` is that dsysv call.  The step itself
-  (``boxipm.solver._step``) binds dsysv and dsytrs, and the BLAS level-1
-  routines of its finiteness tests and vector updates, once per workspace
-  and makes the same calls inline, with the arguments in their positional
-  slots; the tests hold its solution to :func:`solve_symmetric`'s bit for
-  bit.
+  sides on it by the triangular solves alone (LAPACK dsytrs).  The step
+  binds dsysv and dsytrs, and the BLAS level-1 routines of its
+  finiteness tests and vector updates, once per workspace and calls them
+  inline, with the arguments in their positional slots; the tests hold
+  its solution bit for bit to a plain dsysv call on the same matrix.
   Bunch-Kaufman is backward stable as long as its growth factor stays
   small, which is the case in practice (Higham, *Accuracy and Stability
   of Numerical Algorithms*, ch. 11); a strict multiprecision reference
@@ -118,9 +116,24 @@ def norm2_upper(G) -> float:
 
     Every place this package consumes a matrix 2-norm needs an upper bound so
     that derived inequalities stay conservative; the Frobenius norm is cheap,
-    deterministic, and never underestimates.
+    deterministic, and never underestimates.  It is taken of G / r^2
+    (:func:`quarter_scaled`), whose sum of squares neither overflows nor
+    underflows, and multiplied back by r twice: the bits of the unscaled
+    norm wherever that neither overflows nor underflows, and finite
+    wherever ||G|| is.
     """
-    return float(np.linalg.norm(np.asarray(G, dtype=np.float64)))
+    Gs, r = quarter_scaled(G)
+    return float(np.linalg.norm(Gs)) * r * r
+
+
+def quarter_scaled(G) -> tuple[np.ndarray, float]:
+    """(G / r^2, r) for ``G`` as a float64 array, r the power of two that
+    brings its largest |G_ij| into [1/2, 2) (1 for a G of zeros).  r^2 is
+    a power of 4, so the division is exact wherever G / r^2 is normal, and
+    a 2-norm of G / r^2 times r twice is one of G."""
+    G = np.asarray(G, dtype=np.float64)
+    k = math.frexp(float(np.abs(G).max(initial=0.0)))[1] // 2
+    return np.ldexp(G, -2 * k), 2.0**k
 
 
 class QRFactor:
@@ -177,31 +190,9 @@ class QRFactor:
         return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
-def solve_symmetric(G: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve G u = v for a symmetric nonsingular ``G`` by Bunch-Kaufman LDL'
-    (LAPACK dsysv), in one call; returns (u, ldu, ipiv), where ``ldu`` and
-    ``ipiv`` are the factor of G that the call computed, in LAPACK's form,
-    for LAPACK dsytrs (another right-hand side, by the triangular solves
-    alone) and :func:`symmetric_inverse`.
-
-    Only the upper triangle of ``G`` is read, and ``G`` is never written.
-    ``v`` is overwritten with u when it is a contiguous, writable float64
-    vector, and u is then ``v`` itself; any other ``v`` is left unchanged.
-    Neither is validated: the caller passes finite float64 arrays of
-    matching size d >= 1.  An exactly zero pivot in D raises
-    SingularSystem; nothing smaller does, so a nearly singular G gives a
-    large u.
-    """
-    # The default workspace: on one OpenBLAS thread the blocked
-    # factorization was no faster for d = 7, 45 and 112.
-    ldu, ipiv, u, info = lapack.dsysv(G, v, overwrite_b=1)
-    _check_info("dsysv", info)
-    return u, ldu, ipiv
-
-
 def symmetric_inverse(factors: np.ndarray, ipivs) -> np.ndarray:
-    """G^-1 for each factor (ldu, ipiv) of a G that :func:`solve_symmetric`
-    returned, by LAPACK dsytri, in place: ``factors`` is a stack (k, d, d)
+    """G^-1 for each factor (ldu, ipiv) of a G that LAPACK dsysv returned,
+    by LAPACK dsytri, in place: ``factors`` is a stack (k, d, d)
     of the ``ldu`` of each G, each item Fortran-ordered, and ``ipivs`` the
     k pivot arrays.  Each item is overwritten by its full symmetric inverse,
     and ``factors`` is returned.

@@ -21,11 +21,13 @@ Two variants exist:
   and the cascade leaves the representable range; that raises ParamOverflow.
 * :func:`compute_params_practical`:  identical formulas with floors on the
   envelope radii, tau_E, the interiority gap, and the primal target rho
-  (the ``floor`` of their rules), so the record is always representable and
-  the solver always runs.  The loop structure and the post-check are
-  unchanged: every step is held to the width bound at its tau in both
-  variants, and the envelope radii reach the solve only through the
-  primal target rho, and so K.
+  (the ``floor`` of their rules).  The floors do not bound every rule: on
+  large data (a standard-form problem scaled by a large pi, say) the
+  floored cascade can still leave binary64, and that raises ParamOverflow
+  too, naming the first rule that left it.  The loop structure and the
+  post-check are unchanged: every step is held to the width bound at its
+  tau in both variants, and the envelope radii reach the solve only
+  through the primal target rho, and so K.
 """
 
 from __future__ import annotations
@@ -267,7 +269,8 @@ def compute_params(p: BoxQP) -> MethodParams:
 
 
 def compute_params_practical(p: BoxQP) -> MethodParams:
-    """Cascade with representability floors; always emits a usable record."""
+    """Cascade with representability floors; raises ParamOverflow where the
+    floored cascade still leaves binary64."""
     return _cascade(p, practical=True)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InvalidProblem, PiCapExceeded
-from .linalg import as_matrix, as_vector, mirror_upper, norm2_upper
+from .linalg import as_matrix, as_vector, mirror_upper, norm2_upper, quarter_scaled
 
 # Relative tolerances for accepting Q as symmetric PSD.
 SYMMETRY_RTOL = 1e-12
@@ -47,11 +47,14 @@ def _validated_qp(Q, c, A, b, names: tuple[str, str, str, str]) -> tuple[np.ndar
     c = as_vector(c, dim=n, name=nc)
     A = as_matrix(A, cols=n, name=nA)
     b = as_vector(b, dim=A.shape[0], name=nb)
-    qnorm = norm2_upper(Q)
-    asym = float(np.linalg.norm(Q - Q.T))
-    if asym > SYMMETRY_RTOL * qnorm:
+    # the norms of Q / r^2, so that neither Q - Q' nor a norm can overflow:
+    # the unscaled test wherever that neither overflows nor underflows
+    Qs, r = quarter_scaled(Q)
+    asym, qnorm_s = float(np.linalg.norm(Qs - Qs.T)), float(np.linalg.norm(Qs))
+    qnorm = qnorm_s * r * r  # norm2_upper(Q)
+    if asym > SYMMETRY_RTOL * qnorm_s:
         raise InvalidProblem(
-            f"{nQ} is not symmetric: ||{nQ} - {nQ}^T|| = {asym:.3e} "
+            f"{nQ} is not symmetric: ||{nQ} - {nQ}^T|| = {asym / qnorm_s:.3e} * ||{nQ}|| "
             f"exceeds {SYMMETRY_RTOL:.0e} * ||{nQ}||"
         )
     Q = Q.copy(order="C")
@@ -141,15 +144,6 @@ def eval_q(p: BoxQP, x) -> float:
     """Quadratic objective q(x) = 0.5 x'Qx + c'x."""
     x = as_vector(x, dim=p.n, name="x")
     return float(0.5 * x @ (p.Q @ x) + p.c @ x)
-
-
-def eval_q_omega(p: BoxQP, omega: float, x) -> float:
-    """Regularized objective (omega/2)||x||^2 + q(x) + ||Ax - b||^2 / (2 omega)."""
-    if not omega > 0.0:
-        raise InvalidProblem(f"omega must be positive, got {omega!r}")
-    x = as_vector(x, dim=p.n, name="x")
-    r = p.A @ x - p.b
-    return float(0.5 * omega * (x @ x) + eval_q(p, x) + (r @ r) / (2.0 * omega))
 
 
 def q_omega_data(p: BoxQP, omega: float) -> tuple[np.ndarray, np.ndarray]:

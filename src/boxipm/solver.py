@@ -48,11 +48,12 @@ right-hand side; a path step, the one step that moves tau, rewrites its
 complementarity blocks as mu∘e - tau at its own tau.  The steps do no
 trace work: a traced solve hands each step's state, step and new factor
 to a :class:`_Recorder`, which copies them and builds the rows per
-batch, every value with the bits it would have if built right after its
-step.  The returned solution x
-satisfies ``||x||_inf < 1`` (the state's x rounded into the open box,
-once, at the end), an objective within tol of the best attainable, and an
-equality residual within tol of the box-minimal one.
+batch, the interior margin min(mu, e) from its copy of the state, every
+value with the bits it would have if built right after its step.  The
+returned solution x satisfies ``||x||_inf < 1`` (the state's x rounded
+into the open box, once, at the end), an objective within tol of the
+best attainable, and an equality residual within tol of the box-minimal
+one.
 """
 
 from __future__ import annotations
@@ -138,11 +139,13 @@ class TraceEntry(NamedTuple):
     is the minimum of (mu, e), with e = (1 + x, 1 - x) as the steps carry
     it (:class:`~boxipm.kkt._Workspace`), so the distance to the nearest
     face or the smallest multiplier, whichever is less: the margin that
-    rejects a step when it is not positive.  It reads
-    min mu wherever a multiplier is closer to 0 than x is to the box faces
-    (1,623 of the 3,134 primal-dual rows of ``random_boxqp(seed 0, n=20,
-    m=8)`` of the test suite).  newton_dot is dx'(dmu_l - dmu_r) on path
-    steps and NaN elsewhere.
+    rejects a step when it is not positive, taken again at the flush from
+    the recorder's copy of the state after the step, with the same bits,
+    since a minimum is exact in any order.  It reads min mu wherever a
+    multiplier is closer to 0 than x is to the box faces (1,623 of the
+    3,134 primal-dual rows of ``random_boxqp(seed 0, n=20, m=8)`` of the
+    test suite).  newton_dot is dx'(dmu_l - dmu_r) on path steps and NaN
+    elsewhere.
     """
 
     k: int
@@ -213,9 +216,8 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
        absolute values, and a reset's v not at all: it is (-r1, s r2) of a
        residual that the last post-check found finite.  Any other step
        writes the Q block's diagonal G from w = mu/e and factors ``H`` by
-       one LAPACK dsysv call, as
-       :func:`~boxipm.linalg.solve_symmetric` makes it, which rejects only
-       an exactly zero pivot: near tau_E the a-priori conditioning bound
+       one LAPACK dsysv call, which rejects only an exactly zero pivot
+       (``info`` > 0): near tau_E the a-priori conditioning bound
        kappa_DF exceeds 1/(dim*eps), so a relative pivot test would
        misflag theory-valid systems as singular.  G and v are all of the
        system that changes per step; one finite sum of absolute values
@@ -256,11 +258,13 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     stale w' every path and centrality step still meets its width bound
     with zero slack, and that K, M and the cycles stay the same.
     The step does no trace work: a traced solve's :class:`_Recorder` reads
-    what the step left.
+    what the step left, and takes each row's interior margin from its own
+    copy of (mu, e).
 
     The update (z, e) + (dz, de), one addition over ``ws.ze`` and
     ``ws.dze``, carries e along as e + (dx, -dx), and takes the margin, the
-    minimum of (mu, e).  A margin that is not positive rejects the step,
+    minimum of (mu, e), which it does not keep.  A margin that is not
+    positive rejects the step,
     with block ``"interior"``, the margin as its value and 0 as its limit,
     whichever of mu and e reached it: a step that leaves the box and one
     that drives a multiplier to zero are rejected alike, and no multiplier
@@ -375,7 +379,6 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
             f"{kind} step left the interior: min(mu, e) reached {float(margin)!r} <= 0.0",
             kind=kind, tau=tau, block="interior", value=float(margin), limit=0.0,
         )
-    ws.margin = float(margin)
     ws.eval_F(tau)
     eq_norm, comp_norm = ws.eq_norm, ws.comp_norm
     if not math.isfinite(eq_norm + comp_norm):
@@ -460,7 +463,7 @@ class _Recorder:
     factored (``ws.factorizations`` grew), the factor's ``ldu`` into a
     slot of a stack, keeping ``ipiv``; the workspace's factor is not
     written, so the steps that solve on it (``_step``) still can.  It keeps
-    the row's scalars as they are.
+    the row's kind, tau and residual norms as they are.
 
     Once ``TRACE_BATCH`` factors are pending, or the row buffers are full,
     and at the end of the solve (:meth:`flush`), one flush turns the
@@ -468,14 +471,16 @@ class _Recorder:
     :func:`~boxipm.kkt.cond_DF` gives the exact kappa_1 for every factor at
     once, each at the (mu, e) of the row before its own, where its step
     started; batched matmuls give the norms, one ddot per row as
-    ``ndarray.dot`` makes it; and :func:`complementarity_gap` gives every
-    row's gap in one call.  So every value has the bits that the row would
-    have if it were built right after its step.  A row that did not factor
-    takes the value of the last factor before it, in this batch or carried
-    over from the last one; the lift row takes the next one's, the initial
-    reset's.  Row 0 of the
-    snapshot buffer carries the last row of the previous batch, the start
-    of a step that opens the next one.
+    ``ndarray.dot`` makes it; one ``np.minimum.reduce`` over the copied
+    (mu, e) gives every row's interior margin, with the bits of the step's
+    own minimum, since a minimum is exact in any order; and
+    :func:`complementarity_gap` gives every row's gap in one call.  So every
+    value has the bits that the row would have if it were built right
+    after its step.  A row that did not factor takes the condition number
+    of the last factor before it, in this batch or carried over from the
+    last one; the lift row takes the next one's, the initial reset's.  Row
+    0 of the snapshot buffer carries the last row of the previous batch,
+    the start of a step that opens the next one.
     """
 
     def __init__(self, ws: _Workspace, trace: list, cycle: tuple[str, ...]):
@@ -496,7 +501,7 @@ class _Recorder:
         self.dmu_diff = np.empty((rows, n))
         # C-ordered; seen transposed, each slot is a Fortran-ordered factor
         self.factors = np.empty((TRACE_BATCH, d, d)).transpose(0, 2, 1)
-        self.rows: list[tuple] = []  # kind, tau, comp, eq, margin, cond index
+        self.rows: list[tuple] = []  # kind, tau, comp, eq, cond index
         self.ipivs: list[np.ndarray] = []
         self.starts: list[int] = []  # the snapshot where each factor's step starts
         self.factorizations = ws.factorizations
@@ -519,7 +524,7 @@ class _Recorder:
             ipivs.append(ipiv)
             self.starts.append(i)
             cond = len(ipivs)
-        rows.append((kind, tau, ws.comp_norm, ws.eq_norm, ws.margin, cond))
+        rows.append((kind, tau, ws.comp_norm, ws.eq_norm, cond))
         if len(ipivs) == TRACE_BATCH or len(rows) == len(self.dz):
             self.flush()
 
@@ -540,9 +545,10 @@ class _Recorder:
         z_norms = np.sqrt(np.matmul(z[:, None], z[:, :, None])).ravel().tolist()
         step_norms = np.sqrt(np.matmul(dz[:, None], dz[:, :, None])).ravel().tolist()
         dots = np.matmul(dz[:, None, :n], diff[:, :, None]).ravel().tolist()
+        margins = np.minimum.reduce(ze[:, nm:], axis=1).tolist()
         gaps = complementarity_gap(ze[:, nm:]).tolist()
-        for (kind, tau, comp, eq, margin, cond), step_norm, gap, z_norm, dot in zip(
-            rows, step_norms, gaps, z_norms, dots
+        for (kind, tau, comp, eq, cond), step_norm, margin, gap, z_norm, dot in zip(
+            rows, step_norms, margins, gaps, z_norms, dots
         ):
             trace.append(TraceEntry(
                 len(trace) + 1, tau, kind, comp, eq, conds[cond],
@@ -573,8 +579,10 @@ def solve(
         cycles).  ``_step`` says which steps solve on a held factor.
     params_mode : {"strict", "practical"}
         Strict uses the pure theoretical parameter cascade (may raise
-        ParamOverflow); practical applies representability floors and always
-        runs.
+        ParamOverflow); practical applies representability floors, and
+        raises ParamOverflow only where the floored cascade still leaves
+        binary64 (on large data, such as a standard-form problem scaled by
+        a large pi).
     collect_trace : bool
         Record one TraceEntry per step, without changing the solve.  Its
         ``cond_DF`` is a 1-norm condition number read off the factor the

@@ -1,9 +1,13 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators for the test suite, and the reference
+functions that only the tests call: the barrier value f, its regularized
+objective, and the one dsysv call that a Newton step makes."""
 
 import numpy as np
 
-from boxipm import BoxQP, StandardQP, StepRejected
-from boxipm.kkt import _Workspace, cond_DF
+import boxipm.linalg
+from boxipm import BoxQP, InvalidProblem, StandardQP, StepRejected, eval_q
+from boxipm.kkt import _interior_x, _Workspace, cond_DF
+from boxipm.linalg import _check_info, as_vector
 from boxipm.neighborhoods import STEP_CENTRALITY, STEP_ERROR_RESET
 from boxipm.solver import HELD_STEPS, _step
 
@@ -144,3 +148,38 @@ def batched_cond_DF(ws, tau, points):
     """kappa_1 of the DF that the factoring step from each of ``points``
     solves, as one batch of :func:`boxipm.kkt.cond_DF`, a list of floats."""
     return cond_DF(ws, *step_factors(ws, tau, points)).tolist()
+
+
+def eval_q_omega(p, omega, x):
+    """Regularized objective (omega/2)||x||^2 + q(x) + ||Ax - b||^2 / (2 omega)."""
+    if not omega > 0.0:
+        raise InvalidProblem(f"omega must be positive, got {omega!r}")
+    x = as_vector(x, dim=p.n, name="x")
+    r = p.A @ x - p.b
+    return float(0.5 * omega * (x @ x) + eval_q(p, x) + (r @ r) / (2.0 * omega))
+
+
+def eval_f(p, mp, x):
+    """Primal barrier value f(x) = q_omega(x)/tau_A - sum_j [log(1+x_j) +
+    log(1-x_j)], of which ``boxipm.kkt.eval_grad_f`` is the gradient;
+    raises OutOfDomain near the box boundary, as the gradient does."""
+    x = _interior_x(p, x)
+    barrier = np.log1p(x) + np.log1p(-x)
+    return float(eval_q_omega(p, mp.omega, x) / mp.tau_A - barrier.sum())
+
+
+def solve_symmetric(G, v):
+    """Solve G u = v for a symmetric nonsingular ``G`` by Bunch-Kaufman LDL'
+    (LAPACK dsysv), in one call, as a factoring step of
+    ``boxipm.solver._step`` makes it; returns (u, ldu, ipiv), where ``ldu``
+    and ``ipiv`` are the factor of G that the call computed, in LAPACK's
+    form, for LAPACK dsytrs and ``boxipm.linalg.symmetric_inverse``.
+
+    Only the upper triangle of ``G`` is read, and ``G`` is never written.
+    ``v`` is overwritten with u when it is a contiguous, writable float64
+    vector, and u is then ``v`` itself; any other ``v`` is left unchanged.
+    An exactly zero pivot in D raises SingularSystem; nothing smaller does.
+    """
+    ldu, ipiv, u, info = boxipm.linalg.lapack.dsysv(G, v, overwrite_b=1)
+    _check_info("dsysv", info)
+    return u, ldu, ipiv

@@ -19,7 +19,7 @@ import pytest
 import boxipm as bx
 from boxipm import BoxQP, StandardQP
 from boxipm.errors import StepRejected
-from boxipm.kkt import Iterate, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f
+from boxipm.kkt import Iterate, eval_DF, eval_F, eval_grad_f, eval_hess_f
 from boxipm.linalg import EPS_MACH
 from boxipm.neighborhoods import COMP_CHECK_RTOL, check_step
 from boxipm.solver import (
@@ -31,7 +31,7 @@ from boxipm.solver import (
 )
 from boxipm.problem import transform_standard
 
-from support import iterate_from_array, random_boxqp, random_boxqp_interior_infeasible
+from support import eval_f, iterate_from_array, random_boxqp, random_boxqp_interior_infeasible
 
 
 def _pass(num, desc):

@@ -9,14 +9,15 @@ from boxipm import (
     BoxQP, DimensionError, InvalidProblem, Iterate, OutOfDomain, StepRejected,
     compute_params_practical,
 )
-from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_f, eval_grad_f, eval_hess_f
-from boxipm.linalg import EPS_MACH, solve_symmetric
+from boxipm.kkt import _Workspace, eval_DF, eval_F, eval_grad_f, eval_hess_f
+from boxipm.linalg import EPS_MACH
 from boxipm.neighborhoods import STEP_PATH
 from boxipm.params import MethodParams
 from boxipm.solver import _step, lift
 
 from support import (
-    iterate_from_array, loaded_workspace, newton_step, random_boxqp, random_iterate,
+    eval_f, iterate_from_array, loaded_workspace, newton_step, random_boxqp, random_iterate,
+    solve_symmetric,
 )
 
 

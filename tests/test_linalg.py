@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,10 @@ from numpy.testing import assert_allclose
 from boxipm.errors import DimensionError, InvalidProblem, SingularSystem
 from boxipm.linalg import (
     EPS_MACH, QRFactor, _check_info, as_matrix, as_vector, mirror_upper, norm2_upper,
-    solve_symmetric, symmetric_inverse,
+    symmetric_inverse,
 )
+
+from support import solve_symmetric
 
 
 def _graded(rng, d):
@@ -113,6 +117,21 @@ class TestNorm2Upper:
 
     def test_nilpotent(self):
         assert_allclose(norm2_upper(np.array([[0.0, 1.0], [0.0, 0.0]])), 1.0)
+
+    def test_scaled_by_a_power_of_4(self):
+        # the Frobenius norm of G / r^2, times r twice: numpy's own norm bit
+        # for bit wherever that neither overflows nor underflows, and right
+        # where it does
+        rng = np.random.default_rng(4)
+        for scale in (1e-150, 1e-20, 1.0, 3.0, 1e20, 1e150):
+            for shape in ((1, 1), (3, 3), (4, 7)):
+                G = scale * rng.normal(size=shape)
+                assert norm2_upper(G) == float(np.linalg.norm(G))
+        assert norm2_upper(np.full((2, 2), 1e300)) == pytest.approx(2e300, rel=1e-15)
+        assert norm2_upper(np.full((2, 2), 1e-300)) == pytest.approx(2e-300, rel=1e-15)
+        assert norm2_upper(np.zeros((0, 3))) == 0.0
+        with np.errstate(all="raise"):
+            assert norm2_upper(np.full((2, 2), 1e308)) == math.inf
 
     def test_upper_bounds_spectral_norm(self):
         rng = np.random.default_rng(3)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boxipm import (BoxQP, MethodParams, ParamOverflow, compute_params, compute_params_practical,
-                    validate_params)
+from boxipm import (BoxQP, MethodParams, ParamOverflow, StandardQP, compute_params,
+                    compute_params_practical, transform_standard, validate_params)
 from boxipm.params import _RULES, format_params, iteration_count_pd, iteration_count_primal
 from boxipm.probfile import parse_problem
 
@@ -154,6 +154,17 @@ class TestOverflow:
         p = BoxQP(Q=np.eye(2), c=[0.0, 0.0], A=[[1e8, 1e8]], b=[1e8], tol=1e-2)
         mp = compute_params_practical(p)
         assert validate_params(mp, p) == []
+
+    def test_practical_raises_when_the_floored_cascade_still_overflows(self):
+        # the floors keep the envelope radii representable, not every rule:
+        # on modest standard-form data scaled by a large pi, C_nu and then
+        # tau_A leave binary64
+        sp = StandardQP(Qt=[[16.0, 4.0], [4.0, 16.0]], ct=[1.0, -1.0], At=[[1.0, 2.0]], bt=[1.0])
+        box = transform_standard(sp, 1e10, 1e-2)[0]
+        assert validate_params(compute_params_practical(box), box) == []
+        for pi, rule in [(1e15, "C_nu"), (1e40, "tau_A")]:
+            with pytest.raises(ParamOverflow, match=f"at: {rule}$"):
+                compute_params_practical(transform_standard(sp, pi, 1e-2)[0])
 
     def test_zero_data_instances_emit(self):
         p = BoxQP(Q=np.zeros((2, 2)), c=np.zeros(2), A=np.zeros((1, 2)), b=np.zeros(1), tol=0.1)

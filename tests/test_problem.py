@@ -12,12 +12,13 @@ from boxipm import (
     PiCapExceeded,
     StandardQP,
     eval_q,
-    eval_q_omega,
     grow_pi_schedule,
     problem_factor,
     transform_standard,
 )
 from boxipm.problem import SYMMETRY_RTOL, residual_norm
+
+from support import eval_q_omega
 
 
 def zeros_box(n=1, m=1, tol=1.0):
@@ -28,6 +29,18 @@ class TestValidation:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(InvalidProblem):
             BoxQP(Q=[[1.0, 0.5], [0.0, 1.0]], c=[0.0, 0.0], A=np.zeros((1, 2)), b=[0.0], tol=1.0)
+
+    def test_symmetry_test_of_huge_q_does_not_overflow(self):
+        # ||Q|| and ||Q - Q'|| are taken of Q scaled by a power of 4, so a
+        # Q whose sum of squares overflows binary64 is still judged: this
+        # one is 0.47 ||Q|| away from symmetric, and 1e200 I is symmetric
+        A, c = np.zeros((0, 2)), [0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblem, match="is not symmetric"):
+                BoxQP(Q=[[1e155, 0.0], [5e154, 1e155]], c=c, A=A, b=[], tol=1e-2)
+            p = BoxQP(Q=1e200 * np.eye(2), c=c, A=A, b=[], tol=1e-2)
+        assert p.Q.tobytes() == (1e200 * np.eye(2)).tobytes()
 
     def test_rejects_indefinite_q(self):
         with pytest.raises(InvalidProblem):

@@ -668,7 +668,9 @@ class TestStepLoopStructure:
         # step costs what an untraced one does.  A flush makes a fixed
         # number of calls, the same for 8 rows on 1 factor as for 12 on 2
         # (the index pairs of the inverses' mirror are cached per size, so
-        # they are built before the steps are counted).
+        # they are built before the steps are counted).  One of them is the
+        # minimum of (mu, e) over every row's snapshot, the rows' interior
+        # margins, which the steps do not keep.
         counter, blas = _CountingNumpy(), _CountingBlas()
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg, boxipm.neighborhoods):
             monkeypatch.setattr(module, "np", counter)
@@ -697,7 +699,7 @@ class TestStepLoopStructure:
             flushes.append((counter.calls, blas.calls))
         assert calls == _STEP_CALLS + _STEP_CALLS[1:]  # six cycles
         assert len(trace) == 1 + 7 + 12 and record.rows == []
-        assert flushes == [(31, {}), (31, {})]
+        assert flushes == [(32, {}), (32, {})]
 
     def test_traced_inverse_runs_in_a_recorder_slot(self, monkeypatch):
         # every dsytri of a traced solve inverts a factor in place in a
@@ -1315,13 +1317,16 @@ class TestCondDF:
         # value.  A row that solves on the held factor takes the value of
         # the row that factored it, the kappa_1 of the DF at that row's
         # start, not at its own: in a stable solve the rows of three cycles
-        # share one value, in a fast one the rows of four
+        # share one value, in a fast one the rows of four.  Each row's
+        # interior margin is min(mu, e) of the state its step left, the
+        # lift row's that of the loaded state
         p = random_boxqp(np.random.default_rng(33), 3, 2, feasible=False, tol=1e-2)
         for mode in ("stable", "fast"):
             rep = solve(p, mode=mode, collect_trace=True)
             pd_rows = rep.trace[rep.params.K :]
             mp = rep.params
             ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A, mode)
+            assert pd_rows[0].interior_margin == float(np.minimum.reduce(ws.mu_e))
             tau, held = mp.tau_A, 0
             for row in pd_rows[1:]:
                 if row.step_kind == STEP_PATH:
@@ -1329,6 +1334,7 @@ class TestCondDF:
                 J = _DF_of_state(ws)
                 factorizations = ws.factorizations
                 _step(row.step_kind, ws, tau)
+                assert row.interior_margin == float(np.minimum.reduce(ws.mu_e))
                 if ws.factorizations == factorizations:
                     assert row.cond_DF == factored.cond_DF
                     held += 1
