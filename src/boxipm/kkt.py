@@ -31,13 +31,16 @@ one contiguous 4n-vector, next to mu∘e = (mu_l*(e+x), mu_r*(e-x)) as a
 form of z.  The solver's Newton steps run in a :class:`_Workspace`, built
 once per solve: one primal-dual state in that layout, T, the reduced matrix
 and scratch vectors, all preallocated, so a step
-(``boxipm.solver._step``) is a fixed sequence of in-place array
-operations that updates the state where it is.  The workspace's
-:meth:`_Workspace.eval_F` is the one residual evaluation: the step calls
-it, and so does :func:`eval_F`, in a workspace that takes no step.  It
-runs on BLAS level-1 routines that it binds at its first evaluation,
-which loads ``scipy.linalg`` in a process that has not loaded it yet;
-building a workspace loads nothing.  The trace's condition number of DF
+(``boxipm.solver._step``) is a fixed sequence of in-place operations
+that updates the state where it is, one call of the compiled step
+(:mod:`boxipm._cstep`).  The residual is one compiled function too: the
+step evaluates it at its new iterate, and :meth:`_Workspace.eval_F`
+calls it from Python, for :func:`eval_F`, in a workspace that takes no
+step, and for the lift point of a solve.  A workspace builds its struct
+for the compiled code at its first step or evaluation, which loads the
+compiled module, and with it the LAPACK and BLAS library that scipy
+links, in a process that has not loaded them yet; building a workspace
+loads nothing.  The trace's condition number of DF
 is assembled by :func:`cond_DF`, for a batch of steps at once, from the
 factors of the reduced matrix that the steps' solves returned, so no
 N x N matrix is built in a solve; :func:`eval_DF` builds DF for callers
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import _cstep
 from .errors import DimensionError, InvalidProblem, OutOfDomain
 from .linalg import EPS_MACH, as_vector, symmetric_inverse
 from .problem import BoxQP, q_omega_data
@@ -237,26 +240,30 @@ class _Workspace:
     it.  ``F`` is one N-vector with views ``r1``, ``r2``, ``r3``, ``r4``,
     ``r12`` = (r1, r2) and ``r34`` = (r3, r4); :meth:`eval_F` writes it,
     and a path step rewrites r34 at its own tau before it reads ``F``.
-    ``eq_norm`` and ``comp_norm`` are the norms of r12 and r34 as
-    :meth:`eval_F` last wrote them; it binds its BLAS routines at its
-    first evaluation, into ``bound_F`` (``None`` until then).  Next to the
-    state it holds T and cb = (c, -b) of the residual, the reduced Newton
-    matrix, the step and scratch vectors, each with the views a step
-    reads, so that a step slices nothing.  The step ``dz`` is followed in
-    one buffer, ``dze``, by ``de`` = (dx, -dx), with views ``de_l`` and
-    ``de_r``, as z is by e, so that one addition of ``dze`` to ``ze``
-    moves the state.  The step itself is ``boxipm.solver._step``: it binds
-    what it reads once, at the workspace's first step, into ``bound``
-    (``None`` until then).  So building a workspace looks up no BLAS or
-    LAPACK routine and loads no ``scipy.linalg``.  ``factor`` is the
-    Bunch-Kaufman factor (ldu, ipiv) of ``H`` that the last factoring step
-    computed, ``None`` after :meth:`load`, and ``factorizations`` counts
-    those steps.  ``held_steps`` counts the steps other than error resets
-    that have solved on the held ``factor`` since it was computed, 0 after
-    :meth:`load`, and ``held_limit`` is how many such steps one factor may
-    serve (the solver sets it per mode; 0, the default, makes every step
-    but a reset factor); ``_step`` reads all three to decide which steps
-    solve on the held ``factor``.
+    ``eq_norm`` and ``comp_norm`` are the norms of r12 and r34 as the
+    residual last wrote them (NaN before).  Next to the state it holds T
+    and cb = (c, -b) of the residual, the reduced Newton matrix, the step
+    and scratch vectors, each with views of its blocks.  The step
+    ``dz``, with views ``dz_x`` and ``dz_mu``, is followed in one buffer,
+    ``dze``, by ``de`` = (dx, -dx), as z is by e, so that one addition of
+    ``dze`` to ``ze`` moves the state.  The step itself is
+    ``boxipm.solver._step``, one call of compiled code that reads and
+    writes these buffers through ``c``, a struct of their addresses, of
+    the sizes and of the step's counts, which :meth:`bind` builds at the
+    first step or residual (``None`` until then), with ``lib``, the
+    compiled module.  So building a workspace loads nothing.  ``ldu`` and
+    ``ipiv`` hold the Bunch-Kaufman factor of ``H`` that the last
+    factoring step computed, and ``work`` is its dsysv workspace; each
+    factoring step overwrites them.  ``factor`` is (``ldu``, ``ipiv``)
+    while they hold a factor, ``None`` after :meth:`load`, and
+    ``factorizations`` counts those steps.  ``held_steps`` counts the
+    steps other than error resets that have solved on the held
+    ``factor`` since it was computed, 0 after :meth:`load`, and
+    ``held_limit`` is how many such steps one factor may serve (the
+    solver sets it per mode; 0, the default, makes every step but a reset
+    factor); ``_step`` reads all three to decide which steps solve on the
+    held ``factor``.  ``factor``, ``factorizations``, ``held_steps`` and
+    the norms are read from ``c``.
 
     The mu block rows ``mu_l*dx + (e+x)*dmu_l = g3`` and
     ``-mu_r*dx + (e-x)*dmu_r = g4`` of ``DF dz = g`` give dmu_l and dmu_r in
@@ -288,9 +295,9 @@ class _Workspace:
 
     The workspace holds nothing for the trace: a traced solve's recorder
     (``boxipm.solver._Recorder``) copies ``ze``, ``dz`` and a new
-    ``factor`` after each step and builds the rows per batch, with
-    :func:`cond_DF` for the condition numbers and the minimum of each
-    copied (mu, e) for the interior margins.
+    ``factor``, pivots included, after each step and builds the rows per
+    batch, with :func:`cond_DF` for the condition numbers and the minimum
+    of each copied (mu, e) for the interior margins.
     """
 
     def __init__(self, p: BoxQP, mp, held_limit: int = 0):
@@ -307,31 +314,68 @@ class _Workspace:
         self.F = np.empty(N)
         self.r1, self.r2, self.r3, self.r4 = _blocks(self.F, n, m)
         self.r12, self.r34 = self.F[:nm], self.F[nm:]
-        self.eq_norm = self.comp_norm = math.nan
-        self.bound_F = None
         self.T = _affine_rows(p, mp.omega)
         self.cb = np.concatenate([p.c, -p.b])
         self.lam_scale = s = np.full((), math.ldexp(1.0, round(-0.5 * math.log2(mp.omega))))
         self.H = np.array(self.T[:, :nm], order="F")  # a copy, also when n + m = 1
         np.multiply(self.H[n:], -s, self.H[n:])
         np.multiply(self.H[:, n:], s, self.H[:, n:])
-        self.hdiag = np.einsum("ii->i", self.H[:n, :n])  # a writable view
-        self.qdiag = self.hdiag.copy()
+        self.qdiag = self.H.diagonal()[:n].copy()
         self.sign = np.full(N, -1.0)
         self.sign[n:nm] = s
         self.t = np.empty(2 * n)  # g34/e
-        self.t_l, self.t_r = self.t[:n], self.t[n:]
         self.w = np.empty(2 * n)  # mu/e
-        self.w_l, self.w_r = self.w[:n], self.w[n:]
         # dz holds the right-hand side until each block is overwritten by its
         # step; de = (dx, -dx) follows it, as e follows z
         self.dze = np.empty(N + 2 * n)
         self.dz, self.de = self.dze[:N], self.dze[N:]
-        self.dz_x, self.dz_u, self.dz_mu = self.dz[:n], self.dz[:nm], self.dz[nm:]
-        self.de_l, self.de_r = self.de[:n], self.de[n:]
-        self.factor, self.factorizations = None, 0
-        self.held_steps, self.held_limit = 0, held_limit
-        self.bound = None
+        self.dz_x, self.dz_mu = self.dz[:n], self.dz[nm:]
+        self.ldu = np.empty((nm, nm), order="F")
+        self.ipiv = np.empty(nm, dtype=np.intc)
+        self.work = np.empty(nm)  # dsysv's, of lwork = n + m
+        self.held_limit = held_limit
+        self.c = None
+
+    def bind(self):
+        """The workspace's struct of the compiled step (:mod:`boxipm._cstep`),
+        built at the first step or residual, which loads the module: the
+        sizes, s and ``held_limit``, and the address of each buffer, each
+        checked to be one contiguous run of its C type."""
+        ffi, lib = _cstep.load()
+        c = ffi.new("boxipm_ws *")
+        c.n, c.m, c.held_limit, c.s = self.n, self.m, self.held_limit, float(self.lam_scale)
+        for name in ("ze", "F", "mue", "ones", "sign", "dze", "t", "w", "H", "qdiag", "T", "cb",
+                     "ldu", "work", "ipiv"):
+            a = getattr(self, name)
+            order = "F_CONTIGUOUS" if name in ("H", "ldu") else "C_CONTIGUOUS"
+            dtype = np.intc if name == "ipiv" else np.float64
+            if not a.flags[order] or a.dtype != dtype:
+                raise ValueError(f"workspace buffer {name} is not {order} {dtype.__name__}")
+            setattr(c, name, _cstep.ptr(ffi, a))
+        self.c, self.lib = c, lib
+        return c
+
+    @property
+    def factor(self):
+        """(``ldu``, ``ipiv``), the factor of ``H`` that the last factoring
+        step left, or None."""
+        return (self.ldu, self.ipiv) if self.c is not None and self.c.has_factor else None
+
+    @property
+    def factorizations(self) -> int:
+        return 0 if self.c is None else self.c.factorizations
+
+    @property
+    def held_steps(self) -> int:
+        return 0 if self.c is None else self.c.held_steps
+
+    @property
+    def eq_norm(self) -> float:
+        return math.nan if self.c is None else self.c.eq_norm
+
+    @property
+    def comp_norm(self) -> float:
+        return math.nan if self.c is None else self.c.comp_norm
 
     def load(self, z: Iterate) -> None:
         """Copy ``z`` in, after checking its dimensions, and derive e; the
@@ -339,7 +383,8 @@ class _Workspace:
         if z.n != self.n or z.m != self.m:
             raise DimensionError("iterate dimensions do not match the problem")
         np.copyto(self.z, z._z)
-        self.factor, self.held_steps = None, 0
+        if self.c is not None:
+            self.c.has_factor = self.c.held_steps = 0
         np.add(_ONE, self.x, self.e_l)
         np.subtract(_ONE, self.x, self.e_r)
 
@@ -351,31 +396,15 @@ class _Workspace:
         """Write F_tau at z into ``F`` and its block norms: (r1, r2) = T z + cb
         and (r3, r4) = mu∘e - tau, with mu∘e into ``mue``.
 
-        One gemv (``T.dot``, np.matmul's at a lower call cost) and one
-        multiply; the rest is BLAS level-1, at about a third of a ufunc's
-        call cost on these short vectors, and rounds exactly as the ufunc
-        it stands for: the addition of cb is a daxpy with a = 1, the
-        subtraction of tau a copy of mu∘e and a daxpy of ``ones`` with
-        a = -tau, and each norm the square root of one ddot.  The routines
-        come from ``boxipm.linalg.blas``, looked up at the first
-        evaluation, like ``boxipm.solver._step``'s at its first step.
+        One C call (``boxipm_eval_F`` of :mod:`boxipm._cstep`): T z by one
+        BLAS dgemv on the C-ordered T, as Fortran's transpose, or by one
+        ddot when T is one row, as numpy's ``T.dot`` makes them; the
+        addition of cb as a daxpy with a = 1; mu∘e as a loop; the
+        subtraction of tau as a copy of mu∘e and a daxpy of ``ones`` with
+        a = -tau; and each norm the square root of one ddot.
         """
-        bound = self.bound_F
-        if bound is None:  # line for line as unpacked below
-            blas = linalg.blas
-            bound = self.bound_F = (
-                self.T.dot, self.z, self.r12, self.cb, self.r34, self.mu, self.e, self.mue,
-                self.ones, 2 * self.n, np.multiply, blas.daxpy, blas.dcopy, blas.ddot,
-            )
-        (gemv, z, r12, cb, r34, mu, e, mue,
-         ones, n2, multiply, daxpy, dcopy, ddot) = bound
-        gemv(z, r12)
-        daxpy(cb, r12)
-        multiply(mu, e, mue)
-        dcopy(mue, r34)
-        daxpy(ones, r34, n2, -tau)
-        self.eq_norm = math.sqrt(ddot(r12, r12))
-        self.comp_norm = math.sqrt(ddot(r34, r34))
+        c = self.c if self.c is not None else self.bind()
+        self.lib.boxipm_eval_F(c, tau)
 
 
 def cond_DF(ws: _Workspace, factors: np.ndarray, ipivs, mu_e: np.ndarray) -> np.ndarray:

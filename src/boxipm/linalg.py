@@ -12,10 +12,11 @@ each only a normwise backward-stable solve:
   in one call, which also returns the factor it computed; the steps that
   ``boxipm.solver._step`` puts on a held factor solve other right-hand
   sides on it by the triangular solves alone (LAPACK dsytrs).  The step
-  binds dsysv and dsytrs, and the BLAS level-1 routines of its
-  finiteness tests and vector updates, once per workspace and calls them
-  inline, with the arguments in their positional slots; the tests hold
-  its solution bit for bit to a plain dsysv call on the same matrix.
+  is compiled (``boxipm._cstep``) and calls dsysv and dsytrs, and the
+  BLAS routines of its finiteness tests, vector updates and residual,
+  with the arguments that scipy's wrappers pass; the tests hold its
+  solution bit for bit to a plain dsysv call on the same matrix, and
+  every step to the Python step it replaced.
   Bunch-Kaufman is backward stable as long as its growth factor stays
   small, which is the case in practice (Higham, *Accuracy and Stability
   of Numerical Algorithms*, ch. 11); a strict multiprecision reference
@@ -35,50 +36,27 @@ reduced matrices' Bunch-Kaufman factors that the steps' dsysv calls
 returned, each inverted in place in a slot of the stack that the trace's
 recorder holds.  No N x N matrix is built or factored for it.
 
-Every LAPACK routine is looked up on the module global ``lapack``, and
-every BLAS routine on ``blas``: the step's level-1 calls, dasum for its
-finiteness tests and daxpy, dcopy and dscal for its vector updates, and
-the residual's (``boxipm.kkt._Workspace.eval_F``), daxpy and dcopy for
-its additions and ddot for its norms.  ``scipy.linalg`` is imported at
-the first lookup, not with this module: parsing, validation, the
-parameter cascade and the oracle run on numpy alone, so a process that
-never factors or evaluates a residual never loads it, and a solve pays
-the import once, at its first factorization.
+Every LAPACK routine, here and in the step, is the one that scipy's
+wrappers call, in the library that scipy links, called through the
+compiled module of ``boxipm._cstep`` with the arguments that
+``scipy.linalg.lapack`` passes, so each result has its bits; no solve
+imports ``scipy.linalg``.  The module is loaded at the first
+factorization, not with this one: parsing, validation, the parameter
+cascade and the oracle run on numpy alone, so a process that never
+factors or evaluates a residual never loads it.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 
 import numpy as np
 
+from . import _cstep
 from .errors import DimensionError, InvalidProblem, SingularSystem
 
 EPS_MACH = float(np.finfo(np.float64).eps)
-
-
-class _Deferred:
-    """Stands in for the submodule ``scipy.linalg.<name>`` until a routine is
-    first looked up on it: that lookup imports the module and rebinds the
-    module global ``name`` to it, so every later call is a plain attribute
-    lookup on scipy's module.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __getattr__(self, routine: str):
-        module = importlib.import_module(f"scipy.linalg.{self.name}")
-        globals()[self.name] = module
-        return getattr(module, routine)
-
-
-# The names every LAPACK and BLAS call goes through.  Importing
-# scipy.linalg costs more than importing numpy, and only a solve needs it.
-lapack = _Deferred("lapack")
-blas = _Deferred("blas")
 
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -112,7 +90,8 @@ def as_matrix(G, rows: int | None = None, cols: int | None = None, name: str = "
 
 
 def norm2_upper(G) -> float:
-    """Upper bound on the spectral norm of ``G`` (the Frobenius norm).
+    """Upper bound on the spectral norm of ``G`` (the Frobenius norm), or
+    the 2-norm of ``G`` when it is a vector.
 
     Every place this package consumes a matrix 2-norm needs an upper bound so
     that derived inequalities stay conservative; the Frobenius norm is cheap,
@@ -120,7 +99,8 @@ def norm2_upper(G) -> float:
     (:func:`quarter_scaled`), whose sum of squares neither overflows nor
     underflows, and multiplied back by r twice: the bits of the unscaled
     norm wherever that neither overflows nor underflows, and finite
-    wherever ||G|| is.
+    wherever ||G|| is.  So the cascade takes the norms of c and b here
+    too.
     """
     Gs, r = quarter_scaled(G)
     return float(np.linalg.norm(Gs)) * r * r
@@ -161,8 +141,13 @@ class QRFactor:
         pivot_tol = d0 * EPS_MACH * float(np.abs(G).sum(axis=1).max())
         # Room for LAPACK's blocked code at any block size up to 64 (reference
         # LAPACK uses 32): the factor a workspace query would lead to, without
-        # the query.  overwrite_a stays off, so G is copied.
-        self._qr, jpvt, self._tau, _, info = lapack.dgeqp3(G, lwork=2 * d0 + (d0 + 1) * 64)
+        # the query.  dgeqp3 factors a Fortran-ordered copy of G, and jpvt = 0
+        # leaves every column free to pivot.
+        ffi, lib = _cstep.load()
+        self._qr, jpvt, self._tau = np.array(G, order="F"), np.zeros(d0, np.intc), np.empty(d0)
+        lwork = 2 * d0 + (d0 + 1) * 64
+        info = lib.boxipm_dgeqp3(d0, _cstep.ptr(ffi, self._qr), _cstep.ptr(ffi, jpvt),
+                                 _cstep.ptr(ffi, self._tau), ffi.new("double[]", lwork), lwork)
         _check_info("dgeqp3", info)
         self._piv = jpvt - 1
         rmin = np.abs(self._qr.diagonal()).min()
@@ -172,12 +157,14 @@ class QRFactor:
     def solve(self, v) -> np.ndarray:
         """Solve G u = v for a vector ``v`` of length d."""
         v = as_vector(v, dim=self.dim, name="v")
-        # overwrite_c stays off: dormqr copies the caller's array.  Both
-        # routines take the vector as one column.
-        c, _, info = lapack.dormqr("L", "T", self._qr, self._tau, v, 1)
+        # Q'v by dormqr on a copy of v, with lwork = 1, then R y = Q'v in
+        # place by dtrtrs; both take the vector as one column.
+        ffi, lib = _cstep.load()
+        qr, d, y = _cstep.ptr(ffi, self._qr), self.dim, np.array(v)
+        info = lib.boxipm_dormqr(d, qr, _cstep.ptr(ffi, self._tau), _cstep.ptr(ffi, y),
+                                 ffi.new("double[]", 1))
         _check_info("dormqr", info)
-        y, info = lapack.dtrtrs(self._qr, c, overwrite_b=1)
-        _check_info("dtrtrs", info)
+        _check_info("dtrtrs", lib.boxipm_dtrtrs(d, qr, _cstep.ptr(ffi, y)))
         u = np.empty_like(y)
         u[self._piv] = y
         return u
@@ -185,25 +172,32 @@ class QRFactor:
     def cond_estimate(self) -> float:
         """dtrcon's estimate of kappa_1(R), inf if its rcond is 0.  As G P = Q R,
         kappa_2(G) = kappa_2(R), within a factor d of kappa_1(R)."""
-        rcond, info = lapack.dtrcon(self._qr, norm="1", uplo="U", diag="N")
+        (ffi, lib), d = _cstep.load(), self.dim
+        rcond = ffi.new("double *")
+        info = lib.boxipm_dtrcon(d, _cstep.ptr(ffi, self._qr), rcond, ffi.new("double[]", 3 * d),
+                                 ffi.new("int[]", d))
         _check_info("dtrcon", info)
-        return 1.0 / rcond if rcond > 0.0 else math.inf
+        return 1.0 / rcond[0] if rcond[0] > 0.0 else math.inf
 
 
 def symmetric_inverse(factors: np.ndarray, ipivs) -> np.ndarray:
     """G^-1 for each factor (ldu, ipiv) of a G that LAPACK dsysv returned,
     by LAPACK dsytri, in place: ``factors`` is a stack (k, d, d)
     of the ``ldu`` of each G, each item Fortran-ordered, and ``ipivs`` the
-    k pivot arrays.  Each item is overwritten by its full symmetric inverse,
-    and ``factors`` is returned.
+    k pivot arrays, each of C ints.  Each item is overwritten by its full
+    symmetric inverse, and ``factors`` is returned.
 
-    dsytri inverts each item where it lies (``overwrite_a``) and writes its
-    upper triangle, which one :func:`mirror_upper` over the stack copies
-    into the lower ones.  So the call builds no d x d array.
+    dsytri inverts each item where it lies and writes its upper triangle,
+    which one :func:`mirror_upper` over the stack copies into the lower
+    ones.  So the call builds no d x d array.
     """
-    dsytri = lapack.dsytri
+    ffi, lib = _cstep.load()
+    d = factors.shape[-1]
+    work = ffi.new("double[]", d)
     for a, ipiv in zip(factors, ipivs):
-        info = dsytri(a, ipiv, overwrite_a=1)[1]
+        if not (a.flags.f_contiguous and ipiv.dtype == np.intc):
+            raise ValueError("symmetric_inverse needs Fortran-ordered factors and C int pivots")
+        info = lib.boxipm_dsytri(d, _cstep.ptr(ffi, a), _cstep.ptr(ffi, ipiv), work)
         _check_info("dsytri", info)
     mirror_upper(factors)
     return factors

@@ -131,7 +131,7 @@ def _data(p: BoxQP) -> SimpleNamespace:
     return SimpleNamespace(
         p=p, n=p.n, m=p.m, tol=p.tol, sqrt_n=math.sqrt(p.n),
         norm_Q=norm2_upper(p.Q), norm_A=norm2_upper(p.A),
-        norm_c=float(np.linalg.norm(p.c)), norm_b=float(np.linalg.norm(p.b)),
+        norm_c=norm2_upper(p.c), norm_b=norm2_upper(p.b),
     )
 
 

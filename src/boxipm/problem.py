@@ -209,7 +209,7 @@ def problem_factor(p: BoxQP) -> float:
     with natural logarithms and Frobenius-based matrix norm upper bounds.
     Governs the iteration budget, which grows like L * sqrt(n).
     """
-    data = norm2_upper(p.Q) + float(np.linalg.norm(p.c)) + norm2_upper(p.A) + float(np.linalg.norm(p.b))
+    data = norm2_upper(p.Q) + norm2_upper(p.c) + norm2_upper(p.A) + norm2_upper(p.b)
     return math.log1p(data) + math.log(p.n + p.m) - math.log(p.tol)
 
 

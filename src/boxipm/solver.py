@@ -35,19 +35,19 @@ and each step solves its reduced Newton system with one symmetric LAPACK
 call that overwrites the step buffer: Bunch-Kaufman (``dsysv``), or the
 triangular solves alone (``dsytrs``) on a held factor, as ``_step``
 decides.  A step is a full Newton step or a rejection, so nothing reads
-the state a step started from once it is taken.  ``_step`` runs a whole
-step in one frame (the residual is one method call,
-:meth:`~boxipm.kkt._Workspace.eval_F`): the Newton solve, the update and
-the post-check, on views, ufuncs, LAPACK routines and BLAS level-1
-routines that it binds once per workspace, at the first step.  The only
-arrays a step builds are the factor and pivot arrays that ``dsysv``
-returns.  The K primal steps solve their Hessian systems with
-``QRFactor``.  Within
+the state a step started from once it is taken.  The Newton solve, the
+update and the residual at the new iterate are one call of the compiled
+step (:mod:`boxipm._cstep`), which makes the LAPACK and BLAS calls that
+the Python step made, in its order, and builds no array: the factor goes
+to buffers of the workspace, which the next factoring step reuses.
+``_step`` raises its rejections and makes the post-check.  The K primal
+steps solve their Hessian systems with ``QRFactor``.  Within
 ``solve()`` each step's post-check residual is the next step's
 right-hand side; a path step, the one step that moves tau, rewrites its
 complementarity blocks as mu∘e - tau at its own tau.  The steps do no
 trace work: a traced solve hands each step's state, step and new factor
-to a :class:`_Recorder`, which copies them and builds the rows per
+to a :class:`_Recorder`, which copies them (the pivots too, since the
+workspace reuses their buffer) and builds the rows per
 batch, the interior margin min(mu, e) from its copy of the state, every
 value with the bits it would have if built right after its step.  The
 returned solution x satisfies ``||x||_inf < 1`` (the state's x rounded
@@ -80,7 +80,6 @@ from .kkt import (
     eval_grad_f,
     eval_hess_f,
 )
-from . import linalg
 from .linalg import QRFactor, _check_info
 from .neighborhoods import (
     STEP_CENTRALITY,
@@ -223,7 +222,8 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
        system that changes per step; one finite sum of absolute values
        clears both, and otherwise the step is rejected naming the
        culprit.  It keeps its factor in ``ws.factor``, counts itself in
-       ``ws.factorizations`` and sets ``ws.held_steps`` to 0.
+       ``ws.factorizations`` and sets ``ws.held_steps`` to 0; a dsysv
+       call that returns an ``info`` leaves no factor.
     3. Multipliers: dmu = g34/e - w'∘de, de = (dx, -dx), with the w' =
        mu'/e' of the step that factored, left in ``ws.w``: the step writes
        de into ``ws.de``, which follows dz in one buffer ``ws.dze``, negates
@@ -263,8 +263,9 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
 
     The update (z, e) + (dz, de), one addition over ``ws.ze`` and
     ``ws.dze``, carries e along as e + (dx, -dx), and takes the margin, the
-    minimum of (mu, e), which it does not keep.  A margin that is not
-    positive rejects the step,
+    minimum of (mu, e), which it does not keep (NaN if any entry is: a NaN
+    margin passes on to the residual test, which names it).  A margin
+    that is not positive rejects the step,
     with block ``"interior"``, the margin as its value and 0 as its limit,
     whichever of mu and e reached it: a step that leaves the box and one
     that drives a multiplier to zero are rejected alike, and no multiplier
@@ -280,110 +281,57 @@ def _step(kind: str, ws: _Workspace, tau: float) -> None:
     rejected step may leave the state changed, so its caller drops the
     workspace.
 
-    The step runs in this one frame, on the views, numpy ufuncs and LAPACK
-    and BLAS routines that it looks up at the workspace's first step and
-    keeps in ``ws.bound``; the routines come from ``boxipm.linalg.lapack``
-    and ``boxipm.linalg.blas``, whose first lookup in a process imports
-    ``scipy.linalg``.  Ufuncs take ``out`` positionally, and constant
-    operands are 0-d arrays, so numpy converts no Python float per call.
-    The additions, copies and exact scalings are BLAS level-1 calls, at
-    about a third of a ufunc's call cost on these short vectors: daxpy with
-    a = +-1, dcopy, dscal by -1 or by s, and a path step's mu∘e - tau as
-    :meth:`~boxipm.kkt._Workspace.eval_F` writes it, a copy and a daxpy of
-    ``ws.ones`` with a = -tau; each rounds exactly as the ufunc it stands
-    for.  A strided target goes through its contiguous base with an
-    increment (the Q block's diagonal is every (d + 1)-th entry of ``H``'s
-    buffer), since the wrappers copy a non-contiguous array and would
-    write the copy.  Every operation is the
-    one the formulas above name, in their order.
+    The step is one call of the compiled ``boxipm_step``
+    (:mod:`boxipm._cstep`) on the workspace's struct, which
+    :meth:`~boxipm.kkt._Workspace.bind` builds at its first step or
+    residual; its stages are the ones above, in their order, and it
+    makes the calls that scipy's wrappers made when this function was
+    Python: LAPACK dsysv with lwork = d on a copy of ``H`` into
+    ``ws.ldu``, or dsytrs on the held factor; BLAS dasum for the
+    finiteness tests, daxpy with a = +-1 (or -tau on ``ws.ones``), dcopy
+    and dscal by -1 or by s for the additions, copies and exact scalings,
+    through the Q block's diagonal as every (d + 1)-th entry of ``H``;
+    and plain loops, which round as numpy's ufuncs do, for the products,
+    quotients and the minimum, and for the elementwise finiteness test
+    that names the culprit when a sum of |entries| is not finite.  So a
+    step makes no Python-level numpy, BLAS or LAPACK call.  In C it makes
+    one LAPACK call, its residual's dgemv and 12 to 22 BLAS level-1 calls
+    (its residual's included): 17 for the initial reset and 12 for a reset
+    on the held factor, 16 or 18 for a held centrality or path step and
+    20 or 22 for one that factors.  It returns a
+    code, and the margin or a LAPACK ``info`` in the struct, from which
+    this function raises the rejection; the post-check stays here.
     """
-    bound = ws.bound
-    if bound is None:  # line for line as unpacked below
-        lapack, blas = linalg.lapack, linalg.blas
-        bound = ws.bound = (
-            ws.ze, ws.mu, ws.e, ws.mu_e, ws.mue, ws.ones, ws.F, ws.r34, ws.sign,
-            ws.dze, ws.dz, ws.dz_x, ws.dz_u, ws.dz_mu, ws.de, ws.de_l, ws.de_r,
-            float(ws.lam_scale), ws.t, ws.t_l, ws.t_r, ws.w, ws.w_l, ws.w_r,
-            ws.H, ws.H.ravel(order="F"), ws.hdiag, ws.qdiag, ws.n, ws.m, ws.n + ws.m,
-            np.multiply, np.divide, np.minimum.reduce,
-            lapack.dsysv, lapack.dsytrs, blas.dasum, blas.daxpy, blas.dcopy, blas.dscal,
-        )
-    (ze, mu, e, mu_e, mue, ones, F, r34, sign,
-     dze, dz, dx, dz_u, dz_mu, de, de_l, de_r,
-     s, t, t_l, t_r, w, w_l, w_r,
-     H, hflat, hdiag, qdiag, n, m, d,
-     multiply, divide, reduce_min,
-     dsysv, dsytrs, dasum, daxpy, dcopy, dscal) = bound
-    reset, path = kind == STEP_ERROR_RESET, kind == STEP_PATH
-    if path:  # F at the new tau, as eval_F writes it; the other steps keep the last step's
-        dcopy(mue, r34)
-        daxpy(ones, r34, 2 * n, -tau)
-    multiply(sign, F, dz)  # (g1, -s g2, g3, g4)
-    held = ws.factor is not None and (reset or ws.held_steps < ws.held_limit)
-    if not reset:
-        # v = ((g1 + g3/(e+x)) - g4/(e-x), -s g2), written over (dx, dlam);
-        # a reset's g34 is 0, so its v is (g1, -s g2) as written above
-        divide(dz_mu, e, t)
-        daxpy(t_l, dx)
-        daxpy(t_r, dx, n, -1.0)
-    if held:
-        # the held factor's G was tested when it was factored, and a reset's
-        # v is (-r1, s r2) of a residual the last post-check found finite
-        if not reset:
-            if not math.isfinite(dasum(dz_u)) and not np.isfinite(dz_u).all():
-                raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
-            ws.held_steps += 1
-        ldu, ipiv = ws.factor
-        info = dsytrs(ldu, ipiv, dz_u, 0, 1)[1]
-        if info:
-            _check_info("dsytrs", info)
-    else:
-        # the Q block's diagonal: ((Q_jj + omega) + mu_l/(e+x)) + mu_r/(e-x),
-        # written through H's buffer: hdiag is its (d + 1)-strided slots
-        divide(mu, e, w)
-        dcopy(qdiag, hflat, n, 0, 1, 0, d + 1)
-        daxpy(w_l, hflat, n, 1.0, 0, 1, 0, d + 1)
-        daxpy(w_r, hflat, n, 1.0, 0, 1, 0, d + 1)
-        if not math.isfinite(dasum(hflat, n, 0, d + 1) + dasum(dz_u)):
-            # z and tau were checked where they entered, so a non-finite
-            # system here is an overflow in forming it.  hdiag is a sum of
-            # finite terms and nonnegative w: finite or +inf, never NaN.
-            if not hdiag.max() < math.inf:
-                raise StepRejected(_OVERFLOW.format("G"), kind=kind, tau=tau)
-            if not np.isfinite(dz_u).all():
-                raise StepRejected(_OVERFLOW.format("v"), kind=kind, tau=tau)
-        ldu, ipiv, _, info = dsysv(H, dz_u, d, 0, 0, 1)
-        if info:
-            _check_info("dsysv", info)
-        ws.factor = ldu, ipiv
-        ws.factorizations += 1
-        ws.held_steps = 0
-    # de = (dx, -dx), then dmu = g34/e - w'∘de: -(w'∘de) in a reset,
-    # t + -(w'∘de) otherwise
-    dcopy(dx, de_l)
-    dcopy(dx, de_r)
-    dscal(-1.0, de_r)
-    multiply(w, de, dz_mu)
-    dscal(-1.0, dz_mu)
-    if not reset:
-        daxpy(t, dz_mu)
-    dscal(s, dz, m, n)  # dlam = s (dlam/s), exactly
-    # The sum of |dz_j| is finite only if dz is, and it raises no warning
-    # on infinities or on an overflow; the elementwise test settles the rest.
-    if not math.isfinite(dasum(dz)) and not np.isfinite(dz).all():
-        raise StepRejected("Newton step produced non-finite components", kind=kind, tau=tau)
-    daxpy(dze, ze)  # (z, e) + (dz, de): z + dz and e + (dx, -dx)
-    margin = reduce_min(mu_e)
-    if margin <= 0.0:  # a NaN margin passes on to the residual test, which names it
+    c = ws.c if ws.c is not None else ws.bind()
+    code = ws.lib.boxipm_step(c, _KIND_CODES[kind], tau)
+    if code:
+        _reject(code, kind, ws, tau)
+    check_step(kind, ws.mp, tau, c.eq_norm, c.comp_norm)
+
+
+# The step kinds as _cstep.c numbers them (BOXIPM_RESET, _CENTRALITY, _PATH).
+_KIND_CODES = {STEP_ERROR_RESET: 0, STEP_CENTRALITY: 1, STEP_PATH: 2}
+
+
+def _reject(code: int, kind: str, ws: _Workspace, tau: float) -> None:
+    """Raise the rejection of a compiled step that returned ``code``."""
+    lib, c = ws.lib, ws.c
+    if code == lib.BOXIPM_DSYSV_INFO:
+        _check_info("dsysv", c.info)
+    if code == lib.BOXIPM_DSYTRS_INFO:
+        _check_info("dsytrs", c.info)
+    if code == lib.BOXIPM_LEFT_INTERIOR:
         raise StepRejected(
-            f"{kind} step left the interior: min(mu, e) reached {float(margin)!r} <= 0.0",
-            kind=kind, tau=tau, block="interior", value=float(margin), limit=0.0,
+            f"{kind} step left the interior: min(mu, e) reached {c.margin!r} <= 0.0",
+            kind=kind, tau=tau, block="interior", value=c.margin, limit=0.0,
         )
-    ws.eval_F(tau)
-    eq_norm, comp_norm = ws.eq_norm, ws.comp_norm
-    if not math.isfinite(eq_norm + comp_norm):
-        raise StepRejected("Newton step overflowed to a non-finite iterate", kind=kind, tau=tau)
-    check_step(kind, ws.mp, tau, eq_norm, comp_norm)
+    message = {
+        lib.BOXIPM_G_OVERFLOW: _OVERFLOW.format("G"),
+        lib.BOXIPM_V_OVERFLOW: _OVERFLOW.format("v"),
+        lib.BOXIPM_STEP_NONFINITE: "Newton step produced non-finite components",
+        lib.BOXIPM_ITERATE_NONFINITE: "Newton step overflowed to a non-finite iterate",
+    }[code]
+    raise StepRejected(message, kind=kind, tau=tau)
 
 
 def primal_init(p: BoxQP, mp: MethodParams, trace: list | None = None) -> np.ndarray:
@@ -461,8 +409,9 @@ class _Recorder:
     A call only records: into buffers allocated here, once, it copies the
     workspace's (z, e) buffer ``ze`` and step ``dz``, and, when the step
     factored (``ws.factorizations`` grew), the factor's ``ldu`` into a
-    slot of a stack, keeping ``ipiv``; the workspace's factor is not
-    written, so the steps that solve on it (``_step``) still can.  It keeps
+    slot of a stack, and a copy of ``ipiv``, whose buffer the workspace's
+    next factoring step reuses; the workspace's factor is not written,
+    so the steps that solve on it (``_step``) still can.  It keeps
     the row's kind, tau and residual norms as they are.
 
     Once ``TRACE_BATCH`` factors are pending, or the row buffers are full,
@@ -521,7 +470,7 @@ class _Recorder:
             self.factorizations = ws.factorizations
             ldu, ipiv = ws.factor
             self.factors[len(ipivs)] = ldu
-            ipivs.append(ipiv)
+            ipivs.append(ipiv.copy())  # the workspace's next factoring step reuses it
             self.starts.append(i)
             cond = len(ipivs)
         rows.append((kind, tau, ws.comp_norm, ws.eq_norm, cond))

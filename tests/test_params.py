@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from boxipm import (BoxQP, MethodParams, ParamOverflow, StandardQP, compute_para
                     compute_params_practical, transform_standard, validate_params)
 from boxipm.params import _RULES, format_params, iteration_count_pd, iteration_count_primal
 from boxipm.probfile import parse_problem
+from boxipm.problem import problem_factor
 
 from support import random_boxqp
 from test_cli import BOX_TEXT
@@ -165,6 +167,20 @@ class TestOverflow:
         for pi, rule in [(1e15, "C_nu"), (1e40, "tau_A")]:
             with pytest.raises(ParamOverflow, match=f"at: {rule}$"):
                 compute_params_practical(transform_standard(sp, pi, 1e-2)[0])
+
+    def test_norms_of_huge_c_and_b_do_not_overflow(self):
+        # the cascade and problem_factor norm c and b scaled by a power of
+        # 4, as norm2_upper norms Q: on the standard-form problem at pi =
+        # 1e80 .. 1e150, whose scaled c and b pass 1e154, the cascade raises
+        # ParamOverflow with no overflow warning from a norm on the way
+        sp = StandardQP(Qt=[[16.0, 4.0], [4.0, 16.0]], ct=[1.0, -1.0], At=[[1.0, 2.0]], bt=[1.0])
+        for pi in (1e80, 1e100, 1e150):
+            box = transform_standard(sp, pi, 1e-2)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert math.isfinite(problem_factor(box))
+                with pytest.raises(ParamOverflow):
+                    compute_params_practical(box)
 
     def test_zero_data_instances_emit(self):
         p = BoxQP(Q=np.zeros((2, 2)), c=np.zeros(2), A=np.zeros((1, 2)), b=np.zeros(1), tol=0.1)

@@ -11,18 +11,29 @@ traced solve must meet the width bound of its kind, with no allowance
 beyond the post-check's roundoff grace, at a strictly interior point.  A
 solve factors the K Hessians, the initial reset's matrix, and once per
 three stable or four fast cycles.
+The compiled step (``boxipm.solver._step``) must give, after every step
+of a solve, the bytes that the Python reference step of
+``tests/support.py`` gives on the same families.
 ``derandomize=True`` makes the examples the same on every run.
 """
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxipm import BoxQP, compute_params_practical, oracle_solve_boxqp, solve
+from boxipm import BoxQP, StepRejected, compute_params_practical, oracle_solve_boxqp, solve
 from boxipm.kkt import _Workspace, eval_DF
-from boxipm.neighborhoods import COMP_CHECK_RTOL, STEP_CENTRALITY, STEP_PATH
+from boxipm.neighborhoods import COMP_CHECK_RTOL, STEP_CENTRALITY, STEP_ERROR_RESET, STEP_PATH
+from boxipm.solver import HELD_STEPS, _step, lift, primal_init
 
-from support import batched_cond_DF, random_boxqp_interior_infeasible
+from support import (
+    ReferenceWorkspace,
+    batched_cond_DF,
+    random_boxqp_interior_infeasible,
+    reference_step,
+)
 from test_kkt import near_path_iterate
 
 FAMILIES = ("rank_deficient_Q", "rank_deficient_A", "infeasible_b", "interior_infeasible",
@@ -89,6 +100,54 @@ def test_solution_conditions_vs_oracle(family, n, m, seed, tol, mode, scale):
 @pytest.mark.parametrize("mode", ["stable", "fast"])
 def test_scaled_interior_infeasible_draw_vs_oracle(mode):
     _check_vs_oracle("interior_infeasible", 2, 0, 1, 1e-2, mode, 1e4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(1, 6),
+    m=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["stable", "fast"]),
+    scale=st.sampled_from([1e-4, 1.0, 1e4]),
+)
+@example(family="rank_deficient_Q", n=1, m=0, seed=7, mode="stable", scale=1.0)
+@example(family="rank_deficient_Q", n=1, m=0, seed=8, mode="fast", scale=1e4)
+@example(family="interior_infeasible", n=2, m=2, seed=1, mode="fast", scale=1e4)
+def test_compiled_step_is_the_reference_step_bit_for_bit(family, n, m, seed, mode, scale):
+    # both step from the lift point as solve() does, one workspace each;
+    # after every step the state, the step, F, the norms and the factor
+    # count agree byte for byte, and a rejection is the same rejection
+    p = degenerate_boxqp(family, n, m, seed, 1e-2)
+    p = BoxQP(Q=scale * p.Q, c=scale * p.c, A=scale * p.A, b=scale * p.b, tol=1e-2)
+    mp = compute_params_practical(p)
+    z = lift(p, mp, primal_init(p, mp))
+    sides = [(_Workspace(p, mp, HELD_STEPS[mode]), _step),
+             (ReferenceWorkspace(p, mp, HELD_STEPS[mode]), reference_step)]
+    for ws, _ in sides:
+        ws.load(z)
+        ws.eval_F(mp.tau_A)
+    cycle = (STEP_PATH,) if mode == "fast" else (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET)
+    steps = [(STEP_ERROR_RESET, mp.tau_A)]
+    tau = mp.tau_A
+    for _ in range(mp.M):
+        tau = mp.sigma * tau
+        steps += [(kind, tau) for kind in cycle]
+        if tau <= mp.tau_E:
+            break
+    for kind, tau in steps:
+        states = []
+        for ws, step in sides:
+            try:
+                step(kind, ws, tau)
+                rejected = None
+            except StepRejected as exc:
+                rejected = (str(exc), exc.context())
+            states.append((rejected, ws.ze.tobytes(), ws.dz.tobytes(), ws.F.tobytes(),
+                           struct.pack("<2d", ws.eq_norm, ws.comp_norm), ws.factorizations))
+        assert states[0] == states[1]
+        if rejected is not None:
+            break
 
 
 def _check_vs_oracle(family, n, m, seed, tol, mode, scale):

@@ -11,6 +11,7 @@ import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import boxipm._cstep
 import boxipm.kkt
 import boxipm.solver
 from boxipm import (
@@ -27,11 +28,12 @@ from boxipm import (
     solve,
     solve_standard,
 )
-from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, StepRejected
+from boxipm.errors import IterationBudgetExceeded, PrimalInitFailed, SingularSystem, StepRejected
 from boxipm.kkt import _X_MAX, _Workspace, _affine_rows, eval_DF, eval_F, eval_grad_f, eval_hess_f
 from boxipm.linalg import EPS_MACH, QRFactor, mirror_upper, symmetric_inverse
 from boxipm.neighborhoods import check_step
 from boxipm.solver import (
+    HELD_STEPS,
     TRACE_FIELDS,
     _Recorder,
     _step,
@@ -484,66 +486,137 @@ class _CountedUfunc:
         return self._call(*args, **kwargs)
 
 
-class _CountingLapack:
-    """Stands in for ``boxipm.linalg.lapack`` and counts the calls of each
-    LAPACK routine, not its lookups: a step looks its routines up once per
-    workspace."""
+class _CountingWrappers:
+    """Counts the Python-level calls of scipy's LAPACK and BLAS wrappers of
+    the routines that boxipm calls in C, for the rest of the test."""
 
-    module = scipy.linalg.lapack
-
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = {}
+        for module, names in ((scipy.linalg.lapack, _LAPACK), (scipy.linalg.blas, _BLAS)):
+            for name in names:
+                fn = getattr(module, name)
 
-    def __getattr__(self, name):
-        fn = getattr(self.module, name)
+                def counted(*args, name=name, fn=fn, **kwargs):
+                    self.calls[name] = self.calls.get(name, 0) + 1
+                    return fn(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            self.calls[name] = self.calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return counted
-
-
-class _CountingBlas(_CountingLapack):
-    """Stands in for ``boxipm.linalg.blas`` and counts the calls of each
-    BLAS routine, as _CountingLapack does LAPACK's."""
-
-    module = scipy.linalg.blas
+                monkeypatch.setattr(module, name, counted)
 
 
-def _edit_solutions(monkeypatch, edit):
-    """Inject at the LAPACK boundary, ``boxipm.linalg.lapack``: every dsysv
-    and dsytrs call, that is every primal-dual step's one solve, solves as
-    LAPACK does, then ``edit(u)`` may change its solution (dx, dlam), the
-    step's own buffer, in place.  Patch before a workspace's first step,
-    which binds the routines."""
-
-    class Editing:
-        def __getattr__(self, name):
-            fn = getattr(scipy.linalg.lapack, name)
-            if name not in ("dsysv", "dsytrs"):
-                return fn
-
-            def edited(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                edit(out[2] if name == "dsysv" else out[0])
-                return out
-            return edited
-
-    monkeypatch.setattr(boxipm.linalg, "lapack", Editing())
+_LAPACK = ("dsysv", "dsytrs", "dgeqp3", "dormqr", "dtrtrs", "dtrcon", "dsytri")
+_BLAS = ("dasum", "daxpy", "dcopy", "dscal", "ddot", "dgemv")
 
 
-# Calls per step: numpy module calls, and BLAS calls per routine, its
-# residual's (_EVAL_F_CALLS) included.  A step that factors writes the Q
-# block's diagonal (one dcopy, two daxpy) and tests it (one dasum); a step
-# that is not a reset adds g34/e into its right-hand side (two daxpy) and
-# its dmu (one daxpy), and a path step rewrites (r3, r4) at its tau (one
-# dcopy, one daxpy).
-_EVAL_F_CALLS = (["multiply"], {"daxpy": 2, "dcopy": 1, "ddot": 2})
-_RESET_FACTORS = (5, {"dcopy": 4, "daxpy": 5, "ddot": 2, "dasum": 3, "dscal": 3})
-_RESET_HELD = (4, {"dcopy": 3, "dscal": 3, "dasum": 1, "daxpy": 3, "ddot": 2})
-_PATH_HELD = (5, {"daxpy": 7, "dasum": 2, "dcopy": 4, "dscal": 3, "ddot": 2})
-_CENTRALITY_HELD = (5, {"daxpy": 6, "dasum": 2, "dcopy": 3, "dscal": 3, "ddot": 2})
-_CENTRALITY_FACTORS = (6, {"daxpy": 8, "dcopy": 4, "dasum": 3, "dscal": 3, "ddot": 2})
+# Counting callbacks installed in the compiled step's routine table, kept
+# alive here past the test that installs them, which monkeypatch outlives.
+_CALLBACKS = []
+
+
+class _CountingRoutines:
+    """Counts the LAPACK and BLAS calls that boxipm makes, all of them from
+    the compiled module, per routine, by putting a counting callback in
+    place of each routine of its table (``boxipm_lapack_blas`` of
+    ``_cstep.c``) for the rest of the test; the callback hands its
+    arguments to ``spy(name, args)``, if given, and calls the routine it
+    replaced."""
+
+    def __init__(self, monkeypatch, spy=None):
+        ffi, lib = boxipm._cstep.load()
+        table = ffi.addressof(lib, "boxipm_lapack_blas")
+        self.calls = {}
+        for name in _LAPACK + _BLAS:
+            routine = getattr(table, name)
+
+            def counted(*args, name=name, routine=routine):
+                self.calls[name] = self.calls.get(name, 0) + 1
+                if spy is not None:
+                    spy(name, args)
+                return routine(*args)
+
+            callback = ffi.callback(ffi.typeof(routine), counted)
+            _CALLBACKS.append(callback)
+            monkeypatch.setattr(table, name, callback)
+
+
+def _crafted_at(monkeypatch, fail_at, craft):
+    """Wrap the steps that solve() makes: before the ``fail_at``-th
+    primal-dual step, ``craft(ws, tau)`` crafts the state of its workspace.
+    Returns the step counter, which a caller resets between solves."""
+    calls = {"step": 0}
+    step = boxipm.solver._step
+
+    def crafted(kind, ws, tau):
+        calls["step"] += 1
+        if calls["step"] == fail_at:
+            craft(ws, tau)
+        step(kind, ws, tau)
+
+    monkeypatch.setattr(boxipm.solver, "_step", crafted)
+    return calls
+
+
+def _held_factor(ws, last_pivot=1.0):
+    """Craft a held factor of ``ws``: ``ldu`` the identity but for its last
+    pivot, 1 x 1 pivots without interchanges, no step served yet, and the
+    w = mu/e that a factoring step from this state leaves.  The next step
+    of any kind solves on it (LAPACK dsytrs), and its solution is its
+    right-hand side v, but for the last entry, v_last / ``last_pivot``;
+    over a zero pivot that is inf, or NaN where v_last is 0.  With these
+    pivots dsytrs never multiplies the last entry into another."""
+    np.divide(ws.mu, ws.e, out=ws.w)
+    ws.ldu[:] = np.eye(ws.n + ws.m)
+    ws.ldu[-1, -1] = last_pivot
+    ws.ipiv[:] = np.arange(1, ws.n + ws.m + 1)
+    ws.c.has_factor, ws.c.held_steps = 1, 0
+
+
+def _rhs_to(ws, tau, v):
+    """Craft F so that the next step at ``tau``, of any kind, solves for
+    the right-hand side ``v``: (r3, r4) = 0, and mu∘e = tau, which a path
+    step's (r3, r4) rewrite keeps at 0, so that g34/e is 0; the x block of
+    F is -v and the lam block v/s."""
+    n = ws.n
+    ws.F[n + ws.m :] = 0.0
+    ws.mue[:] = tau
+    ws.F[:n] = -v[:n]
+    ws.F[n : n + ws.m] = v[n:] / ws.lam_scale
+
+
+def _decoupled(ws, j, diag):
+    """Craft ``ws`` so that row and column j of its reduced matrix H are
+    zero but for H_jj, which is ``diag``: for j < n, the step writes H_jj =
+    ((qdiag_j + w_l,j) + w_r,j) with w = mu/e, so qdiag_j is set to give
+    exactly ``diag``; for a lam row H_jj itself is set.  A factoring step's
+    solution then has the entry v_j / diag, exact when ``diag`` is a power
+    of two."""
+    ws.H[j, :j] = ws.H[j, j + 1 :] = ws.H[:j, j] = ws.H[j + 1 :, j] = 0.0
+    if j < ws.n:
+        w = ws.mu / ws.e
+        w_l, w_r = w[j], w[ws.n + j]
+        ws.qdiag[j] = (diag - w_r) - w_l
+        assert (ws.qdiag[j] + w_l) + w_r == diag
+    else:
+        ws.H[j, j] = diag
+
+
+# LAPACK and BLAS calls per step, per routine, as the compiled step makes
+# them, its residual's (_EVAL_F_CALLS) included; no step makes a
+# Python-level numpy, BLAS or LAPACK call.  A step that factors calls
+# dsysv, writes the Q block's diagonal (one dcopy, two daxpy) and tests it
+# (one dasum); a held step calls dsytrs; a step that is not a reset adds
+# g34/e into its right-hand side (two daxpy) and its dmu (one daxpy), and a
+# path step rewrites (r3, r4) at its tau (one dcopy, one daxpy).
+_EVAL_F_CALLS = {"dgemv": 1, "daxpy": 2, "dcopy": 1, "ddot": 2}
+_RESET_FACTORS = {"dcopy": 4, "daxpy": 5, "ddot": 2, "dasum": 3, "dscal": 3, "dgemv": 1,
+                  "dsysv": 1}
+_RESET_HELD = {"dcopy": 3, "dscal": 3, "dasum": 1, "daxpy": 3, "ddot": 2, "dgemv": 1,
+               "dsytrs": 1}
+_PATH_HELD = {"daxpy": 7, "dasum": 2, "dcopy": 4, "dscal": 3, "ddot": 2, "dgemv": 1,
+              "dsytrs": 1}
+_CENTRALITY_HELD = {"daxpy": 6, "dasum": 2, "dcopy": 3, "dscal": 3, "ddot": 2, "dgemv": 1,
+                    "dsytrs": 1}
+_CENTRALITY_FACTORS = {"daxpy": 8, "dcopy": 4, "dasum": 3, "dscal": 3, "ddot": 2, "dgemv": 1,
+                       "dsysv": 1}
 # The initial reset, then three stable cycles on its factor; the third
 # cycle's centrality step factors.
 _STEP_CALLS = (
@@ -571,8 +644,7 @@ class TestStepLoopStructure:
             Iterate, "__post_init__", _counted(calls, "post_init", Iterate.__post_init__)
         )
         monkeypatch.setattr(QRFactor, "__init__", _counted(calls, "factor", QRFactor.__init__))
-        lapack = _CountingLapack()
-        monkeypatch.setattr(boxipm.linalg, "lapack", lapack)
+        routines = _CountingRoutines(monkeypatch)
         monkeypatch.setattr(
             boxipm.kkt, "symmetric_inverse",
             _counted(calls, "symmetric_inverse", boxipm.kkt.symmetric_inverse),
@@ -586,9 +658,12 @@ class TestStepLoopStructure:
         # one LAPACK call per primal-dual step: the initial reset and every
         # third cycle's centrality step factor (dsysv); every other step
         # solves on the held factor (dsytrs)
-        assert lapack.calls["dsysv"] == 1 + cycles // 3
-        assert lapack.calls["dsytrs"] == pd_steps - 1 - cycles // 3
-        assert calls["eval_F"] == pd_steps + 1  # + F at the lift point
+        assert routines.calls["dsysv"] == 1 + cycles // 3
+        assert routines.calls["dsytrs"] == pd_steps - 1 - cycles // 3
+        # one residual, one gemv, per step, + F at the lift point, the one
+        # evaluation made from Python
+        assert routines.calls["dgemv"] == pd_steps + 1
+        assert calls["eval_F"] == 1
         assert calls["post_init"] == 1  # the lift point
         assert calls["workspace"] == 1
         assert calls["check_step"] == pd_steps  # one rule, once per step
@@ -602,39 +677,37 @@ class TestStepLoopStructure:
         # primal-dual step that does not solve on the held factor: the
         # initial reset, then the centrality step of every third stable
         # cycle or the path step of every fourth fast one
-        lapack = _CountingLapack()
-        monkeypatch.setattr(boxipm.linalg, "lapack", lapack)
+        routines = _CountingRoutines(monkeypatch)
         rep = solve(random_boxqp(np.random.default_rng(13), 4, 2, tol=1e-2), mode=mode)
-        assert rep.factorizations == lapack.calls["dgeqp3"] + lapack.calls["dsysv"]
+        assert rep.factorizations == routines.calls["dgeqp3"] + routines.calls["dsysv"]
         assert rep.factorizations == rep.params.K + 1 + rep.iterations_pd // cycles_per_factor
 
     def test_numpy_calls_per_step_kind(self, monkeypatch):
-        # numpy module calls in kkt, solver and linalg, and BLAS calls, per
-        # step as solve() makes it (a path step includes rewriting (r3, r4)
-        # at its tau); the margin's np.minimum.reduce is one, and method calls
-        # such as ndarray.dot are not counted.  The residual binds its
-        # routines at its first evaluation and the step at its first step,
-        # both after the counters are in place.  The initial reset and the
-        # third cycle's centrality step factor their own matrices; every
-        # other step solves on the held factor and rebuilds no Q block
-        # diagonal.  A reset's g34 is 0, so it adds no g34/e to its
-        # right-hand side or its dmu.
-        counter, blas = _CountingNumpy(), _CountingBlas()
+        # numpy module calls in kkt, solver and linalg, Python-level BLAS and
+        # LAPACK calls, and the calls of the compiled step into LAPACK and
+        # BLAS, per step as solve() makes it (a path step includes rewriting
+        # (r3, r4) at its tau).  A step makes no Python-level numpy, BLAS or
+        # LAPACK call.  The initial reset and the third cycle's centrality
+        # step factor their own matrices; every other step solves on the
+        # held factor and rebuilds no Q block diagonal.  A reset's g34 is 0,
+        # so it adds no g34/e to its right-hand side or its dmu.
+        counter, wrappers = _CountingNumpy(), _CountingWrappers(monkeypatch)
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
-        monkeypatch.setattr(boxipm.linalg, "blas", blas)
+        routines = _CountingRoutines(monkeypatch)
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
         tau, calls = mp.tau_A, []
         kinds = [STEP_ERROR_RESET] + [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET] * 3
         for kind in kinds:
-            counter.calls, blas.calls = 0, {}
+            counter.calls, wrappers.calls, routines.calls = 0, {}, {}
             if kind == STEP_PATH:
                 tau = mp.sigma * tau
             e, mue = ws.e.copy(), ws.mue.copy()
             _step(kind, ws, tau)
-            calls.append((counter.calls, blas.calls))
+            assert (counter.calls, wrappers.calls) == (0, {})
+            calls.append(routines.calls)
             # the step carries e as e + (dx, -dx), its residual writes mu∘e
             # as a ufunc writes it, and dmu = g34/e - w'∘(dx, -dx) as ufuncs
             # write it, with the w' = mu'/e' of the step that factored; a
@@ -649,18 +722,18 @@ class TestStepLoopStructure:
         assert calls == _STEP_CALLS
 
     def test_calls_of_the_residual(self, monkeypatch):
-        # the residual is one multiply, the gemv T.dot (a method call, not
-        # counted) and BLAS level-1: no numpy call but mu∘e creeps back in
-        counter, blas = _CountingNumpy(), _CountingBlas()
+        # the residual is one call of the compiled residual, which makes
+        # one gemv and BLAS level-1 calls: no Python-level numpy or BLAS call
+        counter, wrappers = _CountingNumpy(), _CountingWrappers(monkeypatch)
         monkeypatch.setattr(boxipm.kkt, "np", counter)
-        monkeypatch.setattr(boxipm.linalg, "blas", blas)
+        routines = _CountingRoutines(monkeypatch)
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         ws = _Workspace(p, compute_params_practical(p))
         ws.load(random_iterate(np.random.default_rng(14), 4, 2))
         for tau in (0.5, 0.25):
-            counter.calls, counter.names, blas.calls = 0, [], {}
+            counter.calls, counter.names, wrappers.calls, routines.calls = 0, [], {}, {}
             ws.eval_F(tau)
-            assert (counter.names, blas.calls) == _EVAL_F_CALLS
+            assert (counter.names, wrappers.calls, routines.calls) == ([], {}, _EVAL_F_CALLS)
 
     def test_numpy_calls_per_traced_step_kind(self, monkeypatch):
         # as above, each step followed by its trace row: recording a row
@@ -671,10 +744,10 @@ class TestStepLoopStructure:
         # they are built before the steps are counted).  One of them is the
         # minimum of (mu, e) over every row's snapshot, the rows' interior
         # margins, which the steps do not keep.
-        counter, blas = _CountingNumpy(), _CountingBlas()
+        counter, wrappers = _CountingNumpy(), _CountingWrappers(monkeypatch)
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg, boxipm.neighborhoods):
             monkeypatch.setattr(module, "np", counter)
-        monkeypatch.setattr(boxipm.linalg, "blas", blas)
+        routines = _CountingRoutines(monkeypatch)
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         mp = compute_params_practical(p)
         ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
@@ -688,18 +761,20 @@ class TestStepLoopStructure:
         assert counter.calls == 0
         for kinds in ((STEP_ERROR_RESET,) + cycle * 2, cycle * 4):
             for kind in kinds:
-                counter.calls, blas.calls = 0, {}
+                counter.calls, wrappers.calls, routines.calls = 0, {}, {}
                 if kind == STEP_PATH:
                     tau = mp.sigma * tau
                 _step(kind, ws, tau)
                 record(kind, tau)
-                calls.append((counter.calls, blas.calls))
-            counter.calls, blas.calls = 0, {}
+                assert (counter.calls, wrappers.calls) == (0, {})
+                calls.append(routines.calls)
+            counter.calls, wrappers.calls, routines.calls = 0, {}, {}
             record.flush()
-            flushes.append((counter.calls, blas.calls))
+            flushes.append((counter.calls, wrappers.calls, routines.calls))
         assert calls == _STEP_CALLS + _STEP_CALLS[1:]  # six cycles
         assert len(trace) == 1 + 7 + 12 and record.rows == []
-        assert flushes == [(32, {}), (32, {})]
+        # a flush inverts each of its factors by one dsytri
+        assert flushes == [(32, {}, {"dsytri": 1}), (32, {}, {"dsytri": 2})]
 
     def test_traced_inverse_runs_in_a_recorder_slot(self, monkeypatch):
         # every dsytri of a traced solve inverts a factor in place in a
@@ -712,56 +787,36 @@ class TestStepLoopStructure:
             build(self, *args, **kwargs)
             recorders.append(self)
 
-        class SpyLapack:
-            def __getattr__(self, name):
-                fn = getattr(scipy.linalg.lapack, name)
-                if name != "dsytri":
-                    return fn
+        ffi, _ = boxipm._cstep.load()
 
-                def spied(a, *args, **kwargs):
-                    out = fn(a, *args, **kwargs)
-                    inverted.append((a, kwargs.get("overwrite_a"), out[0]))
-                    return out
-                return spied
+        def spy(name, args):  # dsytri(uplo, n, a, lda, ipiv, work, info)
+            if name == "dsytri":
+                inverted.append((args[1][0], int(ffi.cast("uintptr_t", args[2])), args[3][0]))
 
         monkeypatch.setattr(_Recorder, "__init__", init)
-        monkeypatch.setattr(boxipm.linalg, "lapack", SpyLapack())
+        routines = _CountingRoutines(monkeypatch, spy)
         p = random_boxqp(np.random.default_rng(13), 4, 2, feasible=True, tol=1e-2)
         rep = solve(p, collect_trace=True)
         (record,) = recorders
-        assert len(inverted) == rep.factorizations - rep.params.K > 100
-        slots = record.factors.__array_interface__["data"][0]
-        for a, overwrite_a, Y in inverted:
-            assert Y is a and overwrite_a and np.shares_memory(a, record.factors)
-            assert a.flags.f_contiguous and a.shape == (p.n + p.m, p.n + p.m)
-            assert (a.__array_interface__["data"][0] - slots) % a.nbytes == 0
+        assert len(inverted) == routines.calls["dsytri"] == rep.factorizations - rep.params.K > 100
+        slots, d = record.factors.__array_interface__["data"][0], p.n + p.m
+        assert record.factors[0].flags.f_contiguous
+        for n, a, lda in inverted:
+            assert n == lda == d
+            assert 0 <= a - slots < record.factors.nbytes and (a - slots) % (8 * d * d) == 0
 
     def test_traced_solve_builds_no_N_by_N_DF(self, monkeypatch):
         # cond_DF comes from the factor of the (n+m) reduced matrix that the
         # step's one symmetric solve made: one dsytri per factoring
         # primal-dual step, the initial reset and every third cycle's
         # centrality step, none for the steps that solve on the held factor
-        # (dsytrs), no LU, and no N x N array made through numpy or LAPACK
-        # in kkt, solver or linalg
+        # (dsytrs), no LU, and no N x N array made through numpy in kkt,
+        # solver or linalg
         n, m = 4, 2
         N = 3 * n + m
-        lapack_calls, shapes = {}, set()
-
-        class SpyLapack:
-            def __getattr__(self, name):
-                fn = getattr(scipy.linalg.lapack, name)
-
-                def spied(*args, **kwargs):
-                    lapack_calls[name] = lapack_calls.get(name, 0) + 1
-                    shapes.update(a.shape for a in args if isinstance(a, np.ndarray))
-                    out = fn(*args, **kwargs)
-                    shapes.update(a.shape for a in out if isinstance(a, np.ndarray))
-                    return out
-                return spied
-
         calls = {"workspace": 0}
         counter = _CountingNumpy()
-        monkeypatch.setattr(boxipm.linalg, "lapack", SpyLapack())
+        routines = _CountingRoutines(monkeypatch)
         for module in (boxipm.kkt, boxipm.solver, boxipm.linalg):
             monkeypatch.setattr(module, "np", counter)
         monkeypatch.setattr(
@@ -773,14 +828,13 @@ class TestStepLoopStructure:
         cycles = rep.iterations_pd
         assert len(rep.trace) == rep.linear_solves + 1
         assert calls == {"workspace": 1}
-        assert lapack_calls == {
+        assert {name: routines.calls[name] for name in _LAPACK} == {
             "dgeqp3": rep.params.K, "dormqr": rep.params.K, "dtrtrs": rep.params.K,
             "dtrcon": rep.params.K, "dsysv": 1 + cycles // 3,
             "dsytrs": 3 * cycles - cycles // 3, "dsytri": 1 + cycles // 3,
         }
         assert pd_steps == 1 + 3 * cycles
-        shapes |= counter.shapes
-        assert (N, N) not in shapes and (n + m, n + m) in shapes
+        assert (N, N) not in counter.shapes and (n + m, n + m) in counter.shapes
 
     def test_concatenations_do_not_grow_with_M(self, monkeypatch):
         calls = {"concatenate": 0}
@@ -809,8 +863,9 @@ class TestRepairInvariants:
     """A step writes the next state unchecked, and rejects it when its
     margin, the minimum of (mu, e), is not positive: a step that leaves the
     box and one that drives a multiplier to zero alike, and no multiplier
-    is reset.  Steps are injected at the LAPACK boundary
-    (:func:`_edit_solutions`) or come from a crafted state."""
+    is reset.  Each step comes from a crafted state: a right-hand side
+    (:func:`_rhs_to`), a reduced matrix with a decoupled row
+    (:func:`_decoupled`) or a held factor (:func:`_held_factor`)."""
 
     @staticmethod
     def _update(ws, dz):
@@ -820,24 +875,20 @@ class TestRepairInvariants:
         np.subtract(ws.e_r, dz[: ws.n], out=ws.e_r)
 
     @staticmethod
-    def _rejected_step(monkeypatch, kind, x, dx0):
-        # a step of kind at tau = 0.5 from x with lam = 0 and mu = 1 on the
-        # zero right-hand side, solved as dx = (dx0, 0, 0) and dlam = 0:
-        # dmu = -w∘(dx, -dx), with w = mu/e
+    def _rejected_step(kind, x, dx0):
+        # a step of kind at tau = 0.5 from x with lam = 0 and mu = 1, solved
+        # as dx = (dx0, 0, 0) and dlam = 0: the reduced matrix's row 0 is
+        # decoupled with G_00 = 4, and the right-hand side is (4 dx0, 0, 0,
+        # 0) with g34 = 0, so dmu = -w∘(dx, -dx), with w = mu/e
         p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
         mp = compute_params_practical(p)
-
-        def injected(u):
-            u[:] = 0.0
-            u[0] = dx0
-
-        _edit_solutions(monkeypatch, injected)
         z = Iterate(x=x, lam=[0.0], mu_l=[1.0] * 3, mu_r=[1.0] * 3)
         ws = loaded_workspace(p, mp, z, 0.5)
-        ws.F[:] = 0.0
-        ws.mue[:] = 0.5  # a path step rewrites (r3, r4) as mu∘e - tau
+        _decoupled(ws, 0, 4.0)
+        _rhs_to(ws, 0.5, np.array([4.0 * dx0, 0.0, 0.0, 0.0]))
         with pytest.raises(StepRejected, match=f"{kind} step left the interior") as info:
             _step(kind, ws, 0.5)
+        assert ws.dz[:4].tolist() == [dx0, 0.0, 0.0, 0.0]
         exc = info.value
         assert (exc.kind, exc.tau, exc.block, exc.limit) == (kind, 0.5, "interior", 0.0)
         assert exc.value == ws.mu_e.min() < 0.0
@@ -845,18 +896,18 @@ class TestRepairInvariants:
         return ws
 
     @pytest.mark.parametrize("kind", [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET])
-    def test_x_outside_the_box_is_rejected(self, monkeypatch, kind):
+    def test_x_outside_the_box_is_rejected(self, kind):
         # x_0 = 0.5 + 0.75 leaves the box, e_r,0 = -0.25, while mu_l,0 halves
         # and mu_r,0 grows
-        ws = self._rejected_step(monkeypatch, kind, [0.5, -0.5, 0.0], 0.75)
+        ws = self._rejected_step(kind, [0.5, -0.5, 0.0], 0.75)
         assert ws.e_r[0] == -0.25 == ws.mu_e.min()
         assert ws.mu.min() > 0.0
 
     @pytest.mark.parametrize("kind", [STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET])
-    def test_a_step_that_drives_mu_negative_inside_the_box_is_rejected(self, monkeypatch, kind):
+    def test_a_step_that_drives_mu_negative_inside_the_box_is_rejected(self, kind):
         # dx_0 = -1.35 keeps x_0 = 0.5 - 1.35 in the box, e_l,0 = 0.15, and
         # drives mu_r,0 = 1 + (1/0.5)(-1.35) to -1.7
-        ws = self._rejected_step(monkeypatch, kind, [0.5, -0.5, 0.0], -0.9 * 1.5)
+        ws = self._rejected_step(kind, [0.5, -0.5, 0.0], -0.9 * 1.5)
         assert ws.e.min() > 0.0
         assert ws.mu_r[0] == ws.mu_e.min() < 0.0
 
@@ -912,33 +963,33 @@ class TestRepairInvariants:
         assert exc.value == ws.mu_l[0] == -z.mu_l[0] < 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_step_is_rejected(self, monkeypatch, bad):
+    def test_non_finite_step_is_rejected(self, bad):
+        # a path step on a held factor whose last pivot is exactly 0: its
+        # right-hand side is finite, and the solution's last entry, dlam/s,
+        # is 0 * inf = NaN or 1 * inf = inf
         p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
         mp = compute_params_practical(p)
         z = _hand_iterate()
-
-        def broken(u):
-            u[1] = bad
-
-        _edit_solutions(monkeypatch, broken)
         ws = loaded_workspace(p, mp, z, 1.0)
+        _held_factor(ws, last_pivot=0.0)
+        ws.F[3] = 0.0 if np.isnan(bad) else 1.0 / ws.lam_scale  # v_lam = s r2
         with pytest.raises(StepRejected, match="non-finite components") as info:
             _step(STEP_PATH, ws, mp.sigma)
         assert (info.value.kind, info.value.tau) == (STEP_PATH, mp.sigma)
+        assert np.isnan(ws.dz[3]) if np.isnan(bad) else ws.dz[3] == bad
 
-    def test_huge_finite_step_is_checked_without_a_warning(self, monkeypatch):
+    def test_huge_finite_step_is_checked_without_a_warning(self):
         # dz'dz would overflow, and ndarray.dot warns when it overflows; the
         # step is finite, so it is taken, and it leaves the box: e_r,0 =
         # 0.5 - 1e200.  mu_0 is tiny, so that the dmu_0 = -w∘(dx_0, -dx_0)
-        # part of the step stays moderate.
-        def huge(u):
-            u[0] = 1e200
-
-        _edit_solutions(monkeypatch, huge)
+        # part of the step stays moderate.  The reduced matrix's row 0 is
+        # decoupled with G_00 = 1 and the right-hand side is (1e200, 0, 0, 0).
         ws = _hand_workspace()
         ws.load(Iterate(x=[0.5, -0.5, 0.0], lam=[0.1], mu_l=[1e-190, 2.0, 0.5],
                         mu_r=[1e-190, 1.0, 2.0]))
         ws.eval_F(1.0)
+        _decoupled(ws, 0, 1.0)
+        _rhs_to(ws, 1.0, np.array([1e200, 0.0, 0.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepRejected, match="centrality step left the interior") as info:
@@ -946,20 +997,23 @@ class TestRepairInvariants:
         assert ws.dz[0] == 1e200
         assert (info.value.block, info.value.value) == ("interior", -1e200)
 
-    def test_infinities_of_both_signs_are_rejected_without_a_warning(self, monkeypatch):
+    def test_infinities_of_both_signs_are_rejected_without_a_warning(self):
         # a weighted sum of dz would meet inf - inf, and ndarray.dot warns
-        # "invalid value" there before the step could be rejected
-        def opposite(u):
-            u[0], u[1] = np.inf, -np.inf
-
-        _edit_solutions(monkeypatch, opposite)
-        ws = _hand_workspace()
-        ws.load(_hand_iterate())
+        # "invalid value" there before the step could be rejected.  On a
+        # held factor whose last pivot is 0, dx_2 = 1/0 = inf, so dmu_l,2 =
+        # -(w_l,2 inf) = -inf and dmu_r,2 = inf; m = 0 makes x_2 the last
+        # entry of the reduced system.
+        p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=np.zeros((0, 3)), b=np.zeros(0), tol=1e-2)
+        ws = _Workspace(p, compute_params_practical(p), HELD_STEPS["stable"])
+        ws.load(Iterate(x=[0.5, -0.5, 0.0], lam=[], mu_l=[1.0, 2.0, 0.5], mu_r=[0.5, 1.0, 2.0]))
         ws.eval_F(1.0)
+        _held_factor(ws, last_pivot=0.0)
+        _rhs_to(ws, 1.0, np.array([0.0, 0.0, 1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepRejected, match="non-finite components"):
                 _step(STEP_CENTRALITY, ws, 1.0)
+        assert ws.dz.tolist() == [0.0, 0.0, np.inf, 0.0, 0.0, -np.inf, 0.0, 0.0, np.inf]
 
     def test_rhs_infinities_of_both_signs_name_v_without_a_warning(self):
         ws = _hand_workspace()
@@ -972,48 +1026,75 @@ class TestRepairInvariants:
                 _step(STEP_CENTRALITY, ws, 1.0)
 
     @pytest.mark.parametrize("block", ["lam", "mu_l", "mu_r"])
-    def test_overflow_to_inf_is_rejected(self, monkeypatch, block):
+    def test_overflow_to_inf_is_rejected(self, block):
         # finite + finite = inf: the update passes the finite-dz check, and
         # the residual at the new point must catch it.  z holds a huge entry
-        # in the block, and the step adds another: dlam from the solve (as
-        # dlam/s, which the step scales back exactly); dmu
+        # (2^1023) in the block, and the step adds another: dlam = huge from
+        # a decoupled lam row with H_33 = 1 and v_3 = huge/s (the solve
+        # returns dlam/s, which the step scales back exactly); dmu
         # = g34/e - w∘(dx, -dx) from dx in a reset, whose g34 is 0, and from
-        # a crafted g34 with dx = 0 in the other steps; the reset's dx takes
-        # x 0.9 of the way to the face, so the step stays in the box, and,
-        # from x_j = 0, takes the other multiplier of coordinate j to 0.1
-        # of its value, so that no component reaches 0 and the overflow is
-        # what the step is rejected for.  (r1, r2) of the right-hand side
-        # is zero, so that v stays finite.
+        # a crafted g34 with v = 0, so dx = 0, in the other steps; the
+        # reset's dx, from a decoupled row 2 with G_22 = huge, takes x 0.9
+        # of the way to the face, so the step stays in the box, and, from
+        # x_j = 0, takes the other multiplier of coordinate j to 0.1 of its
+        # value, so that no component reaches 0 and the overflow is what the
+        # step is rejected for.
         p = BoxQP(Q=np.eye(3), c=np.zeros(3), A=[[0.1, 0.1, 0.1]], b=[0.0], tol=1e-2)
         mp = compute_params_practical(p)
-        huge = 1e308
+        huge = 2.0**1023
         values = {"x": [0.5, -0.5, 0.0], "lam": [0.0], "mu_l": [1.0] * 3, "mu_r": [1.0] * 3}
         j = 0 if block == "lam" else 2  # x_j = 0: mu_j/(1 +- x_j) stays finite in the reduced matrix
         values[block][j] = huge
         z = Iterate(**values)
         at = {"lam": 3, "mu_l": 4, "mu_r": 7}[block] + j
-        solution = np.zeros(4)
-
-        def overflowing(u):
-            u[:] = solution
-
-        _edit_solutions(monkeypatch, overflowing)
         with np.errstate(over="ignore", invalid="ignore"):
             for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
                 ws = loaded_workspace(p, mp, z, 1.0)
-                ws.F[:] = 0.0
-                ws.mue[:] = 1.0  # a path step rewrites (r3, r4) as mu∘e - tau
-                solution[:] = 0.0
+                v = np.zeros(4)
                 if block == "lam":  # the solve returns dlam/s
-                    solution[3] = huge / ws.lam_scale
+                    _decoupled(ws, 3, 1.0)
+                    v[3] = huge / ws.lam_scale
                 elif kind == STEP_ERROR_RESET:  # -w_l*dx = 0.9 mu_l, w_r*dx = 0.9 mu_r
-                    solution[j] = -0.9 * ws.e_l[j] if block == "mu_l" else 0.9 * ws.e_r[j]
-                else:  # g34/e = huge
+                    _decoupled(ws, j, huge)
+                    v[j] = huge * (-0.9 * ws.e_l[j] if block == "mu_l" else 0.9 * ws.e_r[j])
+                _rhs_to(ws, 1.0, v)
+                if block != "lam" and kind != STEP_ERROR_RESET:  # g34/e = huge, v = 0
                     ws.F[at] = -huge * ws.e[at - 4]
                     ws.mue[at - 4] = ws.F[at] + 1.0
+                    ws.F[j] = huge if block == "mu_l" else -huge  # g1_j = -t_l,j + t_r,j
                 with pytest.raises(StepRejected, match="non-finite iterate") as info:
                     _step(kind, ws, 1.0)
                 assert info.value.kind == kind
+
+    def test_a_nan_margin_passes_to_the_residual_test(self):
+        # a NaN in the state makes min(mu, e) NaN, which is not <= 0: the
+        # interior test lets it pass, and the residual at the new point
+        # names it.  A reset on the held factor neither reads mu nor tests
+        # v, so the NaN reaches the update.
+        p = random_boxqp(np.random.default_rng(4), 3, 1, tol=1e-2)
+        mp = compute_params_practical(p)
+        ws = loaded_workspace(p, mp, lift(p, mp, primal_init(p, mp)), mp.tau_A)
+        _step(STEP_ERROR_RESET, ws, mp.tau_A)
+        ws.mu_l[0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRejected, match="non-finite iterate") as info:
+                _step(STEP_ERROR_RESET, ws, mp.tau_A)
+        assert info.value.block is None and np.isnan(ws.mu_e.min())
+        assert ws.factorizations == 1
+
+    def test_an_exactly_singular_system_raises_dsysv_s_info(self):
+        # (Q_00 + omega) + w_l + w_r = 0 exactly, with qdiag_0 = -2 and
+        # w = (1, 1): dsysv returns info = 1, and the step leaves no factor
+        p = BoxQP(Q=[[0.0]], c=[0.0], A=np.zeros((0, 1)), b=np.zeros(0), tol=1e-2)
+        mp = compute_params_practical(p)
+        z = Iterate(x=[0.0], lam=[], mu_l=[1.0], mu_r=[1.0])
+        for kind in (STEP_PATH, STEP_CENTRALITY, STEP_ERROR_RESET):
+            ws = loaded_workspace(p, mp, z, 1.0)
+            _decoupled(ws, 0, 0.0)
+            with pytest.raises(SingularSystem, match="LAPACK dsysv: pivot 0 of the factor"):
+                _step(kind, ws, mp.sigma if kind == STEP_PATH else 1.0)
+            assert ws.factor is None and ws.factorizations == 0
 
     def test_matrix_overflow_is_a_rejected_step(self):
         # z is valid, but mu_r/(1 - x) overflows in the reduced matrix
@@ -1110,15 +1191,13 @@ class TestStructuredRejection:
         (1, 0, STEP_ERROR_RESET), (2, 1, STEP_PATH), (6, 2, STEP_CENTRALITY),
     ])
     def test_solve_names_the_cycle(self, monkeypatch, fail_at, cycle, kind):
-        # every primal-dual step makes one dsysv or dsytrs call
-        calls = {"solve": 0}
+        # the fail_at-th primal-dual step solves on a crafted held factor
+        # whose last pivot is 0, over v_last = 0: dlam/s = NaN
+        def failing(ws, tau):
+            _held_factor(ws, last_pivot=0.0)
+            ws.F[ws.n + ws.m - 1] = 0.0
 
-        def failing(u):
-            calls["solve"] += 1
-            if calls["solve"] == fail_at:
-                u[0] = np.nan
-
-        _edit_solutions(monkeypatch, failing)
+        _crafted_at(monkeypatch, fail_at, failing)
         p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
         with pytest.raises(StepRejected, match="non-finite components") as info:
             solve(p, mode="stable")
@@ -1136,16 +1215,13 @@ class TestStructuredRejection:
     def test_solve_names_the_cycle_of_an_interior_rejection(
         self, monkeypatch, fail_at, cycle, kind
     ):
-        # dx_0 = 4 takes x_0 out of the box, on a factoring step or on a
-        # cycle's reset, which solves on its centrality step's factor
-        calls = {"solve": 0}
+        # dx_0 = 4 takes x_0 out of the box: the fail_at-th step solves
+        # on a crafted held factor, the identity, for v = (4, 0, 0)
+        def leaving(ws, tau):
+            _held_factor(ws)
+            _rhs_to(ws, tau, np.array([4.0, 0.0, 0.0]))
 
-        def leaving(u):
-            calls["solve"] += 1
-            if calls["solve"] == fail_at:
-                u[0] = 4.0
-
-        _edit_solutions(monkeypatch, leaving)
+        _crafted_at(monkeypatch, fail_at, leaving)
         p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
         with pytest.raises(StepRejected, match=f"{kind} step left the interior") as info:
             solve(p, mode="stable")
@@ -1164,18 +1240,15 @@ class TestStructuredRejection:
         # a rejection after the trace's first flush (200 steps) included:
         # the same step fails with the same context, and the rows recorded
         # before it raise no warning, as they are never flushed
-        calls = {"solve": 0}
+        def failing(ws, tau):
+            _held_factor(ws, last_pivot=0.0)
+            ws.F[ws.n + ws.m - 1] = 0.0
 
-        def failing(u):
-            calls["solve"] += 1
-            if calls["solve"] == fail_at:
-                u[0] = np.nan
-
-        _edit_solutions(monkeypatch, failing)
+        calls = _crafted_at(monkeypatch, fail_at, failing)
         p = random_boxqp(np.random.default_rng(13), 2, 1, tol=1e-2)
         rejected = []
         for collect_trace in (False, True):
-            calls["solve"] = 0
+            calls["step"] = 0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(StepRejected, match="non-finite components") as info:
@@ -1183,7 +1256,7 @@ class TestStructuredRejection:
             exc = info.value
             rejected.append((str(exc), exc.cycle, exc.context()))
         assert rejected[0] == rejected[1]
-        # the initial reset is solve 1, then one solve a cycle, or three
+        # the initial reset is step 1, then one step a cycle, or three
         assert rejected[0][1] == (fail_at - 1 if mode == "fast" else (fail_at + 1) // 3)
 
 
